@@ -110,16 +110,26 @@ class WatchEvent:
     prev_revision: int = None
     ctx: object = None
     committed_at: float = None
+    _wire_size: int = field(default=None, init=False, repr=False,
+                            compare=False)
 
     def wire_size(self):
-        """Bytes this event occupies in one watch message."""
-        if self.object is None and self.delta is not None:
-            payload = estimate_size(self.delta)
-        elif self.object is not None:
-            payload = estimate_size(self.object)
-        else:
-            payload = 0  # tombstone
-        return len(self.key) + EVENT_OVERHEAD + payload
+        """Bytes this event occupies in one watch message.
+
+        Measured once per event: an event is immutable once committed,
+        and fan-out hands the same one to every watcher.
+        """
+        size = self._wire_size
+        if size is None:
+            if self.object is None and self.delta is not None:
+                payload = estimate_size(self.delta)
+            elif self.object is not None:
+                payload = estimate_size(self.object)
+            else:
+                payload = 0  # tombstone
+            size = len(self.key) + EVENT_OVERHEAD + payload
+            object.__setattr__(self, "_wire_size", size)
+        return size
 
 
 @dataclass

@@ -24,6 +24,11 @@ those copies with an immutable, structurally-shared representation:
   working by construction.
 - :class:`CopyMeter` -- copy accounting, so "we stopped copying" is a
   measured claim (``benchmarks/bench_zero_copy_delta.py``), not vibes.
+- :func:`estimate_size` -- the byte model behind every size-dependent
+  latency and every metered copy.  A frozen node never changes, so it
+  remembers its size the first time it is asked: a path-copy merge
+  re-creates only the nodes along the patch, every shared subtree keeps
+  its memo, and sizing the patched object costs O(re-created path).
 
 Versions are persistent-data-structure style: a store that patches an
 object gets a NEW frozen root sharing all unpatched subtrees with the
@@ -57,7 +62,8 @@ def _blocked(name):
 class CowMap(dict):
     """A frozen dict view.  Reads are plain dict reads; writes raise."""
 
-    __slots__ = ()
+    #: ``estimate_size`` memo; unset until the node is first sized.
+    __slots__ = ("_size",)
 
     __setitem__ = _blocked("__setitem__")
     __delitem__ = _blocked("__delitem__")
@@ -88,7 +94,7 @@ class CowMap(dict):
 class CowList(list):
     """A frozen list view.  Reads are plain list reads; writes raise."""
 
-    __slots__ = ()
+    __slots__ = ("_size",)
 
     __setitem__ = _blocked("__setitem__")
     __delitem__ = _blocked("__delitem__")
@@ -315,19 +321,53 @@ class CopyMeter:
 
 
 def estimate_size(value):
-    """Rough serialized size in bytes (same model as ``store.base``)."""
+    """Rough serialized size in bytes of a JSON-like value.
+
+    The one byte model of the state plane: op latencies, wire sizes and
+    every :class:`CopyMeter` figure come from here.  Frozen nodes answer
+    from their memo (see :func:`_frozen_size`); plain values are walked
+    on every call, because nothing stops their owner editing them.
+    """
+    if isinstance(value, str):
+        return len(value) + 2
     if value is None:
         return 4
     if isinstance(value, bool):
         return 5
     if isinstance(value, (int, float)):
         return 8
-    if isinstance(value, str):
-        return len(value) + 2
-    if isinstance(value, (list, tuple)):
-        return 2 + sum(estimate_size(v) + 1 for v in value)
-    if isinstance(value, dict):
-        return 2 + sum(
-            estimate_size(k) + estimate_size(v) + 2 for k, v in value.items()
-        )
+    if isinstance(value, (CowMap, CowList)):
+        size = getattr(value, "_size", None)
+        return _frozen_size(value) if size is None else size
+    if isinstance(value, (list, tuple, dict)):
+        return _walk_size(value)
     return 16
+
+
+def _walk_size(value):
+    size = 2
+    if isinstance(value, dict):
+        for key, item in value.items():
+            size += estimate_size(key) + estimate_size(item) + 2
+    else:
+        for item in value:
+            size += estimate_size(item) + 1
+    return size
+
+
+def _frozen_size(node):
+    """First sizing of a frozen node: walk it once and remember the answer.
+
+    The memo is kept only when nothing below the node can still change,
+    i.e. every container child is itself frozen and memoised.  A
+    hand-built ``CowMap`` over plain dicts (or a merge onto a plain
+    base) aliases mutable state, so it is re-walked on every call
+    instead of going stale.
+    """
+    size = _walk_size(node)
+    for child in node.values() if isinstance(node, dict) else node:
+        if (isinstance(child, (dict, list, tuple))
+                and getattr(child, "_size", None) is None):
+            return size
+    node._size = size
+    return size

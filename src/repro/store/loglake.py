@@ -29,6 +29,11 @@ DEFAULT_OPS = {
 
 
 class _Pool:
+    """One append-only pool.  ``records[i]["_seq"] == i`` always: rows are
+    only ever appended, from seq 0.  Retention that trims the head would
+    have to carry a base offset to keep range scans a slice.
+    """
+
     __slots__ = ("name", "records", "next_seq", "created_at")
 
     def __init__(self, name, created_at):
@@ -133,9 +138,12 @@ class LogLake(StoreServer):
                  include_watermark=False):
         """Run a ZQL pipeline over the pool (optionally a seq range).
 
-        ``since_seq`` is inclusive, ``until_seq`` exclusive.  Implemented
-        as a sub-process: scan time is proportional to the number of
-        records scanned.
+        ``since_seq`` is inclusive, ``until_seq`` exclusive; each is an
+        integer or ``None`` (anything else is a :class:`StoreError`).  A
+        bound below 0 or beyond the watermark clamps, and an inverted
+        range is empty -- what comparing every row's ``_seq`` would
+        answer.  Implemented as a sub-process: scan time is proportional
+        to the number of records scanned.
 
         ``include_watermark=True`` is the federation scan hook: the
         answer becomes ``{"records": [...], "watermark": next_seq}`` so
@@ -145,12 +153,19 @@ class LogLake(StoreServer):
         """
         target = self._pool(pool)
         watermark = target.next_seq
-        scanned = [
-            r
-            for r in target.records
-            if (since_seq is None or r["_seq"] >= since_seq)
-            and (until_seq is None or r["_seq"] < until_seq)
-        ]
+        for bound in (since_seq, until_seq):
+            if bound is not None and not isinstance(bound, int):
+                raise StoreError(
+                    "since_seq/until_seq must be integers or None, "
+                    f"got {bound!r}"
+                )
+        # A pool is append-only from seq 0, so ``_seq`` is the row index
+        # and a seq range is a slice: O(result), however large the pool.
+        # Bounds clamp at 0 (a negative index would count from the end);
+        # the slice itself clamps at the watermark.
+        first = 0 if since_seq is None else max(since_seq, 0)
+        last = watermark if until_seq is None else max(until_seq, 0)
+        scanned = target.records[first:last]
         pipeline = compile_ops(list(ops))
 
         def run(env):
@@ -163,7 +178,7 @@ class LogLake(StoreServer):
                 # this scan used to pay is gone.
                 for row in scanned:
                     self.copy_meter.shared(estimate_size(row))
-                records = pipeline(list(scanned))
+                records = pipeline(scanned)
             else:
                 records = pipeline(
                     [copy_value(r, self.copy_meter, "scan") for r in scanned]

@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from repro.store import DELETED, MemKV, MemKVClient
+from repro.store import DELETED, LogLake, LogLakeClient, MemKV, MemKVClient
 from repro.simnet import Environment, FixedLatency, Network
 
 KEYS = ["orders/a", "orders/b", "orders/c", "ships/x", "ships/y"]
@@ -172,3 +172,59 @@ def test_injected_drop_resyncs_and_converges(seed):
     for key, events in cow_mirror.per_key.items():
         revisions = [rev for (_t, _o, rev) in events]
         assert revisions == sorted(revisions), key
+
+
+def log_scenario(zero_copy):
+    """Three loads fanned out to two watchers, then two scans."""
+    env = Environment()
+    net = Network(env, default_latency=FixedLatency(0.0))
+    server = LogLake(env, net, watch_overhead=0.0, zero_copy=zero_copy)
+    client = LogLakeClient(server, location="tester")
+    client.watch_pool("p", lambda event: None)
+    client.watch_pool("p", lambda event: None)
+    env.run(until=client.create_pool("p"))
+    for batch in range(3):
+        env.run(until=client.load("p", [
+            {"device": f"d{batch}{i}", "reading": {"c": 20.5 + i, "ok": True},
+             "tags": ["a", "b" * i]} for i in range(4)]))
+    env.run(until=client.query("p", since_seq=2, until_seq=9))
+    env.run(until=client.query("p", ops=[{"op": "cut", "fields": ["device"]}]))
+    env.run()
+    return server
+
+
+#: Metered bytes of the two fixed scenarios, as the byte model counted
+#: them before frozen nodes memoised their size.  The memo (and the
+#: once-per-event wire size) may change what sizing costs the host,
+#: never what it answers.
+OBJECT_METERS = {
+    (False, False): (13236, 135, {"ingest": 768, "snapshot": 12468},
+                     0, 0, 7900),
+    (True, False): (3536, 58, {"ingest": 768, "merge": 2768},
+                    122, 12468, 7900),
+    (True, True): (3536, 58, {"ingest": 768, "merge": 2768},
+                   122, 12468, 4505),
+}
+LOG_METERS = {
+    False: (2837, 31, {"ingest": 870, "scan": 1967}, 0, 0, 2874),
+    True: (870, 12, {"ingest": 870}, 19, 1967, 2874),
+}
+
+
+def metered(server):
+    snap = server.copy_meter.snapshot()
+    return (snap["copied_bytes"], snap["copies"], snap["by_site"],
+            snap["shared_views"], snap["shared_bytes_avoided"],
+            server.watch_wire_bytes)
+
+
+@pytest.mark.parametrize("mode", sorted(OBJECT_METERS))
+def test_object_plane_metered_bytes_are_pinned(mode):
+    zero_copy, delta_watch = mode
+    server = run_sequence(random_ops(7), zero_copy, delta_watch)[3]
+    assert metered(server) == OBJECT_METERS[mode]
+
+
+@pytest.mark.parametrize("zero_copy", sorted(LOG_METERS))
+def test_log_plane_metered_bytes_are_pinned(zero_copy):
+    assert metered(log_scenario(zero_copy)) == LOG_METERS[zero_copy]

@@ -2,8 +2,11 @@
 
 import copy
 import json
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.store.cow import (
     CopyMeter,
@@ -223,3 +226,135 @@ class TestThaw:
     def test_thaw_passthrough_scalars(self):
         assert thaw(5) == 5
         assert thaw("s") == "s"
+
+
+def plain_size(value):
+    """The byte model, walked from scratch with no memo in sight."""
+    if value is None:
+        return 4
+    if isinstance(value, bool):
+        return 5
+    if isinstance(value, (int, float)):
+        return 8
+    if isinstance(value, str):
+        return len(value) + 2
+    if isinstance(value, (list, tuple)):
+        return 2 + sum(plain_size(v) + 1 for v in value)
+    if isinstance(value, dict):
+        return 2 + sum(
+            plain_size(k) + plain_size(v) + 2 for k, v in value.items()
+        )
+    return 16
+
+
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-1000, 1000),
+    st.floats(allow_nan=False), st.text(max_size=12),
+)
+_keys = st.text(alphabet="abcdef", min_size=1, max_size=2)
+_trees = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(_keys, inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+_maps = st.dictionaries(_keys, _trees, max_size=5)
+#: One step of a chain: ("merge", patch) | ("mask", paths) | ("diff", target).
+_steps = st.one_of(
+    st.tuples(st.just("merge"), _maps),
+    st.tuples(st.just("mask"), st.lists(
+        st.lists(_keys, min_size=1, max_size=3).map(".".join), max_size=3)),
+    st.tuples(st.just("diff"), _maps),
+)
+
+
+class TestSizeMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(value=_trees)
+    def test_frozen_size_equals_plain_size(self, value):
+        assert estimate_size(value) == plain_size(value)
+        frozen = freeze(value)
+        assert estimate_size(frozen) == plain_size(value)
+        assert estimate_size(frozen) == plain_size(value)  # the memo hit
+
+    @settings(max_examples=150, deadline=None)
+    @given(start=_maps, steps=st.lists(_steps, max_size=6),
+           size_between=st.booleans())
+    def test_memo_survives_path_copy_chains(self, start, steps, size_between):
+        # Sizing intermediate versions fills memos the later versions
+        # share; not sizing them leaves the same nodes to be walked.
+        current = freeze(start)
+        for verb, arg in steps:
+            if size_between:
+                estimate_size(current)
+            if verb == "merge":
+                current = merge_shared(current, arg)
+            elif verb == "mask":
+                current = mask_shared(current, arg)
+            else:
+                delta = diff_shared(current, freeze(arg))
+                assert estimate_size(delta) == plain_size(thaw(delta))
+                current = merge_shared(current, delta)
+            assert estimate_size(current) == plain_size(thaw(current))
+            assert estimate_size(current) == plain_size(thaw(current))
+
+    def test_patched_object_reuses_shared_memos(self):
+        base = freeze({"hot": {"v": 1}, "cold": {"big": list(range(50))}})
+        estimate_size(base)
+        merged = merge_shared(base, {"hot": {"v": 2}})
+        assert merged["cold"]._size == plain_size(thaw(base["cold"]))
+        assert not hasattr(merged, "_size")  # re-created, not yet asked
+        assert estimate_size(merged) == plain_size(thaw(merged))
+        assert merged._size == estimate_size(merged)
+
+    def test_node_over_plain_children_is_never_memoised(self):
+        # A hand-built frozen node aliases its mutable child: a memo
+        # would go stale, so there is none, at any depth.
+        inner = {"v": 1}
+        root = CowMap({"held": CowMap({"inner": inner}), "n": 1})
+        before = estimate_size(root)
+        inner["grown"] = "x" * 40
+        assert estimate_size(root) == plain_size(thaw(root)) > before
+        assert not hasattr(root, "_size")
+        assert not hasattr(root["held"], "_size")
+
+    def test_merge_onto_plain_base_stays_correct(self):
+        plain = {"keep": {"v": 1}, "hot": 1}
+        merged = merge_shared(plain, {"hot": 2})
+        estimate_size(merged)
+        plain["keep"]["more"] = "y" * 30  # still aliased by ``merged``
+        assert estimate_size(merged) == plain_size(thaw(merged))
+
+    def test_copies_and_pickles_drop_the_memo(self):
+        frozen = freeze({"a": {"b": [1, 2]}, "c": "s"})
+        size = estimate_size(frozen)
+        for clone in (copy.copy(frozen), copy.deepcopy(frozen),
+                      pickle.loads(pickle.dumps(frozen))):
+            assert type(clone) is dict and clone == frozen
+            clone["extra"] = "x" * 10
+            assert estimate_size(clone) == plain_size(clone) > size
+        for clone in (copy.copy(frozen["a"]["b"]),
+                      copy.deepcopy(frozen["a"]["b"]),
+                      pickle.loads(pickle.dumps(frozen["a"]["b"]))):
+            assert type(clone) is list and clone == [1, 2]
+        assert estimate_size(frozen) == size
+
+    def test_blocked_mutators_leave_the_memo_valid(self):
+        frozen = freeze({"a": [1, 2], "b": {"c": 1}})
+        size = estimate_size(frozen)
+        for attempt in (
+            lambda: frozen.update(z=1), lambda: frozen.pop("a"),
+            lambda: frozen.setdefault("z", 1), lambda: frozen.clear(),
+            lambda: frozen["a"].append(3), lambda: frozen["a"].sort(),
+            lambda: frozen["b"].popitem(),
+        ):
+            with pytest.raises(FrozenViewError):
+                attempt()
+        assert estimate_size(frozen) == size == plain_size(thaw(frozen))
+
+    def test_memo_is_a_slot_not_a_dict(self):
+        frozen = freeze({"a": [1]})
+        estimate_size(frozen)
+        assert not hasattr(frozen, "__dict__")
+        assert not hasattr(frozen["a"], "__dict__")
