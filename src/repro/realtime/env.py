@@ -44,7 +44,9 @@ class RealtimeEnvironment(Environment):
     130-second device trace into 6.5 real seconds while leaving the event
     schedule -- and therefore every observable outcome -- untouched.
     ``strict=True`` raises :class:`RealtimeDriftError` when an event
-    fires more than ``max_drift`` real seconds late.
+    fires more than ``max_drift`` real seconds late.  ``factor=0`` runs
+    the schedule flat out: nothing is paced, so nothing can be late
+    (``max_lateness`` stays 0 and ``strict`` never trips).
 
     The environment owns a private asyncio loop.  ``run()`` drives it
     from synchronous code exactly like the sim (``run()``,
@@ -252,18 +254,21 @@ class RealtimeEnvironment(Environment):
                     await self._idle_wait(remaining)
                     continue
                 break
-            delay = self._wall_deadline(when) - time.monotonic()
-            if delay > self.tolerance:
-                await self._idle_wait(delay)
-                continue  # re-examine: an earlier event may have landed
-            lateness = -delay
-            if lateness > self.max_lateness:
-                self.max_lateness = lateness
-            if self.strict and lateness > self.max_drift:
-                raise RealtimeDriftError(
-                    f"event due at t={when:.6f} fired {lateness:.3f}s late "
-                    f"(max_drift={self.max_drift})"
-                )
+            # Unpaced (factor 0) there is no wall schedule to be early or
+            # late against: events fire back to back and lateness stays 0.
+            if self.factor:
+                delay = self._wall_deadline(when) - time.monotonic()
+                if delay > self.tolerance:
+                    await self._idle_wait(delay)
+                    continue  # re-examine: an earlier event may have landed
+                lateness = -delay
+                if lateness > self.max_lateness:
+                    self.max_lateness = lateness
+                if self.strict and lateness > self.max_drift:
+                    raise RealtimeDriftError(
+                        f"event due at t={when:.6f} fired {lateness:.3f}s "
+                        f"late (max_drift={self.max_drift})"
+                    )
             self.step()
             if self._external_sources:
                 # Give socket tasks a turn between events; without live

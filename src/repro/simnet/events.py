@@ -8,7 +8,7 @@ callback on whatever event its generator yields.
 Times are floats in **seconds** of virtual time.
 """
 
-import heapq
+from heapq import heappop, heappush
 from itertools import count
 
 #: Scheduling priorities.  URGENT is used internally for process resumption
@@ -38,6 +38,11 @@ class Event:
     callbacks have run.  ``succeed`` and ``fail`` both trigger the event;
     the distinction only affects what a waiting process sees (a value is
     sent into the generator, an exception is thrown into it).
+
+    The read-only properties are the public face of the state; the kernel
+    itself reads ``_value`` / ``_ok`` / ``callbacks`` directly, because a
+    property read is a function call and the kernel makes several per
+    event (see "Kernel seams" in ``docs/runtime.md``).
     """
 
     def __init__(self, env):
@@ -70,7 +75,7 @@ class Event:
 
     def succeed(self, value=None):
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
@@ -81,7 +86,7 @@ class Event:
         """Trigger the event as failed with ``exception``."""
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() needs an exception, got {exception!r}")
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
@@ -97,13 +102,14 @@ class Timeout(Event):
     """An event that fires after ``delay`` seconds of virtual time."""
 
     def __init__(self, env, delay, value=None):
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        super().__init__(env)
+        # Born triggered, so the fields are set once, here; a negative
+        # delay is ``schedule``'s to refuse.
+        self.env = env
+        self.callbacks = []
         self.delay = delay
         self._ok = True
         self._value = value
-        env.schedule(self, delay=delay)
+        env.schedule(self, delay)
 
 
 class _Condition(Event):
@@ -191,7 +197,7 @@ class Environment:
         """Queue ``event`` to fire ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        heapq.heappush(
+        heappush(
             self._queue, (self._now + delay, priority, next(self._eid), event)
         )
 
@@ -213,8 +219,6 @@ class Environment:
 
     def process(self, generator):
         """Start a new :class:`Process` running ``generator``."""
-        from repro.simnet.process import Process
-
         return Process(self, generator)
 
     def peek(self):
@@ -228,12 +232,11 @@ class Environment:
         """
         if not self._queue:
             raise SimulationError("no scheduled events")
-        when, _prio, _eid, event = heapq.heappop(self._queue)
-        self._now = when
+        self._now, _prio, _eid, event = heappop(self._queue)
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
-        if not event.ok and not getattr(event, "_defused", False):
+        if not event._ok and not getattr(event, "_defused", False):
             # An unhandled failure: re-raise so bugs don't pass silently.
             raise event.value
 
@@ -251,7 +254,8 @@ class Environment:
                 raise stop.value
             done = []
             stop.callbacks.append(done.append)
-            while not done and self._queue:
+            queue = self._queue
+            while not done and queue:
                 self.step()
             if not done:
                 raise SimulationError("event queue empty before target event fired")
@@ -265,7 +269,8 @@ class Environment:
             raise SimulationError(
                 f"cannot run until {horizon}: clock already at {self._now}"
             )
-        while self._queue and self._queue[0][0] <= horizon:
+        queue = self._queue
+        while queue and queue[0][0] <= horizon:
             self.step()
         if horizon != float("inf"):
             self._now = horizon
@@ -273,3 +278,8 @@ class Environment:
 
     def __repr__(self):
         return f"<Environment now={self._now} queued={len(self._queue)}>"
+
+
+# Process subclasses Event, so it can only be imported once this module
+# is complete; binding it here keeps the import off the per-spawn path.
+from repro.simnet.process import Process  # noqa: E402

@@ -21,6 +21,7 @@ import math
 import random
 
 from repro.errors import ConfigurationError, UnavailableError
+from repro.simnet.events import Event, Timeout
 
 
 class LatencyModel:
@@ -167,12 +168,16 @@ class Link:
             self.dropped += 1
             return None
         delay = self.latency.sample() + extra
+        env = self.env
+        now = env._now
         if self.fifo:
             # Never deliver before a previously sent message on this link.
-            arrival = max(self.env.now + delay, self._last_delivery)
+            arrival = now + delay
+            if arrival < self._last_delivery:
+                arrival = self._last_delivery
             self._last_delivery = arrival
-            delay = arrival - self.env.now
-        event = self.env.event()
+            delay = arrival - now
+        event = Event(env)
 
         def fire(_evt):
             self.delivered += 1
@@ -181,8 +186,8 @@ class Link:
         event.callbacks.append(fire)
         event._ok = True
         event._value = None
-        self.env.schedule(event, delay=delay)
-        return self.env.now + delay
+        env.schedule(event, delay)
+        return now + delay
 
     def transfer(self, value=None, size=0):
         """Event that fires with ``value`` after sampled latency.
@@ -196,20 +201,24 @@ class Link:
         lost, extra = self._fault_verdict()
         self.bytes_sent += size
         delay = self.latency.sample() + extra
+        env = self.env
         if lost:
             self.dropped += 1
-            failed = self.env.timeout(delay)
+            failed = Timeout(env, delay)
             failed._ok = False
             failed._value = UnavailableError(
                 f"link {self.name or '?'} is unreachable"
             )
             return failed
         if self.fifo:
-            arrival = max(self.env.now + delay, self._last_delivery)
+            now = env._now
+            arrival = now + delay
+            if arrival < self._last_delivery:
+                arrival = self._last_delivery
             self._last_delivery = arrival
-            delay = arrival - self.env.now
+            delay = arrival - now
         self.delivered += 1
-        return self.env.timeout(delay, value)
+        return Timeout(env, delay, value)
 
     def __repr__(self):
         return f"<Link {self.name or id(self):#x} latency={self.latency!r}>"
@@ -249,13 +258,15 @@ class Network:
     def link(self, src, dst):
         """The (cached) FIFO link from ``src`` to ``dst``."""
         key = (src, dst)
-        if key not in self._links:
+        try:
+            return self._links[key]
+        except KeyError:
             latency = self._overrides.get(key, self.default_latency)
-            self._links[key] = Link(
+            link = self._links[key] = Link(
                 self.env, latency, name=f"{src}->{dst}",
                 network=self, src=src, dst=dst,
             )
-        return self._links[key]
+            return link
 
     def transfer(self, src, dst, value=None, size=0):
         """Event firing with ``value`` after the ``src -> dst`` latency."""
@@ -326,8 +337,12 @@ class Network:
         """``(lost, extra_delay)`` for one delivery on ``src -> dst``.
 
         Consumes one sample from the drop rule's RNG when one applies,
-        so verdicts are deterministic given the event schedule.
+        so verdicts are deterministic given the event schedule.  With no
+        rule of any kind installed there is nothing to match and no draw
+        owed, which is the state nearly every delivery sees.
         """
+        if not (self._partitions or self._drop_rules or self._latency_spikes):
+            return False, 0.0
         if self.is_partitioned(src, dst):
             self.messages_lost += 1
             return True, 0.0

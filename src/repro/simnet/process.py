@@ -15,7 +15,13 @@ so processes can wait on one another::
         assert result == "done"
 """
 
-from repro.simnet.events import URGENT, Event, Interrupt, SimulationError
+from repro.simnet.events import (
+    _PENDING,
+    URGENT,
+    Event,
+    Interrupt,
+    SimulationError,
+)
 
 
 class Process(Event):
@@ -26,12 +32,11 @@ class Process(Event):
             raise TypeError(f"process needs a generator, got {generator!r}")
         super().__init__(env)
         self._generator = generator
-        self._target = None
         # Kick off the generator at the current simulation time.
         init = Event(env)
         init._ok = True
         init._value = None
-        env.schedule(init, priority=URGENT)
+        env.schedule(init, 0.0, URGENT)
         init.callbacks.append(self._resume)
         self._target = init
 
@@ -59,51 +64,54 @@ class Process(Event):
         self.env.schedule(interrupt_event, priority=URGENT)
 
     def _resume(self, event):
-        if self.triggered:
+        if self._value is not _PENDING:
             return  # already finished (e.g. interrupted after completing)
         # Detach from the event we were waiting on (relevant for interrupts:
         # the original target may fire later and must not resume us again).
-        if self._target is not None and self._target is not event:
-            if self._target.callbacks is not None:
+        target = self._target
+        if target is not event and target is not None:
+            if target.callbacks is not None:
                 try:
-                    self._target.callbacks.remove(self._resume)
+                    target.callbacks.remove(self._resume)
                 except ValueError:
                     pass
-        self.env.active_process = self
+        env = self.env
+        env.active_process = self
         try:
-            if event.ok:
-                next_event = self._generator.send(event.value)
+            if event._ok:
+                next_event = self._generator.send(event._value)
             else:
                 event._defused = True
-                next_event = self._generator.throw(event.value)
+                next_event = self._generator.throw(event._value)
         except StopIteration as stop:
-            self.env.active_process = None
+            env.active_process = None
             self._target = None
-            self.succeed(getattr(stop, "value", None))
+            self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.env.active_process = None
+            env.active_process = None
             self._target = None
             self.fail(exc)
             return
-        self.env.active_process = None
+        env.active_process = None
         if not isinstance(next_event, Event):
             raise SimulationError(
                 f"process yielded a non-event: {next_event!r}"
             )
-        self._target = next_event
-        if next_event.processed:
+        callbacks = next_event.callbacks
+        if callbacks is None:
             # The event already fired; resume on the next scheduler tick.
-            redo = Event(self.env)
-            redo._ok = next_event.ok
+            redo = Event(env)
+            redo._ok = next_event._ok
             redo._value = next_event._value
-            if not next_event.ok:
+            if not redo._ok:
                 redo._defused = True
             redo.callbacks.append(self._resume)
-            self.env.schedule(redo, priority=URGENT)
+            env.schedule(redo, 0.0, URGENT)
             self._target = redo
         else:
-            next_event.callbacks.append(self._resume)
+            callbacks.append(self._resume)
+            self._target = next_event
 
     def __repr__(self):
         name = getattr(self._generator, "__name__", "process")

@@ -99,19 +99,24 @@ class Store:
             self.on_shed(item)
 
     def _dispatch(self):
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._putters and len(self.items) < self.capacity:
-                put_event, item = self._putters.popleft()
-                self.items.append(item)
-                self.peak_depth = max(self.peak_depth, len(self.items))
+        """Admit waiting putters while there is room, then serve waiting
+        getters; go round again only while a getter freed room for a
+        putter that was still waiting."""
+        items, putters, getters = self.items, self._putters, self._getters
+        capacity = self.capacity
+        while True:
+            while putters and len(items) < capacity:
+                put_event, item = putters.popleft()
+                items.append(item)
+                if len(items) > self.peak_depth:
+                    self.peak_depth = len(items)
                 put_event.succeed()
-                progressed = True
-            while self._getters and self.items:
-                get_event = self._getters.popleft()
-                get_event.succeed(self.items.popleft())
-                progressed = True
+            if not (getters and items):
+                return
+            while getters and items:
+                getters.popleft().succeed(items.popleft())
+            if not putters:
+                return
 
 
 class Resource:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.realtime import (
     Interrupt,
+    RealtimeDriftError,
     RealtimeEnvironment,
     Resource,
     SimulationError,
@@ -177,6 +178,59 @@ class TestWallClockPacing:
         env.process(_sleep(env, 1000.0))
         env.run()  # 1000 schedule-s, zero wall: lateness is not an error
         assert env.now == 1000.0
+        env.close()
+
+    def test_unpaced_strict_run_outlasts_max_drift(self):
+        # At factor=0 every event's wall deadline is the run's anchor, so
+        # "lateness" used to read as the length of the run and a strict
+        # kernel died after max_drift seconds of merely running.
+        env = RealtimeEnvironment(factor=0.0, strict=True, max_drift=0.05)
+
+        def busy():
+            for _ in range(5):
+                yield env.timeout(1.0)
+                time.sleep(0.03)
+
+        started = time.monotonic()
+        env.run(until=env.process(busy()))
+        assert time.monotonic() - started > 0.05  # ran past max_drift
+        assert env.now == 5.0
+        assert env.max_lateness == 0.0
+        env.close()
+
+    def test_unpaced_horizon_and_external_sources_still_work(self):
+        env = RealtimeEnvironment(factor=0.0, strict=True, max_drift=0.0)
+        env.process(_sleep(env, 3.0))
+        env.run(until=10.0)
+        assert env.now == 10.0
+        evt = env.event()
+        env.register_external_source("test-socket")
+        env.loop.call_later(0.02, lambda: evt.succeed("late but fine"))
+        assert env.run(until=evt) == "late but fine"
+        env.unregister_external_source("test-socket")
+        assert env.max_lateness == 0.0
+        env.close()
+
+    def test_paced_strict_run_still_trips_on_drift(self):
+        env = RealtimeEnvironment(factor=0.05, strict=True, max_drift=0.02)
+
+        def stall():
+            yield env.timeout(0.1)
+            time.sleep(0.08)  # the next event is due 5 ms from now
+            yield env.timeout(0.1)
+
+        env.process(stall())
+        with pytest.raises(RealtimeDriftError, match=r"fired 0\.\d+s late"):
+            env.run()
+        assert env.max_lateness > 0.02
+        env.close()
+
+    def test_paced_strict_run_on_schedule_completes(self):
+        env = RealtimeEnvironment(factor=0.05, strict=True, max_drift=0.5)
+        env.process(_sleep(env, 1.0))
+        env.run()
+        assert env.now == 1.0
+        assert 0.0 <= env.max_lateness < 0.5
         env.close()
 
     def test_wall_now_advances_while_schedule_paces(self):

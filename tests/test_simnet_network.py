@@ -1,6 +1,8 @@
 """Unit tests for network links and latency models."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.simnet import (
@@ -124,3 +126,91 @@ class TestNetwork:
         net = Network(env)
         assert net.link("x", "y") is net.link("x", "y")
         assert net.link("x", "y") is not net.link("y", "x")
+
+
+def _reference_verdict(net, src, dst):
+    """The matcher as it stood before rule-free networks skipped it: the
+    four-step wildcard walk over each rule table, every time."""
+
+    def matching(rules):
+        for key in ((src, dst), (src, "*"), ("*", dst), ("*", "*")):
+            if key in rules:
+                return key
+        return None
+
+    if matching(net._partitions) is not None:
+        net.messages_lost += 1
+        return True, 0.0
+    rule_key = matching(net._drop_rules)
+    if rule_key is not None:
+        rate, rng = net._drop_rules[rule_key]
+        if rng.random() < rate:
+            net.messages_lost += 1
+            return True, 0.0
+    spike_key = matching(net._latency_spikes)
+    extra = net._latency_spikes[spike_key] if spike_key is not None else 0.0
+    return False, extra
+
+
+_endpoints = st.sampled_from(["a", "b", "c", "*"])
+_pair = st.tuples(_endpoints, _endpoints, st.booleans())  # src, dst, symmetric
+_fault_ops = st.one_of(
+    st.tuples(st.just("partition"), _pair),
+    st.tuples(st.just("heal"), _pair),
+    st.tuples(st.just("set_drop_rate"), _pair,
+              st.sampled_from([0.0, 0.3, 0.5, 1.0]), st.integers(0, 5)),
+    st.tuples(st.just("clear_drop_rate"), _pair),
+    st.tuples(st.just("set_extra_latency"), _pair,
+              st.sampled_from([0.0, 0.25, 2.0])),
+    st.tuples(st.just("clear_extra_latency"), _pair),
+    st.tuples(st.just("heal_all")),
+    # Verdicts are most of any real schedule; weight them up.
+    st.tuples(st.just("verdict"), _endpoints, _endpoints),
+    st.tuples(st.just("verdict"), _endpoints, _endpoints),
+    st.tuples(st.just("verdict"), _endpoints, _endpoints),
+)
+
+
+class TestFaultVerdictAgainstTheMatcher:
+    """``fault_verdict`` answers rule-free networks without walking the
+    matcher; with or without rules it must agree with the full walk."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=st.lists(_fault_ops, max_size=60))
+    def test_same_verdicts_losses_and_rng_draws(self, ops):
+        actual = Network(Environment())
+        shadow = Network(Environment())  # same rules, judged by the reference
+        for op, *args in ops:
+            if op == "verdict":
+                src, dst = args
+                assert actual.fault_verdict(src, dst) == _reference_verdict(
+                    shadow, src, dst)
+            elif op == "heal_all":
+                actual.heal_all()
+                shadow.heal_all()
+            else:
+                (src, dst, symmetric), *rest = args
+                for net in (actual, shadow):
+                    getattr(net, op)(src, dst, *rest, symmetric=symmetric)
+            assert actual.messages_lost == shadow.messages_lost
+            assert actual._partitions == shadow._partitions
+            assert actual._latency_spikes == shadow._latency_spikes
+            assert actual._drop_rules.keys() == shadow._drop_rules.keys()
+            for key, (rate, rng) in actual._drop_rules.items():
+                shadow_rate, shadow_rng = shadow._drop_rules[key]
+                assert rate == shadow_rate
+                assert rng.getstate() == shadow_rng.getstate()
+
+    def test_first_rule_installed_is_seen_by_the_next_delivery(self, env):
+        net = Network(env, default_latency=FixedLatency(0.01))
+        link = net.link("a", "b")
+        seen = []
+        assert link.send(seen.append, "before") == 0.01
+        net.partition("a", "*")
+        assert link.send(seen.append, "lost") is None
+        net.heal("a", "*")
+        net.set_extra_latency("*", "b", 0.5)
+        assert link.send(seen.append, "slow") == 0.51
+        env.run()
+        assert seen == ["before", "slow"]
+        assert (link.delivered, link.dropped, net.messages_lost) == (2, 1, 1)

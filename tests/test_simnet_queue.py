@@ -1,7 +1,10 @@
 """Unit tests for Store (FIFO queue) and Resource (semaphore)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.flow.policy import OVERFLOW_POLICIES
 from repro.simnet import Environment, Resource, Store
 
 
@@ -226,3 +229,86 @@ class TestStoreOverflow:
         env.run()
         assert not put.triggered  # the classic behaviour: wait for room
         assert store.shed == 0 and store.rejected == 0
+
+
+class _ReferenceStore(Store):
+    """``Store`` with the dispatch loop as it stood before the hand-off
+    diet: re-scan both sides until a whole pass makes no progress."""
+
+    def _dispatch(self):
+        progressed = True
+        while progressed:
+            progressed = False
+            while self._putters and len(self.items) < self.capacity:
+                put_event, item = self._putters.popleft()
+                self.items.append(item)
+                self.peak_depth = max(self.peak_depth, len(self.items))
+                put_event.succeed()
+                progressed = True
+            while self._getters and self.items:
+                get_event = self._getters.popleft()
+                get_event.succeed(self.items.popleft())
+                progressed = True
+
+
+def _drive(store_cls, capacity, overflow, ops):
+    """Run a put/get schedule; the order events were granted in (they
+    fire in the order they were succeeded or failed) and the counters."""
+    env = Environment()
+    shed = []
+    store = store_cls(env, capacity=capacity, overflow=overflow,
+                      on_shed=shed.append)
+    grants = []
+
+    def watch(event, label):
+        def fired(evt):
+            if not evt.ok:
+                evt._defused = True
+            grants.append((env.now, label, evt.ok,
+                           type(evt.value).__name__ if not evt.ok
+                           else evt.value))
+        event.callbacks.append(fired)
+
+    for index, op in enumerate(ops):
+        if op == "put":
+            watch(store.put(index), f"put-{index}")
+        elif op == "get":
+            watch(store.get(), f"get-{index}")
+        else:  # let what was granted fire, and move the clock on
+            env.run(until=env.now + 1.0)
+    env.run()
+    return {
+        "grants": grants, "items": list(store.items), "shed": shed,
+        "shed_count": store.shed, "rejected": store.rejected,
+        "peak_depth": store.peak_depth,
+        "waiting": (len(store._putters), len(store._getters)),
+    }
+
+
+class TestDispatchAgainstTheOldLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        capacity=st.sampled_from([1, 2, 3, float("inf")]),
+        overflow=st.sampled_from(OVERFLOW_POLICIES),
+        ops=st.lists(st.sampled_from(["put", "put", "get", "get", "run"]),
+                     max_size=40),
+    )
+    def test_same_grants_and_counters(self, capacity, overflow, ops):
+        actual = _drive(Store, capacity, overflow, ops)
+        assert actual == _drive(_ReferenceStore, capacity, overflow, ops)
+        # Every get that was granted received the items in FIFO order.
+        got = [value for _now, label, ok, value in actual["grants"]
+               if label.startswith("get-")]
+        assert got == sorted(got)
+        assert actual["peak_depth"] <= capacity
+
+    def test_freed_room_admits_the_waiting_putter_in_one_dispatch(self, env):
+        store = Store(env, capacity=1)
+        first, second = store.put("a"), store.put("b")
+        assert first.triggered and not second.triggered
+        getter_a, getter_b = store.get(), store.get()
+        # One get made room, the waiting putter moved in, the second
+        # getter took its item: both sides drained without a second call.
+        assert second.triggered
+        assert (getter_a.value, getter_b.value) == ("a", "b")
+        assert len(store) == 0 and store.peak_depth == 1
