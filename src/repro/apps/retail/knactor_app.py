@@ -20,7 +20,6 @@ from repro.flow import INTEGRATOR, FlowConfig
 from repro.obs.context import use
 from repro.simnet import Environment, FixedLatency, Network, Tracer
 from repro.store import ApiServer, MemKV, ShardedStore
-from repro.store.ring import coerce_shards_knob
 
 #: Fig. 6, verbatim: the data exchange graph composing Checkout,
 #: Shipping, and Payment.
@@ -97,7 +96,7 @@ class RetailKnactorApp:
 
     @classmethod
     def build(cls, env=None, profile=K_APISERVER, seed=7, with_notify=True,
-              dxg=None, retry_policy=None, shards=1, topology=None,
+              dxg=None, retry_policy=None, topology=None,
               watch_batch_window=0.0,
               zero_copy=True, delta_watch=False, obs=None, flow=None,
               mode=None, shape_latency=None):
@@ -111,8 +110,6 @@ class RetailKnactorApp:
         otherwise.  ``topology`` (a :class:`repro.store.Topology`)
         hash-partitions the Object backend on a consistent-hash ring (a
         :class:`repro.store.ShardedStore`) and enables live resharding;
-        the integer ``shards=N`` knob is a deprecated alias for
-        ``topology=Topology(shards=N)``;
         ``watch_batch_window > 0`` (seconds) coalesces watch fan-out per
         watcher per window -- the scale-out hot path.  ``zero_copy``
         keeps store state as frozen structurally-shared views (reads
@@ -167,10 +164,6 @@ class RetailKnactorApp:
                 zero_copy=zero_copy, delta_watch=delta_watch,
             )
 
-        if topology is None and shards != 1:
-            topology = coerce_shards_knob(
-                shards, "RetailKnactorApp.build(shards=)"
-            )
         if topology is not None:
             backend = ShardedStore(
                 topology=topology, name="object-backend",

@@ -98,8 +98,8 @@ class RetailGateway:
         }
 
 
-def serve_retail(host="127.0.0.1", port=0, profile=K_APISERVER, shards=1,
-                 factor=1.0, seed=7):
+def serve_retail(host="127.0.0.1", port=0, profile=K_APISERVER,
+                 topology=None, factor=1.0, seed=7):
     """Build the retail app on the realtime backend and bind a gateway.
 
     Returns ``(app, gateway, listener)`` with the socket already bound
@@ -113,7 +113,7 @@ def serve_retail(host="127.0.0.1", port=0, profile=K_APISERVER, shards=1,
 
     env = RealtimeEnvironment(factor=factor)
     app = RetailKnactorApp.build(
-        env=env, profile=profile, seed=seed, shards=shards
+        env=env, profile=profile, seed=seed, topology=topology
     )
     gateway = RetailGateway(app)
     listener = gateway.serve(host=host, port=port)

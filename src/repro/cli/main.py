@@ -363,10 +363,11 @@ def cmd_serve(args):
         return 1
     from repro.apps.retail.rest_gateway import serve_retail
     from repro.core.optimizer import PROFILES
+    from repro.store import Topology
 
     app, _gateway, listener = serve_retail(
-        host=args.host, port=args.port,
-        profile=PROFILES[args.profile], shards=args.shards,
+        host=args.host, port=args.port, profile=PROFILES[args.profile],
+        topology=Topology(shards=args.shards) if args.shards > 1 else None,
     )
     print(f"retail gateway listening on {listener.address} "
           f"(backend=realtime, shards={args.shards})")

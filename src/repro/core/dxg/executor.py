@@ -27,7 +27,7 @@ issues one ``fcall`` per exchange instead of N reads + M writes.
 """
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import (
     AlreadyExistsError,
@@ -39,7 +39,7 @@ from repro.errors import (
 from repro.core.dxg.functions import standard_functions
 from repro.core.dxg.planner import plan as build_plan
 from repro.obs.context import bind_generator, current_context
-from repro.store.cow import is_frozen
+from repro.store.cow import retain
 from repro.util.paths import get_path, set_path
 
 
@@ -145,13 +145,11 @@ class DXGExecutor:
         slot = self._slot(alias, kind, cid)
         if data is None:
             self.cache.pop(slot, None)
-        elif is_frozen(data):
+        else:
             # Zero-copy plane: watch events hand us immutable views, so
             # the cache can alias them -- nothing downstream mutates it
             # (computation works on a thawed copy of the target only).
-            self.cache[slot] = data
-        else:
-            self.cache[slot] = copy.deepcopy(data)
+            self.cache[slot] = retain(data)
 
     # -- evaluation core (pure; shared by remote and push-down paths) ----------
 
@@ -285,10 +283,7 @@ class DXGExecutor:
                     view = yield handle.get(self._read_key(alias, kind, cid))
                     stats.reads += 1
                     objects[(alias, kind)] = view["data"]
-                    self.cache[slot] = (
-                        view["data"] if is_frozen(view["data"])
-                        else copy.deepcopy(view["data"])
-                    )
+                    self.cache[slot] = retain(view["data"])
                 except NotFoundError:
                     stats.reads += 1
                     objects[(alias, kind)] = None

@@ -135,7 +135,7 @@ class DataExchange:
         self,
         principal,
         store_name,
-        *_removed,
+        *,
         role="integrator",
         verbs=None,
         write_fields=None,
@@ -156,19 +156,7 @@ class DataExchange:
         - **custom**: pass ``verbs`` explicitly (optionally with
           ``write_fields`` / ``read_fields``) for a hand-tuned permission
           set; ``role`` is ignored.
-
-        The pre-unification positional form ``grant(principal, store,
-        verbs, ...)`` was removed after its deprecation window; it now
-        raises :class:`TypeError` (as do the old ``grant_integrator`` /
-        ``grant_reader`` aliases).
         """
-        if _removed:
-            raise TypeError(
-                "positional verbs/write_fields were removed from "
-                "DataExchange.grant(); migrate to grant(principal, "
-                "store_name, role=...) or grant(principal, store_name, "
-                "verbs=..., write_fields=...)"
-            )
         if verbs is None:
             if store_name in self._views:
                 if role != "viewer":
@@ -226,20 +214,6 @@ class DataExchange:
         )
         self.grants.append(grant)
         return grant
-
-    def grant_integrator(self, *args, **kwargs):
-        """Removed alias; raises with the migration."""
-        raise TypeError(
-            "DataExchange.grant_integrator() was removed; use "
-            'grant(principal, store_name, role="integrator")'
-        )
-
-    def grant_reader(self, *args, **kwargs):
-        """Removed alias; raises with the migration."""
-        raise TypeError(
-            "DataExchange.grant_reader() was removed; use "
-            'grant(principal, store_name, role="reader")'
-        )
 
     # -- composed views ----------------------------------------------------------
 
@@ -300,7 +274,7 @@ class DataExchange:
                 "log" if hasattr(handles[src.alias], "load") else "object"
             )
             for server in getattr(de.backend, "shards", None) or [de.backend]:
-                admission = getattr(server, "admission", None)
+                admission = server.admission
                 if admission is not None:
                     admission.assign(principal, VIEW)
         materialized = None
@@ -358,9 +332,7 @@ class DataExchange:
         Returns a process event yielding a
         :class:`repro.query.QueryResult`.  This subsumes the historical
         read spellings -- ``handle.list()`` plus a hand-compiled
-        ``zql.compile_query`` pipeline, or per-DE query verbs -- behind
-        one shape (``compile_query`` itself survives only as a warn-once
-        shim in :mod:`repro.store.zql`).
+        pipeline, or per-DE query verbs -- behind one shape.
         """
         if isinstance(target, Query):
             spec, target = target, target.target
@@ -416,7 +388,7 @@ class DataExchange:
 
     # -- handles -----------------------------------------------------------------
 
-    def handle(self, store_name, *_removed, principal=None, location=None,
+    def handle(self, store_name, *, principal, location=None,
                retry_policy=None, credits=None, overflow=None):
         """A :class:`StoreHandle` bound to ``principal`` at ``location``.
 
@@ -432,19 +404,7 @@ class DataExchange:
           every watch opened through this handle (falling back to the
           DE-wide ``watch_credits`` / ``watch_overflow``; see
           :mod:`repro.flow`).
-
-        The pre-unification positional form ``handle(store, principal,
-        location)`` was removed after its deprecation window; it now
-        raises :class:`TypeError`.
         """
-        if _removed:
-            raise TypeError(
-                "positional principal/location were removed from "
-                "DataExchange.handle(); migrate to handle(store_name, "
-                "principal=..., location=...)"
-            )
-        if principal is None:
-            raise TypeError("handle() missing required argument: 'principal'")
         if store_name in self._views:
             raise ConfigurationError(
                 f"{store_name!r} is a composed view; read it via "

@@ -18,10 +18,9 @@ from repro.exchange.base import DataExchange, StoreHandle
 from repro.schema.validation import validate_state
 from repro.store.apiserver import ApiServer, ApiServerClient
 from repro.store.base import WatchEvent
-from repro.store.cow import copy_value, mask_shared
 from repro.store.memkv import MemKV, MemKVClient
 from repro.store.sharded import ShardedStore, ShardedStoreClient
-from repro.util.paths import delete_path, get_path, walk_leaves
+from repro.util.paths import get_path, walk_leaves
 
 
 class ObjectDE(DataExchange):
@@ -110,10 +109,8 @@ class ObjectStoreHandle(StoreHandle):
     def _mask(self, view):
         """Strip secret fields unless this principal may read them.
 
-        Zero-copy backends build the masked view as a deletion
-        merge-patch applied by path copy: unmasked subtrees stay shared
-        with the store's frozen structure instead of being deep-copied
-        per read.
+        How the masked data is built (path copy sharing the unmasked
+        subtrees, or a deep copy) is the backend's copy policy.
         """
         secrets = self.schema.secret_fields()
         if not secrets:
@@ -127,15 +124,9 @@ class ObjectStoreHandle(StoreHandle):
         if not hidden:
             return view
         masked = dict(view)
-        if getattr(self.client, "zero_copy", False):
-            masked["data"] = mask_shared(
-                view["data"], hidden, meter=self.client.copy_meter
-            )
-        else:
-            meter = getattr(self.client, "copy_meter", None)
-            masked["data"] = copy_value(view["data"], meter, "mask")
-            for path in hidden:
-                delete_path(masked["data"], path)
+        masked["data"] = self.client.copies.mask(
+            view["data"], hidden, self.client.copy_meter
+        )
         return masked
 
     @staticmethod

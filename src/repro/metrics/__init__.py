@@ -15,7 +15,6 @@ from repro.metrics.latency import StageBreakdown, summarize
 from repro.metrics.report import Table, format_seconds
 from repro.metrics.sloc import Artifact, count_sloc
 from repro.metrics.telemetry import (
-    SLOMonitor,
     exchange_durations,
     resilience_snapshot,
     runtime_snapshot,
@@ -24,7 +23,6 @@ from repro.metrics.telemetry import (
 __all__ = [
     "Artifact",
     "CompositionTask",
-    "SLOMonitor",
     "StageBreakdown",
     "Table",
     "TaskComparison",

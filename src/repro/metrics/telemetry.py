@@ -10,15 +10,10 @@ are also worth exploring."  This module provides the telemetry layer:
   open circuits, dead letters, store availability) the chaos tooling
   asserts on,
 - :func:`exchange_durations` -- per-exchange latency series extracted
-  from the trace stream (the distributed-tracing view of an integrator),
-- :class:`SLOMonitor` -- the **legacy** latency-objective shim.  The SLO
-  vocabulary now lives in :mod:`repro.obs.slo` (latency / availability /
-  freshness objectives with burn-rate alerting and trace exemplars);
-  ``SLOMonitor`` delegates to :class:`repro.obs.slo.TraceLatencySLO` and
-  warns once per process.
-"""
+  from the trace stream (the distributed-tracing view of an integrator).
 
-from dataclasses import dataclass, field
+Objectives over these series are declared in :mod:`repro.obs.slo`.
+"""
 
 
 def runtime_snapshot(runtime):
@@ -161,88 +156,3 @@ def reconcile_durations(tracer, knactor):
         and event.attrs.get("knactor") == knactor
         and "duration" in event.attrs
     ]
-
-
-@dataclass
-class SLOReport:
-    """Outcome of one SLO evaluation."""
-
-    name: str
-    target_seconds: float
-    percentile: float
-    observed_seconds: float
-    sample_count: int
-    met: bool
-    no_data: bool = False
-
-    def describe(self):
-        if self.no_data:
-            return (
-                f"SLO {self.name}: NO DATA (0 samples) vs target "
-                f"{self.target_seconds * 1000:.2f} ms -> NOT MET"
-            )
-        status = "MET" if self.met else "VIOLATED"
-        return (
-            f"SLO {self.name}: p{int(self.percentile * 100)} "
-            f"{self.observed_seconds * 1000:.2f} ms vs target "
-            f"{self.target_seconds * 1000:.2f} ms over "
-            f"{self.sample_count} samples -> {status}"
-        )
-
-
-@dataclass
-class SLOMonitor:
-    """Legacy shim: a latency objective over an integrator's spans.
-
-    Superseded by :class:`repro.obs.slo.TraceLatencySLO` (and, for
-    registry-backed objectives with burn-rate alerting,
-    :class:`repro.obs.slo.LatencySLO` /
-    :class:`~repro.obs.slo.AvailabilitySLO` /
-    :class:`~repro.obs.slo.FreshnessSLO`).  Construction warns once per
-    process; behaviour -- including the no-data-is-an-answer contract --
-    is unchanged.
-    """
-
-    name: str
-    integrator: str
-    target_seconds: float
-    percentile: float = 0.99
-    reports: list = field(default_factory=list)
-
-    def __post_init__(self):
-        from repro.obs.slo import TraceLatencySLO
-        from repro.store.ring import deprecation_notice
-
-        # Validation lives in the new spec; invalid configuration still
-        # raises ConfigurationError from here.
-        self._spec = TraceLatencySLO(
-            name=self.name, integrator=self.integrator,
-            target_seconds=self.target_seconds, percentile=self.percentile,
-        )
-        deprecation_notice(
-            "repro.metrics.telemetry.SLOMonitor is deprecated; declare "
-            "objectives with repro.obs.slo (TraceLatencySLO keeps this "
-            "exact behaviour) -- see docs/observability.md",
-            dedup_key="slomonitor",
-        )
-
-    def evaluate(self, tracer):
-        """Evaluate against the trace; returns (and records) a report.
-
-        Zero recorded spans is an *answer*, not a configuration error: a
-        dead integrator should read as a violated objective, never crash
-        the monitoring loop.  The report carries ``no_data=True`` and
-        ``met=False``.
-        """
-        result = self._spec.evaluate_trace(tracer)
-        report = SLOReport(
-            name=self.name,
-            target_seconds=self.target_seconds,
-            percentile=self.percentile,
-            observed_seconds=result.observed or 0.0,
-            sample_count=result.sample_count,
-            met=result.met,
-            no_data=result.no_data,
-        )
-        self.reports.append(report)
-        return report

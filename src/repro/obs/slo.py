@@ -11,9 +11,8 @@ The PR-4 obs plane records what happened; this layer judges it.  An
   plane count against the budget),
 - :class:`FreshnessSLO` -- a :class:`LatencySLO` over ``watch_lag_seconds``:
   how stale downstream state is allowed to run,
-- :class:`TraceLatencySLO` -- the legacy trace-span objective (percentile
-  of one integrator's exchange spans), folded in from
-  ``repro.metrics.telemetry.SLOMonitor``.
+- :class:`TraceLatencySLO` -- the trace-span objective (percentile of
+  one integrator's exchange spans).
 
 Evaluation returns :class:`SLOResult` objects that carry **trace
 exemplars**: the worst over-threshold samples keep their causal trace id
@@ -387,12 +386,11 @@ class AvailabilitySLO(SLOSpec):
 
 @dataclass
 class TraceLatencySLO(SLOSpec):
-    """The legacy objective: a percentile of one integrator's exchange
-    spans (begin -> end in the latency tracer) under a target.
+    """A percentile of one integrator's exchange spans (begin -> end
+    in the latency tracer) under a target.
 
-    Folded in from ``repro.metrics.telemetry.SLOMonitor``; evaluated
-    against a :class:`~repro.simnet.trace.Tracer` rather than the
-    registry, so it has no burn-rate view.
+    Evaluated against a :class:`~repro.simnet.trace.Tracer` rather than
+    the registry, so it has no burn-rate view.
     """
 
     integrator: str = None

@@ -11,9 +11,6 @@ federation plane's composed views (:mod:`repro.federation`).
 - :class:`Query` / :class:`QueryResult` -- the keyword-only read spec
   and its answered form;
 - :class:`~repro.errors.QueryError` -- the typed failure, re-exported.
-
-The old entry point ``repro.store.zql.compile_query`` survives as a
-warn-once deprecation shim; new code imports from here.
 """
 
 from repro.errors import QueryError

@@ -4,8 +4,6 @@ One pipeline language serves the whole repo -- the Log store's
 server-side analytics, Sync/Rollup push-down dataflows, the unified
 ``DataExchange.query`` read API, and the federation plane's composed
 views all compile the same operator specs through :func:`compile_ops`.
-(Historically this engine lived in :mod:`repro.store.zql`; that module
-remains as the compatibility shim.)
 
 A query is a list of operator specs applied left-to-right to a batch of
 records (plain dicts)::

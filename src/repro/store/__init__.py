@@ -49,12 +49,7 @@ from repro.store.ring import (
     hash_key,
     key_in_ranges,
 )
-from repro.store.sharded import (
-    MergedWatch,
-    ShardedStore,
-    ShardedStoreClient,
-    shard_index,
-)
+from repro.store.sharded import MergedWatch, ShardedStore, ShardedStoreClient
 from repro.store.retention import RefCountRetention, RetentionPolicy, TTLRetention
 from repro.store.udf import TxnUDFContext, UDFContext, UDFRegistry
 
@@ -99,6 +94,5 @@ __all__ = [
     "key_in_ranges",
     "mask_shared",
     "merge_shared",
-    "shard_index",
     "thaw",
 ]

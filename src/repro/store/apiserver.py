@@ -35,8 +35,7 @@ from repro.store.base import (
     StoreServer,
     WatchEvent,
 )
-from repro.store.cow import freeze, merge_shared
-from repro.store.objectops import ObjectOpsMixin, merge_patch  # noqa: F401
+from repro.store.objectops import ObjectOpsMixin
 
 #: Default per-op server-side latencies (seconds): writes pay an
 #: etcd-like quorum+fsync cost, reads are served from the watch cache.
@@ -257,8 +256,7 @@ class ApiServer(ObjectOpsMixin, StoreServer):
                     created_at.setdefault(entry["key"], entry["created_at"])
                     self._objects[entry["key"]] = StoredObject(
                         key=entry["key"],
-                        data=(freeze(entry["data"]) if self.zero_copy
-                              else copy.deepcopy(entry["data"])),
+                        data=self.copies.ingest(entry["data"]),
                         revision=entry["revision"],
                         created_at=entry["created_at"],
                         updated_at=entry["updated_at"],
@@ -276,16 +274,11 @@ class ApiServer(ObjectOpsMixin, StoreServer):
                 full_events.append(event)
             else:
                 if event.object is None and event.delta is not None:
-                    base = self._objects[event.key].data
-                    if self.zero_copy:
-                        data = merge_shared(base, event.delta)
-                    else:
-                        data = merge_patch(base, event.delta)
-                else:
-                    data = (
-                        freeze(event.object) if self.zero_copy
-                        else copy.deepcopy(event.object)
+                    data = self.copies.merge(
+                        self._objects[event.key].data, event.delta
                     )
+                else:
+                    data = self.copies.ingest(event.object)
                 created_at.setdefault(event.key, record.time)
                 self._objects[event.key] = StoredObject(
                     key=event.key,

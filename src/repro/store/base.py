@@ -55,11 +55,10 @@ from repro.obs.context import activate, bind_generator, current_context, restore
 from repro.simnet.events import Interrupt
 from repro.simnet.queue import Resource
 from repro.store.cow import (
+    CopiedState,
     CopyMeter,
-    copy_value,
+    SharedState,
     estimate_size,
-    freeze,
-    is_frozen,
     merge_shared,
 )
 
@@ -143,18 +142,6 @@ class StoredObject:
     updated_at: float
     labels: dict = field(default_factory=dict)
 
-    def snapshot(self):
-        """The data handed to clients.
-
-        Zero-copy stores keep ``data`` frozen: the view itself is the
-        snapshot (immutable, structurally shared).  Mutable data falls
-        back to the classic deep copy -- stores never alias live
-        *mutable* state.
-        """
-        if is_frozen(self.data):
-            return self.data
-        return copy.deepcopy(self.data)
-
 
 class _Failure:
     """Internal marker carrying a server-side exception to the client."""
@@ -230,11 +217,13 @@ class Watch:
         self.max_paused = (int(max_paused) if max_paused is not None
                            else (4 * self.credits if self.credits else None))
         self._credits_remaining = self.credits
-        #: Server-side paused buffer.  Coalescing mode comes from the
-        #: server class: "newest" keeps one event per key (dict, stable
-        #: insertion order), "append" keeps every event (list).
-        self._coalesce = getattr(server, "WATCH_COALESCE", "newest")
-        self._paused = {} if self._coalesce == "newest" else []
+        #: Server-side paused buffer, oldest first.  The server class
+        #: picks the slot an event takes: "newest" keys it by event key
+        #: (a later commit replaces the earlier one in place), "append"
+        #: gives every event a slot of its own.
+        self._coalesce = server.WATCH_COALESCE
+        self._paused = {}
+        self._appended = 0
         self.credit_pauses = 0
         self.paused_coalesced = 0
         self.paused_shed = 0
@@ -264,7 +253,7 @@ class Watch:
                     # The commit's trace context rides the event; keeping
                     # it as an exemplar links a freshness-SLO violation
                     # straight to the causal DAG of the stale write.
-                    ctx = getattr(event, "ctx", None)
+                    ctx = event.ctx
                     lag.observe(
                         now - event.committed_at,
                         exemplar=ctx.trace_id if ctx is not None else None,
@@ -304,20 +293,19 @@ class Watch:
             self.credit_pauses += 1
             self._server.watch_pauses += 1
         if self._coalesce == "newest":
-            if event.key in self._paused:
-                # Newest wins in place: the entry keeps its FIFO slot,
-                # its payload becomes the latest commit.
-                self._paused[event.key] = event
-                self.paused_coalesced += 1
-                self._server.watch_paused_coalesced += 1
-                return
-            if not self._paused_admit(event):
-                return
-            self._paused[event.key] = event
+            slot = event.key
         else:  # append: log records are all distinct; never coalesce
-            if not self._paused_admit(event):
-                return
-            self._paused.append(event)
+            slot = self._appended = self._appended + 1
+        if slot in self._paused:
+            # Newest wins in place: the entry keeps its FIFO slot,
+            # its payload becomes the latest commit.
+            self._paused[slot] = event
+            self.paused_coalesced += 1
+            self._server.watch_paused_coalesced += 1
+            return
+        if not self._paused_admit(event):
+            return
+        self._paused[slot] = event
         self.peak_paused = max(self.peak_paused, len(self._paused))
 
     def _paused_admit(self, event):
@@ -332,11 +320,7 @@ class Watch:
             self._force_resync()
             return False
         if self.overflow == SHED_OLDEST:
-            if self._coalesce == "newest":
-                oldest = next(iter(self._paused))
-                del self._paused[oldest]
-            else:
-                self._paused.pop(0)
+            del self._paused[next(iter(self._paused))]
             self._record_shed()
             return True
         self._record_shed()  # SHED_NEWEST: the incoming event is dropped
@@ -349,16 +333,13 @@ class Watch:
     def _force_resync(self):
         self.forced_resyncs += 1
         self._server.watch_forced_resyncs += 1
-        self._paused = {} if self._coalesce == "newest" else []
+        self._paused = {}
         self.break_connection(self._server.watch_keepalive)
 
     def _take_paused(self, count):
         """Dequeue up to ``count`` buffered events, oldest first."""
-        if self._coalesce == "newest":
-            keys = list(self._paused)[:count]
-            return [self._paused.pop(key) for key in keys]
-        taken, self._paused = self._paused[:count], self._paused[count:]
-        return taken
+        slots = list(self._paused)[:count]
+        return [self._paused.pop(slot) for slot in slots]
 
     def _dispatch(self, events):
         if not events:
@@ -372,7 +353,7 @@ class Watch:
     # -- delta materialization (no-op for snapshot streams) -----------------
 
     def _materialize(self, event):
-        if not getattr(self._server, "delta_watch", False):
+        if not self._server.delta_watch:
             return event
         key = event.key
         if key in self._gap_buffer:
@@ -452,7 +433,7 @@ class Watch:
             last = self._state.pop(key, None)
             ready.append(WatchEvent(
                 DELETED, key, last[1] if last else None,
-                getattr(server, "revision", 0),
+                server.revision,
             ))
         else:
             self._state[key] = (view["revision"], view["data"])
@@ -546,8 +527,10 @@ class StoreServer:
         self.location = location
         self.tracer = tracer
         #: Zero-copy state plane: keep object data frozen and hand out
-        #: structurally-shared views instead of deep copies.
+        #: structurally-shared views instead of deep copies.  Decided
+        #: here, once; every copy site asks :attr:`copies`.
         self.zero_copy = bool(zero_copy)
+        self.copies = SharedState() if self.zero_copy else CopiedState()
         #: Delta replication: watch events ship revision-chained
         #: merge-patch deltas instead of full snapshots.
         self.delta_watch = bool(delta_watch)
@@ -1063,7 +1046,7 @@ class StoreServer:
 def combine_patches(first, second):
     """One merge-patch equivalent to applying ``first`` then ``second``.
 
-    Unlike :func:`repro.store.objectops.merge_patch` (which applies a
+    Unlike :func:`repro.store.cow.merge_patch` (which applies a
     patch to *data*), this combines two patches: ``None`` values are
     deletion markers and must survive into the combined patch.
     """
@@ -1127,8 +1110,8 @@ class StoreClient:
         return self.location == self.server.location
 
     @property
-    def zero_copy(self):
-        return getattr(self.server, "zero_copy", False)
+    def copies(self):
+        return self.server.copies
 
     @property
     def copy_meter(self):
@@ -1195,13 +1178,7 @@ class StoreClient:
             view = self._read_cache.get(key)
             if view is not None:
                 self.cache_hits += 1
-                if self.zero_copy:
-                    # Cached ``data`` is already a frozen view; freezing
-                    # the outer envelope shares it -- zero bytes copied.
-                    hit = freeze(view)
-                    self.copy_meter.shared(estimate_size(view))
-                else:
-                    hit = copy_value(view, self.copy_meter, "cache")
+                hit = self.copies.cached(view, self.copy_meter)
                 return self.env.timeout(0.0, hit)
             self.cache_misses += 1
         return self.request("get", key=key)
@@ -1345,9 +1322,9 @@ class StoreClient:
         handle for cancellation.
         """
         if credits is None:
-            credits = getattr(self, "default_watch_credits", None)
+            credits = self.default_watch_credits
         if overflow is None:
-            overflow = getattr(self, "default_watch_overflow", None)
+            overflow = self.default_watch_overflow
         watch = Watch(self.server, self.location, handler, key_prefix,
                       on_close=on_close, batch_handler=batch_handler,
                       credits=credits, overflow=overflow)

@@ -22,6 +22,11 @@ those copies with an immutable, structurally-shared representation:
   that genuinely needs to edit a view locally.  ``copy.deepcopy`` on a
   frozen view does the same, so legacy copy-then-mutate code keeps
   working by construction.
+- :class:`SharedState` / :class:`CopiedState` -- the copy policy.  A
+  store is built with one of them (``zero_copy=``) and every site that
+  takes state in, patches it, hands it out or masks it asks the policy;
+  no site decides for itself.  ``CopiedState`` is the deep-copy
+  reference the zero-copy claim is measured against.
 - :class:`CopyMeter` -- copy accounting, so "we stopped copying" is a
   measured claim (``benchmarks/bench_zero_copy_delta.py``), not vibes.
 - :func:`estimate_size` -- the byte model behind every size-dependent
@@ -37,6 +42,8 @@ snapshots for free.
 """
 
 import copy
+
+from repro.util.paths import delete_path, get_path, split
 
 
 class FrozenViewError(TypeError):
@@ -160,8 +167,8 @@ def thaw(value):
 def merge_shared(base, patch, meter=None, site="merge"):
     """JSON-merge-patch by path copy: returns a NEW frozen map.
 
-    Semantics match :func:`repro.store.objectops.merge_patch` (``None``
-    deletes, nested dicts merge per key, everything else replaces) --
+    Semantics match :func:`merge_patch` (``None`` deletes, nested
+    dicts merge per key, everything else replaces) --
     but only the containers along patched paths are allocated; all
     untouched subtrees are shared by reference with ``base``.  ``base``
     itself is never modified, so earlier views stay consistent.
@@ -232,8 +239,6 @@ def mask_shared(data, paths, meter=None):
     merge-patch and apply it by path copy -- unmasked subtrees are
     shared with the original view.
     """
-    from repro.util.paths import get_path, split
-
     patch = {}
     for path in paths:
         parts = split(path)
@@ -254,15 +259,103 @@ _MISSING = object()
 
 
 def copy_value(value, meter=None, site="snapshot"):
-    """Classic deep copy, metered -- the baseline the COW path replaces.
-
-    Stores running with ``zero_copy=False`` route every snapshot, scan,
-    and mask through here so the benchmark's copied-bytes comparison is
-    apples-to-apples.
-    """
+    """Classic deep copy, metered -- the baseline the COW path replaces."""
     if meter is not None:
         meter.record(estimate_size(value), site)
     return copy.deepcopy(value)
+
+
+def merge_patch(data, patch):
+    """JSON-merge-patch onto a deep copy of ``data`` -- the reference
+    :func:`merge_shared` is checked against.
+
+    Dicts merge per key, everything else replaces, ``None`` deletes.
+    """
+    result = copy.deepcopy(data)
+    _merge_into(result, patch)
+    return result
+
+
+def _merge_into(target, patch):
+    for key, value in patch.items():
+        if value is None:
+            target.pop(key, None)
+        elif isinstance(value, dict) and isinstance(target.get(key), dict):
+            _merge_into(target[key], value)
+        else:
+            target[key] = copy.deepcopy(value)
+
+
+def retain(value):
+    """``value`` in a form safe to keep across later writes: a frozen
+    view is kept as is, anything mutable as a private deep copy."""
+    return value if is_frozen(value) else copy.deepcopy(value)
+
+
+class SharedState:
+    """Copy policy of a ``zero_copy=True`` store.
+
+    State is frozen once on the way in; every later hand-out aliases
+    the frozen structure and a patch re-creates only the patched paths.
+    A store picks its policy once, at construction, and every site that
+    takes in, patches, hands out or masks state goes through it.  Each
+    method names the :class:`CopyMeter` site it accounts to;
+    ``meter=None`` (WAL replay) leaves the work unmetered.
+    """
+
+    def ingest(self, value, meter=None, stamp=None):
+        """The one write-time copy (site ``ingest``); ``stamp`` adds
+        store-assigned fields to a Log row."""
+        frozen = freeze(value, meter, "ingest")
+        return CowMap({**frozen, **stamp}) if stamp else frozen
+
+    def merge(self, base, patch, meter=None):
+        """``base`` with a merge-patch applied (site ``merge``)."""
+        return merge_shared(base, patch, meter)
+
+    def snapshot(self, value, meter, site="snapshot"):
+        """Stored state as handed to a reader, watcher or scan: it is
+        frozen, so the view IS the snapshot."""
+        meter.shared(estimate_size(value))
+        return value
+
+    def cached(self, view, meter):
+        """A read-cache hit.  The cached ``data`` is already frozen, so
+        freezing the envelope around it copies nothing."""
+        hit = freeze(view)
+        meter.shared(estimate_size(view))
+        return hit
+
+    def mask(self, value, paths, meter=None):
+        """``value`` without the dotted ``paths`` (site ``mask``)."""
+        return mask_shared(value, paths, meter=meter)
+
+
+class CopiedState:
+    """Copy policy of a ``zero_copy=False`` store: deep-copy at every
+    site :class:`SharedState` aliases.  The reference the zero-copy
+    claim is measured and property-tested against."""
+
+    def ingest(self, value, meter=None, stamp=None):
+        copied = copy_value(value, meter, "ingest")
+        if stamp:
+            copied.update(stamp)
+        return copied
+
+    def merge(self, base, patch, meter=None):
+        return merge_patch(base, patch)
+
+    def snapshot(self, value, meter, site="snapshot"):
+        return copy_value(value, meter, site)
+
+    def cached(self, view, meter):
+        return copy_value(view, meter, "cache")
+
+    def mask(self, value, paths, meter=None):
+        copied = copy_value(value, meter, "mask")
+        for path in paths:
+            delete_path(copied, path)
+        return copied
 
 
 class CopyMeter:

@@ -2,7 +2,7 @@
 
 The Log Data Exchange keeps state as structured / semi-structured records
 in append-only *pools* and exposes data ingestion (``load``) plus analytics
-(``query``) APIs.  Queries are :mod:`repro.store.zql` pipelines executed
+(``query``) APIs.  Queries are :mod:`repro.query` pipelines executed
 server-side.
 
 Records are plain dicts; the lake stamps each with ``_seq`` (a pool-unique,
@@ -13,7 +13,6 @@ Watchers subscribe per pool and receive each loaded batch.
 from repro.errors import AlreadyExistsError, NotFoundError, StoreError
 from repro.obs.context import current_context
 from repro.store.base import OpLatency, StoreClient, StoreServer, WatchEvent
-from repro.store.cow import CowMap, copy_value, estimate_size, freeze
 from repro.query.core import compile_ops
 
 #: Event type for log-batch delivery (pools are append-only: no MODIFIED).
@@ -95,20 +94,13 @@ class LogLake(StoreServer):
         for record in records:
             if not isinstance(record, dict):
                 raise StoreError(f"records must be dicts, got {type(record).__name__}")
-            if self.zero_copy:
-                # One frozen row shared by the pool, watch events, and
-                # every later scan; the stamp fields ride the freeze.
-                row = CowMap({
-                    **freeze(record, self.copy_meter, "ingest"),
-                    "_seq": target.next_seq,
-                    "_ts": self.env.now,
-                })
-            else:
-                row = copy_value(record, self.copy_meter, "ingest")
-                row["_seq"] = target.next_seq
-                row["_ts"] = self.env.now
+            # One row shared by the pool, watch events, and every later
+            # scan; the stamp fields ride the ingest copy.
+            stamped.append(self.copies.ingest(
+                record, self.copy_meter,
+                stamp={"_seq": target.next_seq, "_ts": self.env.now},
+            ))
             target.next_seq += 1
-            stamped.append(row)
         target.records.extend(stamped)
         if self.tracer is not None:
             self.tracer.record(
@@ -172,17 +164,12 @@ class LogLake(StoreServer):
             delay = len(scanned) * self.scan_cost_per_record
             if delay > 0:
                 yield env.timeout(delay)
-            if self.zero_copy:
-                # ZQL stages copy-before-mutate, so frozen rows flow
-                # through the pipeline directly: the per-row deep copy
-                # this scan used to pay is gone.
-                for row in scanned:
-                    self.copy_meter.shared(estimate_size(row))
-                records = pipeline(scanned)
-            else:
-                records = pipeline(
-                    [copy_value(r, self.copy_meter, "scan") for r in scanned]
-                )
+            # ZQL stages copy-before-mutate, so rows flow through the
+            # pipeline as the copy policy hands them out.
+            records = pipeline([
+                self.copies.snapshot(row, self.copy_meter, "scan")
+                for row in scanned
+            ])
             if include_watermark:
                 return {"records": records, "watermark": watermark}
             return records

@@ -23,27 +23,7 @@ from repro.errors import (
 )
 from repro.obs.context import current_context
 from repro.store.base import ADDED, DELETED, MODIFIED, StoredObject, WatchEvent
-from repro.store.cow import copy_value, diff_shared, estimate_size, freeze, merge_shared
-
-
-def merge_patch(data, patch):
-    """Recursive merge: dicts merge per key, everything else replaces.
-
-    ``None`` values in the patch delete the key (JSON-merge-patch style).
-    """
-    result = copy.deepcopy(data)
-    _merge_into(result, patch)
-    return result
-
-
-def _merge_into(target, patch):
-    for key, value in patch.items():
-        if value is None:
-            target.pop(key, None)
-        elif isinstance(value, dict) and isinstance(target.get(key), dict):
-            _merge_into(target[key], value)
-        else:
-            target[key] = copy.deepcopy(value)
+from repro.store.cow import diff_shared, freeze
 
 
 class ObjectOpsMixin:
@@ -58,7 +38,7 @@ class ObjectOpsMixin:
         revision = self.next_revision()
         obj = StoredObject(
             key=key,
-            data=self._ingest(data),
+            data=self.copies.ingest(data, self.copy_meter),
             revision=revision,
             created_at=self.env.now,
             updated_at=self.env.now,
@@ -78,7 +58,7 @@ class ObjectOpsMixin:
         obj = self._require(key, resource_version)
         prev_revision = obj.revision
         old_data = obj.data
-        obj.data = self._ingest(data)
+        obj.data = self.copies.ingest(data, self.copy_meter)
         obj.revision = self.next_revision()
         obj.updated_at = self.env.now
         # A full update still replicates as a delta: diff the versions.
@@ -89,11 +69,7 @@ class ObjectOpsMixin:
     def op_patch(self, key, patch, resource_version=None):
         obj = self._require(key, resource_version)
         prev_revision = obj.revision
-        if self.zero_copy:
-            # Path copy: only containers along patched paths re-allocate.
-            obj.data = merge_shared(obj.data, patch, self.copy_meter)
-        else:
-            obj.data = merge_patch(obj.data, patch)
+        obj.data = self.copies.merge(obj.data, patch, self.copy_meter)
         obj.revision = self.next_revision()
         obj.updated_at = self.env.now
         # The patch IS the delta (merge-patch composes with itself).
@@ -214,7 +190,7 @@ class ObjectOpsMixin:
                 continue
             entries.append({
                 "key": key,
-                "data": self._snapshot(obj),
+                "data": self.copies.snapshot(obj.data, self.copy_meter),
                 "revision": obj.revision,
                 "created_at": obj.created_at,
                 "updated_at": obj.updated_at,
@@ -251,7 +227,7 @@ class ObjectOpsMixin:
                     continue
             self._objects[entry["key"]] = StoredObject(
                 key=entry["key"],
-                data=self._ingest(entry["data"]),
+                data=self.copies.ingest(entry["data"], self.copy_meter),
                 revision=entry["revision"],
                 created_at=entry["created_at"],
                 updated_at=entry["updated_at"],
@@ -397,29 +373,10 @@ class ObjectOpsMixin:
             )
         return obj
 
-    def _ingest(self, data):
-        """The single write-time copy of caller-owned data.
-
-        Zero-copy stores freeze it (every later snapshot aliases the
-        frozen structure); classic stores deep-copy, and every later
-        snapshot deep-copies again.  Both are metered as ``ingest`` so
-        the benchmark compares like with like.
-        """
-        if self.zero_copy:
-            return freeze(data, self.copy_meter, "ingest")
-        return copy_value(data, self.copy_meter, "ingest")
-
-    def _snapshot(self, obj):
-        """Client-facing copy of ``obj.data`` -- the read hot path."""
-        if self.zero_copy:
-            self.copy_meter.shared(estimate_size(obj.data))
-            return obj.data  # frozen: the view IS the snapshot
-        return copy_value(obj.data, self.copy_meter, "snapshot")
-
     def _view(self, obj):
         return {
             "key": obj.key,
-            "data": self._snapshot(obj),
+            "data": self.copies.snapshot(obj.data, self.copy_meter),
             "revision": obj.revision,
             "created_at": obj.created_at,
             "updated_at": obj.updated_at,
@@ -439,7 +396,8 @@ class ObjectOpsMixin:
                 revision=obj.revision,
             )
         event = WatchEvent(
-            event_type, obj.key, self._snapshot(obj), obj.revision,
+            event_type, obj.key,
+            self.copies.snapshot(obj.data, self.copy_meter), obj.revision,
             delta=delta, prev_revision=prev_revision,
             ctx=ctx, committed_at=self.env.now,
         )

@@ -15,6 +15,7 @@ every change.
 import copy
 
 from repro.errors import ConfigurationError, NotFoundError
+from repro.store.cow import merge_patch
 
 
 class UDFRegistry:
@@ -211,8 +212,6 @@ class TxnUDFContext(UDFContext):
                 self.ops -= 1  # get above already counted
             except NotFoundError:
                 base = {}
-        from repro.store.objectops import merge_patch
-
         self._overlay[key] = merge_patch(base, patch)
         return {"key": key, "data": copy.deepcopy(self._overlay[key]),
                 "revision": None, "buffered": True}

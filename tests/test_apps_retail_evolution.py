@@ -11,7 +11,7 @@ import pytest
 
 from repro.apps.retail.knactor_app import RetailKnactorApp
 from repro.apps.retail.workload import OrderWorkload
-from repro.core import Cast, Knactor, Reconciler, StoreBinding
+from repro.core import Knactor, Reconciler, StoreBinding
 from repro.core.dxg.executor import ExecutorOptions
 from repro.core.optimizer import K_REDIS
 from repro.errors import SchemaError

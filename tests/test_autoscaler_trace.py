@@ -7,7 +7,7 @@ import pytest
 from repro.cluster import Cluster, Image, Node
 from repro.cluster.autoscaler import HorizontalAutoscaler
 from repro.errors import ClusterError
-from repro.simnet import Environment, Tracer
+from repro.simnet import Tracer
 
 
 @pytest.fixture

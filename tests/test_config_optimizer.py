@@ -59,7 +59,7 @@ class TestProfiles:
 
 class TestCastWorkers:
     def build(self, workers):
-        from repro.core import Cast, Knactor, KnactorRuntime, Reconciler, StoreBinding
+        from repro.core import Cast, Knactor, KnactorRuntime, StoreBinding
         from repro.exchange import ObjectDE
         from repro.simnet import Environment, FixedLatency, Network
         from repro.store import ApiServer

@@ -6,7 +6,7 @@ from repro.core import Knactor, KnactorRuntime, StoreBinding
 from repro.core.rollup import Rollup, RollupRule
 from repro.errors import ConfigurationError
 from repro.exchange import LogDE, ObjectDE
-from repro.simnet import Environment, FixedLatency, Network
+from repro.simnet import FixedLatency, Network
 from repro.store import ApiServer, LogLake
 
 READINGS = """\

@@ -18,6 +18,7 @@ from repro.store import (
     FrozenViewError,
     MemKV,
     MemKVClient,
+    is_frozen,
 )
 
 
@@ -228,16 +229,24 @@ class TestDeltaWal:
         full_size = server._wal[0].event.wire_size()
         assert server.wal_bytes < full_size * 3
 
-    def test_restart_materializes_deltas(self, env, server, client, call):
-        call(client.create("k", {"a": {"x": 1}, "b": 1}))
-        call(client.patch("k", {"a": {"x": 2}}))
-        call(client.patch("k", {"b": None, "c": 3}))
-        env.run()
-        before = call(client.get("k"))["data"]
-        server.crash()
-        server.restart()
-        after = call(client.get("k"))["data"]
-        assert after == before == {"a": {"x": 2}, "c": 3}
+    def test_restart_materializes_deltas(self, env, zero_net, call):
+        # The deep-copy store is the reference: both copy policies
+        # replay the same WAL deltas to the same state.
+        for zero_copy in (True, False):
+            server = ApiServer(env, zero_net, location=f"api-{zero_copy}",
+                               watch_overhead=0.0, delta_watch=True,
+                               zero_copy=zero_copy)
+            client = ApiServerClient(server, location="tester")
+            call(client.create("k", {"a": {"x": 1}, "b": 1}))
+            call(client.patch("k", {"a": {"x": 2}}))
+            call(client.patch("k", {"b": None, "c": 3}))
+            env.run()
+            before = call(client.get("k"))["data"]
+            server.crash()
+            server.restart()
+            after = call(client.get("k"))["data"]
+            assert after == before == {"a": {"x": 2}, "c": 3}
+            assert is_frozen(server._objects["k"].data) == zero_copy
 
     def test_replay_after_restart_sends_full_events(self, env, server,
                                                     client, call):

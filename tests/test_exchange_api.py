@@ -1,12 +1,10 @@
 """Tests for the unified exchange-handle API and its sunset surface.
 
 ``DataExchange.handle()`` and ``DataExchange.grant()`` are the single
-entry points across Object and Log exchanges.  The pre-unification forms
-(positional ``handle(store, principal)``, positional ``grant`` verbs,
-``grant_integrator`` / ``grant_reader``) completed their deprecation
-window and were REMOVED: every removed call form raises ``TypeError``
-naming its replacement, and the repo-wide suite runs clean under
-``-W error::DeprecationWarning``.
+entry points across Object and Log exchanges.  ``principal`` and every
+``grant`` option are keyword-only: a positional call raises
+``TypeError``, and the pre-unification aliases and warn-once shims do
+not exist.
 """
 
 import warnings
@@ -186,43 +184,48 @@ class TestUnifiedGrant:
 
 
 class TestRemovedForms:
-    """The PR-2 deprecation shims are gone: removed forms raise TypeError
-    with a one-line migration hint naming the replacement."""
+    """Positional principal/verbs are a ``TypeError``; the old aliases
+    and every warn-once shim are absent, not stubbed."""
 
     def test_positional_handle_raises_with_migration(self, object_de):
-        with pytest.raises(TypeError, match=r"handle\(store_name, "
-                                            r"principal=\.\.\."):
+        with pytest.raises(TypeError):
             object_de.handle("knactor-checkout", "checkout")
 
     def test_positional_handle_with_location_raises(self, object_de):
-        with pytest.raises(TypeError, match="removed"):
+        with pytest.raises(TypeError):
             object_de.handle("knactor-checkout", "checkout", "edge")
 
     def test_positional_grant_raises_with_migration(self, object_de):
-        with pytest.raises(TypeError, match=r"grant\(principal, store_name, "
-                                            r"role=\.\.\.\)"):
+        with pytest.raises(TypeError):
             object_de.grant("a", "knactor-checkout", {"get", "list"})
 
-    def test_grant_integrator_raises_with_migration(self, object_de):
-        with pytest.raises(TypeError, match=r'grant\(principal, store_name, '
-                                            r'role="integrator"\)'):
-            object_de.grant_integrator("a", "knactor-checkout")
-
-    def test_grant_reader_raises_with_migration(self, object_de):
-        with pytest.raises(TypeError, match=r'role="reader"'):
-            object_de.grant_reader("c", "knactor-checkout")
-
     def test_removed_forms_raise_on_log_de_too(self, log_de):
-        with pytest.raises(TypeError, match="removed"):
+        with pytest.raises(TypeError):
             log_de.handle("house-log", "house")
-        with pytest.raises(TypeError, match="removed"):
-            log_de.grant_integrator("sync", "house-log")
+        with pytest.raises(TypeError):
+            log_de.handle("house-log")  # principal is required
 
     def test_registry_and_shims_are_deleted(self):
+        import importlib
+
         import repro.exchange.base as base
+        import repro.metrics
+        import repro.store
+        import repro.store.ring as ring
 
         for symbol in ("_WARNED", "_warn_once", "_reset_deprecation_warnings"):
             assert not hasattr(base, symbol)
+        for owner, symbol in (
+            (base.DataExchange, "grant_integrator"),
+            (base.DataExchange, "grant_reader"),
+            (repro.store, "shard_index"),
+            (ring, "coerce_shards_knob"),
+            (ring, "deprecation_notice"),
+            (repro.metrics, "SLOMonitor"),
+        ):
+            assert not hasattr(owner, symbol), symbol
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.store.zql")
 
     def test_in_repo_callers_are_warning_free(self):
         """The whole migrated retail app builds without one deprecation."""

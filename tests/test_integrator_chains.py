@@ -7,11 +7,9 @@ Cast feeding a Sync (Object -> Log via a bridging knactor), and two
 Casts filling disjoint fields of one store.
 """
 
-import pytest
-
-from repro.core import Cast, Knactor, KnactorRuntime, Reconciler, StoreBinding
+from repro.core import Cast, Knactor, KnactorRuntime, StoreBinding
 from repro.exchange import ObjectDE
-from repro.simnet import Environment, FixedLatency, Network
+from repro.simnet import FixedLatency, Network
 from repro.store import MemKV
 
 

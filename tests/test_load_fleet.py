@@ -8,7 +8,6 @@ tests pin that contract, plus a smoke of every scenario adapter
 with its SLOs evaluated.
 """
 
-import math
 import random
 
 import pytest

@@ -8,7 +8,7 @@ from repro.apps.retail.knactor_app import RetailKnactorApp
 from repro.apps.retail.workload import OrderWorkload
 from repro.core.optimizer import K_REDIS
 from repro.errors import ConfigurationError
-from repro.obs import CausalTracer, ObsPlane, Registry
+from repro.obs import CausalTracer, Registry
 from repro.obs.context import (
     bind_generator,
     current_context,

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from repro.simnet import Environment, FixedLatency, Link, Network, UniformLatency
 from repro.store import ApiServer, ApiServerClient, MemKV, MemKVClient
-from repro.store.apiserver import merge_patch
 from repro.store.base import estimate_size
+from repro.store.cow import merge_patch
 
 
 def run_op(env, event):

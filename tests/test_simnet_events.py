@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simnet import AllOf, AnyOf, Environment, Event, SimulationError, Timeout
+from repro.simnet import AllOf, AnyOf, Environment, SimulationError, Timeout
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from repro.store import (
     ApiServerClient,
     FrozenViewError,
 )
-from repro.store.apiserver import merge_patch
+from repro.store.cow import merge_patch
 
 
 @pytest.fixture

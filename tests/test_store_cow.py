@@ -19,6 +19,7 @@ from repro.store.cow import (
     freeze,
     is_frozen,
     mask_shared,
+    merge_patch,
     merge_shared,
     thaw,
 )
@@ -109,8 +110,6 @@ class TestFrozenSemantics:
 
 class TestMergeShared:
     def test_merge_semantics_match_merge_patch(self):
-        from repro.store.objectops import merge_patch
-
         base = {"a": {"x": 1, "y": 2}, "b": 1, "c": [1, 2]}
         patch = {"a": {"y": 9, "z": 3}, "b": None, "d": "new"}
         assert merge_shared(freeze(base), patch) == merge_patch(base, patch)

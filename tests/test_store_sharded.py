@@ -17,7 +17,7 @@ from repro.store import (
     MemKVClient,
     ShardedStore,
     ShardedStoreClient,
-    shard_index,
+    ShardRing,
 )
 
 SHARDS = 3
@@ -40,11 +40,12 @@ def client(store):
 
 def keys_on_shard(shard, count=2, shard_count=SHARDS, tag="k"):
     """First ``count`` keys (deterministically) owned by ``shard``."""
+    ring = ShardRing.for_count(shard_count)
     found = []
     i = 0
     while len(found) < count:
         key = f"{tag}/{i}"
-        if shard_index(key, shard_count) == shard:
+        if ring.owner_index(key) == shard:
             found.append(key)
         i += 1
     return found
@@ -53,8 +54,8 @@ def keys_on_shard(shard, count=2, shard_count=SHARDS, tag="k"):
 class TestRouting:
     def test_shard_index_is_deterministic_and_in_range(self):
         for key in ("order/o00001", "cart/u7", "k/0", ""):
-            first = shard_index(key, 4)
-            assert first == shard_index(key, 4)
+            first = ShardRing.for_count(4).owner_index(key)
+            assert first == ShardRing.for_count(4).owner_index(key)
             assert 0 <= first < 4
 
     def test_every_key_lands_on_its_computed_shard(self, store, client, call):

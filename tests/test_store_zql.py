@@ -147,20 +147,6 @@ class TestErrors:
         assert {"filter", "rename", "agg", "sort"} <= OPERATORS
 
 
-class TestDeprecatedShim:
-    def test_compile_query_warns_once_and_delegates(self):
-        from repro.store.ring import _reset_deprecations
-        from repro.store.zql import compile_query
-
-        _reset_deprecations()
-        with pytest.warns(DeprecationWarning, match="compile_ops"):
-            rows = compile_query([{"op": "filter", "expr": "watts > 5"}])(
-                list(RECORDS)
-            )
-        assert [r["device"] for r in rows] == ["lamp-1", "lamp-2"]
-        _reset_deprecations()
-
-
 class TestPurity:
     def test_input_records_not_mutated(self):
         records = [{"a": 1}]

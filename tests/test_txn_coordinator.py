@@ -20,7 +20,7 @@ from repro.store import (
     ShardedStoreClient,
     ShardRing,
 )
-from repro.txn import TxnCoordinator, TxnFunctionIntegrator
+from repro.txn import TxnFunctionIntegrator
 
 
 def make_store(env, net, n=2, backend=ApiServer, **kwargs):
