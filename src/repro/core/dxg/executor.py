@@ -26,7 +26,6 @@ server-side function for UDF-capable backends; the Cast integrator then
 issues one ``fcall`` per exchange instead of N reads + M writes.
 """
 
-import copy
 from dataclasses import dataclass
 
 from repro.errors import (
@@ -39,8 +38,9 @@ from repro.errors import (
 from repro.core.dxg.functions import standard_functions
 from repro.core.dxg.planner import plan as build_plan
 from repro.obs.context import bind_generator, current_context
-from repro.store.cow import retain
-from repro.util.paths import get_path, set_path
+from repro.store.cow import retain, set_shared
+from repro.util.paths import get_path, set_path, split
+from repro.util.safeexpr import Scope
 
 
 @dataclass
@@ -106,6 +106,25 @@ class DXGExecutor:
         self.totals = ExchangeStats()
         # Everything the DXG reads or writes, per (alias, kind).
         self._involved = self._involved_objects()
+        # What evaluation needs that does not depend on the data: the
+        # named kinds under each alias; per target, each assignment with
+        # the objects it reads and its split field path; and the one
+        # scope, rebuilt only when the function registry changes.
+        self._named = {}
+        for alias, kind in self._involved:
+            named = self._named.setdefault(alias, [])
+            if kind:
+                named.append(kind)
+        self._bound = {
+            step.target: [
+                (a, tuple(dict.fromkeys((r.alias, r.kind) for r in a.sources)),
+                 tuple(split(a.field)))
+                for a in step.assignments
+            ]
+            for step in self.plan.steps
+        }
+        self._scope = None
+        self._scope_version = None
 
     def _involved_objects(self):
         involved = set()
@@ -148,58 +167,60 @@ class DXGExecutor:
         else:
             # Zero-copy plane: watch events hand us immutable views, so
             # the cache can alias them -- nothing downstream mutates it
-            # (computation works on a thawed copy of the target only).
+            # (computation path-copies the target, see ``_compute_step``).
             self.cache[slot] = retain(data)
 
     # -- evaluation core (pure; shared by remote and push-down paths) ----------
 
-    def _context_for(self, objects):
-        """Build the expression context from ``{(alias, kind): data|None}``.
+    def _bind(self, objects, cid):
+        """The executor's scope with every alias and ``cid`` bound.
 
         Per alias: the default-kind object's fields appear at top level,
-        named kinds appear under their kind name.  A named kind must not
-        collide with a default-kind field name.
+        named kinds appear under their kind name (and claim it over a
+        default-kind field of the same name).
         """
-        context = {}
-        for (alias, kind), data in objects.items():
-            slot = context.setdefault(alias, {})
-            if data is None:
-                continue
-            if kind:
-                slot[kind] = data
-            else:
-                for key, value in data.items():
-                    if key in slot and isinstance(slot[key], dict):
-                        continue  # a named kind already claimed this name
-                    slot[key] = value
-        return context
+        if self._scope_version != self.functions.version:
+            self._scope_version = self.functions.version
+            self._scope = Scope(self.functions.table())
+        scope = self._scope
+        for alias, named in self._named.items():
+            slot = objects.get((alias, "")) or {}
+            if named:
+                slot = dict(slot)
+                for kind in named:
+                    data = objects.get((alias, kind))
+                    if data is not None:
+                        slot[kind] = data
+            scope.bind(alias, slot)
+        if cid is None:
+            scope.unbind("cid")
+        else:
+            scope.bind("cid", cid)
+        return scope
 
-    def _compute_step(self, step, context, target_data, objects, cid=None):
+    def _compute_step(self, step, objects, cid=None):
         """Evaluate one step's assignments; returns (values, skipped).
 
-        ``target_data`` is the target object's current data ({} when the
-        object does not exist yet).  Values computed earlier in the same
-        step are visible to later ``this.`` reads (intra-step chaining).
+        ``objects`` is ``{(alias, kind): data|None}``; the step's target
+        is read from it ({} when the object does not exist yet) and is
+        never written: ``working`` copies only the containers on the way
+        to a computed field.  Values computed earlier in the same step
+        are visible to later ``this.`` reads (intra-step chaining).
         The correlation id is exposed to expressions as ``cid``.
         """
         values = {}
         skipped = 0
-        working = copy.deepcopy(target_data)
-        table = self.functions.table()
-        for assignment in step.assignments:
+        scope = self._bind(objects, cid)
+        target = step.target
+        working = dict(objects.get(target) or {})
+        scope.bind("this", working)
+        for assignment, source_keys, parts in self._bound[target]:
             # Skip if any wholly-missing source object is referenced.
-            if any(
-                objects.get((ref.alias, ref.kind), _MISSING) in (None, _MISSING)
-                for ref in assignment.sources
-            ):
+            if any(objects.get(key) is None for key in source_keys):
                 skipped += 1
                 continue
-            scope = dict(context)
-            scope["this"] = working
-            if cid is not None:
-                scope["cid"] = cid
             try:
-                value = assignment.expression.evaluate(scope, table)
+                value = assignment.expression.evaluate(scope)
             except ExpressionError:
                 skipped += 1
                 continue
@@ -207,7 +228,7 @@ class DXGExecutor:
                 skipped += 1
                 continue
             values[assignment.field] = value
-            set_path(working, assignment.field, value)
+            set_shared(working, parts, value)
         return values, skipped
 
     @staticmethod
@@ -308,10 +329,7 @@ class DXGExecutor:
         for step in self.plan.steps:
             current = objects.get((step.alias, step.kind))
             exists = current is not None
-            context = self._context_for(objects)
-            values, skipped = self._compute_step(
-                step, context, current if exists else {}, objects, cid=cid
-            )
+            values, skipped = self._compute_step(step, objects, cid=cid)
             stats.skipped += skipped
             changed = self._changed_fields(current or {}, values)
             if not changed:
@@ -351,21 +369,16 @@ class DXGExecutor:
         matching charge.  Requires every handle to live on the same Data
         Exchange (they do: a Cast is bound to one DE).
         """
-        import copy as _copy
-
         first_handle = next(iter(self.handles.values()))
         txn = first_handle.de.transaction(
             first_handle.principal, location=first_handle.client.location
         )
         planned = []  # (step, changed, exists)
-        working = {k: _copy.deepcopy(v) for k, v in objects.items()}
+        working = dict(objects)
         for step in self.plan.steps:
             current = working.get((step.alias, step.kind))
             exists = current is not None
-            context = self._context_for(working)
-            values, skipped = self._compute_step(
-                step, context, current if exists else {}, working, cid=cid
-            )
+            values, skipped = self._compute_step(step, working, cid=cid)
             stats.skipped += skipped
             changed = self._changed_fields(current or {}, values)
             if not changed:
@@ -382,9 +395,9 @@ class DXGExecutor:
                 txn.patch(handle.store_name, key, nested)
             stats.fields_written += len(changed)
             # Make this step's results visible to later steps in the pass.
-            base = _copy.deepcopy(current) if exists else {}
+            base = dict(current) if exists else {}
             for path, value in changed.items():
-                set_path(base, path, value)
+                set_shared(base, path, value)
             working[(step.alias, step.kind)] = base
             planned.append((step, key))
         if not planned:
@@ -430,9 +443,8 @@ class DXGExecutor:
                 for step in self.plan.steps:
                     current = objects.get((step.alias, step.kind))
                     exists = current is not None
-                    context = self._context_for(objects)
                     values, _skipped = self._compute_step(
-                        step, context, current if exists else {}, objects, cid=cid
+                        step, objects, cid=cid
                     )
                     changed = self._changed_fields(current or {}, values)
                     if not changed:

@@ -65,6 +65,7 @@ class FunctionRegistry:
 
     def __init__(self, functions=None):
         self._functions = {}
+        self.version = 0  # bumped per (un)register: executors rebind on it
         for name, fn in (functions or {}).items():
             self.register(name, fn)
 
@@ -74,9 +75,11 @@ class FunctionRegistry:
         if not name.isidentifier():
             raise ConfigurationError(f"function name {name!r} must be an identifier")
         self._functions[name] = fn
+        self.version += 1
 
     def unregister(self, name):
         self._functions.pop(name, None)
+        self.version += 1
 
     def table(self):
         """The name -> callable mapping handed to the evaluator."""

@@ -142,6 +142,9 @@ def parse_dxg(text):
     for alias, ref in inputs.items():
         if not isinstance(alias, str) or not alias.isidentifier():
             raise DXGParseError(f"alias {alias!r} must be an identifier")
+        if alias.startswith("__"):
+            # No expression can name it, and no scope will bind it.
+            raise DXGParseError(f"alias {alias!r} must not start with '__'")
         if not isinstance(ref, str) or not ref:
             raise DXGParseError(f"alias {alias!r} has an invalid store reference")
     body = data["DXG"]

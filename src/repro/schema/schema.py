@@ -93,6 +93,7 @@ class Schema:
     def __init__(self, name, fields=()):
         self.name = SchemaName.parse(name)
         self._fields = {}
+        self._secret = None  # secret_fields() memo; add_field drops it
         for f in fields:
             self.add_field(f)
 
@@ -146,6 +147,7 @@ class Schema:
                 f"field {field.path!r} declared before its parent {parent!r}"
             )
         self._fields[field.path] = field
+        self._secret = None
 
     # -- queries ----------------------------------------------------------
 
@@ -176,7 +178,13 @@ class Schema:
         return [f for f in self.fields if f.annotations.ingest]
 
     def secret_fields(self):
-        return [f for f in self.fields if f.annotations.secret]
+        """``+kr: secret`` fields; asked on every masked read, so the
+        walk is done once per schema state (callers get a fresh list)."""
+        if self._secret is None:
+            self._secret = [
+                f for f in self._fields.values() if f.annotations.secret
+            ]
+        return list(self._secret)
 
     def top_level(self):
         """Fields without a parent."""

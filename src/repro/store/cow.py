@@ -18,6 +18,8 @@ those copies with an immutable, structurally-shared representation:
   containers along patched paths are re-created; untouched siblings are
   shared by reference with the previous version.  "Copy" becomes
   O(depth of the patch), not O(object).
+- :func:`set_shared` -- the same path copy for one dotted-path write
+  into a caller-owned dict over shared children (the DXG working copy).
 - :func:`thaw` -- the escape hatch: a plain, mutable deep copy for code
   that genuinely needs to edit a view locally.  ``copy.deepcopy`` on a
   frozen view does the same, so legacy copy-then-mutate code keeps
@@ -43,7 +45,7 @@ snapshots for free.
 
 import copy
 
-from repro.util.paths import delete_path, get_path, split
+from repro.util.paths import delete_path, get_path, set_path, split
 
 
 class FrozenViewError(TypeError):
@@ -204,6 +206,21 @@ def _path_copy_size(base, patch):
         elif value is not None:
             size += estimate_size(value)
     return size
+
+
+def set_shared(obj, path, value):
+    """:func:`~repro.util.paths.set_path` by path copy, for a plain dict
+    ``obj`` the caller owns whose children may be shared (frozen) state:
+    every container on the way to the leaf is replaced in its parent by
+    a plain shallow copy before it is written, so only ``obj`` is
+    mutated and everything off the path stays shared."""
+    parts = split(path)
+    for part in parts[:-1]:
+        child = get_path(obj, [part], default=_MISSING)
+        child = {} if child is _MISSING else copy.copy(child)
+        set_path(obj, [part], child)
+        obj = child
+    set_path(obj, parts[-1:], value)
 
 
 def diff_shared(old, new):

@@ -25,7 +25,6 @@ _ALLOWED_NODES = (
     ast.Store,  # comprehension targets bind names
     ast.Attribute,
     ast.Subscript,
-    ast.Index if hasattr(ast, "Index") else ast.Constant,  # py<3.9 compat shim
     ast.Slice,
     ast.Tuple,
     ast.List,
@@ -162,6 +161,39 @@ def unwrap(value):
     return value
 
 
+class Scope:
+    """The one name table expressions are evaluated in.
+
+    Built once from the safe builtins and the registered functions; data
+    names are then bound and unbound **in place**, so evaluating against
+    changing data allocates no table per evaluation.  Data shadows
+    functions shadows builtins: a field named ``max`` is data while it
+    is bound, and the function is back once it is unbound.
+    """
+
+    __slots__ = ("names", "_table")
+
+    def __init__(self, functions=None, data=None):
+        # ``__builtins__`` goes last so that nothing registered replaces
+        # the empty one, and sits in the table so that nothing unbinds
+        # it either (``eval`` would put the real one back).
+        self._table = {**SAFE_BUILTINS, **(functions or {}), "__builtins__": {}}
+        self.names = dict(self._table)  # the globals of every evaluation
+        for name, value in (data or {}).items():
+            self.bind(name, value)
+
+    def bind(self, name, value):
+        if name.startswith("__"):
+            raise ExpressionError(f"dunder name {name!r} cannot be bound")
+        self.names[name] = _wrap(value)
+
+    def unbind(self, name):
+        if name in self._table:
+            self.names[name] = self._table[name]
+        else:
+            self.names.pop(name, None)
+
+
 class SafeExpression:
     """A parsed, validated expression ready for repeated evaluation."""
 
@@ -174,7 +206,6 @@ class SafeExpression:
         except SyntaxError as exc:
             raise ExpressionError(f"syntax error in {self.source!r}: {exc}") from exc
         self._validate(tree)
-        self._tree = tree
         self._code = compile(tree, "<dxg-expr>", "eval")
         self.names = self._root_names(tree)
         self.paths = self._dependency_paths(tree)
@@ -258,23 +289,21 @@ class SafeExpression:
         # from a different sub-expression is kept -- it is a real read.
         return frozenset(paths)
 
-    def evaluate(self, context, functions=None):
-        """Evaluate against ``context`` (name -> state dict / scalar)."""
-        table = dict(SAFE_BUILTINS)
-        if functions:
-            table.update(functions)
-        scope = {name: _wrap(value) for name, value in context.items()}
-        # Context (data) shadows functions, like local names shadow
-        # builtins in Python: a record field named `max` is data.
-        missing = self.names - set(scope) - set(table)
-        if missing:
+    def evaluate(self, scope, functions=None):
+        """Evaluate in ``scope``: a :class:`Scope`, or a context mapping
+        (name -> state dict / scalar) bound over ``functions`` first."""
+        if not isinstance(scope, Scope):
+            scope = Scope(functions, scope)
+        names = scope.names
+        if not self.names <= names.keys():
             raise ExpressionError(
-                f"unbound name(s) {sorted(missing)} in {self.source!r}"
+                f"unbound name(s) {sorted(self.names - names.keys())} "
+                f"in {self.source!r}"
             )
         try:
-            result = eval(  # noqa: S307 -- validated, whitelisted AST
-                self._code, {"__builtins__": {}}, {**table, **scope}
-            )
+            # One dict as globals and no locals: comprehension bodies are
+            # nested scopes and look their free names up as globals.
+            result = eval(self._code, names)  # noqa: S307 -- whitelisted AST
             return unwrap(result)
         except ExpressionError:
             raise

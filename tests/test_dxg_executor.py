@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.dxg import DXGExecutor, parse_dxg
 from repro.core.dxg.executor import ExecutorOptions
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExpressionError
 from repro.exchange import ObjectDE
 from repro.store import ApiServer, MemKV
 
@@ -148,6 +148,118 @@ class TestExchange:
         call(executor.exchange("o1"))
         shipping = de.handle("knactor-shipping", principal="shipping")
         assert call(shipping.get("o1"))["data"]["method"] == "air"
+
+
+class TestBoundScope:
+    """The executor evaluates every expression in ONE name table, bound
+    at construction and re-bound in place per step."""
+
+    def _executor(self, env, setup, body, functions=None):
+        de, _ = setup
+        spec = parse_dxg(
+            "Input:\n"
+            "  C: Retail/v1/Checkout/knactor-checkout\n"
+            "  S: Retail/v1/Shipping/knactor-shipping\n"
+            "Kinds:\n"
+            "  C: [order]\n"
+            "DXG:\n" + body
+        )
+        return DXGExecutor(
+            env, spec,
+            handles={
+                "C": de.handle("knactor-checkout", principal="cast"),
+                "S": de.handle("knactor-shipping", principal="cast"),
+            },
+            functions=functions,
+        )
+
+    def test_comprehension_body_reading_another_alias_lands(
+            self, env, setup, call):
+        """Alias, registered function and builtin inside a comprehension
+        and a generator body: the assignment is written, not skipped."""
+        de, _ = setup
+        executor = self._executor(
+            env, setup,
+            "  C.order:\n"
+            "    shippingCost: >\n"
+            "      sum(len(i.name) * S.quote.price for i in this.items)\n"
+            "    trackingID: >\n"
+            "      str([concat(i.name, S.id) for i in this.items])\n",
+        )
+        checkout = de.handle("knactor-checkout", principal="checkout")
+        shipping = de.handle("knactor-shipping", principal="shipping")
+        call(checkout.create("order/o1", make_order()))
+        call(shipping.create("o1", {"id": "-7", "quote": {"price": 2.5}}))
+        stats = call(executor.exchange("o1"))
+        assert stats.skipped == 0
+        order = call(checkout.get("order/o1"))["data"]
+        assert order["shippingCost"] == 15.0
+        assert order["trackingID"] == "['mug-7', 'pen-7']"
+
+    def test_function_registered_after_construction_is_visible(
+            self, env, setup, call):
+        from repro.core.dxg import standard_functions
+
+        de, _ = setup
+        functions = standard_functions()
+        executor = self._executor(
+            env, setup, "  S:\n    method: shout(C.order.address)\n",
+            functions=functions,
+        )
+        checkout = de.handle("knactor-checkout", principal="checkout")
+        shipping = de.handle("knactor-shipping", principal="shipping")
+        call(checkout.create("order/o1", make_order()))
+        stats = call(executor.exchange("o1"))
+        assert stats.skipped == 1 and stats.writes == 0  # shout is unbound
+        functions.register("shout", lambda text: text.upper())
+        stats = call(executor.exchange("o1"))
+        assert stats.skipped == 0
+        assert call(shipping.get("o1"))["data"]["method"] == "12 ELM ST"
+        functions.unregister("shout")
+        call(checkout.patch("order/o1", {"address": "9 Oak Ave"}))
+        stats = call(executor.exchange("o1"))
+        assert stats.skipped == 1 and stats.writes == 0
+        assert call(shipping.get("o1"))["data"]["method"] == "12 ELM ST"
+        step = executor.plan.steps[0]
+        with pytest.raises(ExpressionError, match=r"unbound name\(s\) \['shout'\]"):
+            step.assignments[0].expression.evaluate(
+                executor._bind({("C", "order"): make_order()}, "o1")
+            )
+
+    def test_cid_is_unbound_again_on_the_same_executor(self, env, setup):
+        executor = self._executor(
+            env, setup, "  S:\n    addr: concat(cid, '@', C.order.address)\n"
+        )
+        step = executor.plan.steps[0]
+        objects = {("C", "order"): make_order(), ("S", ""): None}
+        assert executor._compute_step(step, objects, cid="x") == (
+            {"addr": "x@12 Elm St"}, 0)
+        assert executor._compute_step(step, objects, cid=None) == ({}, 1)
+        with pytest.raises(ExpressionError, match=r"unbound name\(s\) \['cid'\]"):
+            step.assignments[0].expression.evaluate(executor._bind(objects, None))
+        assert executor._compute_step(step, objects, cid="y") == (
+            {"addr": "y@12 Elm St"}, 0)
+
+    def test_alias_named_like_a_builtin_is_data(self, env):
+        """An alias shadows the builtin of the same name; other builtins
+        are untouched."""
+        executor = DXGExecutor(
+            env,
+            parse_dxg(
+                "Input:\n"
+                "  max: Retail/v1/Checkout/knactor-checkout\n"
+                "  S: Retail/v1/Shipping/knactor-shipping\n"
+                "Kinds:\n"
+                "  max: [order]\n"
+                "DXG:\n"
+                "  S:\n"
+                "    method: str(min(max.order.cost, 10))\n"
+            ),
+            handles={"max": None, "S": None},
+        )
+        step = executor.plan.steps[0]
+        objects = {("max", "order"): make_order(cost=99), ("S", ""): None}
+        assert executor._compute_step(step, objects) == ({"method": "10"}, 0)
 
 
 class TestOptions:

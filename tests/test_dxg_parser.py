@@ -101,6 +101,10 @@ class TestErrors:
     def test_bad_alias_name(self):
         with pytest.raises(DXGParseError):
             parse_dxg("Input:\n  'not an id': a/b/c\nDXG:\n  C:\n    f: 1\n")
+        # A dunder alias could be neither read (AST ban) nor bound.
+        with pytest.raises(DXGParseError, match="must not start with '__'"):
+            parse_dxg("Input:\n  __builtins__: a/b/c\nDXG:\n  __builtins__:\n"
+                      "    f: 1\n")
 
     def test_bad_expression(self):
         with pytest.raises(DXGParseError):

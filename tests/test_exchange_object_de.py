@@ -9,6 +9,7 @@ from repro.errors import (
     SchemaError,
 )
 from repro.exchange import ObjectDE
+from repro.schema import Field, parse_annotation
 from repro.store import ApiServer, LogLake, MemKV
 
 CHECKOUT_SCHEMA = """\
@@ -128,6 +129,26 @@ class TestIntegratorAccess:
         view = call(handle.get("o1"))
         assert "cardToken" not in view["data"]
         assert view["data"]["cost"] == 10
+
+    def test_secret_field_added_after_a_masked_read_is_hidden(
+            self, de, owner, call):
+        """``Schema.secret_fields`` is computed once per schema state:
+        ``add_field`` must start a new one."""
+        de.grant("intg", "knactor-checkout", role="integrator")
+        handle = de.handle("knactor-checkout", principal="intg")
+        call(owner.create("o1", {"cost": 10, "cardToken": "tok-1"}))
+        assert "cardToken" not in call(handle.get("o1"))["data"]  # memoised
+        schema = de.schema_for("knactor-checkout")
+        listed = schema.secret_fields()
+        listed.clear()  # callers get their own list
+        assert [f.path for f in schema.secret_fields()] == ["cardToken"]
+        schema.add_field(
+            Field("cvv", annotations=parse_annotation("+kr: secret")))
+        call(owner.patch("o1", {"cvv": "123"}))
+        data = call(handle.get("o1"))["data"]
+        assert "cvv" not in data and "cardToken" not in data
+        assert data["cost"] == 10
+        assert call(owner.get("o1"))["data"]["cvv"] == "123"
 
     def test_secret_visible_with_read_grant(self, de, owner, call):
         de.grant(

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ExpressionError
-from repro.util.safeexpr import SAFE_BUILTINS, SafeExpression, unwrap
+from repro.store.cow import freeze
+from repro.util.safeexpr import SAFE_BUILTINS, SafeExpression, Scope, unwrap
 
 
 class TestParsing:
@@ -121,6 +122,106 @@ class TestEvaluation:
 
     def test_membership(self):
         assert SafeExpression("'x' in A.tags").evaluate({"A": {"tags": ["x"]}})
+
+
+class TestComprehensionBodies:
+    """A comprehension / generator body is a nested scope: the names it
+    reads must resolve exactly like names outside it."""
+
+    CONTEXT = {"C": {"items": [{"p": -1}, {"p": 2}]}, "S": {"rate": 3}}
+    FUNCTIONS = {"dbl": lambda v: v * 2}
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("[i.p * S.rate for i in C.items]", [-3, 6]),
+            ("{i.p * S.rate for i in C.items}", {-3, 6}),
+            ("sum(i.p * S.rate for i in C.items)", 3),
+            ("[dbl(i.p) for i in C.items]", [-2, 4]),
+            ("{dbl(i.p) for i in C.items}", {-2, 4}),
+            ("sum(dbl(i.p) for i in C.items)", 2),
+            ("[abs(i.p) for i in C.items]", [1, 2]),
+            ("{abs(i.p) for i in C.items}", {1, 2}),
+            ("sum(abs(i.p) for i in C.items)", 3),
+            ("[i.p for i in C.items if i.p < S.rate and abs(i.p) > 1]", [2]),
+            ("[[dbl(j) + S.rate for j in [i.p]] for i in C.items]", [[1], [7]]),
+        ],
+    )
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_alias_function_and_builtin_resolve(self, source, expected, frozen):
+        context = freeze(self.CONTEXT) if frozen else self.CONTEXT
+        expr = SafeExpression(source)
+        assert expr.evaluate(context, self.FUNCTIONS) == expected
+        scope = Scope(self.FUNCTIONS, context)
+        assert expr.evaluate(scope) == expected
+
+    def test_comprehension_variable_does_not_leak(self):
+        scope = Scope(self.FUNCTIONS, self.CONTEXT)
+        before = set(scope.names)
+        for source in ("[i.p for i in C.items]", "{i.p for i in C.items}",
+                       "sum(i.p for i in C.items)"):
+            SafeExpression(source).evaluate(scope)
+        assert set(scope.names) == before
+        with pytest.raises(ExpressionError, match=r"unbound name\(s\) \['i'\]"):
+            SafeExpression("i").evaluate(scope)
+        # ... and does not overwrite a data name it shadows.
+        scope.bind("i", "data")
+        assert SafeExpression("[i.p for i in C.items]").evaluate(scope) == [-1, 2]
+        assert SafeExpression("i").evaluate(scope) == "data"
+
+
+class TestScope:
+    def test_data_shadows_function_shadows_builtin(self):
+        scope = Scope({"max": lambda *a: "registered"})
+        call = SafeExpression("max(1, 2)")
+        assert call.evaluate(scope) == "registered"
+        scope.bind("max", 7)
+        assert SafeExpression("max").evaluate(scope) == 7
+        with pytest.raises(ExpressionError, match="failed"):
+            call.evaluate(scope)  # an int is not callable
+        scope.unbind("max")
+        assert call.evaluate(scope) == "registered"
+        assert SafeExpression("max(1, 2)").evaluate({}) == 2
+
+    def test_unbind_makes_a_data_name_unbound_again(self):
+        scope = Scope()
+        expr = SafeExpression("cid")
+        scope.bind("cid", "x")
+        assert expr.evaluate(scope) == "x"
+        scope.unbind("cid")
+        with pytest.raises(ExpressionError, match=r"unbound name\(s\) \['cid'\]"):
+            expr.evaluate(scope)
+        scope.unbind("cid")  # unbinding an unbound name is a no-op
+
+    def test_rebinding_is_seen_by_the_next_evaluation(self):
+        scope = Scope()
+        expr = SafeExpression("A.n + 1")
+        for n in (1, 5):
+            scope.bind("A", {"n": n})
+            assert expr.evaluate(scope) == n + 1
+
+    def test_bound_values_are_read_only_views(self):
+        data = {"inner": {"n": 1}}
+        scope = Scope(data={"A": data})
+        assert type(scope.names["A"]).__name__ == "_AttrView"
+        assert SafeExpression("A.inner").evaluate(scope) == {"n": 1}
+        assert data == {"inner": {"n": 1}}
+
+    def test_builtins_stay_empty(self):
+        """Nothing bound, registered or unbound can put real builtins
+        within reach of ``eval``."""
+        scope = Scope({"__builtins__": {"open": open}})
+        assert scope.names["__builtins__"] == {}
+        with pytest.raises(ExpressionError, match="dunder"):
+            scope.bind("__builtins__", {"open": open})
+        scope.unbind("__builtins__")
+        assert scope.names["__builtins__"] == {}
+        with pytest.raises(ExpressionError, match="unbound"):
+            SafeExpression("open('/etc/passwd')").evaluate(scope)
+
+    def test_dict_form_refuses_dunder_context_names(self):
+        with pytest.raises(ExpressionError, match="dunder"):
+            SafeExpression("1").evaluate({"__builtins__": {}})
 
 
 class TestUnwrap:

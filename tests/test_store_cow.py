@@ -21,8 +21,10 @@ from repro.store.cow import (
     mask_shared,
     merge_patch,
     merge_shared,
+    set_shared,
     thaw,
 )
+from repro.util.paths import PathError, set_path
 
 
 class TestFreeze:
@@ -142,6 +144,37 @@ class TestMergeShared:
         merge_shared(base, {"hot": {"v": 2}}, meter)
         # A deepcopy would have cost >10KB; the path copy is tiny.
         assert 0 < meter.copied_bytes < 1_000
+
+
+class TestSetShared:
+    STATE = {"a": {"b": {"c": 1, "keep": [1]}, "rows": [{"v": 1}, {"v": 2}]},
+             "n": 3, "cold": {"blob": "x"}}
+
+    @pytest.mark.parametrize("path", [
+        "n", "new", "a.b.c", "a.b.new", "a.new.deeper", "a.rows.1.v",
+        "a.rows.0", "x.y.z", ("a", "b", "c"),
+    ])
+    def test_equals_set_path_and_leaves_shared_state_alone(self, path):
+        frozen = freeze(self.STATE)
+        owned = dict(frozen)  # the caller owns only the top level
+        set_shared(owned, path, "W")
+        expected = copy.deepcopy(self.STATE)
+        set_path(expected, path, "W")
+        assert owned == expected
+        assert frozen == self.STATE
+        assert owned["cold"] is frozen["cold"]  # off the path: shared
+        set_shared(owned, path, "W2")  # its own copies are writable again
+
+    @pytest.mark.parametrize("path, error", [
+        ("n.deeper", PathError), ("n.deeper.still", PathError),
+        ("a.rows.7.v", IndexError), ("a.rows.x", ValueError),
+    ])
+    def test_fails_like_set_path(self, path, error):
+        owned = dict(freeze(self.STATE))
+        with pytest.raises(error):
+            set_path(copy.deepcopy(self.STATE), path, "W")
+        with pytest.raises(error):
+            set_shared(owned, path, "W")
 
 
 class TestDiffShared:
