@@ -5,7 +5,7 @@ Three mechanisms, one vocabulary (see ``docs/api.md``):
 - **credit-based watch flow control**: every watch carries a credit
   window; a server pauses fan-out when a consumer's credits run out,
   coalesces the paused events, and forces a per-watcher resync instead
-  of buffering without bound (:mod:`repro.store.base`);
+  of buffering without bound (:mod:`repro.store.watch`);
 - **bounded queues with typed overflow policies**
   (:mod:`repro.flow.policy`): ``block | shed_oldest | shed_newest |
   reject``, adopted by :class:`repro.simnet.queue.Store`, the pub/sub

@@ -27,14 +27,9 @@ objects, revisions, and the replayable watch history -- from the WAL.
 import copy
 from dataclasses import dataclass
 
-from repro.store.base import (
-    DELETED,
-    OpLatency,
-    StoreClient,
-    StoredObject,
-    StoreServer,
-    WatchEvent,
-)
+from repro.store.base import OpLatency, StoredObject, StoreServer
+from repro.store.client import ObjectClient
+from repro.store.watch import DELETED, WatchEvent
 from repro.store.objectops import ObjectOpsMixin
 
 #: Default per-op server-side latencies (seconds): writes pay an
@@ -180,10 +175,10 @@ class ApiServer(ObjectOpsMixin, StoreServer):
             return
         if self.watch_batch_window > 0:
             # One catch-up message, mirroring batched live fan-out.
-            self._send_to_watch(watch, replayable)
+            watch.send(replayable)
             return
         for event in replayable:
-            if not self._send_to_watch(watch, (event,)):
+            if not watch.send((event,)):
                 return
 
     def set_available(self, available):
@@ -198,10 +193,6 @@ class ApiServer(ObjectOpsMixin, StoreServer):
         for watch, from_revision in pending:
             if watch.active:
                 self._deliver_replay(watch, from_revision)
-
-    @property
-    def oldest_replayable(self):
-        return self._history[0].revision if self._history else None
 
     @property
     def wal_length(self):
@@ -320,25 +311,8 @@ class ApiServer(ObjectOpsMixin, StoreServer):
             self._txn_outcomes[marker.txn_id] = (state, None)
 
 
-class ApiServerClient(StoreClient):
-    """Typed convenience client for the apiserver."""
-
-    def create(self, key, data, labels=None):
-        return self.request("create", key=key, data=data, labels=labels)
-
-    def update(self, key, data, resource_version=None):
-        return self.request(
-            "update", key=key, data=data, resource_version=resource_version
-        )
-
-    def delete(self, key):
-        return self.request("delete", key=key)
-
-    def list(self, key_prefix=""):
-        return self.request("list", key_prefix=key_prefix)
-
-    def txn(self, ops):
-        return self.request("txn", ops=ops)
+class ApiServerClient(ObjectClient):
+    """The Object client, plus watches that replay from a revision."""
 
     def watch(self, handler, key_prefix="", from_revision=None, on_close=None,
               batch_handler=None, credits=None, overflow=None):

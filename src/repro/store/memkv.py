@@ -22,7 +22,8 @@ is also provided for code that wants Redis semantics directly.
 import copy
 
 from repro.errors import ConflictError, StoreError
-from repro.store.base import OpLatency, StoreClient, StoreServer
+from repro.store.base import OpLatency, StoreServer
+from repro.store.client import ObjectClient
 from repro.store.objectops import ObjectOpsMixin
 from repro.store.udf import TxnUDFContext, UDFContext, UDFRegistry
 
@@ -200,25 +201,8 @@ class MemKV(ObjectOpsMixin, StoreServer):
         self._fcall_effects = {}
 
 
-class MemKVClient(StoreClient):
-    """Typed convenience client for the Redis-like store."""
-
-    def create(self, key, data, labels=None):
-        return self.request("create", key=key, data=data, labels=labels)
-
-    def update(self, key, data, resource_version=None):
-        return self.request(
-            "update", key=key, data=data, resource_version=resource_version
-        )
-
-    def delete(self, key):
-        return self.request("delete", key=key)
-
-    def list(self, key_prefix=""):
-        return self.request("list", key_prefix=key_prefix)
-
-    def txn(self, ops):
-        return self.request("txn", ops=ops)
+class MemKVClient(ObjectClient):
+    """The Object client, plus raw commands and server-side functions."""
 
     def command(self, name, *args):
         return self.request("command", name=name, args=args)

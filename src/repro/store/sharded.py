@@ -46,7 +46,7 @@ from repro.errors import (
     StoreError,
 )
 from repro.store.apiserver import ApiServer, ApiServerClient
-from repro.store.base import StoreClient
+from repro.store.client import ObjectClient
 from repro.store.memkv import MemKV, MemKVClient
 from repro.store.ring import Topology
 
@@ -65,7 +65,7 @@ _SHARD_CLIENTS = {ApiServer: ApiServerClient, MemKV: MemKVClient}
 
 
 def _shard_client(shard, location, retry_policy=None, circuit_breaker=None):
-    return _SHARD_CLIENTS.get(type(shard), StoreClient)(
+    return _SHARD_CLIENTS.get(type(shard), ObjectClient)(
         shard, location,
         retry_policy=retry_policy, circuit_breaker=circuit_breaker,
     )

@@ -1,4 +1,4 @@
-"""Credit-based watch flow control (repro.flow + repro.store.base).
+"""Credit-based watch flow control (repro.flow + repro.store.watch).
 
 A watch opened with ``credits=N`` carries an HTTP/2-style window: the
 server spends one credit per event sent and pauses fan-out when the

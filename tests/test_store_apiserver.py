@@ -10,6 +10,7 @@ from repro.errors import (
     NotFoundError,
     StoreError,
 )
+from repro.simnet import FixedLatency
 from repro.simnet.network import Network
 from repro.store import (
     ADDED,
@@ -209,6 +210,28 @@ class TestWatch:
         call(client.create("k2", {}))
         env.run()
         assert [e.key for e in events] == ["k1"]
+
+    @pytest.mark.parametrize("stop", [
+        lambda server, watch: watch.cancel(),
+        lambda server, watch: server.fail_over(),
+        lambda server, watch: server.sever_watches(),
+    ], ids=["client-cancel", "server-close", "break-connection"])
+    def test_message_on_the_link_when_the_watch_stops_is_dropped(
+            self, env, net, call, stop):
+        """A stopped watch delivers nothing further -- not even what was
+        already sent: after a break that would be a stale event landing
+        behind the watcher's resync."""
+        server = ApiServer(env, net, location="store", watch_overhead=0.0)
+        net.set_latency("store", "watcher", FixedLatency(0.010))
+        events = []
+        watch = ApiServerClient(server, location="watcher").watch(
+            events.append, credits=4)
+        call(ApiServerClient(server, location="store").create("k", {}))
+        assert watch.delivered == 1 and events == []  # sent, not arrived
+        stop(server, watch)
+        env.run()
+        assert events == []
+        assert server.watch_credit_grants == 0  # and nothing granted back
 
     def test_replay_from_revision(self, env, client, call):
         call(client.create("k1", {"i": 1}))
