@@ -17,8 +17,8 @@ from repro.core.optimizer import K_APISERVER, OptimizationProfile
 from repro.errors import ConfigurationError
 from repro.exchange import ObjectDE
 from repro.flow import INTEGRATOR, FlowConfig
-from repro.obs.context import use
-from repro.simnet import Environment, FixedLatency, Network, Tracer
+from repro.obs import CausalTracer, use
+from repro.simnet import Environment, FixedLatency, Network
 from repro.store import ApiServer, MemKV, ShardedStore
 
 #: Fig. 6, verbatim: the data exchange graph composing Checkout,
@@ -87,7 +87,7 @@ class RetailKnactorApp:
     cast: Cast
     notify_cast: Cast
     profile: OptimizationProfile
-    tracer: Tracer = None
+    tracer: CausalTracer = None
     orders_placed: list = field(default_factory=list)
     flow: FlowConfig = None
     #: Causal trace id of the most recent ``place_order`` (obs plane
@@ -140,7 +140,7 @@ class RetailKnactorApp:
             flow_cfg = flow if isinstance(flow, FlowConfig) else FlowConfig()
         hop = config.NETWORK_HOP if shape_latency else FixedLatency(0.0)
         network = Network(env, default_latency=hop)
-        tracer = Tracer(env)
+        tracer = CausalTracer(env)
         runtime = KnactorRuntime(
             env, network=network, tracer=tracer, obs=obs, mode=mode
         )

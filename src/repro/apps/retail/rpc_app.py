@@ -12,8 +12,9 @@ from repro import config
 from repro.apps.retail import protos
 from repro.apps.retail.knactors import SHIPPING_RATES
 from repro.errors import RPCStatusError
+from repro.obs import CausalTracer
 from repro.rpc import RPCChannel, RPCServer, build_client_class, parse_idl
-from repro.simnet import Environment, Network, Tracer
+from repro.simnet import Environment, Network
 
 
 class ShippingServiceImpl:
@@ -215,7 +216,7 @@ class RetailRpcApp:
 
     env: Environment
     network: Network
-    tracer: Tracer
+    tracer: CausalTracer
     servers: dict
     idls: dict
     checkout_stub: object
@@ -225,7 +226,7 @@ class RetailRpcApp:
     def build(cls, env=None, seed=7):
         env = env if env is not None else Environment()
         network = Network(env, default_latency=config.NETWORK_HOP)
-        tracer = Tracer(env)
+        tracer = CausalTracer(env)
         idls = {
             name: parse_idl(text)
             for name, (_file, text) in protos.ALL_PROTOS.items()

@@ -32,7 +32,8 @@ from repro.core import (
     create_environment,
 )
 from repro.exchange import LogDE, ObjectDE
-from repro.simnet import Environment, FixedLatency, Network, Tracer
+from repro.obs import CausalTracer
+from repro.simnet import Environment, FixedLatency, Network
 from repro.store import ApiServer, LogLake
 
 CONTROL_DXG = """\
@@ -59,7 +60,7 @@ class SmartHomeKnactorApp:
     control_cast: Cast
     sensor_sync: Sync
     energy_sync: Sync
-    tracer: Tracer = None
+    tracer: CausalTracer = None
     processes: list = field(default_factory=list)
 
     @classmethod
@@ -79,7 +80,7 @@ class SmartHomeKnactorApp:
         ops = config.MEMKV.ops if shape_latency else config.zero_calibration(
             config.MEMKV).ops
         network = Network(env, default_latency=hop)
-        tracer = Tracer(env)
+        tracer = CausalTracer(env)
         runtime = KnactorRuntime(
             env, network=network, tracer=tracer, obs=obs, mode=mode
         )

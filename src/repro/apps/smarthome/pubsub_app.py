@@ -11,8 +11,9 @@ from dataclasses import dataclass, field
 from repro import config
 from repro.apps.smarthome.devices import LampDevice, MotionSensorDevice
 from repro.apps.smarthome.workload import MotionTrace
+from repro.obs import CausalTracer
 from repro.pubsub import Broker, MessageCodec, PubSubClient
-from repro.simnet import Environment, Network, Tracer
+from repro.simnet import Environment, Network
 
 #: Vendor Z's (motion sensor) message schema -- House must hold a copy.
 MOTION_CODEC = MessageCodec(
@@ -102,14 +103,14 @@ class SmartHomePubSubApp:
     house: HouseService
     lamp: LampService
     motion: MotionService
-    tracer: Tracer = None
+    tracer: CausalTracer = None
     processes: list = field(default_factory=list)
 
     @classmethod
     def build(cls, env=None, trace=None):
         env = env if env is not None else Environment()
         network = Network(env, default_latency=config.NETWORK_HOP)
-        tracer = Tracer(env)
+        tracer = CausalTracer(env)
         broker = Broker(env, network)
         trace = trace if trace is not None else MotionTrace()
         house = HouseService(PubSubClient(broker, "house"))

@@ -174,10 +174,9 @@ def cmd_trace_export(args):
     import json
 
     app = _run_traced_retail(args.profile, args.orders)
-    # Causal spans (per-request DAG) and the latency tracer's flat
-    # events land in one file; distinct pid tracks keep them apart.
-    entries = app.runtime.obs.causal.to_chrome_trace()
-    entries += app.tracer.to_chrome_trace()
+    # Causal spans (per-request DAG) and the flat point events land in
+    # one file; distinct pid tracks keep them apart.
+    entries = app.tracer.to_chrome_trace()
     with open(args.output, "w") as f:
         json.dump({"traceEvents": entries}, f)
     print(f"wrote {len(entries)} trace events to {args.output}")

@@ -447,6 +447,18 @@ class Cast(Integrator):
         self._kick()
         self.runtime.tracer.record("cast", "restarted", integrator=self.name)
 
+    def stats(self):
+        base = super().stats()
+        base.update(
+            exchanges_run=self.exchanges_run,
+            queue_depth=len(self._queue),
+            dead_letters=len(self.dead_letters),
+            dead_letter_keys=self.dead_letters.keys(),
+            unavailable=self.unavailable_count,
+            kills=self.kill_count,
+        )
+        return base
+
     def status(self):
         base = super().status()
         base.update(

@@ -85,6 +85,12 @@ class Integrator:
             "reconfigurations": len(self.reconfigurations),
         }
 
+    def stats(self):
+        """Run-time counters as plain data (the ``stats()`` contract of
+        ``docs/observability.md``); :meth:`status` is the descriptive
+        view.  Integrators with a work queue or a DLQ add theirs."""
+        return {"started": self.started}
+
     def __repr__(self):
         state = "started" if self.started else "stopped"
         return f"<{type(self).__name__} {self.name} {state} gen={self.generation}>"

@@ -319,6 +319,22 @@ class Reconciler:
             return "degraded"
         return "ready"
 
+    def stats(self):
+        """Work and failure counters as plain data (the ``stats()``
+        contract of ``docs/observability.md``)."""
+        return {
+            "reconciles": self.reconcile_count,
+            "conflicts": self.error_count,
+            "queue_depth": len(self._queue),
+            "queue_peak": self.queue_peak,
+            "shed": self.shed_count,
+            "health": self.health(),
+            "dead_letters": len(self.dead_letters),
+            "dead_letter_keys": self.dead_letters.keys(),
+            "unavailable": self.unavailable_count,
+            "kills": self.kill_count,
+        }
+
     def _run_setup(self, env):
         result = self.setup(self.ctx)
         if hasattr(result, "send"):

@@ -10,7 +10,7 @@ reconfigured at run time.
 from repro.errors import ConfigurationError, NotFoundError
 from repro.core.knactor import Knactor
 from repro.core.reconciler import ReconcilerContext
-from repro.obs import ObsPlane
+from repro.obs import CausalTracer, ObsPlane
 
 #: Execution backends the runtime can create environments for.
 MODES = ("sim", "realtime")
@@ -48,11 +48,15 @@ class KnactorRuntime:
     realtime backend the default network carries zero simulated latency
     -- real scheduling provides the time.
 
-    With ``obs=True`` (or a pre-built :class:`repro.obs.ObsPlane`), the
-    runtime attaches the observability plane to its tracer -- store
-    servers and watches reach it through ``tracer.obs`` -- and binds its
-    component registries for metric scraping.  ``obs=None`` (default)
-    leaves tracing/metrics off with zero overhead.
+    The runtime has one tracer (``tracer``, a
+    :class:`repro.obs.CausalTracer`; built here when not given), already
+    threaded into every store server.  With ``obs=True`` (or a pre-built
+    :class:`repro.obs.ObsPlane`) the observability plane is built around
+    that tracer (``runtime.obs.causal is runtime.tracer``) -- deep
+    components reach the plane through ``tracer.plane`` -- and binds the
+    runtime's component registries for metric scraping.  ``obs=None``
+    (default) mints no trace and no metric: only the tracer's flat
+    event log fills.
     """
 
     def __init__(self, env=None, network=None, tracer=None, obs=None,
@@ -80,7 +84,7 @@ class KnactorRuntime:
         self.obs = None
         if obs is not None and obs is not False:
             plane = obs if isinstance(obs, ObsPlane) else ObsPlane(env)
-            self.obs = plane.attach(self.tracer).bind_runtime(self)
+            self.obs = plane.bind_runtime(self)
         self.exchanges = {}  # name -> DataExchange
         self.knactors = {}
         self.integrators = {}
@@ -99,9 +103,7 @@ class KnactorRuntime:
 
     @staticmethod
     def _default_tracer(env):
-        from repro.simnet import Tracer
-
-        return Tracer(env)
+        return CausalTracer(env)
 
     # -- registration -------------------------------------------------------------
 

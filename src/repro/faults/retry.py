@@ -151,7 +151,7 @@ class RetryPolicy:
         self.budget = budget
         self.retryable = retryable if retryable is not None else default_retryable
         self._rng = random.Random(seed)
-        # Counters (surfaced through repro.metrics.telemetry).
+        # Counters (reported by stats(); the obs plane and telemetry read that).
         self.attempts = 0
         self.retries = 0
         self.timeouts = 0

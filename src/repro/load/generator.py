@@ -57,6 +57,8 @@ class _ClassTrace:
 
 
 def _percentile(values, q):
+    # Nearest-rank, not repro.obs.registry.percentile's interpolation:
+    # its output is inside the pinned load fingerprints.
     ordered = sorted(values)
     if not ordered:
         return 0.0

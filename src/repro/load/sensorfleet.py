@@ -31,8 +31,8 @@ from repro import config
 from repro.exchange import LogDE
 from repro.faults import RetryPolicy
 from repro.flow import INTEGRATOR, FlowConfig
-from repro.obs.context import use
-from repro.simnet import FixedLatency, Network, Tracer
+from repro.obs import CausalTracer, use
+from repro.simnet import FixedLatency, Network
 from repro.store import LogLake
 
 GATEWAY_LOG = """\
@@ -59,7 +59,7 @@ class SensorFleetApp:
     log_de: LogDE
     fleet_sync: Sync
     devices: int
-    tracer: Tracer = None
+    tracer: CausalTracer = None
     flow: FlowConfig = None
     analytics_seen: list = field(default_factory=list)
     _watch: object = None
@@ -79,7 +79,7 @@ class SensorFleetApp:
             shape_latency = getattr(env, "backend", "sim") == "sim"
         hop = config.NETWORK_HOP if shape_latency else FixedLatency(0.0)
         network = Network(env, default_latency=hop)
-        tracer = Tracer(env)
+        tracer = CausalTracer(env)
         runtime = KnactorRuntime(
             env, network=network, tracer=tracer, obs=obs, mode=mode
         )

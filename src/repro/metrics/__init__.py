@@ -4,21 +4,23 @@
   artifact files each composition task touches (Table 1's SLOC column),
 - :mod:`repro.metrics.costmodel` -- the operations/files/SLOC accounting
   model behind Table 1,
-- :mod:`repro.metrics.latency`   -- per-stage latency extraction and
-  summary statistics (Table 2),
+- :mod:`repro.metrics.latency`   -- latency series from the trace stream,
+  per-stage extraction and summary statistics (Table 2),
+- :mod:`repro.metrics.telemetry` -- point-in-time health and resilience
+  snapshots assembled from every component's ``stats()``,
 - :mod:`repro.metrics.report`    -- plain-text table rendering with
   paper-vs-measured columns.
 """
 
 from repro.metrics.costmodel import CompositionTask, TaskComparison
-from repro.metrics.latency import StageBreakdown, summarize
+from repro.metrics.latency import (
+    StageBreakdown,
+    exchange_durations,
+    summarize,
+)
 from repro.metrics.report import Table, format_seconds
 from repro.metrics.sloc import Artifact, count_sloc
-from repro.metrics.telemetry import (
-    exchange_durations,
-    resilience_snapshot,
-    runtime_snapshot,
-)
+from repro.metrics.telemetry import resilience_snapshot, runtime_snapshot
 
 __all__ = [
     "Artifact",

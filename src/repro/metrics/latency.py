@@ -1,9 +1,14 @@
-"""Per-stage latency extraction and summary statistics (Table 2)."""
+"""Latency series from the trace stream, and their summary statistics.
 
-import math
+:func:`exchange_durations` / :func:`reconcile_durations` are the
+distributed-tracing view of an integrator / a reconciler;
+:class:`StageBreakdown` carries Table 2's per-stage rows.
+"""
+
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
+from repro.obs.registry import percentile
 
 
 def summarize(values):
@@ -12,20 +17,10 @@ def summarize(values):
         raise ConfigurationError("no values to summarize")
     ordered = sorted(values)
     n = len(ordered)
-
-    def percentile(p):
-        if n == 1:
-            return ordered[0]
-        rank = p * (n - 1)
-        low = int(math.floor(rank))
-        high = min(low + 1, n - 1)
-        fraction = rank - low
-        return ordered[low] * (1 - fraction) + ordered[high] * fraction
-
     return {
         "mean": sum(ordered) / n,
-        "p50": percentile(0.50),
-        "p99": percentile(0.99),
+        "p50": percentile(ordered, 0.50),
+        "p99": percentile(ordered, 0.99),
         "min": ordered[0],
         "max": ordered[-1],
         "count": n,
@@ -73,3 +68,36 @@ class StageBreakdown:
             mean = self.mean(stage)
             out[stage] = None if mean is None else mean * 1000.0
         return out
+
+
+def exchange_durations(tracer, integrator):
+    """Per-exchange (begin -> end) durations for one Cast integrator.
+
+    Matches each ``cast/begin`` with the next ``cast/end`` of the same
+    correlation id, in trace order -- the span a distributed tracer
+    would reconstruct.
+    """
+    open_begins = {}
+    durations = []
+    for event in tracer.events:
+        if event.category != "cast" or event.attrs.get("integrator") != integrator:
+            continue
+        cid = event.attrs.get("cid")
+        if event.name == "begin":
+            open_begins.setdefault(cid, []).append(event.time)
+        elif event.name in ("end", "denied") and open_begins.get(cid):
+            started = open_begins[cid].pop(0)
+            durations.append(event.time - started)
+    return durations
+
+
+def reconcile_durations(tracer, knactor):
+    """Per-reconcile durations for one knactor's reconciler."""
+    return [
+        event.attrs["duration"]
+        for event in tracer.events
+        if event.category == "reconciler"
+        and event.name == "reconciled"
+        and event.attrs.get("knactor") == knactor
+        and "duration" in event.attrs
+    ]

@@ -8,12 +8,19 @@ are also worth exploring."  This module provides the telemetry layer:
   knactor, integrator, store, and the audit trail,
 - :func:`resilience_snapshot` -- the failure-domain counters (retries,
   open circuits, dead letters, store availability) the chaos tooling
-  asserts on,
-- :func:`exchange_durations` -- per-exchange latency series extracted
-  from the trace stream (the distributed-tracing view of an integrator).
+  asserts on.
 
-Objectives over these series are declared in :mod:`repro.obs.slo`.
+Both are plain dict assembly over each component's ``stats()`` /
+``status()`` (the contract is in ``docs/observability.md``); the
+per-exchange latency series extracted from the trace stream are in
+:mod:`repro.metrics.latency`, objectives over them in
+:mod:`repro.obs.slo`.
 """
+
+
+def _pick(stats, *names):
+    """The named entries of a ``stats()`` dict that it carries."""
+    return {name: stats[name] for name in names if name in stats}
 
 
 def runtime_snapshot(runtime):
@@ -22,58 +29,42 @@ def runtime_snapshot(runtime):
                 "exchanges": {}}
     for name, knactor in runtime.knactors.items():
         entry = {"stores": [b.store_name for b in knactor.stores]}
-        reconciler = knactor.reconciler
-        if reconciler is not None:
-            entry.update(
-                reconciles=reconciler.reconcile_count,
-                conflicts=reconciler.error_count,
-                queue_depth=len(reconciler._queue),
-                health=reconciler.health(),
-                dead_letters=len(reconciler.dead_letters),
-                unavailable=reconciler.unavailable_count,
-            )
+        if knactor.reconciler is not None:
+            entry.update(_pick(
+                knactor.reconciler.stats(), "reconciles", "conflicts",
+                "queue_depth", "health", "dead_letters", "unavailable"))
         snapshot["knactors"][name] = entry
     for name, integrator in runtime.integrators.items():
         snapshot["integrators"][name] = integrator.status()
     for name, de in runtime.exchanges.items():
+        stats = de.backend.stats()
         entry = {
             "stores": de.stores(),
-            "backend_ops": dict(de.backend.op_counts),
+            "backend_ops": stats["op_counts"],
             "audited_accesses": len(de.audit),
             "denials": len(de.audit.denials()),
-            "backend_available": de.backend.available,
-            "backend_aborted_ops": de.backend.aborted_ops,
-            "backend_crashes": de.backend.crash_count,
+            "backend_available": stats["available"],
+            "backend_aborted_ops": stats["aborted_ops"],
+            "backend_crashes": stats["crash_count"],
         }
-        state_plane = _state_plane_stats(de.backend)
+        state_plane = _state_plane_stats(stats)
         if state_plane is not None:
             entry["state_plane"] = state_plane
         if de.retry_policy is not None:
             entry["retry"] = de.retry_policy.stats()
         snapshot["exchanges"][name] = entry
-    obs = getattr(runtime, "obs", None)
-    if obs is not None:
-        snapshot["obs"] = obs.snapshot()
+    if runtime.obs is not None:
+        snapshot["obs"] = runtime.obs.snapshot()
     return snapshot
 
 
-def _state_plane_stats(backend):
-    """Zero-copy / delta-replication counters for one store backend.
-
-    Log backends and older store stand-ins may lack the counters;
-    return None rather than guessing.
-    """
-    copy_stats = getattr(backend, "copy_stats", None)
-    if copy_stats is None:
+def _state_plane_stats(stats):
+    """The zero-copy / delta-replication slice of a backend's ``stats()``
+    (None for one that reports no copy section)."""
+    if "copy" not in stats:
         return None
-    return {
-        "zero_copy": getattr(backend, "zero_copy", False),
-        "delta_watch": getattr(backend, "delta_watch", False),
-        "copy": copy_stats,
-        "watch_wire_bytes": getattr(backend, "watch_wire_bytes", 0),
-        "watch_deltas_sent": getattr(backend, "watch_deltas_sent", 0),
-        "watch_fulls_sent": getattr(backend, "watch_fulls_sent", 0),
-    }
+    return _pick(stats, "zero_copy", "delta_watch", "copy", "watch_wire_bytes",
+                 "watch_deltas_sent", "watch_fulls_sent")
 
 
 def resilience_snapshot(runtime, breakers=()):
@@ -83,76 +74,26 @@ def resilience_snapshot(runtime, breakers=()):
     :class:`repro.faults.CircuitBreaker` instances to include (breakers
     are client-side objects the runtime does not know about).
     """
-    snapshot = {
-        "time": runtime.env.now,
-        "reconcilers": {},
-        "integrators": {},
-        "stores": {},
-        "retries": {},
-        "circuits": {},
-    }
+    snapshot = {"time": runtime.env.now, "reconcilers": {}, "integrators": {},
+                "stores": {}, "retries": {}, "circuits": {}}
     for name, knactor in runtime.knactors.items():
-        reconciler = knactor.reconciler
-        if reconciler is None:
-            continue
-        snapshot["reconcilers"][name] = {
-            "health": reconciler.health(),
-            "dead_letters": len(reconciler.dead_letters),
-            "dead_letter_keys": reconciler.dead_letters.keys(),
-            "unavailable": reconciler.unavailable_count,
-            "kills": reconciler.kill_count,
-        }
+        if knactor.reconciler is not None:
+            snapshot["reconcilers"][name] = _pick(
+                knactor.reconciler.stats(), "health", "dead_letters",
+                "dead_letter_keys", "unavailable", "kills")
     for name, integrator in runtime.integrators.items():
-        entry = {"started": integrator.started}
-        dlq = getattr(integrator, "dead_letters", None)
-        if dlq is not None:
-            entry["dead_letters"] = len(dlq)
-            entry["dead_letter_keys"] = dlq.keys()
-        if hasattr(integrator, "unavailable_count"):
-            entry["unavailable"] = integrator.unavailable_count
-            entry["kills"] = integrator.kill_count
-        snapshot["integrators"][name] = entry
+        snapshot["integrators"][name] = _pick(
+            integrator.stats(), "started", "dead_letters",
+            "dead_letter_keys", "unavailable", "kills")
     for name, de in runtime.exchanges.items():
-        snapshot["stores"][de.backend.location] = {
-            "available": de.backend.available,
-            "aborted_ops": de.backend.aborted_ops,
-            "crashes": de.backend.crash_count,
+        stats = de.backend.stats()
+        snapshot["stores"][stats["location"]] = {
+            "available": stats["available"],
+            "aborted_ops": stats["aborted_ops"],
+            "crashes": stats["crash_count"],
         }
         if de.retry_policy is not None:
             snapshot["retries"][name] = de.retry_policy.stats()
     for breaker in breakers:
         snapshot["circuits"][breaker.name or repr(breaker)] = breaker.stats()
     return snapshot
-
-
-def exchange_durations(tracer, integrator):
-    """Per-exchange (begin -> end) durations for one Cast integrator.
-
-    Matches each ``cast/begin`` with the next ``cast/end`` of the same
-    correlation id, in trace order -- the span a distributed tracer
-    would reconstruct.
-    """
-    open_begins = {}
-    durations = []
-    for event in tracer.events:
-        if event.category != "cast" or event.attrs.get("integrator") != integrator:
-            continue
-        cid = event.attrs.get("cid")
-        if event.name == "begin":
-            open_begins.setdefault(cid, []).append(event.time)
-        elif event.name in ("end", "denied") and open_begins.get(cid):
-            started = open_begins[cid].pop(0)
-            durations.append(event.time - started)
-    return durations
-
-
-def reconcile_durations(tracer, knactor):
-    """Per-reconcile durations for one knactor's reconciler."""
-    return [
-        event.attrs["duration"]
-        for event in tracer.events
-        if event.category == "reconciler"
-        and event.name == "reconciled"
-        and event.attrs.get("knactor") == knactor
-        and "duration" in event.attrs
-    ]

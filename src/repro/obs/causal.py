@@ -1,17 +1,30 @@
-"""The causal tracer: spans linked by parenthood across services/stores.
+"""The tracer: a causal span DAG plus the flat point-event log.
 
-Where :class:`repro.simnet.trace.Tracer` collects flat point events and
-keyed spans for latency breakdowns, the :class:`CausalTracer` records a
-**DAG**: every span knows its parent, every context inherits its trace
-id and baggage, and commits/exchanges/reconciles chain into one
+One :class:`CausalTracer` per run records both from one clock.  **Spans**
+form a DAG: every span knows its parent, every context inherits its
+trace id and baggage, and commits/exchanges/reconciles chain into one
 end-to-end picture per request -- Apiary-style provenance captured for
-free because every interaction is mediated by the data layer.
+free because every interaction is mediated by the data layer.  **Point
+events** (:meth:`CausalTracer.record`) are the flat log components
+always emit; Table 2's stage breakdown and the per-exchange latency
+series are queries over it.  No root trace is minted unless an
+observability plane is attached: without one only the event log fills.
 
 Span ids are counter-based, never random: the simulation's determinism
 contract (identical seeds -> identical schedules) extends to traces.
 """
 
 from dataclasses import dataclass, field
+
+
+@dataclass(frozen=True)
+class TraceEvent:
+    """A point event: something happened at ``time``."""
+
+    time: float
+    category: str
+    name: str
+    attrs: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -35,23 +48,30 @@ class CausalSpan:
 
 
 class CausalTracer:
-    """Mints trace contexts and stores the spans they describe."""
+    """Mints trace contexts, stores their spans, logs point events."""
 
     def __init__(self, env):
         self.env = env
-        # Wall-clock stamps on the realtime backend (see simnet.trace).
+        # Realtime environments expose ``trace_clock()`` (the wall
+        # clock); without it timestamps are the schedule clock.  Same
+        # recording API either way.
         clock = getattr(env, "trace_clock", None)
         self._clock = clock if clock is not None else (lambda: env.now)
         self.plane = None  # back-reference set by ObsPlane
         self._seq = 0
         self.spans = {}  # span_id -> CausalSpan
         self._traces = {}  # trace_id -> [span_id] in creation order
+        self.events = []  # TraceEvent, in record order
 
     def _next_id(self, prefix):
         self._seq += 1
         return f"{prefix}{self._seq:06d}"
 
     # -- recording -----------------------------------------------------------
+
+    def record(self, category, name, **attrs):
+        """Log a point event at the current time."""
+        self.events.append(TraceEvent(self._clock(), category, name, attrs))
 
     def new_trace(self, name, service, baggage=None, **attrs):
         """Open a root span of a brand-new trace; returns its context."""
@@ -121,6 +141,23 @@ class CausalTracer:
 
     # -- queries -------------------------------------------------------------
 
+    def timestamps(self, category, name, key_attr=None):
+        """Times of matching point events, optionally keyed by an attribute.
+
+        With ``key_attr`` the result is a dict ``{attr_value: time}`` keeping
+        the *first* occurrence per key; without it, a sorted list of times.
+        """
+        matching = [e for e in self.events
+                    if e.category == category and e.name == name]
+        if key_attr is None:
+            return sorted(e.time for e in matching)
+        keyed = {}
+        for event in matching:
+            key = event.attrs.get(key_attr)
+            if key is not None and key not in keyed:
+                keyed[key] = event.time
+        return keyed
+
     def trace_ids(self):
         return list(self._traces)
 
@@ -186,11 +223,13 @@ class CausalTracer:
     # -- exporters -----------------------------------------------------------
 
     def to_chrome_trace(self):
-        """Chrome trace-event JSON objects: one ``X`` event per span.
+        """Chrome trace-event JSON objects (``chrome://tracing``), by time.
 
-        Services map to processes (``pid``) and traces to threads
-        (``tid``), so one request reads as one line across service
-        tracks.  Still-open spans export with their current extent.
+        One complete ``X`` event per span: services map to processes
+        (``pid``) and traces to threads (``tid``), so one request reads
+        as one line across service tracks; still-open spans export with
+        their current extent.  One instant ``i`` event per point event,
+        on its category's own track.
         """
         out = []
         for span in self.spans.values():
@@ -211,7 +250,20 @@ class CausalTracer:
                 "tid": span.trace_id,
                 "args": args,
             })
-        out.sort(key=lambda entry: (entry["ts"], entry["args"]["span"]))
+        for event in self.events:
+            attrs = event.attrs
+            out.append({
+                "name": event.name,
+                "cat": event.category,
+                "ph": "i",
+                "ts": event.time * 1e6,
+                "pid": event.category,
+                "tid": str(attrs.get("cid") or attrs.get("key") or 0),
+                "s": "p",
+                "args": dict(attrs),
+            })
+        # Stable: at one timestamp, spans in id order, then point events.
+        out.sort(key=lambda entry: entry["ts"])
         return out
 
     def request_report(self, trace_id):

@@ -1,16 +1,102 @@
-"""The observability plane: one causal tracer + one metrics registry.
+"""The observability plane: the run's tracer + one metrics registry.
 
-The plane attaches to the runtime's existing
-:class:`~repro.simnet.trace.Tracer` (as its ``obs`` attribute), which
-is already threaded into every store server -- so deep components reach
-the plane with zero new constructor plumbing.  ``bind_runtime``
-registers pull collectors that scrape the runtime's scattered counters
-(store ops, watch wire bytes, CopyMeter, retry stats, queue depths,
-dead letters) into the registry at snapshot time.
+The plane is built around the runtime's one
+:class:`~repro.obs.causal.CausalTracer`, which is already threaded into
+every store server -- so deep components reach the plane through the
+tracer's ``plane`` back-reference with zero new constructor plumbing.
+``bind_runtime`` registers one pull collector that reads each
+component's ``stats()`` at snapshot time and turns the numbers named in
+the tables below into registry series; the plane knows no component's
+attribute names.
 """
 
 from repro.obs.causal import CausalTracer
-from repro.obs.registry import Registry
+from repro.obs.registry import COUNTER, GAUGE, Registry
+
+#: ``stats()`` name -> (kind, metric, *labels), one table per component
+#: kind.  A dotted name reaches into a section and each ``*`` fans out
+#: over that section's keys, binding the row's labels in order; every
+#: series also carries the component's own name (``exchange=``, ...).  A
+#: name a component does not report -- ``admission`` while the door is
+#: open, ``ring`` off a sharded frontend, ``txn`` before any cross-shard
+#: transaction -- makes no series.
+_RECONCILER = {
+    "reconciles": (COUNTER, "reconciles_total"),
+    "conflicts": (COUNTER, "reconcile_conflicts_total"),
+    "queue_depth": (GAUGE, "reconciler_queue_depth"),
+    "queue_peak": (GAUGE, "reconciler_queue_peak"),
+    "shed": (COUNTER, "reconciler_shed_total"),
+}
+_INTEGRATOR = {
+    "exchanges_run": (COUNTER, "exchanges_total"),
+    "queue_depth": (GAUGE, "integrator_queue_depth"),
+}
+_DEAD_LETTERS = {"dead_letters": (GAUGE, "dead_letters")}
+_STORE = {
+    "op_counts.*": (COUNTER, "store_ops_total", "op"),
+    "watch_messages_sent": (COUNTER, "watch_messages_total"),
+    "watch_events_sent": (COUNTER, "watch_events_total"),
+    "watch_wire_bytes": (COUNTER, "watch_wire_bytes_total"),
+    "watch_deltas_sent": (COUNTER, "watch_deltas_total"),
+    "watch_fulls_sent": (COUNTER, "watch_fulls_total"),
+    "available": (GAUGE, "store_available"),
+    # Flow-control plane (repro.flow): credit pauses, sheds, forced
+    # resyncs, and the admission front door.
+    "watch_pauses": (COUNTER, "watch_credit_pauses_total"),
+    "watch_shed_events": (COUNTER, "watch_shed_events_total"),
+    "watch_forced_resyncs": (COUNTER, "watch_forced_resyncs_total"),
+    "watch_credit_grants": (COUNTER, "watch_credit_grants_total"),
+    "admission.admitted": (COUNTER, "admission_admitted_total"),
+    "admission.rejected": (COUNTER, "admission_rejected_total"),
+    "admission.classes.*.rejected":
+        (COUNTER, "admission_rejected_total", "priority"),
+    "admission.classes.*.scale": (GAUGE, "admission_scale", "priority"),
+    # Cross-shard transactional plane (repro.txn): the in-doubt gauge is
+    # the recovery-health signal -- it must drain to zero after a
+    # coordinator restart.
+    "in_doubt_txns": (GAUGE, "txn_in_doubt"),
+    **{f"txn.{field}": (COUNTER, f"txn_{field}_total")
+       for field in ("prepared", "committed", "aborted", "compensations",
+                     "idempotent_replays", "unknown_participants",
+                     "recoveries")},
+    # Elastic topology plane (repro.store.ring/reshard): `knactor top`
+    # shows a reshard as a ring_version bump plus a keys_moved jump.
+    "ring.version": (GAUGE, "ring_version"),
+    "ring.shards": (GAUGE, "ring_shards"),
+    "ring.fence_rejections": (COUNTER, "ring_fence_rejections_total"),
+    "ring.reroutes": (COUNTER, "ring_reroutes_total"),
+    **{f"reshard.{field}": (COUNTER, f"reshard_{field}_total")
+       for field in ("reshards", "transitions", "keys_moved",
+                     "ranges_moved", "resyncs")},
+    "copy.copied_bytes": (COUNTER, "copied_bytes_total"),
+    "copy.shared_bytes_avoided": (COUNTER, "copy_bytes_avoided_total"),
+}
+_RETRY = {field: (COUNTER, f"retry_{field}_total")
+          for field in ("attempts", "retries", "giveups")}
+
+
+def _find(stats, name):
+    """Every ``(keys bound to *, leaf)`` a dotted stats name matches."""
+    found = [((), stats)]
+    for part in name.split("."):
+        if part == "*":
+            found = [(bound + (key,), value) for bound, node in found
+                     for key, value in node.items()]
+        else:
+            found = [(bound, node[part]) for bound, node in found
+                     if part in node]
+    return found
+
+
+def _scrape(reg, table, stats, **owner):
+    """Set one series per table row ``stats`` has a value for."""
+    for name, (kind, metric, *label_names) in table.items():
+        for bound, value in _find(stats, name):
+            labels = dict(zip(label_names, bound), **owner)
+            if kind == COUNTER:
+                reg.counter(metric, **labels).set_total(value)
+            else:
+                reg.gauge(metric, **labels).set(value)
 
 
 class ObsPlane:
@@ -18,147 +104,42 @@ class ObsPlane:
 
     def __init__(self, env):
         self.env = env
-        self.causal = CausalTracer(env)
-        self.causal.plane = self
         self.registry = Registry(env)
+        self._adopt(CausalTracer(env))
 
-    def attach(self, tracer):
-        """Make this plane reachable from a latency tracer (``tracer.obs``)."""
-        tracer.obs = self
-        return self
+    def _adopt(self, tracer):
+        self.causal = tracer
+        tracer.plane = self
 
     # -- runtime scraping ----------------------------------------------------
 
     def bind_runtime(self, runtime, breakers=()):
-        """Scrape a runtime's component counters at every snapshot.
+        """Adopt a runtime's tracer; scrape its components at every snapshot.
 
-        Reads the live registries (``runtime.knactors`` etc.) at collect
-        time, so components registered *after* binding are still seen.
+        From here ``self.causal is runtime.tracer``: the spans the data
+        plane mints and the events components record land in one place.
+        The collector reads the live registries (``runtime.knactors``
+        etc.) at collect time, so components registered *after* binding
+        are still seen.
         """
+        self._adopt(runtime.tracer)
         breakers = list(breakers)
 
         def collect(reg):
             for name, knactor in runtime.knactors.items():
-                reconciler = knactor.reconciler
-                if reconciler is None:
-                    continue
-                reg.counter("reconciles_total", knactor=name).set_total(
-                    reconciler.reconcile_count)
-                reg.counter("reconcile_conflicts_total", knactor=name
-                            ).set_total(reconciler.error_count)
-                reg.gauge("reconciler_queue_depth", knactor=name).set(
-                    len(reconciler._queue))
-                reg.gauge("reconciler_queue_peak", knactor=name).set(
-                    reconciler.queue_peak)
-                reg.counter("reconciler_shed_total", knactor=name).set_total(
-                    reconciler.shed_count)
-                reg.gauge("dead_letters", component=name).set(
-                    len(reconciler.dead_letters))
+                if knactor.reconciler is not None:
+                    stats = knactor.reconciler.stats()
+                    _scrape(reg, _RECONCILER, stats, knactor=name)
+                    _scrape(reg, _DEAD_LETTERS, stats, component=name)
             for name, integrator in runtime.integrators.items():
-                runs = getattr(integrator, "exchanges_run", None)
-                if runs is not None:
-                    reg.counter("exchanges_total", integrator=name
-                                ).set_total(runs)
-                dlq = getattr(integrator, "dead_letters", None)
-                if dlq is not None:
-                    reg.gauge("dead_letters", component=name).set(len(dlq))
-                queue = getattr(integrator, "_queue", None)
-                if queue is not None:
-                    reg.gauge("integrator_queue_depth", integrator=name
-                              ).set(len(queue))
+                stats = integrator.stats()
+                _scrape(reg, _INTEGRATOR, stats, integrator=name)
+                _scrape(reg, _DEAD_LETTERS, stats, component=name)
             for name, de in runtime.exchanges.items():
-                backend = de.backend
-                for op, count in backend.op_counts.items():
-                    reg.counter("store_ops_total", exchange=name, op=op
-                                ).set_total(count)
-                reg.counter("watch_messages_total", exchange=name
-                            ).set_total(backend.watch_messages_sent)
-                reg.counter("watch_events_total", exchange=name
-                            ).set_total(backend.watch_events_sent)
-                reg.counter("watch_wire_bytes_total", exchange=name
-                            ).set_total(backend.watch_wire_bytes)
-                reg.counter("watch_deltas_total", exchange=name
-                            ).set_total(backend.watch_deltas_sent)
-                reg.counter("watch_fulls_total", exchange=name
-                            ).set_total(backend.watch_fulls_sent)
-                reg.gauge("store_available", exchange=name).set(
-                    1.0 if backend.available else 0.0)
-                # Flow-control plane (repro.flow): credit pauses, sheds,
-                # forced resyncs, and the admission front door.
-                pauses = getattr(backend, "watch_pauses", None)
-                if pauses is not None:
-                    reg.counter("watch_credit_pauses_total", exchange=name
-                                ).set_total(pauses)
-                    reg.counter("watch_shed_events_total", exchange=name
-                                ).set_total(backend.watch_shed_events)
-                    reg.counter("watch_forced_resyncs_total", exchange=name
-                                ).set_total(backend.watch_forced_resyncs)
-                    reg.counter("watch_credit_grants_total", exchange=name
-                                ).set_total(backend.watch_credit_grants)
-                admission_stats = None
-                if getattr(backend, "admission", None) is not None:
-                    stats_fn = getattr(backend, "admission_stats", None)
-                    admission_stats = (stats_fn() if stats_fn is not None
-                                       else backend.admission.stats())
-                if admission_stats is not None:
-                    reg.counter("admission_admitted_total", exchange=name
-                                ).set_total(admission_stats["admitted"])
-                    reg.counter("admission_rejected_total", exchange=name
-                                ).set_total(admission_stats["rejected"])
-                    for cls, entry in admission_stats["classes"].items():
-                        reg.counter("admission_rejected_total", exchange=name,
-                                    priority=cls
-                                    ).set_total(entry["rejected"])
-                        reg.gauge("admission_scale", exchange=name,
-                                  priority=cls).set(entry["scale"])
-                # Cross-shard transactional plane (repro.txn): the
-                # in-doubt gauge is the recovery-health signal -- it
-                # must drain to zero after a coordinator restart.
-                in_doubt = getattr(backend, "in_doubt_txns", None)
-                if in_doubt is not None:
-                    reg.gauge("txn_in_doubt", exchange=name).set(in_doubt)
-                txn_stats_fn = getattr(backend, "txn_stats", None)
-                txn_stats = txn_stats_fn() if txn_stats_fn is not None else None
-                if txn_stats:
-                    for field in ("prepared", "committed", "aborted",
-                                  "compensations", "idempotent_replays",
-                                  "unknown_participants", "recoveries"):
-                        reg.counter(f"txn_{field}_total", exchange=name
-                                    ).set_total(txn_stats[field])
-                # Elastic topology plane (repro.store.ring/reshard):
-                # ring version, live shard count, write fencing, and
-                # migration volume -- `knactor top` shows a reshard as a
-                # ring_version bump plus a keys_moved jump.
-                ring_version = getattr(backend, "ring_version", None)
-                if ring_version is not None:
-                    reg.gauge("ring_version", exchange=name).set(
-                        ring_version)
-                    reg.gauge("ring_shards", exchange=name).set(
-                        len(backend.shards))
-                    reg.counter("ring_fence_rejections_total",
-                                exchange=name).set_total(
-                                    backend.fence_rejections)
-                    reroutes = sum(c.reroutes
-                                   for c in getattr(backend, "_clients", ()))
-                    reg.counter("ring_reroutes_total", exchange=name
-                                ).set_total(reroutes)
-                    reshard_stats = backend.reshard_stats
-                    for field in ("reshards", "transitions", "keys_moved",
-                                  "ranges_moved", "resyncs"):
-                        reg.counter(f"reshard_{field}_total", exchange=name
-                                    ).set_total(reshard_stats[field])
-                copy_stats = getattr(backend, "copy_stats", None)
-                if copy_stats is not None:
-                    reg.counter("copied_bytes_total", exchange=name
-                                ).set_total(copy_stats["copied_bytes"])
-                    reg.counter("copy_bytes_avoided_total", exchange=name
-                                ).set_total(
-                                    copy_stats["shared_bytes_avoided"])
+                _scrape(reg, _STORE, de.backend.stats(), exchange=name)
                 if de.retry_policy is not None:
-                    stats = de.retry_policy.stats()
-                    for field in ("attempts", "retries", "giveups"):
-                        reg.counter(f"retry_{field}_total", exchange=name
-                                    ).set_total(stats[field])
+                    _scrape(reg, _RETRY, de.retry_policy.stats(),
+                            exchange=name)
             reg.counter("network_bytes_total").set_total(
                 runtime.network.bytes_sent)
             for breaker in breakers:

@@ -34,6 +34,19 @@ _HISTOGRAM_CAP = 8192
 _EXEMPLAR_CAP = 4
 
 
+def percentile(ordered, q):
+    """The ``q``-quantile of sorted ``ordered`` by linear interpolation
+    between closest ranks (None when empty).  The one interpolating
+    percentile: histogram summaries, SLO evaluation and Table 2 share
+    its float arithmetic bit for bit."""
+    if not ordered:
+        return None
+    rank = q * (len(ordered) - 1)
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    return ordered[low] * (1 - (rank - low)) + ordered[high] * (rank - low)
+
+
 def _label_key(labels):
     return ",".join(f"{k}={labels[k]}" for k in sorted(labels))
 
@@ -125,7 +138,7 @@ class Registry:
 
     def __init__(self, env):
         self.env = env
-        # Wall-clock stamps on the realtime backend (see simnet.trace).
+        # Wall-clock stamps on the realtime backend (see obs.causal).
         clock = getattr(env, "trace_clock", None)
         self._clock = clock if clock is not None else (lambda: env.now)
         self._metrics = {}  # name -> (kind, {label_key: _Series})
@@ -181,15 +194,6 @@ class Registry:
         entry = self._metrics.get(name)
         return dict(entry[1]) if entry is not None else {}
 
-    @staticmethod
-    def _percentile(ordered, q):
-        if not ordered:
-            return None
-        rank = q * (len(ordered) - 1)
-        low = int(rank)
-        high = min(low + 1, len(ordered) - 1)
-        return ordered[low] * (1 - (rank - low)) + ordered[high] * (rank - low)
-
     def _series_value(self, series):
         if series.kind == HISTOGRAM:
             ordered = sorted(series.values)
@@ -198,8 +202,8 @@ class Registry:
                 "sum": series.total,
                 "min": ordered[0] if ordered else None,
                 "max": ordered[-1] if ordered else None,
-                "p50": self._percentile(ordered, 0.5),
-                "p99": self._percentile(ordered, 0.99),
+                "p50": percentile(ordered, 0.5),
+                "p99": percentile(ordered, 0.99),
             }
             if series.exemplars:
                 summary["exemplars"] = [

@@ -36,6 +36,7 @@ reservoirs, never wall clocks, so same-seed runs produce bit-identical
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
+from repro.obs.registry import percentile
 
 LATENCY = "latency"
 AVAILABILITY = "availability"
@@ -85,15 +86,6 @@ def _match(label_key, labels):
         return True
     have = _parse_label_key(label_key)
     return all(have.get(k) == str(v) for k, v in labels.items())
-
-
-def _percentile(ordered, q):
-    if not ordered:
-        return None
-    rank = q * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    return ordered[low] * (1 - (rank - low)) + ordered[high] * (rank - low)
 
 
 @dataclass
@@ -262,7 +254,7 @@ class LatencySLO(SLOSpec):
                 objective=self.threshold_seconds, target=self.percentile,
                 detail=f"no samples of {self.metric}",
             ), tracker)
-        observed = _percentile(sorted(reservoir), self.percentile)
+        observed = percentile(sorted(reservoir), self.percentile)
         good, total = self.good_total(registry)
         met = observed <= self.threshold_seconds
         result = SLOResult(
@@ -386,11 +378,11 @@ class AvailabilitySLO(SLOSpec):
 
 @dataclass
 class TraceLatencySLO(SLOSpec):
-    """A percentile of one integrator's exchange spans (begin -> end
-    in the latency tracer) under a target.
+    """A percentile of one integrator's exchange spans (``cast/begin``
+    -> ``cast/end`` in the tracer's event log) under a target.
 
-    Evaluated against a :class:`~repro.simnet.trace.Tracer` rather than
-    the registry, so it has no burn-rate view.
+    Evaluated against the :class:`~repro.obs.causal.CausalTracer` rather
+    than the registry, so it has no burn-rate view.
     """
 
     integrator: str = None
@@ -414,8 +406,8 @@ class TraceLatencySLO(SLOSpec):
         return min(self.percentile, 0.999999)
 
     def evaluate_trace(self, tracer):
-        """Judge against a latency tracer's exchange spans."""
-        from repro.metrics.telemetry import exchange_durations
+        """Judge against the exchange spans in a tracer's event log."""
+        from repro.metrics.latency import exchange_durations
 
         durations = exchange_durations(tracer, self.integrator)
         if not durations:
@@ -424,7 +416,7 @@ class TraceLatencySLO(SLOSpec):
                 objective=self.target_seconds, target=self.percentile,
                 detail=f"no exchange spans for {self.integrator}",
             )
-        observed = _percentile(sorted(durations), self.percentile)
+        observed = percentile(sorted(durations), self.percentile)
         met = observed <= self.target_seconds
         good = sum(1 for d in durations if d <= self.target_seconds)
         return SLOResult(

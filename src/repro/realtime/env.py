@@ -90,7 +90,7 @@ class RealtimeEnvironment(Environment):
         return time.monotonic() - self._wall_created
 
     def trace_clock(self):
-        """Wall-clock timestamp source for tracers (see simnet.trace)."""
+        """Wall-clock timestamp source for tracers (see obs.causal)."""
         return self.wall_now
 
     # -- scheduling --------------------------------------------------------

@@ -52,6 +52,7 @@ class HttpListener:
         self.host = host
         self._requested_port = port
         self._tcp = None
+        self._connections = set()  # live connection tasks
         self.connections_accepted = 0
 
     @property
@@ -80,50 +81,75 @@ class HttpListener:
         return self
 
     def stop(self):
-        """Close the socket and let ``env.run()`` terminate when drained."""
+        """Close the socket and every connection, and let ``env.run()``
+        terminate when drained.
+
+        Open connections (an idle keep-alive one, or one whose client
+        just hung up and whose task has not seen the EOF yet) are
+        cancelled here and unwind -- ``writer.close()``,
+        ``wait_closed()`` -- before this returns; called from inside the
+        running loop, they finish on its next turns, or under
+        ``env.close()`` at the latest.  Left for the loop's teardown to
+        cancel, a connection task would end *cancelled*, which asyncio's
+        stream protocol reports as an "Exception in callback" traceback.
+        """
         if self._tcp is None:
             return
         tcp, self._tcp = self._tcp, None
         tcp.close()
-        if not self.env.loop.is_closed() and not self.env.loop.is_running():
-            self.env.loop.run_until_complete(tcp.wait_closed())
+        loop = self.env.loop
+        if not loop.is_closed():
+            connections = list(self._connections)
+            for task in connections:
+                task.cancel()
+            if not loop.is_running():
+                loop.run_until_complete(tcp.wait_closed())
+                if connections:
+                    loop.run_until_complete(asyncio.wait(connections))
         self.env.unregister_external_source(self)
 
     # -- connection handling ----------------------------------------------
 
     async def _serve_connection(self, reader, writer):
         self.connections_accepted += 1
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                if isinstance(request, int):  # parse-level error status
-                    await self._write_response(
-                        writer, request, {"error": _REASONS[request]},
-                        keep_alive=False,
-                    )
-                    break
-                bound, keep_alive = request
-                response = await self.env.future_of(
-                    self.server.dispatch(bound)
-                )
-                await self._write_response(
-                    writer, response.status, response.body, keep_alive
-                )
-                if not keep_alive:
-                    break
+            try:
+                await self._serve_requests(reader, writer)
+            finally:
+                writer.close()
+                await writer.wait_closed()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
+        except asyncio.CancelledError:
+            # :meth:`stop` cancelled us (or the environment is closing
+            # after it): that is this connection's orderly end, so the
+            # task finishes instead of ending cancelled.  Any other
+            # cancellation is not ours to absorb.
+            if self._tcp is not None:
+                raise
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                # Cancelled = the environment is tearing down with this
-                # connection still open; swallow so the loop's protocol
-                # callback does not log a spurious traceback.
-                pass
+            self._connections.discard(task)
+
+    async def _serve_requests(self, reader, writer):
+        while True:
+            request = await self._read_request(reader)
+            if request is None:
+                return
+            if isinstance(request, int):  # parse-level error status
+                await self._write_response(
+                    writer, request, {"error": _REASONS[request]},
+                    keep_alive=False,
+                )
+                return
+            bound, keep_alive = request
+            response = await self.env.future_of(self.server.dispatch(bound))
+            await self._write_response(
+                writer, response.status, response.body, keep_alive
+            )
+            if not keep_alive:
+                return
 
     async def _read_request(self, reader):
         """One request off the wire -> (Request, keep_alive) | status | None."""

@@ -16,8 +16,9 @@ Core concepts:
 - :class:`Store` / :class:`Resource` -- blocking queue / counting semaphore.
 - :class:`Link` / :class:`Network` -- message delivery with pluggable
   latency models.
-- :class:`Tracer` -- structured event/span recording used by the latency
-  benchmarks.
+
+Tracing lives in :mod:`repro.obs` (one :class:`~repro.obs.CausalTracer`
+per run); the kernel itself records nothing.
 """
 
 from repro.simnet.events import (
@@ -40,7 +41,6 @@ from repro.simnet.network import (
     Network,
     UniformLatency,
 )
-from repro.simnet.trace import Span, TraceError, Tracer
 
 __all__ = [
     "AllOf",
@@ -57,10 +57,7 @@ __all__ = [
     "Process",
     "Resource",
     "SimulationError",
-    "Span",
     "Store",
     "Timeout",
-    "TraceError",
-    "Tracer",
     "UniformLatency",
 ]

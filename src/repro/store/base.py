@@ -109,6 +109,25 @@ def _addressed_keys(args):
     return keys
 
 
+def store_stats(store):
+    """``stats()`` of a server or a sharded frontend: both answer to the
+    declared counters and to the same handful of read-only names."""
+    out = {name: getattr(store, name) for name in StoreServer.COUNTERS}
+    out.update(
+        location=store.location,
+        available=store.available,
+        in_doubt_txns=store.in_doubt_txns,
+        zero_copy=store.zero_copy,
+        delta_watch=store.delta_watch,
+        op_counts=dict(store.op_counts),
+        copy=store.copy_stats,
+    )
+    admission = store.admission_stats()
+    if admission is not None:
+        out["admission"] = admission
+    return out
+
+
 class StoreServer:
     """Base class for backend servers.
 
@@ -129,6 +148,26 @@ class StoreServer:
     #: stores), ``"append"`` keeps every event contiguously (Log stores,
     #: where each event carries distinct records).
     WATCH_COALESCE = "newest"
+
+    #: Every monotonic counter a server keeps, declared once: each is a
+    #: plain int attribute starting at 0 and written with ``+=`` where
+    #: the thing it counts happens (watch counters from
+    #: :class:`~repro.store.watch.Watch`), reported by :meth:`stats`,
+    #: and summed over live + retired shards by a
+    #: :class:`~repro.store.sharded.ShardedStore` frontend.
+    COUNTERS = (
+        # watch fan-out: messages, the events in them, their bytes, and
+        # the delta/full split under ``delta_watch``
+        "watch_messages_sent", "watch_events_sent", "watch_wire_bytes",
+        "watch_deltas_sent", "watch_fulls_sent",
+        # credit flow, aggregated across this server's watches
+        "watch_pauses", "watch_paused_coalesced", "watch_shed_events",
+        "watch_forced_resyncs", "watch_credit_grants",
+        # writes bounced off a reshard fence (the client reroutes them)
+        "fence_rejections",
+        # failure surface: ops aborted by failover/crash, and crashes
+        "aborted_ops", "crash_count",
+    )
 
     def __init__(self, env, network, location, workers=1, tracer=None,
                  watch_batch_window=0.0, zero_copy=True, delta_watch=False):
@@ -155,17 +194,8 @@ class StoreServer:
         #: message, in commit order.  0 keeps the classic one-message-
         #: per-event fan-out.
         self.watch_batch_window = float(watch_batch_window)
-        self.watch_messages_sent = 0
-        self.watch_events_sent = 0
-        self.watch_wire_bytes = 0
-        self.watch_deltas_sent = 0
-        self.watch_fulls_sent = 0
-        # Credit-flow counters (aggregated across this server's watches).
-        self.watch_pauses = 0
-        self.watch_paused_coalesced = 0
-        self.watch_shed_events = 0
-        self.watch_forced_resyncs = 0
-        self.watch_credit_grants = 0
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
         self._drop_next_watch_message = False
         #: Admission controller guarding :meth:`handle` (None = open door).
         self.admission = None
@@ -187,13 +217,10 @@ class StoreServer:
         # re-resolve ownership.
         self._sealed_ranges = []
         self._sealed_version = None
-        self.fence_rejections = 0
         self._ring_context = None  # owning ShardedStore, for error notes
         # Processes currently holding a worker slot.  A list, not a set:
         # abort order must be deterministic across runs.
         self._executing = []
-        self.aborted_ops = 0
-        self.crash_count = 0
 
     # -- request processing ------------------------------------------------
 
@@ -362,6 +389,20 @@ class StoreServer:
     @property
     def copy_stats(self):
         return self.copy_meter.snapshot()
+
+    def admission_stats(self):
+        """The front door's counters, or None while the door is open."""
+        return self.admission.stats() if self.admission is not None else None
+
+    def stats(self):
+        """Everything this server counts, as one dict of plain data.
+
+        The contract every component's ``stats()`` keeps (see
+        ``docs/observability.md``): scalars at the top level, at most
+        one level of named sections; the obs plane turns the numbers it
+        has a metric for into series, telemetry passes the rest through.
+        """
+        return store_stats(self)
 
     def next_revision(self):
         self.revision += 1

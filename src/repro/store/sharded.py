@@ -46,9 +46,11 @@ from repro.errors import (
     StoreError,
 )
 from repro.store.apiserver import ApiServer, ApiServerClient
+from repro.store.base import StoreServer, store_stats
 from repro.store.client import ObjectClient
 from repro.store.memkv import MemKV, MemKVClient
 from repro.store.ring import Topology
+from repro.store.watch import Watch
 
 #: How long a rerouting client backs off before re-resolving ownership
 #: of a fenced key.  Well under the cutover drain window, so a client
@@ -200,10 +202,7 @@ class ShardedStore:
 
     @property
     def reshard_stats(self):
-        if self._resharder is None:
-            return {"reshards": 0, "transitions": 0, "keys_moved": 0,
-                    "ranges_moved": 0, "resyncs": 0, "last_duration": 0.0}
-        return self._resharder.stats()
+        return self.resharder.stats()
 
     def _install_shard(self):
         """Build + wire a new shard server (ring flip happens later).
@@ -252,6 +251,29 @@ class ShardedStore:
         """Live + retired, for counters that must stay monotonic."""
         return self.shards + self.retired_shards
 
+    def __getattr__(self, name):
+        """The one aggregation rule: a counter declared on
+        :class:`~repro.store.base.StoreServer` reads, on the frontend,
+        as its sum over live + retired shards (``fence_rejections``,
+        ``watch_events_sent``, ``crash_count``, ...)."""
+        if name in StoreServer.COUNTERS:
+            return sum(getattr(s, name) for s in self._all_shards)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def stats(self):
+        """The shards' :meth:`StoreServer.stats`, aggregated, plus the
+        frontend's own sections: ``ring``, ``reshard``, ``txn``."""
+        out = store_stats(self)
+        out.update(
+            ring={"version": self.ring.version, "shards": len(self.shards),
+                  "fence_rejections": out["fence_rejections"],
+                  "reroutes": sum(c.reroutes for c in self._clients)},
+            reshard=self.reshard_stats,
+            txn=self.txn_stats(),
+        )
+        return out
+
     @property
     def op_counts(self):
         merged = {}
@@ -270,52 +292,6 @@ class ShardedStore:
         return self.ring.version
 
     @property
-    def fence_rejections(self):
-        """Writes bounced off sealed ranges during cutovers (then
-        rerouted by the client; never surfaced to callers)."""
-        return sum(s.fence_rejections for s in self._all_shards)
-
-    @property
-    def watch_messages_sent(self):
-        return sum(s.watch_messages_sent for s in self._all_shards)
-
-    @property
-    def watch_events_sent(self):
-        return sum(s.watch_events_sent for s in self._all_shards)
-
-    @property
-    def watch_wire_bytes(self):
-        return sum(s.watch_wire_bytes for s in self._all_shards)
-
-    @property
-    def watch_deltas_sent(self):
-        return sum(s.watch_deltas_sent for s in self._all_shards)
-
-    @property
-    def watch_fulls_sent(self):
-        return sum(s.watch_fulls_sent for s in self._all_shards)
-
-    @property
-    def watch_pauses(self):
-        return sum(s.watch_pauses for s in self._all_shards)
-
-    @property
-    def watch_paused_coalesced(self):
-        return sum(s.watch_paused_coalesced for s in self._all_shards)
-
-    @property
-    def watch_shed_events(self):
-        return sum(s.watch_shed_events for s in self._all_shards)
-
-    @property
-    def watch_forced_resyncs(self):
-        return sum(s.watch_forced_resyncs for s in self._all_shards)
-
-    @property
-    def watch_credit_grants(self):
-        return sum(s.watch_credit_grants for s in self._all_shards)
-
-    @property
     def admission(self):
         """Shard 0's controller (set_admission installs one per shard)."""
         return self.shards[0].admission
@@ -332,7 +308,10 @@ class ShardedStore:
             shard.admission = factory()
 
     def admission_stats(self):
-        """Merged per-class admitted/rejected counters across shards."""
+        """Merged per-class admitted/rejected counters across shards
+        (None while no shard has a controller)."""
+        if self.admission is None:
+            return None
         merged = {"admitted": 0, "rejected": 0, "classes": {}}
         for shard in self._all_shards:
             if shard.admission is None:
@@ -379,14 +358,6 @@ class ShardedStore:
         if self._coordinator is None:
             return {}
         return self._coordinator.txn_stats()
-
-    @property
-    def aborted_ops(self):
-        return sum(s.aborted_ops for s in self._all_shards)
-
-    @property
-    def crash_count(self):
-        return sum(s.crash_count for s in self._all_shards)
 
     @property
     def watch_batch_window(self):
@@ -443,17 +414,13 @@ class MergedWatch:
     def active(self):
         return any(w.active for w in self.watches)
 
-    @property
-    def delivered(self):
-        return sum(w.delivered for w in self.watches)
-
-    @property
-    def credit_pauses(self):
-        return sum(w.credit_pauses for w in self.watches)
-
-    @property
-    def forced_resyncs(self):
-        return sum(w.forced_resyncs for w in self.watches)
+    def __getattr__(self, name):
+        """A counter declared on :class:`~repro.store.watch.Watch`
+        (``delivered``, ``credit_pauses``, ...) is the sum over branches."""
+        if name in Watch.COUNTERS:
+            return sum(getattr(w, name) for w in self.watches)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def peak_paused(self):

@@ -121,6 +121,15 @@ class Watch:
     #: Transient-resync retry budget before declaring the stream broken.
     resync_attempts = 8
 
+    #: Per-stream monotonic counters, declared once: plain ints from 0;
+    #: a :class:`~repro.store.sharded.MergedWatch` reads each as the sum
+    #: over its per-shard branches.
+    COUNTERS = (
+        "delivered",
+        "credit_pauses", "paused_coalesced", "paused_shed", "forced_resyncs",
+        "gaps_detected", "key_resyncs",
+    )
+
     def __init__(self, client, handler, key_prefix="", on_close=None,
                  batch_handler=None, credits=None, overflow=None):
         self._client = client
@@ -131,7 +140,8 @@ class Watch:
         self.on_close = on_close
         self.batch_handler = batch_handler
         self.active = True
-        self.delivered = 0
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
         # -- credit window -------------------------------------------------
         self.credits = int(credits) if credits else None
         self.overflow = check_overflow(overflow if overflow is not None
@@ -147,10 +157,6 @@ class Watch:
         self._coalesce = server.WATCH_COALESCE
         self._paused = {}
         self._appended = 0
-        self.credit_pauses = 0
-        self.paused_coalesced = 0
-        self.paused_shed = 0
-        self.forced_resyncs = 0
         self.peak_paused = 0
         self._batch = None  # events held until the server's batch window closes
         # Server-side delta-encoder state: last revision sent per key
@@ -159,8 +165,6 @@ class Watch:
         # Client-side materializer state: key -> (revision, object).
         self._state = {}
         self._gap_buffer = {}  # key -> [wire events] while a resync runs
-        self.gaps_detected = 0
-        self.key_resyncs = 0
 
     # -- sender (runs at the server) -----------------------------------------
 
@@ -338,10 +342,11 @@ class Watch:
             # Sent before the cancel/close/break, arrived after it: after
             # a break this would be a stale event behind the resync.
             return
-        obs = getattr(self._server.tracer, "obs", None)
-        if obs is not None:
+        tracer = self._server.tracer
+        plane = tracer.plane if tracer is not None else None
+        if plane is not None:
             now = self._server.env.now
-            lag = obs.registry.histogram(
+            lag = plane.registry.histogram(
                 "watch_lag_seconds", store=self._server.location)
             for event in events:
                 if event.committed_at is not None:

@@ -7,7 +7,7 @@ import pytest
 from repro.cluster import Cluster, Image, Node
 from repro.cluster.autoscaler import HorizontalAutoscaler
 from repro.errors import ClusterError
-from repro.simnet import Tracer
+from repro.obs import CausalTracer
 
 
 @pytest.fixture
@@ -93,11 +93,11 @@ class TestAutoscaler:
 
 class TestChromeTrace:
     def test_export_shape(self, env):
-        tracer = Tracer(env)
+        tracer = CausalTracer(env)
         tracer.record("cast", "begin", cid="o1")
-        tracer.begin("stage", "work", key="o1", cid="o1")
+        work = tracer.start_span("work", "stage", cid="o1")
         env.run(until=2.5)
-        tracer.end("stage", "work", key="o1")
+        tracer.end_span(work)
         entries = tracer.to_chrome_trace()
         assert len(entries) == 2
         instant = next(e for e in entries if e["ph"] == "i")
@@ -107,21 +107,16 @@ class TestChromeTrace:
         json.dumps(entries)  # must be JSON-serializable
 
     def test_entries_sorted_by_time(self, env):
-        tracer = Tracer(env)
-        tracer.begin("b", "span")
+        tracer = CausalTracer(env)
+        span = tracer.start_span("span", "b")
         env.run(until=3.0)
         tracer.record("a", "late")
         env.run(until=4.0)
-        tracer.end("b", "span")
+        tracer.end_span(span)
         entries = tracer.to_chrome_trace()
         times = [e["ts"] for e in entries]
         assert times == sorted(times)
         assert entries[0]["ph"] == "X"  # the span started first
-
-    def test_open_spans_excluded(self, env):
-        tracer = Tracer(env)
-        tracer.begin("x", "never-closed")
-        assert tracer.to_chrome_trace() == []
 
     def test_real_app_trace_exports(self):
         from repro.apps.retail.knactor_app import RetailKnactorApp

@@ -64,8 +64,8 @@ class TestCLI:
 
         data = json.loads(out_file.read_text())
         assert len(data["traceEvents"]) > 10
-        # Both span planes land in the file: causal DAG spans plus the
-        # latency tracer's flat events.
+        # Both halves of the one tracer land in the file: causal DAG
+        # spans plus the flat point events.
         categories = {entry["cat"] for entry in data["traceEvents"]}
         assert "causal" in categories and len(categories) > 1
 

@@ -167,7 +167,7 @@ class TestStoreFrontDoor:
     def test_admission_stats_scraped_by_obs_registry(self, env, zero_net):
         """The obs plane surfaces admission counters per exchange."""
         from repro.exchange import ObjectDE
-        from repro.obs import ObsPlane
+        from repro.obs import CausalTracer, ObsPlane
 
         server = self._server(env, zero_net, rate=5.0, burst=1)
         de = ObjectDE(env, server)
@@ -178,6 +178,7 @@ class TestStoreFrontDoor:
             integrators = {}
             exchanges = {"object": de}
             network = zero_net
+            tracer = CausalTracer(env)
 
         plane.bind_runtime(FakeRuntime())
         server.admission.admit("p", 0)

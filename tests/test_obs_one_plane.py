@@ -1,0 +1,292 @@
+"""One tracer, counters declared once, one scrape -- pinned against PR 17.
+
+The observability plane was restructured (ISSUE 18) without changing
+anything it reports.  The literals in ``tests/golden/obs_one_plane.json``
+were taken on the parent commit (de5c3fa), before ``src/`` was touched,
+by running this module's own scenario builders there
+(``python tests/test_obs_one_plane.py`` rewrites the file from whatever
+tree is on ``PYTHONPATH``); the tests hold the restructured plane to
+them leaf for leaf.
+"""
+
+import hashlib
+import json
+import pathlib
+from collections import Counter
+
+import pytest
+
+from repro.apps.retail.knactor_app import RetailKnactorApp
+from repro.apps.retail.measure import run_knactor_setup
+from repro.apps.retail.workload import OrderWorkload
+from repro.cli.main import main
+from repro.core.optimizer import K_REDIS
+from repro.metrics import resilience_snapshot, runtime_snapshot
+from repro.store import ShardedStoreClient, StoreServer, Topology
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "obs_one_plane.json"
+
+
+def _plain(value):
+    """JSON round trip: tuples become lists, keys strings, floats exact."""
+    return json.loads(json.dumps(value))
+
+
+def _run_orders(app, count):
+    workload = OrderWorkload(seed=7)
+    for _ in range(count):
+        key, data = workload.next_order()
+        app.env.run(until=app.place_order(key, data))
+    app.run_until_quiet(max_seconds=60.0)
+
+
+def sharded_retail():
+    """Seeded retail on two shards with obs + flow armed and one 2PC txn."""
+    app = RetailKnactorApp.build(
+        seed=7, obs=True, flow=True, topology=Topology(shards=2))
+    _run_orders(app, 3)
+    store = app.de.backend
+    client = ShardedStoreClient(store, "golden-caller")
+    keys, index = {}, 0
+    while len(keys) < 2:  # one key per shard: the txn must cross
+        key = f"golden/k{index}"
+        keys.setdefault(store.owner_location(key), key)
+        index += 1
+    ops = [{"action": "create", "key": key, "data": {"n": n}}
+           for n, key in enumerate(sorted(keys.values()))]
+    app.env.run(until=client.txn(ops, mode="2pc"))
+    app.run_until_quiet(max_seconds=60.0)
+    return app
+
+
+def snapshots(app):
+    return _plain({
+        "plane_metrics": app.runtime.obs.snapshot()["metrics"],
+        "runtime_snapshot": runtime_snapshot(app.runtime),
+        "resilience_snapshot": resilience_snapshot(app.runtime),
+    })
+
+
+def trace_export(tmp_dir):
+    """``knactor trace export`` on 3 orders: a multiset digest of the file."""
+    out = pathlib.Path(tmp_dir) / "trace.json"
+    assert main(["trace", "export", str(out), "--orders", "3"]) == 0
+    entries = json.loads(out.read_text())["traceEvents"]
+    lines = sorted(json.dumps(entry, sort_keys=True) for entry in entries)
+    shape = Counter(f"{e['ph']}/{e['cat']}/{e['name']}" for e in entries)
+    return {
+        "count": len(entries),
+        "shape": dict(sorted(shape.items())),
+        "sha256": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
+    }
+
+
+def table2_rows():
+    return _plain({
+        setup: run_knactor_setup(setup, orders=3).row()
+        for setup in ("K-apiserver", "K-redis-udf")
+    })
+
+
+def untraced_retail():
+    app = RetailKnactorApp.build(profile=K_REDIS, seed=7)
+    _run_orders(app, 3)
+    return app
+
+
+def _leaves(value, path=()):
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield from _leaves(inner, path + (key,))
+    elif isinstance(value, list):
+        for index, inner in enumerate(value):
+            yield from _leaves(inner, path + (index,))
+    else:
+        yield path, value
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        exported = trace_export(tmp)
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps({
+        **snapshots(sharded_retail()),
+        "trace_export": exported,
+        "table2": table2_rows(),
+        "untraced_events": len(untraced_retail().tracer.events),
+    }, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")
+
+
+# -- (i) a store counter is declared once --------------------------------------
+
+#: Declared counters with no registry series.  None has one at the parent
+#: either, and the series set is pinned (golden below; the perf harness
+#: counts ``Registry.counter`` calls), so they stay telemetry-only.  A
+#: counter added to ``StoreServer.COUNTERS`` must get a row in the plane's
+#: table or be listed here: it cannot go missing silently.
+NO_SERIES = {"watch_paused_coalesced", "aborted_ops", "crash_count"}
+
+#: Where ``runtime_snapshot`` reports a declared counter, per exchange.
+IN_RUNTIME_SNAPSHOT = {
+    "aborted_ops": ("backend_aborted_ops",),
+    "crash_count": ("backend_crashes",),
+    "watch_wire_bytes": ("state_plane", "watch_wire_bytes"),
+    "watch_deltas_sent": ("state_plane", "watch_deltas_sent"),
+    "watch_fulls_sent": ("state_plane", "watch_fulls_sent"),
+}
+
+
+class TestCountersDeclaredOnce:
+    @pytest.fixture(scope="class")
+    def resharded(self):
+        """Retail on 2 -> 4 -> 2 shards, orders flowing throughout (every
+        reconciler and cast holds a merged watch on the backend)."""
+        app = RetailKnactorApp.build(
+            seed=7, obs=True, flow=True, delta_watch=True,
+            topology=Topology(shards=2, max_shards=4))
+        store, workload = app.de.backend, OrderWorkload(seed=7)
+        marks = []
+
+        def driver(env):
+            for target in (4, 2):
+                proc = store.reshard(target)
+                for _ in range(4):
+                    yield app.place_order(*workload.next_order())
+                    yield env.timeout(0.05)
+                yield proc
+                marks.append({name: getattr(store, name)
+                              for name in StoreServer.COUNTERS})
+
+        app.env.run(until=app.env.process(driver(app.env)))
+        app.run_until_quiet(max_seconds=60.0)
+        return app, marks
+
+    def test_frontend_is_the_sum_over_live_and_retired(self, resharded):
+        app, _marks = resharded
+        store = app.de.backend
+        assert len(store.shards) == 2 and len(store.retired_shards) == 2
+        for name in StoreServer.COUNTERS:
+            every = store.shards + store.retired_shards
+            assert getattr(store, name) == sum(
+                getattr(shard, name) for shard in every), name
+        # The retired half is not decoration: it served watch traffic.
+        assert sum(s.watch_events_sent for s in store.retired_shards) > 0
+        assert store.fence_rejections > 0 and store.watch_deltas_sent > 0
+
+    def test_never_decreases_across_the_shrink(self, resharded):
+        app, (grown, shrunk) = resharded
+        for name in StoreServer.COUNTERS:
+            assert grown[name] <= shrunk[name] <= getattr(
+                app.de.backend, name), name
+
+    def test_reported_by_stats_plane_and_telemetry(self, resharded):
+        from repro.obs.plane import _STORE
+        app, _marks = resharded
+        store = app.de.backend
+        stats = store.stats()
+        metrics = app.runtime.obs.snapshot()["metrics"]["metrics"]
+        exchange = runtime_snapshot(app.runtime)["exchanges"]["object"]
+        series_of = {name.split(".")[-1]: row[1] for name, row in _STORE.items()}
+        assert set(StoreServer.COUNTERS) - set(series_of) == NO_SERIES
+        for name in StoreServer.COUNTERS:
+            value = getattr(store, name)
+            assert stats[name] == value, name
+            if name not in NO_SERIES:
+                series = metrics[series_of[name]]["series"]
+                assert series["exchange=object"] == value, name
+            if name in IN_RUNTIME_SNAPSHOT:
+                leaf = exchange
+                for key in IN_RUNTIME_SNAPSHOT[name]:
+                    leaf = leaf[key]
+                assert leaf == value, name
+
+    def test_merged_watch_sums_its_branches(self):
+        from repro.simnet import Environment, Network
+        from repro.store import MemKV, ShardedStore
+        from repro.store.watch import Watch
+
+        env = Environment()
+        net = Network(env)
+        store = ShardedStore(
+            [MemKV(env, net, location=f"s{i}") for i in range(3)])
+        client = ShardedStoreClient(store, "app")
+        merged = client.watch(lambda event: None, credits=1)
+        for i in range(12):
+            env.run(until=client.create(f"k/{i}", {"v": i}))
+        env.run(until=env.now + 1.0)
+        assert merged.delivered == 12
+        for name in Watch.COUNTERS:
+            assert getattr(merged, name) == sum(
+                getattr(branch, name) for branch in merged.watches), name
+        with pytest.raises(AttributeError):
+            merged.no_such_counter
+
+
+# -- (ii) the golden: same series, same snapshots ------------------------------
+
+
+class TestGoldenSnapshots:
+    @pytest.fixture(scope="class")
+    def app(self):
+        return sharded_retail()
+
+    @pytest.mark.parametrize("section", [
+        "plane_metrics", "runtime_snapshot", "resilience_snapshot"])
+    def test_equal_leaf_for_leaf(self, golden, app, section):
+        want = dict(_leaves(golden[section]))
+        have = dict(_leaves(snapshots(app)[section]))
+        assert have.keys() == want.keys()
+        assert [path for path in want if have[path] != want[path]] == []
+
+    def test_plane_is_built_around_the_runtime_tracer(self, app):
+        plane = app.runtime.obs
+        assert plane.causal is app.runtime.tracer is app.tracer
+        assert app.tracer.plane is plane
+        assert app.tracer.start_span("probe", "test").sink is app.tracer
+
+
+# -- (iii) one exporter, the same file; Table 2 to the last digit -------------
+
+
+class TestOneExporter:
+    def test_trace_export_is_the_parents_multiset(self, golden, tmp_path,
+                                                  capsys):
+        assert trace_export(tmp_path) == golden["trace_export"]
+        assert "wrote 447 trace events" in capsys.readouterr().out
+
+    def test_table2_rows_to_the_last_digit(self, golden):
+        assert table2_rows() == golden["table2"]
+
+
+# -- (iv) obs off: the DAG half stays dormant ----------------------------------
+
+
+class TestObsOff:
+    def test_no_span_is_minted_and_the_event_log_is_the_parents(self, golden):
+        app = untraced_retail()
+        assert app.runtime.obs is None and app.tracer.plane is None
+        assert app.tracer.spans == {}
+        assert app.tracer.trace_ids() == []
+        assert len(app.tracer.events) == golden["untraced_events"]
+
+    def test_store_server_without_a_tracer_still_delivers(self):
+        from repro.simnet import Environment, Network
+        from repro.store import MemKV
+        from repro.store.memkv import MemKVClient
+
+        env = Environment()
+        server = MemKV(env, Network(env), location="kv", tracer=None)
+        client = MemKVClient(server, "app")
+        seen = []
+        client.watch(seen.append)
+        env.run(until=client.create("k", {"v": 1}))
+        env.run(until=env.now + 1.0)
+        assert [event.key for event in seen] == ["k"]

@@ -9,7 +9,7 @@ every expected number is derivable by inspection.
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import Registry
+from repro.obs import CausalTracer, Registry
 from repro.obs.slo import (
     AvailabilitySLO,
     BurnRateTracker,
@@ -20,7 +20,7 @@ from repro.obs.slo import (
     TraceLatencySLO,
     evaluate,
 )
-from repro.simnet import Environment, Tracer
+from repro.simnet import Environment
 
 
 def _env_registry():
@@ -268,7 +268,7 @@ class TestTraceLatencySLO:
         env = Environment()
         spec = TraceLatencySLO("legacy", integrator="sync",
                                target_seconds=0.1)
-        result = spec.evaluate_trace(Tracer(env))
+        result = spec.evaluate_trace(CausalTracer(env))
         assert result.no_data and not result.met
 
     def test_validation(self):

@@ -239,3 +239,99 @@ class TestRetailGateway:
         assert results["empty"][0] == 400
         assert results["invalid"][0] == 400
         assert results["wrong-kind"][0] == 400
+
+
+class TestStopUnwindsConnections:
+    """A connection task must not outlive ``stop()`` to be cancelled by
+    the loop's teardown: it would end *cancelled*, which asyncio's stream
+    protocol logs as a ``CancelledError`` "Exception in callback" trace.
+    """
+
+    @staticmethod
+    def _serving():
+        env = RealtimeEnvironment(factor=0.0)
+        server = RestServer(env, Network(env), "api")
+        server.route("GET", "/ping", lambda request: {"pong": True})
+        return env, server.serve(port=0)
+
+    @staticmethod
+    def _problems(caplog):
+        return [record.getMessage() for record in caplog.records
+                if record.levelname in ("WARNING", "ERROR", "CRITICAL")]
+
+    def test_stop_racing_a_just_closed_connection_logs_nothing(self, caplog):
+        """The client hangs up and the kernel stops the listener at once:
+        the server-side task may not have read the EOF yet.  (Shows at
+        least once in 20 rounds on the unfixed listener.)"""
+
+        def one_round():
+            env, listener = self._serving()
+            done = threading.Event()
+
+            def client():
+                conn = http.client.HTTPConnection(
+                    "127.0.0.1", listener.port, timeout=10)
+                try:
+                    conn.request("GET", "/ping")  # keep-alive by default
+                    conn.getresponse().read()
+                finally:
+                    conn.close()
+                    done.set()
+
+            thread = threading.Thread(target=client)
+            thread.start()
+            _drive(env, listener, done)
+            thread.join()
+            assert listener not in env._external_sources
+            env.close()
+
+        with caplog.at_level("DEBUG", logger="asyncio"):
+            for _ in range(20):
+                one_round()
+        assert self._problems(caplog) == []
+
+    def test_stop_unwinds_an_idle_keep_alive_connection(self, caplog):
+        """Stopped from outside ``run()`` with a connection still open:
+        nothing is pending on the loop once ``stop()`` has returned."""
+        import asyncio
+
+        env, listener = self._serving()
+        answered, stopped = threading.Event(), threading.Event()
+        outcome = {}
+
+        def client():
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", listener.port, timeout=10)
+            try:
+                conn.request("GET", "/ping")
+                conn.getresponse().read()
+                answered.set()
+                stopped.wait(10)
+                conn.request("GET", "/ping")
+                outcome["second"] = conn.getresponse().status
+            except (ConnectionError, http.client.HTTPException) as exc:
+                outcome["second"] = type(exc).__name__
+            finally:
+                answered.set()
+                conn.close()
+
+        thread = threading.Thread(target=client)
+        thread.start()
+        served = env.event()
+
+        def wait_for_answer():
+            while not answered.is_set():
+                yield env.timeout(0.05)
+            served.succeed()
+
+        env.process(wait_for_answer())
+        with caplog.at_level("DEBUG", logger="asyncio"):
+            env.run(until=served)
+            listener.stop()
+            assert asyncio.all_tasks(env.loop) == set()
+            assert listener not in env._external_sources
+            stopped.set()
+            thread.join()
+            env.close()
+        assert outcome["second"] != 200  # the server hung up on it
+        assert self._problems(caplog) == []

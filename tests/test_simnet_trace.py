@@ -1,8 +1,13 @@
-"""Unit tests for the tracer used by latency benchmarks."""
+"""Unit tests for the flat half of the one tracer (``repro.obs.CausalTracer``):
+point events, their keyed/unkeyed timestamp queries, and plain span
+durations -- what the latency benchmarks read.  The causal half (DAG,
+baggage, critical path) is covered in ``test_obs.py``.
+"""
 
 import pytest
 
-from repro.simnet import Environment, Tracer
+from repro.obs import CausalTracer
+from repro.simnet import Environment
 
 
 @pytest.fixture
@@ -12,7 +17,7 @@ def env():
 
 @pytest.fixture
 def tracer(env):
-    return Tracer(env)
+    return CausalTracer(env)
 
 
 class TestTracer:
@@ -23,33 +28,34 @@ class TestTracer:
         evt = tracer.events[0]
         assert (evt.time, evt.category, evt.name) == (1.5, "stage", "arrive")
         assert evt.attrs == {"request": 7}
+        assert tracer.spans == {}  # a point event mints no span
 
     def test_span_duration(self, env, tracer):
-        tracer.begin("stage", "work", key=1)
+        ctx = tracer.start_span("work", "stage")
         env.run(until=2.0)
-        span = tracer.end("stage", "work", key=1)
+        span = tracer.end_span(ctx)
         assert span.duration == 2.0
 
     def test_concurrent_spans_keyed(self, env, tracer):
-        tracer.begin("stage", "work", key="a")
+        a = tracer.start_span("work", "stage", key="a")
         env.run(until=1.0)
-        tracer.begin("stage", "work", key="b")
+        b = tracer.start_span("work", "stage", key="b")
         env.run(until=3.0)
-        tracer.end("stage", "work", key="a")
+        tracer.end_span(a)
         env.run(until=4.0)
-        tracer.end("stage", "work", key="b")
-        assert sorted(tracer.durations("stage", "work")) == [3.0, 3.0]
+        tracer.end_span(b)
+        durations = [s.duration for s in tracer.spans.values()
+                     if (s.service, s.name) == ("stage", "work")]
+        assert sorted(durations) == [3.0, 3.0]
 
-    def test_end_unknown_span_raises(self, tracer):
-        from repro.simnet import TraceError
-
-        with pytest.raises(TraceError, match="stage/missing"):
-            tracer.end("stage", "missing")
-
-    def test_open_span_duration_raises(self, env, tracer):
-        span = tracer.begin("stage", "open")
-        with pytest.raises(ValueError):
-            span.duration
+    def test_open_span_duration_is_zero(self, env, tracer):
+        ctx = tracer.start_span("open", "stage")
+        env.run(until=1.0)
+        span = tracer.spans[ctx.span_id]
+        assert span.end is None and span.duration == 0.0
+        # ... and exports with its extent so far, not dropped.
+        [entry] = tracer.to_chrome_trace()
+        assert (entry["ph"], entry["dur"]) == ("X", pytest.approx(1e6))
 
     def test_timestamps_keyed_by_attribute(self, env, tracer):
         tracer.record("order", "created", order_id="o1")
@@ -65,15 +71,3 @@ class TestTracer:
         env.run(until=2.0)
         tracer.record("a", "x")
         assert tracer.timestamps("a", "x") == [0.0, 2.0]
-
-    def test_events_by_name_filters_category(self, tracer):
-        tracer.record("cat1", "n1")
-        tracer.record("cat2", "n2")
-        grouped = tracer.events_by_name("cat1")
-        assert list(grouped) == [("cat1", "n1")]
-
-    def test_clear(self, env, tracer):
-        tracer.record("a", "b")
-        tracer.begin("s", "t")
-        tracer.clear()
-        assert tracer.events == [] and tracer.spans == []

@@ -6,10 +6,9 @@ from repro.apps.retail.knactor_app import RetailKnactorApp
 from repro.apps.retail.workload import OrderWorkload
 from repro.core.optimizer import K_REDIS
 from repro.errors import ConfigurationError
+from repro.metrics.latency import exchange_durations, reconcile_durations
 from repro.metrics.telemetry import (
     _state_plane_stats,
-    exchange_durations,
-    reconcile_durations,
     resilience_snapshot,
     runtime_snapshot,
 )
@@ -72,13 +71,10 @@ class TestSnapshot:
 
 class TestStatePlaneStats:
     def test_none_for_backends_without_copy_meter(self):
-        class Legacy:
-            pass
-
-        assert _state_plane_stats(Legacy()) is None
+        assert _state_plane_stats({"available": True}) is None
 
     def test_counters_for_instrumented_backend(self, app):
-        stats = _state_plane_stats(app.de.backend)
+        stats = _state_plane_stats(app.de.backend.stats())
         assert set(stats) == {"zero_copy", "delta_watch", "copy",
                               "watch_wire_bytes", "watch_deltas_sent",
                               "watch_fulls_sent"}
