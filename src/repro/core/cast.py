@@ -13,6 +13,7 @@ issues a single ``fcall`` per change instead of N reads + M writes.
 import random
 import zlib
 from collections import OrderedDict
+from functools import partial
 
 from repro.errors import (
     AccessDeniedError,
@@ -27,6 +28,8 @@ from repro.core.dxg import DXGExecutor, analyze, parse_dxg, standard_functions
 from repro.core.dxg.executor import ExecutorOptions
 from repro.core.dxg.parser import DXGSpec, build_spec
 from repro.core.integrator import Integrator
+from repro.store.base import MODIFIED, WatchEvent
+from repro.store.follow import Follower
 from repro.store.memkv import MemKVClient
 
 
@@ -73,7 +76,7 @@ class Cast(Integrator):
         self._body = None
         self._extra_kinds = {}
         self._globals = {}
-        self._watches = []
+        self._followers = []
         self._queue = OrderedDict()
         self._cid_ctx = {}  # cid -> causal ctx of the latest triggering commit
         self._wakeups = []
@@ -170,7 +173,7 @@ class Cast(Integrator):
         if self.pushdown:
             self._install_pushdown(de)
         if self.started:
-            self._rewire_watches()
+            self._follow_stores()
         return f"dxg with {len(spec.assignments)} assignment(s)"
 
     @staticmethod
@@ -217,55 +220,48 @@ class Cast(Integrator):
     # -- lifecycle ------------------------------------------------------------------------
 
     def _on_start(self):
-        self._rewire_watches()
+        self._follow_stores()
         env = self.runtime.env
         self._workers = [
             env.process(self._work_loop(env)) for _ in range(self.workers)
         ]
 
     def _on_stop(self):
-        for watch in self._watches:
-            watch.cancel()
-        self._watches = []
+        for follower in self._followers:
+            follower.stop()
         self._kick()
 
-    def _rewire_watches(self):
-        for watch in self._watches:
-            watch.cancel()
-        self._watches = []
-        for alias, handle in self.executor.handles.items():
-            self._watches.append(
-                handle.watch(self._make_handler(alias),
-                             on_close=self._on_watch_lost,
-                             batch_handler=self._make_batch_handler(alias))
+    def _follow_stores(self):
+        """One follower per alias of the current executor (a
+        reconfiguration binds new handles, so it replaces them all)."""
+        for follower in self._followers:
+            follower.stop()
+        self._followers = [
+            Follower(
+                self.runtime.env,
+                partial(handle.watch, partial(self._ingest, alias)),
+                partial(self._catch_up, alias, handle),
             )
+            for alias, handle in self.executor.handles.items()
+        ]
+        for follower in self._followers:
+            follower.start()
 
-    def _on_watch_lost(self):
-        """Backend failover: re-watch everything, resync every group."""
-        if not self.started:
-            return
-        self.runtime.tracer.record("cast", "watch-lost", integrator=self.name)
-        self._rewire_watches()
+    def _catch_up(self, alias, handle):
+        """``alias``'s stream broke (or the worker restarted): re-list its
+        store, then re-run every known group and ingest each listed
+        object as the event it would have raised.  Nothing is queued
+        until the store has answered -- exchanges against a store that
+        is still down only burn their attempts on the way to the DLQ."""
+        views = ()
+        if not self.executor.is_global(alias):  # those share one cache slot
+            views = yield handle.list()
         for cid in sorted(self._seen_cids):
             self._queue[cid] = True
+        for view in views:
+            self._ingest(alias, WatchEvent(
+                MODIFIED, view["key"], view["data"], view["revision"]))
         self._kick()
-
-    def _make_handler(self, alias):
-        def handler(event):
-            self._ingest(alias, event)
-            self._kick()
-
-        return handler
-
-    def _make_batch_handler(self, alias):
-        """Consume a coalesced watch delivery: N events, ONE worker kick."""
-
-        def handler(events):
-            for event in events:
-                self._ingest(alias, event)
-            self._kick()
-
-        return handler
 
     def _ingest(self, alias, event):
         kind, cid = DXGExecutor.split_key(event.key)
@@ -288,6 +284,7 @@ class Cast(Integrator):
             # parent (lookup-object fan-outs keep no per-cid parent:
             # one global change is not "the" cause of N exchanges).
             self._cid_ctx[cid] = getattr(event, "ctx", None)
+        self._kick()
 
     def _kick(self):
         pending, self._wakeups = self._wakeups, []
@@ -426,8 +423,8 @@ class Cast(Integrator):
         """Simulate a worker-process crash: queue and retry state vanish.
 
         The watches are cancelled (connections die with the process); a
-        :meth:`restart` re-wires them and resyncs every known group, so
-        level-triggered re-evaluation recovers anything lost.
+        :meth:`restart` re-opens them and catches up, so level-triggered
+        re-evaluation recovers anything lost.
         """
         if not self.started:
             return
@@ -438,13 +435,12 @@ class Cast(Integrator):
         self.runtime.tracer.record("cast", "killed", integrator=self.name)
 
     def restart(self):
-        """Restart after :meth:`kill`: re-watch and resync seen groups."""
+        """Restart after :meth:`kill`: start, then catch up every store."""
         if self.started:
             return
         self.start()
-        for cid in sorted(self._seen_cids):
-            self._queue[cid] = True
-        self._kick()
+        for follower in self._followers:
+            follower.resync()
         self.runtime.tracer.record("cast", "restarted", integrator=self.name)
 
     def stats(self):

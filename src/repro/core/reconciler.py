@@ -10,11 +10,14 @@ controllers: watch events mark a key dirty; a single worker drains the
 queue, re-reading current state and calling ``reconcile``.  Conflicting
 writes (optimistic-concurrency failures) retry with seeded-jitter
 exponential backoff; transient store unavailability is ridden out the
-same way.  A key whose reconcile keeps failing for non-transient reasons
-is *dead-lettered* after a bounded number of requeues
-(:mod:`repro.faults.dlq`) so one poison object never stalls the rest of
-the keyspace.  Defaults for the retry/requeue knobs live in
-:mod:`repro.config`.
+same way.  Each stream it consumes (the default Object store, subscribed
+Log stores) is held through a :class:`~repro.store.follow.Follower`: a
+broken one is reopened, then the store is re-listed (logs: re-queried
+from the seq cursor) on the same seeded backoff.  A key whose reconcile
+keeps failing for non-transient reasons is *dead-lettered* after a
+bounded number of requeues (:mod:`repro.faults.dlq`) so one poison
+object never stalls the rest of the keyspace.  Defaults for the
+retry/requeue knobs live in :mod:`repro.config`.
 
 Crucially -- and this is the Knactor pattern -- a reconciler only ever
 touches *its own* store handles.  It has no client stubs, no topics, no
@@ -24,6 +27,7 @@ knowledge of other services.
 import random
 import zlib
 from collections import OrderedDict
+from functools import partial
 
 from repro import config
 from repro.errors import (
@@ -37,6 +41,7 @@ from repro.errors import (
 from repro.faults.dlq import DeadLetterQueue
 from repro.flow.policy import BLOCK, SHED_OLDEST, check_overflow
 from repro.obs.context import span_process
+from repro.store.follow import Follower
 
 
 class ReconcilerContext:
@@ -125,7 +130,8 @@ class Reconciler:
         self._log_cursors = {}  # local_name -> next unseen _seq
         self._wakeup = None
         self._running = False
-        self._watch_handles = []
+        self._set_up = False
+        self._followers = []
         self._failures = {}  # key -> consecutive failed passes
         # Seeded per-name: deterministic, yet different reconcilers get
         # decorrelated backoff (no synchronized retry storms).
@@ -165,7 +171,31 @@ class Reconciler:
     # -- wiring (called by the Knactor/runtime) ----------------------------------
 
     def attach(self, ctx):
+        """Bind to the knactor's stores: one follower per stream consumed
+        (the default Object store, each subscribed Log store)."""
         self.ctx = ctx
+        default = ctx.stores.get("default")
+        if default is not None:
+            self._follow(partial(default.watch, self._on_event),
+                         partial(self._resync, default))
+        for local_name in self.log_subscriptions:
+            self._log_cursors.setdefault(local_name, 0)
+            handle = ctx.stores[local_name]
+            self._follow(
+                partial(handle.watch, partial(self._on_log_event, local_name)),
+                partial(self._log_catch_up, local_name, handle))
+
+    def _follow(self, open_stream, catch_up):
+        # The reconciler's own seeded jitter and counter: under faults the
+        # catch-up draws from the same RNG, in the same order, as the
+        # reconcile retries it interleaves with.
+        self._followers.append(Follower(
+            self.ctx.env, open_stream, catch_up,
+            backoff=self._backoff_delay, on_transient=self._count_unavailable,
+        ))
+
+    def _count_unavailable(self):
+        self.unavailable_count += 1
 
     def start(self):
         if self.ctx is None:
@@ -174,99 +204,45 @@ class Reconciler:
             return
         self._running = True
         env = self.ctx.env
-        # Watch the default store (if the knactor has an Object store).
-        self._watch_default()
-        for local_name in self.log_subscriptions:
-            self._log_cursors.setdefault(local_name, 0)
-            self._watch_log(local_name)
-        env.process(self._run_setup(env))
-        self._worker = env.process(self._work_loop(env))
+        for follower in self._followers:
+            follower.start()
+        if not self._set_up:
+            # Once per reconciler, not per process life: a restart after
+            # a kill resyncs from the store instead.
+            self._set_up = True
+            env.process(self._run_setup(env))
+        env.process(self._work_loop(env))
 
-    def _watch_log(self, local_name):
-        handle = self.ctx.stores[local_name]
-        self._watch_handles.append(handle.watch(
-            self._make_log_handler(local_name),
-            on_close=lambda: self._on_log_watch_lost(local_name),
-        ))
+    def _log_catch_up(self, local_name, handle):
+        """Replay a Log store from the seq cursor."""
+        records = yield handle.query(since_seq=self._log_cursors[local_name])
+        if records:
+            work = self._hand_log_batch(local_name, records)
+            if work is not None:
+                yield work
 
-    def _on_log_watch_lost(self, local_name):
-        """Log failover: re-subscribe and replay from the seq cursor."""
-        if not self._running:
-            return
-        self.ctx.trace("log-watch-lost", store=local_name)
-        self._watch_log(local_name)
-        self.ctx.env.process(self._log_catch_up(self.ctx.env, local_name))
-
-    def _log_catch_up(self, env, local_name):
-        handle = self.ctx.stores[local_name]
-        records = None
-        for attempt in range(100):
-            if not self._running:
-                return
-            try:
-                records = yield handle.query(
-                    since_seq=self._log_cursors[local_name]
-                )
-                break
-            except UnavailableError:
-                self.unavailable_count += 1
-                yield env.timeout(self._backoff_delay(attempt))
-        if not records:
-            return
-        self._advance_log_cursor(local_name, records)
-        result = self.on_log_batch(self.ctx, local_name, records)
-        if hasattr(result, "send"):
-            yield env.process(result)
-
-    def _advance_log_cursor(self, local_name, records):
+    def _hand_log_batch(self, local_name, records):
+        """Advance the cursor past ``records`` and hand them to
+        :meth:`on_log_batch`; returns its process, if it started one."""
         top = max((r["_seq"] + 1 for r in records if "_seq" in r), default=0)
         if top > self._log_cursors.get(local_name, 0):
             self._log_cursors[local_name] = top
+        result = self.on_log_batch(self.ctx, local_name, records)
+        if hasattr(result, "send"):
+            return self.ctx.env.process(result)
 
-    def _watch_default(self):
-        default = self.ctx.stores.get("default")
-        if default is not None:
-            self._watch_handles.append(
-                default.watch(self._on_event, on_close=self._on_watch_lost,
-                              batch_handler=self._on_events)
-            )
-
-    def _on_watch_lost(self):
-        """Store failover: re-watch and resync (informer re-list)."""
-        if not self._running:
-            return
-        self.ctx.trace("watch-lost", store=self.name)
-        self._watch_default()
-        self.ctx.env.process(self._resync(self.ctx.env))
-
-    def _resync(self, env):
-        """Re-list the default store, riding out transient unavailability.
-
-        The re-list itself goes through the (possibly still faulty)
-        network, so it retries with capped backoff until the store
-        answers or the reconciler stops.
-        """
-        default = self.ctx.stores.get("default")
-        if default is None:
-            return
-        views = None
-        for attempt in range(100):
-            if not self._running:
-                return
-            try:
-                views = yield default.list()
-                break
-            except (UnavailableError, ConflictError):
-                self.unavailable_count += 1
-                yield env.timeout(self._backoff_delay(attempt))
-        if views is None:
-            return
+    def _resync(self, default):
+        """Re-list the default store (informer re-list): every object is
+        marked dirty unless a fresher event already did."""
+        views = yield default.list()
         for view in views:
             self._mark_dirty(view["key"], "RESYNC", overwrite=False)
         self._kick()
 
     def stop(self):
         self._running = False
+        for follower in self._followers:
+            follower.stop()
         self._kick()
 
     # -- process faults (see repro.faults) ----------------------------------
@@ -280,35 +256,20 @@ class Reconciler:
         """
         if not self._running:
             return
-        self._running = False
         self.kill_count += 1
-        for watch in self._watch_handles:
-            watch.cancel()
-        self._watch_handles = []
+        self.stop()
         self._queue.clear()
         self._failures.clear()
-        self._kick()
-        if self.ctx is not None:
-            self.ctx.trace("killed")
+        self.ctx.trace("killed")
 
     def restart(self):
-        """Restart after :meth:`kill`: re-watch, resync, catch up logs."""
+        """Restart after :meth:`kill`: start, then catch up every stream
+        (re-list the default store, replay logs from their cursors)."""
         if self._running:
             return
-        if self.ctx is None:
-            raise ConfigurationError(
-                f"reconciler {self.name!r} is not attached"
-            )
-        self._running = True
-        env = self.ctx.env
-        self._watch_default()
-        for local_name in self.log_subscriptions:
-            self._log_cursors.setdefault(local_name, 0)
-            self._watch_log(local_name)
-        self._worker = env.process(self._work_loop(env))
-        env.process(self._resync(env))
-        for local_name in self.log_subscriptions:
-            env.process(self._log_catch_up(env, local_name))
+        self.start()
+        for follower in self._followers:
+            follower.resync()
         self.ctx.trace("restarted")
 
     def health(self):
@@ -345,21 +306,14 @@ class Reconciler:
     # -- event intake ---------------------------------------------------------------
 
     def _on_event(self, event):
-        self._on_events([event])
-
-    def _on_events(self, events):
-        """Intake one watch delivery (a single event or a coalesced batch).
-
-        Level-triggered consumption makes batches natural: each event
-        marks its key dirty (latest type wins, FIFO order preserved) and
-        the worker wakes ONCE for the whole delivery.
-        """
-        for event in events:
-            self.ctx.trace(
-                "observed", store=self.name, key=event.key, type=event.type,
-            )
-            if not self._mark_dirty(event.key, event.type):
-                continue
+        """Intake one watch event: mark its key dirty (latest type wins,
+        FIFO order preserved) and wake the worker.  The events of one
+        coalesced delivery arrive back to back, so the worker still wakes
+        once for all of them: only the first kick finds it waiting."""
+        self.ctx.trace(
+            "observed", store=self.name, key=event.key, type=event.type,
+        )
+        if self._mark_dirty(event.key, event.type):
             # Coalescing keeps the LATEST commit's causal context: the
             # reconcile pass acts on the state that commit produced.
             self._pending_ctx[event.key] = getattr(event, "ctx", None)
@@ -405,16 +359,10 @@ class Reconciler:
         if self.ctx is not None:
             self.ctx.trace("shed", key=key, type=event_type)
 
-    def _make_log_handler(self, local_name):
-        def handler(event):
-            records = event.object["records"]
-            self.ctx.trace("log-batch", store=local_name, count=len(records))
-            self._advance_log_cursor(local_name, records)
-            result = self.on_log_batch(self.ctx, local_name, records)
-            if hasattr(result, "send"):
-                self.ctx.env.process(result)
-
-        return handler
+    def _on_log_event(self, local_name, event):
+        records = event.object["records"]
+        self.ctx.trace("log-batch", store=local_name, count=len(records))
+        self._hand_log_batch(local_name, records)
 
     def _kick(self):
         if self._wakeup is not None and not self._wakeup.triggered:

@@ -13,10 +13,12 @@ patches the result into the target object's fields.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.core.integrator import Integrator
-from repro.errors import AlreadyExistsError, ConfigurationError
+from repro.errors import AlreadyExistsError, ConfigurationError, NotFoundError
 from repro.query.core import compile_ops
+from repro.store.follow import Follower
 
 
 @dataclass
@@ -57,7 +59,7 @@ class _BoundRule:
     rule: RollupRule
     source_handle: object
     target_handle: object
-    watch: object = None
+    follower: object = None
     updates: int = 0
 
 
@@ -74,10 +76,7 @@ class Rollup(Integrator):
         self._apply_configuration(self._initial_rules)
 
     def _apply_configuration(self, rules):
-        was_started = self.started
-        for bound in self._bound:
-            if bound.watch is not None:
-                bound.watch.cancel()
+        self._on_stop()
         self._bound = []
         for rule in rules:
             if not rule.aggs:
@@ -89,42 +88,38 @@ class Rollup(Integrator):
             compile_ops(rule.ops(now=0.0))  # validate early
             log_de = self.runtime.exchange(rule.log_de)
             object_de = self.runtime.exchange(rule.object_de)
-            self._bound.append(
-                _BoundRule(
-                    rule=rule,
-                    source_handle=log_de.handle(
-                        rule.source, principal=self.name, location=self.location
-                    ),
-                    target_handle=object_de.handle(
-                        rule.target, principal=self.name, location=self.location
-                    ),
-                )
+            bound = _BoundRule(
+                rule=rule,
+                source_handle=log_de.handle(
+                    rule.source, principal=self.name, location=self.location
+                ),
+                target_handle=object_de.handle(
+                    rule.target, principal=self.name, location=self.location
+                ),
             )
-        if was_started:
-            self._wire()
+            # A batch landing and a catch-up are the same work: aggregate
+            # the whole pool (or window) again, whatever is in it by now.
+            bound.follower = Follower(
+                self.runtime.env,
+                partial(bound.source_handle.watch, partial(self._on_batch, bound)),
+                partial(self._roll, self.runtime.env, bound),
+            )
+            self._bound.append(bound)
+        if self.started:
+            self._on_start()
         return f"{len(self._bound)} rule(s)"
 
     def _on_start(self):
-        self._wire()
+        for bound in self._bound:
+            bound.follower.start()
 
     def _on_stop(self):
         for bound in self._bound:
-            if bound.watch is not None:
-                bound.watch.cancel()
-                bound.watch = None
+            bound.follower.stop()
 
-    def _wire(self):
-        for bound in self._bound:
-            if bound.watch is not None:
-                bound.watch.cancel()
-            bound.watch = bound.source_handle.watch(self._make_handler(bound))
-
-    def _make_handler(self, bound):
-        def handler(_event):
-            env = self.runtime.env
-            env.process(self._roll(env, bound))
-
-        return handler
+    def _on_batch(self, bound, _event):
+        env = self.runtime.env
+        env.process(self._roll(env, bound))
 
     def _roll(self, env, bound):
         rule = bound.rule
@@ -135,11 +130,7 @@ class Rollup(Integrator):
             return
         try:
             yield bound.target_handle.patch(rule.target_key, patch)
-        except Exception as exc:
-            from repro.errors import NotFoundError
-
-            if not isinstance(exc, NotFoundError):
-                raise
+        except NotFoundError:
             try:
                 yield bound.target_handle.create(rule.target_key, patch)
             except AlreadyExistsError:

@@ -20,11 +20,13 @@ loading into the House's store::
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, UnavailableError
 from repro.core.integrator import Integrator
 from repro.obs.context import bind_generator, current_context, span_process
 from repro.query.core import compile_ops
+from repro.store.follow import Follower
 
 
 @dataclass
@@ -54,7 +56,7 @@ class _BoundFlow:
     next_seq: int = 0
     records_moved: int = 0
     batches: int = 0
-    watch: object = None
+    follower: object = None
 
 
 class Sync(Integrator):
@@ -75,10 +77,7 @@ class Sync(Integrator):
         self._apply_configuration(self._initial_flows)
 
     def _apply_configuration(self, flows):
-        was_started = self.started
-        for bound in self._bound:
-            if bound.watch is not None:
-                bound.watch.cancel()
+        self._on_stop()
         self._bound = []
         for flow in flows:
             if flow.source == flow.target:
@@ -98,82 +97,66 @@ class Sync(Integrator):
                 ),
                 ops=ops,
             )
+            bound.follower = Follower(
+                self.runtime.env,
+                partial(bound.source_handle.watch, partial(self._on_batch, bound)),
+                partial(self._catch_up, bound),
+            )
             self._bound.append(bound)
-        if was_started:
-            self._wire_watches()
+        if self.started:
+            self._on_start()
         return f"{len(self._bound)} flow(s)"
 
     # -- lifecycle ----------------------------------------------------------------
 
     def _on_start(self):
-        self._wire_watches()
+        for bound in self._bound:
+            bound.follower.start()
 
     def _on_stop(self):
         for bound in self._bound:
-            if bound.watch is not None:
-                bound.watch.cancel()
-                bound.watch = None
+            bound.follower.stop()
 
-    def _wire_watches(self):
-        for bound in self._bound:
-            self._wire_one(bound)
-
-    def _wire_one(self, bound):
-        if bound.watch is not None:
-            bound.watch.cancel()
-        bound.watch = bound.source_handle.watch(
-            self._make_handler(bound),
-            on_close=lambda b=bound: self._on_watch_lost(b),
-        )
-
-    def _on_watch_lost(self, bound):
-        """Log-store failover: re-subscribe and catch up from the cursor.
-
-        Records loaded while the subscription was down are recovered by
-        querying everything at or beyond ``next_seq``.
-        """
-        if not self.started:
-            return
+    def _catch_up(self, bound):
+        """Records loaded while the subscription was down are recovered
+        by querying everything at or beyond ``next_seq``."""
         env = self.runtime.env
-        self.runtime.tracer.record(
-            "sync", "watch-lost", integrator=self.name, source=bound.flow.source,
-        )
-        self._wire_one(bound)
-        env.process(self._catch_up(env, bound))
-
-    def _catch_up(self, env, bound):
         stats = yield bound.source_handle.stats()
         since, until = bound.next_seq, stats["next_seq"]
         if until <= since:
             return
+        # Claimed before asking, like a delivered batch's range: the two
+        # must never overlap.
         bound.next_seq = until
-        bound.batches += 1
-        records = yield bound.source_handle.query(
-            ops=bound.ops, since_seq=since, until_seq=until
-        )
-        yield env.process(self._deliver(env, bound, records))
-
-    def _make_handler(self, bound):
-        def handler(event):
-            env = self.runtime.env
-            self.runtime.tracer.record(
-                "sync", "batch", integrator=self.name,
-                source=bound.flow.source,
-                count=len(event.object["records"]),
+        try:
+            records = yield bound.source_handle.query(
+                ops=bound.ops, since_seq=since, until_seq=until
             )
-            work = self._move(env, bound, event.object["records"])
-            parent = getattr(event, "ctx", None)
-            if parent is not None and parent.sink is not None:
-                # The load that appended this batch is the causal parent
-                # of the flow run that moves it downstream.
-                octx = parent.sink.start_span(
-                    "sync-flow", service=self.name, parent=parent,
-                    source=bound.flow.source, target=bound.flow.target,
-                )
-                work = span_process(work, octx)
-            env.process(work)
+            yield env.process(self._deliver(env, bound, records))
+        except UnavailableError:
+            if bound.next_seq == until:
+                bound.next_seq = since  # unmoved: the retry asks again
+            raise
+        bound.batches += 1
 
-        return handler
+    def _on_batch(self, bound, event):
+        env = self.runtime.env
+        self.runtime.tracer.record(
+            "sync", "batch", integrator=self.name,
+            source=bound.flow.source,
+            count=len(event.object["records"]),
+        )
+        work = self._move(env, bound, event.object["records"])
+        parent = getattr(event, "ctx", None)
+        if parent is not None and parent.sink is not None:
+            # The load that appended this batch is the causal parent
+            # of the flow run that moves it downstream.
+            octx = parent.sink.start_span(
+                "sync-flow", service=self.name, parent=parent,
+                source=bound.flow.source, target=bound.flow.target,
+            )
+            work = span_process(work, octx)
+        env.process(work)
 
     def _move(self, env, bound, batch_records):
         bound.batches += 1

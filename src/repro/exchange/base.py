@@ -218,8 +218,7 @@ class DataExchange:
     # -- composed views ----------------------------------------------------------
 
     def register_view(self, view, *, exchanges=None, materialize=True,
-                      registry=None, tracer=None, lag_window=1.0,
-                      floor=0.002):
+                      registry=None, tracer=None):
         """Register a :class:`~repro.federation.views.ComposedView` here.
 
         This exchange becomes the view's *home*: the view name joins the
@@ -240,8 +239,7 @@ class DataExchange:
 
         ``materialize=True`` additionally starts incremental
         maintenance (a :class:`~repro.federation.MaterializedView` fed
-        from the sources' watch streams); ``lag_window`` / ``floor``
-        tune its staleness estimator.  ``registry`` / ``tracer`` wire
+        from the sources' watch streams).  ``registry`` / ``tracer`` wire
         the per-view metrics and ``view_*`` trace spans.
         """
         name = view.name
@@ -281,7 +279,6 @@ class DataExchange:
         if materialize:
             materialized = MaterializedView(
                 self.env, view, handles, kinds, registry=registry,
-                lag_window=lag_window, floor=floor,
             )
         registered = RegisteredView(
             self.env, view, self, handles, kinds, registry=registry,
@@ -471,10 +468,10 @@ class StoreHandle:
     surface -- CRUD + ``watch`` for the Object DE, ``load`` / ``query``
     + ``watch`` for the Log DE -- with every operation returning a
     simnet process event.  ``watch`` is part of the shared protocol:
-    both exchanges accept ``handler``, ``on_close`` (stream broke:
-    re-watch + resync), ``batch_handler`` (consume a coalesced delivery
-    in one call), and ``credits`` (override the handle's credit window
-    for this stream; see :mod:`repro.flow`).
+    both exchanges accept ``handler`` (called once per event),
+    ``on_close`` (the stream broke: a :class:`~repro.store.follow.Follower`
+    reopens it and catches up), and ``credits`` (override the handle's
+    credit window for this stream; see :mod:`repro.flow`).
     """
 
     def __init__(self, de, hosted, principal, client):
@@ -504,6 +501,5 @@ class StoreHandle:
             fields=fields,
         )
 
-    def watch(self, handler, *, batch_handler=None, on_close=None,
-              credits=None, overflow=None):
+    def watch(self, handler, *, on_close=None, credits=None, overflow=None):
         raise NotImplementedError

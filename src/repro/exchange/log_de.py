@@ -89,15 +89,14 @@ class LogStoreHandle(StoreHandle):
         self._check("query")
         return self.client.stats(self.hosted.name)
 
-    def watch(self, handler, *, batch_handler=None, on_close=None,
-              credits=None, overflow=None):
+    def watch(self, handler, *, on_close=None, credits=None, overflow=None):
         """Subscribe to appended batches.
 
         ``on_close`` fires if the backend drops the subscription
         (failover) or credit flow control forces a slow-consumer resync;
-        callers re-watch and catch up from their cursor.
-        ``batch_handler`` consumes coalesced deliveries in one call when
-        the lake batches watch fan-out.  ``credits``/``overflow``
+        a :class:`~repro.store.follow.Follower` then re-subscribes and
+        runs the caller's catch-up from its cursor.
+        ``credits``/``overflow``
         override the handle's flow-control defaults for this stream
         (Log streams queue contiguously while paused; batches are never
         coalesced away).
@@ -105,5 +104,5 @@ class LogStoreHandle(StoreHandle):
         self._check("watch")
         return self.client.watch(
             handler, key_prefix=self.hosted.name, on_close=on_close,
-            batch_handler=batch_handler, credits=credits, overflow=overflow,
+            credits=credits, overflow=overflow,
         )

@@ -171,44 +171,33 @@ class ObjectStoreHandle(StoreHandle):
 
         return self.env.process(run(self.env))
 
-    def watch(self, handler, prefix="", *, batch_handler=None, on_close=None,
-              credits=None, overflow=None):
+    def watch(self, handler, prefix="", *, on_close=None, credits=None,
+              overflow=None):
         """Watch this store; events carry keys relative to the store.
 
+        ``handler`` sees each event masked and prefix-stripped.
         ``on_close`` fires if the backend drops the watch (failover) or
-        credit flow control forces a slow-consumer resync; callers
-        re-watch and resync.  ``batch_handler(events)`` receives whole
-        coalesced deliveries (masked, prefix-stripped) when the backend
-        batches watch fan-out.  ``credits``/``overflow`` override the
+        credit flow control forces a slow-consumer resync; a
+        :class:`~repro.store.follow.Follower` then re-watches and runs
+        the caller's catch-up.  ``credits``/``overflow`` override the
         handle's flow-control defaults for this stream.
         """
         self._check("watch")
 
-        def transform(event):
+        def wrapped(event):
             view = self._mask({"data": event.object})
-            return WatchEvent(
+            handler(WatchEvent(
                 type=event.type,
                 key=event.key[len(self.hosted.key_prefix) :],
                 object=view["data"],
                 revision=event.revision,
                 ctx=event.ctx,
                 committed_at=event.committed_at,
-            )
-
-        wrapped = None
-        if handler is not None:
-            def wrapped(event):
-                handler(transform(event))
-
-        wrapped_batch = None
-        if batch_handler is not None:
-            def wrapped_batch(events):
-                batch_handler([transform(e) for e in events])
+            ))
 
         return self.client.watch(
             wrapped, key_prefix=self.hosted.key_prefix + prefix,
-            on_close=on_close, batch_handler=wrapped_batch,
-            credits=credits, overflow=overflow,
+            on_close=on_close, credits=credits, overflow=overflow,
         )
 
     def read_field(self, key, path, default=None):

@@ -54,12 +54,13 @@ class CircuitBreaker:
     circuit, failure re-opens it for another full window.
     """
 
-    def __init__(self, env, failure_threshold=5, reset_timeout=0.25,
-                 half_open_max=1, name=""):
+    #: Probe calls let through while half-open.
+    half_open_max = 1
+
+    def __init__(self, env, failure_threshold=5, reset_timeout=0.25, name=""):
         self.env = env
         self.failure_threshold = int(failure_threshold)
         self.reset_timeout = float(reset_timeout)
-        self.half_open_max = int(half_open_max)
         self.name = name
         self.state = "closed"
         self.failures = 0
@@ -118,7 +119,7 @@ class RetryPolicy:
     ----------
     max_attempts:
         Total tries, including the first (1 = no retries).
-    base_backoff, multiplier, max_backoff:
+    base_backoff, max_backoff:
         Sleep before retry *n* is ``min(max_backoff,
         base_backoff * multiplier**(n-1))``, jittered.
     jitter:
@@ -138,12 +139,14 @@ class RetryPolicy:
         :func:`default_retryable`.
     """
 
-    def __init__(self, max_attempts=4, base_backoff=0.01, multiplier=2.0,
-                 max_backoff=0.5, jitter=0.25, attempt_timeout=None,
-                 deadline=None, budget=None, seed=0, retryable=None):
+    #: Growth of the sleep from one retry to the next, before the cap.
+    multiplier = 2.0
+
+    def __init__(self, max_attempts=4, base_backoff=0.01, max_backoff=0.5,
+                 jitter=0.25, attempt_timeout=None, deadline=None, budget=None,
+                 seed=0, retryable=None):
         self.max_attempts = int(max_attempts)
         self.base_backoff = float(base_backoff)
-        self.multiplier = float(multiplier)
         self.max_backoff = float(max_backoff)
         self.jitter = float(jitter)
         self.attempt_timeout = attempt_timeout

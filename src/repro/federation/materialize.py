@@ -9,8 +9,8 @@ the same principal would see it.
 Maintenance reuses the delta-watch resilience machinery end to end:
 
 - **Object sources** apply ADDED/MODIFIED/DELETED events guarded by
-  revision (stale deliveries racing a rebuild are dropped); a broken
-  stream (``on_close``) triggers re-watch plus a one-LIST rebuild.
+  revision (stale deliveries racing a rebuild are dropped); catching
+  up is a one-LIST rebuild.
 - **Log sources** keep the raw stamped records and a ``next_seq``
   cursor.  A batch whose ``first_seq`` jumps past the cursor is a
   detected gap (a dropped watch message): the view re-queries
@@ -18,25 +18,30 @@ Maintenance reuses the delta-watch resilience machinery end to end:
   hook and resumes from the exact sequence point, buffering deliveries
   that race the catch-up.
 
+Each source is held through a :class:`~repro.store.follow.Follower`: a
+broken stream is reopened, then caught up until the store answers.
+
 **Staleness estimate.**  Each applied event contributes an apply-lag
 sample (``now - committed_at``, the same quantity the obs plane's
 ``watch_lag_seconds`` tracks).  :meth:`staleness` reports the worst
-recent sample across sources but never less than a configurable
-pipeline ``floor`` -- a materialized copy is never *perfectly* fresh,
+recent sample across sources but never less than a pipeline
+``floor`` -- a materialized copy is never *perfectly* fresh,
 even when every observed sample is zero -- and ``inf`` while any
 source is resyncing, which is what forces the planner back to
 federated reads until the view has provably caught up.
 """
 
 from collections import deque
+from functools import partial
 
 from repro.query.core import compile_ops
+from repro.store.follow import Follower
 
 
 class _SourceState:
     __slots__ = (
         "source", "kind", "handle", "table", "revisions", "rows", "cursor",
-        "resyncing", "pending", "lag", "watch", "applied", "resyncs",
+        "seeded", "pending", "lag", "follower", "applied", "resyncs",
     )
 
     def __init__(self, source, kind, handle):
@@ -47,77 +52,80 @@ class _SourceState:
         self.revisions = {}  # object: key -> last applied revision
         self.rows = []  # log: raw stamped records
         self.cursor = 0  # log: next _seq this copy expects
-        self.resyncing = True  # until the initial seed lands
-        self.pending = []  # log: deliveries racing a catch-up
+        self.seeded = False  # until the initial seed lands
+        self.pending = []  # deliveries racing a catch-up
         self.lag = deque()  # (observed_at, apply_lag_seconds)
-        self.watch = None
+        self.follower = None
         self.applied = 0
         self.resyncs = 0
+
+    @property
+    def resyncing(self):
+        """Not answerable from: never seeded, or catching up after a
+        stream break or a detected gap."""
+        return not self.seeded or self.follower.catching_up
 
 
 class MaterializedView:
     """The maintained local answer substrate for one composed view."""
 
-    def __init__(self, env, view, handles, kinds, *, registry=None,
-                 lag_window=1.0, floor=0.002):
+    #: Sliding window (seconds) of apply-lag samples considered live.
+    lag_window = 1.0
+    #: Staleness reported when the window is quiet: the typical
+    #: watch-pipeline latency an in-flight event would arrive with.
+    floor = 0.002
+
+    def __init__(self, env, view, handles, kinds, *, registry=None):
         self.env = env
         self.view = view
         self.registry = registry
-        #: Sliding window (seconds) of apply-lag samples considered live.
-        self.lag_window = lag_window
-        #: Staleness reported when the window is quiet: the typical
-        #: watch-pipeline latency an in-flight event would arrive with.
-        self.floor = floor
         self._sources = {
             src.alias: _SourceState(src, kinds[src.alias], handles[src.alias])
             for src in view.sources
         }
+        for state in self._sources.values():
+            state.follower = self._follow(state)
         self._started = False
+
+    def _follow(self, state):
+        deliver = (self._on_object_event if state.kind == "object"
+                   else self._on_log_batch)
+        return Follower(self.env,
+                        partial(state.handle.watch, partial(deliver, state)),
+                        partial(self._catch_up, state))
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self):
-        """Wire watches and seed every source; returns the seed process."""
+        """Open the streams and seed every source; returns the seed process."""
         if self._started:
             raise RuntimeError(f"view {self.view.name!r} already maintained")
         self._started = True
         for state in self._sources.values():
-            self._wire(state)
+            state.follower.start()
         return self.env.process(self._seed_all())
 
     def stop(self):
         for state in self._sources.values():
-            if state.watch is not None:
-                state.watch.cancel()
-                state.watch = None
+            state.follower.stop()
         self._started = False
 
-    def _wire(self, state):
-        if state.watch is not None:
-            state.watch.cancel()
-        if state.kind == "object":
-            state.watch = state.handle.watch(
-                lambda event, s=state: self._apply_object(s, event),
-                on_close=lambda s=state: self._on_watch_lost(s),
-            )
-        else:
-            state.watch = state.handle.watch(
-                lambda event, s=state: self._on_log_batch(s, event),
-                on_close=lambda s=state: self._on_watch_lost(s),
-            )
-
     def _seed_all(self):
+        """The sources' first catch-ups, one after another."""
         for state in self._sources.values():
-            yield self.env.process(self._resync(state, initial=True))
+            yield state.follower.resync()
 
     # -- object maintenance ------------------------------------------------
 
-    def _apply_object(self, state, event):
+    def _on_object_event(self, state, event):
         if state.resyncing:
             # A rebuild (one LIST) is in flight and will overwrite the
             # table wholesale; buffer and drain behind the revision guard.
             state.pending.append(event)
-            return
+        else:
+            self._apply_object(state, event)
+
+    def _apply_object(self, state, event):
         last = state.revisions.get(event.key)
         if last is not None and event.revision < last:
             return  # stale delivery racing a rebuild
@@ -139,7 +147,7 @@ class MaterializedView:
             # Gap: a watch message was dropped between cursor and this
             # batch.  Re-query from the cursor; the catch-up's watermark
             # covers this batch too, so it is not applied directly.
-            self._trigger_resync(state)
+            state.follower.resync()
             state.pending.append(event)
             return
         self._apply_log_records(state, payload["records"], event)
@@ -152,24 +160,9 @@ class MaterializedView:
         state.cursor = fresh[-1]["_seq"] + 1
         self._applied(state, event.committed_at, event.ctx, len(fresh))
 
-    # -- resync ------------------------------------------------------------
+    # -- catch-up (the seed, a stream break, a detected gap) ---------------
 
-    def _on_watch_lost(self, state):
-        if not self._started:
-            return
-        self._wire(state)
-        self._trigger_resync(state)
-
-    def _trigger_resync(self, state):
-        if state.resyncing:
-            return
-        self.env.process(self._resync(state))
-
-    def _resync(self, state, initial=False):
-        state.resyncing = True
-        if not initial:
-            state.resyncs += 1
-            self._count("view_resyncs_total", source=state.source.alias)
+    def _catch_up(self, state):
         if state.kind == "object":
             views = yield state.handle.list()
             table, revisions = {}, dict(state.revisions)
@@ -191,9 +184,12 @@ class MaterializedView:
             if fresh:
                 state.applied += len(fresh)
                 state.lag.append((synthetic_now, self.floor))
-        state.resyncing = False
+        if state.seeded:
+            state.resyncs += 1
+            self._count("view_resyncs_total", source=state.source.alias)
+        state.seeded = True
         # Drain deliveries that raced the catch-up (already-covered seqs
-        # fall out of the cursor guard).
+        # and revisions fall out of the cursor and revision guards).
         pending, state.pending = state.pending, []
         for event in pending:
             if state.kind == "log":

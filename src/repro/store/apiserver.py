@@ -101,13 +101,16 @@ class ApiServer(ObjectOpsMixin, StoreServer):
 
     OPS = dict(DEFAULT_OPS)
 
+    #: Full events kept for :meth:`replay`; a watcher further behind
+    #: than this re-lists instead.
+    HISTORY_LIMIT = 1024
+
     def __init__(
         self,
         env,
         network,
         location="apiserver",
         workers=1,
-        history_limit=1024,
         tracer=None,
         ops=None,
         watch_overhead=0.0012,
@@ -122,7 +125,6 @@ class ApiServer(ObjectOpsMixin, StoreServer):
             self.OPS = {**self.OPS, **ops}
         self._objects = {}
         self._history = []  # bounded list of FULL WatchEvents for replay
-        self._history_limit = history_limit
         self._wal = []  # unbounded durable commit log ("disk")
         self.wal_bytes = 0  # encoded size of what hit the "disk"
         self._pending_replays = []  # (watch, from_revision) queued while down
@@ -150,8 +152,8 @@ class ApiServer(ObjectOpsMixin, StoreServer):
         if event.object is None and event.delta is not None:
             raise AssertionError("commit events must carry the full object")
         self._history.append(event)
-        if len(self._history) > self._history_limit:
-            del self._history[: len(self._history) - self._history_limit]
+        if len(self._history) > self.HISTORY_LIMIT:
+            del self._history[: len(self._history) - self.HISTORY_LIMIT]
 
     def replay(self, watch, from_revision):
         """Deliver historical events (> from_revision) to a new watcher.
@@ -285,7 +287,7 @@ class ApiServer(ObjectOpsMixin, StoreServer):
                                committed_at=event.committed_at)
                 )
             self.revision = max(self.revision, event.revision)
-        self._history = full_events[-self._history_limit:]
+        self._history = full_events[-self.HISTORY_LIMIT:]
         self._flush_pending_replays()
 
     def _replay_txn_marker(self, marker):
@@ -315,9 +317,8 @@ class ApiServerClient(ObjectClient):
     """The Object client, plus watches that replay from a revision."""
 
     def watch(self, handler, key_prefix="", from_revision=None, on_close=None,
-              batch_handler=None, credits=None, overflow=None):
+              credits=None, overflow=None):
         watch = super().watch(handler, key_prefix, on_close=on_close,
-                              batch_handler=batch_handler,
                               credits=credits, overflow=overflow)
         if from_revision is not None:
             self.server.replay(watch, from_revision)

@@ -10,10 +10,10 @@ the read-through cache).  Backend modules subclass one or the other.
 
 import copy
 
-from repro.errors import StoreError
 from repro.faults.retry import RetryPolicy
 from repro.obs.context import current_context
 from repro.store.base import _Failure
+from repro.store.follow import Follower
 from repro.store.watch import DELETED, Watch
 
 
@@ -100,15 +100,13 @@ class StoreClient:
             raise result.exception
         return result
 
-    def watch(self, handler, key_prefix="", on_close=None, batch_handler=None,
+    def watch(self, handler, key_prefix="", on_close=None,
               credits=None, overflow=None):
         """Register ``handler(WatchEvent)`` for matching changes.
 
         Registration itself is immediate (steady-state watches are the
         common case; connection setup is not modelled).  ``on_close``
-        fires if the server drops the watch (failover).  A
-        ``batch_handler(list_of_events)`` consumes whole coalesced
-        deliveries in one call when the server batches fan-out.
+        fires if the server drops the watch (failover).
         ``credits``/``overflow`` opt the stream into credit-based flow
         control (see :class:`Watch`); unset, they fall back to the
         client's ``default_watch_credits``/``default_watch_overflow``
@@ -119,8 +117,7 @@ class StoreClient:
             credits = self.default_watch_credits
         if overflow is None:
             overflow = self.default_watch_overflow
-        watch = Watch(self, handler, key_prefix,
-                      on_close=on_close, batch_handler=batch_handler,
+        watch = Watch(self, handler, key_prefix, on_close=on_close,
                       credits=credits, overflow=overflow)
         self.server.register_watch(watch)
         return watch
@@ -135,7 +132,8 @@ class ObjectClient(StoreClient):
     - **read-through caching** (:meth:`enable_read_cache`): an informer-
       style watch mirrors the keyspace locally and ``get`` serves hits
       from that mirror with no network round trip (eventually consistent,
-      like reading a Kubernetes informer cache);
+      like reading a Kubernetes informer cache; :mod:`repro.store.follow`
+      keeps it across stream breaks);
     - **write coalescing** (``coalesce_writes = True``): while a patch
       for key K is on the wire, further patches for K merge into one
       pending follow-up request instead of queueing on the server.
@@ -151,7 +149,7 @@ class ObjectClient(StoreClient):
         self.patches_coalesced = 0
         # Read-through cache (opt-in via enable_read_cache()).
         self._read_cache = None
-        self._cache_watch = None
+        self._cache_follower = None
         self._cache_prefix = ""
         self.cache_hits = 0
         self.cache_misses = 0
@@ -270,57 +268,45 @@ class ObjectClient(StoreClient):
         initial ``list`` warms it.  Reads are eventually consistent --
         they may trail the server by the watch-delivery latency, exactly
         like reading a Kubernetes informer cache.  A miss (or a broken
-        watch, which drops the mirror cold) falls through to a normal
-        server read, so correctness never depends on the cache.
+        watch, which drops the mirror cold until the re-list lands)
+        falls through to a normal server read, so correctness never
+        depends on the cache.  Returns the stream.
         """
-        if self._read_cache is not None:
-            return self._cache_watch
-        self._read_cache = {}
-        self._cache_prefix = key_prefix
-        self._cache_watch = self.watch(
-            None,
-            key_prefix=key_prefix,
-            batch_handler=self._absorb_cache_events,
-            on_close=self._on_cache_watch_lost,
-        )
-        self.env.process(self._warm_cache(key_prefix))
-        return self._cache_watch
+        if self._cache_follower is None:
+            self._cache_prefix = key_prefix
+            self._cache_follower = Follower(
+                self.env, self._open_cache_stream, self._warm_cache)
+            self._cache_follower.start()
+            self._cache_follower.resync()
+        return self._cache_follower.stream
 
-    def _warm_cache(self, key_prefix):
-        try:
-            views = yield self.request("list", key_prefix=key_prefix)
-        except StoreError:
-            return  # stay cold; gets fall through to the server
+    def _open_cache_stream(self, on_close):
+        # A mirror is only as good as the stream feeding it: a new
+        # stream starts from a cold one.
+        self._read_cache = {}
+        return self.watch(self._absorb_cache_event,
+                          key_prefix=self._cache_prefix, on_close=on_close)
+
+    def _warm_cache(self):
+        views = yield self.request("list", key_prefix=self._cache_prefix)
         cache = self._read_cache
-        if cache is None:
-            return
         for view in views:
             current = cache.get(view["key"])
             if current is None or view["revision"] >= current["revision"]:
                 cache[view["key"]] = view
 
-    def _absorb_cache_events(self, events):
+    def _absorb_cache_event(self, event):
         cache = self._read_cache
-        if cache is None:
+        if event.type == DELETED:
+            cache.pop(event.key, None)
             return
-        for event in events:
-            if event.type == DELETED:
-                cache.pop(event.key, None)
-                continue
-            current = cache.get(event.key)
-            if current is not None and event.revision < current["revision"]:
-                continue
-            cache[event.key] = {
-                "key": event.key,
-                "data": event.object,
-                "revision": event.revision,
-                "created_at": current["created_at"] if current else None,
-                "updated_at": self.env.now,
-            }
-
-    def _on_cache_watch_lost(self):
-        """The mirror went stale-unknowable: drop it cold and rebuild."""
-        self._read_cache = None
-        self._cache_watch = None
-        prefix, self._cache_prefix = self._cache_prefix, ""
-        self.enable_read_cache(prefix)
+        current = cache.get(event.key)
+        if current is not None and event.revision < current["revision"]:
+            return
+        cache[event.key] = {
+            "key": event.key,
+            "data": event.object,
+            "revision": event.revision,
+            "created_at": current["created_at"] if current else None,
+            "updated_at": self.env.now,
+        }

@@ -1,0 +1,112 @@
+"""Following a store: open -> break -> reopen -> catch up, written once.
+
+Every consumer that "responds to state updates from the data store"
+(paper §3.2) -- reconcilers, Cast, Sync, Rollup, in-store functions,
+materialized views, the client read cache -- holds a watch stream, and
+any stream can break (failover, crash, partition, a credit-forced
+slow-consumer resync).  What happens then is the same for all of them
+and lives here; what "caught up" means stays with each consumer.
+"""
+
+from repro.errors import ConflictError, UnavailableError
+
+
+def _capped_exponential(attempt):
+    """5 ms doubling to a 1 s cap; no randomness, so no seeded stream of
+    draws anywhere is perturbed by a follower riding an outage."""
+    return min(1.0, 0.005 * (2 ** min(attempt, 8)))
+
+
+class Follower:
+    """One consumer's hold on one store stream, across breaks.
+
+    ``open_stream(on_close=...)`` is the consumer's own watch call, as a
+    rule ``partial(handle.watch, handler)``, and returns the stream
+    (anything with ``cancel()``): deliveries go straight to the
+    consumer's handler, the follower is never on the per-event path.
+    ``catch_up()`` is a generator that brings the consumer level with
+    the store's current state (re-list and mark dirty, query from the
+    cursor, rebuild the table ...).  When the stream breaks the follower
+
+    1. **reopens first** -- the new stream is registered before anything
+       is listed, so nothing committed after the list can be missed;
+    2. **then catches up**, until the store answers: transient failures
+       are ridden out, sleeping ``backoff(attempt)`` between attempts and
+       telling ``on_transient()`` of each (the Reconciler passes its
+       seeded jitter and its counter; everyone else takes the defaults);
+    3. **one catch-up at a time** -- a break that lands while one runs
+       makes it run exactly once more when it finishes.
+    """
+
+    def __init__(self, env, open_stream, catch_up, backoff=None,
+                 on_transient=None):
+        self.env = env
+        self._open_stream = open_stream
+        self._catch_up = catch_up
+        self._backoff = backoff or _capped_exponential
+        self._on_transient = on_transient
+        self.started = False
+        self.stream = None
+        self.breaks = 0  # stream breaks seen while started
+        self._process = None  # the catch-up loop, while one runs
+        self._again = False  # a request arrived while it ran
+
+    @property
+    def catching_up(self):
+        """True from a catch-up's request until the store has answered."""
+        return self._process is not None
+
+    def start(self):
+        if not self.started:
+            self.started = True
+            self.reopen()
+
+    def stop(self):
+        """Cancel the stream; a running catch-up ends at its next attempt,
+        and a break reported after this is ignored."""
+        self.started = False
+        if self.stream is not None:
+            self.stream.cancel()
+            self.stream = None
+
+    def reopen(self):
+        """Swap in a fresh stream, cancelling the old one; no catch-up."""
+        if self.stream is not None:
+            self.stream.cancel()
+        self.stream = self._open_stream(on_close=self._on_close)
+
+    def resync(self):
+        """Request one catch-up; returns the process running it.  One
+        requested while another runs is served by a single further run."""
+        if self._process is None:
+            self._process = self.env.process(self._run())
+        else:
+            self._again = True
+        return self._process
+
+    def _on_close(self):
+        if self.started:
+            self.breaks += 1
+            self.reopen()
+            self.resync()
+
+    def _run(self):
+        try:
+            while True:
+                self._again = False
+                # A store down for all of these is given up on until the
+                # next break or request.
+                for attempt in range(100):
+                    if not self.started:
+                        return
+                    try:
+                        yield from self._catch_up()
+                        break
+                    except (UnavailableError, ConflictError):
+                        if self._on_transient is not None:
+                            self._on_transient()
+                        yield self.env.timeout(self._backoff(attempt))
+                if not self._again:
+                    return
+        finally:
+            self._process = None

@@ -690,7 +690,7 @@ class ShardedStoreClient:
 
     # -- watches -------------------------------------------------------------
 
-    def watch(self, handler, key_prefix="", on_close=None, batch_handler=None,
+    def watch(self, handler, key_prefix="", on_close=None,
               credits=None, overflow=None):
         """Merged, interest-filtered stream across all shards.
 
@@ -703,7 +703,6 @@ class ShardedStoreClient:
         """
         spec = {
             "handler": handler, "key_prefix": key_prefix,
-            "batch_handler": batch_handler,
             "credits": credits, "overflow": overflow,
             "on_close": None,
         }

@@ -82,14 +82,15 @@ class Watch:
     are delivered over the server->client FIFO link, so a watcher sees
     changes in commit order.  When the server fails over, the watch is
     closed server-side and the client's ``on_close`` callback (if any)
-    fires -- watchers re-watch and resync, the way Kubernetes informers
-    re-list.
+    fires.  What follows -- reopen, then catch up, the way Kubernetes
+    informers re-list -- is not this stream's job: consumers hold theirs
+    through a :class:`~repro.store.follow.Follower`.
 
     A server with watch batching enabled delivers *lists* of events in
-    one network message; :meth:`deliver` unpacks them.  A watcher that
-    can consume whole batches in one go (reconcilers, Cast) registers
-    ``batch_handler``; otherwise ``handler`` is invoked once per event,
-    in order, so batching stays invisible to per-event consumers.
+    one network message; :meth:`deliver` unpacks them and invokes
+    ``handler`` once per event, in order, so batching is invisible to
+    consumers (a level-triggered one wakes its worker once regardless:
+    only the first kick of a delivery finds it waiting).
 
     Against a ``delta_watch`` server, :meth:`deliver` additionally
     **materializes** delta-encoded events: it keeps the last (revision,
@@ -99,7 +100,7 @@ class Watch:
     the event is buffered, one full-object ``get`` resyncs the key, and
     buffered deltas past the resync point are replayed.  If the resync
     itself cannot complete, the stream breaks (``on_close`` fires) and
-    the watcher does a classic full resync.
+    the watcher's follower does a classic full catch-up.
 
     **Credit-based flow control** (``credits`` set): the stream carries
     a credit window, HTTP/2 style.  The server spends one credit per
@@ -131,14 +132,13 @@ class Watch:
     )
 
     def __init__(self, client, handler, key_prefix="", on_close=None,
-                 batch_handler=None, credits=None, overflow=None):
+                 credits=None, overflow=None):
         self._client = client
         self._server = server = client.server
         self.location = client.location
         self.handler = handler
         self.key_prefix = key_prefix
         self.on_close = on_close
-        self.batch_handler = batch_handler
         self.active = True
         for name in self.COUNTERS:
             setattr(self, name, 0)
@@ -381,13 +381,8 @@ class Watch:
         link.send(self.grant, count)
 
     def _dispatch(self, events):
-        if not events:
-            return
-        if self.batch_handler is not None:
-            self.batch_handler(list(events))
-        elif self.handler is not None:
-            for event in events:
-                self.handler(event)
+        for event in events:
+            self.handler(event)
 
     # -- delta materialization (no-op for snapshot streams) -----------------
 
@@ -497,8 +492,8 @@ class Watch:
 
         The server cannot reach the client, so ``on_close`` fires from the
         client's *own* keepalive timer after ``detect_after`` seconds of
-        virtual time -- no network delivery involved.  Watchers then
-        re-watch and resync exactly as after a failover.
+        virtual time -- no network delivery involved.  To the watcher it
+        is the same break as a failover.
         """
         if not self.active:
             return

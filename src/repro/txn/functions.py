@@ -12,9 +12,12 @@ the triggering event (``name:key:revision``), so retries, DLQ replays,
 and crash-recovery re-deliveries of the same event are exactly-once.
 """
 
+from functools import partial
+
 from repro.errors import ConfigurationError, StoreError
 from repro.core.integrator import Integrator
-from repro.store.base import DELETED
+from repro.store.base import DELETED, MODIFIED, WatchEvent
+from repro.store.follow import Follower
 
 
 class TxnFunctionIntegrator(Integrator):
@@ -44,7 +47,11 @@ class TxnFunctionIntegrator(Integrator):
         self.fn = fn
         self.key_prefix = key_prefix
         self.cost = cost
-        self._watch = None
+        self._follower = Follower(
+            client.env,
+            partial(client.watch, self._on_event, key_prefix=key_prefix),
+            self._catch_up,
+        )
         self.invocations = 0
         self.commits = 0
         self.failures = []  # (key, exception) -- conflicts that stuck, etc.
@@ -64,15 +71,10 @@ class TxnFunctionIntegrator(Integrator):
                                               cost=self.cost)
 
     def _on_start(self):
-        self._watch = self.client.watch(
-            self._on_event, key_prefix=self.key_prefix,
-            on_close=self._on_watch_close,
-        )
+        self._follower.start()
 
     def _on_stop(self):
-        if self._watch is not None:
-            self._watch.cancel()
-            self._watch = None
+        self._follower.stop()
 
     def _apply_configuration(self, fn=None, cost=None):
         """Swap the pushed-down function at run time (no redeploys)."""
@@ -86,9 +88,13 @@ class TxnFunctionIntegrator(Integrator):
 
     # -- the reconcile drive -------------------------------------------------
 
-    def _on_watch_close(self):
-        if self.started:
-            self._on_start()  # re-watch: level-triggered, nothing is lost
+    def _catch_up(self):
+        """Present every key under the prefix as the event its current
+        revision raised (or would have, had the stream been up): one
+        already handled replays under the same idempotence key."""
+        for view in (yield self.client.list(self.key_prefix)):
+            self._on_event(WatchEvent(
+                MODIFIED, view["key"], view["data"], view["revision"]))
 
     def _on_event(self, event):
         if event.type == DELETED:

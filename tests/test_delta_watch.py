@@ -110,8 +110,8 @@ class TestBatchingComposition:
         server = MemKV(env, zero_net, watch_overhead=0.0,
                        delta_watch=True, watch_batch_window=0.01)
         client = MemKVClient(server, location="w")
-        batches = []
-        client.watch(None, batch_handler=batches.append)
+        events = []
+        client.watch(events.append)
         call(client.create("k", {"v": 0}))
         env.run()
         for i in range(1, 4):
@@ -119,8 +119,9 @@ class TestBatchingComposition:
         env.run()
         assert server.watch_messages_sent == 2  # create + one batch
         assert server.watch_deltas_sent == 3
-        # The batch handler received materialized full objects in order.
-        assert [e.object["v"] for e in batches[-1]] == [1, 2, 3]
+        # The handler saw the batch's events as materialized full
+        # objects, one call each, in commit order.
+        assert [e.object["v"] for e in events[1:]] == [1, 2, 3]
 
 
 class TestGapResync:
