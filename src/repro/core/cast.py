@@ -2,8 +2,11 @@
 
 Cast watches every store its DXG involves; when any object changes it runs
 the data exchange for that object's correlation id (fixpoint evaluation,
-see :mod:`repro.core.dxg.executor`).  Reconfiguration swaps the DXG in
-place -- running services are untouched.
+see :mod:`repro.core.dxg.executor`).  It is level-triggered on *news*: a
+watch event carrying state the executor already holds -- the echo of a
+read or write Cast itself just made, a rewrite to the same value -- is
+counted (``events_ignored``) and starts nothing.  Reconfiguration swaps
+the DXG in place -- running services are untouched.
 
 Push-down (paper §3.3 / Table 2's ``K-redis-udf``): with a UDF-capable
 backend, Cast registers the whole exchange as a server-side function and
@@ -83,12 +86,19 @@ class Cast(Integrator):
         self._workers = []
         self._in_flight = set()
         self._seen_cids = set()
+        # cids whose last exchange was abandoned (denied, diverged,
+        # dead-lettered): what it read and wrote is cached but covered by
+        # no finished computation, so their next event is news whatever
+        # state it carries.  Kept by ``_work_loop`` alone, beside
+        # ``_in_flight``, save for a retry dropped with its worker.
+        self._owed = set()
         self._udf_name = None
         self._udf_client = None
         self._exchange_failures = {}  # cid -> consecutive transient failures
         self._rng = random.Random(zlib.crc32(name.encode()))
         self.dead_letters = DeadLetterQueue(name=name)
         self.exchanges_run = 0
+        self.events_ignored = 0  # watch events that carried no news
         self.denied = 0
         self.errors = 0
         self.unavailable_count = 0
@@ -269,9 +279,12 @@ class Cast(Integrator):
             "cast", "event", integrator=self.name, alias=alias,
             kind=kind, cid=cid, type=event.type,
         )
-        self.executor.update_cache(
+        news = self.executor.observe(
             alias, kind, cid, None if event.type == "DELETED" else event.object
         )
+        if not news and cid not in self._owed:
+            self.events_ignored += 1
+            return
         if self.executor.is_global(alias):
             # A lookup object changed: every known exchange group may
             # derive different values now.  Sorted: deterministic.
@@ -283,7 +296,7 @@ class Cast(Integrator):
             # The commit that triggered this exchange is its causal
             # parent (lookup-object fan-outs keep no per-cid parent:
             # one global change is not "the" cause of N exchanges).
-            self._cid_ctx[cid] = getattr(event, "ctx", None)
+            self._cid_ctx[cid] = event.ctx
         self._kick()
 
     def _kick(self):
@@ -303,10 +316,16 @@ class Cast(Integrator):
                 yield wakeup
                 continue
             self._in_flight.add(cid)
+            self._owed.discard(cid)  # this is the exchange it was owed
+            settled = False
             try:
-                yield env.process(self._process(env, cid))
+                settled = yield env.process(self._process(env, cid))
             finally:
                 self._in_flight.discard(cid)
+                if not settled:
+                    # Every exit of ``_process`` that neither finished
+                    # nor scheduled a retry, listed there or not.
+                    self._owed.add(cid)
                 self._kick()  # a worker may be waiting on this cid
 
     def _next_cid(self):
@@ -323,6 +342,8 @@ class Cast(Integrator):
         return None
 
     def _process(self, env, cid):
+        """One exchange for ``cid``; True when it finished or a retry is
+        scheduled, anything else leaves the cid owed one."""
         tracer = self.runtime.tracer
         tracer.record("cast", "begin", integrator=self.name, cid=cid)
         parent = self._cid_ctx.pop(cid, None)
@@ -350,7 +371,8 @@ class Cast(Integrator):
         except AccessDeniedError as exc:
             # A run-time access policy (e.g. sleep hours) vetoed this
             # exchange.  That is policy working, not a crash: count it and
-            # move on; a later event will retry the cid.
+            # move on; a later event will retry the cid (any event: the
+            # cid is owed an exchange, see ``_ingest``).
             self.denied += 1
             tracer.record(
                 "cast", "denied", integrator=self.name, cid=cid,
@@ -368,8 +390,7 @@ class Cast(Integrator):
             if octx is not None:
                 octx.sink.end_span(octx, outcome=type(exc).__name__)
                 self._cid_ctx.setdefault(cid, parent)  # retried: re-parent
-            self._retry_later(env, cid, exc)
-            return
+            return self._retry_later(env, cid, exc)
         except DXGError as exc:
             # Value-level divergence (non-quiescence) on this cid: record
             # it and keep the integrator alive for other exchanges.
@@ -386,8 +407,11 @@ class Cast(Integrator):
         tracer.record("cast", "end", integrator=self.name, cid=cid)
         if octx is not None:
             octx.sink.end_span(octx, outcome="ok")
+        return True
 
     def _retry_later(self, env, cid, exc):
+        """Requeue ``cid`` after a backoff; False once it is given up
+        on (dead-lettered: its next event re-queues it)."""
         count = self._exchange_failures.get(cid, 0) + 1
         if count > self.max_exchange_attempts:
             self._exchange_failures.pop(cid, None)
@@ -398,7 +422,7 @@ class Cast(Integrator):
                 "cast", "dead-letter", integrator=self.name, cid=cid,
                 reason=str(exc),
             )
-            return
+            return False
         self._exchange_failures[cid] = count
         delay = (
             min(0.5, self.requeue_backoff * (2 ** (count - 1)))
@@ -410,9 +434,11 @@ class Cast(Integrator):
             "cast", "retry-later", integrator=self.name, cid=cid,
             attempt=count, delay=delay,
         )
+        return True
 
     def _requeue_cid(self, cid):
         if not self.started:
+            self._owed.add(cid)  # the retry is dropped with the worker
             return
         self._queue[cid] = True
         self._kick()
@@ -447,6 +473,7 @@ class Cast(Integrator):
         base = super().stats()
         base.update(
             exchanges_run=self.exchanges_run,
+            events_ignored=self.events_ignored,
             queue_depth=len(self._queue),
             dead_letters=len(self.dead_letters),
             dead_letter_keys=self.dead_letters.keys(),
@@ -460,6 +487,7 @@ class Cast(Integrator):
         base.update(
             {
                 "exchanges_run": self.exchanges_run,
+                "events_ignored": self.events_ignored,
                 "dead_letters": len(self.dead_letters),
                 "unavailable": self.unavailable_count,
                 "pushdown": self.pushdown,

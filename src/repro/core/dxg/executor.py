@@ -2,14 +2,31 @@
 
 The executor maintains one *exchange group* per correlation id (the object
 name that ties an order to its shipment and payment).  ``exchange(cid)``
-evaluates the plan's write steps repeatedly until no write happens -- the
-fixpoint at which all derivable state has propagated.
+reads every involved object **once**, then evaluates the plan's write
+steps over that one map repeatedly until no write happens -- the fixpoint
+at which all derivable state has propagated.  Each write's reply is
+folded into the map, so a confirming pass costs no read; a foreign write
+landing mid-exchange is not looked for: it arrives as a watch event and
+gets an exchange of its own (level-triggered, paper §3.2).
+
+The cache doubles as the integrator's memory of what its exchanges have
+covered.  :meth:`DXGExecutor.observe` compares a watch event's object *by
+value* with the slot's cached state: equal means the event is the echo of
+a read or write some exchange already made (or a foreign rewrite to the
+same value -- expressions are pure, so there is nothing to exchange) and
+starts no exchange; anything else is news.  That is sound while every
+cached state is covered by a finished or queued exchange; the integrator
+keeps it so by treating the next event of an abandoned exchange's
+correlation id as news whatever it carries (``Cast._owed``), and a
+lookup object's slot -- one for all correlation ids -- is moved by its
+watch events only, never by one correlation id's gather.
 
 Guarantees (tested as invariants):
 
 - **quiescence**: a spec that passes static cycle analysis reaches
   fixpoint; re-running ``exchange`` on unchanged sources performs zero
-  writes (idempotence);
+  writes (idempotence), and an event carrying unchanged state performs
+  zero reads and zero evaluations, because it starts nothing;
 - **not-ready tolerance**: assignments whose sources are missing are
   skipped and picked up on a later event (e.g. ``trackingID`` waits for
   the Shipping reconciler to produce ``id``);
@@ -18,8 +35,9 @@ Guarantees (tested as invariants):
   under merge-patch semantics).
 
 Two read modes: ``refresh_reads=True`` re-GETs every involved object per
-exchange (the paper's data movement; what Table 2 measures); False serves
-reads from the watch-fed informer cache (an optimization knob).
+exchange -- once, not once per pass (the paper's data movement; what
+Table 2 measures); False serves that one gather from the watch-fed
+informer cache (an optimization knob).
 
 Push-down: :meth:`DXGExecutor.as_udf` packages the same evaluation as a
 server-side function for UDF-capable backends; the Cast integrator then
@@ -48,7 +66,9 @@ class ExecutorOptions:
     """Tunables for the ablation benchmarks."""
 
     consolidate: bool = True  # one patch per target object per pass
-    refresh_reads: bool = True  # GET sources per exchange vs informer cache
+    # GET every involved object once per exchange (never per pass), or
+    # serve that one gather from the watch-fed informer cache.
+    refresh_reads: bool = True
     trust_cache_for_missing: bool = False  # skip GETs of never-seen objects
     transactional: bool = False  # commit each pass as ONE atomic txn
     max_passes: int = 8
@@ -170,6 +190,22 @@ class DXGExecutor:
             # (computation path-copies the target, see ``_compute_step``).
             self.cache[slot] = retain(data)
 
+    def observe(self, alias, kind, cid, data):
+        """Take in a watch event's object (None: deleted); is it news?
+
+        An event whose object equals, by value, what the slot already
+        holds is the echo of a read or write an exchange has made and
+        changes nothing.  Values, not revisions: a shard's revisions do
+        not survive a reshard move, and a rewrite to the same value has
+        nothing to exchange.  Deletions and never-seen slots are always
+        news.  The cache is updated only on news.
+        """
+        slot = self._slot(alias, kind, cid)
+        if data is not None and self.cache.get(slot) == data:
+            return False
+        self.update_cache(alias, kind, cid, data)
+        return True
+
     # -- evaluation core (pure; shared by remote and push-down paths) ----------
 
     def _bind(self, objects, cid):
@@ -264,9 +300,9 @@ class DXGExecutor:
             return bind_generator(gen, ctx) if ctx is not None else gen
 
         stats = ExchangeStats()
+        objects = yield self.env.process(bound(self._gather(cid, stats)))
         for _pass in range(self.options.max_passes):
             stats.passes += 1
-            objects = yield self.env.process(bound(self._gather(cid, stats)))
             wrote = yield self.env.process(
                 bound(self._run_steps(cid, objects, stats))
             )
@@ -302,12 +338,21 @@ class DXGExecutor:
                 started = self.env.now
                 try:
                     view = yield handle.get(self._read_key(alias, kind, cid))
-                    stats.reads += 1
-                    objects[(alias, kind)] = view["data"]
-                    self.cache[slot] = retain(view["data"])
+                    data = view["data"]
                 except NotFoundError:
-                    stats.reads += 1
-                    objects[(alias, kind)] = None
+                    data = None
+                stats.reads += 1
+                objects[(alias, kind)] = data
+                # A lookup object's one slot is shared by every cid and
+                # this gather covers only its own: that slot moves on
+                # the object's watch event alone, so a read that
+                # overtakes the event leaves it news (it fans out to
+                # every known cid, see ``Cast._ingest``).
+                if not self.is_global(alias):
+                    if data is None:
+                        self.cache.pop(slot, None)
+                    else:
+                        self.cache[slot] = retain(data)
                 if self.tracer is not None:
                     self.tracer.record(
                         "exchange", "read.done", alias=alias, cid=cid,
@@ -429,16 +474,16 @@ class DXGExecutor:
 
         def dxg_udf(ctx, cid):
             stats = {"passes": 0, "writes": 0, "reads": 0}
+            objects = {}
+            for alias, kind in self._involved:
+                key = prefixes[alias] + self._read_key(alias, kind, cid)
+                try:
+                    objects[(alias, kind)] = ctx.get(key)["data"]
+                except NotFoundError:
+                    objects[(alias, kind)] = None
+                stats["reads"] += 1
             for _pass in range(self.options.max_passes):
                 stats["passes"] += 1
-                objects = {}
-                for alias, kind in self._involved:
-                    key = prefixes[alias] + self._read_key(alias, kind, cid)
-                    try:
-                        objects[(alias, kind)] = ctx.get(key)["data"]
-                    except NotFoundError:
-                        objects[(alias, kind)] = None
-                    stats["reads"] += 1
                 wrote = False
                 for step in self.plan.steps:
                     current = objects.get((step.alias, step.kind))

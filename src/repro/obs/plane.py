@@ -29,6 +29,7 @@ _RECONCILER = {
 }
 _INTEGRATOR = {
     "exchanges_run": (COUNTER, "exchanges_total"),
+    "events_ignored": (COUNTER, "integrator_events_ignored_total"),
     "queue_depth": (GAUGE, "integrator_queue_depth"),
 }
 _DEAD_LETTERS = {"dead_letters": (GAUGE, "dead_letters")}
