@@ -49,14 +49,14 @@ class RetailGateway:
     def healthz(self, request):
         return {
             "status": "ok",
-            "backend": getattr(self.app.env, "backend", "sim"),
+            "backend": self.app.env.backend,
             "knactors": len(self.app.runtime.knactors),
         }
 
     def create_order(self, request):
-        body = dict(request.body or {})
-        if not body:
-            raise HTTPError(400, "order body required")
+        if not request.body or not isinstance(request.body, dict):
+            raise HTTPError(400, "order body required (a JSON object)")
+        body = dict(request.body)
         # The DXG binds objects by the key's kind/cid structure, so an
         # order the Cast should fulfil must live under the "order" kind.
         key = body.pop("key", None)

@@ -10,12 +10,12 @@ on an asyncio event loop:
 - before firing an event whose deadline lies ahead of the wall clock, the
   kernel ``asyncio.sleep``s until it is due (scaled by ``factor``: real
   seconds per schedule second);
-- events that are already due fire back-to-back, as fast as the hardware
-  allows (the kernel never waits to "catch up" -- falling behind the
-  schedule is not an error unless ``strict=True``);
-- while the kernel sleeps or yields, other asyncio tasks on the same loop
-  run -- which is how real TCP listeners (:meth:`repro.rest.RestServer
-  .serve`) inject work into a live kernel.
+- events that are already due fire back-to-back in one *burst*, with no
+  loop turn between them (the kernel never waits to "catch up" -- falling
+  behind the schedule is not an error unless ``strict=True``);
+- between bursts the kernel sleeps or yields and other asyncio tasks on
+  the same loop run -- which is how real TCP listeners (:meth:`repro.rest
+  .RestServer.serve`) inject work into a live kernel.
 
 Because the heap discipline is byte-for-byte the sim's, a realtime run of
 an identically-configured app pops events in exactly the same order and
@@ -30,6 +30,8 @@ import asyncio
 import time
 
 from repro.simnet.events import NORMAL, Environment, Event, SimulationError
+
+_INF = float("inf")
 
 
 class RealtimeDriftError(SimulationError):
@@ -51,14 +53,17 @@ class RealtimeEnvironment(Environment):
     The environment owns a private asyncio loop.  ``run()`` drives it
     from synchronous code exactly like the sim (``run()``,
     ``run(until=seconds)``, ``run(until=event)``); coroutines started on
-    :attr:`loop` (e.g. socket listeners) execute whenever the kernel
-    sleeps or yields.
+    :attr:`loop` (e.g. socket listeners) execute when the kernel sleeps or
+    yields: between *bursts* (``turns`` counts them), not events -- a burst
+    fires every event already due, up to a :meth:`future_of` hand-off or,
+    while an external source is registered, ``tolerance`` real seconds.
     """
 
     backend = "realtime"
 
     #: Deadlines closer than this (in real seconds) fire without sleeping;
-    #: OS timers below ~1 ms are noise anyway.
+    #: OS timers below ~1 ms are noise anyway.  Also a burst's time slice:
+    #: the longest a registered source's sockets wait behind a busy kernel.
     tolerance = 0.001
 
     def __init__(self, initial_time=0.0, factor=1.0, strict=False,
@@ -75,7 +80,9 @@ class RealtimeEnvironment(Environment):
         self._wall_anchor = time.monotonic()
         self._wall_created = self._wall_anchor
         self._anchor_now = self._now
+        self._parked = self._handoff = False
         self.max_lateness = 0.0
+        self.turns = 0
 
     # -- wall clock --------------------------------------------------------
 
@@ -103,7 +110,7 @@ class RealtimeEnvironment(Environment):
         kernel re-examines its heap whenever new work arrives.
         """
         super().schedule(event, delay, priority)
-        if not self._wake.is_set():
+        if self._parked:
             self._wake.set()
 
     # -- external sources --------------------------------------------------
@@ -119,8 +126,7 @@ class RealtimeEnvironment(Environment):
 
     def unregister_external_source(self, name):
         self._external_sources.discard(name)
-        if not self._wake.is_set():
-            self._wake.set()  # let an idle run() re-check for termination
+        self._wake.set()  # let an idle run() re-check for termination
 
     # -- asyncio bridging --------------------------------------------------
 
@@ -130,7 +136,8 @@ class RealtimeEnvironment(Environment):
         The bridge from kernel space to coroutine space: socket handlers
         ``await env.future_of(server.dispatch(request))``.  A failing
         event is defused (the exception surfaces on the future, not out
-        of the kernel loop).
+        of the kernel loop).  Resolving is a hand-off: it ends the burst,
+        so the awaiting coroutine resumes before any further event fires.
         """
 
         future = self._loop.create_future()
@@ -138,6 +145,7 @@ class RealtimeEnvironment(Environment):
         def resolve(evt):
             if future.cancelled():
                 return
+            self._handoff = True
             if evt.ok:
                 future.set_result(evt.value)
             else:
@@ -202,17 +210,19 @@ class RealtimeEnvironment(Environment):
         wakeup.
         """
         self._wake.clear()
+        self._parked = True
         try:
             await asyncio.wait_for(self._wake.wait(), timeout)
         except asyncio.TimeoutError:
             pass
+        self._parked = False
 
     def _wall_deadline(self, when):
         """Real-clock instant at which the event at ``when`` is due."""
         return self._wall_anchor + (when - self._anchor_now) * self.factor
 
     async def _arun(self, until):
-        stop, fired = None, []
+        stop, fired, horizon = None, [], _INF
         if isinstance(until, Event):
             stop = until
             if stop.processed:
@@ -220,47 +230,61 @@ class RealtimeEnvironment(Environment):
                     return stop.value
                 raise stop.value
             stop.callbacks.append(fired.append)
-            horizon = float("inf")
-        elif until is None:
-            horizon = float("inf")
-        else:
+        elif until is not None:
             horizon = float(until)
             if horizon < self._now:
                 raise SimulationError(
                     f"cannot run until {horizon}: clock already at {self._now}"
                 )
 
+        while (wait := self._burst(fired, horizon)) is not None:
+            self.turns += 1
+            if wait:
+                await self._idle_wait(None if wait == _INF else wait)
+            else:
+                await asyncio.sleep(0)
+
+        if horizon != _INF:
+            self._now = horizon
+        if stop is not None:
+            if not fired:
+                raise SimulationError(
+                    "event queue empty before target event fired")
+            if stop.ok:
+                return stop.value
+            stop._defused = True
+            raise stop.value
+        return None
+
+    def _burst(self, fired, horizon):
+        """Fire every event already due; return what to await before more.
+
+        ``None``: the run is over; ``0``: one loop turn (a hand-off, or the
+        slice spent with a source registered); else the real seconds to idle
+        unless woken (``inf``: until woken).
+        """
+        queue, sources = self._queue, self._external_sources
+        self._handoff = False
+        slice_end = time.monotonic() + self.tolerance
         while not fired:
-            when = self.peek()
-            if when == float("inf"):
+            when = queue[0][0] if queue else _INF
+            if when == _INF == horizon:
                 # Empty queue: finished, unless a live external source
                 # (a listening socket) may still inject work.
-                if stop is not None and not self._external_sources:
-                    raise SimulationError(
-                        "event queue empty before target event fired"
-                    )
-                if horizon == float("inf"):
-                    if self._external_sources:
-                        await self._idle_wait()
-                        continue
-                    break
+                return _INF if sources else None
             # Nothing (left) to fire before the finite horizon: this is
             # a *realtime* kernel, so the horizon itself is paced -- idle
             # until its wall deadline (waking early if a socket injects
             # work), then jump the schedule clock.
             if when > horizon:
                 remaining = self._wall_deadline(horizon) - time.monotonic()
-                if remaining > self.tolerance:
-                    await self._idle_wait(remaining)
-                    continue
-                break
+                return remaining if remaining > self.tolerance else None
             # Unpaced (factor 0) there is no wall schedule to be early or
             # late against: events fire back to back and lateness stays 0.
             if self.factor:
                 delay = self._wall_deadline(when) - time.monotonic()
                 if delay > self.tolerance:
-                    await self._idle_wait(delay)
-                    continue  # re-examine: an earlier event may have landed
+                    return delay  # idle, then re-examine the heap
                 lateness = -delay
                 if lateness > self.max_lateness:
                     self.max_lateness = lateness
@@ -270,18 +294,8 @@ class RealtimeEnvironment(Environment):
                         f"late (max_drift={self.max_drift})"
                     )
             self.step()
-            if self._external_sources:
-                # Give socket tasks a turn between events; without live
-                # sources there is nothing to starve.
-                await asyncio.sleep(0)
-
-        if horizon != float("inf"):
-            self._now = horizon
-        if stop is not None:
-            if stop.ok:
-                return stop.value
-            stop._defused = True
-            raise stop.value
+            if self._handoff or (sources and time.monotonic() >= slice_end):
+                return 0
         return None
 
     def __repr__(self):

@@ -19,7 +19,7 @@ import json
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.errors import ConfigurationError
-from repro.rest.server import Request
+from repro.rest.server import Request, Response
 
 #: Hard cap on header block + body we are willing to buffer.
 MAX_HEADER_BYTES = 64 * 1024
@@ -40,8 +40,7 @@ class HttpListener:
     """
 
     def __init__(self, env, server, host="127.0.0.1", port=0):
-        loop = getattr(env, "loop", None)
-        if getattr(env, "backend", "sim") != "realtime" or loop is None:
+        if env.backend != "realtime":
             raise ConfigurationError(
                 "a real TCP listener needs the realtime backend "
                 "(RealtimeEnvironment); the sim exchanges requests "
@@ -133,23 +132,24 @@ class HttpListener:
             self._connections.discard(task)
 
     async def _serve_requests(self, reader, writer):
-        while True:
+        keep_alive = True
+        while keep_alive:
             request = await self._read_request(reader)
             if request is None:
                 return
             if isinstance(request, int):  # parse-level error status
-                await self._write_response(
-                    writer, request, {"error": _REASONS[request]},
-                    keep_alive=False,
-                )
-                return
-            bound, keep_alive = request
-            response = await self.env.future_of(self.server.dispatch(bound))
-            await self._write_response(
-                writer, response.status, response.body, keep_alive
-            )
-            if not keep_alive:
-                return
+                response = Response(request, {"error": _REASONS[request]})
+                keep_alive = False
+            else:
+                bound, keep_alive = request
+                try:
+                    response = await self.env.future_of(
+                        self.server.dispatch(bound))
+                except Exception as exc:
+                    # A handler bug: answer 500 and hang up, not die mute.
+                    response = Response(500, {"error": repr(exc)})
+                    keep_alive = False
+            await self._write_response(writer, response, keep_alive)
 
     async def _read_request(self, reader):
         """One request off the wire -> (Request, keep_alive) | status | None."""
@@ -176,18 +176,18 @@ class HttpListener:
             headers[name.strip().lower()] = value.strip()
         try:
             length = int(headers.get("content-length", "0"))
+            parts = urlsplit(target)
         except ValueError:
             return 400
-        if length > MAX_BODY_BYTES:
-            return 413
+        if not 0 <= length <= MAX_BODY_BYTES:
+            return 400 if length < 0 else 413
         body = None
         if length:
             raw = await reader.readexactly(length)
             try:
                 body = json.loads(raw)
-            except ValueError:
+            except (ValueError, RecursionError):  # malformed, or nested too deep
                 return 400
-        parts = urlsplit(target)
         keep_alive = headers.get("connection", "").lower() != "close"
         return Request(
             method=method.upper(),
@@ -196,7 +196,8 @@ class HttpListener:
             body=body,
         ), keep_alive
 
-    async def _write_response(self, writer, status, body, keep_alive):
+    async def _write_response(self, writer, response, keep_alive):
+        status, body = response.status, response.body
         payload = json.dumps(body if body is not None else {}).encode()
         reason = _REASONS.get(status, "Unknown")
         connection = "keep-alive" if keep_alive else "close"

@@ -8,6 +8,7 @@ external sources, and the asyncio bridge.
 """
 
 import time
+from itertools import count
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.realtime import (
     SimulationError,
     Store,
 )
+from tests.test_simnet_order import SeamRealtimeEnvironment
 
 #: Real seconds per schedule second for paced tests: fast, but long
 #: enough that ordering cannot be won by accident.
@@ -283,6 +285,102 @@ class TestExternalSources:
         env.close()
         with pytest.raises(SimulationError, match="closed"):
             env.run()
+
+
+def _spin(env, rounds=None):
+    """Reschedule with zero delay: every event is due the moment it lands."""
+    for _ in count() if rounds is None else range(rounds):
+        yield env.timeout(0)
+
+
+class TestBursts:
+    """The kernel fires every event already due in one loop turn and
+    awaits only between bursts; these pin what ends a burst."""
+
+    def test_a_busy_kernel_still_turns_the_loop(self):
+        env = RealtimeEnvironment(factor=0.0)
+        env.register_external_source("test-socket")
+        env.process(_spin(env))  # never idle, never done
+        stop, hops, started = env.event(), [], time.monotonic()
+
+        def hop():  # each hop needs the kernel to yield once more
+            hops.append(time.monotonic() - started)
+            if len(hops) < 5:
+                env.loop.call_soon(hop)
+            else:
+                stop.succeed()
+
+        env.loop.call_soon(hop)
+        env.run(until=stop)
+        assert hops[-1] < 0.05, "a registered source waits <= tolerance per turn"
+        assert env.turns >= 4
+        env.close()
+
+    @pytest.mark.parametrize("listening", [True, False])
+    def test_a_resolved_future_resumes_before_the_next_event(self, listening):
+        env = SeamRealtimeEnvironment(factor=0.0)  # logs what ``step`` pops
+        if listening:
+            env.register_external_source("test-socket")
+        env.process(_spin(env, rounds=1000))  # would fill the slice
+        bridged, seen = env.timeout(0, value="reply"), []
+        bridged.callbacks.append(lambda _evt: seen.append(len(env.stepped)))
+
+        async def connection():
+            seen.append((await env.future_of(bridged), len(env.stepped)))
+
+        task = env.loop.create_task(connection())
+        env.run(until=50.0)
+        assert task.done()
+        assert seen == [seen[0], ("reply", seen[0])]  # 0 events in between
+        assert len(env.stepped) > seen[0]  # and the kernel went on afterwards
+        env.close()
+
+    def test_idle_sockets_cost_a_turn_per_slice_not_per_event(self):
+        env = SeamRealtimeEnvironment(factor=0.0)
+        env.register_external_source("test-socket")
+        env.run(until=env.process(_spin(env, rounds=10_000)))
+        assert len(env.stepped) >= 10_000
+        assert env.turns / len(env.stepped) <= 0.1
+        env.close()
+
+    def test_a_burst_does_not_fire_paced_events_early(self):
+        env = RealtimeEnvironment(factor=1.0)
+        env.register_external_source("test-socket")
+        fired = []
+
+        def work():
+            yield from _spin(env, rounds=100)
+            started = time.monotonic()
+            yield env.timeout(0.05)
+            fired.append(time.monotonic() - started)
+
+        env.run(until=env.process(work()))
+        assert fired[0] >= 0.045
+        assert 0.0 <= env.max_lateness < 0.5
+        env.close()
+
+    def test_drift_is_still_judged_per_event_inside_a_burst(self):
+        env = RealtimeEnvironment(factor=0.05, strict=True, max_drift=0.02)
+        env.register_external_source("test-socket")
+
+        def stall():
+            yield from _spin(env, rounds=10)
+            time.sleep(0.08)  # the next event is due 5 ms from now
+            yield env.timeout(0.1)
+
+        env.process(stall())
+        with pytest.raises(RealtimeDriftError, match=r"fired 0\.\d+s late"):
+            env.run()
+        assert env.max_lateness > 0.02
+        env.close()
+
+    def test_run_until_event_stops_mid_burst(self):
+        env = RealtimeEnvironment(factor=0.0)  # t=1, 2, 3 are all due at once
+        first, target, later = (env.timeout(t, value=t) for t in (1, 2, 3))
+        assert env.run(until=target) == 2
+        assert env.now == 2.0
+        assert first.processed and not later.processed
+        env.close()
 
 
 def _failing(env):

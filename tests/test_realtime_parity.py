@@ -17,6 +17,7 @@ from repro.apps.socialnetwork.rpc_app import SocialNetworkRpcApp
 from repro.core.optimizer import K_REDIS
 from repro.realtime import RealtimeEnvironment
 from repro.simnet import Environment
+from tests.test_simnet_order import SeamEnvironment, SeamRealtimeEnvironment
 
 #: Real seconds per schedule second for realtime runs under test.
 FACTOR = 0.02
@@ -125,3 +126,29 @@ def test_socialnetwork_parity():
     assert sim_now == pytest.approx(rt_now)
     # The compose fan-out really traversed the call graph.
     assert len({service for service, _m in sim_calls}) >= 10
+
+
+# -- retail, with a listener attached ---------------------------------------
+
+
+def test_retail_parity_with_a_listener_attached(monkeypatch):
+    """A registered external source is the one configuration in which the
+    kernel yields loop turns mid-schedule (``knactor serve``, the
+    ``http_realtime`` workload); with no traffic it must still pop the
+    sim's events in the sim's order."""
+    # ``heap_log``: the kernel's full order key of every entry ``step`` pops.
+    envs = {"sim": SeamEnvironment(),
+            "realtime": SeamRealtimeEnvironment(factor=0.0)}
+    envs["realtime"].register_external_source("a listener, no traffic")
+    monkeypatch.setitem(globals(), "_env", envs.__getitem__)
+    sim_state, sim_events, sim_now = _run_retail("sim", True)
+    rt_state, rt_events, rt_now = _run_retail("realtime", True)
+    assert sim_state == rt_state  # revisions included
+    assert sim_events == rt_events
+    assert sim_now == rt_now
+    popped = envs["realtime"].heap_log
+    assert popped == envs["sim"].heap_log
+    assert len(popped) > 1000
+    # ...and it got there in bursts, not one loop turn per event.
+    assert envs["realtime"].turns < len(popped) / 10
+    envs["realtime"].close()

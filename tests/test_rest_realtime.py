@@ -7,6 +7,7 @@ kernel in the main thread until the client reports completion.
 
 import http.client
 import json
+import socket
 import threading
 from urllib.parse import quote
 
@@ -335,3 +336,67 @@ class TestStopUnwindsConnections:
             env.close()
         assert outcome["second"] != 200  # the server hung up on it
         assert self._problems(caplog) == []
+
+
+def _raw(port, payload):
+    """Send raw bytes; return all the server answers until it hangs up."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(payload)
+        answer = b""
+        while chunk := sock.recv(65536):
+            answer += chunk
+    return answer
+
+
+class TestHostileInput:
+    """What no well-behaved client sends must be *answered*: the
+    connection task used to die on it (asyncio logs ``Unhandled exception
+    in client_connected_cb``) and the socket closed with no response."""
+
+    @staticmethod
+    def _answers(caplog, env, listener, payloads):
+        answers = []
+        done = threading.Event()
+
+        def client():
+            try:
+                answers.extend(_raw(listener.port, p) for p in payloads)
+            finally:
+                done.set()
+
+        thread = threading.Thread(target=client)
+        thread.start()
+        with caplog.at_level("DEBUG", logger="asyncio"):
+            _drive(env, listener, done)
+            thread.join()
+            env.close()
+        assert TestStopUnwindsConnections._problems(caplog) == []
+        return [answer.split(b"\r\n\r\n")[0].decode() for answer in answers]
+
+    @pytest.mark.parametrize("payload, status", [
+        (b"POST /echo HTTP/1.1\r\nContent-Length: -5\r\n\r\n", "400 Bad Request"),
+        (b"GET http://[bad HTTP/1.1\r\n\r\n", "400 Bad Request"),
+        (b"POST /echo HTTP/1.1\r\nContent-Length: 100000\r\n\r\n" + b"[" * 100000,
+         "400 Bad Request"),
+        (b"GET /bug HTTP/1.1\r\n\r\n", "500 Internal Server Error"),
+    ], ids=["negative-length", "unsplittable-target", "bottomless-json",
+            "handler-bug"])
+    def test_listener_answers_and_closes(self, caplog, payload, status):
+        env = RealtimeEnvironment(factor=0.0)
+        server = RestServer(env, Network(env), "api")
+        server.route("POST", "/echo", lambda request: {"got": request.body})
+        server.route("GET", "/bug", lambda request: {}["not a ReproError"])
+        [head] = self._answers(caplog, env, server.serve(port=0), [payload])
+        assert head.startswith(f"HTTP/1.1 {status}\r\n")
+        assert "Connection: close" in head
+
+    def test_gateway_rejects_a_body_that_is_not_an_object(self, caplog):
+        app, gateway, listener = serve_retail(port=0, factor=0.0)
+        payloads = [
+            b"POST /orders HTTP/1.1\r\nConnection: close\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+            for body in (b"[1]", b'"x"')
+        ]
+        heads = self._answers(caplog, app.env, listener, payloads)
+        assert [head.split("\r\n")[0] for head in heads] == [
+            "HTTP/1.1 400 Bad Request"] * 2
