@@ -236,69 +236,68 @@ class Transaction:
         self.mode = mode
         self.idempotence_key = idempotence_key
         self._ops = []
+        self._handles = {}  # backend key -> the handle its view is read by
         self.committed = False
 
     def __len__(self):
         return len(self._ops)
 
-    def _admit(self, verb, store_name, payload_fields):
+    def _admit(self, verb, store_name, key, payload_fields=()):
         hosted = self.de.store(store_name)
         self.de.acl.check(
             self.principal, store_name, verb,
             now=self.de.env.now, fields=payload_fields,
         )
-        return hosted
+        key = f"{hosted.key_prefix}{key}"
+        self._handles[key] = ObjectStoreHandle(
+            self.de, hosted, self.principal, self.client)
+        return hosted, key
 
     @staticmethod
     def _paths(payload):
         return [".".join(str(p) for p in path) for path, _ in walk_leaves(payload)]
 
     def create(self, store_name, key, data):
-        hosted = self._admit("create", store_name, self._paths(data))
+        hosted, key = self._admit("create", store_name, key, self._paths(data))
         validate_state(data, hosted.schema).raise_if_invalid()
-        self._ops.append(
-            {"action": "create", "key": f"{hosted.key_prefix}{key}", "data": data}
-        )
+        self._ops.append({"action": "create", "key": key, "data": data})
         return self
 
     def update(self, store_name, key, data, resource_version=None):
-        hosted = self._admit("update", store_name, self._paths(data))
+        hosted, key = self._admit("update", store_name, key, self._paths(data))
         validate_state(data, hosted.schema).raise_if_invalid()
-        self._ops.append(
-            {"action": "update", "key": f"{hosted.key_prefix}{key}",
-             "data": data, "resource_version": resource_version}
-        )
+        self._ops.append({"action": "update", "key": key, "data": data,
+                          "resource_version": resource_version})
         return self
 
     def patch(self, store_name, key, patch, resource_version=None):
-        hosted = self._admit("patch", store_name, self._paths(patch))
+        hosted, key = self._admit("patch", store_name, key, self._paths(patch))
         validate_state(patch, hosted.schema, partial=True).raise_if_invalid()
-        self._ops.append(
-            {"action": "patch", "key": f"{hosted.key_prefix}{key}",
-             "patch": patch, "resource_version": resource_version}
-        )
+        self._ops.append({"action": "patch", "key": key, "patch": patch,
+                          "resource_version": resource_version})
         return self
 
     def delete(self, store_name, key):
-        hosted = self._admit("delete", store_name, ())
-        self._ops.append(
-            {"action": "delete", "key": f"{hosted.key_prefix}{key}"}
-        )
+        _hosted, key = self._admit("delete", store_name, key)
+        self._ops.append({"action": "delete", "key": key})
         return self
 
     def commit(self):
-        """Apply atomically; returns a process event with the views."""
+        """Apply atomically; returns a process event with the views, each
+        as a handle would reply to this principal (None for a delete)."""
         if self.committed:
             raise ConfigurationError("transaction already committed")
         if not self._ops:
             raise ConfigurationError("empty transaction")
         self.committed = True
-        if self.mode is not None:
+        if self.mode is None:
+            request = self.client.txn(self._ops)
+        else:
             # Cross-shard plane: only the sharded client understands
             # modes; surface a clear error on single-server backends
             # (where every batch is already atomic and mode is noise).
             try:
-                return self.client.txn(
+                request = self.client.txn(
                     self._ops, mode=self.mode,
                     idempotence_key=self.idempotence_key,
                 )
@@ -309,4 +308,12 @@ class Transaction:
                     f"{self.mode!r} (single-server txns are atomic "
                     "already)"
                 ) from None
-        return self.client.txn(self._ops)
+        return self.de.env.process(self._replies(request))
+
+    def _replies(self, request):
+        views = yield request
+        return [None if view is None else self._reply(view) for view in views]
+
+    def _reply(self, view):
+        handle = self._handles[view["key"]]
+        return handle._strip_prefix(handle._mask(view))

@@ -52,7 +52,8 @@ class RegisteredView:
 
     #: Simulated CPU per source row fed through the local join -- the
     #: same order of magnitude as the Sync integrator's local stage
-    #: cost, so a materialized serve is cheap but never free.
+    #: cost, so a materialized serve is cheap but never free.  Charged
+    #: per *maintained* row even for a keyed page that looks up its own.
     local_join_cost = 2e-6
 
     def __init__(self, env, view, home, handles, kinds, *, registry=None,
@@ -132,11 +133,12 @@ class RegisteredView:
                 # Only reachable when the caller forced the strategy:
                 # the automatic planner never serves beyond the bound.
                 self._count("view_freshness_violations_total")
-            tables = self.materialized.tables()
+            tables, fed = self.materialized.tables(query.keys)
         else:
             staleness = 0.0
             tables = yield self.env.process(self._scatter(query.keys))
-        cost = self.local_join_cost * sum(len(t) for t in tables.values())
+            fed = {alias: len(rows) for alias, rows in tables.items()}
+        cost = self.local_join_cost * sum(fed.values())
         if cost > 0:
             yield self.env.timeout(cost)
         rows = compose(self.view, tables, self.kinds, keys=query.keys)
@@ -155,7 +157,7 @@ class RegisteredView:
             strategy=chosen,
             staleness=staleness,
             sources={
-                alias: {"kind": self.kinds[alias], "rows": len(tables[alias])}
+                alias: {"kind": self.kinds[alias], "rows": fed[alias]}
                 for alias in tables
             },
         )

@@ -54,7 +54,7 @@ class _SourceState:
         self.cursor = 0  # log: next _seq this copy expects
         self.seeded = False  # until the initial seed lands
         self.pending = []  # deliveries racing a catch-up
-        self.lag = deque()  # (observed_at, apply_lag_seconds)
+        self.lag = deque()  # (observed_at, lag): times rise, lags fall
         self.follower = None
         self.applied = 0
         self.resyncs = 0
@@ -64,6 +64,25 @@ class _SourceState:
         """Not answerable from: never seeded, or catching up after a
         stream break or a detected gap."""
         return not self.seeded or self.follower.catching_up
+
+
+def _push_lag(samples, at, lag):
+    """Append a lag sample, dropping the older ones it is no less than."""
+    while samples and samples[-1][1] <= lag:
+        samples.pop()
+    samples.append((at, lag))
+
+
+def _lookup(table, keys):
+    """Copies of ``table``'s rows under ``keys``, each once."""
+    rows = {}
+    for key in keys:
+        try:
+            if key in table and key not in rows:
+                rows[key] = dict(table[key])
+        except TypeError:  # unhashable: the join raises too, or never asks
+            pass
+    return list(rows.values())
 
 
 class MaterializedView:
@@ -183,7 +202,7 @@ class MaterializedView:
             state.cursor = max(state.cursor, answer["watermark"])
             if fresh:
                 state.applied += len(fresh)
-                state.lag.append((synthetic_now, self.floor))
+                _push_lag(state.lag, synthetic_now, self.floor)
         if state.seeded:
             state.resyncs += 1
             self._count("view_resyncs_total", source=state.source.alias)
@@ -203,7 +222,7 @@ class MaterializedView:
         state.applied += count
         now = self.env.now
         if committed_at is not None:
-            state.lag.append((now, now - committed_at))
+            _push_lag(state.lag, now, now - committed_at)
             while state.lag and state.lag[0][0] < now - self.lag_window:
                 state.lag.popleft()
         self._count("view_apply_events_total", source=state.source.alias,
@@ -228,33 +247,46 @@ class MaterializedView:
     # -- read side ---------------------------------------------------------
 
     def staleness(self, now=None):
-        """Worst-case seconds this view's answer may lag the sources."""
+        """Worst-case seconds this view's answer may lag the sources: the
+        worst lag sample since ``now - lag_window`` -- the first one there,
+        as samples keep rising times and falling lags -- at least ``floor``."""
         now = self.env.now if now is None else now
+        horizon = now - self.lag_window
         worst = self.floor
         for state in self._sources.values():
             if state.resyncing:
                 return float("inf")
-            horizon = now - self.lag_window
-            recent = [lag for at, lag in state.lag if at >= horizon]
-            worst = max(worst, max(recent, default=0.0))
+            for at, lag in state.lag:
+                if at >= horizon:
+                    worst = max(worst, lag)
+                    break
         return worst
 
-    def tables(self):
-        """alias -> joined-ready rows (per-source ops applied locally)."""
-        out = {}
+    def tables(self, keys=None):
+        """``(alias -> rows, alias -> rows the full join is fed)``: each
+        source's rows sorted by ``_key`` and through its ``ops`` -- or,
+        for a page (``keys``), an op-free Object source that is the root
+        or joins on ``match == "_key"`` looks up copies of the rows under
+        ``keys`` (root) or the root rows' ``on`` values, scanning none."""
+        root = self.view.root
+        out, fed = {}, {}
         for alias, state in self._sources.items():
-            if state.kind == "object":
+            src = state.source
+            if (keys is not None and state.kind == "object" and not src.ops
+                    and (src is root or src.match == "_key")):
+                out[alias] = _lookup(state.table, keys if src is root else (
+                    row.get(src.on) for row in out[root.alias]))
+                fed[alias] = len(state.table)
+            else:
                 # Deterministic _key order: both strategies must feed the
                 # join identically-ordered rows or answer identity breaks
                 # on order-sensitive ops (sort ties, head/tail).
-                rows = sorted(
-                    (dict(r) for r in state.table.values()),
-                    key=lambda r: r["_key"],
-                )
-            else:
-                rows = list(state.rows)
-            out[alias] = compile_ops(state.source.ops)(rows)
-        return out
+                rows = (sorted((dict(r) for r in state.table.values()),
+                               key=lambda r: r["_key"])
+                        if state.kind == "object" else list(state.rows))
+                out[alias] = compile_ops(src.ops)(rows)
+                fed[alias] = len(out[alias])
+        return out, fed
 
     def status(self):
         return {

@@ -108,7 +108,7 @@ class ObjectOpsMixin:
         return self._apply_txn(ops)
 
     def _validate_txn(self, ops):
-        """Phase 1: validate every op against a shadow of current state.
+        """Phase 1: validate every op against state as the earlier ops leave it.
 
         Raises the first precondition failure with enough detail to
         debug the abort (expected vs actual resourceVersion, and whether
@@ -117,9 +117,9 @@ class ObjectOpsMixin:
         """
         if not isinstance(ops, list) or not ops:
             raise StoreError("transaction needs a non-empty op list")
-        # Shadow state: key -> live revision, or ("txn", op index) once an
-        # earlier op in this transaction rewrote the key.
-        shadow = {key: obj.revision for key, obj in self._objects.items()}
+        # Keys the ops touch: ("txn", op index) once an earlier op wrote
+        # one, None once one deleted it; any other key reads the store.
+        overlay = {}
         for index, op in enumerate(ops):
             action = op.get("action")
             key = op.get("key")
@@ -128,17 +128,18 @@ class ObjectOpsMixin:
             if not key:
                 raise StoreError(f"txn op {index}: missing key")
             self._check_txn_lock(key)
+            live = self._objects.get(key)
+            current = overlay.get(key, None if live is None else live.revision)
             if action == "create":
-                if key in shadow:
+                if current is not None:
                     raise AlreadyExistsError(
                         f"txn op {index}: object {key!r} already exists"
                     )
-                shadow[key] = ("txn", index)  # exists from here on
+                overlay[key] = ("txn", index)  # exists from here on
             else:
-                if key not in shadow:
+                if current is None:
                     raise NotFoundError(f"txn op {index}: object {key!r} not found")
                 expected = op.get("resource_version")
-                current = shadow[key]
                 if expected is not None and current != expected:
                     if isinstance(current, tuple):
                         actual = (
@@ -152,11 +153,7 @@ class ObjectOpsMixin:
                         f"(expected revision {expected}, {actual})"
                         + self._ownership_note(key)
                     )
-                if action == "delete":
-                    del shadow[key]
-                else:
-                    shadow[key] = ("txn", index)
-        return shadow
+                overlay[key] = None if action == "delete" else ("txn", index)
 
     def _apply_txn(self, ops):
         """Phase 2: apply a validated op list (cannot fail now)."""

@@ -10,10 +10,14 @@ concurrent writes with injected watch-message drops (the PR-3
 gap-detect + resync machinery healing the maintenance streams).
 """
 
+import copy
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     AccessDeniedError,
@@ -22,9 +26,14 @@ from repro.errors import (
 )
 from repro.exchange import LogDE, ObjectDE
 from repro.federation import ComposedView, ViewSource, compose
+from repro.federation.engine import RegisteredView
+from repro.federation.materialize import MaterializedView, _push_lag
 from repro.obs.registry import Registry
 from repro.query import Query, QueryResult
+from repro.query.core import compile_ops
+from repro.simnet import Environment
 from repro.store import LogLake, MemKV
+from repro.store.base import WatchEvent
 
 ORDER_SCHEMA = """\
 schema: Retail/v1/Checkout/Order
@@ -483,3 +492,338 @@ class TestRealtimeParity:
         assert materialized.strategy == "materialized"
         assert canonical(federated.records) == canonical(materialized.records)
         assert direct.records[0]["cardToken"] == "tok"  # owner sees secrets
+
+
+# ---------------------------------------------------------------------------
+# Keyed materialized reads: a page costs O(page), not O(view)
+# ---------------------------------------------------------------------------
+
+PAGE_KEYS = ["k0", "k1", "k2", "k3", "k4"]
+ORDER = ViewSource(alias="order", store="orders")
+SHAPES = {
+    "required": ComposedView("shape-required", sources=(
+        ORDER,
+        ViewSource(alias="shipment", store="shipments", required=True),
+        ViewSource(alias="charge", store="charges"),
+    )),
+    "joined-ops": ComposedView("shape-ops", sources=(
+        ORDER,
+        ViewSource(alias="shipment", store="shipments",
+                   ops=({"op": "filter", "expr": "eta > 2"},)),
+        ViewSource(alias="charge", store="charges"),
+    )),
+    "log": ComposedView("shape-log", sources=(
+        ORDER,
+        ViewSource(alias="events", store="events", match="order",
+                   into="history"),
+        ViewSource(alias="charge", store="charges", required=True),
+    )),
+    "on-field": ComposedView("shape-on", sources=(
+        ORDER,
+        ViewSource(alias="charge", store="charges", on="charge_ref",
+                   required=True),
+        ViewSource(alias="shipment", store="shipments", on="ship_ref"),
+    )),
+    "match-field": ComposedView("shape-match", sources=(
+        ORDER,
+        ViewSource(alias="shipment", store="shipments", match="order_ref"),
+        ViewSource(alias="charge", store="charges"),
+    )),
+    "root-ops": ComposedView("shape-root-ops", sources=(
+        ViewSource(alias="order", store="orders",
+                   ops=({"op": "filter", "expr": "total > 2"},)),
+        ViewSource(alias="shipment", store="shipments", on="ship_ref"),
+        ViewSource(alias="charge", store="charges"),
+    )),
+}
+
+
+def kinds_of(view):
+    return {s.alias: "log" if s.store == "events" else "object"
+            for s in view.sources}
+
+
+def maintained(view):
+    """A registered view whose materialized copy is fed by hand (see
+    ``feed``) rather than by watch streams: seeded, live, no stores."""
+    env = Environment()
+    kinds = kinds_of(view)
+    unwired = SimpleNamespace(watch=lambda *args, **kwargs: None)
+    materialized = MaterializedView(
+        env, view, {s.alias: unwired for s in view.sources}, kinds)
+    for state in materialized._sources.values():
+        state.seeded = True
+    return RegisteredView(env, view, None, {}, kinds,
+                          materialized=materialized)
+
+
+def feed(registered, store, event_type, key, obj, revision):
+    """One store change, delivered to every source reading ``store``
+    (for the Log store, ``obj`` is the appended records)."""
+    materialized = registered.materialized
+    for state in materialized._sources.values():
+        if state.source.store != store:
+            continue
+        if state.kind == "log":
+            records = [{**r, "_seq": state.cursor + n}
+                       for n, r in enumerate(obj)]
+            materialized._on_log_batch(state, WatchEvent(
+                event_type, key,
+                {"first_seq": state.cursor, "records": records}, revision,
+                committed_at=materialized.env.now))
+        else:
+            materialized._on_object_event(state, WatchEvent(
+                event_type, key, obj, revision,
+                committed_at=materialized.env.now))
+
+
+def full_tables(materialized):
+    """The reference join input: every maintained row of every source
+    copied, sorted by ``_key`` and pipelined, whatever the page."""
+    out = {}
+    for alias, state in materialized._sources.items():
+        if state.kind == "object":
+            rows = sorted((dict(r) for r in state.table.values()),
+                          key=lambda r: r["_key"])
+        else:
+            rows = list(state.rows)
+        out[alias] = compile_ops(state.source.ops)(rows)
+    return out
+
+
+def full_table_read(registered, query):
+    """The reference materialized answer and the sim time it ends at, or
+    the type of the error its join raised."""
+    tables = full_tables(registered.materialized)
+    cost = registered.local_join_cost * sum(
+        len(rows) for rows in tables.values())
+    ends_at = registered.env.now + cost if cost > 0 else registered.env.now
+    try:
+        rows = compose(registered.view, tables, registered.kinds,
+                       keys=query.keys)
+    except TypeError:
+        return TypeError
+    result = QueryResult(
+        records=query.pipeline()(rows),
+        strategy="materialized",
+        staleness=registered.staleness(),
+        sources={alias: {"kind": registered.kinds[alias], "rows": len(rows)}
+                 for alias, rows in tables.items()},
+    )
+    return result, ends_at
+
+
+def materialized_read(registered, query):
+    """This tree's answer and the sim time it ends at, or the type of
+    the error its join raised."""
+    env = registered.env
+    try:
+        result = env.run(until=env.process(
+            registered.execute(query, strategy="materialized")))
+    except TypeError:
+        return TypeError
+    return result, env.now
+
+
+REF = st.one_of(st.sampled_from(PAGE_KEYS), st.none(),
+                st.just(["k1"]))  # unhashable: the join's probe raises
+ORDER_DATA = st.fixed_dictionaries(
+    {"status": st.sampled_from(["placed", "paid"]),
+     "total": st.integers(0, 5)},
+    optional={"ship_ref": REF, "charge_ref": REF},
+)
+SHIPMENT_DATA = st.fixed_dictionaries(
+    {"eta": st.integers(0, 5)},
+    optional={"order_ref": st.one_of(st.sampled_from(PAGE_KEYS), st.none())},
+)
+CHARGE_DATA = st.fixed_dictionaries({"amount": st.integers(0, 5)})
+EVENT = st.fixed_dictionaries({
+    "kind": st.sampled_from(["placed", "charged"]),
+    "order": st.one_of(st.sampled_from(PAGE_KEYS), st.none()),
+})
+CHANGE = st.one_of(*(
+    st.tuples(st.just(store), st.sampled_from(["put", "delete"]),
+              st.sampled_from(PAGE_KEYS), data)
+    for store, data in (("orders", ORDER_DATA),
+                        ("shipments", SHIPMENT_DATA),
+                        ("charges", CHARGE_DATA))
+), st.tuples(st.just("events"), st.just("append"), st.just("batch"),
+             st.lists(EVENT, min_size=1, max_size=3)))
+PAGE = st.one_of(st.none(),
+                 st.lists(st.sampled_from(PAGE_KEYS + ["missing"]),
+                          max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from(sorted(SHAPES)),
+       history=st.lists(CHANGE, max_size=30),
+       pages=st.lists(PAGE, min_size=1, max_size=4))
+# A join on another field must not be read as a lookup by _key.
+@example(shape="match-field", pages=[["k2"]], history=[
+    ("orders", "put", "k2", {"status": "placed", "total": 1}),
+    ("shipments", "put", "k1", {"eta": 1, "order_ref": "k2"}),
+])
+# An unhashable ``on`` value on a root the inner join already dropped
+# is never probed by the join, so the lookup must not raise either.
+@example(shape="on-field", pages=[["k1"]], history=[
+    ("orders", "put", "k1",
+     {"status": "placed", "total": 1, "charge_ref": "k4",
+      "ship_ref": ["k1"]}),
+])
+def test_keyed_materialized_read_equals_the_full_table_join(shape, history,
+                                                            pages):
+    """Whatever the shape, history and page, a materialized read answers
+    what the copy-sort-pipeline-everything input joins to --
+    records, strategy, staleness and reported rows -- and charges the
+    same sim time (or raises the same join error)."""
+    view = SHAPES[shape]
+    registered = maintained(view)
+    live = {"orders": {}, "shipments": {}, "charges": {}}
+    for revision, (store, action, key, data) in enumerate(history, 1):
+        if store == "events":
+            feed(registered, store, "ADDED", key, data, revision)
+        elif action == "put":
+            event_type = "MODIFIED" if key in live[store] else "ADDED"
+            live[store][key] = {**live[store].get(key, {}), **data}
+            feed(registered, store, event_type, key, live[store][key],
+                 revision)
+        elif key in live[store]:
+            feed(registered, store, "DELETED", key, live[store].pop(key),
+                 revision)
+    for keys in pages:
+        query = Query(target=view.name, keys=keys)
+        expected = full_table_read(registered, query)
+        assert materialized_read(registered, query) == expected
+
+
+class Unscannable(dict):
+    """A maintained table that fails the test when anything iterates it."""
+
+    def _scan(self, *args, **kwargs):
+        raise AssertionError("a keyed page iterated a maintained table")
+
+    __iter__ = keys = values = items = _scan
+
+
+def test_keyed_read_of_a_10k_row_view_never_iterates_a_point_source():
+    """O(page) stated structurally: the root and both joined sources
+    (``on`` = ``_key`` and ``on`` = a root field, both ``match`` =
+    ``_key``) answer an 8-key page from lookups alone, while the report
+    and the sim charge still count all 10,000 maintained rows each."""
+    view = ComposedView("big", sources=(
+        ORDER,
+        ViewSource(alias="shipment", store="shipments"),
+        ViewSource(alias="charge", store="charges", on="charge_ref",
+                   required=True),
+    ))
+    registered = maintained(view)
+    rows = 10_000
+    tables = {"order": Unscannable(), "shipment": Unscannable(),
+              "charge": Unscannable()}
+    for n in range(rows):
+        key = f"o{n:05d}"
+        tables["order"][key] = {"total": n, "_key": key,
+                                "charge_ref": f"c{n:05d}" if n % 2 else None}
+        tables["shipment"][key] = {"eta": n % 7, "_key": key}
+        tables["charge"][f"c{n:05d}"] = {"amount": n, "_key": f"c{n:05d}"}
+    for alias, state in registered.materialized._sources.items():
+        state.table = tables[alias]
+    page = ["o00007", "o00002", "o09999", "missing", "o00007", "o00501",
+            "o00042", "o01234"]
+    result, ends_at = materialized_read(registered,
+                                        Query(target="big", keys=page))
+    assert [r["_key"] for r in result.records] == [
+        "o00007", "o09999", "o00007", "o00501"]
+    for record in result.records:
+        assert record["shipment"] == tables["shipment"][record["_key"]]
+        assert record["charge"] == tables["charge"][record["charge_ref"]]
+    assert result.sources == {alias: {"kind": "object", "rows": rows}
+                              for alias in tables}
+    assert ends_at == 3 * rows * registered.local_join_cost
+
+
+def test_mutating_a_page_leaves_the_maintained_tables_untouched():
+    registered = maintained(SHAPES["required"])
+    for n, key in enumerate(PAGE_KEYS, 1):
+        feed(registered, "orders", "ADDED", key,
+             {"status": "placed", "total": n}, n)
+        feed(registered, "shipments", "ADDED", key, {"eta": n}, 10 + n)
+        feed(registered, "charges", "ADDED", key, {"amount": n}, 20 + n)
+    materialized = registered.materialized
+    before = copy.deepcopy(
+        {alias: s.table for alias, s in materialized._sources.items()})
+    keys = ["k3", "k1", "k3"]
+    result, _ends_at = materialized_read(
+        registered, Query(target=registered.name, keys=keys))
+    assert len(result.records) == 3
+    for record in result.records:
+        record["status"] = "mutated"
+        record["shipment"]["eta"] = -1
+        record["charge"].clear()
+    tables, _fed = materialized.tables(keys)
+    for rows in tables.values():
+        for row in rows:
+            row["_key"] = "mutated"
+    assert {alias: s.table
+            for alias, s in materialized._sources.items()} == before
+
+
+LAG_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("apply"), st.integers(0, 2),
+              st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                        st.floats(0, 2)),
+              st.one_of(st.sampled_from([0.0, 0.002, 0.01]),
+                        st.floats(0, 0.5))),
+    st.tuples(st.just("catch-up"), st.integers(0, 2),
+              st.floats(0, 2), st.none()),
+    st.tuples(st.just("read"), st.none(),
+              st.one_of(st.none(), st.floats(-3, 3)), st.none()),
+), max_size=60)
+
+
+def reference_staleness(samples, now):
+    """The list-comprehension formula: the worst sample of each source's
+    list that is inside the window, never below the floor."""
+    worst = MaterializedView.floor
+    for source in samples:
+        horizon = now - MaterializedView.lag_window
+        recent = [lag for at, lag in source if at >= horizon]
+        worst = max(worst, max(recent, default=0.0))
+    return worst
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=LAG_STEPS)
+def test_staleness_equals_the_window_max_formula(steps):
+    """Over any stream of apply-lag and catch-up samples, ``staleness``
+    (default and explicit ``now``, past or future, asked repeatedly)
+    equals the list-comprehension formula over every sample kept,
+    and a read removes no sample."""
+    clock = SimpleNamespace(now=0.0)
+    view = SHAPES["required"]
+    materialized = maintained(view).materialized
+    materialized.env = clock
+    states = list(materialized._sources.values())
+    samples = [[] for _ in states]  # every sample, time-pruned on apply
+    for action, source, value, lag in steps:
+        if action == "read":
+            now = None if value is None else clock.now + value
+            want = reference_staleness(samples,
+                                    clock.now if now is None else now)
+            kept = [list(state.lag) for state in states]
+            assert materialized.staleness(now) == want
+            assert materialized.staleness(now) == want
+            assert [list(state.lag) for state in states] == kept
+            continue
+        clock.now += value
+        state = states[source]
+        if action == "apply":
+            committed_at = clock.now - lag
+            materialized._applied(state, committed_at, None, 1)
+            samples[source].append((clock.now, clock.now - committed_at))
+            horizon = clock.now - MaterializedView.lag_window
+            while samples[source] and samples[source][0][0] < horizon:
+                samples[source].pop(0)
+        else:  # a Log catch-up's synthetic sample
+            _push_lag(state.lag, clock.now, MaterializedView.floor)
+            samples[source].append((clock.now, MaterializedView.floor))

@@ -1,6 +1,8 @@
 """Tests for atomic transactions: backend, DE, and executor levels."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     AccessDeniedError,
@@ -257,3 +259,189 @@ class TestTransactionalExecutor:
         call(executor.exchange("o1"))
         stats = call(executor.exchange("o1"))
         assert stats.writes == 0
+
+
+# ---------------------------------------------------------------------------
+# Validation reads only the keys a transaction names
+# ---------------------------------------------------------------------------
+
+TXN_KEYS = ["a", "b", "c"]
+
+
+def shadow_validate(server, ops):
+    """Transaction validation as it was: a ``{key: revision}`` shadow of
+    the whole keyspace, then every op checked against it."""
+    if not isinstance(ops, list) or not ops:
+        raise StoreError("transaction needs a non-empty op list")
+    shadow = {key: obj.revision for key, obj in server._objects.items()}
+    for index, op in enumerate(ops):
+        action = op.get("action")
+        key = op.get("key")
+        if action not in ("create", "update", "patch", "delete"):
+            raise StoreError(f"txn op {index}: unknown action {action!r}")
+        if not key:
+            raise StoreError(f"txn op {index}: missing key")
+        server._check_txn_lock(key)
+        if action == "create":
+            if key in shadow:
+                raise AlreadyExistsError(
+                    f"txn op {index}: object {key!r} already exists"
+                )
+            shadow[key] = ("txn", index)
+        else:
+            if key not in shadow:
+                raise NotFoundError(f"txn op {index}: object {key!r} not found")
+            expected = op.get("resource_version")
+            current = shadow[key]
+            if expected is not None and current != expected:
+                if isinstance(current, tuple):
+                    actual = (
+                        f"already rewritten by op {current[1]} "
+                        f"of this transaction"
+                    )
+                else:
+                    actual = f"is {current}"
+                raise ConflictError(
+                    f"txn op {index}: object {key!r} changed "
+                    f"(expected revision {expected}, {actual})"
+                    + server._ownership_note(key)
+                )
+            if action == "delete":
+                del shadow[key]
+            else:
+                shadow[key] = ("txn", index)
+
+
+def verdict(validate, ops):
+    try:
+        validate(ops)
+    except StoreError as error:
+        return type(error), str(error)
+    return None
+
+
+TXN_OP = st.fixed_dictionaries(
+    {"key": st.sampled_from(TXN_KEYS + ["other", ""])},
+    optional={
+        "action": st.sampled_from(["create", "update", "patch", "delete",
+                                   "explode"]),
+        "resource_version": st.one_of(st.none(), st.integers(1, 8)),
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(live=st.lists(st.sampled_from(TXN_KEYS), unique=True),
+       rewrites=st.lists(st.sampled_from(TXN_KEYS), max_size=4),
+       locked=st.lists(st.sampled_from(TXN_KEYS + ["other"]), unique=True,
+                       max_size=2),
+       ops=st.one_of(st.lists(TXN_OP, max_size=6), st.just({})))
+@example(live=["a"], rewrites=[], locked=[], ops=[
+    {"action": "create", "key": "b"},
+    {"action": "patch", "key": "b", "resource_version": 1},
+])
+@example(live=["a"], rewrites=[], locked=[], ops=[
+    {"action": "delete", "key": "a"},
+    {"action": "create", "key": "a"},
+    {"action": "update", "key": "a"},
+])
+@example(live=["a"], rewrites=["a"], locked=[], ops=[
+    {"action": "patch", "key": "a", "resource_version": 1},
+])
+@example(live=["a", "b"], rewrites=[], locked=["b"], ops=[
+    {"action": "patch", "key": "a"}, {"action": "patch", "key": "b"},
+])
+def test_validation_overlay_matches_the_keyspace_shadow(live, rewrites,
+                                                        locked, ops):
+    """Same verdict, same error type, same message -- for create-then-
+    patch, delete-then-create, stale ``resource_version`` and keys held
+    by an in-doubt prepared transaction."""
+    from repro.simnet import Environment, FixedLatency, Network
+
+    env = Environment()
+    server = MemKV(env, Network(env, default_latency=FixedLatency(0.0)),
+                   watch_overhead=0.0)
+    for key in live:
+        server.op_create(key, {"v": 0})
+    for key in rewrites:
+        if key in live:
+            server.op_patch(key, {"v": 1})
+    if locked:
+        server.op_txn_prepare("held", [
+            {"action": "patch" if key in live else "create", "key": key,
+             "patch": {}, "data": {}}
+            for key in locked
+        ])
+    assert verdict(server._validate_txn, ops) \
+        == verdict(lambda ops: shadow_validate(server, ops), ops)
+
+
+SECRET_ORDER_SCHEMA = """\
+schema: App/v1/Checkout/Order
+cost: number
+cardToken: string # +kr: secret
+trackingID: string # +kr: external
+"""
+
+
+class TestCommitRepliesLikeAHandle:
+    @pytest.fixture
+    def secret_de(self, env, zero_net, call):
+        exchange = ObjectDE(env, ApiServer(env, zero_net, watch_overhead=0.0))
+        exchange.host_store("knactor-checkout", SECRET_ORDER_SCHEMA,
+                            owner="checkout")
+        exchange.grant("cast", "knactor-checkout", role="integrator")
+        checkout = exchange.handle("knactor-checkout", principal="checkout")
+        call(checkout.create("o1", {"cost": 10, "cardToken": "tok-1"}))
+        return exchange
+
+    def test_secret_fields_masked_for_a_principal_without_read(
+            self, secret_de, call):
+        txn = secret_de.transaction("cast")
+        txn.patch("knactor-checkout", "o1", {"trackingID": "trk-1"})
+        (view,) = call(txn.commit())
+        assert "cardToken" not in view["data"]
+        assert view["data"]["trackingID"] == "trk-1"
+        assert view["key"] == "o1"  # store-relative, like a handle reply
+        handle = secret_de.handle("knactor-checkout", principal="cast")
+        assert view == call(handle.get("o1"))
+
+    def test_owner_still_reads_secrets_and_deletes_reply_none(
+            self, secret_de, call):
+        txn = secret_de.transaction("checkout")
+        txn.patch("knactor-checkout", "o1", {"cost": 12})
+        txn.create("knactor-checkout", "o2", {"cost": 1, "cardToken": "t2"})
+        txn.delete("knactor-checkout", "o1")
+        patched, created, deleted = call(txn.commit())
+        assert patched["data"]["cardToken"] == "tok-1"
+        assert (patched["key"], created["key"]) == ("o1", "o2")
+        assert created["data"]["cardToken"] == "t2"
+        assert deleted is None
+
+    def test_cross_shard_commit_masks_every_participant_view(self, env,
+                                                             zero_net, call):
+        from repro.store import ShardedStore, ShardRing
+
+        shards = [ApiServer(env, zero_net, location=f"shard-{i}",
+                            watch_overhead=0.0) for i in range(2)]
+        exchange = ObjectDE(env, ShardedStore(shards, name="txnstore"))
+        exchange.host_store("knactor-checkout", SECRET_ORDER_SCHEMA,
+                            owner="checkout")
+        exchange.grant("cast", "knactor-checkout", role="integrator")
+        ring = ShardRing.for_count(2)
+        keys, owners = [], set()
+        for n in range(100):
+            owner = ring.owner_index(f"knactor-checkout/o{n}")
+            if owner not in owners:
+                owners.add(owner)
+                keys.append(f"o{n}")
+        assert len(keys) == 2
+        checkout = exchange.handle("knactor-checkout", principal="checkout")
+        for key in keys:
+            call(checkout.create(key, {"cost": 1, "cardToken": "secret"}))
+        txn = exchange.transaction("cast", mode="2pc")
+        for key in keys:
+            txn.patch("knactor-checkout", key, {"trackingID": f"trk-{key}"})
+        views = call(txn.commit())
+        assert sorted(view["key"] for view in views) == sorted(keys)
+        assert all("cardToken" not in view["data"] for view in views)
