@@ -2,12 +2,12 @@
 
 Each seed derives a workload of cross-shard op batches (every batch spans
 at least two shards) and a fault schedule: phase-targeted coordinator
-kills (armed at 2PC/saga protocol boundaries), timed coordinator kills,
+kills (armed at 2PC protocol boundaries), timed coordinator kills,
 and coordinator<->shard partitions.  Two configurations run the same
 workload:
 
 - **coordinated** -- batches submitted through the transactional plane
-  (``mode="2pc"`` or ``"saga"``) with per-txn idempotence keys, retried
+  (``mode="2pc"``) with per-txn idempotence keys, retried
   on retryable failures.  Gated invariants: zero lost effects (a txn
   reported committed is fully present), zero duplicated effects
   (replaying every committed batch under its idempotence key changes
@@ -95,8 +95,7 @@ def workload(seed, n_txns):
             {"action": "create", "key": key, "data": {"txn": t, "seed": seed}}
             for key in keys
         ]
-        mode = rng.choice(("2pc", "2pc", "saga"))
-        batches.append((t, mode, ops))
+        batches.append((t, ops))
     return batches
 
 
@@ -121,12 +120,12 @@ def chaos_plan(seed, coordinator_name, endpoints):
 # -- coordinated configuration ----------------------------------------------
 
 
-def _submit_coordinated(env, client, mode, ops, idem_key, outcomes, t):
+def _submit_coordinated(env, client, ops, idem_key, outcomes, t):
     attempts = 0
     while attempts < 60:
         attempts += 1
         try:
-            yield client.txn(ops, mode=mode, idempotence_key=idem_key)
+            yield client.txn(ops, mode="2pc", idempotence_key=idem_key)
             outcomes[t] = "committed"
             return
         except (UnavailableError, DeadlineExceededError):
@@ -156,18 +155,18 @@ def run_coordinated(seed, n_txns):
     batches = workload(seed, n_txns)
     outcomes = {}
     rng = random.Random(seed)
-    for t, mode, ops in batches:
+    for t, ops in batches:
         timer = env.timeout(rng.uniform(0.0, 1.5))
         timer.callbacks.append(
-            lambda _evt, t=t, mode=mode, ops=ops: env.process(
-                _submit_coordinated(env, client, mode, ops,
+            lambda _evt, t=t, ops=ops: env.process(
+                _submit_coordinated(env, client, ops,
                                     f"idem-{seed}-{t}", outcomes, t)
             )
         )
     env.run()
 
     lost = partial = 0
-    for t, mode, ops in batches:
+    for t, ops in batches:
         present = [op["key"] in store.shard_for(op["key"])._objects
                    for op in ops]
         if len(set(present)) != 1:
@@ -179,11 +178,11 @@ def run_coordinated(seed, n_txns):
     # key; the cached outcome must answer and the state must not move.
     before = _shard_state(store)
     duplicated = 0
-    for t, mode, ops in batches:
+    for t, ops in batches:
         if outcomes.get(t) != "committed":
             continue
         replay = env.process(_submit_coordinated(
-            env, client, mode, ops, f"idem-{seed}-{t}", outcomes, t
+            env, client, ops, f"idem-{seed}-{t}", outcomes, t
         ))
         env.run(until=replay)
         if outcomes[t] != "committed":
@@ -281,7 +280,7 @@ def run_baseline(seed, n_txns):
     batches = workload(seed, n_txns)
     outcomes = {}
     rng = random.Random(seed)
-    for t, _mode, ops in batches:
+    for t, ops in batches:
         timer = env.timeout(rng.uniform(0.0, 1.5))
         timer.callbacks.append(
             lambda _evt, t=t, ops=ops: env.process(
@@ -291,7 +290,7 @@ def run_baseline(seed, n_txns):
     env.run()
 
     partial = 0
-    for t, _mode, ops in batches:
+    for t, ops in batches:
         present = [op["key"] in store.shard_for(op["key"])._objects
                    for op in ops]
         if len(set(present)) != 1:

@@ -88,11 +88,14 @@ class RetailKnactorApp:
     notify_cast: Cast
     profile: OptimizationProfile
     tracer: CausalTracer = None
-    orders_placed: list = field(default_factory=list)
+    orders_placed: list = field(init=False, default_factory=list)
     flow: FlowConfig = None
     #: Causal trace id of the most recent ``place_order`` (obs plane
     #: attached only) -- load drivers link latency exemplars through it.
     last_trace_id: str = None
+
+    #: :meth:`run_until_quiet` stops after this long with no event.
+    QUIET_SETTLE = 0.5
 
     @classmethod
     def build(cls, env=None, profile=K_APISERVER, seed=7, with_notify=True,
@@ -134,7 +137,7 @@ class RetailKnactorApp:
         if env is None:
             env = create_environment(mode if mode is not None else "sim")
         if shape_latency is None:
-            shape_latency = getattr(env, "backend", "sim") == "sim"
+            shape_latency = env.backend == "sim"
         flow_cfg = None
         if flow:
             flow_cfg = flow if isinstance(flow, FlowConfig) else FlowConfig()
@@ -191,7 +194,8 @@ class RetailKnactorApp:
         for name, schema in ALL_SCHEMAS.items():
             reconciler_cls = _RECONCILERS[name]
             reconciler = (
-                reconciler_cls(seed=seed) if name == "shipping" else reconciler_cls()
+                recs.ShippingReconciler(seed=seed) if name == "shipping"
+                else reconciler_cls()
             )
             if flow_cfg is not None:
                 reconciler.max_queue = flow_cfg.reconciler_queue
@@ -283,10 +287,11 @@ class RetailKnactorApp:
     def charge(self, key):
         return self.runtime.handle_of("payment").get(key)
 
-    def run_until_quiet(self, max_seconds=120.0, settle=0.5):
-        """Advance the simulation until no events fire for ``settle``s."""
+    def run_until_quiet(self, max_seconds=120.0):
+        """Advance the simulation until no events fire for
+        :attr:`QUIET_SETTLE` seconds."""
         deadline = self.env.now + max_seconds
         while self.env.peek() <= deadline:
-            horizon = min(self.env.peek() + settle, deadline)
+            horizon = min(self.env.peek() + self.QUIET_SETTLE, deadline)
             self.env.run(until=horizon)
         return self.env.now

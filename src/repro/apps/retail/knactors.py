@@ -42,14 +42,12 @@ class ShippingReconciler(Reconciler):
     def __init__(self, seed=None):
         super().__init__("shipping")
         self._carrier = shipment_latency_model(seed=seed)
-        self.shipments_processed = 0
 
     def reconcile(self, ctx, key, obj):
         if obj is None or obj.get("id") or obj.get("addr") is None:
             return
         ctx.trace("fedex.begin", key=key)
         yield ctx.env.timeout(self._carrier.sample())
-        self.shipments_processed += 1
         method = obj.get("method", "ground")
         price = SHIPPING_RATES.get(method, SHIPPING_RATES["ground"])
         ctx.trace("fedex.done", key=key)

@@ -152,10 +152,13 @@ def _first_order_read(tracer):
     return out
 
 
-def run_rpc_setup(orders=20, spacing=2.0, seed=7):
-    """Run the RPC baseline; only S / Prop. / Total are defined for it."""
-    app = RetailRpcApp.build(seed=seed)
-    workload = OrderWorkload(seed=seed)
+def run_rpc_setup(orders=20):
+    """Run the RPC baseline; only S / Prop. / Total are defined for it.
+
+    Orders go out 2 s apart from seed 7, :func:`run_knactor_setup`'s
+    defaults."""
+    app = RetailRpcApp.build(seed=7)
+    workload = OrderWorkload(seed=7)
     env = app.env
     breakdown = StageBreakdown("RPC")
 
@@ -178,7 +181,7 @@ def run_rpc_setup(orders=20, spacing=2.0, seed=7):
                     "Total": t_end - t_begin,
                 }
             )
-            yield env.timeout(spacing)
+            yield env.timeout(2.0)
 
     env.run(until=env.process(driver(env)))
     return breakdown
@@ -206,13 +209,3 @@ def _shipping_observed(tracer):
                 out[key] = event.time
     return out
 
-
-def run_table2(orders=20, spacing=2.0, seed=7, setups=None):
-    """Run every Table 2 row; returns {setup: StageBreakdown}."""
-    rows = {}
-    rows["RPC"] = run_rpc_setup(orders=orders, spacing=spacing, seed=seed)
-    for setup in setups or PROFILES:
-        rows[setup] = run_knactor_setup(
-            setup, orders=orders, spacing=spacing, seed=seed
-        )
-    return rows

@@ -99,7 +99,7 @@ class RetailGateway:
 
 
 def serve_retail(host="127.0.0.1", port=0, profile=K_APISERVER,
-                 topology=None, factor=1.0, seed=7):
+                 topology=None, factor=1.0):
     """Build the retail app on the realtime backend and bind a gateway.
 
     Returns ``(app, gateway, listener)`` with the socket already bound
@@ -112,9 +112,7 @@ def serve_retail(host="127.0.0.1", port=0, profile=K_APISERVER,
     from repro.realtime import RealtimeEnvironment
 
     env = RealtimeEnvironment(factor=factor)
-    app = RetailKnactorApp.build(
-        env=env, profile=profile, seed=seed, topology=topology
-    )
+    app = RetailKnactorApp.build(env=env, profile=profile, topology=topology)
     gateway = RetailGateway(app)
     listener = gateway.serve(host=host, port=port)
     return app, gateway, listener

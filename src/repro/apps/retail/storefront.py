@@ -44,37 +44,34 @@ def storefront_view(freshness=0.25):
     )
 
 
-def attach_storefront(app, *, freshness=0.25, materialize=True,
-                      principal=STOREFRONT_PRINCIPAL):
-    """Register the storefront view on a built retail app.
+def attach_storefront(app, *, freshness=0.25):
+    """Register the storefront view, materialized, on a built retail app.
 
     Wires the obs plane (per-view metrics + ``view_*`` spans) when the
-    app was built with ``obs=True``, and grants ``principal`` the
-    ``viewer`` role on the view.  Returns the
+    app was built with ``obs=True``, and grants the storefront principal
+    the ``viewer`` role on the view.  Returns the
     :class:`~repro.federation.RegisteredView`.
     """
     obs = app.runtime.obs
     registered = app.de.register_view(
         storefront_view(freshness),
-        materialize=materialize,
+        materialize=True,
         registry=obs.registry if obs is not None else None,
         tracer=obs.causal if obs is not None else None,
     )
-    app.de.grant(principal, STOREFRONT_VIEW_NAME, role="viewer")
+    app.de.grant(STOREFRONT_PRINCIPAL, STOREFRONT_VIEW_NAME, role="viewer")
     return registered
 
 
-def order_details(app, keys=None, *, principal=STOREFRONT_PRINCIPAL,
-                  freshness=None, consistency=None, ops=(), strategy=None):
+def order_details(app, keys=None, *, freshness=None, consistency=None):
     """One page read through the unified query API; process event."""
     return app.de.query(
-        STOREFRONT_VIEW_NAME, ops=ops, freshness=freshness,
-        consistency=consistency, principal=principal, keys=keys,
-        strategy=strategy,
+        STOREFRONT_VIEW_NAME, freshness=freshness, consistency=consistency,
+        principal=STOREFRONT_PRINCIPAL, keys=keys,
     )
 
 
-def rpc_order_details(app, keys, *, principal=STOREFRONT_PRINCIPAL):
+def rpc_order_details(app, keys):
     """The RPC-composition baseline: 3 sequential GETs per order.
 
     Reads the same three stores through reader handles bound to the
@@ -84,7 +81,7 @@ def rpc_order_details(app, keys, *, principal=STOREFRONT_PRINCIPAL):
     fan-out parallelism and no reuse across page loads.  Returns a
     process event yielding the composed records.
     """
-    de = app.de
+    de, principal = app.de, STOREFRONT_PRINCIPAL
     handles = {
         "order": de.handle("knactor-checkout", principal=principal),
         "shipment": de.handle("knactor-shipping", principal=principal),
@@ -112,7 +109,7 @@ def rpc_order_details(app, keys, *, principal=STOREFRONT_PRINCIPAL):
     return app.env.process(page(app.env))
 
 
-def grant_rpc_baseline(app, *, principal=STOREFRONT_PRINCIPAL):
+def grant_rpc_baseline(app):
     """Reader grants the RPC baseline needs on the three source stores."""
     for store in ("knactor-checkout", "knactor-shipping", "knactor-payment"):
-        app.de.grant(principal, store, role="reader")
+        app.de.grant(STOREFRONT_PRINCIPAL, store, role="reader")

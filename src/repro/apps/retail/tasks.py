@@ -344,7 +344,11 @@ def generated_stub_sloc():
     return total
 
 
-def rebuild_redeploy_seconds(env, service_sloc=3200):
+#: Checkout's size as built by ``b`` (SLOC).
+CHECKOUT_SLOC = 3200
+
+
+def rebuild_redeploy_seconds(env):
     """Virtual-time cost of the ``b`` + ``d`` operations for Checkout.
 
     Returns a process event with ``(build_seconds, rollout_seconds)``.
@@ -356,7 +360,7 @@ def rebuild_redeploy_seconds(env, service_sloc=3200):
         yield cluster.create_deployment("checkout", Image("checkout", "v1"),
                                         replicas=3)
         build = yield registry.build_and_push(
-            Image("checkout", "v2"), service_sloc=service_sloc
+            Image("checkout", "v2"), service_sloc=CHECKOUT_SLOC
         )
         rollout = yield rolling_update(cluster, "checkout", Image("checkout", "v2"))
         return (build.total_seconds, rollout.duration)

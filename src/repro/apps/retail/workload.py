@@ -57,7 +57,3 @@ class OrderWorkload:
 
     def orders(self, count):
         return [self.next_order() for _ in range(count)]
-
-    @property
-    def issued(self):
-        return self._count

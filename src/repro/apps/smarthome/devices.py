@@ -16,7 +16,6 @@ class MotionSensorDevice:
         self.env = env
         self.trace = trace
         self.on_reading = on_reading
-        self.emitted = 0
 
     def start(self):
         return self.env.process(self._run(self.env))
@@ -28,7 +27,6 @@ class MotionSensorDevice:
             if gap > 0:
                 yield env.timeout(gap)
             last = event.time
-            self.emitted += 1
             result = self.on_reading(event)
             if hasattr(result, "send"):
                 yield env.process(result)

@@ -61,7 +61,7 @@ class SmartHomeKnactorApp:
     sensor_sync: Sync
     energy_sync: Sync
     tracer: CausalTracer = None
-    processes: list = field(default_factory=list)
+    processes: list = field(init=False, default_factory=list)
 
     @classmethod
     def build(cls, env=None, trace=None, mode=None, shape_latency=None,
@@ -75,7 +75,7 @@ class SmartHomeKnactorApp:
         if env is None:
             env = create_environment(mode if mode is not None else "sim")
         if shape_latency is None:
-            shape_latency = getattr(env, "backend", "sim") == "sim"
+            shape_latency = env.backend == "sim"
         hop = config.NETWORK_HOP if shape_latency else FixedLatency(0.0)
         ops = config.MEMKV.ops if shape_latency else config.zero_calibration(
             config.MEMKV).ops

@@ -35,10 +35,12 @@ LAMP_ENERGY_TOPIC = "home/lamp/energy"
 class HouseService:
     """Subscribes to Motion, commands the Lamp, tracks energy."""
 
-    def __init__(self, client, on_brightness=70, off_brightness=0):
+    #: Lamp brightness commanded while someone is present / once they leave.
+    on_brightness = 70
+    off_brightness = 0
+
+    def __init__(self, client):
         self.client = client
-        self.on_brightness = on_brightness
-        self.off_brightness = off_brightness
         self.kwh_total = 0.0
         self.motion_log = []
         self.decode_errors = 0
@@ -104,7 +106,7 @@ class SmartHomePubSubApp:
     lamp: LampService
     motion: MotionService
     tracer: CausalTracer = None
-    processes: list = field(default_factory=list)
+    processes: list = field(init=False, default_factory=list)
 
     @classmethod
     def build(cls, env=None, trace=None):

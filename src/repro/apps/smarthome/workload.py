@@ -14,11 +14,13 @@ class MotionEvent:
 class MotionTrace:
     """A day of occupancy: presence periods separated by idle gaps."""
 
-    def __init__(self, seed=11, duration=120.0, mean_gap=12.0, mean_presence=6.0):
+    #: Mean idle gap and mean presence period (seconds, exponential).
+    mean_gap = 12.0
+    mean_presence = 6.0
+
+    def __init__(self, seed=11, duration=120.0):
         self.seed = seed
         self.duration = duration
-        self.mean_gap = mean_gap
-        self.mean_presence = mean_presence
 
     def events(self):
         """Alternating triggered=True / triggered=False events."""

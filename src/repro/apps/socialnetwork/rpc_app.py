@@ -24,8 +24,8 @@ class SocialNetworkRpcApp:
     env: Environment
     network: Network
     servers: dict
-    channels: dict = field(default_factory=dict)
-    calls_traced: list = field(default_factory=list)
+    channels: dict = field(init=False, default_factory=dict)
+    calls_traced: list = field(init=False, default_factory=list)
 
     @classmethod
     def build(cls, env=None, mode=None, shape_latency=None):
@@ -33,7 +33,7 @@ class SocialNetworkRpcApp:
         if env is None:
             env = create_environment(mode if mode is not None else "sim")
         if shape_latency is None:
-            shape_latency = getattr(env, "backend", "sim") == "sim"
+            shape_latency = env.backend == "sim"
         hop = config.NETWORK_HOP if shape_latency else FixedLatency(0.0)
         network = Network(env, default_latency=hop)
         idls = build_idls()

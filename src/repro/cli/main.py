@@ -116,10 +116,10 @@ def cmd_table1(_args):
 
 def cmd_table2(args):
     from repro.apps.retail.measure import run_knactor_setup, run_rpc_setup
+    from repro.metrics.latency import STAGES
     from repro.metrics.report import Table
 
-    stages = ("C-I", "I", "I-S", "S", "Prop.", "Total")
-    table = Table(["Setup"] + list(stages),
+    table = Table(["Setup"] + list(STAGES),
                   title=f"Table 2: latency breakdown (ms, {args.orders} requests)")
     breakdowns = {"RPC": run_rpc_setup(orders=args.orders)}
     for setup in ("K-apiserver", "K-redis", "K-redis-udf"):
@@ -128,7 +128,7 @@ def cmd_table2(args):
         row = bd.row()
         table.add_row(
             name,
-            *[None if row[s] is None else round(row[s], 2) for s in stages],
+            *[None if row[s] is None else round(row[s], 2) for s in STAGES],
         )
     print(table.render())
     return 0

@@ -56,7 +56,7 @@ class Deployment:
     name: str
     image: Image
     replicas: int = 2
-    pods: list = field(default_factory=list)
+    pods: list = field(init=False, default_factory=list)
     generation: int = 1
 
     def __post_init__(self):
@@ -82,7 +82,7 @@ class Node:
 
     name: str
     capacity: int = 16
-    pods: list = field(default_factory=list)
+    pods: list = field(init=False, default_factory=list)
 
     @property
     def free(self):

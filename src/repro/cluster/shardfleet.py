@@ -27,10 +27,10 @@ from repro.store.ring import AutoscalePolicy
 class ShardFleet:
     """Runs one sharded store's shards as an autoscaled deployment."""
 
-    def __init__(self, cluster, store, image=None, metric=None):
+    def __init__(self, cluster, store, metric=None):
         if store.topology is None or store.shard_factory is None:
             raise ConfigurationError(
-                f"store {getattr(store, 'name', store)!r} needs a Topology "
+                f"store {store.name!r} needs a Topology "
                 "and a shard_factory to run as a fleet (elastic growth "
                 "must be able to mint shard servers)"
             )
@@ -40,7 +40,7 @@ class ShardFleet:
         self.topology = store.topology
         self.policy = self.topology.autoscale or AutoscalePolicy()
         self.deployment_name = f"{store.name}-shards"
-        self.image = image or Image(store.name, "shard-v1", size_mb=64.0)
+        self.image = Image(store.name, "shard-v1", size_mb=64.0)
         cluster.create_deployment(
             self.deployment_name, self.image, replicas=store.shard_count
         )
@@ -72,7 +72,7 @@ class ShardFleet:
         total = 0.0
         for shard in self.store.shards:
             total += shard._worker_pool.queued
-            admission = getattr(shard, "admission", None)
+            admission = shard.admission
             if admission is not None:
                 for entry in admission.stats()["classes"].values():
                     total += ((1.0 - entry["scale"])
@@ -120,7 +120,7 @@ class ShardFleet:
 
     # -- rollouts ------------------------------------------------------------
 
-    def rollout(self, image, max_unavailable=1):
+    def rollout(self, image):
         """Rolling-update the shard pods to a new image.
 
         Pure cluster-plane motion: the ring (and so key ownership) is
@@ -128,8 +128,7 @@ class ShardFleet:
         other rolling update.  Returns the rollout's process event.
         """
         self.image = image
-        return rolling_update(self.cluster, self.deployment_name, image,
-                              max_unavailable=max_unavailable)
+        return rolling_update(self.cluster, self.deployment_name, image)
 
     def stats(self):
         deployment = self.cluster.deployment(self.deployment_name)

@@ -47,9 +47,8 @@ class RpcAdapterReconciler(Reconciler):
         response_map,
         guard_fields=(),
         done_field=None,
-        name=None,
     ):
-        super().__init__(name or f"rpc-adapter-{service}.{method}")
+        super().__init__(f"rpc-adapter-{service}.{method}")
         if not request_map or not response_map:
             raise ConfigurationError("request_map and response_map are required")
         if done_field is None:

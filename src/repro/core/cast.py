@@ -48,14 +48,14 @@ class Cast(Integrator):
     max_exchange_attempts = 5
     requeue_backoff = 0.005
 
+    #: The runtime exchange a Cast composes over.
+    de_name = "object"
+
     def __init__(
         self,
         name,
         spec,
-        de="object",
-        functions=None,
         options=None,
-        creatable_targets=None,
         pushdown=False,
         store_map=None,
         location=None,
@@ -66,10 +66,8 @@ class Cast(Integrator):
             raise ConfigurationError("workers must be >= 1")
         self.workers = workers
         self._initial_spec = spec
-        self.de_name = de
-        self.functions = functions if functions is not None else standard_functions()
+        self.functions = standard_functions()
         self.options = options or ExecutorOptions()
-        self.creatable_targets = creatable_targets
         self.pushdown = pushdown
         self.store_map = dict(store_map) if store_map else None
         self.location = location or name
@@ -176,7 +174,6 @@ class Cast(Integrator):
             handles,
             functions=self.functions,
             options=self.options,
-            creatable_targets=self.creatable_targets,
             tracer=self.runtime.tracer,
         )
         self._store_names = store_names

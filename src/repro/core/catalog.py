@@ -51,8 +51,9 @@ class CompatibilityReport:
 
     package: str
     compatible: bool
-    store_map: dict = field(default_factory=dict)  # alias -> hosted store
-    problems: list = field(default_factory=list)
+    #: alias -> hosted store
+    store_map: dict = field(init=False, default_factory=dict)
+    problems: list = field(init=False, default_factory=list)
 
     def describe(self):
         status = "compatible" if self.compatible else "NOT compatible"
@@ -163,24 +164,21 @@ class Catalog:
 
     # -- installation -------------------------------------------------------------
 
-    def install(self, name, runtime, de_name="object", version=None,
-                integrator_name=None):
-        """Grant + create + register a Cast for a published package."""
-        package = self.get(name, version)
-        de = runtime.exchange(de_name)
+    def install(self, name, runtime):
+        """Grant + create + register a Cast for the latest published
+        version of a package, on the runtime's ``object`` exchange."""
+        package = self.get(name)
+        de = runtime.exchange("object")
         report = self.check(package, de)
         if not report.compatible:
             raise ConfigurationError(
                 f"cannot install {report.package}: "
                 + "; ".join(report.problems)
             )
-        integrator_name = integrator_name or f"{package.name}-{package.version}"
+        integrator_name = f"{package.name}-{package.version}"
         for store in report.store_map.values():
             de.grant(integrator_name, store, role="integrator")
-        cast = Cast(
-            integrator_name, package.dxg, de=de_name,
-            store_map=report.store_map,
-        )
+        cast = Cast(integrator_name, package.dxg, store_map=report.store_map)
         runtime.add_integrator(cast)
         return cast
 

@@ -26,10 +26,10 @@ from repro.util.safeexpr import SAFE_BUILTINS
 class AnalysisReport:
     """Outcome of static analysis: hard errors and soft warnings."""
 
-    errors: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
+    errors: list = field(init=False, default_factory=list)
+    warnings: list = field(init=False, default_factory=list)
     cycles: list = field(default_factory=list)
-    unused_external: list = field(default_factory=list)
+    unused_external: list = field(init=False, default_factory=list)
 
     @property
     def ok(self):

@@ -53,9 +53,6 @@ class DependencyGraph:
     def predecessors(self, node):
         return set(self._pred.get(node, ()))
 
-    def assignment_for(self, node):
-        return self._assignment_of.get(node)
-
     def assigned_nodes(self):
         """Nodes that are the target of an assignment."""
         return set(self._assignment_of)

@@ -93,7 +93,7 @@ class DXGSpec:
     """
 
     inputs: dict  # alias -> store reference string
-    assignments: list = field(default_factory=list)
+    assignments: list = field(init=False, default_factory=list)
     globals_: dict = field(default_factory=dict)  # alias -> fixed object key
     source_text: str = ""
 

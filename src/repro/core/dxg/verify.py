@@ -24,7 +24,7 @@ disagree -- the counterexample a developer needs.
 from dataclasses import dataclass, field
 from itertools import islice
 
-from repro.core.dxg.executor import DXGExecutor, ExecutorOptions
+from repro.core.dxg.executor import DXGExecutor
 from repro.errors import ConfigurationError
 from repro.exchange import ObjectDE
 from repro.simnet import Environment, FixedLatency, Network
@@ -39,7 +39,7 @@ class ConfluenceReport:
     orders_checked: int
     final_state: dict = None  # (alias, kind) -> data, when confluent
     counterexample: tuple = None  # (order_a, state_a, order_b, state_b)
-    problems: list = field(default_factory=list)
+    problems: list = field(init=False, default_factory=list)
 
     def describe(self):
         if self.confluent:
@@ -53,16 +53,12 @@ class ConfluenceReport:
         return "\n".join(lines)
 
 
-def check_confluence(
-    spec,
-    schemas,
-    updates,
-    cid="verify",
-    functions=None,
-    creatable_targets=None,
-    max_orders=24,
-    options=None,
-):
+#: The correlation id every checked ordering runs under.
+_CID = "verify"
+
+
+def check_confluence(spec, schemas, updates, creatable_targets=None,
+                     max_orders=24):
     """Bounded confluence check for one correlation group.
 
     - ``spec``: a parsed :class:`DXGSpec`.
@@ -83,10 +79,7 @@ def check_confluence(
     orders = list(islice(_interleavings(groups), max_orders))
     outcomes = []
     for order in orders:
-        state = _run_order(
-            spec, schemas, updates, order, cid, functions,
-            creatable_targets, options,
-        )
+        state = _run_order(spec, schemas, updates, order, creatable_targets)
         outcomes.append((order, state))
 
     report = ConfluenceReport(confluent=True, orders_checked=len(orders))
@@ -134,8 +127,7 @@ def _interleavings(groups):
     yield from merge(queues, [])
 
 
-def _run_order(spec, schemas, updates, order, cid, functions,
-               creatable_targets, options):
+def _run_order(spec, schemas, updates, order, creatable_targets):
     env = Environment()
     network = Network(env, default_latency=FixedLatency(0.0))
     de = ObjectDE(env, MemKV(env, network, watch_overhead=0.0))
@@ -150,19 +142,15 @@ def _run_order(spec, schemas, updates, order, cid, functions,
         de.grant("verifier", store_name, role="integrator")
         handles[alias] = de.handle(store_name, principal="verifier")
         owners[alias] = de.handle(store_name, principal=f"owner-{alias}")
-    executor = DXGExecutor(
-        env, spec, handles,
-        functions=functions,
-        options=options or ExecutorOptions(),
-        creatable_targets=creatable_targets,
-    )
+    executor = DXGExecutor(env, spec, handles,
+                           creatable_targets=creatable_targets)
 
     from repro.errors import AlreadyExistsError
 
     created = set()
     for index in order:
         alias, kind, data = updates[index]
-        key = executor.object_key(kind, cid)
+        key = executor.object_key(kind, _CID)
         owner = owners[alias]
         if (alias, kind) in created:
             env.run(until=owner.patch(key, data))
@@ -174,12 +162,12 @@ def _run_order(spec, schemas, updates, order, cid, functions,
             except AlreadyExistsError:
                 env.run(until=owner.patch(key, data))
             created.add((alias, kind))
-        env.run(until=executor.exchange(cid))
+        env.run(until=executor.exchange(_CID))
 
     # Final snapshot of every involved object.
     snapshot = {}
     for alias, kind in executor._involved:
-        key = executor.object_key(kind, cid)
+        key = executor.object_key(kind, _CID)
         try:
             view = env.run(until=owners[alias].get(key))
             snapshot[(alias, kind)] = view["data"]

@@ -75,10 +75,6 @@ class Knactor:
             f"knactor {self.name!r} has no store {local_name!r}"
         )
 
-    @property
-    def default_store_name(self):
-        return self.binding("default").store_name
-
     def describe(self):
         lines = [f"knactor {self.name}"]
         for b in self.stores:

@@ -20,18 +20,21 @@ from repro.core.dxg.executor import ExecutorOptions
 
 @dataclass(frozen=True)
 class OptimizationProfile:
-    """A named combination of the paper's optimization toggles."""
+    """A named combination of the paper's optimization toggles.
+
+    Every profile consolidates writes (one patch per target object per
+    pass); the §3.3 consolidation ablation flips that on
+    :class:`~repro.core.dxg.executor.ExecutorOptions` directly.
+    """
 
     name: str
     backend: str = "apiserver"  # "apiserver" | "memkv"
     pushdown: bool = False
     zero_copy: bool = False  # co-locate the integrator with the DE backend
-    consolidate: bool = True
     refresh_reads: bool = True
 
     def executor_options(self):
         return ExecutorOptions(
-            consolidate=self.consolidate,
             refresh_reads=self.refresh_reads,
             # Integrators under a profile run watch-fed (informer-style):
             # never pay a round trip to learn an object does not exist.

@@ -316,7 +316,7 @@ class Reconciler:
         if self._mark_dirty(event.key, event.type):
             # Coalescing keeps the LATEST commit's causal context: the
             # reconcile pass acts on the state that commit produced.
-            self._pending_ctx[event.key] = getattr(event, "ctx", None)
+            self._pending_ctx[event.key] = event.ctx
         self._kick()
 
     def _mark_dirty(self, key, event_type, overwrite=True):

@@ -69,14 +69,14 @@ class KnactorRuntime:
                     f"unknown execution mode {mode!r}: "
                     f"expected one of {MODES}"
                 )
-            backend = getattr(env, "backend", "sim")
+            backend = env.backend
             if backend != mode:
                 raise ConfigurationError(
                     f"mode={mode!r} does not match the given "
                     f"environment's backend {backend!r}"
                 )
         self.env = env
-        self.mode = getattr(env, "backend", "sim")
+        self.mode = env.backend
         self.network = (
             network if network is not None else self._default_network(env)
         )
@@ -97,7 +97,7 @@ class KnactorRuntime:
         latency)."""
         from repro.simnet import FixedLatency, Network
 
-        if getattr(env, "backend", "sim") == "realtime":
+        if env.backend == "realtime":
             return Network(env, default_latency=FixedLatency(0.0))
         return Network(env)
 

@@ -147,7 +147,7 @@ class Sync(Integrator):
             count=len(event.object["records"]),
         )
         work = self._move(env, bound, event.object["records"])
-        parent = getattr(event, "ctx", None)
+        parent = event.ctx
         if parent is not None and parent.sink is not None:
             # The load that appended this batch is the causal parent
             # of the flow run that moves it downstream.

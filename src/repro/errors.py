@@ -52,10 +52,9 @@ class CrossShardTxnError(StoreError):
 
     Single-shard transactions stay the default because they are atomic
     for free (one server, one commit order).  A batch whose keys hash to
-    several shards must opt into the cross-shard transactional plane:
-    ``txn(ops, mode="2pc")`` (atomic, blocks on in-doubt participants) or
-    ``txn(ops, mode="saga")`` (available, compensates on failure) -- see
-    ``docs/transactions.md``.
+    several shards must opt into the cross-shard transactional plane,
+    ``txn(ops, mode="2pc")`` (atomic, blocks on in-doubt participants) --
+    see ``docs/transactions.md``.
 
     ``shard_map`` carries the offending ``key -> owner shard`` mapping
     (shard *locations*, not positional indices, so the report stays

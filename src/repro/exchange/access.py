@@ -18,7 +18,7 @@ Model:
   the Lamp during user-defined sleep hours").
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import AccessDeniedError, ConfigurationError
 
@@ -161,12 +161,12 @@ class AccessController:
                 fields.update(p.read_fields)
         return fields
 
-    def can(self, principal, store, verb, now=0.0):
+    def can(self, principal, store, verb):
         """Non-raising, non-auditing variant of :meth:`check`."""
         try:
             saved, self.audit = self.audit, None
             try:
-                self.check(principal, store, verb, now=now)
+                self.check(principal, store, verb)
             finally:
                 self.audit = saved
             return True
@@ -198,4 +198,3 @@ class Grant:
     verbs: frozenset
     write_fields: tuple = None
     note: str = ""
-    extra: dict = field(default_factory=dict)

@@ -39,15 +39,11 @@ class AuditLog:
             self.dropped += self.capacity // 10
         self._records.append(AuditRecord(**kwargs))
 
-    def records(self, principal=None, store=None, verb=None, allowed=None):
+    def records(self, principal=None, allowed=None):
         """Filtered view of the trail."""
         out = self._records
         if principal is not None:
             out = [r for r in out if r.principal == principal]
-        if store is not None:
-            out = [r for r in out if r.store == store]
-        if verb is not None:
-            out = [r for r in out if r.verb == verb]
         if allowed is not None:
             out = [r for r in out if r.allowed == allowed]
         return list(out)

@@ -138,7 +138,6 @@ class DataExchange:
         *,
         role="integrator",
         verbs=None,
-        write_fields=None,
         read_fields=(),
         note="",
     ):
@@ -154,9 +153,10 @@ class DataExchange:
           per-source secret masks compose at the view boundary, see
           :meth:`register_view`).
         - **custom**: pass ``verbs`` explicitly (optionally with
-          ``write_fields`` / ``read_fields``) for a hand-tuned permission
-          set; ``role`` is ignored.
+          ``read_fields``) for a hand-tuned permission set with no write
+          field scope; ``role`` is ignored.
         """
+        write_fields = None
         if verbs is None:
             if store_name in self._views:
                 if role != "viewer":

@@ -21,15 +21,12 @@ from repro.store.loglake import LogLake, LogLakeClient
 class LogDE(DataExchange):
     """Log exchange over the lake backend."""
 
-    def __init__(self, env, backend, name="log-de", retry_policy=None,
-                 watch_credits=None, watch_overflow=None):
+    def __init__(self, env, backend, name="log-de", retry_policy=None):
         if not isinstance(backend, LogLake):
             raise ConfigurationError(
                 f"LogDE needs a LogLake backend, got {type(backend).__name__}"
             )
-        super().__init__(env, backend, name, retry_policy=retry_policy,
-                         watch_credits=watch_credits,
-                         watch_overflow=watch_overflow)
+        super().__init__(env, backend, name, retry_policy=retry_policy)
 
     def _on_hosted(self, hosted):
         # Control-plane setup: create the backing pool directly.

@@ -16,8 +16,9 @@ Every handle operation:
 from repro.errors import ConfigurationError
 from repro.exchange.base import DataExchange, StoreHandle
 from repro.schema.validation import validate_state
-from repro.store.apiserver import ApiServer, ApiServerClient
+from repro.store.apiserver import ApiServer
 from repro.store.base import WatchEvent
+from repro.store.client import ObjectClient
 from repro.store.memkv import MemKV, MemKVClient
 from repro.store.sharded import ShardedStore, ShardedStoreClient
 from repro.util.paths import get_path, walk_leaves
@@ -41,9 +42,9 @@ class ObjectDE(DataExchange):
         policy = retry_policy if retry_policy is not None else self.retry_policy
         if isinstance(self.backend, ShardedStore):
             return ShardedStoreClient(self.backend, location, retry_policy=policy)
-        if isinstance(self.backend, ApiServer):
-            return ApiServerClient(self.backend, location, retry_policy=policy)
-        return MemKVClient(self.backend, location, retry_policy=policy)
+        if isinstance(self.backend, MemKV):
+            return MemKVClient(self.backend, location, retry_policy=policy)
+        return ObjectClient(self.backend, location, retry_policy=policy)
 
     def _role_policy(self, role, store_name):
         """Integrator: read + writes scoped to ``+kr: external``.  Reader:
@@ -79,8 +80,8 @@ class ObjectDE(DataExchange):
         backend round trip, all-or-nothing.
 
         On a sharded backend, a batch whose keys land on several shards
-        needs ``mode="2pc"`` or ``mode="saga"`` (and optionally an
-        ``idempotence_key`` for exactly-once submission) -- otherwise
+        needs ``mode="2pc"`` (and optionally an ``idempotence_key`` for
+        exactly-once submission) -- otherwise
         ``commit()`` fails with
         :class:`~repro.errors.CrossShardTxnError`.
         """
@@ -200,12 +201,13 @@ class ObjectStoreHandle(StoreHandle):
             on_close=on_close, credits=credits, overflow=overflow,
         )
 
-    def read_field(self, key, path, default=None):
-        """Convenience: read one dotted field of one object."""
+    def read_field(self, key, path):
+        """Convenience: read one dotted field of one object (None when
+        the object has no such field)."""
 
         def run(env):
             view = yield self.get(key)
-            return get_path(view["data"], path, default=default)
+            return get_path(view["data"], path, default=None)
 
         return self.env.process(run(self.env))
 

@@ -40,6 +40,12 @@ from repro.metrics.telemetry import resilience_snapshot
 #: The store backend's network location in the retail app.
 BACKEND = "object-backend"
 
+#: Virtual seconds between two placed orders.
+ORDER_SPACING = 0.6
+
+#: How long the app may take to go quiet after the faults (virtual s).
+CONVERGE_SECONDS = 120.0
+
 
 def default_retail_plan(seed=0):
     """A seeded schedule guaranteed to contain the required fault triad:
@@ -77,15 +83,19 @@ def default_retail_plan(seed=0):
     return plan
 
 
-def run_retail_chaos(seed=0, orders=6, profile=K_APISERVER, plan=None,
-                     spacing=0.6, max_converge_seconds=120.0):
-    """Run the experiment; returns a plain-dict report (see module doc)."""
+def run_retail_chaos(seed=0, orders=6):
+    """Run the experiment; returns a plain-dict report (see module doc).
+
+    The backend is the apiserver: its WAL makes crash recovery lossless,
+    which is the property the run asserts.
+    """
     retry = RetryPolicy(
         max_attempts=8, base_backoff=0.01, max_backoff=0.3,
         jitter=0.3, seed=seed,
     )
     app = RetailKnactorApp.build(
-        profile=profile, seed=seed, with_notify=False, retry_policy=retry
+        profile=K_APISERVER, seed=seed, with_notify=False,
+        retry_policy=retry,
     )
     env = app.env
     injector = FaultInjector(
@@ -98,7 +108,7 @@ def run_retail_chaos(seed=0, orders=6, profile=K_APISERVER, plan=None,
         },
         tracer=app.tracer,
     )
-    plan = plan if plan is not None else default_retail_plan(seed)
+    plan = default_retail_plan(seed)
     injector.schedule(plan)
 
     workload = OrderWorkload(seed=seed)
@@ -123,13 +133,13 @@ def run_retail_chaos(seed=0, orders=6, profile=K_APISERVER, plan=None,
                     yield env.timeout(0.08 * load_rng.uniform(0.5, 1.5))
             placed.append(key)
             app.tracer.record("request", "start", key=key)
-            yield env.timeout(spacing)
+            yield env.timeout(ORDER_SPACING)
 
     env.run(until=env.process(load(env)))
     # Let the remaining scheduled faults play out, then converge.
     if plan.horizon > env.now:
         env.run(until=plan.horizon + 0.05)
-    app.run_until_quiet(max_seconds=max_converge_seconds)
+    app.run_until_quiet(max_seconds=CONVERGE_SECONDS)
 
     # Operator replay: any cid parked in a DLQ during the outages gets
     # one more chance now that the faults have healed.
@@ -144,7 +154,7 @@ def run_retail_chaos(seed=0, orders=6, profile=K_APISERVER, plan=None,
             replayed.append(letter.key)
             reconciler.requeue(letter.key)
     if replayed:
-        app.run_until_quiet(max_seconds=max_converge_seconds)
+        app.run_until_quiet(max_seconds=CONVERGE_SECONDS)
     converged_at = env.now
 
     def collect(env):
@@ -190,7 +200,7 @@ def run_retail_chaos(seed=0, orders=6, profile=K_APISERVER, plan=None,
             k: (states.get(k) or {}).get("status") for k in placed
         },
         "state_digest": digest.hexdigest(),
-        "wal_length": getattr(app.de.backend, "wal_length", None),
+        "wal_length": app.de.backend.wal_length,
         "messages_lost": app.runtime.network.messages_lost,
     }
 

@@ -20,37 +20,24 @@ class DeadLetter:
     attempts: int
     time: float
     source: str = ""
-    payload: object = None
 
 
 @dataclass
 class DeadLetterQueue:
-    """Append-only (optionally bounded) queue of :class:`DeadLetter`.
-
-    With ``capacity`` set, the oldest letters are evicted first
-    (``evicted`` counts them) -- a real DLQ is a bounded topic, not an
-    unbounded memory leak.
-    """
+    """Append-only queue of :class:`DeadLetter`."""
 
     name: str = ""
-    capacity: int = None
-    letters: list = field(default_factory=list)
-    evicted: int = 0
+    letters: list = field(init=False, default_factory=list)
 
-    def push(self, key, error, attempts, time, source="", payload=None):
+    def push(self, key, error, attempts, time, source=""):
         letter = DeadLetter(
             key=key,
             error=str(error),
             attempts=attempts,
             time=time,
             source=source,
-            payload=payload,
         )
         self.letters.append(letter)
-        if self.capacity is not None and len(self.letters) > self.capacity:
-            overflow = len(self.letters) - self.capacity
-            del self.letters[:overflow]
-            self.evicted += overflow
         return letter
 
     def keys(self):
@@ -70,5 +57,4 @@ class DeadLetterQueue:
         return True  # an empty DLQ is still a DLQ
 
     def stats(self):
-        return {"name": self.name, "size": len(self.letters),
-                "evicted": self.evicted}
+        return {"name": self.name, "size": len(self.letters)}

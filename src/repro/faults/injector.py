@@ -46,7 +46,6 @@ class FaultInjector:
             self.register_process(name, proc)
         self._active = {}  # (kind, normalized target) -> live window count
         self.events = []  # (time, "begin"|"end", kind, target-string)
-        self.injected = 0
 
     def register_store(self, server):
         """Make ``server`` (a StoreServer) targetable by its location."""
@@ -114,7 +113,6 @@ class FaultInjector:
     def _begin(self, action):
         key = self._key(action)
         self._active[key] = self._active.get(key, 0) + 1
-        self.injected += 1
         kind = action.kind
         if kind == PARTITION:
             self.network.partition(*action.target)

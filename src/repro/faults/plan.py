@@ -74,7 +74,10 @@ class FaultPlan:
                 .drop_window("*", "shipping", rate=0.4, at=2.0, duration=0.5))
     """
 
-    actions: list = field(default_factory=list)
+    actions: list = field(init=False, default_factory=list)
+
+    #: Bounds of a generated fault's duration (:meth:`random`, seconds).
+    RANDOM_DURATION = (0.02, 0.3)
 
     def _add(self, action):
         self.actions.append(action)
@@ -129,8 +132,7 @@ class FaultPlan:
         dies exactly when the next coordination crosses the ``phase``
         boundary -- ``"prepare"`` (participants locked, nothing
         decided), ``"commit"`` (decision durable, participants not yet
-        told: the classic in-doubt window), ``"abort"``, or
-        ``"compensate"`` (saga rollback half done).  Restarted (with
+        told: the classic in-doubt window), or ``"abort"``.  Restarted (with
         recovery) at the window's end, like any kill.  If no transaction
         reaches the phase inside the window, the arm is withdrawn and
         nothing dies.
@@ -173,7 +175,7 @@ class FaultPlan:
 
     @classmethod
     def random(cls, seed, horizon, endpoints=(), stores=(), processes=(),
-               n_faults=6, min_duration=0.02, max_duration=0.3):
+               n_faults=6):
         """A deterministic random schedule covering every fault class.
 
         ``endpoints`` are link endpoints eligible for partitions / drop
@@ -197,7 +199,7 @@ class FaultPlan:
             # before randomness takes over.
             kind = kinds[i] if i < len(kinds) else rng.choice(kinds)
             at = rng.uniform(0.0, horizon)
-            duration = rng.uniform(min_duration, max_duration)
+            duration = rng.uniform(*cls.RANDOM_DURATION)
             if kind in (PARTITION, DROP, LATENCY_SPIKE):
                 src, dst = rng.sample(list(endpoints), 2)
                 if kind == PARTITION:

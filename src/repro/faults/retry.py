@@ -134,9 +134,8 @@ class RetryPolicy:
         Maximum *retries* (excluding first attempts) this policy instance
         may spend across all operations sharing it -- a global retry
         budget preventing retry storms.  ``None`` = unlimited.
-    retryable:
-        Predicate classifying exceptions; defaults to
-        :func:`default_retryable`.
+
+    Which failures are retried is :func:`default_retryable`'s call.
     """
 
     #: Growth of the sleep from one retry to the next, before the cap.
@@ -144,7 +143,7 @@ class RetryPolicy:
 
     def __init__(self, max_attempts=4, base_backoff=0.01, max_backoff=0.5,
                  jitter=0.25, attempt_timeout=None, deadline=None, budget=None,
-                 seed=0, retryable=None):
+                 seed=0):
         self.max_attempts = int(max_attempts)
         self.base_backoff = float(base_backoff)
         self.max_backoff = float(max_backoff)
@@ -152,7 +151,6 @@ class RetryPolicy:
         self.attempt_timeout = attempt_timeout
         self.deadline = deadline
         self.budget = budget
-        self.retryable = retryable if retryable is not None else default_retryable
         self._rng = random.Random(seed)
         # Counters (reported by stats(); the obs plane and telemetry read that).
         self.attempts = 0
@@ -218,7 +216,7 @@ class RetryPolicy:
                         raise work.value
                     result = work.value
             except ReproError as exc:
-                if not self.retryable(exc):
+                if not default_retryable(exc):
                     if breaker is not None:
                         # The dependency answered; the call failed for
                         # application reasons -- not a circuit signal.

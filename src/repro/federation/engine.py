@@ -272,11 +272,12 @@ class ViewHandle:
         )
         return self.env.process(self.registered.execute(spec, strategy=strategy))
 
-    def plan(self, *, ops=(), freshness=None, consistency=None, keys=None):
-        """The planner's verdict without executing (no RBAC side effects)."""
+    def plan(self, *, freshness=None, consistency=None):
+        """The planner's verdict without executing (no RBAC side effects);
+        it depends on the read's freshness and consistency alone."""
         spec = Query(
-            target=self.name, ops=ops, freshness=freshness,
-            consistency=consistency, principal=self.principal, keys=keys,
+            target=self.name, freshness=freshness,
+            consistency=consistency, principal=self.principal,
         )
         return self.registered.plan(spec)
 

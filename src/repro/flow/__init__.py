@@ -22,6 +22,7 @@ time (``RetailKnactorApp.build(flow=True)``).
 """
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.flow.admission import (
     BULK,
@@ -57,11 +58,12 @@ class FlowConfig:
     watch_credits: int = 64
     #: Paused-buffer policy once a watcher exhausts its credits and its
     #: coalesced buffer fills: ``reject`` breaks the stream into a
-    #: per-watcher resync; the shed policies drop buffered events.
-    watch_overflow: str = REJECT
-    #: Reconciler dirty-key queue bound (sheds route to the DLQ).
+    #: per-watcher resync.
+    watch_overflow: ClassVar[str] = REJECT
+    #: Reconciler dirty-key queue bound; a full queue sheds its oldest
+    #: key to the DLQ.
     reconciler_queue: int = 512
-    reconciler_overflow: str = SHED_OLDEST
+    reconciler_overflow: ClassVar[str] = SHED_OLDEST
     #: Admission-control front door (see AdmissionController).
     admission_rate: float = 4000.0
     admission_burst: int = 256

@@ -29,15 +29,13 @@ class TrafficClass:
 
     ``arrivals`` shapes *when* requests land; ``keys`` shapes *what* they
     touch (pass a :class:`~repro.load.sampling.ZipfKeys`, or None for
-    scenarios that pick their own keys); ``service_times`` is an optional
-    sampler the scenario may consult for request weight; ``principal``
-    names the flow-plane identity the scenario should submit under.
+    scenarios that pick their own keys); ``principal`` names the
+    flow-plane identity the scenario should submit under.
     """
 
     name: str
     arrivals: object
     keys: object = None
-    service_times: object = None
     principal: str = None
 
     def __post_init__(self):
@@ -75,7 +73,7 @@ class LoadResult:
     duration: float
     started_at: float
     finished_at: float
-    classes: dict = field(default_factory=dict)
+    classes: dict = field(init=False, default_factory=dict)
 
     def offered(self, cls=None):
         """Requests launched (for one class, or total)."""
@@ -83,12 +81,10 @@ class LoadResult:
             return len(self.classes[cls].arrival_times)
         return sum(len(t.arrival_times) for t in self.classes.values())
 
-    def outcome_counts(self, cls=None):
-        """``{outcome: count}`` for one class or summed across classes."""
+    def outcome_counts(self):
+        """``{outcome: count}`` summed across classes."""
         totals = {}
-        for name, trace in self.classes.items():
-            if cls is not None and name != cls:
-                continue
+        for trace in self.classes.values():
             for outcome, count in trace.outcomes.items():
                 totals[outcome] = totals.get(outcome, 0) + count
         return totals

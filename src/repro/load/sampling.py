@@ -26,7 +26,6 @@ class ZipfKeys:
             raise ConfigurationError("population must be positive")
         if alpha < 0:
             raise ConfigurationError("alpha must be non-negative")
-        self.population = population
         self.alpha = alpha
         self.key_format = key_format
         self._cumulative = []

@@ -111,12 +111,12 @@ class RetailLoadScenario(LoadScenario):
     latency_threshold_s = 0.25
     freshness_threshold_s = 0.5
 
-    def __init__(self, mode=None, flow=None, seed=7, **build_kwargs):
+    def __init__(self, flow=None, seed=7, **build_kwargs):
         super().__init__()
         from repro.apps.retail.knactor_app import RetailKnactorApp
 
         self.app = RetailKnactorApp.build(
-            mode=mode, seed=seed, obs=True, flow=flow, **build_kwargs
+            seed=seed, obs=True, flow=flow, **build_kwargs
         )
         self._orders = 0
         self._wire(self.app.env, self.app.runtime)
@@ -158,13 +158,11 @@ class SmartHomeLoadScenario(LoadScenario):
     latency_threshold_s = 0.1
     freshness_threshold_s = 0.5
 
-    def __init__(self, mode=None, **build_kwargs):
+    def __init__(self, **build_kwargs):
         super().__init__()
         from repro.apps.smarthome.knactor_app import SmartHomeKnactorApp
 
-        self.app = SmartHomeKnactorApp.build(
-            mode=mode, obs=True, **build_kwargs
-        )
+        self.app = SmartHomeKnactorApp.build(obs=True, **build_kwargs)
         self._wire(self.app.env, self.app.runtime)
         self._motion_log = self.app.runtime.handle_of("motion", "log")
 
@@ -204,11 +202,11 @@ class SocialNetworkLoadScenario(LoadScenario):
     name = "socialnetwork"
     latency_threshold_s = 0.25
 
-    def __init__(self, mode=None, **build_kwargs):
+    def __init__(self, **build_kwargs):
         super().__init__()
         from repro.apps.socialnetwork.rpc_app import SocialNetworkRpcApp
 
-        self.app = SocialNetworkRpcApp.build(mode=mode, **build_kwargs)
+        self.app = SocialNetworkRpcApp.build(**build_kwargs)
         self._posts = 0
         self._wire(self.app.env)
 
@@ -230,12 +228,11 @@ class SensorFleetLoadScenario(LoadScenario):
     latency_threshold_s = 0.05
     freshness_threshold_s = 0.25
 
-    def __init__(self, mode=None, devices=None, flow=None, **build_kwargs):
+    def __init__(self, devices=None, flow=None, **build_kwargs):
         super().__init__()
         from repro.load.sensorfleet import FLEET_DEVICES, SensorFleetApp
 
         self.app = SensorFleetApp.build(
-            mode=mode,
             devices=devices if devices is not None else FLEET_DEVICES,
             flow=flow, **build_kwargs,
         )

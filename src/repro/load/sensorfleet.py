@@ -61,9 +61,12 @@ class SensorFleetApp:
     devices: int
     tracer: CausalTracer = None
     flow: FlowConfig = None
-    analytics_seen: list = field(default_factory=list)
+    analytics_seen: list = field(init=False, default_factory=list)
     _watch: object = None
     _handles: dict = field(default_factory=dict)
+
+    #: :meth:`run_until_quiet` stops after this long with no event.
+    QUIET_SETTLE = 0.5
 
     @classmethod
     def build(cls, env=None, mode=None, devices=FLEET_DEVICES, obs=True,
@@ -76,7 +79,7 @@ class SensorFleetApp:
         if env is None:
             env = create_environment(mode if mode is not None else "sim")
         if shape_latency is None:
-            shape_latency = getattr(env, "backend", "sim") == "sim"
+            shape_latency = env.backend == "sim"
         hop = config.NETWORK_HOP if shape_latency else FixedLatency(0.0)
         network = Network(env, default_latency=hop)
         tracer = CausalTracer(env)
@@ -205,9 +208,9 @@ class SensorFleetApp:
                                         "mean_temp": "avg(temperature)"}}]
         )
 
-    def run_until_quiet(self, max_seconds=120.0, settle=0.5):
+    def run_until_quiet(self, max_seconds=120.0):
         deadline = self.env.now + max_seconds
         while self.env.peek() <= deadline:
-            horizon = min(self.env.peek() + settle, deadline)
+            horizon = min(self.env.peek() + self.QUIET_SETTLE, deadline)
             self.env.run(until=horizon)
         return self.env.now

@@ -27,6 +27,10 @@ def summarize(values):
     }
 
 
+#: Table 2's stage columns, in the paper's order.
+STAGES = ("C-I", "I", "I-S", "S", "Prop.", "Total")
+
+
 @dataclass
 class StageBreakdown:
     """Per-request stage durations for one experimental setup.
@@ -61,10 +65,11 @@ class StageBreakdown:
             return 0
         return min(len(v) for v in self.stages.values())
 
-    def row(self, stage_order=("C-I", "I", "I-S", "S", "Prop.", "Total")):
-        """Mean per stage in milliseconds, None for absent stages."""
+    def row(self):
+        """Mean per :data:`STAGES` stage in milliseconds, None for absent
+        stages."""
         out = {"Setup": self.setup}
-        for stage in stage_order:
+        for stage in STAGES:
             mean = self.mean(stage)
             out[stage] = None if mean is None else mean * 1000.0
         return out

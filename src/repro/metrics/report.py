@@ -1,17 +1,17 @@
 """Plain-text table rendering with paper-vs-measured columns."""
 
 
-def format_seconds(seconds, digits=1):
+def format_seconds(seconds):
     """Render seconds as milliseconds, the paper's unit."""
     if seconds is None:
         return "-"
-    return f"{seconds * 1000.0:.{digits}f}"
+    return f"{seconds * 1000.0:.1f}"
 
 
-def format_ms(ms, digits=1):
+def format_ms(ms):
     if ms is None:
         return "-"
-    return f"{ms:.{digits}f}"
+    return f"{ms:.1f}"
 
 
 class Table:

@@ -59,5 +59,6 @@ def total_sloc(artifacts, changed_only=True):
     return sum(a.sloc for a in artifacts if a.changed or not changed_only)
 
 
-def file_count(artifacts, changed_only=True):
-    return sum(1 for a in artifacts if a.changed or not changed_only)
+def file_count(artifacts):
+    """Count the changed artifacts."""
+    return sum(1 for a in artifacts if a.changed)

@@ -39,7 +39,7 @@ class CausalSpan:
     start: float
     end: float = None
     attrs: dict = field(default_factory=dict)
-    events: list = field(default_factory=list)  # (time, name, attrs)
+    events: list = field(init=False, default_factory=list)  # (time, name, attrs)
     baggage: dict = field(default_factory=dict)
 
     @property
@@ -126,10 +126,9 @@ class CausalTracer:
         span.attrs.update(attrs)
         return span
 
-    def point(self, name, service, parent=None, baggage=None, **attrs):
+    def point(self, name, service, parent=None, **attrs):
         """A zero-duration span (e.g. a store commit); returns its context."""
-        ctx = self.start_span(name, service, parent=parent,
-                              baggage=baggage, **attrs)
+        ctx = self.start_span(name, service, parent=parent, **attrs)
         self.end_span(ctx)
         return ctx
 

@@ -57,7 +57,7 @@ _STORE = {
     # coordinator restart.
     "in_doubt_txns": (GAUGE, "txn_in_doubt"),
     **{f"txn.{field}": (COUNTER, f"txn_{field}_total")
-       for field in ("prepared", "committed", "aborted", "compensations",
+       for field in ("prepared", "committed", "aborted",
                      "idempotent_replays", "unknown_participants",
                      "recoveries")},
     # Elastic topology plane (repro.store.ring/reshard): `knactor top`
@@ -114,7 +114,7 @@ class ObsPlane:
 
     # -- runtime scraping ----------------------------------------------------
 
-    def bind_runtime(self, runtime, breakers=()):
+    def bind_runtime(self, runtime):
         """Adopt a runtime's tracer; scrape its components at every snapshot.
 
         From here ``self.causal is runtime.tracer``: the spans the data
@@ -124,7 +124,6 @@ class ObsPlane:
         are still seen.
         """
         self._adopt(runtime.tracer)
-        breakers = list(breakers)
 
         def collect(reg):
             for name, knactor in runtime.knactors.items():
@@ -143,15 +142,6 @@ class ObsPlane:
                             exchange=name)
             reg.counter("network_bytes_total").set_total(
                 runtime.network.bytes_sent)
-            for breaker in breakers:
-                stats = breaker.stats()
-                label = breaker.name or repr(breaker)
-                reg.gauge("circuit_open", breaker=label).set(
-                    1.0 if stats["state"] == "open" else 0.0)
-                reg.counter("circuit_opened_total", breaker=label
-                            ).set_total(stats["opened"])
-                reg.counter("circuit_rejected_total", breaker=label
-                            ).set_total(stats["rejected"])
 
         self.registry.register_collector(collect)
         return self
@@ -187,17 +177,6 @@ class ObsPlane:
 
         self.registry.register_collector(collect)
         return self
-
-    def watch_breakers(self, breakers):
-        """Late-bind client-side circuit breakers into the scrape set."""
-        def collect(reg):
-            for breaker in breakers:
-                stats = breaker.stats()
-                label = breaker.name or repr(breaker)
-                reg.gauge("circuit_open", breaker=label).set(
-                    1.0 if stats["state"] == "open" else 0.0)
-
-        self.registry.register_collector(collect)
 
     # -- summary views -------------------------------------------------------
 

@@ -34,6 +34,7 @@ reservoirs, never wall clocks, so same-seed runs produce bit-identical
 """
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.errors import ConfigurationError
 from repro.obs.registry import percentile
@@ -187,7 +188,7 @@ class LatencySLO(SLOSpec):
     declared percentile (p99 <= t means 99% of samples must be under t).
     """
 
-    metric: str = "request_latency_seconds"
+    metric: ClassVar[str] = "request_latency_seconds"
     labels: dict = field(default_factory=dict)
     percentile: float = 0.99
     threshold_seconds: float = None
@@ -274,12 +275,12 @@ class LatencySLO(SLOSpec):
 class FreshnessSLO(LatencySLO):
     """Watch-lag freshness: downstream staleness stays under a bound.
 
-    A :class:`LatencySLO` whose histogram defaults to the obs plane's
-    ``watch_lag_seconds`` (observed at every watch delivery, exemplar =
-    the stale write's trace id).
+    A :class:`LatencySLO` over the obs plane's ``watch_lag_seconds``
+    histogram (observed at every watch delivery, exemplar = the stale
+    write's trace id).
     """
 
-    metric: str = "watch_lag_seconds"
+    metric: ClassVar[str] = "watch_lag_seconds"
 
     kind = FRESHNESS
 

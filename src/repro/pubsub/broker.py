@@ -100,7 +100,6 @@ class Broker:
         self.overflow = check_overflow(overflow)
         self._subscriptions = []
         self._retained = {}
-        self.published = 0
         self.delivered = 0
         self.dropped = 0
         self.shed = 0
@@ -156,7 +155,6 @@ class Broker:
         yield self.network.transfer(publisher_location, self.location)
         delay = self.forward_overhead + self.per_byte * estimate_size(payload)
         yield self.env.timeout(delay)
-        self.published += 1
         if retain:
             self._retained[topic] = _Retained(topic, payload, self.env.now,
                                               ctx=ctx)
@@ -213,9 +211,3 @@ class Broker:
         subscription.delivered += 1
         self.delivered += 1
 
-    def subscriptions_for(self, topic):
-        return [
-            s
-            for s in self._subscriptions
-            if s.active and topic_matches(s.pattern, topic)
-        ]

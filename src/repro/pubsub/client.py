@@ -9,38 +9,29 @@ class PubSubClient:
     Publishing/subscribing with codecs reproduces the real workflow:
     the payload on the wire is bytes; both ends must hold the codec.
 
-    With a :class:`repro.faults.RetryPolicy` (and optionally a
-    :class:`repro.faults.CircuitBreaker`) attached, *publishes* ride
+    With a :class:`repro.faults.RetryPolicy` attached, *publishes* ride
     through partitioned links to the broker with backoff.  Downstream
     delivery stays QoS 0 (the broker may drop it) -- subscribers wanting
     more must use the data-centric substrate.
     """
 
-    def __init__(self, broker, location, retry_policy=None,
-                 circuit_breaker=None):
+    def __init__(self, broker, location, retry_policy=None):
         self.broker = broker
         self.env = broker.env
         self.location = location
         self.retry_policy = retry_policy
-        self.circuit_breaker = circuit_breaker
         self.subscriptions = []
 
     def publish(self, topic, message, codec=None, retain=False):
         """Publish a message (encoded when ``codec`` given); process event."""
         payload = codec.encode(message) if codec is not None else message
-        if self.retry_policy is None and self.circuit_breaker is None:
+        if self.retry_policy is None:
             return self.broker.publish(topic, payload, self.location,
                                        retain=retain)
-        from repro.faults.retry import RetryPolicy
-
-        policy = self.retry_policy
-        if policy is None:  # breaker-only client: gate but never retry
-            policy = self.retry_policy = RetryPolicy(max_attempts=1)
-        return policy.execute(
+        return self.retry_policy.execute(
             self.env,
             lambda: self.broker.publish(topic, payload, self.location,
                                         retain=retain),
-            breaker=self.circuit_breaker,
         )
 
     def subscribe(self, pattern, handler, codec=None):

@@ -76,8 +76,5 @@ class Router:
                 return route.handler, params
         return None, None
 
-    def routes(self):
-        return list(self._routes)
-
     def __len__(self):
         return len(self._routes)

@@ -16,11 +16,9 @@ constructor helpers with per-field keyword arguments.
 from repro.errors import IDLError
 
 
-def generate_client_stub(idl, service_name=None):
-    """Emit Python stub source for ``idl`` (optionally one service)."""
-    services = (
-        [idl.service(service_name)] if service_name else list(idl.services.values())
-    )
+def generate_client_stub(idl):
+    """Emit Python stub source for every service ``idl`` defines."""
+    services = list(idl.services.values())
     if not services:
         raise IDLError("IDL defines no services")
     lines = [

@@ -66,7 +66,7 @@ class Message:
     """A message definition."""
 
     name: str
-    fields: list = field(default_factory=list)
+    fields: list = field(init=False, default_factory=list)
 
     def field_by_name(self, name):
         for f in self.fields:
@@ -92,7 +92,7 @@ class Service:
     """A service definition with its rpc methods."""
 
     name: str
-    methods: list = field(default_factory=list)
+    methods: list = field(init=False, default_factory=list)
 
     def method(self, name):
         for m in self.methods:
@@ -107,8 +107,8 @@ class IDLFile:
 
     package: str = ""
     syntax: str = "proto3"
-    messages: dict = field(default_factory=dict)
-    services: dict = field(default_factory=dict)
+    messages: dict = field(init=False, default_factory=dict)
+    services: dict = field(init=False, default_factory=dict)
     source_text: str = ""
 
     def message(self, name):

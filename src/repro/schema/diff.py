@@ -18,8 +18,10 @@ class SchemaDiff:
 
     added: list = field(default_factory=list)
     removed: list = field(default_factory=list)
-    retyped: list = field(default_factory=list)  # (path, old_type, new_type)
-    reannotated: list = field(default_factory=list)  # (path, old, new)
+    #: (path, old_type, new_type)
+    retyped: list = field(init=False, default_factory=list)
+    #: (path, old, new)
+    reannotated: list = field(init=False, default_factory=list)
 
     @property
     def empty(self):

@@ -88,14 +88,13 @@ class Field:
 
 
 class Schema:
-    """The schema of one data store: an ordered set of typed fields."""
+    """The schema of one data store: an ordered set of typed fields,
+    added with :meth:`add_field`."""
 
-    def __init__(self, name, fields=()):
+    def __init__(self, name):
         self.name = SchemaName.parse(name)
         self._fields = {}
         self._secret = None  # secret_fields() memo; add_field drops it
-        for f in fields:
-            self.add_field(f)
 
     # -- construction ----------------------------------------------------
 

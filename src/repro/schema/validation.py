@@ -15,7 +15,7 @@ from repro.util.paths import get_path, walk_leaves
 class ValidationResult:
     """Outcome of validating one state object."""
 
-    errors: list = field(default_factory=list)
+    errors: list = field(init=False, default_factory=list)
 
     @property
     def ok(self):

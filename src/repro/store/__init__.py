@@ -39,7 +39,7 @@ from repro.store.cow import (
     merge_shared,
     thaw,
 )
-from repro.store.apiserver import ApiServer, ApiServerClient
+from repro.store.apiserver import ApiServer
 from repro.store.memkv import MemKV, MemKVClient
 from repro.store.loglake import APPENDED, LogLake, LogLakeClient
 from repro.store.ring import (
@@ -57,7 +57,6 @@ __all__ = [
     "ADDED",
     "APPENDED",
     "ApiServer",
-    "ApiServerClient",
     "AutoscalePolicy",
     "CopyMeter",
     "CowList",

@@ -133,11 +133,15 @@ class StoreServer:
 
     Subclasses define ``OPS`` (operation name -> :class:`OpLatency`) and an
     ``op_<name>`` method per operation.  Requests are admitted through a
-    bounded worker pool (default 1: the stores we model are effectively
-    single-threaded per key space, which also keeps commit order coherent).
+    bounded worker pool of :attr:`WORKERS` slots.
     """
 
     OPS = {}
+
+    #: Worker-pool slots: the stores we model are effectively
+    #: single-threaded per key space, which also keeps commit order
+    #: coherent.
+    WORKERS = 1
 
     #: How long a client's keepalive takes to detect a dead watch stream
     #: (seconds of virtual time) when the server cannot say goodbye.
@@ -169,7 +173,7 @@ class StoreServer:
         "aborted_ops", "crash_count",
     )
 
-    def __init__(self, env, network, location, workers=1, tracer=None,
+    def __init__(self, env, network, location, tracer=None,
                  watch_batch_window=0.0, zero_copy=True, delta_watch=False):
         self.env = env
         self.network = network
@@ -184,7 +188,7 @@ class StoreServer:
         #: merge-patch deltas instead of full snapshots.
         self.delta_watch = bool(delta_watch)
         self.copy_meter = CopyMeter()
-        self._worker_pool = Resource(env, capacity=workers)
+        self._worker_pool = Resource(env, capacity=self.WORKERS)
         # Registration order, NOT a set: fan-out order must be
         # deterministic across runs (hash randomization must not leak
         # into event schedules).

@@ -1,7 +1,7 @@
 """Store clients: one caller location's way to a ``StoreServer``.
 
 :class:`StoreClient` owns the transport -- the network round trip, the
-principal and trace context that ride beside the args, retry/breaker,
+principal and trace context that ride beside the args, retries,
 opening watches -- and nothing backend-specific.  :class:`ObjectClient`
 adds, once, the surface every Object backend answers and the two
 optimizations that only make sense for keyed objects (write coalescing,
@@ -10,7 +10,6 @@ the read-through cache).  Backend modules subclass one or the other.
 
 import copy
 
-from repro.faults.retry import RetryPolicy
 from repro.obs.context import current_context
 from repro.store.base import _Failure
 from repro.store.follow import Follower
@@ -36,19 +35,17 @@ def combine_patches(first, second):
 class StoreClient:
     """Base class for backend clients bound to one caller location.
 
-    With a :class:`repro.faults.RetryPolicy` (and optionally a
-    :class:`repro.faults.CircuitBreaker`) attached, every operation rides
+    With a :class:`repro.faults.RetryPolicy` attached, every operation rides
     through transient faults -- store failover/crash windows, partitioned
     links -- with seeded-jitter exponential backoff.  Without one, the
     first :class:`~repro.errors.UnavailableError` surfaces to the caller.
     """
 
-    def __init__(self, server, location, retry_policy=None, circuit_breaker=None):
+    def __init__(self, server, location, retry_policy=None):
         self.server = server
         self.env = server.env
         self.location = location
         self.retry_policy = retry_policy
-        self.circuit_breaker = circuit_breaker
         #: Principal this client acts as (rides beside each request's
         #: args; consulted by the server's admission controller).
         self.principal = None
@@ -76,15 +73,11 @@ class StoreClient:
         """
         ctx = current_context()
         principal = self.principal
-        if self.retry_policy is None and self.circuit_breaker is None:
+        if self.retry_policy is None:
             return self.env.process(self._request(op, args, principal, ctx))
-        policy = self.retry_policy
-        if policy is None:  # breaker-only client: gate but never retry
-            policy = self.retry_policy = RetryPolicy(max_attempts=1)
-        return policy.execute(
+        return self.retry_policy.execute(
             self.env,
             lambda: self.env.process(self._request(op, args, principal, ctx)),
-            breaker=self.circuit_breaker,
         )
 
     def _request(self, op, args, principal=None, ctx=None):
@@ -139,9 +132,8 @@ class ObjectClient(StoreClient):
       pending follow-up request instead of queueing on the server.
     """
 
-    def __init__(self, server, location, retry_policy=None, circuit_breaker=None):
-        super().__init__(server, location, retry_policy=retry_policy,
-                         circuit_breaker=circuit_breaker)
+    def __init__(self, server, location, retry_policy=None):
+        super().__init__(server, location, retry_policy=retry_policy)
         # Write coalescing (opt-in).
         self.coalesce_writes = False
         self._inflight_patches = set()  # keys with a patch on the wire
@@ -207,10 +199,6 @@ class ObjectClient(StoreClient):
     def txn_abort(self, txn_id):
         """Drop a prepared transaction and release its locks (idempotent)."""
         return self.request("txn_abort", txn_id=txn_id)
-
-    def txn_status(self, txn_id):
-        """Recovery probe: prepared / committed / aborted / unknown."""
-        return self.request("txn_status", txn_id=txn_id)
 
     # -- write coalescing -----------------------------------------------------
 

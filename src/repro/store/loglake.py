@@ -55,24 +55,10 @@ class LogLake(StoreServer):
     #: Server-side scan cost per record touched by a query.
     scan_cost_per_record = 2e-7
 
-    def __init__(
-        self,
-        env,
-        network,
-        location="loglake",
-        workers=1,
-        tracer=None,
-        ops=None,
-        watch_overhead=0.0003,
-        watch_batch_window=0.0,
-        zero_copy=True,
-        delta_watch=False,
-    ):
-        super().__init__(env, network, location, workers=workers, tracer=tracer,
-                         watch_batch_window=watch_batch_window,
-                         zero_copy=zero_copy, delta_watch=delta_watch)
-        if ops:
-            self.OPS = {**self.OPS, **ops}
+    def __init__(self, env, network, location="loglake", tracer=None,
+                 watch_overhead=0.0003, zero_copy=True):
+        super().__init__(env, network, location, tracer=tracer,
+                         zero_copy=zero_copy)
         self._pools = {}
         self.watch_overhead = watch_overhead
 
@@ -220,7 +206,6 @@ class LogLakeClient(StoreClient):
     def pools(self):
         return self.request("pools")
 
-    def watch_pool(self, pool, handler, credits=None, overflow=None):
+    def watch_pool(self, pool, handler):
         """Subscribe to batches appended to ``pool``."""
-        return self.watch(handler, key_prefix=pool, credits=credits,
-                          overflow=overflow)
+        return self.watch(handler, key_prefix=pool)

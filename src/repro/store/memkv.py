@@ -43,7 +43,6 @@ DEFAULT_OPS = {
     "txn_prepare": OpLatency(base=0.00050, per_byte=1.5e-9),
     "txn_commit": OpLatency(base=0.00040),
     "txn_abort": OpLatency(base=0.00020),
-    "txn_status": OpLatency(base=0.00015),
     # Live-reshard migration plane: bulk state transfer between shards.
     "export": OpLatency(base=0.00060, per_byte=0.5e-9),
     "ingest": OpLatency(base=0.00060, per_byte=1.5e-9),
@@ -55,21 +54,22 @@ class MemKV(ObjectOpsMixin, StoreServer):
 
     OPS = dict(DEFAULT_OPS)
 
+    #: Server-side cost of one key access inside a function (seconds).
+    local_access_cost = 0.00005
+
     def __init__(
         self,
         env,
         network,
         location="memkv",
-        workers=1,
         tracer=None,
         ops=None,
         watch_overhead=0.00015,
-        local_access_cost=0.00005,
         watch_batch_window=0.0,
         zero_copy=True,
         delta_watch=False,
     ):
-        super().__init__(env, network, location, workers=workers, tracer=tracer,
+        super().__init__(env, network, location, tracer=tracer,
                          watch_batch_window=watch_batch_window,
                          zero_copy=zero_copy, delta_watch=delta_watch)
         if ops:
@@ -78,10 +78,8 @@ class MemKV(ObjectOpsMixin, StoreServer):
         self._strings = {}
         self.functions = UDFRegistry()
         self.watch_overhead = watch_overhead
-        self.local_access_cost = local_access_cost
         self._fcall_effects = {}  # idempotence_key -> cached fcall result
         self.fcall_replays = 0  # dedup hits: retried/replayed fcall_txn
-        self.fcall_conflicts = 0  # optimistic re-runs after a read moved
 
     # -- raw command surface -------------------------------------------------
 
@@ -177,7 +175,6 @@ class MemKV(ObjectOpsMixin, StoreServer):
                     self.op_txn(ops)
                     break
                 except ConflictError:
-                    self.fcall_conflicts += 1
                     if attempts >= 8:
                         raise
             if idempotence_key is not None:

@@ -327,15 +327,6 @@ class ObjectOpsMixin:
             )
         return {"txn": txn_id, "state": "aborted"}
 
-    def op_txn_status(self, txn_id):
-        """Recovery probe: where did this participant land on ``txn_id``?"""
-        if txn_id in self._prepared:
-            return {"txn": txn_id, "state": "prepared"}
-        outcome = self._txn_outcomes.get(txn_id)
-        if outcome is not None:
-            return {"txn": txn_id, "state": outcome[0]}
-        return {"txn": txn_id, "state": "unknown"}
-
     def _release_txn_locks(self, txn_id, ops):
         for op in ops:
             if self._txn_locks.get(op["key"]) == txn_id:

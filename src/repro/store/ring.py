@@ -23,19 +23,16 @@ replaces it with a classic consistent-hash ring with virtual nodes:
   its feet -- see ``docs/transactions.md``.
 
 :class:`Topology` is the API-redesign half: one spec object (ring seed,
-vnodes, min/max shards, autoscale policy) that every sharded build
+min/max shards, autoscale policy) that every sharded build
 takes as ``topology=``.
 """
 
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.errors import ConfigurationError
-
-#: Default virtual nodes per ring member.  64 keeps the max/min owned
-#: fraction within ~2x at small N while staying cheap to recompute.
-DEFAULT_VNODES = 64
 
 #: The hash space is [0, 2^64).
 _SPACE_BITS = 64
@@ -79,11 +76,12 @@ class ShardRing:
     only at cutover.
     """
 
-    def __init__(self, seed=0, vnodes=DEFAULT_VNODES, members=()):
-        if vnodes < 1:
-            raise ConfigurationError("a ring needs at least one vnode")
+    #: Virtual nodes per ring member.  64 keeps the max/min owned
+    #: fraction within ~2x at small N while staying cheap to recompute.
+    vnodes = 64
+
+    def __init__(self, seed=0, members=()):
         self.seed = int(seed)
-        self.vnodes = int(vnodes)
         self.version = 0
         self.members = []  # insertion order (deterministic)
         self._points = []  # sorted [(point, member), ...]
@@ -91,12 +89,12 @@ class ShardRing:
             self.add(member)
 
     @classmethod
-    def for_count(cls, count, seed=0, vnodes=DEFAULT_VNODES):
+    def for_count(cls, count):
         """The ring a fresh ``count``-shard store would build: members
         are the integer shard ids ``0..count-1``."""
         if count < 1:
             raise ConfigurationError("need at least one ring member")
-        return cls(seed=seed, vnodes=vnodes, members=range(count))
+        return cls(members=range(count))
 
     # -- placement -----------------------------------------------------------
 
@@ -132,19 +130,6 @@ class ShardRing:
     def owner_index(self, key):
         """Index of the owner in :attr:`members` (insertion order)."""
         return self.members.index(self.owner_of(key))
-
-    def ranges_of(self, member):
-        """The ``(lo, hi]`` arcs currently owned by ``member``."""
-        points = self._points
-        if not points:
-            return []
-        if len(self.members) == 1:
-            return [(points[0][0], points[0][0])] if member in self.members else []
-        return [
-            (points[i - 1][0], pt)
-            for i, (pt, m) in enumerate(points)
-            if m == member
-        ]
 
     # -- membership changes --------------------------------------------------
 
@@ -261,19 +246,19 @@ class Topology:
 
     ``shards`` is the *initial* shard count;
     ``min_shards``/``max_shards`` bound what live resharding (manual
-    ``store.reshard(n)`` or a :class:`ShardFleet` autoscaler) may do;
-    ``cutover_drain`` is the quiesce window between sealing moved
-    ranges and flipping the ring (it must exceed one watch-delivery
-    hop plus the batch window so in-flight events land first).
+    ``store.reshard(n)`` or a :class:`ShardFleet` autoscaler) may do.
     """
 
     shards: int = 1
     seed: int = 0
-    vnodes: int = DEFAULT_VNODES
     min_shards: int = 1
     max_shards: int = None
     autoscale: AutoscalePolicy = None
-    cutover_drain: float = 0.05
+
+    #: The quiesce window between sealing moved ranges and flipping the
+    #: ring (seconds).  It must exceed one watch-delivery hop plus the
+    #: batch window so in-flight events land first.
+    cutover_drain: ClassVar[float] = 0.05
 
     def __post_init__(self):
         if self.shards < 1:
@@ -288,10 +273,6 @@ class Topology:
                 "need shards <= max_shards "
                 f"(got shards={self.shards}, max={self.max_shards})"
             )
-        if self.vnodes < 1:
-            raise ConfigurationError("a topology needs at least one vnode")
-        if self.cutover_drain < 0:
-            raise ConfigurationError("cutover_drain must be >= 0")
 
     @property
     def effective_max_shards(self):
@@ -300,4 +281,4 @@ class Topology:
         )
 
     def build_ring(self, members=()):
-        return ShardRing(seed=self.seed, vnodes=self.vnodes, members=members)
+        return ShardRing(seed=self.seed, members=members)

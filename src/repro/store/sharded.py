@@ -16,7 +16,7 @@ Design points:
   can change membership *while the store serves traffic* (see
   :meth:`ShardedStore.reshard` and :mod:`repro.store.reshard`).
 - **Topology is a first-class spec**: :class:`~repro.store.ring.Topology`
-  (ring seed, vnodes, min/max shards, autoscale policy) is the one way
+  (ring seed, min/max shards, autoscale policy) is the one way
   to say how a store is sharded.
 - **Revisions are per shard.**  There is no global commit order across
   shards -- exactly like real sharded stores.  Cross-key invariants that
@@ -31,8 +31,8 @@ Design points:
   more than one shard fails with
   :class:`~repro.errors.CrossShardTxnError` (carrying the key->owner
   map at the current ring version) unless the caller opts into the
-  cross-shard transactional plane with ``txn(ops, mode="2pc")`` or
-  ``mode="saga"`` -- see :mod:`repro.txn` and ``docs/transactions.md``.
+  cross-shard transactional plane with ``txn(ops, mode="2pc")`` -- see
+  :mod:`repro.txn` and ``docs/transactions.md``.
 
 The frontend intentionally mirrors the :class:`~repro.store.base
 .StoreServer` / :class:`~repro.store.base.StoreClient` split so the
@@ -45,7 +45,6 @@ from repro.errors import (
     ShardMovedError,
     StoreError,
 )
-from repro.store.apiserver import ApiServer, ApiServerClient
 from repro.store.base import StoreServer, store_stats
 from repro.store.client import ObjectClient
 from repro.store.memkv import MemKV, MemKVClient
@@ -63,14 +62,12 @@ REROUTE_ATTEMPTS = 250
 
 
 #: Typed client used per shard, by backend class.
-_SHARD_CLIENTS = {ApiServer: ApiServerClient, MemKV: MemKVClient}
+_SHARD_CLIENTS = {MemKV: MemKVClient}
 
 
-def _shard_client(shard, location, retry_policy=None, circuit_breaker=None):
+def _shard_client(shard, location, retry_policy=None):
     return _SHARD_CLIENTS.get(type(shard), ObjectClient)(
-        shard, location,
-        retry_policy=retry_policy, circuit_breaker=circuit_breaker,
-    )
+        shard, location, retry_policy=retry_policy)
 
 
 class ShardedStore:
@@ -463,20 +460,17 @@ class ShardedStoreClient:
     and re-routes -- callers never see a topology change.
     """
 
-    def __init__(self, store, location, retry_policy=None, circuit_breaker=None):
+    def __init__(self, store, location, retry_policy=None):
         self.store = store
         self.env = store.env
         self.location = location
         self.retry_policy = retry_policy
-        self.circuit_breaker = circuit_breaker
         self.reroutes = 0
         self._merged_watches = []
         self._cache_prefixes = []
         #: Per-shard typed clients, parallel to ``store.shards``.
         self.clients = [
-            _shard_client(shard, location,
-                          retry_policy=retry_policy,
-                          circuit_breaker=circuit_breaker)
+            _shard_client(shard, location, retry_policy=retry_policy)
             for shard in store.shards
         ]
         store._clients.append(self)
@@ -490,8 +484,7 @@ class ShardedStoreClient:
 
     def _attach_shard(self, shard):
         client = _shard_client(shard, self.location,
-                               retry_policy=self.retry_policy,
-                               circuit_breaker=self.circuit_breaker)
+                               retry_policy=self.retry_policy)
         base = self.clients[0]
         client.principal = base.principal
         client.default_watch_credits = base.default_watch_credits
@@ -635,15 +628,12 @@ class ShardedStoreClient:
         order, atomicity for free.  A batch whose keys map to several
         shards fails with :class:`~repro.errors.CrossShardTxnError`
         (carrying the key->owner map at the current ring version) unless
-        the caller selects a cross-shard protocol:
+        the caller selects the cross-shard protocol, ``mode="2pc"``:
+        atomic across shards via two-phase commit, with in-doubt
+        participants blocking conflicting writers until the coordinator
+        decides (see :mod:`repro.txn`).
 
-        - ``mode="2pc"``: atomic across shards via two-phase commit;
-          in-doubt participants block conflicting writers until the
-          coordinator decides (see :mod:`repro.txn`);
-        - ``mode="saga"``: per-shard commits with compensating rollback;
-          no cross-shard locks, but intermediate states are visible.
-
-        ``idempotence_key`` (cross-shard modes) makes the submission
+        ``idempotence_key`` (cross-shard mode) makes the submission
         exactly-once across retries and replays.
         """
         if mode is not None:
@@ -681,8 +671,7 @@ class ShardedStoreClient:
                 f"{sorted(shard_map)} map to {len(owners)} owner shards "
                 f"at ring v{ring.version} "
                 f"({ {k: v for k, v in sorted(shard_map.items())} }); pass "
-                "mode='2pc' or mode='saga', or co-locate transactional "
-                "keys",
+                "mode='2pc', or co-locate transactional keys",
                 shard_map=shard_map,
                 ring_version=ring.version,
             )

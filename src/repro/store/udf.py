@@ -237,7 +237,3 @@ class TxnUDFContext(UDFContext):
     def build_ops(self):
         """The buffered writes as one atomic ``txn`` batch (may be empty)."""
         return [copy.deepcopy(op) for op in self._buffer]
-
-    @property
-    def dirty(self):
-        return bool(self._buffer)

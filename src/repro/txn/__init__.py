@@ -1,5 +1,5 @@
-"""Cross-shard transactional plane: deterministic 2PC, sagas, and
-exactly-once transactional functions.  See ``docs/transactions.md``.
+"""Cross-shard transactional plane: deterministic 2PC and exactly-once
+transactional functions.  See ``docs/transactions.md``.
 """
 
 from repro.txn.coordinator import PHASES, TxnCoordinator

@@ -1,8 +1,9 @@
-"""The cross-shard transaction coordinator: deterministic 2PC + sagas.
+"""The cross-shard transaction coordinator: deterministic 2PC.
 
 A :class:`ShardedStore` has no global commit order -- each shard is its
 own server with its own revision counter -- so a batch whose keys span
-shards needs a protocol, not a lie.  :class:`TxnCoordinator` offers two:
+shards needs a protocol, not a lie.  :class:`TxnCoordinator` offers one
+atomic model, as Apiary does for in-store transactional functions:
 
 **Two-phase commit** (``mode="2pc"``): every participant shard validates
 and *prepares* the sub-batch it owns (locking the keys and -- on the
@@ -13,13 +14,6 @@ before it recovers by presumed abort; killed after, by re-driving the
 (idempotent) participant commits.  Atomic, but in-doubt participants
 block conflicting writers until a decision lands -- the classic 2PC
 availability trade.
-
-**Saga** (``mode="saga"``): per-shard sub-batches commit eagerly, one
-shard at a time, and a failure (or coordinator crash) rolls the applied
-shards back with *compensating* transactions derived from pre-images (or
-registered per-action compensators).  No locks held across shards, so no
-blocking -- but intermediate states are visible and "atomicity" means
-*eventually all-or-nothing*, the saga literature's usual contract.
 
 **Exactly-once**: callers tag a transaction with an ``idempotence_key``.
 The first submission owns the key; duplicates -- client retries after a
@@ -40,7 +34,6 @@ import random
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
-    NotFoundError,
     ShardMovedError,
     StoreError,
     UnavailableError,
@@ -54,31 +47,11 @@ _WAIT_TIMEOUT = 5.0
 _WAIT_TICK = 0.002
 
 #: Phases a chaos plan can target with an armed kill.
-PHASES = ("prepare", "commit", "abort", "compensate")
+PHASES = ("prepare", "commit", "abort")
 
 
 class _Killed(Exception):
     """Internal: an armed phase kill fired inside this coordination."""
-
-
-def _default_compensation(op, pre_image):
-    """The derived inverse of one applied op, from its pre-image view.
-
-    create -> delete; delete -> re-create the old data; update/patch ->
-    restore the old data.  ``pre_image`` is the object view captured
-    *before* the saga step applied (None when the key did not exist).
-    """
-    action = op["action"]
-    key = op["key"]
-    if action == "create":
-        return {"action": "delete", "key": key}
-    if pre_image is None:
-        # update/patch/delete of a key that did not pre-exist can only
-        # have been create-then-X within the same sub-batch: delete it.
-        return {"action": "delete", "key": key}
-    if action == "delete":
-        return {"action": "create", "key": key, "data": pre_image["data"]}
-    return {"action": "update", "key": key, "data": pre_image["data"]}
 
 
 class TxnCoordinator:
@@ -88,24 +61,25 @@ class TxnCoordinator:
     :class:`~repro.faults.FaultInjector` to chaos-test it): ``kill()``
     loses every in-flight coordination but keeps the decision log and
     idempotence table (its "disk"); ``restart()`` runs recovery, which
-    re-drives decided commits, presumed-aborts undecided prepares, and
-    compensates unfinished sagas -- draining every participant's
-    in-doubt set.
+    re-drives decided commits and presumed-aborts undecided prepares --
+    draining every participant's in-doubt set.  Spans go to the caller's
+    trace, or to :attr:`tracer` when one is set.
     """
 
-    def __init__(self, store, location=None, tracer=None, seed=0,
-                 max_attempts=200):
+    #: Tries per participant call before an outage surfaces (see
+    #: :meth:`_call`).
+    MAX_ATTEMPTS = 200
+
+    def __init__(self, store):
         self.store = store
         self.env = store.env
-        self.location = location or f"{store.name}-txncoord"
-        self.tracer = tracer
-        self.max_attempts = max_attempts
-        self._rng = random.Random(seed)
+        self.location = f"{store.name}-txncoord"
+        self.tracer = None
+        self._rng = random.Random(0)
         # Per-shard clients, minted on demand: the shard set is live
         # (resharding adds and retires members), so clients key off the
         # shard server, not a positional index.
         self._clients = {}
-        self.ring_regroups = 0  # prepare rounds restarted by a ring flip
         # -- durable state (the coordinator's "disk"): survives kill() --
         self._log = {}  # txn_id -> record dict
         self._order = []  # txn ids in admission order
@@ -115,13 +89,10 @@ class TxnCoordinator:
         self._inflight = {}  # txn_id -> simnet process
         self.alive = True
         self._phase_kill = None  # (phase, restart_after) or None
-        # -- registered compensations (saga mode) --
-        self._compensations = {}  # action -> fn(op, pre_image) -> op | None
         # -- counters (scraped by the obs plane) --
         self.prepared_total = 0
         self.committed_total = 0
         self.aborted_total = 0
-        self.compensations_total = 0
         self.idempotent_replays = 0
         self.unknown_participants = 0
         self.kill_count = 0
@@ -140,41 +111,21 @@ class TxnCoordinator:
         ``idempotence_key`` for exactly-once), or the participant's
         validation error on abort.
         """
-        if mode not in ("2pc", "saga"):
-            raise ConfigurationError(
-                f"unknown txn mode {mode!r} (use '2pc' or 'saga')"
-            )
+        if mode != "2pc":
+            raise ConfigurationError(f"unknown txn mode {mode!r} (use '2pc')")
         parent = current_context()
-        return self.env.process(self._submit(ops, mode, idempotence_key,
-                                             parent))
-
-    def register_compensation(self, action, fn):
-        """Override the derived saga inverse for one op ``action``.
-
-        ``fn(op, pre_image) -> compensation op dict | None`` (None: no
-        compensation needed for this op).
-        """
-        if action not in ("create", "update", "patch", "delete"):
-            raise ConfigurationError(f"unknown txn action {action!r}")
-        if not callable(fn):
-            raise ConfigurationError("compensation must be callable")
-        self._compensations[action] = fn
+        return self.env.process(self._submit(ops, idempotence_key, parent))
 
     def txn_stats(self):
         return {
             "prepared": self.prepared_total,
             "committed": self.committed_total,
             "aborted": self.aborted_total,
-            "compensations": self.compensations_total,
             "idempotent_replays": self.idempotent_replays,
             "unknown_participants": self.unknown_participants,
             "recoveries": self.recoveries,
             "in_flight": len(self._inflight),
         }
-
-    @property
-    def decision_log_length(self):
-        return len(self._log)
 
     def outcome(self, txn_id):
         record = self._log.get(txn_id)
@@ -186,8 +137,8 @@ class TxnCoordinator:
         """Crash the coordinator: in-flight coordinations die mid-phase.
 
         Callers see a retryable :class:`~repro.errors.UnavailableError`;
-        participants are left prepared (in-doubt) or half-applied (saga)
-        until :meth:`restart` runs recovery.  The decision log and
+        participants are left prepared (in-doubt) until :meth:`restart`
+        runs recovery.  The decision log and
         idempotence table survive -- they are the protocol's disk.
         """
         if not self.alive:
@@ -256,8 +207,8 @@ class TxnCoordinator:
         """Abandon whatever participant call ``proc`` is waiting on.
 
         The interrupted coordination will never collect the reply; if
-        the abandoned request later fails (NotFound on a pre-image get,
-        a conflict...), that answer must evaporate with its asker, not
+        the abandoned request later fails (a conflict, an outage...),
+        that answer must evaporate with its asker, not
         crash the event loop as an unhandled failure.
         """
         target = proc.target
@@ -266,7 +217,7 @@ class TxnCoordinator:
 
     # -- submission / idempotence --------------------------------------------
 
-    def _submit(self, ops, mode, idempotence_key, parent):
+    def _submit(self, ops, idempotence_key, parent):
         if not self.alive:
             raise UnavailableError("txn coordinator is down")
         if idempotence_key is not None:
@@ -279,14 +230,11 @@ class TxnCoordinator:
         txn_id = self._next_txn_id()
         record = {
             "id": txn_id,
-            "mode": mode,
             "ops": [dict(op) for op in ops],
-            "state": "preparing" if mode == "2pc" else "saga",
+            "state": "preparing",
             "views": None,
             "error": None,
             "idempotence_key": idempotence_key,
-            "pre_images": {},  # saga: object key -> pre-image view | None
-            "applied": [],  # saga: ring members applied, in order
         }
         self._log[txn_id] = record
         self._order.append(txn_id)
@@ -300,13 +248,12 @@ class TxnCoordinator:
 
         Waits out an in-flight original, then maps the terminal state:
         committed -> its recorded views (exactly-once: nothing re-runs);
-        aborted/compensated -> ``_RETRY_FRESH`` (zero effects happened,
-        the key is released and the duplicate may run as a new txn).
+        aborted -> ``_RETRY_FRESH`` (zero effects happened, the key is
+        released and the duplicate may run as a new txn).
         """
         record = self._log[txn_id]
         waited = 0.0
-        while record["state"] in ("preparing", "commit", "saga",
-                                  "aborting", "compensating"):
+        while record["state"] in ("preparing", "commit", "aborting"):
             if waited >= _WAIT_TIMEOUT:
                 raise UnavailableError(
                     f"transaction {txn_id} is still undecided; retry"
@@ -326,13 +273,9 @@ class TxnCoordinator:
 
     def _coordinate(self, txn_id, record, parent):
         self._inflight[txn_id] = self.env.active_process
-        ctx = self._start_span("txn", parent, txn=txn_id,
-                               mode=record["mode"])
+        ctx = self._start_span("txn", parent, txn=txn_id, mode="2pc")
         try:
-            if record["mode"] == "2pc":
-                views = yield from self._run_2pc(txn_id, record, ctx)
-            else:
-                views = yield from self._run_saga(txn_id, record, ctx)
+            views = yield from self._run_2pc(txn_id, record, ctx)
         except Interrupt:
             self._end_span(ctx, outcome="killed")
             raise UnavailableError(
@@ -422,7 +365,6 @@ class TxnCoordinator:
                     )
             except ShardMovedError:
                 self._end_span(span, outcome="ring-moved")
-                self.ring_regroups += 1
                 yield from self._drive_aborts(txn_id, record, groups, ctx,
                                               terminal=False)
                 # Growing backoff: later rounds must outlast a full
@@ -505,132 +447,15 @@ class TxnCoordinator:
             record["state"] = "preparing"
         self._end_span(span, outcome="ok")
 
-    # -- saga ----------------------------------------------------------------
-
-    def _run_saga(self, txn_id, record, ctx):
-        groups = self._groups(record["ops"])
-        record["groups"] = groups  # durable: compensation re-targets these
-        record["ring_version"] = self.store.ring.version
-        views = []
-        try:
-            for member, sub in groups:
-                # Capture pre-images first: compensation must know what
-                # to restore, and must know it durably (the record is
-                # the coordinator's disk) before the step applies.
-                # Keyed by object key, not participant: the compensating
-                # write routes to whoever owns the key at rollback time.
-                for op in sub:
-                    key = op["key"]
-                    if key in record["pre_images"]:
-                        continue
-                    try:
-                        view = yield from self._call(
-                            lambda: self._client_for_shard(member, sub)
-                            .get(key)
-                        )
-                        record["pre_images"][key] = view
-                    except NotFoundError:
-                        record["pre_images"][key] = None
-                # Each step is a single-shard mini-2PC: prepare+commit
-                # gives the participant a durable, idempotent outcome,
-                # so a replayed step never double-applies.
-                step_id = f"{txn_id}.s{member}"
-                self._maybe_phase_kill("prepare")
-                yield from self._call(
-                    lambda: self._client_for_shard(member, sub)
-                    .txn_prepare(step_id, sub)
-                )
-                self._maybe_phase_kill("commit")
-                reply = yield from self._call(
-                    lambda: self._client_for_shard(member, sub)
-                    .txn_commit(step_id)
-                )
-                record["applied"].append(member)
-                if ctx is not None:
-                    ctx.sink.annotate(ctx, "saga-step", shard=member)
-                if reply.get("views"):
-                    views.extend(reply["views"])
-        except ShardMovedError:
-            # The ring flipped mid-saga: roll back what applied and
-            # surface retryably -- the retry re-groups on the live ring.
-            self.ring_regroups += 1
-            yield from self._compensate(txn_id, record, ctx)
-            raise UnavailableError(
-                f"txn {txn_id}: ring membership changed during saga; "
-                "retry with the same idempotence key"
-            ) from None
-        except (UnavailableError, DeadlineExceededError):
-            yield from self._compensate(txn_id, record, ctx)
-            raise
-        except StoreError:
-            yield from self._compensate(txn_id, record, ctx)
-            raise
-        record["state"] = "committed"
-        record["views"] = views
-        self.committed_total += 1
-        return views
-
-    def _compensate(self, txn_id, record, ctx):
-        """Roll back every applied saga step, newest first."""
-        record["state"] = "compensating"
-        self._maybe_phase_kill("compensate")
-        span = self._start_span("txn-compensate", ctx, txn=txn_id,
-                                steps=len(record["applied"]))
-        # Roll back against the grouping the saga ACTUALLY ran with (it
-        # is durable in the record): recomputing from the live ring
-        # would mis-target participants if a reshard landed in between.
-        groups = dict(record.get("groups") or self._groups(record["ops"]))
-        # A step prepared but never committed (killed between the two)
-        # is in-doubt on its shard: abort it so the locks drain.  No-op
-        # ("unknown") on shards the saga never reached.  One twist: the
-        # participant may have COMMITTED the step but the coordinator
-        # died before the reply landed -- the abort then answers
-        # "committed", and the step must join the rollback set.
-        for member in sorted(groups):
-            if member not in record["applied"]:
-                reply = yield from self._call(
-                    lambda: self._client_for_shard(member, groups[member])
-                    .txn_abort(f"{txn_id}.s{member}")
-                )
-                if reply["state"] == "committed":
-                    record["applied"].append(member)
-        for member in reversed(record["applied"]):
-            sub = groups[member]
-            comp_ops = []
-            for op in reversed(sub):
-                fn = self._compensations.get(op["action"],
-                                             _default_compensation)
-                inverse = fn(op, record["pre_images"].get(op["key"]))
-                if inverse is not None:
-                    comp_ops.append(inverse)
-            if not comp_ops:
-                continue
-            # Compensations are themselves mini-2PC steps: idempotent
-            # under recovery replay.
-            comp_id = f"{txn_id}.c{member}"
-            yield from self._call(
-                lambda: self._client_for_shard(member, sub)
-                .txn_prepare(comp_id, comp_ops)
-            )
-            yield from self._call(
-                lambda: self._client_for_shard(member, sub)
-                .txn_commit(comp_id)
-            )
-            self.compensations_total += 1
-        record["state"] = "compensated"
-        self.aborted_total += 1
-        self._release_idem(record)
-        self._end_span(span, outcome="ok")
-
     # -- recovery ------------------------------------------------------------
 
     def _recover(self):
         """Resolve every non-terminal record after a restart.
 
-        Decided 2PC transactions re-drive their participant commits
-        (idempotent); undecided ones are presumed abort; unfinished
-        sagas roll back.  When this drains, no participant holds an
-        in-doubt prepare from this coordinator.
+        Decided transactions re-drive their participant commits
+        (idempotent); undecided ones are presumed abort.  When this
+        drains, no participant holds an in-doubt prepare from this
+        coordinator.
         """
         self.recoveries += 1
         ctx = self._start_span("txn-recovery", None,
@@ -639,24 +464,19 @@ class TxnCoordinator:
         for txn_id in list(self._order):
             record = self._log[txn_id]
             state = record["state"]
-            if state in ("committed", "aborted", "compensated"):
+            if state in ("committed", "aborted"):
                 continue
             resolved += 1
             groups = record.get("groups") or self._groups(record["ops"])
             try:
-                if record["mode"] == "2pc":
-                    if state == "commit":
-                        # Decision was durable: finish the commit.
-                        yield from self._drive_commits(
-                            txn_id, record, groups, ctx
-                        )
-                    else:
-                        # No decision: presumed abort.
-                        yield from self._drive_aborts(
-                            txn_id, record, groups, ctx
-                        )
+                if state == "commit":
+                    # Decision was durable: finish the commit.
+                    yield from self._drive_commits(txn_id, record, groups,
+                                                   ctx)
                 else:
-                    yield from self._compensate(txn_id, record, ctx)
+                    # No decision: presumed abort.
+                    yield from self._drive_aborts(txn_id, record, groups,
+                                                  ctx)
             except (Interrupt, _Killed):
                 # Killed again mid-recovery: the next restart resumes.
                 self._end_span(ctx, outcome="killed", resolved=resolved)
@@ -668,16 +488,12 @@ class TxnCoordinator:
                 continue
         self._end_span(ctx, outcome="ok", resolved=resolved)
 
-    def recover(self):
-        """Run one recovery pass explicitly; returns the process."""
-        return self.env.process(self._recover())
-
     # -- plumbing ------------------------------------------------------------
 
     def _call(self, factory):
         """Drive one participant call, retrying through unavailability.
 
-        Bounded (``max_attempts``) capped exponential backoff with
+        Bounded (:attr:`MAX_ATTEMPTS`) capped exponential backoff with
         seeded jitter -- deterministic for a given coordinator seed.
         Store-level errors (validation, conflicts) propagate
         immediately: they are answers, not outages.
@@ -691,7 +507,7 @@ class TxnCoordinator:
                 result = yield factory()
                 return result
             except (UnavailableError, DeadlineExceededError):
-                if attempts >= self.max_attempts:
+                if attempts >= self.MAX_ATTEMPTS:
                     raise
                 delay = min(0.2, 0.004 * (2 ** min(attempts, 6)))
                 yield self.env.timeout(delay * (0.5 + self._rng.random()))

@@ -18,6 +18,7 @@ from repro.errors import ConfigurationError, StoreError
 from repro.core.integrator import Integrator
 from repro.store.base import DELETED, MODIFIED, WatchEvent
 from repro.store.follow import Follower
+from repro.store.memkv import MemKV, MemKVClient
 
 
 class TxnFunctionIntegrator(Integrator):
@@ -31,22 +32,23 @@ class TxnFunctionIntegrator(Integrator):
     a replay after a crash sees fresh state and must converge.
     """
 
-    def __init__(self, name, client, fn, key_prefix="", cost=0.0002):
+    #: Compute charged per invocation (virtual seconds); ``reconfigure(
+    #: cost=...)`` overrides it per instance.
+    cost = 0.0002
+
+    def __init__(self, name, client, fn, key_prefix=""):
         super().__init__(name)
         server = client.server
-        if getattr(server, "functions", None) is None:
-            raise ConfigurationError(
-                f"store {server.location!r} does not support server-side "
-                "functions (use the MemKV backend)"
-            )
-        if not callable(getattr(client, "fcall_txn", None)):
+        if not isinstance(client, MemKVClient):
             raise ConfigurationError(
                 f"client for {server.location!r} has no fcall_txn surface"
+                if isinstance(server, MemKV) else
+                f"store {server.location!r} does not support server-side "
+                "functions (use the MemKV backend)"
             )
         self.client = client
         self.fn = fn
         self.key_prefix = key_prefix
-        self.cost = cost
         self._follower = Follower(
             client.env,
             partial(client.watch, self._on_event, key_prefix=key_prefix),

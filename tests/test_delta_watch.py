@@ -14,12 +14,12 @@ from repro.store import (
     DELETED,
     MODIFIED,
     ApiServer,
-    ApiServerClient,
     FrozenViewError,
     MemKV,
     MemKVClient,
     is_frozen,
 )
+from repro.store.client import ObjectClient
 
 
 @pytest.fixture
@@ -219,7 +219,7 @@ class TestDeltaWal:
 
     @pytest.fixture
     def client(self, server):
-        return ApiServerClient(server, location="tester")
+        return ObjectClient(server, location="tester")
 
     def test_wal_stores_deltas(self, env, server, client, call):
         call(client.create("k", {"v": 0, "blob": "x" * 500}))
@@ -237,7 +237,7 @@ class TestDeltaWal:
             server = ApiServer(env, zero_net, location=f"api-{zero_copy}",
                                watch_overhead=0.0, delta_watch=True,
                                zero_copy=zero_copy)
-            client = ApiServerClient(server, location="tester")
+            client = ObjectClient(server, location="tester")
             call(client.create("k", {"a": {"x": 1}, "b": 1}))
             call(client.patch("k", {"a": {"x": 2}}))
             call(client.patch("k", {"b": None, "c": 3}))
@@ -248,20 +248,6 @@ class TestDeltaWal:
             after = call(client.get("k"))["data"]
             assert after == before == {"a": {"x": 2}, "c": 3}
             assert is_frozen(server._objects["k"].data) == zero_copy
-
-    def test_replay_after_restart_sends_full_events(self, env, server,
-                                                    client, call):
-        call(client.create("k", {"v": 0}))
-        call(client.patch("k", {"v": 1}))
-        env.run()
-        server.crash()
-        server.restart()
-        events = []
-        client.watch(events.append, from_revision=0)
-        env.run()
-        # History was rebuilt as full events: a fresh watcher can replay.
-        assert [e.revision for e in events] == [1, 2]
-        assert events[-1].object == {"v": 1}
 
 
 class TestInformerFrozenReads:

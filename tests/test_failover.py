@@ -3,13 +3,15 @@
 from repro.apps.retail.knactor_app import RetailKnactorApp
 from repro.apps.retail.workload import OrderWorkload
 from repro.core.optimizer import K_REDIS
-from repro.store import ApiServer, ApiServerClient
+from repro.store import ApiServer
+from repro.store.client import ObjectClient
+from tests.test_property_faults import Informer
 
 
 class TestWatchFailover:
     def test_fail_over_drops_watches(self, env, zero_net, call):
         server = ApiServer(env, zero_net, watch_overhead=0.0)
-        client = ApiServerClient(server, "c")
+        client = ObjectClient(server, "c")
         events = []
         client.watch(events.append)
         call(client.create("k1", {}))
@@ -21,7 +23,7 @@ class TestWatchFailover:
 
     def test_on_close_fires_after_failover(self, env, zero_net, call):
         server = ApiServer(env, zero_net, watch_overhead=0.0)
-        client = ApiServerClient(server, "c")
+        client = ObjectClient(server, "c")
         closed = []
         client.watch(lambda e: None, on_close=lambda: closed.append(env.now))
         server.fail_over()
@@ -30,7 +32,7 @@ class TestWatchFailover:
 
     def test_cancelled_watch_does_not_fire_on_close(self, env, zero_net):
         server = ApiServer(env, zero_net, watch_overhead=0.0)
-        client = ApiServerClient(server, "c")
+        client = ObjectClient(server, "c")
         closed = []
         watch = client.watch(lambda e: None, on_close=lambda: closed.append(1))
         watch.cancel()
@@ -39,31 +41,32 @@ class TestWatchFailover:
         assert closed == []
 
     def test_rewatch_with_replay_recovers_missed_events(self, env, zero_net, call):
-        """The full informer recovery: remember the last seen revision,
-        re-watch from it after failover, miss nothing."""
+        """The full informer recovery, level-triggered: on a break the
+        Follower reopens and re-lists, so a commit the stream never
+        carried still reaches the consumer.  There is no replay."""
         server = ApiServer(env, zero_net, watch_overhead=0.0)
-        client = ApiServerClient(server, "c")
-        seen = []
-        last_revision = [0]
-
-        def handler(event):
-            seen.append(event.key)
-            last_revision[0] = event.revision
-
-        def reconnect():
-            client.watch(handler, from_revision=last_revision[0],
-                         on_close=reconnect)
-
-        client.watch(handler, on_close=reconnect)
+        client = ObjectClient(server, "c")
+        informer = Informer(env, client)
         call(client.create("k1", {}))
         env.run()
         server.fail_over()
-        # These commits happen while the watcher is disconnected...
         call(client.create("k2", {}))
-        call(client.create("k3", {}))
         env.run()
-        # ...but replay-from-revision delivers them on reconnect.
-        assert seen == ["k1", "k2", "k3"]
+        # A silent break: these commits happen while the watcher is
+        # disconnected and has not noticed yet...
+        server.sever_watches(detect_after=0.05)
+        call(client.create("k3", {}))
+        call(client.update("k1", {"v": 1}))
+        env.run()
+        # ...so the stream never carried them, and the re-list did.
+        assert informer.follower.breaks == 2
+        assert [key for key, _ in informer.streamed] == ["k1", "k2"]
+        assert informer.state == {
+            key: (obj.revision, obj.data)
+            for key, obj in server._objects.items()}
+        assert sorted(informer.state) == ["k1", "k2", "k3"]
+        assert informer.backwards == []
+        assert len(informer.streamed) == len(set(informer.streamed))
 
 
 class TestSyncFailover:
@@ -139,7 +142,7 @@ class TestAppRecovery:
 
         # Kill watches, then write while nobody is watching.
         backend.fail_over()
-        owner_client = ApiServerClient(backend, "svc")
+        owner_client = ObjectClient(backend, "svc")
         env.run(until=owner_client.create("knactor-svc/orphan", {"v": 1}))
         env.run(until=env.now + 1.0)
         # The re-established watch + re-list found the orphan.

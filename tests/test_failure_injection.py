@@ -7,7 +7,8 @@ from repro.core.dxg import DXGExecutor, parse_dxg
 from repro.errors import ConflictError, RPCStatusError
 from repro.exchange import ObjectDE
 from repro.simnet import Environment, Network, UniformLatency
-from repro.store import ApiServer, ApiServerClient
+from repro.store import ApiServer
+from repro.store.client import ObjectClient
 
 SCHEMA_A = """\
 schema: App/v1/A/Obj
@@ -19,7 +20,7 @@ note: string # +kr: external
 class TestConcurrentWriters:
     def test_cas_loop_never_loses_increments(self, env, zero_net, call):
         """N concurrent CAS writers: the final counter equals the total."""
-        client = ApiServerClient(
+        client = ObjectClient(
             ApiServer(env, zero_net, watch_overhead=0.0), "writers"
         )
         call(client.create("k", {"counter": 0}))

@@ -7,8 +7,9 @@ from repro.errors import ConfigurationError, UnavailableError
 from repro.exchange import ObjectDE
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.simnet import Environment, FixedLatency, Network
-from repro.store import ApiServer, ApiServerClient, MemKV, MemKVClient
+from repro.store import ApiServer, MemKV, MemKVClient
 from repro.store.base import OpLatency
+from repro.store.client import ObjectClient
 
 
 class TestNetworkFaultRules:
@@ -66,7 +67,7 @@ class TestNetworkFaultRules:
 class TestApiServerCrashRecovery:
     def test_wal_replay_restores_objects_and_revisions(self, env, zero_net, call):
         server = ApiServer(env, zero_net, watch_overhead=0.0)
-        client = ApiServerClient(server, "c")
+        client = ObjectClient(server, "c")
         call(client.create("k1", {"v": 1}, labels={"tier": "gold"}))
         call(client.update("k1", {"v": 2}))
         call(client.create("k2", {"v": 3}))
@@ -93,7 +94,7 @@ class TestApiServerCrashRecovery:
 
     def test_ops_fail_retryably_while_down(self, env, zero_net, call):
         server = ApiServer(env, zero_net, watch_overhead=0.0)
-        client = ApiServerClient(server, "c")
+        client = ObjectClient(server, "c")
         server.crash()
         env.run()
         with pytest.raises(UnavailableError) as err:
@@ -102,7 +103,7 @@ class TestApiServerCrashRecovery:
 
     def test_crash_preserves_created_at_across_restart(self, env, zero_net, call):
         server = ApiServer(env, zero_net, watch_overhead=0.0)
-        client = ApiServerClient(server, "c")
+        client = ObjectClient(server, "c")
         call(client.create("k", {"v": 0}))
         created = server._objects["k"].created_at
         env.run(until=env.timeout(1.0))
@@ -111,21 +112,6 @@ class TestApiServerCrashRecovery:
         server.restart()
         env.run()
         assert server._objects["k"].created_at == created
-
-    def test_replay_requested_while_down_is_deferred(self, env, zero_net, call):
-        server = ApiServer(env, zero_net, watch_overhead=0.0)
-        client = ApiServerClient(server, "c")
-        call(client.create("k1", {}))
-        call(client.create("k2", {}))
-        server.set_available(False)
-        seen = []
-        client.watch(seen.append, from_revision=0)
-        env.run()
-        assert seen == []  # replay parked while the server is down
-        server.set_available(True)
-        server.restart()
-        env.run()
-        assert sorted(e.key for e in seen) == ["k1", "k2"]
 
 
 class TestMemKVCrash:
@@ -152,7 +138,7 @@ class TestInFlightAbort:
     def test_crash_aborts_executing_op_with_retryable_error(
             self, env, zero_net, call):
         server = self._slow_server(env, zero_net)
-        client = ApiServerClient(server, "c")
+        client = ObjectClient(server, "c")
         op = client.create("k", {"v": 1})
         env.run(until=env.timeout(0.01))  # op is now mid-execution
         server.crash()
@@ -170,8 +156,8 @@ class TestInFlightAbort:
         """Satellite: fail_over() -> UnavailableError -> RetryPolicy wins."""
         server = self._slow_server(env, zero_net)
         policy = RetryPolicy(max_attempts=5, base_backoff=0.02, seed=1)
-        client = ApiServerClient(server, "c", retry_policy=policy)
-        watcher = ApiServerClient(server, "w")
+        client = ObjectClient(server, "c", retry_policy=policy)
+        watcher = ObjectClient(server, "w")
         watcher.watch(lambda e: None)
         op = client.create("k", {"v": 1})
         env.run(until=env.timeout(0.01))
@@ -187,7 +173,7 @@ class TestTransientUnavailability:
     def test_window_fails_ops_but_keeps_state_and_watches(
             self, env, zero_net, call):
         server = ApiServer(env, zero_net, watch_overhead=0.0)
-        client = ApiServerClient(server, "c")
+        client = ObjectClient(server, "c")
         call(client.create("k", {"v": 1}))
         seen = []
         client.watch(seen.append)

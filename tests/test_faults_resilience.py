@@ -17,8 +17,9 @@ from repro.faults import CircuitBreaker, RetryPolicy, default_retryable
 from repro.metrics.telemetry import resilience_snapshot
 from repro.pubsub import Broker, PubSubClient
 from repro.rpc import RPCChannel, RPCServer
-from repro.store import ApiServer, ApiServerClient
+from repro.store import ApiServer
 from repro.store.base import OpLatency
+from repro.store.client import ObjectClient
 
 
 class _Flaky:
@@ -188,7 +189,7 @@ class TestWiredClients:
             self, env, zero_net, call):
         server = ApiServer(env, zero_net, watch_overhead=0.0)
         policy = RetryPolicy(max_attempts=6, base_backoff=0.02, seed=2)
-        client = ApiServerClient(server, "c", retry_policy=policy)
+        client = ObjectClient(server, "c", retry_policy=policy)
         server.set_available(False)
 
         def heal(env):

@@ -14,7 +14,8 @@ from repro.flow import (
 )
 from repro.faults import RetryPolicy
 from repro.faults.retry import default_retryable
-from repro.store import ApiServer, ApiServerClient
+from repro.store import ApiServer
+from repro.store.client import ObjectClient
 
 
 class TestOverflowPolicy:
@@ -138,7 +139,7 @@ class TestStoreFrontDoor:
 
     def test_rejection_surfaces_overloaded_error(self, env, zero_net, call):
         server = self._server(env, zero_net, rate=5.0, burst=2)
-        client = ApiServerClient(server, location="app")
+        client = ObjectClient(server, location="app")
         client.principal = "app"
         call(client.create("a", {"v": 1}))
         call(client.create("b", {"v": 2}))
@@ -153,7 +154,7 @@ class TestStoreFrontDoor:
     def test_retry_policy_rides_through_rejection(self, env, zero_net, call):
         server = self._server(env, zero_net, rate=10.0, burst=1)
         policy = RetryPolicy(max_attempts=6, base_backoff=0.1, jitter=0.0)
-        client = ApiServerClient(server, location="app", retry_policy=policy)
+        client = ObjectClient(server, location="app", retry_policy=policy)
         client.principal = "app"
         call(client.create("a", {"v": 1}))  # spends the only token
         # The next create is rejected, backs off while the bucket

@@ -11,7 +11,8 @@ applies the stream's overflow policy (``reject`` = break + resync).
 import pytest
 
 from repro.simnet import FixedLatency
-from repro.store import ApiServer, ApiServerClient, LogLake, LogLakeClient
+from repro.store import ApiServer, LogLake, LogLakeClient
+from repro.store.client import ObjectClient
 from repro.store.sharded import ShardedStore, ShardedStoreClient
 
 SLOW = FixedLatency(0.05)  # watcher link; grant round trip = 100 ms
@@ -24,13 +25,13 @@ def server(env, net):
 
 @pytest.fixture
 def owner(env, server):
-    return ApiServerClient(server, location="store")
+    return ObjectClient(server, location="store")
 
 
 def slow_watcher(env, net, server, **watch_kwargs):
     """A watcher whose credit grants ride a WAN-grade link."""
     net.set_latency(server.location, "watcher", SLOW)
-    client = ApiServerClient(server, location="watcher")
+    client = ObjectClient(server, location="watcher")
     seen = []
     watch = client.watch(lambda e: seen.append(e), **watch_kwargs)
     return watch, seen
@@ -122,7 +123,7 @@ class TestPausedOverflow:
                                               call):
         closed = []
         net.set_latency(server.location, "watcher", SLOW)
-        client = ApiServerClient(server, location="watcher")
+        client = ObjectClient(server, location="watcher")
         seen = []
         watch = client.watch(lambda e: seen.append(e), credits=1,
                              overflow="reject",

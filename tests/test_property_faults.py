@@ -1,45 +1,61 @@
-"""Property: watch completeness under random seeded fault schedules.
+"""Property: a level-triggered watcher converges under random seeded faults.
 
-An informer-style watcher (watch + cursor + re-watch-with-replay on
-close) must observe **every committed write exactly once**, no matter
-what the network and the store do in between: partitions, drop windows,
-latency spikes, crash/restart cycles, brown-outs.  The ground truth is
-the server's WAL -- the writer's view is weaker, because a response lost
-after the commit means an acknowledged-to-nobody (yet durable) write.
+An informer-style watcher -- a :class:`~repro.store.follow.Follower`
+that re-lists whenever its stream breaks -- must end holding **the
+server's final state of every key**, no matter what the network and the
+store do in between: partitions, drop windows, latency spikes,
+crash/restart cycles, brown-outs.  On the way its per-key revision never
+goes backwards, and no stream delivers one revision twice.  There is no
+replay history to lean on: what a break hid, the re-list shows.
 """
+
+from functools import partial
 
 import pytest
 
 from repro.errors import AlreadyExistsError, ReproError
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.simnet import Environment, FixedLatency, Network
-from repro.store import ApiServer, ApiServerClient
+from repro.store import DELETED, ApiServer
+from repro.store.client import ObjectClient
+from repro.store.follow import Follower
 
 WRITES = 12
 WATCHERS = 2
 
 
-class _Informer:
-    """Reliable watcher: cursor + re-watch with replay on stream break."""
+class Informer:
+    """Reliable watcher: a Follower whose catch-up is a full re-list."""
 
-    def __init__(self, client):
+    def __init__(self, env, client):
         self.client = client
-        self.seen = []  # (key, revision) in delivery order
-        self.cursor = 0
-        self.reconnects = 0
-        self._watch()
-
-    def _watch(self):
-        self.client.watch(self._handle, on_close=self._reconnect)
+        self.state = {}  # key -> (revision, data): what the consumer holds
+        self.streamed = []  # (key, revision) as watch streams delivered
+        self.backwards = []  # (key, held, offered): must stay empty
+        self.follower = Follower(env, partial(client.watch, self._handle),
+                                 self._relist)
+        self.follower.start()
 
     def _handle(self, event):
-        self.seen.append((event.key, event.revision))
-        self.cursor = max(self.cursor, event.revision)
+        self.streamed.append((event.key, event.revision))
+        if event.type == DELETED:
+            self.state.pop(event.key, None)
+        else:
+            self._offer(event.key, event.revision, event.object)
 
-    def _reconnect(self):
-        self.reconnects += 1
-        self.client.watch(self._handle, from_revision=self.cursor,
-                          on_close=self._reconnect)
+    def _relist(self):
+        views = yield self.client.list()
+        for key in set(self.state) - {view["key"] for view in views}:
+            del self.state[key]
+        for view in views:
+            self._offer(view["key"], view["revision"], view["data"])
+
+    def _offer(self, key, revision, data):
+        held = self.state.get(key, (0, None))[0]
+        if revision < held:
+            self.backwards.append((key, held, revision))
+        elif revision > held:
+            self.state[key] = (revision, data)
 
 
 def _writer(env, client, done):
@@ -70,9 +86,9 @@ def test_every_committed_write_observed_exactly_once(seed):
     server = ApiServer(env, net, watch_overhead=0.0)
     policy = RetryPolicy(max_attempts=12, base_backoff=0.02,
                          max_backoff=0.2, seed=seed)
-    writer_client = ApiServerClient(server, "writer", retry_policy=policy)
+    writer_client = ObjectClient(server, "writer", retry_policy=policy)
     watchers = [
-        _Informer(ApiServerClient(server, f"watcher-{i}"))
+        Informer(env, ObjectClient(server, f"watcher-{i}"))
         for i in range(WATCHERS)
     ]
 
@@ -87,16 +103,17 @@ def test_every_committed_write_observed_exactly_once(seed):
 
     done = set()
     env.run(until=env.process(_writer(env, writer_client, done)))
-    env.run()  # drain: fault reverts, keepalive timers, replays
+    env.run()  # drain: fault reverts, keepalive timers, re-lists
 
     assert len(done) == 5  # every write eventually acknowledged
     assert server.available
     assert injector.active_faults() == []
-    committed = sorted(
-        (record.event.key, record.event.revision) for record in server._wal
-    )
-    assert len(committed) >= WRITES
+    assert len(server._wal) >= WRITES
+    final = {key: (obj.revision, obj.data)
+             for key, obj in server._objects.items()}
+    assert len(final) == 5
     for watcher in watchers:
-        observed = sorted(watcher.seen)
-        assert len(watcher.seen) == len(set(watcher.seen))  # no duplicates
-        assert observed == committed  # ...and nothing missing
+        assert watcher.state == final  # converged, key for key
+        assert watcher.backwards == []  # per-key revision never rewinds
+        # No stream delivers one revision twice.
+        assert len(watcher.streamed) == len(set(watcher.streamed))

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simnet import Environment, FixedLatency, Link, Network, UniformLatency
-from repro.store import ApiServer, ApiServerClient, MemKV, MemKVClient
+from repro.store import ApiServer, MemKV, MemKVClient
 from repro.store.base import estimate_size
+from repro.store.client import ObjectClient
 from repro.store.cow import merge_patch
 
 
@@ -78,7 +79,7 @@ class TestStoreProperties:
     def test_revisions_strictly_increase(self, payloads):
         env = Environment()
         net = Network(env, default_latency=FixedLatency(0))
-        client = ApiServerClient(ApiServer(env, net, watch_overhead=0),
+        client = ObjectClient(ApiServer(env, net, watch_overhead=0),
                                  location="t")
         revisions = []
         for i, payload in enumerate(payloads):
@@ -97,7 +98,7 @@ class TestStoreProperties:
         env = Environment()
         net = Network(env, default_latency=FixedLatency(0.001))
         backend_cls, client_cls = (
-            (MemKV, MemKVClient) if use_memkv else (ApiServer, ApiServerClient)
+            (MemKV, MemKVClient) if use_memkv else (ApiServer, ObjectClient)
         )
         server = backend_cls(env, net, watch_overhead=0.0005)
         client = client_cls(server, location="writer")
@@ -116,7 +117,7 @@ class TestStoreProperties:
     def test_store_roundtrip_identity(self, payload):
         env = Environment()
         net = Network(env, default_latency=FixedLatency(0))
-        client = ApiServerClient(ApiServer(env, net, watch_overhead=0),
+        client = ObjectClient(ApiServer(env, net, watch_overhead=0),
                                  location="t")
         run_op(env, client.create("k", payload))
         assert run_op(env, client.get("k"))["data"] == payload

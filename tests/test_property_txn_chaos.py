@@ -68,8 +68,7 @@ def workload(seed):
             {"action": "create", "key": key, "data": {"txn": t, "seed": seed}}
             for key in keys
         ]
-        mode = rng.choice(("2pc", "2pc", "saga"))
-        batches.append((t, mode, ops))
+        batches.append((t, ops))
     return batches
 
 
@@ -91,13 +90,13 @@ def chaos_plan(seed, coordinator_name, endpoints):
     return plan
 
 
-def submit_with_retries(env, client, mode, ops, idem_key, outcomes, t):
+def submit_with_retries(env, client, ops, idem_key, outcomes, t):
     """The disciplined caller: retry retryables with the SAME idem key."""
     attempts = 0
     while attempts < 60:
         attempts += 1
         try:
-            yield client.txn(ops, mode=mode, idempotence_key=idem_key)
+            yield client.txn(ops, mode="2pc", idempotence_key=idem_key)
             outcomes[t] = "committed"
             return
         except (UnavailableError, DeadlineExceededError):
@@ -121,12 +120,12 @@ def test_atomic_and_exactly_once_under_chaos(seed):
     batches = workload(seed)
     outcomes = {}
     rng = random.Random(seed)
-    for t, mode, ops in batches:
+    for t, ops in batches:
         start = rng.uniform(0.0, 1.5)
         timer = env.timeout(start)
         timer.callbacks.append(
-            lambda _evt, t=t, mode=mode, ops=ops: env.process(
-                submit_with_retries(env, client, mode, ops,
+            lambda _evt, t=t, ops=ops: env.process(
+                submit_with_retries(env, client, ops,
                                     f"idem-{seed}-{t}", outcomes, t)
             )
         )
@@ -137,13 +136,13 @@ def test_atomic_and_exactly_once_under_chaos(seed):
     assert coord.alive
 
     # -- atomicity: all-or-nothing per transaction --------------------------
-    for t, mode, ops in batches:
+    for t, ops in batches:
         present = []
         for op in ops:
             shard = store.shard_for(op["key"])
             present.append(op["key"] in shard._objects)
         assert len(set(present)) == 1, (
-            f"seed {seed} txn {t} ({mode}, {outcomes.get(t)}) partially "
+            f"seed {seed} txn {t} ({outcomes.get(t)}) partially "
             f"applied: {dict(zip([op['key'] for op in ops], present))}"
         )
         if outcomes.get(t) == "committed":
@@ -155,11 +154,11 @@ def test_atomic_and_exactly_once_under_chaos(seed):
     applied_before = {
         s.location: sorted(s._objects) for s in store.shards
     }
-    for t, mode, ops in batches:
+    for t, ops in batches:
         if outcomes.get(t) != "committed":
             continue
         replay = env.process(submit_with_retries(
-            env, client, mode, ops, f"idem-{seed}-{t}", outcomes, t
+            env, client, ops, f"idem-{seed}-{t}", outcomes, t
         ))
         env.run(until=replay)
         assert outcomes[t] == "committed"  # cached, not re-applied
@@ -184,12 +183,12 @@ def test_same_seed_same_fingerprint(seed):
         injector.schedule(chaos_plan(seed, "coord", endpoints))
         outcomes = {}
         rng = random.Random(seed)
-        for t, mode, ops in workload(seed):
+        for t, ops in workload(seed):
             start = rng.uniform(0.0, 1.5)
             timer = env.timeout(start)
             timer.callbacks.append(
-                lambda _evt, t=t, mode=mode, ops=ops: env.process(
-                    submit_with_retries(env, client, mode, ops,
+                lambda _evt, t=t, ops=ops: env.process(
+                    submit_with_retries(env, client, ops,
                                         f"idem-{seed}-{t}", outcomes, t)
                 )
             )

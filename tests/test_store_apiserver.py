@@ -12,14 +12,8 @@ from repro.errors import (
 )
 from repro.simnet import FixedLatency
 from repro.simnet.network import Network
-from repro.store import (
-    ADDED,
-    DELETED,
-    MODIFIED,
-    ApiServer,
-    ApiServerClient,
-    FrozenViewError,
-)
+from repro.store import ADDED, DELETED, MODIFIED, ApiServer, FrozenViewError
+from repro.store.client import ObjectClient
 from repro.store.cow import merge_patch
 
 
@@ -30,7 +24,7 @@ def server(env, zero_net):
 
 @pytest.fixture
 def client(server):
-    return ApiServerClient(server, location="tester")
+    return ObjectClient(server, location="tester")
 
 
 class TestCRUD:
@@ -154,7 +148,7 @@ class TestIsolation:
     def test_classic_mode_still_copies(self, env, call):
         network = Network(env)
         server = ApiServer(env, network, zero_copy=False)
-        client = ApiServerClient(server, server.location)
+        client = ObjectClient(server, server.location)
         call(client.create("k", {"nested": {"v": 1}}))
         view = call(client.get("k"))
         view["data"]["nested"]["v"] = 999
@@ -224,23 +218,20 @@ class TestWatch:
         server = ApiServer(env, net, location="store", watch_overhead=0.0)
         net.set_latency("store", "watcher", FixedLatency(0.010))
         events = []
-        watch = ApiServerClient(server, location="watcher").watch(
+        watch = ObjectClient(server, location="watcher").watch(
             events.append, credits=4)
-        call(ApiServerClient(server, location="store").create("k", {}))
+        call(ObjectClient(server, location="store").create("k", {}))
         assert watch.delivered == 1 and events == []  # sent, not arrived
         stop(server, watch)
         env.run()
         assert events == []
         assert server.watch_credit_grants == 0  # and nothing granted back
 
-    def test_replay_from_revision(self, env, client, call):
-        call(client.create("k1", {"i": 1}))
-        second = call(client.create("k2", {"i": 2}))
-        env.run()
-        events = []
-        client.watch(events.append, from_revision=second["revision"] - 1)
-        env.run()
-        assert [e.key for e in events] == ["k2"]
+    def test_watch_takes_no_from_revision(self, client):
+        # Watches follow current state: a watcher that missed events
+        # re-lists; there is no replay history to resume from.
+        with pytest.raises(TypeError):
+            client.watch(lambda event: None, from_revision=0)
 
     def test_multiple_watchers_all_notified(self, env, client, call):
         a, b = [], []
@@ -254,7 +245,7 @@ class TestWatch:
 class TestLatency:
     def test_writes_cost_more_than_reads(self, env, zero_net):
         server = ApiServer(env, zero_net, watch_overhead=0.0)
-        client = ApiServerClient(server, location="tester")
+        client = ObjectClient(server, location="tester")
         start = env.now
         env.run(until=client.create("k", {"v": 1}))
         write_cost = env.now - start
@@ -265,8 +256,8 @@ class TestLatency:
 
     def test_network_hops_add_latency(self, env, net):
         server = ApiServer(env, net, watch_overhead=0.0)
-        remote = ApiServerClient(server, location="far-away")
-        local = ApiServerClient(server, location=server.location)
+        remote = ObjectClient(server, location="far-away")
+        local = ObjectClient(server, location=server.location)
         start = env.now
         env.run(until=remote.create("k1", {"v": 1}))
         remote_cost = env.now - start
@@ -277,7 +268,7 @@ class TestLatency:
 
     def test_payload_size_increases_cost(self, env, zero_net):
         server = ApiServer(env, zero_net, watch_overhead=0.0)
-        client = ApiServerClient(server, location="t")
+        client = ObjectClient(server, location="t")
         start = env.now
         env.run(until=client.create("small", {"v": "x"}))
         small = env.now - start
@@ -288,7 +279,7 @@ class TestLatency:
 
     def test_op_counts_recorded(self, env, zero_net):
         server = ApiServer(env, zero_net, watch_overhead=0.0)
-        client = ApiServerClient(server, location="t")
+        client = ObjectClient(server, location="t")
         env.run(until=client.create("k", {}))
         env.run(until=client.get("k"))
         env.run(until=client.get("k"))

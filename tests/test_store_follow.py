@@ -10,7 +10,8 @@ import pytest
 from repro.core import Knactor, KnactorRuntime, Reconciler, StoreBinding
 from repro.errors import ReproError, UnavailableError
 from repro.exchange import ObjectDE
-from repro.store import ApiServer, ApiServerClient
+from repro.store import ApiServer
+from repro.store.client import ObjectClient
 from repro.store.follow import Follower
 
 
@@ -168,7 +169,7 @@ def test_reconciler_under_a_crash_is_draw_for_draw_the_hand_written_loop(
         "default", "object", "schema: A/v1/S/T\nv: number\nseen: bool\n")],
         reconciler=rec))
     runtime.start()
-    writer = ApiServerClient(backend, "writer")
+    writer = ObjectClient(backend, "writer")
 
     def burst():
         for i in range(40):

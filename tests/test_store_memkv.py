@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ConflictError, NotFoundError, StoreError
-from repro.store import ApiServer, ApiServerClient, MemKV, MemKVClient
+from repro.store import ApiServer, MemKV, MemKVClient
+from repro.store.client import ObjectClient
 
 
 @pytest.fixture
@@ -130,7 +131,7 @@ class TestPerformance:
     def test_memkv_write_much_faster_than_apiserver(self, env, zero_net):
         api = ApiServer(env, zero_net, location="api", watch_overhead=0.0)
         kv = MemKV(env, zero_net, location="kv", watch_overhead=0.0)
-        api_client = ApiServerClient(api, location="t")
+        api_client = ObjectClient(api, location="t")
         kv_client = MemKVClient(kv, location="t")
 
         start = env.now

@@ -20,10 +20,10 @@ from repro.obs.context import TraceContext, use
 from repro.simnet import Environment, FixedLatency, Network
 from repro.store import (
     ApiServer,
-    ApiServerClient,
     LogLakeClient,
     MemKVClient,
     ShardedStore,
+    ShardedStoreClient,
     StoreClient,
     StoreServer,
 )
@@ -79,7 +79,7 @@ class TestEnvelope:
             # A per-byte cost large enough that one stray key would show.
             server = ApiServer(env, net, watch_overhead=0.0,
                                ops={"patch": OpLatency(0.001, per_byte=1e-3)})
-            client = ApiServerClient(server, "caller")
+            client = ObjectClient(server, "caller")
             env.run(until=client.create("k", {"v": 0}))
             client.principal = principal
             del sizes[:]
@@ -142,7 +142,7 @@ class TestStagePrecedence:
         server.set_available("down" not in armed)
         if "sealed" in armed:
             server.seal_ranges([(0, 0)], ring_version=7)  # the whole circle
-        client = ApiServerClient(server, server.location)
+        client = ObjectClient(server, server.location)
         with pytest.raises(error, match=says) as caught:
             call(client.request(op, key=mine if key == "mine" else theirs))
         assert type(caught.value) is error
@@ -158,7 +158,7 @@ class TestStagePrecedence:
     def test_a_shed_request_never_waits_for_a_worker_slot(
             self, env, call, ring):
         _store, server, mine, _theirs = ring
-        client = ApiServerClient(server, server.location)
+        client = ObjectClient(server, server.location)
         client.create(mine, {"v": 1})  # holds the only worker for 6.5 ms
         env.run(until=0.001)
         server.admission = Door(answer=False)
@@ -171,21 +171,22 @@ class TestStagePrecedence:
 class TestClientSurface:
     OBJECT_METHODS = ("get", "patch", "create", "update", "delete", "list",
                       "txn", "txn_prepare", "txn_commit", "txn_abort",
-                      "txn_status", "enable_read_cache")
+                      "enable_read_cache")
 
     def test_object_methods_are_written_once(self):
         for name in self.OBJECT_METHODS:
             shared = vars(ObjectClient)[name]
-            assert getattr(ApiServerClient, name) is shared
             assert getattr(MemKVClient, name) is shared
-        assert ApiServerClient.create is MemKVClient.create
 
-    def test_backend_clients_add_only_what_is_theirs(self):
+    def test_backend_clients_add_only_what_is_theirs(self, ring):
         def own(cls):
             return {n for n in vars(cls) if not n.startswith("__")}
 
-        assert own(ApiServerClient) == {"watch"}
         assert own(MemKVClient) == {"command", "fcall", "fcall_txn"}
+        # The apiserver adds nothing: its shards get the Object client.
+        store = ring[0]
+        clients = ShardedStoreClient(store, "caller").clients
+        assert [type(c) for c in clients] == [ObjectClient] * 2
 
     def test_the_log_client_has_no_object_surface(self, env, zero_net):
         from repro.store import LogLake
@@ -205,9 +206,10 @@ BASE_NAMES = [
     "StoreClient", "StoreServer", "StoredObject", "Watch", "WatchEvent",
     "_FENCED_OPS", "_Failure", "combine_patches", "estimate_size",
 ]
-#: Taken at the same commit: ``dir(repro.store)`` less its submodules.
+#: Taken at the same commit: ``dir(repro.store)`` less its submodules,
+#: less ``ApiServerClient`` (deleted with the watch-replay ring).
 STORE_NAMES = [
-    "ADDED", "APPENDED", "ApiServer", "ApiServerClient", "AutoscalePolicy",
+    "ADDED", "APPENDED", "ApiServer", "AutoscalePolicy",
     "CopyMeter", "CowList", "CowMap", "DELETED", "FrozenViewError",
     "LogLake", "LogLakeClient", "MODIFIED", "MemKV", "MemKVClient",
     "MergedWatch", "OpLatency", "RefCountRetention", "RetentionPolicy",

@@ -3,12 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError, NotFoundError
-from repro.store import (
-    ApiServer,
-    ApiServerClient,
-    RefCountRetention,
-    TTLRetention,
-)
+from repro.store import ApiServer, RefCountRetention, TTLRetention
+from repro.store.client import ObjectClient
 from repro.store.retention import GarbageCollector
 
 
@@ -19,7 +15,7 @@ def server(env, zero_net):
 
 @pytest.fixture
 def client(server):
-    return ApiServerClient(server, location="gc-test")
+    return ObjectClient(server, location="gc-test")
 
 
 class TestRefCountRetention:

@@ -14,12 +14,13 @@ from repro.errors import (
     StoreError,
 )
 from repro.exchange import ObjectDE
-from repro.store import ApiServer, ApiServerClient, MemKV, MemKVClient
+from repro.store import ApiServer, MemKV, MemKVClient
+from repro.store.client import ObjectClient
 
 
 @pytest.fixture
 def client(env, zero_net):
-    return ApiServerClient(ApiServer(env, zero_net, watch_overhead=0.0), "t")
+    return ObjectClient(ApiServer(env, zero_net, watch_overhead=0.0), "t")
 
 
 class TestBackendTxn:

@@ -1,4 +1,4 @@
-"""Cross-shard transactional plane: 2PC, sagas, exactly-once, recovery."""
+"""Cross-shard transactional plane: 2PC, exactly-once, recovery."""
 
 import pytest
 
@@ -80,6 +80,15 @@ class TestCrossShardRouting:
         client = ShardedStoreClient(store, "caller")
         with pytest.raises(ConfigurationError):
             client.txn(cross_shard_ops(2), mode="3pc")
+
+    def test_saga_mode_is_gone(self, env, net):
+        # 2PC is the one atomic model; the saga mode was removed.
+        store = make_store(env, net)
+        client = ShardedStoreClient(store, "caller")
+        with pytest.raises(ConfigurationError, match=r"use '2pc'\)"):
+            client.txn(cross_shard_ops(2), mode="saga")
+        with pytest.raises(ConfigurationError):
+            store.coordinator.arm_phase_kill("compensate")
 
 
 class Test2PC:
@@ -265,105 +274,14 @@ class TestParticipantDurability:
         assert reply["state"] == "committed"
 
 
-class TestSaga:
-    def test_saga_commit_applies_everywhere(self, env, net, call):
-        store = make_store(env, net)
-        client = ShardedStoreClient(store, "caller")
-        ops = cross_shard_ops(2)
-        views = call(client.txn(ops, mode="saga"))
-        assert len(views) == 2
-        for op in ops:
-            assert call(client.get(op["key"]))["data"] == op["data"]
-        assert store.in_doubt_txns == 0
-
-    def test_saga_failure_compensates_applied_steps(self, env, net, call):
-        store = make_store(env, net)
-        client = ShardedStoreClient(store, "caller")
-        ops = cross_shard_ops(2)
-        # Make the SECOND shard group fail validation: the first group
-        # commits eagerly, then must be rolled back.
-        call(client.create(ops[1]["key"], {"pre": True}))
-        with pytest.raises(AlreadyExistsError):
-            call(client.txn(ops, mode="saga"))
-        with pytest.raises(NotFoundError):
-            call(client.get(ops[0]["key"]))  # compensated away
-        assert call(client.get(ops[1]["key"]))["data"] == {"pre": True}
-        assert store.coordinator.compensations_total >= 1
-        assert store.in_doubt_txns == 0
-
-    def test_saga_compensation_restores_pre_image(self, env, net, call):
-        store = make_store(env, net)
-        client = ShardedStoreClient(store, "caller")
-        per_shard = keys_on_shards(2, count_per_shard=1)
-        k0, k1 = per_shard[0][0], per_shard[1][0]
-        call(client.create(k0, {"v": "original"}))
-        ops = [
-            {"action": "update", "key": k0, "data": {"v": "changed"}},
-            {"action": "update", "key": k1, "data": {"v": "x"}},  # missing
-        ]
-        with pytest.raises(NotFoundError):
-            call(client.txn(ops, mode="saga"))
-        assert call(client.get(k0))["data"] == {"v": "original"}
-
-    def test_registered_compensation_overrides_derived(self, env, net, call):
-        store = make_store(env, net)
-        coord = store.coordinator
-        client = ShardedStoreClient(store, "caller")
-        tombstones = []
-
-        def tombstone(op, pre_image):
-            tombstones.append(op["key"])
-            return {"action": "update", "key": op["key"],
-                    "data": {"state": "cancelled"}}
-
-        coord.register_compensation("create", tombstone)
-        ops = cross_shard_ops(2)
-        call(client.create(ops[1]["key"], {"pre": True}))
-        with pytest.raises(AlreadyExistsError):
-            call(client.txn(ops, mode="saga"))
-        # Instead of deleting, the registered compensation tombstoned.
-        assert tombstones == [ops[0]["key"]]
-        assert call(client.get(ops[0]["key"]))["data"] == {
-            "state": "cancelled"}
-
-    def test_saga_kill_mid_steps_rolls_back_on_recovery(self, env, net, call):
-        store = make_store(env, net)
-        coord = store.coordinator
-        client = ShardedStoreClient(store, "caller")
-        ops = cross_shard_ops(2)
-        # Fire on the SECOND prepare: step 0 already committed.
-        call(client.txn([{"action": "create", "key": "warm-x",
-                          "data": {}}]))  # warm nothing; keep ids stable
-        done_first = []
-
-        def run(env):
-            coord_proc = client.txn(ops, mode="saga")
-            try:
-                yield coord_proc
-            except UnavailableError:
-                done_first.append(True)
-
-        # Arm at "commit" of a saga step: the kill fires after step 0's
-        # prepare, before its commit -- or use phase "compensate" via a
-        # failing batch.  Here: arm "commit" fires on FIRST step commit;
-        # instead arm the kill at the second step by arming after step
-        # one completes is not expressible -- so arm "compensate" with a
-        # failing second group and assert recovery finishes the rollback.
-        call(client.create(ops[1]["key"], {"pre": True}))
-        coord.arm_phase_kill("compensate", restart_after=0.5)
-        call(env.process(run(env)))
-        assert done_first == [True]
-        env.run(until=env.timeout(2.0))
-        # Recovery completed the compensation: step 0 rolled back.
-        with pytest.raises(NotFoundError):
-            call(client.get(ops[0]["key"]))
-        assert store.in_doubt_txns == 0
-
-
 class TestKillDuringTxnPlan:
     def test_plan_sugar_validates_phase(self):
         with pytest.raises(ConfigurationError):
             FaultPlan().kill_during_txn("coord", "fsync", at=0.1, duration=0.2)
+        # "compensate" went with the saga mode.
+        with pytest.raises(ConfigurationError):
+            FaultPlan().kill_during_txn("coord", "compensate", at=0.1,
+                                        duration=0.2)
 
     def test_injector_arms_and_fires_phase_kill(self, env, net, call):
         store = make_store(env, net)
@@ -520,8 +438,8 @@ class TestObsIntegration:
         ops = cross_shard_ops(2)
         call(client.create(ops[1]["key"], {"pre": True}))
         with pytest.raises(AlreadyExistsError):
-            call(client.txn(ops, mode="2pc"))
-        with pytest.raises(AlreadyExistsError):
-            call(client.txn(ops, mode="saga", idempotence_key="s1"))
+            call(client.txn(ops, mode="2pc", idempotence_key="s1"))
         names = {span.name for span in plane.causal.spans.values()}
-        assert {"txn-abort", "txn-compensate"} <= names
+        assert "txn-abort" in names
+        assert store.txn_stats()["aborted"] == 1
+        assert store.in_doubt_txns == 0
