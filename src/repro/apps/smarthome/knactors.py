@@ -7,6 +7,7 @@ own Log store; it has no idea a Lamp or a Motion sensor exists.
 """
 
 from repro.core import Reconciler
+from repro.errors import NotFoundError
 
 #: Schemas per Fig. 4's store contents.
 HOUSE_OBJECT = """\
@@ -55,22 +56,28 @@ class HouseReconciler(Reconciler):
         super().__init__("house")
         self.kwh_total = 0.0
         self.motion_log = []
+        self._counted = 0  # first _seq not yet in the tallies
 
     def on_log_batch(self, ctx, local_name, records):
+        # Records come again after a failed write: the tallies skip the
+        # ones they hold, the intensity write is simply made again.
         intensity = None
         for record in records:
+            fresh = record["_seq"] >= self._counted
             if "motion" in record:
-                self.motion_log.append((record["_ts"], record["motion"]))
+                if fresh:
+                    self.motion_log.append((record["_ts"], record["motion"]))
                 intensity = (
                     self.on_brightness if record["motion"] else self.off_brightness
                 )
-            if record.get("kwh") is not None:
+            if fresh and record.get("kwh") is not None:
                 self.kwh_total += record["kwh"]
+        self._counted = max(self._counted, records[-1]["_seq"] + 1)
         if intensity is None:
             return
         try:
             yield ctx.store.patch("main", {"intensity": intensity})
-        except Exception:
+        except NotFoundError:
             yield ctx.store.create("main", {"intensity": intensity, "mode": "auto"})
 
 

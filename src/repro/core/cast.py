@@ -15,24 +15,21 @@ issues a single ``fcall`` per change instead of N reads + M writes.
 
 import random
 import zlib
-from collections import OrderedDict
 from functools import partial
 
 from repro.errors import (
     AccessDeniedError,
     ConfigurationError,
-    ConflictError,
     DXGError,
-    UnavailableError,
+    ReproError,
 )
-from repro.faults.dlq import DeadLetterQueue
 from repro.obs.context import use
 from repro.core.dxg import DXGExecutor, analyze, parse_dxg, standard_functions
 from repro.core.dxg.executor import ExecutorOptions
 from repro.core.dxg.parser import DXGSpec, build_spec
 from repro.core.integrator import Integrator
 from repro.store.base import MODIFIED, WatchEvent
-from repro.store.follow import Follower
+from repro.store.follow import TRANSIENT, Follower
 from repro.store.memkv import MemKVClient
 
 
@@ -42,11 +39,9 @@ class Cast(Integrator):
     #: Simulated integrator CPU time per assignment per exchange.
     compute_cost_per_assignment = 5e-6
 
-    #: Transient-failure policy: an exchange hitting an unavailable /
-    #: conflicting store is requeued with jittered backoff up to this
-    #: many times, then its cid is dead-lettered.
-    max_exchange_attempts = 5
-    requeue_backoff = 0.005
+    #: Retries (on :meth:`_backoff`) of an exchange that keeps failing on
+    #: an unavailable / conflicting store before its cid is dead-lettered.
+    max_requeues = 5
 
     #: The runtime exchange a Cast composes over.
     de_name = "object"
@@ -78,23 +73,15 @@ class Cast(Integrator):
         self._extra_kinds = {}
         self._globals = {}
         self._followers = []
-        self._queue = OrderedDict()
-        self._cid_ctx = {}  # cid -> causal ctx of the latest triggering commit
-        self._wakeups = []
-        self._workers = []
-        self._in_flight = set()
         self._seen_cids = set()
-        # cids whose last exchange was abandoned (denied, diverged,
-        # dead-lettered): what it read and wrote is cached but covered by
+        # cids whose last exchange was abandoned (denied, diverged, failed
+        # on the store): what it read and wrote is cached but covered by
         # no finished computation, so their next event is news whatever
-        # state it carries.  Kept by ``_work_loop`` alone, beside
-        # ``_in_flight``, save for a retry dropped with its worker.
+        # state it carries.  Cleared when the exchange it is owed starts.
         self._owed = set()
         self._udf_name = None
         self._udf_client = None
-        self._exchange_failures = {}  # cid -> consecutive transient failures
         self._rng = random.Random(zlib.crc32(name.encode()))
-        self.dead_letters = DeadLetterQueue(name=name)
         self.exchanges_run = 0
         self.events_ignored = 0  # watch events that carried no news
         self.denied = 0
@@ -228,15 +215,10 @@ class Cast(Integrator):
 
     def _on_start(self):
         self._follow_stores()
-        env = self.runtime.env
-        self._workers = [
-            env.process(self._work_loop(env)) for _ in range(self.workers)
-        ]
 
     def _on_stop(self):
         for follower in self._followers:
             follower.stop()
-        self._kick()
 
     def _follow_stores(self):
         """One follower per alias of the current executor (a
@@ -264,11 +246,10 @@ class Cast(Integrator):
         if not self.executor.is_global(alias):  # those share one cache slot
             views = yield handle.list()
         for cid in sorted(self._seen_cids):
-            self._queue[cid] = True
+            self.queue.requeue(cid)
         for view in views:
             self._ingest(alias, WatchEvent(
                 MODIFIED, view["key"], view["data"], view["revision"]))
-        self._kick()
 
     def _ingest(self, alias, event):
         kind, cid = DXGExecutor.split_key(event.key)
@@ -286,64 +267,27 @@ class Cast(Integrator):
             # A lookup object changed: every known exchange group may
             # derive different values now.  Sorted: deterministic.
             for seen_cid in sorted(self._seen_cids):
-                self._queue[seen_cid] = True
+                self.queue.requeue(seen_cid)
         else:
             self._seen_cids.add(cid)
-            self._queue[cid] = True
             # The commit that triggered this exchange is its causal
             # parent (lookup-object fan-outs keep no per-cid parent:
             # one global change is not "the" cause of N exchanges).
-            self._cid_ctx[cid] = event.ctx
-        self._kick()
+            self.queue.add(cid, event.ctx)
 
-    def _kick(self):
-        pending, self._wakeups = self._wakeups, []
-        for wakeup in pending:
-            if not wakeup.triggered:
-                wakeup.succeed()
+    # -- the exchange ---------------------------------------------------------------------
 
-    # -- the exchange loop ----------------------------------------------------------------
+    def _pass(self, cid, parent):
+        self._owed.discard(cid)  # this is the exchange it was owed
+        return self._process(self.runtime.env, cid, parent)
 
-    def _work_loop(self, env):
-        while self.started:
-            cid = self._next_cid()
-            if cid is None:
-                wakeup = env.event()
-                self._wakeups.append(wakeup)
-                yield wakeup
-                continue
-            self._in_flight.add(cid)
-            self._owed.discard(cid)  # this is the exchange it was owed
-            settled = False
-            try:
-                settled = yield env.process(self._process(env, cid))
-            finally:
-                self._in_flight.discard(cid)
-                if not settled:
-                    # Every exit of ``_process`` that neither finished
-                    # nor scheduled a retry, listed there or not.
-                    self._owed.add(cid)
-                self._kick()  # a worker may be waiting on this cid
-
-    def _next_cid(self):
-        """Pop the first queued cid that is not already being processed.
-
-        Per-cid execution stays serial even with multiple workers: two
-        concurrent exchanges for one correlation id would race their
-        read-compute-write cycles.
-        """
-        for cid in self._queue:
-            if cid not in self._in_flight:
-                del self._queue[cid]
-                return cid
-        return None
-
-    def _process(self, env, cid):
-        """One exchange for ``cid``; True when it finished or a retry is
-        scheduled, anything else leaves the cid owed one."""
+    def _process(self, env, cid, parent):
+        """One exchange for ``cid``.  Any exit but a finished exchange
+        leaves the cid owed one; a failure on the store is raised on for
+        the queue to retry (jittered backoff, then the DLQ), any other
+        ``ReproError`` but a denial or a divergence for it to park."""
         tracer = self.runtime.tracer
         tracer.record("cast", "begin", integrator=self.name, cid=cid)
-        parent = self._cid_ctx.pop(cid, None)
         octx = None
         if parent is not None and parent.sink is not None:
             octx = parent.sink.start_span(
@@ -371,74 +315,45 @@ class Cast(Integrator):
             # move on; a later event will retry the cid (any event: the
             # cid is owed an exchange, see ``_ingest``).
             self.denied += 1
+            self._owed.add(cid)
             tracer.record(
                 "cast", "denied", integrator=self.name, cid=cid,
                 reason=str(exc),
             )
-            if octx is not None:
-                octx.sink.end_span(octx, outcome="denied")
-            return
-        except (UnavailableError, ConflictError) as exc:
-            # Transient substrate failure (crashed/partitioned store,
-            # optimistic-concurrency race): requeue with backoff; after
-            # max_exchange_attempts the cid is parked in the DLQ so one
-            # unreachable group never wedges the worker pool.
-            self.unavailable_count += 1
-            if octx is not None:
-                octx.sink.end_span(octx, outcome=type(exc).__name__)
-                self._cid_ctx.setdefault(cid, parent)  # retried: re-parent
-            return self._retry_later(env, cid, exc)
+            outcome = "denied"
         except DXGError as exc:
             # Value-level divergence (non-quiescence) on this cid: record
             # it and keep the integrator alive for other exchanges.
             self.errors += 1
+            self._owed.add(cid)
             tracer.record(
                 "cast", "error", integrator=self.name, cid=cid,
                 reason=str(exc),
             )
+            outcome = "dxg-error"
+        except ReproError as exc:
+            # Transient substrate failure (crashed/partitioned store,
+            # optimistic-concurrency race): the queue requeues the cid
+            # with backoff, and after max_requeues parks it in the DLQ so
+            # one unreachable group never wedges the worker pool.  Any
+            # other failure is parked at once.
+            if isinstance(exc, TRANSIENT):
+                self.unavailable_count += 1
+            self._owed.add(cid)
             if octx is not None:
-                octx.sink.end_span(octx, outcome="dxg-error")
-            return
-        self._exchange_failures.pop(cid, None)
-        self.exchanges_run += 1
-        tracer.record("cast", "end", integrator=self.name, cid=cid)
+                octx.sink.end_span(octx, outcome=type(exc).__name__)
+            raise
+        else:
+            self.exchanges_run += 1
+            tracer.record("cast", "end", integrator=self.name, cid=cid)
+            outcome = "ok"
         if octx is not None:
-            octx.sink.end_span(octx, outcome="ok")
-        return True
+            octx.sink.end_span(octx, outcome=outcome)
 
-    def _retry_later(self, env, cid, exc):
-        """Requeue ``cid`` after a backoff; False once it is given up
-        on (dead-lettered: its next event re-queues it)."""
-        count = self._exchange_failures.get(cid, 0) + 1
-        if count > self.max_exchange_attempts:
-            self._exchange_failures.pop(cid, None)
-            self.dead_letters.push(
-                cid, exc, attempts=count, time=env.now, source=self.name
-            )
-            self.runtime.tracer.record(
-                "cast", "dead-letter", integrator=self.name, cid=cid,
-                reason=str(exc),
-            )
-            return False
-        self._exchange_failures[cid] = count
-        delay = (
-            min(0.5, self.requeue_backoff * (2 ** (count - 1)))
-            * self._rng.uniform(0.5, 1.5)
-        )
-        timer = env.timeout(delay)
-        timer.callbacks.append(lambda _evt, c=cid: self._requeue_cid(c))
-        self.runtime.tracer.record(
-            "cast", "retry-later", integrator=self.name, cid=cid,
-            attempt=count, delay=delay,
-        )
-        return True
-
-    def _requeue_cid(self, cid):
-        if not self.started:
-            self._owed.add(cid)  # the retry is dropped with the worker
-            return
-        self._queue[cid] = True
-        self._kick()
+    def _backoff(self, attempt):
+        """5 ms doubling to 0.5 s, with this Cast's seeded jitter."""
+        return (min(0.5, 0.005 * (2 ** (attempt - 1)))
+                * self._rng.uniform(0.5, 1.5))
 
     # -- process faults (see repro.faults) ---------------------------------
 
@@ -452,8 +367,7 @@ class Cast(Integrator):
         if not self.started:
             return
         self.kill_count += 1
-        self._queue.clear()
-        self._exchange_failures.clear()
+        self.queue.clear()
         self.stop()
         self.runtime.tracer.record("cast", "killed", integrator=self.name)
 
@@ -471,9 +385,6 @@ class Cast(Integrator):
         base.update(
             exchanges_run=self.exchanges_run,
             events_ignored=self.events_ignored,
-            queue_depth=len(self._queue),
-            dead_letters=len(self.dead_letters),
-            dead_letter_keys=self.dead_letters.keys(),
             unavailable=self.unavailable_count,
             kills=self.kill_count,
         )

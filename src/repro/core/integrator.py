@@ -12,10 +12,19 @@ the composition-cost benchmark counts (a Knactor composition change is one
 """
 
 from repro.errors import ConfigurationError
+from repro.faults.dlq import DeadLetterQueue
+from repro.flow.policy import BLOCK
+from repro.store.follow import RIDE_OUT, capped_exponential
+from repro.store.workqueue import WorkQueue
 
 
 class Integrator:
-    """Base class for composition modules."""
+    """Base class for composition modules: deliveries mark keys dirty in
+    one :class:`~repro.store.workqueue.WorkQueue`, which runs ``_pass``
+    over each (``workers`` at once; None: one per key)."""
+
+    max_requeues = RIDE_OUT
+    workers = None
 
     def __init__(self, name):
         if not name:
@@ -25,12 +34,19 @@ class Integrator:
         self.started = False
         self.generation = 0
         self.reconfigurations = []  # (time, description)
+        self.dead_letters = DeadLetterQueue(name=name)
+        self.queue = None  # the work queue, once bound
 
     # -- lifecycle -----------------------------------------------------------
 
     def bind(self, runtime):
         """Attach to a runtime (resolve stores, run static analysis)."""
         self.runtime = runtime
+        # A failing store is ridden out; any other failure is parked at once.
+        self.queue = WorkQueue(
+            runtime.env, self._pass, self.dead_letters, self.workers,
+            self._backoff, self.max_requeues, 0, None, BLOCK,
+        )
         self._on_bind()
         return self
 
@@ -40,12 +56,14 @@ class Integrator:
         if self.started:
             return
         self.started = True
+        self.queue.start()
         self._on_start()
 
     def stop(self):
         if not self.started:
             return
         self.started = False
+        self.queue.stop()
         self._on_stop()
 
     # -- reconfiguration ---------------------------------------------------------
@@ -77,6 +95,14 @@ class Integrator:
     def _apply_configuration(self, *args, **kwargs):
         raise NotImplementedError
 
+    def _pass(self, key, payload):
+        """The generator working off one dirty ``key``; with ``payload``
+        None (a replayed dead letter) it works from the key alone."""
+        raise NotImplementedError
+
+    def _backoff(self, attempt):
+        return capped_exponential(attempt)
+
     def status(self):
         return {
             "name": self.name,
@@ -88,8 +114,13 @@ class Integrator:
     def stats(self):
         """Run-time counters as plain data (the ``stats()`` contract of
         ``docs/observability.md``); :meth:`status` is the descriptive
-        view.  Integrators with a work queue or a DLQ add theirs."""
-        return {"started": self.started}
+        view."""
+        return {
+            "started": self.started,
+            "queue_depth": len(self.queue.pending) if self.queue else 0,
+            "dead_letters": len(self.dead_letters),
+            "dead_letter_keys": self.dead_letters.keys(),
+        }
 
     def __repr__(self):
         state = "started" if self.started else "stopped"

@@ -5,19 +5,21 @@ store(s) using the state access methods provided by the DE.  It responds
 to state updates from the data store and initiates corresponding actions."
 (paper §3.2)
 
-The loop is **level-triggered** with a per-key work queue, like Kubernetes
-controllers: watch events mark a key dirty; a single worker drains the
-queue, re-reading current state and calling ``reconcile``.  Conflicting
-writes (optimistic-concurrency failures) retry with seeded-jitter
-exponential backoff; transient store unavailability is ridden out the
-same way.  Each stream it consumes (the default Object store, subscribed
-Log stores) is held through a :class:`~repro.store.follow.Follower`: a
-broken one is reopened, then the store is re-listed (logs: re-queried
-from the seq cursor) on the same seeded backoff.  A key whose reconcile
-keeps failing for non-transient reasons is *dead-lettered* after a
-bounded number of requeues (:mod:`repro.faults.dlq`) so one poison
-object never stalls the rest of the keyspace.  Defaults for the
-retry/requeue knobs live in :mod:`repro.config`.
+The loop is **level-triggered** with a per-key work queue
+(:class:`~repro.store.workqueue.WorkQueue`), like Kubernetes controllers:
+watch events mark a key dirty; one pass at a time re-reads current state
+and calls ``reconcile``.  Conflicting writes and transient store
+unavailability retry within the pass on seeded-jitter exponential
+backoff.  Each stream it consumes (the default Object store, subscribed
+Log stores, handed over from their seq cursor at least once) is held
+through a :class:`~repro.store.follow.Follower`: a broken one is
+reopened, then the store is caught up on the same seeded backoff
+(re-listed, or queried from the cursor).  A pass failing past its
+retries for any reason but unavailability is requeued on that backoff,
+and on the 4th failed pass in a row (``max_requeues`` + 1) the key is
+*dead-lettered* (:mod:`repro.faults.dlq`), so one poison object never
+stalls the rest of the keyspace.  Defaults for the retry/requeue knobs
+live in :mod:`repro.config`.
 
 Crucially -- and this is the Knactor pattern -- a reconciler only ever
 touches *its own* store handles.  It has no client stubs, no topics, no
@@ -26,7 +28,6 @@ knowledge of other services.
 
 import random
 import zlib
-from collections import OrderedDict
 from functools import partial
 
 from repro import config
@@ -34,14 +35,14 @@ from repro.errors import (
     ConfigurationError,
     ConflictError,
     NotFoundError,
-    OverloadedError,
     ReproError,
     UnavailableError,
 )
 from repro.faults.dlq import DeadLetterQueue
-from repro.flow.policy import BLOCK, SHED_OLDEST, check_overflow
+from repro.flow.policy import SHED_OLDEST, check_overflow
 from repro.obs.context import span_process
 from repro.store.follow import Follower
+from repro.store.workqueue import WorkQueue
 
 
 class ReconcilerContext:
@@ -85,13 +86,13 @@ class Reconciler:
     - ``max_retries`` / ``backoff`` / ``backoff_jitter``: transient-retry
       policy (conflicts and unavailability) within one reconcile pass,
     - ``max_requeues``: failed passes a key gets before dead-lettering,
-    - ``max_queue`` / ``queue_overflow``: bound on the dirty-key work
-      queue (``None`` = unbounded).  When a new key arrives at a full
-      queue, the overflow policy decides which key is shed; shed keys
-      land in the dead-letter queue so resyncs/operators can replay
-      them -- level triggering makes a shed safe, never silent.
+    - ``max_queue`` / ``queue_overflow``: bound on the dirty keys pending
+      (``None`` = unbounded).  When a new key arrives at a full queue,
+      the overflow policy decides which key is shed; shed keys land in
+      the dead-letter queue so resyncs/operators can replay them --
+      level triggering makes a shed safe, never silent.
     - ``log_subscriptions``: local names of Log stores whose appended
-      batches should be delivered to :meth:`on_log_batch`.
+      records should be handed to :meth:`on_log_batch`.
     """
 
     service_time = 0.0
@@ -104,8 +105,8 @@ class Reconciler:
     log_subscriptions = ()
 
     def __init__(self, name=None, *, max_retries=None, backoff=None,
-                 backoff_jitter=None, max_requeues=None, dead_letters=None,
-                 max_queue=None, queue_overflow=None):
+                 backoff_jitter=None, max_requeues=None, max_queue=None,
+                 queue_overflow=None):
         self.name = name or type(self).__name__
         if max_retries is not None:
             self.max_retries = int(max_retries)
@@ -120,19 +121,13 @@ class Reconciler:
         if queue_overflow is not None:
             self.queue_overflow = queue_overflow
         check_overflow(self.queue_overflow)
-        self.dead_letters = (
-            dead_letters if dead_letters is not None
-            else DeadLetterQueue(name=self.name)
-        )
+        self.dead_letters = DeadLetterQueue(name=self.name)
         self.ctx = None
-        self._queue = OrderedDict()  # key -> latest event type (dedup, FIFO)
-        self._pending_ctx = {}  # key -> causal ctx of the latest commit
-        self._log_cursors = {}  # local_name -> next unseen _seq
-        self._wakeup = None
+        self.queue = None  # the work queue, once attached
+        self._log_cursors = {}  # local_name -> first _seq not yet handled
         self._running = False
         self._set_up = False
         self._followers = []
-        self._failures = {}  # key -> consecutive failed passes
         # Seeded per-name: deterministic, yet different reconcilers get
         # decorrelated backoff (no synchronized retry storms).
         self._rng = random.Random(zlib.crc32(self.name.encode()))
@@ -140,8 +135,6 @@ class Reconciler:
         self.error_count = 0
         self.unavailable_count = 0
         self.kill_count = 0
-        self.shed_count = 0
-        self.queue_peak = 0
 
     # -- subclass surface -----------------------------------------------------
 
@@ -156,7 +149,13 @@ class Reconciler:
         """
 
     def on_log_batch(self, ctx, local_name, records):
-        """Handle a batch appended to a subscribed Log store (optional)."""
+        """Handle records appended to a subscribed Log store (optional).
+
+        May be a generator.  Delivery is at-least-once: the cursor moves
+        past ``records`` once it returns, so a pass that fails (a write
+        in a brown-out) hands them over again.  Writes should converge;
+        a tally should skip records whose ``_seq`` it has counted.
+        """
 
     def requeue(self, key):
         """Re-enqueue a key for another reconcile pass.
@@ -165,8 +164,7 @@ class Reconciler:
         unavailable): watch events only fire on state *changes*, so a
         reconcile that bails out must requeue explicitly to be retried.
         """
-        self._mark_dirty(key, "REQUEUED")
-        self._kick()
+        self.queue.requeue(key)
 
     # -- wiring (called by the Knactor/runtime) ----------------------------------
 
@@ -174,16 +172,21 @@ class Reconciler:
         """Bind to the knactor's stores: one follower per stream consumed
         (the default Object store, each subscribed Log store)."""
         self.ctx = ctx
+        self.queue = WorkQueue(
+            ctx.env, self._pass, self.dead_letters, 1, self._backoff_delay,
+            self.max_requeues, self.max_requeues, self.max_queue,
+            self.queue_overflow,
+        )
         default = ctx.stores.get("default")
         if default is not None:
             self._follow(partial(default.watch, self._on_event),
                          partial(self._resync, default))
         for local_name in self.log_subscriptions:
             self._log_cursors.setdefault(local_name, 0)
-            handle = ctx.stores[local_name]
             self._follow(
-                partial(handle.watch, partial(self._on_log_event, local_name)),
-                partial(self._log_catch_up, local_name, handle))
+                partial(ctx.stores[local_name].watch,
+                        partial(self._on_log_event, local_name)),
+                partial(self.queue.add, ("log", local_name), None))
 
     def _follow(self, open_stream, catch_up):
         # The reconciler's own seeded jitter and counter: under faults the
@@ -203,47 +206,27 @@ class Reconciler:
         if self._running:
             return
         self._running = True
-        env = self.ctx.env
         for follower in self._followers:
             follower.start()
         if not self._set_up:
             # Once per reconciler, not per process life: a restart after
             # a kill resyncs from the store instead.
             self._set_up = True
-            env.process(self._run_setup(env))
-        env.process(self._work_loop(env))
-
-    def _log_catch_up(self, local_name, handle):
-        """Replay a Log store from the seq cursor."""
-        records = yield handle.query(since_seq=self._log_cursors[local_name])
-        if records:
-            work = self._hand_log_batch(local_name, records)
-            if work is not None:
-                yield work
-
-    def _hand_log_batch(self, local_name, records):
-        """Advance the cursor past ``records`` and hand them to
-        :meth:`on_log_batch`; returns its process, if it started one."""
-        top = max((r["_seq"] + 1 for r in records if "_seq" in r), default=0)
-        if top > self._log_cursors.get(local_name, 0):
-            self._log_cursors[local_name] = top
-        result = self.on_log_batch(self.ctx, local_name, records)
-        if hasattr(result, "send"):
-            return self.ctx.env.process(result)
+            self.ctx.env.process(self._run_setup(self.ctx.env))
+        self.queue.start()
 
     def _resync(self, default):
         """Re-list the default store (informer re-list): every object is
-        marked dirty unless a fresher event already did."""
+        marked dirty, keeping the context of any fresher event."""
         views = yield default.list()
         for view in views:
-            self._mark_dirty(view["key"], "RESYNC", overwrite=False)
-        self._kick()
+            self.queue.requeue(view["key"])
 
     def stop(self):
         self._running = False
         for follower in self._followers:
             follower.stop()
-        self._kick()
+        self.queue.stop()
 
     # -- process faults (see repro.faults) ----------------------------------
 
@@ -258,13 +241,12 @@ class Reconciler:
             return
         self.kill_count += 1
         self.stop()
-        self._queue.clear()
-        self._failures.clear()
+        self.queue.clear()
         self.ctx.trace("killed")
 
     def restart(self):
         """Restart after :meth:`kill`: start, then catch up every stream
-        (re-list the default store, replay logs from their cursors)."""
+        (re-list the default store, query logs from their cursors)."""
         if self._running:
             return
         self.start()
@@ -280,15 +262,23 @@ class Reconciler:
             return "degraded"
         return "ready"
 
+    @property
+    def queue_peak(self):
+        return self.queue.peak
+
+    @property
+    def shed_count(self):
+        return self.queue.shed
+
     def stats(self):
         """Work and failure counters as plain data (the ``stats()``
         contract of ``docs/observability.md``)."""
         return {
             "reconciles": self.reconcile_count,
             "conflicts": self.error_count,
-            "queue_depth": len(self._queue),
-            "queue_peak": self.queue_peak,
-            "shed": self.shed_count,
+            "queue_depth": len(self.queue.pending),
+            "queue_peak": self.queue.peak,
+            "shed": self.queue.shed,
             "health": self.health(),
             "dead_letters": len(self.dead_letters),
             "dead_letter_keys": self.dead_letters.keys(),
@@ -306,89 +296,39 @@ class Reconciler:
     # -- event intake ---------------------------------------------------------------
 
     def _on_event(self, event):
-        """Intake one watch event: mark its key dirty (latest type wins,
-        FIFO order preserved) and wake the worker.  The events of one
-        coalesced delivery arrive back to back, so the worker still wakes
-        once for all of them: only the first kick finds it waiting."""
+        """Intake one watch event: mark its key dirty.  Coalescing keeps
+        the LATEST commit's causal context: the reconcile pass acts on
+        the state that commit produced."""
         self.ctx.trace(
             "observed", store=self.name, key=event.key, type=event.type,
         )
-        if self._mark_dirty(event.key, event.type):
-            # Coalescing keeps the LATEST commit's causal context: the
-            # reconcile pass acts on the state that commit produced.
-            self._pending_ctx[event.key] = event.ctx
-        self._kick()
-
-    def _mark_dirty(self, key, event_type, overwrite=True):
-        """Mark ``key`` dirty under the bounded-queue policy.
-
-        Re-marking an already-dirty key never grows the queue (the dict
-        dedups), so the bound only bites on *new* keys.  Returns False
-        when the incoming key was shed.
-        """
-        if key in self._queue:
-            if overwrite:
-                self._queue[key] = event_type
-                self._queue.move_to_end(key)
-            return True
-        if (self.max_queue is not None
-                and len(self._queue) >= self.max_queue
-                and self.queue_overflow != BLOCK):
-            if self.queue_overflow == SHED_OLDEST:
-                old_key, old_type = self._queue.popitem(last=False)
-                self._pending_ctx.pop(old_key, None)
-                self._shed_key(old_key, old_type)
-            else:  # shed_newest / reject: the incoming key is the casualty
-                self._shed_key(key, event_type)
-                return False
-        self._queue[key] = event_type
-        self.queue_peak = max(self.queue_peak, len(self._queue))
-        return True
-
-    def _shed_key(self, key, event_type):
-        """Route one shed dirty-key to the DLQ (replayable, not silent)."""
-        self.shed_count += 1
-        now = self.ctx.env.now if self.ctx is not None else 0.0
-        self.dead_letters.push(
-            key,
-            OverloadedError(
-                f"work queue full ({self.max_queue}); {event_type} shed"
-            ),
-            attempts=0, time=now, source=self.name,
-        )
-        if self.ctx is not None:
-            self.ctx.trace("shed", key=key, type=event_type)
+        self.queue.add(event.key, event.ctx)
 
     def _on_log_event(self, local_name, event):
         records = event.object["records"]
         self.ctx.trace("log-batch", store=local_name, count=len(records))
-        self._hand_log_batch(local_name, records)
+        self.queue.add(("log", local_name), records)
 
-    def _kick(self):
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
+    # -- the pass ----------------------------------------------------------------------
 
-    # -- the work loop ----------------------------------------------------------------
-
-    def _work_loop(self, env):
-        while self._running:
-            if not self._queue:
-                self._wakeup = env.event()
-                yield self._wakeup
-                self._wakeup = None
-                continue
-            key, _event_type = self._queue.popitem(last=False)
-            parent = self._pending_ctx.pop(key, None)
-            work = self._reconcile_once(env, key)
-            if parent is not None and parent.sink is not None:
-                # Re-attach: the reconcile span parents off the commit
-                # that dirtied the key, and its context is ambient for
-                # every store request the pass makes downstream.
-                octx = parent.sink.start_span(
-                    "reconcile", service=self.name, parent=parent, key=key,
-                )
-                work = span_process(work, octx)
-            yield env.process(work)
+    def _pass(self, key, payload):
+        """The pass over ``key``.  ``payload`` is the records delivered
+        for a ``("log", name)`` key, the causal context for an object."""
+        env = self.ctx.env
+        if isinstance(key, tuple):
+            return self._work_loop(
+                env, key, partial(self._hand_log, key[1], payload))
+        work = self._work_loop(
+            env, key, partial(self._reconcile_key, env, key, env.now))
+        if payload is not None and payload.sink is not None:
+            # Re-attach: the reconcile span parents off the commit that
+            # dirtied the key, and its context is ambient for every store
+            # request the pass makes downstream.
+            octx = payload.sink.start_span(
+                "reconcile", service=self.name, parent=payload, key=key,
+            )
+            work = span_process(work, octx)
+        return work
 
     def _backoff_delay(self, attempt):
         """Capped exponential backoff with seeded jitter.
@@ -403,30 +343,17 @@ class Reconciler:
         spread = min(self.backoff_jitter, 1.0)
         return base * self._rng.uniform(1.0 - spread, 1.0 + spread)
 
-    def _reconcile_once(self, env, key):
-        started = env.now
+    def _work_loop(self, env, key, step):
+        """One pass over a dirty key: the generator ``step(attempt)``,
+        retried in place on conflicts and unavailability.  Unavailability
+        outlasting the retries is the store's fault, not the key's: the
+        key is requeued uncounted (a long outage must not dead-letter the
+        keyspace).  Anything else failing fails the pass.
+        """
         transient = None
         for attempt in range(self.max_retries + 1):
             try:
-                obj = None
-                default = self.ctx.stores.get("default")
-                if default is not None:
-                    try:
-                        view = yield default.get(key)
-                        obj = view["data"]
-                    except NotFoundError:
-                        obj = None
-                if self.service_time > 0:
-                    yield env.timeout(self.service_time)
-                result = self.reconcile(self.ctx, key, obj)
-                if hasattr(result, "send"):
-                    yield env.process(result)
-                self.reconcile_count += 1
-                self._failures.pop(key, None)
-                self.ctx.trace(
-                    "reconciled", key=key, duration=env.now - started,
-                    attempts=attempt + 1,
-                )
+                yield from step(attempt)
                 return
             except ConflictError:
                 self.error_count += 1
@@ -436,33 +363,45 @@ class Reconciler:
                 self.unavailable_count += 1
                 transient = "unavailable"
                 yield env.timeout(self._backoff_delay(attempt))
-            except ReproError as exc:
-                # Non-transient failure: this key is poison for the
-                # current reconcile logic.  Park or requeue, never crash
-                # the work loop.
+            except ReproError:
+                # Non-transient: this key is poison for the current
+                # reconcile logic.  The queue requeues or parks it.
                 self.error_count += 1
-                self._record_failure(env, key, exc)
-                return
-        # Transient retries exhausted.  Unavailability is the store's
-        # fault, not the key's: requeue without counting it against the
-        # key (a long outage must not dead-letter the whole keyspace).
+                raise
         if transient == "unavailable":
-            self._mark_dirty(key, "RETRY", overwrite=False)
+            self.queue.requeue(key)
         else:
-            self._record_failure(
-                env, key,
-                ConflictError(f"{key}: conflict retries exhausted"),
-            )
+            raise ConflictError(f"{key}: conflict retries exhausted")
 
-    def _record_failure(self, env, key, exc):
-        """Bounded requeue; after ``max_requeues`` failed passes, DLQ."""
-        count = self._failures.get(key, 0) + 1
-        if count > self.max_requeues:
-            self._failures.pop(key, None)
-            self.dead_letters.push(
-                key, exc, attempts=count, time=env.now, source=self.name
-            )
-            self.ctx.trace("dead-letter", key=key, error=str(exc))
-        else:
-            self._failures[key] = count
-            self._mark_dirty(key, "RETRY", overwrite=False)
+    def _reconcile_key(self, env, key, started, attempt):
+        obj = None  # deleted, or no default store
+        default = self.ctx.stores.get("default")
+        if default is not None:
+            try:
+                obj = (yield default.get(key))["data"]
+            except NotFoundError:
+                pass
+        if self.service_time > 0:
+            yield env.timeout(self.service_time)
+        result = self.reconcile(self.ctx, key, obj)
+        if hasattr(result, "send"):
+            yield env.process(result)
+        self.reconcile_count += 1
+        self.ctx.trace(
+            "reconciled", key=key, duration=env.now - started,
+            attempts=attempt + 1,
+        )
+
+    def _hand_log(self, local_name, records, _attempt):
+        """Hand ``local_name``'s records from the cursor on to
+        :meth:`on_log_batch`: the ones delivered if they start there,
+        else (a catch-up, a requeue, a batch gone by unseen) a query from
+        the cursor.  The cursor moves once the handler has returned."""
+        since = self._log_cursors[local_name]
+        if not records or records[0]["_seq"] != since:
+            records = yield self.ctx.stores[local_name].query(since_seq=since)
+        if records:
+            result = self.on_log_batch(self.ctx, local_name, records)
+            if hasattr(result, "send"):
+                yield from result
+            self._log_cursors[local_name] = records[-1]["_seq"] + 1

@@ -9,7 +9,8 @@ gauge, request logs into a rate, energy records into a running total.
 
 Each :class:`RollupRule` runs a ZQL aggregation over the source pool
 whenever a batch lands (optionally restricted to a trailing window) and
-patches the result into the target object's fields.
+patches the result into the target object's fields.  A batch marks its
+rule dirty: batches landing while the rule rolls make one more roll.
 """
 
 from dataclasses import dataclass
@@ -56,6 +57,7 @@ class RollupRule:
 
 @dataclass
 class _BoundRule:
+    key: str  # the rule's work-queue key
     rule: RollupRule
     source_handle: object
     target_handle: object
@@ -70,15 +72,15 @@ class Rollup(Integrator):
         super().__init__(name)
         self._initial_rules = list(rules)
         self.location = location or name
-        self._bound = []
+        self._bound = {}  # work-queue key -> _BoundRule
 
     def _on_bind(self):
         self._apply_configuration(self._initial_rules)
 
     def _apply_configuration(self, rules):
         self._on_stop()
-        self._bound = []
-        for rule in rules:
+        self._bound = {}
+        for index, rule in enumerate(rules):
             if not rule.aggs:
                 raise ConfigurationError(
                     f"rollup {rule.source} -> {rule.target} has no aggregations"
@@ -89,6 +91,7 @@ class Rollup(Integrator):
             log_de = self.runtime.exchange(rule.log_de)
             object_de = self.runtime.exchange(rule.object_de)
             bound = _BoundRule(
+                key=f"{index}:{rule.source}->{rule.target}/{rule.target_key}",
                 rule=rule,
                 source_handle=log_de.handle(
                     rule.source, principal=self.name, location=self.location
@@ -102,28 +105,31 @@ class Rollup(Integrator):
             bound.follower = Follower(
                 self.runtime.env,
                 partial(bound.source_handle.watch, partial(self._on_batch, bound)),
-                partial(self._roll, self.runtime.env, bound),
+                partial(self.queue.requeue, bound.key),
             )
-            self._bound.append(bound)
+            self._bound[bound.key] = bound
         if self.started:
             self._on_start()
         return f"{len(self._bound)} rule(s)"
 
     def _on_start(self):
-        for bound in self._bound:
+        for bound in self._bound.values():
             bound.follower.start()
 
     def _on_stop(self):
-        for bound in self._bound:
+        for bound in self._bound.values():
             bound.follower.stop()
 
     def _on_batch(self, bound, _event):
-        env = self.runtime.env
-        env.process(self._roll(env, bound))
+        self.queue.requeue(bound.key)
 
-    def _roll(self, env, bound):
+    def _pass(self, key, _payload):
+        bound = self._bound.get(key)
+        if bound is None:
+            return  # the rule was reconfigured away
         rule = bound.rule
-        [row] = yield bound.source_handle.query(ops=rule.ops(env.now))
+        [row] = yield bound.source_handle.query(
+            ops=rule.ops(self.runtime.env.now))
         patch = {out: row.get(out) for out in rule.aggs}
         patch = {k: v for k, v in patch.items() if v is not None}
         if not patch:
@@ -149,6 +155,6 @@ class Rollup(Integrator):
                 "target": f"{b.rule.target}/{b.rule.target_key}",
                 "updates": b.updates,
             }
-            for b in self._bound
+            for b in self._bound.values()
         ]
         return base

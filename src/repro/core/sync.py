@@ -22,7 +22,7 @@ loading into the House's store::
 from dataclasses import dataclass, field
 from functools import partial
 
-from repro.errors import ConfigurationError, UnavailableError
+from repro.errors import ConfigurationError
 from repro.core.integrator import Integrator
 from repro.obs.context import bind_generator, current_context, span_process
 from repro.query.core import compile_ops
@@ -69,7 +69,7 @@ class Sync(Integrator):
         super().__init__(name)
         self._initial_flows = list(flows)
         self.location = location or name
-        self._bound = []
+        self._bound = {}  # (source, target) -> _BoundFlow
 
     # -- configuration --------------------------------------------------------
 
@@ -78,12 +78,15 @@ class Sync(Integrator):
 
     def _apply_configuration(self, flows):
         self._on_stop()
-        self._bound = []
+        self._bound = {}
         for flow in flows:
             if flow.source == flow.target:
                 raise ConfigurationError(
                     f"flow source and target are the same store {flow.source!r}"
                 )
+            if (flow.source, flow.target) in self._bound:
+                raise ConfigurationError(
+                    f"two flows from {flow.source!r} to {flow.target!r}")
             de = self.runtime.exchange(flow.de)
             ops = flow.ops()
             compile_ops(ops)  # validate early
@@ -102,7 +105,7 @@ class Sync(Integrator):
                 partial(bound.source_handle.watch, partial(self._on_batch, bound)),
                 partial(self._catch_up, bound),
             )
-            self._bound.append(bound)
+            self._bound[flow.source, flow.target] = bound
         if self.started:
             self._on_start()
         return f"{len(self._bound)} flow(s)"
@@ -110,76 +113,71 @@ class Sync(Integrator):
     # -- lifecycle ----------------------------------------------------------------
 
     def _on_start(self):
-        for bound in self._bound:
+        for bound in self._bound.values():
             bound.follower.start()
 
     def _on_stop(self):
-        for bound in self._bound:
+        for bound in self._bound.values():
             bound.follower.stop()
 
     def _catch_up(self, bound):
         """Records loaded while the subscription was down are recovered
-        by querying everything at or beyond ``next_seq``."""
-        env = self.runtime.env
+        by claiming everything at or beyond ``next_seq``."""
         stats = yield bound.source_handle.stats()
-        since, until = bound.next_seq, stats["next_seq"]
-        if until <= since:
-            return
-        # Claimed before asking, like a delivered batch's range: the two
-        # must never overlap.
-        bound.next_seq = until
-        try:
-            records = yield bound.source_handle.query(
-                ops=bound.ops, since_seq=since, until_seq=until
-            )
-            yield env.process(self._deliver(env, bound, records))
-        except UnavailableError:
-            if bound.next_seq == until:
-                bound.next_seq = since  # unmoved: the retry asks again
-            raise
-        bound.batches += 1
+        if stats["next_seq"] > bound.next_seq:
+            self._claim(bound, stats["next_seq"], None, None)
 
     def _on_batch(self, bound, event):
-        env = self.runtime.env
+        records = event.object["records"]
         self.runtime.tracer.record(
             "sync", "batch", integrator=self.name,
-            source=bound.flow.source,
-            count=len(event.object["records"]),
+            source=bound.flow.source, count=len(records),
         )
-        work = self._move(env, bound, event.object["records"])
-        parent = event.ctx
+        until = max((r["_seq"] + 1 for r in records if "_seq" in r),
+                    default=bound.next_seq)
+        self._claim(bound, until,
+                    None if bound.flow.at_source else records, event.ctx)
+
+    def _claim(self, bound, until, records, parent):
+        """Claim ``[next_seq, until)`` at intake, so concurrent batches
+        never overlap, and queue its move keyed by the range."""
+        since = bound.next_seq
+        bound.next_seq = max(since, until)
+        bound.batches += 1
+        key = (bound.flow.source, bound.flow.target, since, until)
+        self.queue.add(key, (records, parent))
+
+    def _pass(self, key, payload):
+        records, parent = payload or (None, None)  # None: a replay
+        work = self._move(self.runtime.env, key, records)
         if parent is not None and parent.sink is not None:
             # The load that appended this batch is the causal parent
             # of the flow run that moves it downstream.
             octx = parent.sink.start_span(
                 "sync-flow", service=self.name, parent=parent,
-                source=bound.flow.source, target=bound.flow.target,
+                source=key[0], target=key[1],
             )
             work = span_process(work, octx)
-        env.process(work)
+        return work
 
-    def _move(self, env, bound, batch_records):
-        bound.batches += 1
-        # Claim the sequence range synchronously: concurrent batches must
-        # not double-process overlapping records.
-        since = bound.next_seq
-        until = max(
-            (r["_seq"] + 1 for r in batch_records if "_seq" in r),
-            default=since,
-        )
-        bound.next_seq = max(bound.next_seq, until)
-        if bound.flow.at_source:
-            # Analytics push-down: the pipeline runs in the source store.
+    def _move(self, env, key, records):
+        bound = self._bound.get(key[:2])
+        if bound is None:
+            return  # the flow was reconfigured away
+        since, until = key[2:]
+        if records is None:
+            # Analytics push-down (and every catch-up or replay): the
+            # pipeline runs in the source store.
             records = yield bound.source_handle.query(
                 ops=bound.ops, since_seq=since, until_seq=until
             )
         else:
             # Local execution: transform the delivered batch in-process.
             pipeline = compile_ops(bound.ops)
-            cost = self.local_stage_cost * max(1, len(bound.ops)) * len(batch_records)
+            cost = self.local_stage_cost * max(1, len(bound.ops)) * len(records)
             if cost > 0:
                 yield env.timeout(cost)
-            records = pipeline([dict(r) for r in batch_records])
+            records = pipeline([dict(r) for r in records])
         deliver = self._deliver(env, bound, records)
         ctx = current_context()  # armed by the sync-flow span wrapper
         if ctx is not None:
@@ -212,6 +210,6 @@ class Sync(Integrator):
                 "records_moved": b.records_moved,
                 "at_source": b.flow.at_source,
             }
-            for b in self._bound
+            for b in self._bound.values()
         ]
         return base

@@ -145,7 +145,7 @@ def run_retail_chaos(seed=0, orders=6):
     # one more chance now that the faults have healed.
     replayed = [letter.key for letter in app.cast.dead_letters]
     for cid in replayed:
-        app.cast._requeue_cid(cid)
+        app.cast.queue.requeue(cid)
     for knactor in app.runtime.knactors.values():
         reconciler = knactor.reconciler
         if reconciler is None:

@@ -1,11 +1,15 @@
 """Dead-letter queues for poison work items.
 
-When a consumer (reconciler, Cast worker) keeps failing on the same item,
-endless requeueing would starve healthy work.  After a bounded number of
-requeues the item is *dead-lettered*: parked here with its failure
-context, where operators (or tests) can inspect and replay it.  The
-consumer moves on -- one poison object must never stall the rest of the
-keyspace.
+When a consumer keeps failing on the same item, endless requeueing would
+starve healthy work.  After a bounded number of failed passes its
+:class:`~repro.store.workqueue.WorkQueue` *dead-letters* the item: parked
+here with its failure context, where operators (or tests) can inspect
+and replay it.  The consumer moves on -- one poison object must never
+stall the rest of the keyspace.  On a failing store a reconciler gives a
+key 4 passes, Cast 6, Sync, Rollup and in-store functions 101 (over 90 s);
+on any other failure the integrators park it at once.  A letter replays
+through its queue's ``requeue(letter.key)``; ``docs/faults.md`` has the
+table.
 """
 
 from dataclasses import dataclass, field
@@ -29,13 +33,13 @@ class DeadLetterQueue:
     name: str = ""
     letters: list = field(init=False, default_factory=list)
 
-    def push(self, key, error, attempts, time, source=""):
+    def push(self, key, error, attempts, time):
         letter = DeadLetter(
             key=key,
             error=str(error),
             attempts=attempts,
             time=time,
-            source=source,
+            source=self.name,
         )
         self.letters.append(letter)
         return letter

@@ -11,9 +11,17 @@ and lives here; what "caught up" means stays with each consumer.
 from repro.errors import ConflictError, UnavailableError
 
 
-def _capped_exponential(attempt):
+#: Attempts a consumer gives a store that keeps failing before it gives
+#: up on it: over 90 s of :func:`capped_exponential`.
+RIDE_OUT = 100
+
+#: Failures that waiting may cure: a store down, a write raced.
+TRANSIENT = (UnavailableError, ConflictError)
+
+
+def capped_exponential(attempt):
     """5 ms doubling to a 1 s cap; no randomness, so no seeded stream of
-    draws anywhere is perturbed by a follower riding an outage."""
+    draws anywhere is perturbed by a consumer riding an outage."""
     return min(1.0, 0.005 * (2 ** min(attempt, 8)))
 
 
@@ -26,7 +34,9 @@ class Follower:
     consumer's handler, the follower is never on the per-event path.
     ``catch_up()`` is a generator that brings the consumer level with
     the store's current state (re-list and mark dirty, query from the
-    cursor, rebuild the table ...).  When the stream breaks the follower
+    cursor, rebuild the table ...), or a plain call that queues that
+    work with the consumer's :class:`~repro.store.workqueue.WorkQueue`.
+    When the stream breaks the follower
 
     1. **reopens first** -- the new stream is registered before anything
        is listed, so nothing committed after the list can be missed;
@@ -43,7 +53,7 @@ class Follower:
         self.env = env
         self._open_stream = open_stream
         self._catch_up = catch_up
-        self._backoff = backoff or _capped_exponential
+        self._backoff = backoff or capped_exponential
         self._on_transient = on_transient
         self.started = False
         self.stream = None
@@ -96,13 +106,15 @@ class Follower:
                 self._again = False
                 # A store down for all of these is given up on until the
                 # next break or request.
-                for attempt in range(100):
+                for attempt in range(RIDE_OUT):
                     if not self.started:
                         return
                     try:
-                        yield from self._catch_up()
+                        work = self._catch_up()
+                        if work is not None:
+                            yield from work
                         break
-                    except (UnavailableError, ConflictError):
+                    except TRANSIENT:
                         if self._on_transient is not None:
                             self._on_transient()
                         yield self.env.timeout(self._backoff(attempt))

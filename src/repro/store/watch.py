@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from repro.errors import StoreError, UnavailableError
 from repro.flow.policy import BLOCK, REJECT, SHED_OLDEST, check_overflow
 from repro.store.cow import estimate_size, merge_shared
+from repro.store.follow import capped_exponential
 
 #: Watch event types (mirroring the Kubernetes watch protocol).
 ADDED = "ADDED"
@@ -433,7 +434,7 @@ class Watch:
                 view = yield from self._client._request("get", {"key": key})
             except UnavailableError:
                 # Partitioned link or server down: back off and retry.
-                yield env.timeout(0.002 * (2 ** min(attempt, 6)))
+                yield env.timeout(capped_exponential(attempt))
                 continue
             except StoreError:
                 view = None  # NotFound: the gap resolved to a deletion

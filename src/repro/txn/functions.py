@@ -8,13 +8,14 @@ the backing store and drives it from a watch, but every invocation runs
 through ``op_fcall_txn`` -- reads record their versions, writes buffer,
 and the whole read-modify-write commits as ONE atomic batch (or re-runs
 on conflict).  Each invocation carries an idempotence key derived from
-the triggering event (``name:key:revision``), so retries, DLQ replays,
-and crash-recovery re-deliveries of the same event are exactly-once.
+the triggering event (``name:key:revision``), which is also its
+work-queue key, so retries, DLQ replays, and crash-recovery
+re-deliveries of the same event are exactly-once.
 """
 
 from functools import partial
 
-from repro.errors import ConfigurationError, StoreError
+from repro.errors import ConfigurationError
 from repro.core.integrator import Integrator
 from repro.store.base import DELETED, MODIFIED, WatchEvent
 from repro.store.follow import Follower
@@ -56,11 +57,6 @@ class TxnFunctionIntegrator(Integrator):
         )
         self.invocations = 0
         self.commits = 0
-        self.failures = []  # (key, exception) -- conflicts that stuck, etc.
-
-    @property
-    def env(self):
-        return self.client.env
 
     def bind(self, runtime=None):
         """Attach; standalone use (no runtime) binds to the store client."""
@@ -99,26 +95,22 @@ class TxnFunctionIntegrator(Integrator):
                 MODIFIED, view["key"], view["data"], view["revision"]))
 
     def _on_event(self, event):
-        if event.type == DELETED:
-            return
-        idem = f"{self.name}:{event.key}:{event.revision}"
-        self.env.process(self._invoke(event.key, idem))
+        if event.type != DELETED:
+            self.queue.requeue(f"{self.name}:{event.key}:{event.revision}")
 
-    def _invoke(self, key, idempotence_key):
+    def _pass(self, idempotence_key, _payload):
+        key = idempotence_key[len(self.name) + 1:].rpartition(":")[0]
         self.invocations += 1
-        try:
-            yield self.client.fcall_txn(
-                self.name, key, idempotence_key=idempotence_key
-            )
-            self.commits += 1
-        except StoreError as exc:
-            self.failures.append((key, exc))
+        yield self.client.fcall_txn(
+            self.name, key, idempotence_key=idempotence_key
+        )
+        self.commits += 1
 
     def status(self):
         base = super().status()
         base.update(
             invocations=self.invocations,
             commits=self.commits,
-            failures=len(self.failures),
+            dead_letters=len(self.dead_letters),
         )
         return base

@@ -547,9 +547,9 @@ class TestIngestReadsTheEventsContext:
     def test_synthetic_and_untraced_events_carry_none(self, env, zero_net):
         _runtime, _de, cast = build(env, zero_net)
         cast._ingest("A", WatchEvent(MODIFIED, "k", {"x": 1}, 1))
-        assert cast._cid_ctx == {"k": None}
+        assert cast.queue.pending == {"k": None}
         cast._ingest("A", WatchEvent(DELETED, "k", None, 2))
-        assert list(cast._queue) == ["k"]
+        assert list(cast.queue.pending) == ["k"]
 
 
 # ---------------------------------------------------------------------------
@@ -634,5 +634,6 @@ class TestInterleavingsConverge:
             assert {k: target[k] for k in ("y", "pinLen")} == \
                 expected_target(source)
         stats = cast.stats()
-        assert stats["queue_depth"] == 0 and not cast._in_flight
+        assert stats["queue_depth"] == 0
+        assert cast.queue.stats()["in_flight"] == 0
         assert cast.errors == 0 and len(cast.dead_letters) == 0

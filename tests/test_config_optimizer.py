@@ -119,12 +119,12 @@ class TestCastWorkers:
         overlaps = []
         original = cast._process
 
-        def traced(env_, cid):
+        def traced(env_, cid, parent):
             if cid in active:
                 overlaps.append(cid)
             active.add(cid)
             try:
-                yield env_.process(original(env_, cid))
+                yield env_.process(original(env_, cid, parent))
             finally:
                 active.discard(cid)
 

@@ -122,6 +122,14 @@ class TestSyncFlow:
             )
             build_runtime_self.add_integrator(sync)
 
+    def test_two_flows_between_the_same_stores_rejected(self, env, zero_net):
+        # A claimed seq range is keyed by (source, target, since, until):
+        # two such flows would share every key and one would never run.
+        _runtime, _de, sync = build_runtime(env, zero_net)
+        flow = Flow(source="knactor-motion-log", target="knactor-house-log")
+        with pytest.raises(ConfigurationError, match="two flows"):
+            sync.reconfigure([flow, flow])
+
     def test_invalid_pipeline_rejected_at_bind(self, env, zero_net):
         with pytest.raises(Exception):
             build_runtime(env, zero_net, pipeline=[{"op": "explode"}])

@@ -320,7 +320,7 @@ class TestReconcilerDegradation:
         assert letter.source == "poisoned"
         assert sorted(reconciler.healthy_seen) == ["healthy/1", "healthy/2"]
         assert reconciler.health() == "degraded"
-        assert "poison/1" not in reconciler._queue
+        assert "poison/1" not in reconciler.queue.pending
 
     def test_dead_letter_replay_after_fix(self, env, zero_net):
         runtime, reconciler = self._runtime(env, zero_net, max_requeues=0)
