@@ -18,7 +18,7 @@ from repro.exchange.base import DataExchange, StoreHandle
 from repro.schema.validation import validate_state
 from repro.store.apiserver import ApiServer
 from repro.store.base import WatchEvent
-from repro.store.client import ObjectClient
+from repro.store.client import ObjectClient, inline, spawn
 from repro.store.memkv import MemKV, MemKVClient
 from repro.store.sharded import ShardedStore, ShardedStoreClient
 from repro.util.paths import get_path, walk_leaves
@@ -139,25 +139,24 @@ class ObjectStoreHandle(StoreHandle):
     def create(self, key, data):
         self._check("create", fields=self._patch_paths(data))
         validate_state(data, self.schema).raise_if_invalid()
-        return self._masked_request(self.client.create(self._key(key), data))
+        return self._reply("create", key=self._key(key), data=data,
+                           labels=None)
 
     def get(self, key):
         self._check("get")
-        return self._masked_request(self.client.get(self._key(key)))
+        return self._reply("get", key=self._key(key))
 
     def update(self, key, data, resource_version=None):
         self._check("update", fields=self._patch_paths(data))
         validate_state(data, self.schema).raise_if_invalid()
-        return self._masked_request(
-            self.client.update(self._key(key), data, resource_version)
-        )
+        return self._reply("update", key=self._key(key), data=data,
+                           resource_version=resource_version)
 
     def patch(self, key, patch, resource_version=None):
         self._check("patch", fields=self._patch_paths(patch))
         validate_state(patch, self.schema, partial=True).raise_if_invalid()
-        return self._masked_request(
-            self.client.patch(self._key(key), patch, resource_version)
-        )
+        return self._reply("patch", key=self._key(key), patch=patch,
+                           resource_version=resource_version)
 
     def delete(self, key):
         self._check("delete")
@@ -165,12 +164,7 @@ class ObjectStoreHandle(StoreHandle):
 
     def list(self, prefix=""):
         self._check("list")
-
-        def run(env):
-            views = yield self.client.list(self._key(prefix))
-            return [self._strip_prefix(self._mask(v)) for v in views]
-
-        return self.env.process(run(self.env))
+        return self._reply("list", key_prefix=self._key(prefix))
 
     def watch(self, handler, prefix="", *, on_close=None, credits=None,
               overflow=None):
@@ -213,12 +207,15 @@ class ObjectStoreHandle(StoreHandle):
 
     # -- internals ------------------------------------------------------------
 
-    def _masked_request(self, request):
-        def run(env):
-            view = yield request
-            return self._strip_prefix(self._mask(view))
+    def _reply(self, op, **args):
+        """The client's ``op``, its reply masked in the same process."""
+        return spawn(self.env, self._masked(self.client._op(op, args)))
 
-        return self.env.process(run(self.env))
+    def _masked(self, body):
+        reply = yield from inline(body)
+        if isinstance(reply, list):  # a list's views
+            return [self._strip_prefix(self._mask(view)) for view in reply]
+        return self._strip_prefix(self._mask(reply))
 
     def _strip_prefix(self, view):
         out = dict(view)

@@ -1,7 +1,7 @@
 """Client-side resilience: retry policies and circuit breakers.
 
 A :class:`RetryPolicy` wraps an *attempt factory* (a zero-argument
-callable returning a fresh simnet process/event) and re-issues it through
+callable returning a fresh generator: one attempt) and re-issues it through
 transient failures with seeded-jitter exponential backoff, per-attempt
 timeouts, an overall deadline, and an optional retry budget.  A
 :class:`CircuitBreaker` sits in front of the attempts and fast-fails
@@ -26,7 +26,6 @@ from repro.errors import (
     ReproError,
     RPCStatusError,
 )
-from repro.obs.context import current_context
 
 #: RPC status codes considered transient (kept as literals so this module
 #: does not import :mod:`repro.rpc`).  ``RESOURCE_EXHAUSTED`` is the RPC
@@ -167,21 +166,17 @@ class RetryPolicy:
             return base
         return base * self._rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
 
-    def execute(self, env, factory, breaker=None):
-        """Run ``factory()`` attempts under this policy; returns a process.
+    def run(self, env, factory, breaker, ctx):
+        """Run ``factory()`` attempts under this policy, as a generator
+        for the caller's process (``yield from`` it, or spawn it).
 
-        ``factory`` must return a *fresh* simnet event per call (typically
-        ``lambda: env.process(...)``).  With ``breaker`` given, each
-        attempt first asks the breaker; rejected calls raise
-        :class:`~repro.errors.CircuitOpenError` without touching the
-        network.
+        ``factory`` returns a *fresh* generator per call, one attempt,
+        which runs inline; only an :attr:`attempt_timeout` gives an
+        attempt a process of its own, which a timeout abandons.  With
+        ``breaker`` given, each attempt first asks the breaker; rejected
+        calls raise :class:`~repro.errors.CircuitOpenError` without
+        touching the network.  Retries annotate the caller's span ``ctx``.
         """
-        # Captured synchronously at call creation: retries then annotate
-        # the calling span even though attempts run unbound later.
-        ctx = current_context()
-        return env.process(self._run(env, factory, breaker, ctx))
-
-    def _run(self, env, factory, breaker, ctx=None):
         sink = ctx.sink if ctx is not None else None
         start = env.now
         attempt = 0
@@ -197,10 +192,10 @@ class RetryPolicy:
                 )
             self.attempts += 1
             try:
-                work = factory()
                 if self.attempt_timeout is None:
-                    result = yield work
+                    result = yield from factory()
                 else:
+                    work = env.process(factory())
                     # Abandoned attempts may fail later; pre-defuse so a
                     # late failure cannot crash the event loop.
                     work._defused = True

@@ -1,7 +1,7 @@
 """Admission control for the data-exchange front door.
 
 A :class:`AdmissionController` sits in front of a store server's worker
-pool (:meth:`repro.store.base.StoreServer.handle`) and decides, per
+pool (:meth:`repro.store.base.StoreServer._handle`) and decides, per
 request, whether the principal may enter the queue *right now*.  Two
 mechanisms compose:
 

@@ -1,5 +1,6 @@
 """Client-side convenience wrapper over the broker."""
 
+from repro.obs.context import current_context
 from repro.pubsub.codec import MessageCodec
 
 
@@ -28,11 +29,15 @@ class PubSubClient:
         if self.retry_policy is None:
             return self.broker.publish(topic, payload, self.location,
                                        retain=retain)
-        return self.retry_policy.execute(
-            self.env,
-            lambda: self.broker.publish(topic, payload, self.location,
-                                        retain=retain),
-        )
+        return self.env.process(self.retry_policy.run(
+            self.env, lambda: self._publish(topic, payload, retain), None,
+            current_context(),
+        ))
+
+    def _publish(self, topic, payload, retain):
+        """One publish attempt (a retry policy's factory makes these)."""
+        return (yield self.broker.publish(topic, payload, self.location,
+                                          retain=retain))
 
     def subscribe(self, pattern, handler, codec=None):
         """Subscribe; ``handler(topic, message)`` gets decoded messages.

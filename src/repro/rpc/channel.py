@@ -227,13 +227,11 @@ class RPCChannel:
         policy = self.retry_policy
         if policy is None:  # breaker-only channel: gate but never retry
             policy = self.retry_policy = RetryPolicy(max_attempts=1)
-        return policy.execute(
+        return self.env.process(policy.run(
             self.env,
-            lambda: self.env.process(
-                self._call(service, method, payload or {}, deadline, parent)
-            ),
-            breaker=self.circuit_breaker,
-        )
+            lambda: self._call(service, method, payload or {}, deadline, parent),
+            self.circuit_breaker, parent,
+        ))
 
     def _call(self, service, method, payload, deadline, parent=None):
         deadline = deadline if deadline is not None else self.default_deadline

@@ -162,6 +162,14 @@ class Resource:
             self.peak_queued = max(self.peak_queued, len(self._waiters))
         return event
 
+    def try_acquire(self):
+        """Take a free slot now, with no event; False when none is free
+        (``acquire`` then queues FIFO)."""
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            return True
+        return False
+
     def release(self):
         """Release one held slot, waking the next waiter if any."""
         if self._in_use <= 0:

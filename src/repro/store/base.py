@@ -34,6 +34,7 @@ patch/update APIs, or ``thaw()`` a private copy.
 """
 
 from dataclasses import dataclass, field
+from types import GeneratorType
 
 from repro.errors import OverloadedError, ShardMovedError, StoreError, UnavailableError
 from repro.obs.context import activate, bind_generator, restore
@@ -94,18 +95,21 @@ _FENCED_OPS = frozenset({
 })
 
 
+#: ``op`` -> ``"op_" + op``, made once; methods are looked up per request.
+_OP_METHODS = {}
+
+
 def _addressed_keys(args):
     """Every key a request addresses: ``key`` and each ``ops[].key``."""
-    keys = []
     key = args.get("key")
-    if isinstance(key, str):
-        keys.append(key)
     ops = args.get("ops")
-    if isinstance(ops, list):
-        for entry in ops:
-            key = entry.get("key") if isinstance(entry, dict) else None
-            if isinstance(key, str):
-                keys.append(key)
+    if not isinstance(ops, list):  # a single-key request, or none
+        return (key,) if isinstance(key, str) else ()
+    keys = [key] if isinstance(key, str) else []
+    for entry in ops:
+        key = entry.get("key") if isinstance(entry, dict) else None
+        if isinstance(key, str):
+            keys.append(key)
     return keys
 
 
@@ -201,7 +205,7 @@ class StoreServer:
         for name in self.COUNTERS:
             setattr(self, name, 0)
         self._drop_next_watch_message = False
-        #: Admission controller guarding :meth:`handle` (None = open door).
+        #: Admission controller guarding :meth:`_handle` (None = open door).
         self.admission = None
         self.op_counts = {}
         self.revision = 0
@@ -222,45 +226,40 @@ class StoreServer:
         self._sealed_ranges = []
         self._sealed_version = None
         self._ring_context = None  # owning ShardedStore, for error notes
-        # Processes currently holding a worker slot.  A list, not a set:
-        # abort order must be deterministic across runs.
-        self._executing = []
+        # Processes holding a worker slot.  A dict, not a set: abort
+        # order must be deterministic across runs.
+        self._executing = {}
 
     # -- request processing ------------------------------------------------
 
-    def handle(self, op, args, principal=None, ctx=None):
-        """Process one request; returns a simnet process event.
-
-        ``args`` is what ``op_<op>`` takes, nothing more: the caller's
-        ``principal`` (its admission class) and trace ``ctx`` ride
-        beside it, so neither is sized and no op argument can set them.
-        The event's value is the op result, or a :class:`_Failure` that the
-        client converts back into an exception (server errors must not
-        crash the event loop).
-        """
-        return self.env.process(self._handle(op, args, principal, ctx))
-
     def _handle(self, op, args, principal, ctx):
         """admit -> slot -> epoch/availability -> fence -> charge -> apply;
-        the first failing stage answers, with a :class:`_Failure`."""
+        the first failing stage answers, with a :class:`_Failure`.  Run
+        with ``yield from`` in the request's one process, generator ops
+        too; ``principal`` and trace ``ctx`` ride beside ``args``, unsized.
+        """
         epoch = self._epoch
         shed = self._admit(op, principal)
         if shed is not None:
             # Rejected at the front door: no slot, no latency charge.
             yield self.env.timeout(0)
             return shed
-        yield self._worker_pool.acquire()
+        pool = self._worker_pool
+        if not pool.try_acquire():
+            yield pool.acquire()  # FIFO behind the queued requests
+        # The process a failover interrupts while it holds the slot.
         proc = self.env.active_process
-        self._executing.append(proc)
+        self._executing[proc] = None
         try:
             failure = self._check_available(epoch)
             if failure is None and op in _FENCED_OPS:
                 failure = self._check_fences(args)
             if failure is not None:
                 return failure
+            name = _OP_METHODS.get(op) or _OP_METHODS.setdefault(op, "op_" + op)
             # Looked up per request, by name: an ``op_*`` rebound on the
             # class after this server was built is the one that runs.
-            method = getattr(self, "op_" + op, None)
+            method = getattr(self, name, None)
             if method is None:
                 raise StoreError(f"{type(self).__name__} has no operation {op!r}")
             latency = self.OPS.get(op)
@@ -275,15 +274,15 @@ class StoreServer:
             finally:
                 if ctx is not None:
                     restore(token)
-            if hasattr(result, "send"):  # op implemented as a sub-process
+            if isinstance(result, GeneratorType):  # an op that takes time
                 if ctx is not None:
                     result = bind_generator(result, ctx)
-                result = yield self.env.process(result)
+                result = yield from result
             return result
         except Interrupt:
-            # Aborted in flight by fail_over()/crash(): the operation had
-            # not committed yet (commits are synchronous after the latency
-            # yield), so the caller may safely retry.
+            # Aborted in flight by fail_over()/crash(), here or inside a
+            # generator op: nothing had committed (commits are
+            # synchronous after a yield), so the caller may safely retry.
             self.aborted_ops += 1
             return _Failure(UnavailableError(
                 f"store {self.location!r}: in-flight {op!r} aborted by failover"
@@ -291,9 +290,8 @@ class StoreServer:
         except StoreError as exc:
             return _Failure(exc)
         finally:
-            if proc in self._executing:
-                self._executing.remove(proc)
-            self._worker_pool.release()
+            del self._executing[proc]
+            pool.release()
 
     def _admit(self, op, principal):
         """Admission control, before a worker slot is taken."""

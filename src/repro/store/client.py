@@ -6,11 +6,16 @@ opening watches -- and nothing backend-specific.  :class:`ObjectClient`
 adds, once, the surface every Object backend answers and the two
 optimizations that only make sense for keyed objects (write coalescing,
 the read-through cache).  Backend modules subclass one or the other.
+
+A store request is one simnet process (:func:`spawn`): the retry policy,
+the sharded router and an exchange handle's mask each run the body below
+them inline (:func:`inline`) instead of starting a process of their own.
 """
 
 import copy
 
 from repro.obs.context import current_context
+from repro.simnet.events import Event
 from repro.store.base import _Failure
 from repro.store.follow import Follower
 from repro.store.watch import DELETED, Watch
@@ -30,6 +35,20 @@ def combine_patches(first, second):
         else:
             out[key] = copy.deepcopy(value)
     return out
+
+
+def inline(body):
+    """Run a request ``body`` in the calling process: a generator, or an
+    event already under way (a read-cache hit, a coalesced patch)."""
+    if isinstance(body, Event):
+        return (yield body)
+    return (yield from body)
+
+
+def spawn(env, body):
+    """``body`` as the event its caller yields: the one place a store
+    request becomes a process (an event already is one)."""
+    return body if isinstance(body, Event) else env.process(inline(body))
 
 
 class StoreClient:
@@ -68,25 +87,27 @@ class StoreClient:
         The caller's ambient trace context (if any) is captured here --
         synchronously, before any scheduling -- and rides beside the
         args with the client's principal, so server-side commits can
-        chain onto it.  The retry factory closes over both, so they
-        survive retried attempts.
+        chain onto it.  Every retried attempt reuses both.
         """
-        ctx = current_context()
-        principal = self.principal
+        return spawn(self.env, self._call(op, args))
+
+    def _call(self, op, args):
+        """One request as a body: its attempts, each inline."""
+        principal, ctx = self.principal, current_context()
         if self.retry_policy is None:
-            return self.env.process(self._request(op, args, principal, ctx))
-        return self.retry_policy.execute(
-            self.env,
-            lambda: self.env.process(self._request(op, args, principal, ctx)),
+            return self._request(op, args, principal, ctx)
+        return self.retry_policy.run(
+            self.env, lambda: self._request(op, args, principal, ctx),
+            None, ctx,
         )
 
     def _request(self, op, args, principal=None, ctx=None):
-        """One attempt: there, handle, back; a server failure re-raised."""
+        """One attempt: there, ``_handle``, back; a server failure re-raised."""
         server = self.server
         remote = self.location != server.location  # co-located callers pay nothing
         if remote:
             yield server.network.transfer(self.location, server.location)
-        result = yield server.handle(op, args, principal, ctx)
+        result = yield from server._handle(op, args, principal, ctx)
         if remote:
             yield server.network.transfer(server.location, self.location)
         if isinstance(result, _Failure):
@@ -147,17 +168,11 @@ class ObjectClient(StoreClient):
         self.cache_misses = 0
 
     # -- typed surface (get / patch ride the optimizations) -------------------
+    # The sharded router shares these functions over its own ``_op``.
 
     def get(self, key):
         """Read one object; served locally on a read-cache hit."""
-        if self._read_cache is not None and key.startswith(self._cache_prefix):
-            view = self._read_cache.get(key)
-            if view is not None:
-                self.cache_hits += 1
-                hit = self.copies.cached(view, self.copy_meter)
-                return self.env.timeout(0.0, hit)
-            self.cache_misses += 1
-        return self.request("get", key=key)
+        return self._spawn("get", key=key)
 
     def patch(self, key, patch, resource_version=None):
         """Merge-patch one object; same-key patches coalesce if enabled.
@@ -165,25 +180,24 @@ class ObjectClient(StoreClient):
         Coalescing never applies to version-conditional patches: a
         ``resource_version`` precondition must reach the server as-is.
         """
-        if self.coalesce_writes and resource_version is None:
-            return self._coalesced_patch(key, patch)
-        return self.request(
-            "patch", key=key, patch=patch, resource_version=resource_version
-        )
+        return self._spawn("patch", key=key, patch=patch,
+                           resource_version=resource_version)
 
     def create(self, key, data, labels=None):
-        return self.request("create", key=key, data=data, labels=labels)
+        return self._spawn("create", key=key, data=data, labels=labels)
 
     def update(self, key, data, resource_version=None):
-        return self.request(
-            "update", key=key, data=data, resource_version=resource_version
-        )
+        return self._spawn("update", key=key, data=data,
+                           resource_version=resource_version)
 
     def delete(self, key):
-        return self.request("delete", key=key)
+        return self._spawn("delete", key=key)
 
     def list(self, key_prefix=""):
-        return self.request("list", key_prefix=key_prefix)
+        return self._spawn("list", key_prefix=key_prefix)
+
+    def _spawn(self, op, **args):
+        return spawn(self.env, self._op(op, args))
 
     def txn(self, ops):
         return self.request("txn", ops=ops)
@@ -199,6 +213,22 @@ class ObjectClient(StoreClient):
     def txn_abort(self, txn_id):
         """Drop a prepared transaction and release its locks (idempotent)."""
         return self.request("txn_abort", txn_id=txn_id)
+
+    def _op(self, op, args):
+        """Object op ``op`` as a body (see :func:`inline`), through the
+        read cache and write coalescing."""
+        if op == "get" and self._read_cache is not None:
+            if args["key"].startswith(self._cache_prefix):
+                view = self._read_cache.get(args["key"])
+                if view is not None:
+                    self.cache_hits += 1
+                    hit = self.copies.cached(view, self.copy_meter)
+                    return self.env.timeout(0.0, hit)
+                self.cache_misses += 1
+        elif (op == "patch" and self.coalesce_writes
+                and args["resource_version"] is None):
+            return self._coalesced_patch(args["key"], args["patch"])
+        return self._call(op, args)
 
     # -- write coalescing -----------------------------------------------------
 

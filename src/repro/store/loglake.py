@@ -120,8 +120,8 @@ class LogLake(StoreServer):
         integer or ``None`` (anything else is a :class:`StoreError`).  A
         bound below 0 or beyond the watermark clamps, and an inverted
         range is empty -- what comparing every row's ``_seq`` would
-        answer.  Implemented as a sub-process: scan time is proportional
-        to the number of records scanned.
+        answer.  A generator the request's process runs: scan time is
+        proportional to the number of records scanned.
 
         ``include_watermark=True`` is the federation scan hook: the
         answer becomes ``{"records": [...], "watermark": next_seq}`` so
@@ -145,22 +145,18 @@ class LogLake(StoreServer):
         last = watermark if until_seq is None else max(until_seq, 0)
         scanned = target.records[first:last]
         pipeline = compile_ops(list(ops))
-
-        def run(env):
-            delay = len(scanned) * self.scan_cost_per_record
-            if delay > 0:
-                yield env.timeout(delay)
-            # ZQL stages copy-before-mutate, so rows flow through the
-            # pipeline as the copy policy hands them out.
-            records = pipeline([
-                self.copies.snapshot(row, self.copy_meter, "scan")
-                for row in scanned
-            ])
-            if include_watermark:
-                return {"records": records, "watermark": watermark}
-            return records
-
-        return run(self.env)
+        delay = len(scanned) * self.scan_cost_per_record
+        if delay > 0:
+            yield self.env.timeout(delay)
+        # ZQL stages copy-before-mutate, so rows flow through the
+        # pipeline as the copy policy hands them out.
+        records = pipeline([
+            self.copies.snapshot(row, self.copy_meter, "scan")
+            for row in scanned
+        ])
+        if include_watermark:
+            return {"records": records, "watermark": watermark}
+        return records
 
     def op_stats(self, pool):
         target = self._pool(pool)

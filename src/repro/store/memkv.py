@@ -115,23 +115,20 @@ class MemKV(ObjectOpsMixin, StoreServer):
         """Execute a registered UDF server-side.
 
         The caller pays one round trip; the function's state accesses are
-        charged at local-memory cost.  Implemented as a sub-process so the
-        execution + local-access time elapses on the virtual clock, and
-        the execution cost elapses BEFORE the function's writes commit.
+        charged at local-memory cost.  A generator the request's process
+        runs, so the execution + local-access time elapses on the virtual
+        clock, and the execution cost elapses BEFORE the function's writes
+        commit (a failover during it aborts the call with nothing done).
         """
         fn, cost = self.functions.get(name)
-
-        def run(env):
-            if cost > 0:
-                yield env.timeout(cost)
-            ctx = UDFContext(self)
-            result = fn(ctx, *args)
-            delay = ctx.ops * self.local_access_cost
-            if delay > 0:
-                yield env.timeout(delay)
-            return result
-
-        return run(self.env)
+        if cost > 0:
+            yield self.env.timeout(cost)
+        ctx = UDFContext(self)
+        result = fn(ctx, *args)
+        delay = ctx.ops * self.local_access_cost
+        if delay > 0:
+            yield self.env.timeout(delay)
+        return result
 
     def op_fcall_txn(self, name, args=(), idempotence_key=None):
         """Execute a registered UDF as an in-store *transaction*.
@@ -149,39 +146,35 @@ class MemKV(ObjectOpsMixin, StoreServer):
         the cached result without re-running the function or its writes.
         """
         fn, cost = self.functions.get(name)
-
-        def run(env):
-            if idempotence_key is not None:
-                cached = self._fcall_effects.get(idempotence_key)
-                if cached is not None:
-                    self.fcall_replays += 1
-                    return copy.deepcopy(cached[0])
-            attempts = 0
-            while True:
-                attempts += 1
-                if cost > 0:
-                    yield env.timeout(cost)
-                ctx = TxnUDFContext(self)
-                result = fn(ctx, *args)
-                delay = ctx.ops * self.local_access_cost
-                if delay > 0:
-                    yield env.timeout(delay)
-                ops = ctx.build_ops()
-                if not ops:
-                    break
-                try:
-                    # Synchronous within this instant: the validated
-                    # batch applies with nothing interleaving.
-                    self.op_txn(ops)
-                    break
-                except ConflictError:
-                    if attempts >= 8:
-                        raise
-            if idempotence_key is not None:
-                self._fcall_effects[idempotence_key] = (copy.deepcopy(result),)
-            return result
-
-        return run(self.env)
+        if idempotence_key is not None:
+            cached = self._fcall_effects.get(idempotence_key)
+            if cached is not None:
+                self.fcall_replays += 1
+                return copy.deepcopy(cached[0])
+        attempts = 0
+        while True:
+            attempts += 1
+            if cost > 0:
+                yield self.env.timeout(cost)
+            ctx = TxnUDFContext(self)
+            result = fn(ctx, *args)
+            delay = ctx.ops * self.local_access_cost
+            if delay > 0:
+                yield self.env.timeout(delay)
+            ops = ctx.build_ops()
+            if not ops:
+                break
+            try:
+                # Synchronous within this instant: the validated
+                # batch applies with nothing interleaving.
+                self.op_txn(ops)
+                break
+            except ConflictError:
+                if attempts >= 8:
+                    raise
+        if idempotence_key is not None:
+            self._fcall_effects[idempotence_key] = (copy.deepcopy(result),)
+        return result
 
     # -- crash semantics -----------------------------------------------------
 

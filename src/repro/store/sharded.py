@@ -46,7 +46,7 @@ from repro.errors import (
     StoreError,
 )
 from repro.store.base import StoreServer, store_stats
-from repro.store.client import ObjectClient
+from repro.store.client import ObjectClient, inline, spawn
 from repro.store.memkv import MemKV, MemKVClient
 from repro.store.ring import Topology
 from repro.store.watch import Watch
@@ -451,11 +451,10 @@ class MergedWatch:
 class ShardedStoreClient:
     """Client-side router: one typed client per shard, ring-addressed.
 
-    Mirrors the :class:`~repro.store.base.StoreClient` Object surface
-    (create/get/update/patch/delete/list/txn/watch) plus the opt-in
-    hot-path optimizations, which delegate straight to the per-shard
-    clients.  Ownership is re-resolved per operation against the live
-    ring; an operation fenced mid-cutover
+    Shares :class:`~repro.store.client.ObjectClient`'s Object surface,
+    routed per operation against the live ring to the owner's client
+    (its read cache and write coalescing included), in the request's one
+    process; an operation fenced mid-cutover
     (:class:`~repro.errors.ShardMovedError`) transparently backs off
     and re-routes -- callers never see a topology change.
     """
@@ -508,26 +507,31 @@ class ShardedStoreClient:
             m for m in self._merged_watches if not m._closed
         ]
 
-    def _routed(self, key, call):
-        """Run ``call(client)`` against ``key``'s owner, rerouting on a
-        cutover fence.
+    def _routed_proc(self, key, call):
+        """Run ``call(client)``'s body against ``key``'s owner, rerouting
+        on a cutover fence, in the request's one process.
 
         The backoff is deterministic (fixed interval) and the loop is
         bounded by the cutover window; a fence that never lifts (bug)
         surfaces the ShardMovedError instead of spinning forever.
         """
-        return self.env.process(self._routed_proc(key, call))
-
-    def _routed_proc(self, key, call):
         for attempt in range(REROUTE_ATTEMPTS):
             try:
-                result = yield call(self._client_for(key))
-                return result
+                return (yield from inline(call(self._client_for(key))))
             except ShardMovedError:
                 self.reroutes += 1
                 if attempt == REROUTE_ATTEMPTS - 1:
                     raise
                 yield self.env.timeout(REROUTE_BACKOFF)
+
+    def _op(self, op, args):
+        """Object op ``op`` as a body: ``list`` scatters, anything else
+        runs on the owner of ``args["key"]``."""
+        if op == "list":
+            if len(self.clients) == 1:
+                return self.clients[0]._op(op, args)
+            return self._list(args["key_prefix"])
+        return self._routed_proc(args["key"], lambda c: c._op(op, args))
 
     # -- flow-control surface (fans out to every shard client) ---------------
 
@@ -570,45 +574,20 @@ class ShardedStoreClient:
     def copy_meter(self):
         return self.store.shards[0].copy_meter
 
-    # -- single-key ops route to the owning shard ----------------------------
+    # -- the Object surface: ObjectClient's, through this router's _op -------
 
-    def create(self, key, data, labels=None):
-        return self._routed(
-            key, lambda c: c.create(key, data, labels=labels)
-        )
+    get, patch, create, update, delete, list, _spawn = (
+        ObjectClient.get, ObjectClient.patch, ObjectClient.create,
+        ObjectClient.update, ObjectClient.delete, ObjectClient.list,
+        ObjectClient._spawn)
 
-    def get(self, key):
-        return self._routed(key, lambda c: c.get(key))
-
-    def update(self, key, data, resource_version=None):
-        return self._routed(
-            key,
-            lambda c: c.update(key, data, resource_version=resource_version),
-        )
-
-    def patch(self, key, patch, resource_version=None):
-        return self._routed(
-            key,
-            lambda c: c.patch(key, patch, resource_version=resource_version),
-        )
-
-    def delete(self, key):
-        return self._routed(key, lambda c: c.delete(key))
-
-    # -- scatter/gather ------------------------------------------------------
-
-    def list(self, key_prefix=""):
+    def _list(self, key_prefix):
         """Fan ``list`` out to every shard; merge sorted by key.
 
         Mid-cutover a moved key can briefly exist on two shards (copied
         to the new owner, not yet purged from the old); the merge
         dedups by key, keeping the highest revision.
         """
-        if len(self.clients) == 1:
-            return self.clients[0].list(key_prefix=key_prefix)
-        return self.env.process(self._list(key_prefix))
-
-    def _list(self, key_prefix):
         procs = [c.list(key_prefix=key_prefix) for c in self.clients]
         results = yield self.env.all_of(procs)
         best = {}
@@ -646,7 +625,8 @@ class ShardedStoreClient:
             failed = self.env.event()
             failed.fail(exc)
             return failed
-        return self._routed(anchor, lambda c: c.txn(ops))
+        return spawn(self.env, self._routed_proc(
+            anchor, lambda c: c._op("txn", {"ops": ops})))
 
     def _txn_anchor(self, ops):
         """The key that routes a single-shard txn (all keys co-owned).

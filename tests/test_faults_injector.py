@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Knactor, KnactorRuntime, Reconciler, StoreBinding
-from repro.errors import ConfigurationError, UnavailableError
+from repro.errors import ConfigurationError, NotFoundError, UnavailableError
 from repro.exchange import ObjectDE
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.simnet import Environment, FixedLatency, Network
@@ -167,6 +167,46 @@ class TestInFlightAbort:
         assert server.aborted_ops == 1
         assert policy.retries >= 1
         assert call(client.get("k"))["data"] == {"v": 1}
+
+    # A UDF costs 2 ms of execution before it runs; the call reaches the
+    # function at 0.3 ms (fcall's charge), so a failover at 1.8 ms lands
+    # during that cost, before the function has touched anything.
+    def _fcall_aborted_mid_udf(self, env, net, fn):
+        server = MemKV(env, net, watch_overhead=0.0)
+        server.functions.register("fn", fn, cost=0.002)
+        server.op_create(key="counter", data={"n": 0})
+        policy = RetryPolicy(max_attempts=5, base_backoff=0.001, seed=1)
+        op = MemKVClient(server, "c", retry_policy=policy).fcall("fn")
+        env.run(until=0.0018)
+        server.fail_over()
+        return server, policy, op
+
+    def test_an_aborted_fcall_does_not_run_on(self, env, zero_net):
+        """Aborted means "nothing committed, retry safely": the aborted
+        call must not go on to commit, or a non-idempotent function
+        behind a retry policy commits twice for one acked call."""
+        def bump(ctx):
+            n = ctx.get("counter")["data"]["n"] + 1
+            ctx.patch("counter", {"n": n})
+            return n
+
+        server, policy, op = self._fcall_aborted_mid_udf(env, zero_net, bump)
+        assert env.run(until=op) == 1
+        env.run()
+        assert (server.aborted_ops, policy.retries) == (1, 1)
+        assert server.op_get("counter")["data"]["n"] == 1
+
+    def test_an_aborted_fcall_cannot_end_the_run(self, env, zero_net):
+        """A function that fails after its call was aborted fails the
+        retry, which the caller sees -- not a process nobody waits on,
+        whose failure ``Environment.step`` would raise."""
+        server, policy, op = self._fcall_aborted_mid_udf(
+            env, zero_net, lambda ctx: ctx.get("missing"))
+        with pytest.raises(NotFoundError):
+            env.run(until=op)
+        assert op.processed and isinstance(op.value, NotFoundError)
+        assert (server.aborted_ops, policy.retries) == (1, 1)
+        env.run()
 
 
 class TestTransientUnavailability:

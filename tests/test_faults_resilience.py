@@ -22,8 +22,14 @@ from repro.store.base import OpLatency
 from repro.store.client import ObjectClient
 
 
+def _attempts(policy, env, factory, breaker=None):
+    """``factory``'s attempts under ``policy``, spawned as one process."""
+    return env.process(policy.run(env, factory, breaker, None))
+
+
 class _Flaky:
-    """An attempt factory failing ``failures`` times, then succeeding."""
+    """An attempt factory failing ``failures`` times, then succeeding:
+    each call is a fresh generator, one attempt."""
 
     def __init__(self, env, failures, exc=None, latency=0.0):
         self.env = env
@@ -33,39 +39,36 @@ class _Flaky:
         self.calls = 0
 
     def __call__(self):
-        def attempt(env):
-            self.calls += 1
-            if self.latency:
-                yield env.timeout(self.latency)
-            else:
-                yield env.timeout(0)
-            if self.remaining > 0:
-                self.remaining -= 1
-                raise self.exc
-            return "ok"
-
-        return self.env.process(attempt(self.env))
+        self.calls += 1
+        if self.latency:
+            yield self.env.timeout(self.latency)
+        else:
+            yield self.env.timeout(0)
+        if self.remaining > 0:
+            self.remaining -= 1
+            raise self.exc
+        return "ok"
 
 
 class TestRetryPolicy:
     def test_retries_transient_failures_then_succeeds(self, env):
         policy = RetryPolicy(max_attempts=5, base_backoff=0.01, seed=0)
         flaky = _Flaky(env, failures=3)
-        assert env.run(until=policy.execute(env, flaky)) == "ok"
+        assert env.run(until=_attempts(policy, env, flaky)) == "ok"
         assert flaky.calls == 4
         assert policy.stats()["retries"] == 3
 
     def test_gives_up_after_max_attempts(self, env):
         policy = RetryPolicy(max_attempts=2, base_backoff=0.001)
         with pytest.raises(UnavailableError):
-            env.run(until=policy.execute(env, _Flaky(env, failures=10)))
+            env.run(until=_attempts(policy, env, _Flaky(env, failures=10)))
         assert policy.giveups == 1
 
     def test_non_retryable_errors_surface_immediately(self, env):
         policy = RetryPolicy(max_attempts=5)
         flaky = _Flaky(env, failures=3, exc=NotFoundError("gone"))
         with pytest.raises(NotFoundError):
-            env.run(until=policy.execute(env, flaky))
+            env.run(until=_attempts(policy, env, flaky))
         assert flaky.calls == 1
         assert not default_retryable(NotFoundError("gone"))
         assert default_retryable(UnavailableError("x"))
@@ -95,13 +98,10 @@ class TestRetryPolicy:
         def factory():
             calls.append(env.now)
 
-            def attempt(env):
-                yield env.timeout(0.2 if len(calls) == 1 else 0.001)
-                return "late" if len(calls) == 1 else "fast"
+            yield env.timeout(0.2 if len(calls) == 1 else 0.001)
+            return "late" if len(calls) == 1 else "fast"
 
-            return env.process(attempt(env))
-
-        assert env.run(until=policy.execute(env, factory)) == "fast"
+        assert env.run(until=_attempts(policy, env, factory)) == "fast"
         assert policy.timeouts == 1
 
     def test_attempt_timeout_exhaustion_raises_deadline_error(self, env):
@@ -110,13 +110,10 @@ class TestRetryPolicy:
         )
 
         def factory():
-            def attempt(env):
-                yield env.timeout(1.0)
-
-            return env.process(attempt(env))
+            yield env.timeout(1.0)
 
         with pytest.raises(DeadlineExceededError):
-            env.run(until=policy.execute(env, factory))
+            env.run(until=_attempts(policy, env, factory))
         env.run()  # abandoned attempts must not crash the loop later
 
     def test_overall_deadline_bounds_total_time(self, env):
@@ -124,16 +121,16 @@ class TestRetryPolicy:
             max_attempts=100, base_backoff=0.05, jitter=0.0, deadline=0.1
         )
         with pytest.raises(DeadlineExceededError):
-            env.run(until=policy.execute(env, _Flaky(env, failures=1000)))
+            env.run(until=_attempts(policy, env, _Flaky(env, failures=1000)))
         assert env.now < 0.2
 
     def test_shared_retry_budget_caps_retries(self, env):
         policy = RetryPolicy(max_attempts=10, base_backoff=0.001, budget=2)
         with pytest.raises(UnavailableError):
-            env.run(until=policy.execute(env, _Flaky(env, failures=50)))
+            env.run(until=_attempts(policy, env, _Flaky(env, failures=50)))
         assert policy.retries == 2  # budget spent; later ops get no retries
         with pytest.raises(UnavailableError):
-            env.run(until=policy.execute(env, _Flaky(env, failures=1)))
+            env.run(until=_attempts(policy, env, _Flaky(env, failures=1)))
         assert policy.retries == 2
 
 
@@ -143,12 +140,12 @@ class TestCircuitBreaker:
         policy = RetryPolicy(max_attempts=1)
         for _ in range(2):
             with pytest.raises(UnavailableError):
-                env.run(until=policy.execute(
-                    env, _Flaky(env, failures=9), breaker=breaker))
+                env.run(until=_attempts(
+                    policy, env, _Flaky(env, failures=9), breaker=breaker))
         assert breaker.state == "open"
         target = _Flaky(env, failures=0)
         with pytest.raises(CircuitOpenError):
-            env.run(until=policy.execute(env, target, breaker=breaker))
+            env.run(until=_attempts(policy, env, target, breaker=breaker))
         assert target.calls == 0  # fast-fail: the network was never touched
         assert breaker.stats()["rejected"] == 1
 
@@ -156,12 +153,12 @@ class TestCircuitBreaker:
         breaker = CircuitBreaker(env, failure_threshold=1, reset_timeout=0.1)
         policy = RetryPolicy(max_attempts=1)
         with pytest.raises(UnavailableError):
-            env.run(until=policy.execute(
-                env, _Flaky(env, failures=1), breaker=breaker))
+            env.run(until=_attempts(
+                policy, env, _Flaky(env, failures=1), breaker=breaker))
         assert breaker.state == "open"
         env.run(until=env.timeout(0.2))
-        assert env.run(until=policy.execute(
-            env, _Flaky(env, failures=0), breaker=breaker)) == "ok"
+        assert env.run(until=_attempts(
+            policy, env, _Flaky(env, failures=0), breaker=breaker)) == "ok"
         assert breaker.state == "closed"
 
     def test_half_open_failure_reopens(self, env):
@@ -169,8 +166,8 @@ class TestCircuitBreaker:
         policy = RetryPolicy(max_attempts=1)
         for _ in range(2):
             with pytest.raises(UnavailableError):
-                env.run(until=policy.execute(
-                    env, _Flaky(env, failures=5), breaker=breaker))
+                env.run(until=_attempts(
+                    policy, env, _Flaky(env, failures=5), breaker=breaker))
             env.run(until=env.timeout(0.2))
         assert breaker.opened_count == 2
 
@@ -178,8 +175,8 @@ class TestCircuitBreaker:
         breaker = CircuitBreaker(env, failure_threshold=1)
         policy = RetryPolicy(max_attempts=1)
         with pytest.raises(NotFoundError):
-            env.run(until=policy.execute(
-                env, _Flaky(env, failures=3, exc=NotFoundError("x")),
+            env.run(until=_attempts(
+                policy, env, _Flaky(env, failures=3, exc=NotFoundError("x")),
                 breaker=breaker))
         assert breaker.state == "closed"  # the dependency answered
 

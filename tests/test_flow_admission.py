@@ -129,7 +129,7 @@ class TestAIMD:
 
 
 class TestStoreFrontDoor:
-    """AdmissionController installed on StoreServer.handle."""
+    """AdmissionController installed on StoreServer._handle."""
 
     def _server(self, env, zero_net, **limiter_kwargs):
         server = ApiServer(env, zero_net, location="store",

@@ -127,6 +127,18 @@ class TestResource:
         env.run()
         assert grants == ["first", "second", "third"]
 
+    def test_try_acquire_takes_only_a_free_slot_and_schedules_nothing(
+            self, env):
+        resource = Resource(env, capacity=1)
+        assert resource.try_acquire()
+        assert env.peek() == float("inf")  # no event to pop
+        assert not resource.try_acquire()
+        waiter = resource.acquire()  # a full pool queues FIFO, as before
+        resource.release()  # hands the slot to the waiter ...
+        assert not resource.try_acquire()  # ... so it is still not free
+        env.run()
+        assert waiter.processed and resource.in_use == 1
+
     def test_release_without_acquire_raises(self, env):
         resource = Resource(env)
         with pytest.raises(RuntimeError):

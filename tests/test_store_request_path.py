@@ -1,10 +1,11 @@
 """The store request path: envelope, stage order, and who owns what.
 
-``StoreServer.handle(op, args, principal, ctx)`` carries the two
-out-of-band fields *beside* the args; ``_handle`` runs the stages
-admit -> slot -> epoch/availability -> fence -> charge -> apply and the
-first failing stage answers.  The last two classes pin where the names
-live after the split of ``store/base.py`` into base / watch / client.
+``StoreServer._handle(op, args, principal, ctx)`` carries the two
+out-of-band fields *beside* the args, runs the stages
+admit -> slot -> epoch/availability -> fence -> charge -> apply, and the
+first failing stage answers -- all of it inside the one process a
+request is.  The last two classes pin where the names live after the
+split of ``store/base.py`` into base / watch / client.
 """
 
 import pytest
@@ -16,11 +17,14 @@ from repro.errors import (
     StoreError,
     UnavailableError,
 )
+from repro.exchange import ObjectDE
+from repro.faults import RetryPolicy
 from repro.obs.context import TraceContext, use
 from repro.simnet import Environment, FixedLatency, Network
 from repro.store import (
     ApiServer,
     LogLakeClient,
+    MemKV,
     MemKVClient,
     ShardedStore,
     ShardedStoreClient,
@@ -168,6 +172,114 @@ class TestStagePrecedence:
         assert server.op_counts == {}
 
 
+class _Counting(Environment):
+    """Counts the processes spawned and the kernel events popped."""
+
+    def __init__(self):
+        super().__init__()
+        self.spawns = self.events = 0
+
+    def process(self, generator):
+        self.spawns += 1
+        return super().process(generator)
+
+    def step(self):
+        self.events += 1
+        super().step()
+
+
+SECRET_SCHEMA = """\
+schema: App/v1/A/Account
+name: string
+token: string # +kr: secret
+"""
+
+
+def _remote_get(env, net):
+    server = ApiServer(env, net, watch_overhead=0.0)
+    server.op_create(key="k", data={"v": 1})
+    return lambda: ObjectClient(server, "caller").get("k")
+
+
+def _retried_create(env, net):
+    server = ApiServer(env, net, watch_overhead=0.0)
+    client = ObjectClient(server, "caller", retry_policy=RetryPolicy())
+    return lambda: client.create("k", {"v": 1})
+
+
+def _sharded_patch(env, net):
+    store = ShardedStore([
+        ApiServer(env, net, location=f"shard-{i}", watch_overhead=0.0)
+        for i in range(2)
+    ])
+    store.shard_for("k").op_create(key="k", data={"v": 1})
+    return lambda: ShardedStoreClient(store, "caller").patch("k", {"v": 2})
+
+
+def _masked_get(env, net):
+    de = ObjectDE(env, ApiServer(env, net, watch_overhead=0.0))
+    de.host_store("accounts", SECRET_SCHEMA, owner="owner")
+    de.backend.op_create(key="accounts/a", data={"name": "n", "token": "t"})
+    de.grant("viewer", "accounts", role="reader")
+    handle = de.handle("accounts", principal="viewer")
+    return lambda: handle.get("a")
+
+
+def _udf_call(env, net):
+    server = MemKV(env, net, watch_overhead=0.0)
+    server.functions.register("read", lambda ctx: ctx.get("k"), cost=0.002)
+    server.op_create(key="k", data={"v": 1})
+    return lambda: MemKVClient(server, "caller").fcall("read")
+
+
+def _queued_get(env, net):
+    server = ApiServer(env, net, watch_overhead=0.0)
+    server.op_create(key="k", data={"v": 1})
+    pool = server._worker_pool
+    pool.acquire()  # the slot is held ...
+
+    def request():
+        # ... until a timer releases it, after the request queued.
+        env.timeout(0.01).callbacks.append(lambda _event: pool.release())
+        return ObjectClient(server, "caller").get("k")
+
+    return request
+
+
+#: (shape, set-up, kernel events one request pops).  A remote request is
+#: one process: its start, the hop there, the op's latency charge, the
+#: hop back and its finish -- 5 events.  When each layer was a process of
+#: its own, with a start and a finish, and a free worker slot was one
+#: more event, the same requests popped 8 (plain), 10 (behind a retry
+#: policy, the sharded router or an exchange handle's mask), 12 (fcall:
+#: + the server stage's and the op's own process) and 9 (queued).
+REQUEST_SHAPES = [
+    ("remote get", _remote_get, 5),
+    ("create behind a retry policy", _retried_create, 5),
+    ("sharded patch", _sharded_patch, 5),
+    ("masked handle get", _masked_get, 5),
+    # + the UDF's 2 ms execution cost and its one local access
+    ("fcall", _udf_call, 5 + 2),
+    # + the timer that releases the held slot, and the slot's grant
+    ("queued behind a held slot", _queued_get, 5 + 2),
+]
+
+
+class TestOneProcessPerRequest:
+    @pytest.mark.parametrize("shape,setup,events", REQUEST_SHAPES,
+                             ids=[row[0] for row in REQUEST_SHAPES])
+    def test_a_request_is_one_process(self, shape, setup, events):
+        env = _Counting()
+        request = setup(env, Network(env, default_latency=FixedLatency(1e-3)))
+        env.run()
+        env.spawns = env.events = 0
+        done = request()
+        env.run()
+        assert done.ok
+        # No layer spawned a process of its own.
+        assert (env.spawns, env.events) == (1, events)
+
+
 class TestClientSurface:
     OBJECT_METHODS = ("get", "patch", "create", "update", "delete", "list",
                       "txn", "txn_prepare", "txn_commit", "txn_abort",
@@ -177,6 +289,9 @@ class TestClientSurface:
         for name in self.OBJECT_METHODS:
             shared = vars(ObjectClient)[name]
             assert getattr(MemKVClient, name) is shared
+        # The router routes the same functions through its own ``_op``.
+        for name in ("get", "patch", "create", "update", "delete", "list"):
+            assert vars(ShardedStoreClient)[name] is vars(ObjectClient)[name]
 
     def test_backend_clients_add_only_what_is_theirs(self, ring):
         def own(cls):
