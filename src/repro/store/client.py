@@ -94,16 +94,21 @@ class StoreClient:
     def _call(self, op, args):
         """One request as a body: its attempts, each inline."""
         principal, ctx = self.principal, current_context()
+        return self._attempts(
+            lambda: self._request(op, args, principal, ctx), ctx)
+
+    def _attempts(self, attempt, ctx):
+        """``attempt()``'s body, behind the retry policy if there is one."""
         if self.retry_policy is None:
-            return self._request(op, args, principal, ctx)
-        return self.retry_policy.run(
-            self.env, lambda: self._request(op, args, principal, ctx),
-            None, ctx,
-        )
+            return attempt()
+        return self.retry_policy.run(self.env, attempt, None, ctx)
 
     def _request(self, op, args, principal=None, ctx=None):
+        """One attempt, to this client's server."""
+        return self._send(self.server, op, args, principal, ctx)
+
+    def _send(self, server, op, args, principal, ctx):
         """One attempt: there, ``_handle``, back; a server failure re-raised."""
-        server = self.server
         remote = self.location != server.location  # co-located callers pay nothing
         if remote:
             yield server.network.transfer(self.location, server.location)
@@ -131,10 +136,8 @@ class StoreClient:
             credits = self.default_watch_credits
         if overflow is None:
             overflow = self.default_watch_overflow
-        watch = Watch(self, handler, key_prefix, on_close=on_close,
-                      credits=credits, overflow=overflow)
-        self.server.register_watch(watch)
-        return watch
+        return Watch(self, self.server, handler, key_prefix,
+                     on_close=on_close, credits=credits, overflow=overflow)
 
 
 class ObjectClient(StoreClient):
@@ -168,7 +171,6 @@ class ObjectClient(StoreClient):
         self.cache_misses = 0
 
     # -- typed surface (get / patch ride the optimizations) -------------------
-    # The sharded router shares these functions over its own ``_op``.
 
     def get(self, key):
         """Read one object; served locally on a read-cache hit."""
@@ -306,7 +308,7 @@ class ObjectClient(StoreClient):
                           key_prefix=self._cache_prefix, on_close=on_close)
 
     def _warm_cache(self):
-        views = yield self.request("list", key_prefix=self._cache_prefix)
+        views = yield self.list(self._cache_prefix)
         cache = self._read_cache
         for view in views:
             current = cache.get(view["key"])

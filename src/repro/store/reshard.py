@@ -38,7 +38,7 @@ from the flip, with the per-key revision order globally monotonic
 
 from repro.errors import ConfigurationError, StoreError
 from repro.store.ring import key_in_ranges
-from repro.store.sharded import _shard_client
+from repro.store.client import ObjectClient
 
 #: How often the catch-up pump drains its buffer onto the destination.
 PUMP_INTERVAL = 0.005
@@ -58,8 +58,8 @@ class _MigrationJob:
         self.dest = dest
         self.ranges = list(ranges)
         location = f"resharder@{engine.store.name}"
-        self.src_client = _shard_client(src, location)
-        self.dest_client = _shard_client(dest, location)
+        self.src_client = ObjectClient(src, location)
+        self.dest_client = ObjectClient(dest, location)
         self.moved_keys = set()
         self._buffer = []
         self._stop = False

@@ -45,9 +45,9 @@ from repro.errors import (
     ShardMovedError,
     StoreError,
 )
-from repro.store.base import StoreServer, store_stats
-from repro.store.client import ObjectClient, inline, spawn
-from repro.store.memkv import MemKV, MemKVClient
+from repro.obs.context import current_context
+from repro.store.base import StoreServer, _addressed_keys, store_stats
+from repro.store.client import ObjectClient, spawn
 from repro.store.ring import Topology
 from repro.store.watch import Watch
 
@@ -59,15 +59,6 @@ REROUTE_BACKOFF = 0.004
 #: Reroute attempts before giving up (covers a full cutover window --
 #: seal + drain + reconcile -- with a wide margin).
 REROUTE_ATTEMPTS = 250
-
-
-#: Typed client used per shard, by backend class.
-_SHARD_CLIENTS = {MemKV: MemKVClient}
-
-
-def _shard_client(shard, location, retry_policy=None):
-    return _SHARD_CLIENTS.get(type(shard), ObjectClient)(
-        shard, location, retry_policy=retry_policy)
 
 
 class ShardedStore:
@@ -204,10 +195,10 @@ class ShardedStore:
     def _install_shard(self):
         """Build + wire a new shard server (ring flip happens later).
 
-        The server joins the fault/observability surface and every
-        routing client immediately -- including live merged watches,
-        which grow a branch so no event is missed once the ring flips --
-        but owns no keys until the reshard engine flips the ring.
+        The server joins the fault/observability surface immediately,
+        and every live merged watch grows a branch on it so no event is
+        missed once the ring flips, but it owns no keys until the
+        reshard engine flips the ring.
         """
         if self.shard_factory is None:
             raise ConfigurationError(
@@ -326,6 +317,17 @@ class ShardedStore:
         return merged
 
     @property
+    def copies(self):
+        """Shard 0's copy policy: shards are homogeneous."""
+        return self.shards[0].copies
+
+    @property
+    def copy_meter(self):
+        """Shard 0's meter: the one a router's cache hits and masks
+        account to (the aggregate is :attr:`copy_stats`)."""
+        return self.shards[0].copy_meter
+
+    @property
     def zero_copy(self):
         return all(s.zero_copy for s in self.shards)
 
@@ -392,19 +394,22 @@ class ShardedStore:
 class MergedWatch:
     """One logical watch stream assembled from one watch per shard.
 
-    Cancellation fans out to every shard; a break on ANY shard stream
-    invalidates the whole merged stream (events from that shard would
-    silently go missing otherwise), so ``on_close`` fires exactly once
-    and the remaining shard watches are cancelled.
+    Every branch is a :class:`~repro.store.watch.Watch` owned by the
+    router (so a delta-watch key resync routes by key).  Cancellation
+    fans out to every branch and the router forgets the stream; a break
+    on ANY branch invalidates the whole merged stream (events from that
+    shard would silently go missing otherwise), so ``on_close`` fires
+    exactly once and the remaining branches are cancelled.
 
     Resharding does NOT close the stream: a new shard adds a branch
     (same handler, same credit window) before the ring flips, and a
     retired shard's branch is detached after its last event drained.
     """
 
-    def __init__(self, spec=None):
+    def __init__(self, router, spec):
         self.watches = []
-        self._spec = spec or {}
+        self._router = router
+        self._spec = spec
         self._closed = False
 
     @property
@@ -424,14 +429,16 @@ class MergedWatch:
         return max((w.peak_paused for w in self.watches), default=0)
 
     def cancel(self):
+        """Close the stream for good: no reshard grows it back."""
+        if not self._closed:
+            self._closed = True
+            self._router._merged_watches.remove(self)
         for watch in self.watches:
             watch.cancel()
 
-    def _attach(self, client):
-        """Grow a branch on ``client``'s shard (reshard install path)."""
-        if self._closed:
-            return
-        self.watches.append(client.watch(**self._spec))
+    def _attach(self, shard):
+        """Grow a branch on ``shard`` (open and reshard install paths)."""
+        self.watches.append(Watch(self._router, shard, **self._spec))
 
     def _detach_server(self, server):
         """Drop branches on a retiring shard without firing ``on_close``."""
@@ -441,75 +448,49 @@ class MergedWatch:
                 self.watches.remove(watch)
 
     def _close_once(self, on_close):
-        if self._closed:
-            return
-        self._closed = True
-        self.cancel()
-        on_close()
+        if not self._closed:
+            self.cancel()
+            on_close()
 
 
-class ShardedStoreClient:
-    """Client-side router: one typed client per shard, ring-addressed.
+class ShardedStoreClient(ObjectClient):
+    """Client-side router: an :class:`~repro.store.client.ObjectClient`
+    over the whole ring.
 
-    Shares :class:`~repro.store.client.ObjectClient`'s Object surface,
-    routed per operation against the live ring to the owner's client
-    (its read cache and write coalescing included), in the request's one
-    process; an operation fenced mid-cutover
-    (:class:`~repro.errors.ShardMovedError`) transparently backs off
-    and re-routes -- callers never see a topology change.
+    Its one server is the :class:`ShardedStore`; each attempt goes to
+    the live ring's owner of the first key the request addresses, in
+    the request's one process.  The principal, watch defaults, write
+    coalescing and the read cache are the inherited ones: one copy per
+    router, not one per shard.  An operation fenced mid-cutover
+    (:class:`~repro.errors.ShardMovedError`) transparently backs off and
+    re-routes -- callers never see a topology change.  What stays
+    sharded: scatter-gather ``list``, the ``txn`` mode dispatch and
+    :class:`MergedWatch`.
     """
 
     def __init__(self, store, location, retry_policy=None):
-        self.store = store
-        self.env = store.env
-        self.location = location
-        self.retry_policy = retry_policy
+        super().__init__(store, location, retry_policy=retry_policy)
         self.reroutes = 0
         self._merged_watches = []
-        self._cache_prefixes = []
-        #: Per-shard typed clients, parallel to ``store.shards``.
-        self.clients = [
-            _shard_client(shard, location, retry_policy=retry_policy)
-            for shard in store.shards
-        ]
         store._clients.append(self)
 
-    def _client_for(self, key):
-        return self.clients[
-            self.store.index_of_member(self.store.ring.owner_of(key))
-        ]
+    # -- routing -------------------------------------------------------------
 
-    # -- reshard wiring (driven by the ShardedStore) -------------------------
+    def _request(self, op, args, principal=None, ctx=None):
+        """One attempt, to the ring owner of the first addressed key."""
+        keys = _addressed_keys(args)
+        return self._send(self.server.shard_for(keys[0] if keys else ""),
+                          op, args, principal, ctx)
 
-    def _attach_shard(self, shard):
-        client = _shard_client(shard, self.location,
-                               retry_policy=self.retry_policy)
-        base = self.clients[0]
-        client.principal = base.principal
-        client.default_watch_credits = base.default_watch_credits
-        client.default_watch_overflow = base.default_watch_overflow
-        client.coalesce_writes = base.coalesce_writes
-        for prefix in self._cache_prefixes:
-            client.enable_read_cache(prefix)
-        self.clients.append(client)
-        for merged in self._merged_watches:
-            if not merged._closed:
-                merged._attach(client)
-        return client
+    def _attempts(self, attempt, ctx):
+        """Re-routing wraps the retry policy: each re-route runs a
+        fresh set of attempts."""
+        attempts = super()._attempts
+        return self._routed_proc(lambda: attempts(attempt, ctx))
 
-    def _detach_shard(self, shard):
-        for client in list(self.clients):
-            if client.server is shard:
-                self.clients.remove(client)
-        for merged in self._merged_watches:
-            merged._detach_server(shard)
-        self._merged_watches = [
-            m for m in self._merged_watches if not m._closed
-        ]
-
-    def _routed_proc(self, key, call):
-        """Run ``call(client)``'s body against ``key``'s owner, rerouting
-        on a cutover fence, in the request's one process.
+    def _routed_proc(self, body):
+        """Run ``body()``, re-running it on a cutover fence, in the
+        request's one process.
 
         The backoff is deterministic (fixed interval) and the loop is
         bounded by the cutover window; a fence that never lifts (bug)
@@ -517,7 +498,7 @@ class ShardedStoreClient:
         """
         for attempt in range(REROUTE_ATTEMPTS):
             try:
-                return (yield from inline(call(self._client_for(key))))
+                return (yield from body())
             except ShardMovedError:
                 self.reroutes += 1
                 if attempt == REROUTE_ATTEMPTS - 1:
@@ -525,70 +506,27 @@ class ShardedStoreClient:
                 yield self.env.timeout(REROUTE_BACKOFF)
 
     def _op(self, op, args):
-        """Object op ``op`` as a body: ``list`` scatters, anything else
-        runs on the owner of ``args["key"]``."""
-        if op == "list":
-            if len(self.clients) == 1:
-                return self.clients[0]._op(op, args)
-            return self._list(args["key_prefix"])
-        return self._routed_proc(args["key"], lambda c: c._op(op, args))
+        """``list`` scatters over several shards; anything else is an
+        :class:`ObjectClient` op."""
+        if op == "list" and len(self.server.shards) > 1:
+            principal, ctx = self.principal, current_context()
+            return self._list(args, principal, ctx)
+        return super()._op(op, args)
 
-    # -- flow-control surface (fans out to every shard client) ---------------
-
-    @property
-    def principal(self):
-        return self.clients[0].principal
-
-    @principal.setter
-    def principal(self, value):
-        for client in self.clients:
-            client.principal = value
-
-    @property
-    def default_watch_credits(self):
-        return self.clients[0].default_watch_credits
-
-    @default_watch_credits.setter
-    def default_watch_credits(self, value):
-        for client in self.clients:
-            client.default_watch_credits = value
-
-    @property
-    def default_watch_overflow(self):
-        return self.clients[0].default_watch_overflow
-
-    @default_watch_overflow.setter
-    def default_watch_overflow(self, value):
-        for client in self.clients:
-            client.default_watch_overflow = value
-
-    # Writes route per shard; expose shard 0's copy policy and meter for
-    # callers that want *a* meter (aggregate accounting lives on
-    # store.copy_stats).
-
-    @property
-    def copies(self):
-        return self.store.shards[0].copies
-
-    @property
-    def copy_meter(self):
-        return self.store.shards[0].copy_meter
-
-    # -- the Object surface: ObjectClient's, through this router's _op -------
-
-    get, patch, create, update, delete, list, _spawn = (
-        ObjectClient.get, ObjectClient.patch, ObjectClient.create,
-        ObjectClient.update, ObjectClient.delete, ObjectClient.list,
-        ObjectClient._spawn)
-
-    def _list(self, key_prefix):
+    def _list(self, args, principal, ctx):
         """Fan ``list`` out to every shard; merge sorted by key.
 
         Mid-cutover a moved key can briefly exist on two shards (copied
         to the new owner, not yet purged from the old); the merge
         dedups by key, keeping the highest revision.
         """
-        procs = [c.list(key_prefix=key_prefix) for c in self.clients]
+        attempts = super()._attempts
+        procs = [
+            spawn(self.env, attempts(
+                lambda shard=shard: self._send(shard, "list", args,
+                                               principal, ctx), ctx))
+            for shard in self.server.shards
+        ]
         results = yield self.env.all_of(procs)
         best = {}
         for proc in procs:
@@ -597,6 +535,16 @@ class ShardedStoreClient:
                 if seen is None or view["revision"] > seen["revision"]:
                     best[view["key"]] = view
         return sorted(best.values(), key=lambda view: view["key"])
+
+    # -- reshard wiring (driven by the ShardedStore) -------------------------
+
+    def _attach_shard(self, shard):
+        for merged in self._merged_watches:
+            merged._attach(shard)
+
+    def _detach_shard(self, shard):
+        for merged in self._merged_watches:
+            merged._detach_server(shard)
 
     # -- transactions --------------------------------------------------------
 
@@ -616,32 +564,30 @@ class ShardedStoreClient:
         exactly-once across retries and replays.
         """
         if mode is not None:
-            return self.store.coordinator.txn(
+            return self.server.coordinator.txn(
                 ops, mode=mode, idempotence_key=idempotence_key
             )
         try:
-            anchor = self._txn_anchor(ops)
+            self._check_co_owned(ops)
         except StoreError as exc:
             failed = self.env.event()
             failed.fail(exc)
             return failed
-        return spawn(self.env, self._routed_proc(
-            anchor, lambda c: c._op("txn", {"ops": ops})))
+        return self.request("txn", ops=ops)
 
-    def _txn_anchor(self, ops):
-        """The key that routes a single-shard txn (all keys co-owned).
-
-        Raises :class:`~repro.errors.CrossShardTxnError` -- reporting
+    def _check_co_owned(self, ops):
+        """Raise :class:`~repro.errors.CrossShardTxnError` -- reporting
         ring ownership (key -> owner shard location @ ring version), not
-        raw indices -- when the batch spans owners.
+        raw indices -- when the batch spans owners.  A malformed batch
+        passes: the owner shard raises the canonical validation error.
         """
         if not isinstance(ops, list) or not ops:
-            # Shard raises the canonical validation error; any key routes.
-            return ""
-        ring = self.store.ring
+            return
+        store = self.server
+        ring = store.ring
         shard_map = {
             str(op.get("key") or ""):
-                self.store.owner_location(str(op.get("key") or ""))
+                store.owner_location(str(op.get("key") or ""))
             for op in ops
         }
         owners = set(shard_map.values())
@@ -655,7 +601,6 @@ class ShardedStoreClient:
                 shard_map=shard_map,
                 ring_version=ring.version,
             )
-        return str(ops[0].get("key") or "")
 
     # -- watches -------------------------------------------------------------
 
@@ -671,42 +616,16 @@ class ShardedStoreClient:
         same credit window) without ever closing the merged stream.
         """
         spec = {
-            "handler": handler, "key_prefix": key_prefix,
-            "credits": credits, "overflow": overflow,
-            "on_close": None,
+            "handler": handler, "key_prefix": key_prefix, "on_close": None,
+            "credits": (credits if credits is not None
+                        else self.default_watch_credits),
+            "overflow": (overflow if overflow is not None
+                         else self.default_watch_overflow),
         }
-        merged = MergedWatch(spec)
+        merged = MergedWatch(self, spec)
         if on_close is not None:
             spec["on_close"] = lambda: merged._close_once(on_close)
-        for client in self.clients:
-            merged._attach(client)
         self._merged_watches.append(merged)
+        for shard in self.server.shards:
+            merged._attach(shard)
         return merged
-
-    # -- opt-in hot-path optimizations (delegate per shard) ------------------
-
-    @property
-    def coalesce_writes(self):
-        return all(c.coalesce_writes for c in self.clients)
-
-    @coalesce_writes.setter
-    def coalesce_writes(self, value):
-        for client in self.clients:
-            client.coalesce_writes = bool(value)
-
-    @property
-    def patches_coalesced(self):
-        return sum(c.patches_coalesced for c in self.clients)
-
-    def enable_read_cache(self, key_prefix=""):
-        self._cache_prefixes.append(key_prefix)
-        for client in self.clients:
-            client.enable_read_cache(key_prefix)
-
-    @property
-    def cache_hits(self):
-        return sum(c.cache_hits for c in self.clients)
-
-    @property
-    def cache_misses(self):
-        return sum(c.cache_misses for c in self.clients)

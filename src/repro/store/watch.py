@@ -76,9 +76,12 @@ class WatchEvent:
 
 
 class Watch:
-    """A client's registration for change notifications.
+    """A client's registration for change notifications on one server.
 
-    ``cancel()`` stops delivery: a message already on the link when the
+    Built registered on ``server``; ``client`` is the receiving end, and
+    a key resync is one of its own requests (a sharded router holds one
+    watch per shard, and its resync routes by key).  ``cancel()`` stops
+    delivery: a message already on the link when the
     watch is cancelled, closed or broken is dropped on arrival.  Events
     are delivered over the server->client FIFO link, so a watcher sees
     changes in commit order.  When the server fails over, the watch is
@@ -132,10 +135,10 @@ class Watch:
         "gaps_detected", "key_resyncs",
     )
 
-    def __init__(self, client, handler, key_prefix="", on_close=None,
+    def __init__(self, client, server, handler, key_prefix="", on_close=None,
                  credits=None, overflow=None):
         self._client = client
-        self._server = server = client.server
+        self._server = server
         self.location = client.location
         self.handler = handler
         self.key_prefix = key_prefix
@@ -166,6 +169,7 @@ class Watch:
         # Client-side materializer state: key -> (revision, object).
         self._state = {}
         self._gap_buffer = {}  # key -> [wire events] while a resync runs
+        server.register_watch(self)
 
     # -- sender (runs at the server) -----------------------------------------
 

@@ -40,6 +40,7 @@ from repro.errors import (
 )
 from repro.obs.context import current_context
 from repro.simnet import Interrupt
+from repro.store.client import ObjectClient
 
 #: How long a duplicate submission polls an in-flight original before
 #: giving up retryably (virtual seconds).
@@ -312,12 +313,10 @@ class TxnCoordinator:
         return [(member, groups[member]) for member in sorted(groups)]
 
     def _client_for_shard(self, member, sub=None):
-        """Typed client for ring ``member``; falls back to the current
-        owner of the sub-batch's first key when the member has retired
-        (its prepared state, if any, answers ``"unknown"`` harmlessly).
+        """Client for ring ``member``; falls back to the current owner
+        of the sub-batch's first key when the member has retired (its
+        prepared state, if any, answers ``"unknown"`` harmlessly).
         """
-        from repro.store.sharded import _shard_client
-
         store = self.store
         if member in store.shard_ids:
             shard = store.shard_by_id(member)
@@ -326,9 +325,7 @@ class TxnCoordinator:
             shard = store.shard_for(key)
         client = self._clients.get(shard)
         if client is None:
-            client = self._clients[shard] = _shard_client(
-                shard, self.location
-            )
+            client = self._clients[shard] = ObjectClient(shard, self.location)
         return client
 
     # -- 2PC -----------------------------------------------------------------

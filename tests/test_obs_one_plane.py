@@ -7,6 +7,13 @@ by running this module's own scenario builders there
 (``python tests/test_obs_one_plane.py`` rewrites the file from whatever
 tree is on ``PYTHONPATH``); the tests hold the restructured plane to
 them leaf for leaf.
+
+One later change moved the golden on purpose and was re-pinned: a
+request through the sharded router now carries the caller's trace
+context, as a plain client's does, so the two-shard scenario's
+``watch_lag_seconds`` series gained their trace exemplars (four per
+store) and the runtime snapshot's span count went 3 -> 27.  No other
+leaf moved.
 """
 
 import hashlib

@@ -8,6 +8,8 @@ request is.  The last two classes pin where the names live after the
 split of ``store/base.py`` into base / watch / client.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.errors import (
@@ -216,6 +218,19 @@ def _sharded_patch(env, net):
     return lambda: ShardedStoreClient(store, "caller").patch("k", {"v": 2})
 
 
+def _cached_get(client_cls, env, net):
+    store = ShardedStore([
+        ApiServer(env, net, location=f"shard-{i}", watch_overhead=0.0)
+        for i in range(2)
+    ])
+    owner = store.shard_for("k")
+    owner.op_create(key="k", data={"v": 1})
+    server = store if client_cls is ShardedStoreClient else owner
+    client = client_cls(server, "caller")
+    client.enable_read_cache()  # warmed by the test's first env.run()
+    return lambda: client.get("k")
+
+
 def _masked_get(env, net):
     de = ObjectDE(env, ApiServer(env, net, watch_overhead=0.0))
     de.host_store("accounts", SECRET_SCHEMA, owner="owner")
@@ -246,29 +261,34 @@ def _queued_get(env, net):
     return request
 
 
-#: (shape, set-up, kernel events one request pops).  A remote request is
-#: one process: its start, the hop there, the op's latency charge, the
-#: hop back and its finish -- 5 events.  When each layer was a process of
-#: its own, with a start and a finish, and a free worker slot was one
-#: more event, the same requests popped 8 (plain), 10 (behind a retry
-#: policy, the sharded router or an exchange handle's mask), 12 (fcall:
-#: + the server stage's and the op's own process) and 9 (queued).
+#: (shape, set-up, processes and kernel events one request costs).  A
+#: remote request is one process: its start, the hop there, the op's
+#: latency charge, the hop back and its finish -- 5 events.  When each
+#: layer was a process of its own, with a start and a finish, and a free
+#: worker slot was one more event, the same requests popped 8 (plain),
+#: 10 (behind a retry policy, the sharded router or an exchange handle's
+#: mask), 12 (fcall: + the server stage's and the op's own process) and
+#: 9 (queued).  A read-cache hit is no process at all: one zero-delay
+#: timer.  Through the router it was 1 process and 3 events while the
+#: router held a client (and a mirror) per shard.
 REQUEST_SHAPES = [
-    ("remote get", _remote_get, 5),
-    ("create behind a retry policy", _retried_create, 5),
-    ("sharded patch", _sharded_patch, 5),
-    ("masked handle get", _masked_get, 5),
+    ("remote get", _remote_get, (1, 5)),
+    ("create behind a retry policy", _retried_create, (1, 5)),
+    ("sharded patch", _sharded_patch, (1, 5)),
+    ("masked handle get", _masked_get, (1, 5)),
     # + the UDF's 2 ms execution cost and its one local access
-    ("fcall", _udf_call, 5 + 2),
+    ("fcall", _udf_call, (1, 5 + 2)),
     # + the timer that releases the held slot, and the slot's grant
-    ("queued behind a held slot", _queued_get, 5 + 2),
+    ("queued behind a held slot", _queued_get, (1, 5 + 2)),
+    ("cache hit", partial(_cached_get, ObjectClient), (0, 1)),
+    ("sharded cache hit", partial(_cached_get, ShardedStoreClient), (0, 1)),
 ]
 
 
 class TestOneProcessPerRequest:
-    @pytest.mark.parametrize("shape,setup,events", REQUEST_SHAPES,
+    @pytest.mark.parametrize("shape,setup,cost", REQUEST_SHAPES,
                              ids=[row[0] for row in REQUEST_SHAPES])
-    def test_a_request_is_one_process(self, shape, setup, events):
+    def test_a_request_is_one_process(self, shape, setup, cost):
         env = _Counting()
         request = setup(env, Network(env, default_latency=FixedLatency(1e-3)))
         env.run()
@@ -277,7 +297,7 @@ class TestOneProcessPerRequest:
         env.run()
         assert done.ok
         # No layer spawned a process of its own.
-        assert (env.spawns, env.events) == (1, events)
+        assert (env.spawns, env.events) == cost
 
 
 class TestClientSurface:
@@ -286,22 +306,30 @@ class TestClientSurface:
                       "enable_read_cache")
 
     def test_object_methods_are_written_once(self):
+        assert issubclass(ShardedStoreClient, ObjectClient)
         for name in self.OBJECT_METHODS:
             shared = vars(ObjectClient)[name]
             assert getattr(MemKVClient, name) is shared
-        # The router routes the same functions through its own ``_op``.
-        for name in ("get", "patch", "create", "update", "delete", "list"):
-            assert vars(ShardedStoreClient)[name] is vars(ObjectClient)[name]
+            # The router inherits all but ``txn``, which adds its modes.
+            if name != "txn":
+                assert getattr(ShardedStoreClient, name) is shared, name
 
     def test_backend_clients_add_only_what_is_theirs(self, ring):
         def own(cls):
             return {n for n in vars(cls) if not n.startswith("__")}
 
         assert own(MemKVClient) == {"command", "fcall", "fcall_txn"}
-        # The apiserver adds nothing: its shards get the Object client.
-        store = ring[0]
-        clients = ShardedStoreClient(store, "caller").clients
-        assert [type(c) for c in clients] == [ObjectClient] * 2
+        # The router adds routing only: where an attempt goes, re-routing,
+        # the scatter list, the txn mode dispatch, the merged watch and
+        # its reshard wiring.  No per-shard clients, no fan-out settings.
+        assert own(ShardedStoreClient) == {
+            "_request", "_attempts", "_routed_proc", "_op", "_list",
+            "txn", "_check_co_owned", "watch",
+            "_attach_shard", "_detach_shard",
+        }
+        router = ShardedStoreClient(ring[0], "caller")
+        assert router.server is ring[0]
+        assert not hasattr(router, "clients")
 
     def test_the_log_client_has_no_object_surface(self, env, zero_net):
         from repro.store import LogLake

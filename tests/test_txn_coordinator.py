@@ -20,6 +20,7 @@ from repro.store import (
     ShardedStoreClient,
     ShardRing,
 )
+from repro.store.client import ObjectClient
 from repro.txn import TxnFunctionIntegrator
 
 
@@ -269,7 +270,7 @@ class TestParticipantDurability:
         shard.restart()
         assert shard.in_doubt_txns == 0
         # Re-driving the commit after the crash stays idempotent.
-        reply = call(ShardedStoreClient(store, "x").clients[0]
+        reply = call(ObjectClient(store.shards[0], "x")
                      .txn_commit("txn-000001"))
         assert reply["state"] == "committed"
 
