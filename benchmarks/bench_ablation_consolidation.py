@@ -3,7 +3,7 @@
 §3.3: "integrators can consolidate the state processing logic by
 combining multiple state processing operations into fewer and more
 efficient ones."  A consolidated executor issues ONE patch per target
-object per pass; unconsolidated, one write per field.  The saving grows
+object per exchange; unconsolidated, one write per field.  The saving grows
 with the number of fields the DXG fills ("width").
 """
 

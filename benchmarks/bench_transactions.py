@@ -1,8 +1,8 @@
 """Ablation: transactional exchange commits (§5 extension).
 
-Transactional mode trades latency for composition-level atomicity:
-each pass commits as ONE backend transaction, so observers never see a
-shipment without its matching order back-fill.  This bench measures the
+Transactional mode trades latency for composition-level atomicity: an
+exchange's writes commit as ONE backend transaction, so observers never
+see a shipment without its matching order back-fill.  This bench measures the
 overhead against plain per-object writes, and demonstrates the anomaly
 window plain mode leaves open.
 """

@@ -308,7 +308,7 @@ class Cast(Integrator):
                     work = self._udf_client.fcall(self._udf_name, cid)
                 yield work
             else:
-                yield self.executor.exchange(cid, ctx=octx)
+                yield from self.executor._exchange(cid, ctx=octx)
         except AccessDeniedError as exc:
             # A run-time access policy (e.g. sleep hours) vetoed this
             # exchange.  That is policy working, not a crash: count it and

@@ -3,11 +3,16 @@
 The executor maintains one *exchange group* per correlation id (the object
 name that ties an order to its shipment and payment).  ``exchange(cid)``
 reads every involved object **once**, then evaluates the plan's write
-steps over that one map repeatedly until no write happens -- the fixpoint
-at which all derivable state has propagated.  Each write's reply is
-folded into the map, so a confirming pass costs no read; a foreign write
-landing mid-exchange is not looked for: it arrives as a watch event and
-gets an exchange of its own (level-triggered, paper §3.2).
+steps over an in-memory copy of that map, pass after pass, until a pass
+changes nothing -- the fixpoint at which all derivable state has
+propagated (:meth:`DXGExecutor._fixpoint`, pure).  Only then does it
+write, once per target that moved: one create or patch through the
+handles, one transaction for them all (``transactional``), or local
+writes inside the pushed-down UDF -- the one evaluation, three thin
+writers.  The exchange runs inside its caller's process (Cast's pass);
+it spawns none of its own.  A foreign write landing mid-exchange is not
+looked for: it arrives as a watch event and gets an exchange of its own
+(level-triggered, paper §3.2).
 
 The cache doubles as the integrator's memory of what its exchanges have
 covered.  :meth:`DXGExecutor.observe` compares a watch event's object *by
@@ -19,7 +24,10 @@ cached state is covered by a finished or queued exchange; the integrator
 keeps it so by treating the next event of an abandoned exchange's
 correlation id as news whatever it carries (``Cast._owed``), and a
 lookup object's slot -- one for all correlation ids -- is moved by its
-watch events only, never by one correlation id's gather.
+watch events only, never by one correlation id's gather.  A write's
+reply is folded into its slot only when it is the object the fixpoint
+computed; one that carries a foreign write the fixpoint never saw
+empties the slot instead, so the next event for it is news.
 
 Guarantees (tested as invariants):
 
@@ -39,7 +47,7 @@ exchange -- once, not once per pass (the paper's data movement; what
 Table 2 measures); False serves that one gather from the watch-fed
 informer cache (an optimization knob).
 
-Push-down: :meth:`DXGExecutor.as_udf` packages the same evaluation as a
+Push-down: :meth:`DXGExecutor.as_udf` packages the same fixpoint as a
 server-side function for UDF-capable backends; the Cast integrator then
 issues one ``fcall`` per exchange instead of N reads + M writes.
 """
@@ -55,7 +63,7 @@ from repro.errors import (
 )
 from repro.core.dxg.functions import standard_functions
 from repro.core.dxg.planner import plan as build_plan
-from repro.obs.context import bind_generator, current_context
+from repro.obs.context import bind_generator
 from repro.store.cow import retain, set_shared
 from repro.util.paths import get_path, set_path, split
 from repro.util.safeexpr import Scope
@@ -65,12 +73,12 @@ from repro.util.safeexpr import Scope
 class ExecutorOptions:
     """Tunables for the ablation benchmarks."""
 
-    consolidate: bool = True  # one patch per target object per pass
+    consolidate: bool = True  # one patch per target object per exchange
     # GET every involved object once per exchange (never per pass), or
     # serve that one gather from the watch-fed informer cache.
     refresh_reads: bool = True
     trust_cache_for_missing: bool = False  # skip GETs of never-seen objects
-    transactional: bool = False  # commit each pass as ONE atomic txn
+    transactional: bool = False  # an exchange's writes as ONE atomic txn
     max_passes: int = 8
 
     def __post_init__(self):
@@ -282,37 +290,73 @@ class DXGExecutor:
             set_path(out, path, value)
         return out
 
-    # -- the exchange (remote path) ----------------------------------------------
+    def _fixpoint(self, cid, objects, stats):
+        """Pure: the plan's steps, pass after pass, over a copy of
+        ``objects`` until a pass changes nothing; -> that final map.
+
+        A changed target is the gathered object with the changed fields
+        path-copied in (``objects`` itself is never written), so every
+        later step -- this pass and the next -- reads it.  A target the
+        plan may not create stays missing until its owner creates it.
+        """
+        working = dict(objects)
+        for _pass in range(self.options.max_passes):
+            stats.passes += 1
+            moved = False
+            for step in self.plan.steps:
+                current = working.get(step.target)
+                values, skipped = self._compute_step(step, working, cid=cid)
+                stats.skipped += skipped
+                changed = self._changed_fields(current or {}, values)
+                if not changed or (current is None and not step.creatable):
+                    continue
+                new = dict(current or {})
+                for path, value in changed.items():
+                    set_shared(new, path, value)
+                working[step.target] = new
+                moved = True
+            if not moved:
+                return working
+        raise DXGError(
+            f"exchange for {cid!r} did not quiesce in "
+            f"{self.options.max_passes} passes"
+        )
+
+    def _changes(self, objects, working):
+        """(step, changed fields, exists) per target the fixpoint moved,
+        in plan order: what one exchange writes."""
+        for step in self.plan.steps:
+            final = working.get(step.target)
+            current = objects.get(step.target)
+            if final is current:
+                continue
+            changed = self._changed_fields(current or {}, {
+                a.field: get_path(final, parts, default=_MISSING)
+                for a, _sources, parts in self._bound[step.target]
+            })
+            yield step, changed, current is not None
+
+    # -- the exchange (remote and transactional writers) ------------------------
 
     def exchange(self, cid, ctx=None):
-        """Run the data exchange for one correlation id (simnet process).
+        """Run the data exchange for one correlation id as a process of
+        its own: the entry point for callers outside a running pass
+        (Cast runs :meth:`_exchange` inside its own).
 
-        With ``ctx``, the whole fixpoint runs with that causal context
-        ambient, so every read and write the exchange performs chains
-        onto the integrator's exchange span.
+        With ``ctx``, the whole exchange runs with that causal context
+        ambient, so every read and write it performs chains onto the
+        integrator's exchange span.
         """
         return self.env.process(self._exchange(cid, ctx=ctx))
 
     def _exchange(self, cid, ctx=None):
-        def bound(gen):
-            # The fixpoint's reads/writes happen in sub-processes; each
-            # needs the causal context re-armed around its resumptions.
-            return bind_generator(gen, ctx) if ctx is not None else gen
-
         stats = ExchangeStats()
-        objects = yield self.env.process(bound(self._gather(cid, stats)))
-        for _pass in range(self.options.max_passes):
-            stats.passes += 1
-            wrote = yield self.env.process(
-                bound(self._run_steps(cid, objects, stats))
-            )
-            if not wrote:
-                break
-        else:
-            raise DXGError(
-                f"exchange for {cid!r} did not quiesce in "
-                f"{self.options.max_passes} passes"
-            )
+
+        def work():
+            objects = yield from self._gather(cid, stats)
+            yield from self._run_steps(cid, objects, stats)
+
+        yield from (work() if ctx is None else bind_generator(work(), ctx))
         self.totals.merge(stats)
         if self.tracer is not None:
             self.tracer.record(
@@ -363,27 +407,17 @@ class DXGExecutor:
         return objects
 
     def _run_steps(self, cid, objects, stats):
+        """Evaluate to the fixpoint, then write what it changed: one
+        create or patch per target (one patch per field unconsolidated),
+        or one transaction for them all."""
+        working = self._fixpoint(cid, objects, stats)
         if self.options.transactional:
-            work = self._run_steps_txn(cid, objects, stats)
-            ctx = current_context()  # armed by _exchange's bound() wrapper
-            if ctx is not None:
-                work = bind_generator(work, ctx)
-            wrote = yield self.env.process(work)
-            return wrote
-        wrote = False
-        for step in self.plan.steps:
-            current = objects.get((step.alias, step.kind))
-            exists = current is not None
-            values, skipped = self._compute_step(step, objects, cid=cid)
-            stats.skipped += skipped
-            changed = self._changed_fields(current or {}, values)
-            if not changed:
-                continue
+            yield from self._commit(cid, objects, working, stats)
+            return
+        for step, changed, exists in self._changes(objects, working):
             handle = self.handles[step.alias]
             key = self.object_key(step.kind, cid)
             if not exists:
-                if not step.creatable:
-                    continue  # the owning service has not created it yet
                 try:
                     view = yield handle.create(key, self._nested(changed))
                 except AlreadyExistsError:
@@ -396,64 +430,49 @@ class DXGExecutor:
                 stats.writes += 1
                 stats.fields_written += len(changed)
             else:
-                view = None
                 for path, value in changed.items():
                     view = yield handle.patch(key, self._nested({path: value}))
                     stats.writes += 1
                     stats.fields_written += 1
-            objects[(step.alias, step.kind)] = view["data"]
-            self.update_cache(step.alias, step.kind, cid, view["data"])
-            wrote = True
-        return wrote
+            self._fold(step, cid, view["data"], working)
 
-    def _run_steps_txn(self, cid, objects, stats):
-        """Atomic variant: one pass's writes commit as ONE transaction.
+    def _commit(self, cid, objects, working, stats):
+        """The exchange's writes as ONE transaction.
 
         Composition-level atomicity (paper §5's "run-time primitives such
         as transactions"): observers never see a shipment without its
         matching charge.  Requires every handle to live on the same Data
         Exchange (they do: a Cast is bound to one DE).
         """
+        planned = list(self._changes(objects, working))
+        if not planned:
+            return
         first_handle = next(iter(self.handles.values()))
         txn = first_handle.de.transaction(
             first_handle.principal, location=first_handle.client.location
         )
-        planned = []  # (step, changed, exists)
-        working = dict(objects)
-        for step in self.plan.steps:
-            current = working.get((step.alias, step.kind))
-            exists = current is not None
-            values, skipped = self._compute_step(step, working, cid=cid)
-            stats.skipped += skipped
-            changed = self._changed_fields(current or {}, values)
-            if not changed:
-                continue
-            if not exists and not step.creatable:
-                continue
+        for step, changed, exists in planned:
             handle = self.handles[step.alias]
             key = self.object_key(step.kind, cid)
-            nested = self._nested(changed)
-            if not exists:
-                txn.create(handle.store_name, key, nested)
-                stats.creates += 1
+            if exists:
+                txn.patch(handle.store_name, key, self._nested(changed))
             else:
-                txn.patch(handle.store_name, key, nested)
+                txn.create(handle.store_name, key, self._nested(changed))
+                stats.creates += 1
             stats.fields_written += len(changed)
-            # Make this step's results visible to later steps in the pass.
-            base = dict(current) if exists else {}
-            for path, value in changed.items():
-                set_shared(base, path, value)
-            working[(step.alias, step.kind)] = base
-            planned.append((step, key))
-        if not planned:
-            return False
         views = yield txn.commit()
         stats.writes += 1  # one atomic commit
-        for (step, _key), view in zip(planned, views):
-            data = view["data"] if view else None
-            objects[(step.alias, step.kind)] = data
-            self.update_cache(step.alias, step.kind, cid, data)
-        return True
+        for (step, _changed, _exists), view in zip(planned, views):
+            self._fold(step, cid, view["data"] if view else None, working)
+
+    def _fold(self, step, cid, data, working):
+        """Fold a write's reply into the cache slot.  A reply that is not
+        the object the fixpoint computed carries a foreign write the
+        exchange never evaluated over: the slot is emptied instead, so
+        the next event for it is news (DESIGN §7)."""
+        if data != working[step.target]:
+            data = None
+        self.update_cache(step.alias, step.kind, cid, data)
 
     # -- push-down path --------------------------------------------------------------
 
@@ -473,7 +492,7 @@ class DXGExecutor:
             )
 
         def dxg_udf(ctx, cid):
-            stats = {"passes": 0, "writes": 0, "reads": 0}
+            stats = ExchangeStats()
             objects = {}
             for alias, kind in self._involved:
                 key = prefixes[alias] + self._read_key(alias, kind, cid)
@@ -481,32 +500,15 @@ class DXGExecutor:
                     objects[(alias, kind)] = ctx.get(key)["data"]
                 except NotFoundError:
                     objects[(alias, kind)] = None
-                stats["reads"] += 1
-            for _pass in range(self.options.max_passes):
-                stats["passes"] += 1
-                wrote = False
-                for step in self.plan.steps:
-                    current = objects.get((step.alias, step.kind))
-                    exists = current is not None
-                    values, _skipped = self._compute_step(
-                        step, objects, cid=cid
-                    )
-                    changed = self._changed_fields(current or {}, values)
-                    if not changed:
-                        continue
-                    key = prefixes[step.alias] + self.object_key(step.kind, cid)
-                    if not exists:
-                        if not step.creatable:
-                            continue
-                        view = ctx.create(key, self._nested(changed))
-                    else:
-                        view = ctx.patch(key, self._nested(changed))
-                    objects[(step.alias, step.kind)] = view["data"]
-                    stats["writes"] += 1
-                    wrote = True
-                if not wrote:
-                    break
-            return stats
+                stats.reads += 1
+            working = self._fixpoint(cid, objects, stats)
+            for step, changed, exists in self._changes(objects, working):
+                key = prefixes[step.alias] + self.object_key(step.kind, cid)
+                write = ctx.patch if exists else ctx.create
+                write(key, self._nested(changed))
+                stats.writes += 1
+            return {"passes": stats.passes, "writes": stats.writes,
+                    "reads": stats.reads}
 
         return dxg_udf
 

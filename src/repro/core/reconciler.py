@@ -287,11 +287,12 @@ class Reconciler:
         }
 
     def _run_setup(self, env):
+        # One tick after start, so what started at the same instant --
+        # other knactors, their watches, the first requests -- goes first.
+        yield env.timeout(0)
         result = self.setup(self.ctx)
         if hasattr(result, "send"):
-            yield env.process(result)
-        else:
-            yield env.timeout(0)
+            yield from result
 
     # -- event intake ---------------------------------------------------------------
 
@@ -385,7 +386,7 @@ class Reconciler:
             yield env.timeout(self.service_time)
         result = self.reconcile(self.ctx, key, obj)
         if hasattr(result, "send"):
-            yield env.process(result)
+            yield from result
         self.reconcile_count += 1
         self.ctx.trace(
             "reconciled", key=key, duration=env.now - started,

@@ -24,7 +24,7 @@ from functools import partial
 
 from repro.errors import ConfigurationError
 from repro.core.integrator import Integrator
-from repro.obs.context import bind_generator, current_context, span_process
+from repro.obs.context import span_process
 from repro.query.core import compile_ops
 from repro.store.follow import Follower
 
@@ -178,13 +178,6 @@ class Sync(Integrator):
             if cost > 0:
                 yield env.timeout(cost)
             records = pipeline([dict(r) for r in records])
-        deliver = self._deliver(env, bound, records)
-        ctx = current_context()  # armed by the sync-flow span wrapper
-        if ctx is not None:
-            deliver = bind_generator(deliver, ctx)
-        yield env.process(deliver)
-
-    def _deliver(self, env, bound, records):
         clean = [
             {k: v for k, v in record.items() if not k.startswith("_")}
             for record in records
@@ -197,8 +190,6 @@ class Sync(Integrator):
                 "sync", "loaded", integrator=self.name,
                 target=bound.flow.target, count=len(clean),
             )
-        else:
-            yield env.timeout(0)
 
     def status(self):
         base = super().status()

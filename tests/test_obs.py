@@ -378,6 +378,24 @@ class TestCausalDagAcceptance:
         ), names
         assert chain[-1].name == "place-order"
 
+    def test_a_generator_reconcile_writes_under_its_reconcile_span(
+            self, traced_app):
+        """The reconcilers' own writes stay in the request's trace: the
+        shipping reconciler's ``id`` and the checkout reconciler's
+        ``fulfilled`` are each a write span under a reconcile span."""
+        app, key = traced_app
+        causal = app.runtime.obs.causal
+        spans = causal.spans_of(causal.find_trace(order=key))
+        by_id = {s.span_id: s for s in spans}
+        reconciled = {
+            (s.attrs["store"], by_id[s.parent_id].service)
+            for s in spans
+            if s.name == "write" and by_id[s.parent_id].name == "reconcile"
+        }
+        assert ("knactor-shipping", "shipping") in reconciled, reconciled
+        assert ("knactor-checkout", "CheckoutReconciler") in reconciled, \
+            reconciled
+
     def test_root_span_closed_ok(self, traced_app):
         app, key = traced_app
         causal = app.runtime.obs.causal

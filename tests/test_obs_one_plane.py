@@ -14,6 +14,26 @@ context, as a plain client's does, so the two-shard scenario's
 ``watch_lag_seconds`` series gained their trace exemplars (four per
 store) and the runtime snapshot's span count went 3 -> 27.  No other
 leaf moved.
+
+A second re-pin: a reconciler's generator ``reconcile`` now runs inside
+its pass (``yield from``), under the pass's ``reconcile`` span, so the
+Shipping, Payment and Checkout reconcilers' writes -- and the exchanges
+those writes start -- join their order's trace instead of carrying no
+context.  What moved, and nothing else:
+
+- ``runtime_snapshot`` ``obs.traces.spans``: 27 -> 87.
+- ``trace_export``: ``count`` 321 -> 381 and its ``sha256``;
+  ``shape`` ``X/causal/exchange`` 6 -> 24, ``X/causal/reconcile``
+  9 -> 30, ``X/causal/write`` 9 -> 30.
+- ``watch_lag_seconds`` exemplars (``plane_metrics`` and the copy under
+  ``runtime_snapshot`` ``obs.metrics``), 22 leaves each: a series keeps
+  its four worst traced samples, and the reconcilers' writes are now
+  traced samples.  Their lag is the same 10.35 ms; taken at t = 1.0 to
+  1.45 s instead of t = 0.04 to 0.07 s it rounds 7.6e-17 s higher, so
+  they displace the first order's exemplars: each ``time`` moves, each
+  ``value`` goes 0.010350000000000005 -> 0.010350000000000081, and six
+  ``trace_id``s change (t000001 -> t000007 on shard 0, t000007 ->
+  t000004 on shard 1).
 """
 
 import hashlib
