@@ -133,7 +133,7 @@ def run_once(seed, n_writes, elastic=True):
     env.process(collect(env))
     env.run(until=env.now + 5.0)
 
-    reroutes = sum(c.reroutes for c in store._clients)
+    reroutes = store.stats()["ring"]["reroutes"]
     forced_resyncs = sum(w.forced_resyncs for w in watch.watches)
     stats = store.reshard_stats
     lost = sum(1 for key, values in acked.items()

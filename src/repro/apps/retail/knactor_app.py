@@ -180,10 +180,7 @@ class RetailKnactorApp:
             principals = {"retail-cast": INTEGRATOR, "notify-cast": INTEGRATOR}
             principals.update(flow_cfg.principals)
             flow_cfg = replace(flow_cfg, principals=principals)
-            if isinstance(backend, ShardedStore):
-                backend.set_admission(lambda: flow_cfg.build_admission(env))
-            else:
-                backend.admission = flow_cfg.build_admission(env)
+            backend.set_admission(lambda: flow_cfg.build_admission(env))
         de = ObjectDE(
             env, backend, retry_policy=retry_policy,
             watch_credits=flow_cfg.watch_credits if flow_cfg else None,

@@ -271,10 +271,7 @@ class DataExchange:
             kinds[src.alias] = (
                 "log" if hasattr(handles[src.alias], "load") else "object"
             )
-            for server in getattr(de.backend, "shards", None) or [de.backend]:
-                admission = server.admission
-                if admission is not None:
-                    admission.assign(principal, VIEW)
+            de.backend.classify(principal, VIEW)
         materialized = None
         if materialize:
             materialized = MaterializedView(

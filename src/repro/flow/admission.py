@@ -141,6 +141,17 @@ class AdmissionController:
             raise ConfigurationError(f"unknown priority class {class_name!r}")
         self.principals[principal] = class_name
 
+    def fresh(self):
+        """A controller configured like this one, principal classes
+        included, with full buckets: what a shard a reshard adds gets."""
+        return AdmissionController(
+            self.env, rate=self.rate, burst=self.burst,
+            queue_high=self.queue_high, beta=self.beta, alpha=self.alpha,
+            decrease_interval=self.decrease_interval,
+            classes=[state.spec for state in self._classes.values()],
+            principals=self.principals, default_class=self.default_class,
+        )
+
     # -- the decision -------------------------------------------------------
 
     def admit(self, principal, queue_depth):

@@ -99,7 +99,7 @@ class SensorFleetApp:
             principals = {"fleet-sync": INTEGRATOR}
             principals.update(flow_cfg.principals)
             flow_cfg = replace(flow_cfg, principals=principals)
-            lake.admission = flow_cfg.build_admission(env)
+            lake.set_admission(lambda: flow_cfg.build_admission(env))
         # The DE-level policy backs the Sync and analytics handles: an
         # integrator shed during a flash crowd must back off and drain
         # the backlog, not crash the pipeline.  Device handles opt out

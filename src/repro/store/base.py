@@ -157,12 +157,15 @@ class StoreServer:
     #: where each event carries distinct records).
     WATCH_COALESCE = "newest"
 
-    #: Every monotonic counter a server keeps, declared once: each is a
-    #: plain int attribute starting at 0 and written with ``+=`` where
-    #: the thing it counts happens (watch counters from
-    #: :class:`~repro.store.watch.Watch`), reported by :meth:`stats`,
-    #: and summed over live + retired shards by a
-    #: :class:`~repro.store.sharded.ShardedStore` frontend.
+    # What a :class:`~repro.store.sharded.ShardedStore` frontend answers
+    # for its shards is declared here, once, as three name lists; its
+    # ``__getattr__`` applies one rule per list.
+
+    #: Every monotonic counter a server keeps: each is a plain int
+    #: attribute starting at 0 and written with ``+=`` where the thing
+    #: it counts happens (watch counters from
+    #: :class:`~repro.store.watch.Watch`), reported by :meth:`stats`.
+    #: A frontend's is the sum over live + retired shards.
     COUNTERS = (
         # watch fan-out: messages, the events in them, their bytes, and
         # the delta/full split under ``delta_watch``
@@ -176,6 +179,18 @@ class StoreServer:
         # failure surface: ops aborted by failover/crash, and crashes
         "aborted_ops", "crash_count",
     )
+
+    #: Verbs a frontend runs on every live shard, in shard order,
+    #: returning the sum of what they return (``None`` counts 0): the
+    #: failure surface and the admission front door.
+    FAN_OUT = ("fail_over", "crash", "restart", "set_available",
+               "sever_watches", "set_admission", "classify")
+
+    #: Settings every shard of a frontend shares -- the same value, or
+    #: for an object the same type -- checked as each shard joins; a
+    #: frontend's is shard 0's.
+    SHARD_SETTINGS = ("zero_copy", "delta_watch", "watch_batch_window",
+                      "copies", "copy_meter", "admission")
 
     def __init__(self, env, network, location, tracer=None,
                  watch_batch_window=0.0, zero_copy=True, delta_watch=False):
@@ -396,6 +411,21 @@ class StoreServer:
         """The front door's counters, or None while the door is open."""
         return self.admission.stats() if self.admission is not None else None
 
+    def set_admission(self, factory):
+        """Guard the front door with the controller ``factory()`` builds.
+
+        A factory, not a controller: a sharded store builds one per
+        shard, since each shard's own worker queue is the AIMD
+        congestion signal.
+        """
+        self.admission = factory()
+
+    def classify(self, principal, class_name):
+        """Bind ``principal`` to an admission priority class (a no-op
+        while the front door is open)."""
+        if self.admission is not None:
+            self.admission.assign(principal, class_name)
+
     def stats(self):
         """Everything this server counts, as one dict of plain data.
 
@@ -520,18 +550,15 @@ class StoreServer:
                 interrupted += 1
         return interrupted
 
-    def sever_watches(self, location=None, detect_after=None):
-        """Break watch streams (to one client location, or all).
+    def sever_watches(self, detect_after=None):
+        """Break every watch stream.
 
         Used when the server cannot notify clients (crash, partition):
         each client's keepalive fires ``on_close`` after ``detect_after``
         (default: :attr:`watch_keepalive`) seconds.  Returns the count.
         """
         grace = detect_after if detect_after is not None else self.watch_keepalive
-        severed = [
-            w for w in list(self._watches)
-            if w.active and (location is None or w.location == location)
-        ]
+        severed = [w for w in list(self._watches) if w.active]
         for watch in severed:
             watch.break_connection(grace)
         return len(severed)

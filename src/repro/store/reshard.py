@@ -163,9 +163,9 @@ class Resharder:
         self.active = True
         started = self.env.now
         try:
-            while len(self.store.shards) < shard_count:
+            while self.store.shard_count < shard_count:
                 yield self.env.process(self._grow_one())
-            while len(self.store.shards) > shard_count:
+            while self.store.shard_count > shard_count:
                 yield self.env.process(self._shrink_one())
         finally:
             self.active = False
@@ -185,7 +185,7 @@ class Resharder:
         for lo, hi, src in moved:
             by_src.setdefault(src, []).append((lo, hi))
         jobs = [
-            _MigrationJob(self, store.shard_by_id(src), shard, ranges)
+            _MigrationJob(self, store.servers[src], shard, ranges)
             for src, ranges in by_src.items()
         ]
         yield from self._cutover(jobs, seal={
@@ -206,8 +206,8 @@ class Resharder:
 
     def _shrink_one(self):
         store, ring = self.store, self.store.ring
-        victim_member = store.shard_ids[-1]  # newest retires first
-        victim = store.shard_by_id(victim_member)
+        victim_member = next(reversed(store.servers))  # newest retires first
+        victim = store.servers[victim_member]
         self._trace("reshard-shrink", member=victim_member,
                     ring_version=ring.version)
         moved = ring.preview_remove(victim_member)
@@ -215,7 +215,7 @@ class Resharder:
         for lo, hi, dest in moved:
             by_dest.setdefault(dest, []).append((lo, hi))
         jobs = [
-            _MigrationJob(self, victim, store.shard_by_id(dest), ranges)
+            _MigrationJob(self, victim, store.servers[dest], ranges)
             for dest, ranges in by_dest.items()
         ]
         all_ranges = [(lo, hi) for lo, hi, _dest in moved]
@@ -234,11 +234,11 @@ class Resharder:
             yield self.env.all_of([job.copy_proc for job in jobs])
         for member in seal:
             yield self.env.process(
-                self._drain_in_doubt(store.shard_by_id(member))
+                self._drain_in_doubt(store.servers[member])
             )
         pending = store.ring.version + 1
         for member, ranges in seal.items():
-            store.shard_by_id(member).seal_ranges(ranges, ring_version=pending)
+            store.servers[member].seal_ranges(ranges, ring_version=pending)
         yield self.env.timeout(store.topology.cutover_drain)
         for job in jobs:
             yield self.env.process(job.finish())
@@ -265,6 +265,6 @@ class Resharder:
         self._stats["resyncs"] += len(jobs)
 
     def _trace(self, what, **fields):
-        tracer = self.store.shards[0].tracer if self.store.shards else None
+        tracer = self.store.shards[0].tracer
         if tracer is not None:
             tracer.record("store", what, location=self.store.name, **fields)

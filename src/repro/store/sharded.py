@@ -9,6 +9,17 @@ pool, latency budget, and per-shard revision counter.
 
 Design points:
 
+- **A router, not a second store**: :class:`ShardedStore` owns only
+  what is sharded -- the ring, one map from ring member id to shard
+  server, resharding, the 2PC coordinator and the merged watches.
+  Everything else comes from three name lists
+  :class:`~repro.store.base.StoreServer` declares, applied by
+  :meth:`ShardedStore.__getattr__`: a counter (``COUNTERS``) sums over
+  live + retired shards, a fan-out verb (``FAN_OUT``) runs on every
+  live shard and sums what they return, and a shard setting
+  (``SHARD_SETTINGS``) is shard 0's -- a shard that differs on one
+  cannot join.  Nothing is kept per router: re-routes are counted on
+  the store.
 - **Routing is client-side, deterministic, and live**: placement comes
   from a seeded consistent-hash ring (:mod:`repro.store.ring`), not
   Python's randomized ``hash`` and not a build-time modulo -- every
@@ -61,9 +72,35 @@ REROUTE_BACKOFF = 0.004
 REROUTE_ATTEMPTS = 250
 
 
+def _setting(shard, name):
+    """A shard setting as shards compare it: a plain value as is, an
+    object by its type (each shard has its own meter and controller)."""
+    value = getattr(shard, name)
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    return type(value)
+
+
+def _check_joins(first, shard):
+    """Raise unless ``shard`` may serve beside ``first``: the same server
+    type and the same :attr:`~repro.store.base.StoreServer.SHARD_SETTINGS`."""
+    if type(shard) is not type(first):
+        raise StoreError(
+            f"shards must be homogeneous, got {type(shard).__name__} "
+            f"next to {type(first).__name__}"
+        )
+    for name in StoreServer.SHARD_SETTINGS:
+        mine, theirs = _setting(shard, name), _setting(first, name)
+        if mine != theirs:
+            raise StoreError(
+                f"shards must agree on {name}: {shard.location!r} has "
+                f"{mine!r}, {first.location!r} has {theirs!r}"
+            )
+
+
 class ShardedStore:
-    """Server-side frontend: owns the ring, the shard list, and the
-    fault surface.
+    """Server-side frontend: owns the ring, the member -> shard map, the
+    reshard engine, the 2PC coordinator and the merged watches.
 
     Two construction forms:
 
@@ -77,11 +114,16 @@ class ShardedStore:
     never-reused integer ids, so ring placement -- and therefore run
     fingerprints -- depend only on the topology seed and the reshard
     history, never on object identity.
+
+    Everything else a store server answers -- counters, the failure
+    surface, the admission door, the copy and watch settings -- comes
+    from the rules :class:`~repro.store.base.StoreServer` declares (see
+    :meth:`__getattr__`); use :attr:`shards` for one shard.
     """
 
     def __init__(self, shards=None, name="sharded", topology=None,
                  shard_factory=None):
-        self.name = name
+        self.name = self.location = name
         self.shard_factory = shard_factory
         if shards is None and topology is None:
             raise StoreError(
@@ -94,8 +136,6 @@ class ShardedStore:
                     "build the shard servers"
                 )
             shards = [shard_factory(i) for i in range(topology.shards)]
-        else:
-            shards = list(shards)
         if not shards:
             raise StoreError("a sharded store needs at least one shard")
         if topology is None:
@@ -105,27 +145,24 @@ class ShardedStore:
                 f"topology says {topology.shards} shards but "
                 f"{len(shards)} servers were given"
             )
-        kinds = {type(shard) for shard in shards}
-        if len(kinds) > 1:
-            raise StoreError(
-                "shards must be homogeneous, got "
-                + ", ".join(sorted(k.__name__ for k in kinds))
-            )
+        for shard in shards[1:]:
+            _check_joins(shards[0], shard)
         self.topology = topology
-        self.shards = shards
-        #: Stable shard ids, parallel to :attr:`shards`.  Ring members.
-        self.shard_ids = list(range(len(shards)))
+        #: Ring member id -> shard server, in join order.  Member ids are
+        #: stable and never reused.
+        self.servers = dict(enumerate(shards))
         self._next_shard_id = len(shards)
-        self.ring = topology.build_ring(members=self.shard_ids)
+        self.ring = topology.build_ring(members=list(self.servers))
         #: Shards removed by a shrink: kept for monotonic counters.
         self.retired_shards = []
         self.env = shards[0].env
         self.network = shards[0].network
+        #: Requests re-sent after a cutover fence, over every router.
+        self.reroutes = 0
+        self._merged_watches = []  # every open MergedWatch over us
         self._coordinator = None  # lazy; see .coordinator
-        self._clients = []  # every ShardedStoreClient routing through us
-        self._admission_factory = None
         self._resharder = None  # lazy; see .resharder
-        for shard in self.shards:
+        for shard in shards:
             shard._ring_context = self
 
     @property
@@ -152,26 +189,19 @@ class ShardedStore:
             self._resharder = Resharder(self)
         return self._resharder
 
-    # -- identity ------------------------------------------------------------
+    # -- membership and routing ----------------------------------------------
 
     @property
-    def location(self):
-        """Logical location of the frontend (shards have their own)."""
-        return self.name
+    def shards(self):
+        """The live shard servers, in join order."""
+        return list(self.servers.values())
 
     @property
     def shard_count(self):
-        return len(self.shards)
-
-    def index_of_member(self, member):
-        """Position of ring ``member`` in :attr:`shards`."""
-        return self.shard_ids.index(member)
-
-    def shard_by_id(self, member):
-        return self.shards[self.index_of_member(member)]
+        return len(self.servers)
 
     def shard_for(self, key):
-        return self.shard_by_id(self.ring.owner_of(key))
+        return self.servers[self.ring.owner_of(key)]
 
     def owner_location(self, key):
         """Authoritative owner shard location for ``key`` (live ring)."""
@@ -196,9 +226,10 @@ class ShardedStore:
         """Build + wire a new shard server (ring flip happens later).
 
         The server joins the fault/observability surface immediately,
-        and every live merged watch grows a branch on it so no event is
-        missed once the ring flips, but it owns no keys until the
-        reshard engine flips the ring.
+        with a fresh copy of shard 0's admission controller (principal
+        classes included), and every live merged watch grows a branch on
+        it so no event is missed once the ring flips, but it owns no
+        keys until the reshard engine flips the ring.
         """
         if self.shard_factory is None:
             raise ConfigurationError(
@@ -207,32 +238,25 @@ class ShardedStore:
         member = self._next_shard_id
         self._next_shard_id += 1
         shard = self.shard_factory(member)
-        if self.shards and type(shard) is not type(self.shards[0]):
-            raise StoreError(
-                "shards must be homogeneous, got "
-                f"{type(shard).__name__} from the factory next to "
-                f"{type(self.shards[0]).__name__}"
-            )
+        first = self.shards[0]
+        if first.admission is not None:
+            shard.admission = first.admission.fresh()
+        _check_joins(first, shard)
         shard._ring_context = self
-        if self._admission_factory is not None:
-            shard.admission = self._admission_factory()
-        self.shards.append(shard)
-        self.shard_ids.append(member)
-        for client in self._clients:
-            client._attach_shard(shard)
+        self.servers[member] = shard
+        for merged in self._merged_watches:
+            merged._attach(shard)
         return member, shard
 
     def _uninstall_shard(self, member):
         """Retire a shard after the ring no longer routes to it."""
-        index = self.index_of_member(member)
-        shard = self.shards.pop(index)
-        self.shard_ids.pop(index)
+        shard = self.servers.pop(member)
         self.retired_shards.append(shard)
-        for client in self._clients:
-            client._detach_shard(shard)
+        for merged in self._merged_watches:
+            merged._detach_server(shard)
         return shard
 
-    # -- aggregated observability -------------------------------------------
+    # -- what the shards answer, by declared rule ----------------------------
 
     @property
     def _all_shards(self):
@@ -240,12 +264,20 @@ class ShardedStore:
         return self.shards + self.retired_shards
 
     def __getattr__(self, name):
-        """The one aggregation rule: a counter declared on
-        :class:`~repro.store.base.StoreServer` reads, on the frontend,
-        as its sum over live + retired shards (``fence_rejections``,
-        ``watch_events_sent``, ``crash_count``, ...)."""
+        """The rules for a name :class:`~repro.store.base.StoreServer`
+        declares: a shard setting is shard 0's (every shard has the
+        same), a counter is the sum over live + retired shards, and a
+        fan-out verb runs on every live shard and sums what they return
+        (``None`` counts 0)."""
+        if name in StoreServer.SHARD_SETTINGS:
+            return getattr(self.shards[0], name)
         if name in StoreServer.COUNTERS:
             return sum(getattr(s, name) for s in self._all_shards)
+        if name in StoreServer.FAN_OUT:
+            def fan_out(*args, **kwargs):
+                return sum(getattr(s, name)(*args, **kwargs) or 0
+                           for s in self.shards)
+            return fan_out
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}")
 
@@ -254,9 +286,9 @@ class ShardedStore:
         frontend's own sections: ``ring``, ``reshard``, ``txn``."""
         out = store_stats(self)
         out.update(
-            ring={"version": self.ring.version, "shards": len(self.shards),
+            ring={"version": self.ring.version, "shards": self.shard_count,
                   "fence_rejections": out["fence_rejections"],
-                  "reroutes": sum(c.reroutes for c in self._clients)},
+                  "reroutes": self.reroutes},
             reshard=self.reshard_stats,
             txn=self.txn_stats(),
         )
@@ -274,26 +306,6 @@ class ShardedStore:
     def revisions(self):
         """Per-shard revision counters (there is no global revision)."""
         return {shard.location: shard.revision for shard in self.shards}
-
-    @property
-    def ring_version(self):
-        return self.ring.version
-
-    @property
-    def admission(self):
-        """Shard 0's controller (set_admission installs one per shard)."""
-        return self.shards[0].admission
-
-    def set_admission(self, factory):
-        """Install one admission controller per shard via ``factory()``.
-
-        Per shard, not shared: each shard has its own worker queue (the
-        AIMD congestion signal), exactly as N real replicas would.  The
-        factory is kept so shards added by a reshard get their own too.
-        """
-        self._admission_factory = factory
-        for shard in self.shards:
-            shard.admission = factory()
 
     def admission_stats(self):
         """Merged per-class admitted/rejected counters across shards
@@ -315,25 +327,6 @@ class ShardedStore:
                 slot["rejected"] += cls["rejected"]
                 slot["scale"] = min(slot["scale"], cls["scale"])
         return merged
-
-    @property
-    def copies(self):
-        """Shard 0's copy policy: shards are homogeneous."""
-        return self.shards[0].copies
-
-    @property
-    def copy_meter(self):
-        """Shard 0's meter: the one a router's cache hits and masks
-        account to (the aggregate is :attr:`copy_stats`)."""
-        return self.shards[0].copy_meter
-
-    @property
-    def zero_copy(self):
-        return all(s.zero_copy for s in self.shards)
-
-    @property
-    def delta_watch(self):
-        return all(s.delta_watch for s in self.shards)
 
     @property
     def copy_stats(self):
@@ -359,47 +352,22 @@ class ShardedStore:
         return self._coordinator.txn_stats()
 
     @property
-    def watch_batch_window(self):
-        return max(s.watch_batch_window for s in self.shards)
-
-    @property
     def available(self):
         """The frontend is available only when every shard is."""
         return all(s.available for s in self.shards)
-
-    # -- fault surface (delegates to every shard; use .shards for one) -------
-
-    def fail_over(self):
-        return sum(s.fail_over() for s in self.shards)
-
-    def crash(self):
-        for shard in self.shards:
-            shard.crash()
-
-    def restart(self):
-        for shard in self.shards:
-            shard.restart()
-
-    def set_available(self, available):
-        for shard in self.shards:
-            shard.set_available(available)
-
-    def sever_watches(self, location=None, detect_after=None):
-        return sum(
-            s.sever_watches(location=location, detect_after=detect_after)
-            for s in self.shards
-        )
 
 
 class MergedWatch:
     """One logical watch stream assembled from one watch per shard.
 
     Every branch is a :class:`~repro.store.watch.Watch` owned by the
-    router (so a delta-watch key resync routes by key).  Cancellation
-    fans out to every branch and the router forgets the stream; a break
-    on ANY branch invalidates the whole merged stream (events from that
-    shard would silently go missing otherwise), so ``on_close`` fires
-    exactly once and the remaining branches are cancelled.
+    router (so a delta-watch key resync routes by key).  The stream
+    registers on the :class:`ShardedStore`, which grows and drops its
+    branches on a reshard.  Cancellation fans out to every branch and
+    the store forgets the stream; a break on ANY branch invalidates the
+    whole merged stream (events from that shard would silently go
+    missing otherwise), so ``on_close`` fires exactly once and the
+    remaining branches are cancelled.
 
     Resharding does NOT close the stream: a new shard adds a branch
     (same handler, same credit window) before the ring flips, and a
@@ -432,7 +400,7 @@ class MergedWatch:
         """Close the stream for good: no reshard grows it back."""
         if not self._closed:
             self._closed = True
-            self._router._merged_watches.remove(self)
+            self._router.server._merged_watches.remove(self)
         for watch in self.watches:
             watch.cancel()
 
@@ -463,16 +431,11 @@ class ShardedStoreClient(ObjectClient):
     coalescing and the read cache are the inherited ones: one copy per
     router, not one per shard.  An operation fenced mid-cutover
     (:class:`~repro.errors.ShardMovedError`) transparently backs off and
-    re-routes -- callers never see a topology change.  What stays
-    sharded: scatter-gather ``list``, the ``txn`` mode dispatch and
-    :class:`MergedWatch`.
+    re-routes (counted on the store) -- callers never see a topology
+    change.  What stays sharded: scatter-gather ``list``, the ``txn``
+    mode dispatch and :class:`MergedWatch`.  The store keeps nothing
+    per router.
     """
-
-    def __init__(self, store, location, retry_policy=None):
-        super().__init__(store, location, retry_policy=retry_policy)
-        self.reroutes = 0
-        self._merged_watches = []
-        store._clients.append(self)
 
     # -- routing -------------------------------------------------------------
 
@@ -500,7 +463,7 @@ class ShardedStoreClient(ObjectClient):
             try:
                 return (yield from body())
             except ShardMovedError:
-                self.reroutes += 1
+                self.server.reroutes += 1
                 if attempt == REROUTE_ATTEMPTS - 1:
                     raise
                 yield self.env.timeout(REROUTE_BACKOFF)
@@ -508,7 +471,7 @@ class ShardedStoreClient(ObjectClient):
     def _op(self, op, args):
         """``list`` scatters over several shards; anything else is an
         :class:`ObjectClient` op."""
-        if op == "list" and len(self.server.shards) > 1:
+        if op == "list" and self.server.shard_count > 1:
             principal, ctx = self.principal, current_context()
             return self._list(args, principal, ctx)
         return super()._op(op, args)
@@ -535,16 +498,6 @@ class ShardedStoreClient(ObjectClient):
                 if seen is None or view["revision"] > seen["revision"]:
                     best[view["key"]] = view
         return sorted(best.values(), key=lambda view: view["key"])
-
-    # -- reshard wiring (driven by the ShardedStore) -------------------------
-
-    def _attach_shard(self, shard):
-        for merged in self._merged_watches:
-            merged._attach(shard)
-
-    def _detach_shard(self, shard):
-        for merged in self._merged_watches:
-            merged._detach_server(shard)
 
     # -- transactions --------------------------------------------------------
 
@@ -625,7 +578,7 @@ class ShardedStoreClient(ObjectClient):
         merged = MergedWatch(self, spec)
         if on_close is not None:
             spec["on_close"] = lambda: merged._close_once(on_close)
-        self._merged_watches.append(merged)
+        self.server._merged_watches.append(merged)
         for shard in self.server.shards:
             merged._attach(shard)
         return merged

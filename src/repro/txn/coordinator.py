@@ -317,12 +317,10 @@ class TxnCoordinator:
         of the sub-batch's first key when the member has retired (its
         prepared state, if any, answers ``"unknown"`` harmlessly).
         """
-        store = self.store
-        if member in store.shard_ids:
-            shard = store.shard_by_id(member)
-        else:
+        shard = self.store.servers.get(member)
+        if shard is None:
             key = str(sub[0].get("key") or "") if sub else ""
-            shard = store.shard_for(key)
+            shard = self.store.shard_for(key)
         client = self._clients.get(shard)
         if client is None:
             client = self._clients[shard] = ObjectClient(shard, self.location)

@@ -320,12 +320,12 @@ class TestClientSurface:
 
         assert own(MemKVClient) == {"command", "fcall", "fcall_txn"}
         # The router adds routing only: where an attempt goes, re-routing,
-        # the scatter list, the txn mode dispatch, the merged watch and
-        # its reshard wiring.  No per-shard clients, no fan-out settings.
+        # the scatter list, the txn mode dispatch and the merged watch.
+        # No per-shard clients, no fan-out settings, no reshard wiring
+        # (merged watches register on the store), no constructor.
         assert own(ShardedStoreClient) == {
             "_request", "_attempts", "_routed_proc", "_op", "_list",
             "txn", "_check_co_owned", "watch",
-            "_attach_shard", "_detach_shard",
         }
         router = ShardedStoreClient(ring[0], "caller")
         assert router.server is ring[0]

@@ -124,7 +124,7 @@ class TestLiveResharding:
 
         assert drive(env, driver())
         assert store.fence_rejections > 0
-        assert sum(c.reroutes for c in store._clients) > 0
+        assert store.stats()["ring"]["reroutes"] > 0
         assert store.reshard_stats["keys_moved"] > 0
 
     def test_bounds_and_reentry_guard(self):
