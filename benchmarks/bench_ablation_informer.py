@@ -20,7 +20,7 @@ from repro.metrics.report import Table
 
 def run(profile, refresh_reads, orders=10):
     app = RetailKnactorApp.build(
-        profile=profile, with_notify=False, dxg=SHIPMENT_DXG
+        profile=profile, with_notify=False, dxg=SHIPMENT_DXG, obs=True
     )
     app.cast.options = ExecutorOptions(
         refresh_reads=refresh_reads, trust_cache_for_missing=True

@@ -18,7 +18,7 @@ ITEM_COUNTS = (2, 40, 200)
 
 def run_profile(profile, item_count, orders=8):
     app = RetailKnactorApp.build(
-        profile=profile, with_notify=False, dxg=SHIPMENT_DXG
+        profile=profile, with_notify=False, dxg=SHIPMENT_DXG, obs=True
     )
     env = app.env
 

@@ -257,7 +257,6 @@ class RetailKnactorApp:
         extends automatically.
         """
         handle = self.runtime.handle_of("checkout")
-        self.tracer.record("request", "start", key=key)
         self.orders_placed.append(key)
         obs = self.runtime.obs
         if obs is None:

@@ -1,15 +1,21 @@
 """Stage-latency measurement for Table 2.
 
 Reconstructs the paper's per-stage breakdown of a shipment request from
-the trace streams the framework components emit:
+the causal spans of a run built with ``obs=True``:
 
-- ``t0``  Checkout initiates the order write (the write itself is
-  Checkout->integrator data movement, so it belongs to C-I),
-- ``t1``  the Cast integrator begins processing that correlation id,
-- ``t2``  the Cast finishes local compute and starts the data exchange,
-- ``t3``  the shipment object commits in Shipping's store,
-- ``t4``  Shipping's reconciler observes the shipment,
-- ``t5``  the carrier call completes (``fedex.done``).
+- ``t0``  Checkout initiates the order write: the ``place-order`` root
+  span starts (the write itself is Checkout->integrator data movement,
+  so it belongs to C-I),
+- ``t1``  the Cast integrator's ``exchange`` span for that correlation
+  id starts,
+- ``t2``  the Cast finishes local compute and starts the data exchange
+  (the exchange span's ``writes.begin`` annotation),
+- ``t3``  the shipment object commits in Shipping's store (its ``write``
+  span),
+- ``t4``  Shipping's reconciler observes the shipment (the ``observed``
+  annotation on that write span),
+- ``t5``  the carrier call completes (the ``fedex.done`` annotation on
+  Shipping's reconcile span).
 
 Stages (paper columns):
 
@@ -76,7 +82,8 @@ def run_knactor_setup(setup, orders=20, spacing=2.0, seed=7):
             f"unknown setup {setup!r} (have {sorted(PROFILES)})"
         ) from None
     app = RetailKnactorApp.build(
-        profile=profile, seed=seed, with_notify=False, dxg=SHIPMENT_DXG
+        profile=profile, seed=seed, with_notify=False, dxg=SHIPMENT_DXG,
+        obs=True,
     )
     workload = OrderWorkload(seed=seed)
     env = app.env
@@ -93,24 +100,29 @@ def run_knactor_setup(setup, orders=20, spacing=2.0, seed=7):
 
 
 def extract_stages(app, setup, pushdown):
+    """Table 2's stages per placed order, from the app's causal spans."""
     tracer = app.tracer
     breakdown = StageBreakdown(setup)
-    t0_by_key = tracer.timestamps("request", "start", key_attr="key")
-    commit_by_key = tracer.timestamps("store", "commit", key_attr="key")
-    cast_begin = _first_by_attr(tracer, "cast", "begin", "cid")
-    writes_begin = _first_by_attr(tracer, "cast", "writes.begin", "cid")
-    observed = _shipping_observed(tracer)
-    fedex_done = _first_by_attr(tracer, "reconciler", "fedex.done", "key")
-    order_read = _first_order_read(tracer)
+    t0_by_key = _first_starts(tracer, "place-order", "key")
+    cast_begin = _first_starts(tracer, "exchange", "cid")
+    commit_by_key = _first_starts(tracer, "write", "key")
+    writes_begin = _first_marks(tracer, "writes.begin", "cid")
+    observed = _first_marks(tracer, "observed", "key", knactor="shipping")
+    fedex_done = _first_marks(tracer, "fedex.done", "key")
+    # The duration of the integrator's first read of the order, per cid.
+    order_read = {
+        cid: attrs["duration"] for cid, (_time, attrs)
+        in _first_marks(tracer, "read.done", "cid", alias="C").items()
+    }
 
     for order_key in app.orders_placed:
         cid = order_key.split("/", 1)[1]
         t0 = t0_by_key.get(order_key)  # checkout initiates the order write
         t1 = cast_begin.get(cid)
-        t2 = writes_begin.get(cid)
+        t2 = writes_begin.get(cid, (None,))[0]
         t3 = commit_by_key.get(f"knactor-shipping/{cid}")
-        t4 = observed.get(cid)
-        t5 = fedex_done.get(cid)
+        t4 = observed.get(cid, (None,))[0]
+        t5 = fedex_done.get(cid, (None,))[0]
         if None in (t0, t1, t2, t3, t4, t5):
             continue  # request did not complete within the horizon
         if pushdown:
@@ -119,10 +131,8 @@ def extract_stages(app, setup, pushdown):
         else:
             # The integrator's read of the *order* is Checkout<->integrator
             # data movement; attribute it to C-I, not I-S.
-            read_c = order_read.get(cid, 0.0)
             stage_i = t2 - t1
-            stage_is = (t4 - t2) - read_c
-            t1 = t1 + 0.0  # keep t1 for Prop.; C-I grows by read_c below
+            stage_is = (t4 - t2) - order_read.get(cid, 0.0)
         stage_ci = (t1 - t0) + (0.0 if pushdown else order_read.get(cid, 0.0))
         breakdown.add_request(
             {
@@ -137,18 +147,26 @@ def extract_stages(app, setup, pushdown):
     return breakdown
 
 
-def _first_order_read(tracer):
-    """Duration of the integrator's first read of alias C, per cid."""
+def _first_starts(tracer, name, attr):
+    """Start of the first ``name`` span per value of its ``attr``."""
     out = {}
-    for event in tracer.events:
-        if (
-            event.category == "exchange"
-            and event.name == "read.done"
-            and event.attrs.get("alias") == "C"
-        ):
-            cid = event.attrs.get("cid")
-            if cid is not None and cid not in out:
-                out[cid] = event.attrs.get("duration", 0.0)
+    for span in tracer.spans.values():
+        if span.name == name:
+            out.setdefault(span.attrs.get(attr), span.start)
+    return out
+
+
+def _first_marks(tracer, name, attr, **match):
+    """``(time, attrs)`` of the earliest ``name`` annotation per value of
+    ``attr`` (the annotation's own, else its span's), among those whose
+    attributes include every ``match`` item."""
+    out = {}
+    for span, time, attrs in tracer.annotations(name):
+        if any(attrs.get(k) != v for k, v in match.items()):
+            continue
+        key = attrs.get(attr, span.attrs.get(attr))
+        if key not in out or time < out[key][0]:
+            out[key] = (time, attrs)
     return out
 
 
@@ -156,56 +174,31 @@ def run_rpc_setup(orders=20):
     """Run the RPC baseline; only S / Prop. / Total are defined for it.
 
     Orders go out 2 s apart from seed 7, :func:`run_knactor_setup`'s
-    defaults."""
+    defaults.  Each order's ``ShipOrder`` rpc span is the measured
+    sub-request, and its ``fedex.*`` annotations bound the carrier
+    call."""
     app = RetailRpcApp.build(seed=7)
     workload = OrderWorkload(seed=7)
     env = app.env
-    breakdown = StageBreakdown("RPC")
 
     def driver(env):
         for _ in range(orders):
             _key, data = workload.next_order()
-            begin_events = len(_ship_events(app, "shiporder.begin"))
             yield app.place_order(data)
-            begins = _ship_events(app, "shiporder.begin")
-            ends = _ship_events(app, "shiporder.end")
-            fedex_b = _ship_events(app, "fedex.begin")
-            fedex_d = _ship_events(app, "fedex.done")
-            t_begin = begins[begin_events]
-            t_end = ends[begin_events]
-            service = fedex_d[begin_events] - fedex_b[begin_events]
-            breakdown.add_request(
-                {
-                    "S": service,
-                    "Prop.": (t_end - t_begin) - service,
-                    "Total": t_end - t_begin,
-                }
-            )
             yield env.timeout(2.0)
 
     env.run(until=env.process(driver(env)))
+    breakdown = StageBreakdown("RPC")
+    for span in app.tracer.spans.values():
+        if span.name != "rpc:ShippingService/ShipOrder":
+            continue
+        fedex = {name: time for time, name, _attrs in span.events}
+        service = fedex["fedex.done"] - fedex["fedex.begin"]
+        breakdown.add_request(
+            {
+                "S": service,
+                "Prop.": (span.end - span.start) - service,
+                "Total": span.end - span.start,
+            }
+        )
     return breakdown
-
-
-def _ship_events(app, name):
-    return app.tracer.timestamps("rpc", name)
-
-
-def _first_by_attr(tracer, category, name, attr):
-    return tracer.timestamps(category, name, key_attr=attr)
-
-
-def _shipping_observed(tracer):
-    """First 'observed' per shipment key, from the shipping reconciler."""
-    out = {}
-    for event in tracer.events:
-        if (
-            event.category == "reconciler"
-            and event.name == "observed"
-            and event.attrs.get("knactor") == "shipping"
-        ):
-            key = event.attrs.get("key")
-            if key is not None and key not in out:
-                out[key] = event.time
-    return out
-

@@ -12,17 +12,18 @@ from repro import config
 from repro.apps.retail import protos
 from repro.apps.retail.knactors import SHIPPING_RATES
 from repro.errors import RPCStatusError
-from repro.obs import CausalTracer
+from repro.obs import CausalTracer, current_context, use
 from repro.rpc import RPCChannel, RPCServer, build_client_class, parse_idl
 from repro.simnet import Environment, Network
 
 
 class ShippingServiceImpl:
-    """Server-side Shipping: quotes and carrier calls."""
+    """Server-side Shipping: quotes and carrier calls.  The carrier call
+    is annotated on the ``ShipOrder`` rpc span it runs under (Table 2's
+    S stage)."""
 
-    def __init__(self, env, tracer, seed=None):
+    def __init__(self, env, seed=None):
         self.env = env
-        self.tracer = tracer
         self._carrier = config.shipment_latency_model(seed=seed)
         self._counter = 0
 
@@ -31,9 +32,12 @@ class ShippingServiceImpl:
         return {"cost_usd": SHIPPING_RATES["ground"] * max(1, len(items)) / 2}
 
     def ship_order(self, request):
-        self.tracer.record("rpc", "fedex.begin", order=request.get("address", ""))
+        ctx = current_context()  # the ShipOrder rpc span, when traced
+        if ctx is not None:
+            ctx.sink.annotate(ctx, "fedex.begin")
         yield self.env.timeout(self._carrier.sample())
-        self.tracer.record("rpc", "fedex.done", order=request.get("address", ""))
+        if ctx is not None:
+            ctx.sink.annotate(ctx, "fedex.done")
         self._counter += 1
         method = request.get("method", "ground")
         return {
@@ -157,10 +161,9 @@ class CheckoutServiceImpl:
     which holds zero stubs.
     """
 
-    def __init__(self, env, tracer, currency_stub, payment_stub, shipping_stub,
+    def __init__(self, env, currency_stub, payment_stub, shipping_stub,
                  email_stub):
         self.env = env
-        self.tracer = tracer
         self.currency = currency_stub
         self.payment = payment_stub
         self.shipping = shipping_stub
@@ -186,13 +189,11 @@ class CheckoutServiceImpl:
         )
         # 3. Create the shipment (the measured sub-request of Table 2).
         method = "air" if cost > 1000 else "ground"
-        self.tracer.record("rpc", "shiporder.begin", order=order_id)
         shipment = yield self.shipping.ship_order(
             {"items": [{"name": item["name"]} for item in items],
              "address": request.get("address", ""),
              "method": method}
         )
-        self.tracer.record("rpc", "shiporder.end", order=order_id)
         # 4. Send the confirmation email (fire-and-forget tolerated).
         try:
             yield self.email.send_order_confirmation(
@@ -243,7 +244,7 @@ class RetailRpcApp:
             channel = RPCChannel(env, servers[service], client_location)
             return build_client_class(idls[service], service)(channel)
 
-        shipping_impl = ShippingServiceImpl(env, tracer, seed=seed)
+        shipping_impl = ShippingServiceImpl(env, seed=seed)
         shipping_server = server_for("ShippingService", "shipping")
         shipping_server.register(
             "ShippingService", "GetQuote", shipping_impl.get_quote,
@@ -316,7 +317,6 @@ class RetailRpcApp:
 
         checkout_impl = CheckoutServiceImpl(
             env,
-            tracer,
             currency_stub=stub_for("CurrencyService", "checkout"),
             payment_stub=stub_for("PaymentService", "checkout"),
             shipping_stub=stub_for("ShippingService", "checkout"),
@@ -350,7 +350,8 @@ class RetailRpcApp:
         )
 
     def place_order(self, order_data):
-        """Frontend places an order through the Checkout API."""
+        """Frontend places an order through the Checkout API, as the root
+        of a causal trace: every rpc it fans out to opens a span."""
         items = [
             {"name": item["name"], "price_usd": item["priceUSD"]}
             for item in order_data["items"].values()
@@ -363,8 +364,11 @@ class RetailRpcApp:
             "card_token": order_data.get("cardToken", "tok"),
             "items": items,
         }
-        self.tracer.record("request", "start", key="rpc")
-        return self.checkout_stub.place_order(request)
+        root = self.tracer.new_trace("place-order", service="frontend")
+        with use(root):
+            proc = self.checkout_stub.place_order(request)
+        proc.callbacks.append(lambda _evt: self.tracer.end_span(root))
+        return proc
 
     def rpc_method_count(self):
         """Composition surface: registered rpc methods across services."""

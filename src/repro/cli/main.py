@@ -45,7 +45,9 @@ def cmd_demo(args):
         from repro.apps.retail.workload import OrderWorkload
         from repro.core.optimizer import PROFILES
 
-        app = RetailKnactorApp.build(profile=PROFILES[args.profile])
+        # The SLO below judges exchange spans: only a plane mints them.
+        app = RetailKnactorApp.build(profile=PROFILES[args.profile],
+                                     obs=args.telemetry or None)
         workload = OrderWorkload(seed=7)
         for _ in range(args.orders):
             key, data = workload.next_order()
@@ -174,8 +176,7 @@ def cmd_trace_export(args):
     import json
 
     app = _run_traced_retail(args.profile, args.orders)
-    # Causal spans (per-request DAG) and the flat point events land in
-    # one file; distinct pid tracks keep them apart.
+    # Each causal span, then its annotations as instants on its track.
     entries = app.tracer.to_chrome_trace()
     with open(args.output, "w") as f:
         json.dump({"traceEvents": entries}, f)

@@ -161,7 +161,6 @@ class Cast(Integrator):
             handles,
             functions=self.functions,
             options=self.options,
-            tracer=self.runtime.tracer,
         )
         self._store_names = store_names
         if self.pushdown:
@@ -253,10 +252,6 @@ class Cast(Integrator):
 
     def _ingest(self, alias, event):
         kind, cid = DXGExecutor.split_key(event.key)
-        self.runtime.tracer.record(
-            "cast", "event", integrator=self.name, alias=alias,
-            kind=kind, cid=cid, type=event.type,
-        )
         news = self.executor.observe(
             alias, kind, cid, None if event.type == "DELETED" else event.object
         )
@@ -286,8 +281,6 @@ class Cast(Integrator):
         leaves the cid owed one; a failure on the store is raised on for
         the queue to retry (jittered backoff, then the DLQ), any other
         ``ReproError`` but a denial or a divergence for it to park."""
-        tracer = self.runtime.tracer
-        tracer.record("cast", "begin", integrator=self.name, cid=cid)
         octx = None
         if parent is not None and parent.sink is not None:
             octx = parent.sink.start_span(
@@ -298,7 +291,8 @@ class Cast(Integrator):
         )
         if not self.pushdown and compute > 0:
             yield env.timeout(compute)
-        tracer.record("cast", "writes.begin", integrator=self.name, cid=cid)
+        if octx is not None:
+            octx.sink.annotate(octx, "writes.begin")
         try:
             if self.pushdown:
                 # The fcall request captures the ambient context
@@ -309,27 +303,19 @@ class Cast(Integrator):
                 yield work
             else:
                 yield from self.executor._exchange(cid, ctx=octx)
-        except AccessDeniedError as exc:
+        except AccessDeniedError:
             # A run-time access policy (e.g. sleep hours) vetoed this
             # exchange.  That is policy working, not a crash: count it and
             # move on; a later event will retry the cid (any event: the
             # cid is owed an exchange, see ``_ingest``).
             self.denied += 1
             self._owed.add(cid)
-            tracer.record(
-                "cast", "denied", integrator=self.name, cid=cid,
-                reason=str(exc),
-            )
             outcome = "denied"
-        except DXGError as exc:
-            # Value-level divergence (non-quiescence) on this cid: record
+        except DXGError:
+            # Value-level divergence (non-quiescence) on this cid: count
             # it and keep the integrator alive for other exchanges.
             self.errors += 1
             self._owed.add(cid)
-            tracer.record(
-                "cast", "error", integrator=self.name, cid=cid,
-                reason=str(exc),
-            )
             outcome = "dxg-error"
         except ReproError as exc:
             # Transient substrate failure (crashed/partitioned store,
@@ -345,7 +331,6 @@ class Cast(Integrator):
             raise
         else:
             self.exchanges_run += 1
-            tracer.record("cast", "end", integrator=self.name, cid=cid)
             outcome = "ok"
         if octx is not None:
             octx.sink.end_span(octx, outcome=outcome)
@@ -369,7 +354,6 @@ class Cast(Integrator):
         self.kill_count += 1
         self.queue.clear()
         self.stop()
-        self.runtime.tracer.record("cast", "killed", integrator=self.name)
 
     def restart(self):
         """Restart after :meth:`kill`: start, then catch up every store."""
@@ -378,7 +362,6 @@ class Cast(Integrator):
         self.start()
         for follower in self._followers:
             follower.resync()
-        self.runtime.tracer.record("cast", "restarted", integrator=self.name)
 
     def stats(self):
         base = super().stats()

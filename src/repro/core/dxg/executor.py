@@ -63,7 +63,7 @@ from repro.errors import (
 )
 from repro.core.dxg.functions import standard_functions
 from repro.core.dxg.planner import plan as build_plan
-from repro.obs.context import bind_generator
+from repro.obs.context import bind_generator, current_context
 from repro.store.cow import retain, set_shared
 from repro.util.paths import get_path, set_path, split
 from repro.util.safeexpr import Scope
@@ -117,7 +117,7 @@ class DXGExecutor:
     """Evaluates one DXG spec against bound store handles."""
 
     def __init__(self, env, spec, handles, functions=None, options=None,
-                 creatable_targets=None, tracer=None):
+                 creatable_targets=None):
         self.env = env
         self.spec = spec
         self.handles = dict(handles)
@@ -129,7 +129,6 @@ class DXGExecutor:
         self.functions = functions if functions is not None else standard_functions()
         self.options = options or ExecutorOptions()
         self.plan = build_plan(spec, creatable_targets=creatable_targets)
-        self.tracer = tracer
         self.cache = {}  # (alias, kind, cid) -> data dict
         self.totals = ExchangeStats()
         # Everything the DXG reads or writes, per (alias, kind).
@@ -358,11 +357,6 @@ class DXGExecutor:
 
         yield from (work() if ctx is None else bind_generator(work(), ctx))
         self.totals.merge(stats)
-        if self.tracer is not None:
-            self.tracer.record(
-                "integrator", "exchange", cid=cid,
-                writes=stats.writes, passes=stats.passes,
-            )
         return stats
 
     def _gather(self, cid, stats):
@@ -397,11 +391,10 @@ class DXGExecutor:
                         self.cache.pop(slot, None)
                     else:
                         self.cache[slot] = retain(data)
-                if self.tracer is not None:
-                    self.tracer.record(
-                        "exchange", "read.done", alias=alias, cid=cid,
-                        duration=self.env.now - started,
-                    )
+                ctx = current_context()  # the exchange span, if traced
+                if ctx is not None and ctx.sink is not None:
+                    ctx.sink.annotate(ctx, "read.done", alias=alias,
+                                      duration=self.env.now - started)
             else:
                 objects[(alias, kind)] = self.cache.get(slot)
         return objects

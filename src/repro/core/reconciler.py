@@ -40,7 +40,7 @@ from repro.errors import (
 )
 from repro.faults.dlq import DeadLetterQueue
 from repro.flow.policy import SHED_OLDEST, check_overflow
-from repro.obs.context import span_process
+from repro.obs.context import current_context, span_process
 from repro.store.follow import Follower
 from repro.store.workqueue import WorkQueue
 
@@ -48,11 +48,10 @@ from repro.store.workqueue import WorkQueue
 class ReconcilerContext:
     """What a reconciler may touch: its knactor's own store handles."""
 
-    def __init__(self, env, knactor_name, handles, tracer=None):
+    def __init__(self, env, knactor_name, handles):
         self.env = env
         self.knactor_name = knactor_name
         self.stores = dict(handles)  # local_name -> handle
-        self.tracer = tracer
 
     @property
     def store(self):
@@ -71,8 +70,11 @@ class ReconcilerContext:
         return self.stores[local_name]
 
     def trace(self, name, **attrs):
-        if self.tracer is not None:
-            self.tracer.record("reconciler", name, knactor=self.knactor_name, **attrs)
+        """Annotate the running pass's ``reconcile`` span; a pass with no
+        causal parent (or no observability plane) records nothing."""
+        ctx = current_context()
+        if ctx is not None and ctx.sink is not None:
+            ctx.sink.annotate(ctx, name, knactor=self.knactor_name, **attrs)
 
 
 class Reconciler:
@@ -242,7 +244,6 @@ class Reconciler:
         self.kill_count += 1
         self.stop()
         self.queue.clear()
-        self.ctx.trace("killed")
 
     def restart(self):
         """Restart after :meth:`kill`: start, then catch up every stream
@@ -252,7 +253,6 @@ class Reconciler:
         self.start()
         for follower in self._followers:
             follower.resync()
-        self.ctx.trace("restarted")
 
     def health(self):
         """Readiness summary surfaced through telemetry."""
@@ -299,16 +299,17 @@ class Reconciler:
     def _on_event(self, event):
         """Intake one watch event: mark its key dirty.  Coalescing keeps
         the LATEST commit's causal context: the reconcile pass acts on
-        the state that commit produced."""
-        self.ctx.trace(
-            "observed", store=self.name, key=event.key, type=event.type,
-        )
-        self.queue.add(event.key, event.ctx)
+        the state that commit produced.  A traced commit's ``write``
+        span is annotated ``observed`` now: the pass may start later,
+        behind a busy queue."""
+        ctx = event.ctx
+        if ctx is not None and ctx.sink is not None:
+            ctx.sink.annotate(ctx, "observed",
+                              knactor=self.ctx.knactor_name, key=event.key)
+        self.queue.add(event.key, ctx)
 
     def _on_log_event(self, local_name, event):
-        records = event.object["records"]
-        self.ctx.trace("log-batch", store=local_name, count=len(records))
-        self.queue.add(("log", local_name), records)
+        self.queue.add(("log", local_name), event.object["records"])
 
     # -- the pass ----------------------------------------------------------------------
 
@@ -320,7 +321,7 @@ class Reconciler:
             return self._work_loop(
                 env, key, partial(self._hand_log, key[1], payload))
         work = self._work_loop(
-            env, key, partial(self._reconcile_key, env, key, env.now))
+            env, key, partial(self._reconcile_key, env, key))
         if payload is not None and payload.sink is not None:
             # Re-attach: the reconcile span parents off the commit that
             # dirtied the key, and its context is ambient for every store
@@ -374,7 +375,7 @@ class Reconciler:
         else:
             raise ConflictError(f"{key}: conflict retries exhausted")
 
-    def _reconcile_key(self, env, key, started, attempt):
+    def _reconcile_key(self, env, key, attempt):
         obj = None  # deleted, or no default store
         default = self.ctx.stores.get("default")
         if default is not None:
@@ -388,10 +389,7 @@ class Reconciler:
         if hasattr(result, "send"):
             yield from result
         self.reconcile_count += 1
-        self.ctx.trace(
-            "reconciled", key=key, duration=env.now - started,
-            attempts=attempt + 1,
-        )
+        self.ctx.trace("reconciled", key=key, attempts=attempt + 1)
 
     def _hand_log(self, local_name, records, _attempt):
         """Hand ``local_name``'s records from the cursor on to

@@ -142,10 +142,6 @@ class Rollup(Integrator):
             except AlreadyExistsError:
                 yield bound.target_handle.patch(rule.target_key, patch)
         bound.updates += 1
-        self.runtime.tracer.record(
-            "rollup", "updated", integrator=self.name,
-            target=rule.target, key=rule.target_key, fields=tuple(patch),
-        )
 
     def status(self):
         base = super().status()

@@ -55,8 +55,7 @@ class KnactorRuntime:
     that tracer (``runtime.obs.causal is runtime.tracer``) -- deep
     components reach the plane through ``tracer.plane`` -- and binds the
     runtime's component registries for metric scraping.  ``obs=None``
-    (default) mints no trace and no metric: only the tracer's flat
-    event log fills.
+    (default) mints no trace and no metric: nothing is recorded.
     """
 
     def __init__(self, env=None, network=None, tracer=None, obs=None,
@@ -137,10 +136,8 @@ class KnactorRuntime:
                 location=knactor.location,
             )
         if knactor.reconciler is not None:
-            ctx = ReconcilerContext(
-                self.env, knactor.name, handles, tracer=self.tracer
-            )
-            knactor.reconciler.attach(ctx)
+            knactor.reconciler.attach(
+                ReconcilerContext(self.env, knactor.name, handles))
         knactor._handles = handles
         if self._started and knactor.reconciler is not None:
             knactor.reconciler.start()

@@ -129,10 +129,6 @@ class Sync(Integrator):
 
     def _on_batch(self, bound, event):
         records = event.object["records"]
-        self.runtime.tracer.record(
-            "sync", "batch", integrator=self.name,
-            source=bound.flow.source, count=len(records),
-        )
         until = max((r["_seq"] + 1 for r in records if "_seq" in r),
                     default=bound.next_seq)
         self._claim(bound, until,
@@ -186,10 +182,6 @@ class Sync(Integrator):
         if clean:
             yield bound.target_handle.load(clean)
             bound.records_moved += len(clean)
-            self.runtime.tracer.record(
-                "sync", "loaded", integrator=self.name,
-                target=bound.flow.target, count=len(clean),
-            )
 
     def status(self):
         base = super().status()

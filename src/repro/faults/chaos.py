@@ -106,7 +106,6 @@ def run_retail_chaos(seed=0, orders=6):
             "retail-cast": app.cast,
             "checkout-reconciler": app.runtime.knactors["checkout"].reconciler,
         },
-        tracer=app.tracer,
     )
     plan = default_retail_plan(seed)
     injector.schedule(plan)
@@ -132,7 +131,6 @@ def run_retail_chaos(seed=0, orders=6):
                     # Retry policy exhausted mid-outage; pause and re-issue.
                     yield env.timeout(0.08 * load_rng.uniform(0.5, 1.5))
             placed.append(key)
-            app.tracer.record("request", "start", key=key)
             yield env.timeout(ORDER_SPACING)
 
     env.run(until=env.process(load(env)))

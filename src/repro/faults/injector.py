@@ -34,10 +34,9 @@ class FaultInjector:
     :meth:`schedule` is called.
     """
 
-    def __init__(self, env, network, stores=(), processes=None, tracer=None):
+    def __init__(self, env, network, stores=(), processes=None):
         self.env = env
         self.network = network
-        self.tracer = tracer
         self._stores = {}
         for store in stores:
             self.register_store(store)
@@ -103,10 +102,6 @@ class FaultInjector:
     def _log(self, phase, action):
         target = "->".join(action.target)
         self.events.append((self.env.now, phase, action.kind, target))
-        if self.tracer is not None:
-            self.tracer.record(
-                "fault", f"{action.kind}-{phase}", target=target
-            )
 
     # -- transitions -------------------------------------------------------
 

@@ -4,7 +4,7 @@
   artifact files each composition task touches (Table 1's SLOC column),
 - :mod:`repro.metrics.costmodel` -- the operations/files/SLOC accounting
   model behind Table 1,
-- :mod:`repro.metrics.latency`   -- latency series from the trace stream,
+- :mod:`repro.metrics.latency`   -- latency series from the causal spans,
   per-stage extraction and summary statistics (Table 2),
 - :mod:`repro.metrics.telemetry` -- point-in-time health and resilience
   snapshots assembled from every component's ``stats()``,

@@ -1,7 +1,8 @@
-"""Latency series from the trace stream, and their summary statistics.
+"""Latency series from the causal spans, and their summary statistics.
 
 :func:`exchange_durations` / :func:`reconcile_durations` are the
-distributed-tracing view of an integrator / a reconciler;
+distributed-tracing view of an integrator / a reconciler (spans exist
+only with an observability plane attached);
 :class:`StageBreakdown` carries Table 2's per-stage rows.
 """
 
@@ -76,33 +77,20 @@ class StageBreakdown:
 
 
 def exchange_durations(tracer, integrator):
-    """Per-exchange (begin -> end) durations for one Cast integrator.
-
-    Matches each ``cast/begin`` with the next ``cast/end`` of the same
-    correlation id, in trace order -- the span a distributed tracer
-    would reconstruct.
-    """
-    open_begins = {}
-    durations = []
-    for event in tracer.events:
-        if event.category != "cast" or event.attrs.get("integrator") != integrator:
-            continue
-        cid = event.attrs.get("cid")
-        if event.name == "begin":
-            open_begins.setdefault(cid, []).append(event.time)
-        elif event.name in ("end", "denied") and open_begins.get(cid):
-            started = open_begins[cid].pop(0)
-            durations.append(event.time - started)
-    return durations
+    """Durations of one Cast integrator's exchange spans that finished
+    (``ok``) or were vetoed by an access policy (``denied``).  An
+    exchange that failed on a store or diverged is not a latency
+    sample: its cid goes back to the queue."""
+    return [
+        span.duration for span in tracer.spans.values()
+        if span.name == "exchange" and span.service == integrator
+        and span.attrs.get("outcome") in ("ok", "denied")
+    ]
 
 
 def reconcile_durations(tracer, knactor):
-    """Per-reconcile durations for one knactor's reconciler."""
+    """Durations of one knactor's reconcile passes that reconciled."""
     return [
-        event.attrs["duration"]
-        for event in tracer.events
-        if event.category == "reconciler"
-        and event.name == "reconciled"
-        and event.attrs.get("knactor") == knactor
-        and "duration" in event.attrs
+        span.duration for span, _time, attrs in tracer.annotations("reconciled")
+        if attrs.get("knactor") == knactor
     ]

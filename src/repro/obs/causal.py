@@ -1,30 +1,21 @@
-"""The tracer: a causal span DAG plus the flat point-event log.
+"""The tracer: a causal span DAG, the run's one trace record.
 
-One :class:`CausalTracer` per run records both from one clock.  **Spans**
+One :class:`CausalTracer` per run records spans from one clock.  Spans
 form a DAG: every span knows its parent, every context inherits its
 trace id and baggage, and commits/exchanges/reconciles chain into one
 end-to-end picture per request -- Apiary-style provenance captured for
-free because every interaction is mediated by the data layer.  **Point
-events** (:meth:`CausalTracer.record`) are the flat log components
-always emit; Table 2's stage breakdown and the per-exchange latency
-series are queries over it.  No root trace is minted unless an
-observability plane is attached: without one only the event log fills.
+free because every interaction is mediated by the data layer.  An
+instant inside a span (a retry, the start of an exchange's writes, a
+reconciler's ``ctx.trace``) is an :meth:`CausalTracer.annotate` event
+on it.  Table 2's stage breakdown and the per-exchange latency series
+are queries over spans.  No root trace is minted unless an
+observability plane is attached: without one nothing is recorded.
 
 Span ids are counter-based, never random: the simulation's determinism
 contract (identical seeds -> identical schedules) extends to traces.
 """
 
 from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """A point event: something happened at ``time``."""
-
-    time: float
-    category: str
-    name: str
-    attrs: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -48,7 +39,7 @@ class CausalSpan:
 
 
 class CausalTracer:
-    """Mints trace contexts, stores their spans, logs point events."""
+    """Mints trace contexts and stores their spans."""
 
     def __init__(self, env):
         self.env = env
@@ -61,17 +52,12 @@ class CausalTracer:
         self._seq = 0
         self.spans = {}  # span_id -> CausalSpan
         self._traces = {}  # trace_id -> [span_id] in creation order
-        self.events = []  # TraceEvent, in record order
 
     def _next_id(self, prefix):
         self._seq += 1
         return f"{prefix}{self._seq:06d}"
 
     # -- recording -----------------------------------------------------------
-
-    def record(self, category, name, **attrs):
-        """Log a point event at the current time."""
-        self.events.append(TraceEvent(self._clock(), category, name, attrs))
 
     def new_trace(self, name, service, baggage=None, **attrs):
         """Open a root span of a brand-new trace; returns its context."""
@@ -133,29 +119,18 @@ class CausalTracer:
         return ctx
 
     def annotate(self, ctx, name, **attrs):
-        """Attach a point event (retry, dead-letter, ...) to a span."""
+        """Attach an instant (retry, give-up, decision, ...) to a span."""
         span = self.spans.get(ctx.span_id)
         if span is not None:
             span.events.append((self._clock(), name, attrs))
 
     # -- queries -------------------------------------------------------------
 
-    def timestamps(self, category, name, key_attr=None):
-        """Times of matching point events, optionally keyed by an attribute.
-
-        With ``key_attr`` the result is a dict ``{attr_value: time}`` keeping
-        the *first* occurrence per key; without it, a sorted list of times.
-        """
-        matching = [e for e in self.events
-                    if e.category == category and e.name == name]
-        if key_attr is None:
-            return sorted(e.time for e in matching)
-        keyed = {}
-        for event in matching:
-            key = event.attrs.get(key_attr)
-            if key is not None and key not in keyed:
-                keyed[key] = event.time
-        return keyed
+    def annotations(self, name):
+        """``(span, time, attrs)`` of every annotation called ``name``,
+        span by span in creation order."""
+        return [(span, time, attrs) for span in self.spans.values()
+                for time, event, attrs in span.events if event == name]
 
     def trace_ids(self):
         return list(self._traces)
@@ -227,8 +202,8 @@ class CausalTracer:
         One complete ``X`` event per span: services map to processes
         (``pid``) and traces to threads (``tid``), so one request reads
         as one line across service tracks; still-open spans export with
-        their current extent.  One instant ``i`` event per point event,
-        on its category's own track.
+        their current extent.  Each span's annotations follow it as
+        instant ``i`` events on the same track.
         """
         out = []
         for span in self.spans.values():
@@ -249,19 +224,19 @@ class CausalTracer:
                 "tid": span.trace_id,
                 "args": args,
             })
-        for event in self.events:
-            attrs = event.attrs
-            out.append({
-                "name": event.name,
-                "cat": event.category,
-                "ph": "i",
-                "ts": event.time * 1e6,
-                "pid": event.category,
-                "tid": str(attrs.get("cid") or attrs.get("key") or 0),
-                "s": "p",
-                "args": dict(attrs),
-            })
-        # Stable: at one timestamp, spans in id order, then point events.
+            for time, name, attrs in span.events:
+                out.append({
+                    "name": name,
+                    "cat": "causal",
+                    "ph": "i",
+                    "ts": time * 1e6,
+                    "pid": span.service,
+                    "tid": span.trace_id,
+                    "s": "t",
+                    "args": {"span": span.span_id, **attrs},
+                })
+        # Stable: at one timestamp, spans in id order, each followed by
+        # its own annotations.
         out.sort(key=lambda entry: entry["ts"])
         return out
 

@@ -379,8 +379,8 @@ class AvailabilitySLO(SLOSpec):
 
 @dataclass
 class TraceLatencySLO(SLOSpec):
-    """A percentile of one integrator's exchange spans (``cast/begin``
-    -> ``cast/end`` in the tracer's event log) under a target.
+    """A percentile of one integrator's exchange span durations (see
+    :func:`repro.metrics.latency.exchange_durations`) under a target.
 
     Evaluated against the :class:`~repro.obs.causal.CausalTracer` rather
     than the registry, so it has no burn-rate view.
@@ -407,7 +407,7 @@ class TraceLatencySLO(SLOSpec):
         return min(self.percentile, 0.999999)
 
     def evaluate_trace(self, tracer):
-        """Judge against the exchange spans in a tracer's event log."""
+        """Judge against the exchange spans in a tracer."""
         from repro.metrics.latency import exchange_durations
 
         durations = exchange_durations(tracer, self.integrator)

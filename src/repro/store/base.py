@@ -583,8 +583,6 @@ class StoreServer:
         self._txn_locks = {}
         self._txn_outcomes = {}
         self._on_crash()
-        if self.tracer is not None:
-            self.tracer.record("fault", "store-crash", location=self.location)
 
     def restart(self):
         """Bring a crashed server back (replaying durable state, if any)."""
@@ -592,8 +590,6 @@ class StoreServer:
             return
         self._on_restart()
         self.available = True
-        if self.tracer is not None:
-            self.tracer.record("fault", "store-restart", location=self.location)
 
     def set_available(self, available):
         """Transient unavailability window: reject ops, keep state/watches."""

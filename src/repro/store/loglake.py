@@ -88,11 +88,6 @@ class LogLake(StoreServer):
             ))
             target.next_seq += 1
         target.records.extend(stamped)
-        if self.tracer is not None:
-            self.tracer.record(
-                "store", "load", location=self.location, pool=pool,
-                count=len(stamped),
-            )
         if stamped:
             ctx = current_context()
             if ctx is not None and ctx.sink is not None:

@@ -239,11 +239,6 @@ class ObjectOpsMixin:
         # Durability records what actually landed, so a WAL replay makes
         # the same keep/drop decisions the live ingest did.
         self._persist_ingest(applied, remove)
-        if self.tracer is not None:
-            self.tracer.record(
-                "store", "ingest", location=self.location,
-                applied=len(applied), removed=removed,
-            )
         return {"applied": len(applied), "removed": removed,
                 "revision": self.revision}
 
@@ -273,11 +268,6 @@ class ObjectOpsMixin:
         for op in held:
             self._txn_locks[op["key"]] = txn_id
         self._persist_txn_marker("prepare", txn_id, ops=held)
-        if self.tracer is not None:
-            self.tracer.record(
-                "store", "txn-prepare", location=self.location, txn=txn_id,
-                ops=len(held),
-            )
         return {"txn": txn_id, "state": "prepared"}
 
     def op_txn_commit(self, txn_id):
@@ -300,10 +290,6 @@ class ObjectOpsMixin:
         views = self._apply_txn(ops)
         self._txn_outcomes[txn_id] = ("committed", views)
         self._persist_txn_marker("commit", txn_id)
-        if self.tracer is not None:
-            self.tracer.record(
-                "store", "txn-commit", location=self.location, txn=txn_id,
-            )
         return {"txn": txn_id, "state": "committed", "views": views}
 
     def op_txn_abort(self, txn_id):
@@ -321,10 +307,6 @@ class ObjectOpsMixin:
         self._release_txn_locks(txn_id, ops)
         self._txn_outcomes[txn_id] = ("aborted", None)
         self._persist_txn_marker("abort", txn_id)
-        if self.tracer is not None:
-            self.tracer.record(
-                "store", "txn-abort", location=self.location, txn=txn_id,
-            )
         return {"txn": txn_id, "state": "aborted"}
 
     def _release_txn_locks(self, txn_id, ops):
@@ -390,11 +372,6 @@ class ObjectOpsMixin:
             ctx=ctx, committed_at=self.env.now,
         )
         self._record_commit(event)
-        if self.tracer is not None:
-            self.tracer.record(
-                "store", "commit", location=self.location, key=obj.key,
-                type=event_type, revision=obj.revision,
-            )
         if self.watch_overhead <= 0:
             self.notify(event)
         else:

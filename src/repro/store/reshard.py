@@ -178,8 +178,6 @@ class Resharder:
     def _grow_one(self):
         store, ring = self.store, self.store.ring
         member, shard = store._install_shard()
-        self._trace("reshard-grow", member=member,
-                    ring_version=ring.version)
         moved = ring.preview_add(member)
         by_src = {}
         for lo, hi, src in moved:
@@ -201,15 +199,11 @@ class Resharder:
                     "ingest", entries=[], remove=sorted(job.moved_keys),
                 )
         self._account(moved, jobs)
-        self._trace("reshard-grow-done", member=member,
-                    ring_version=ring.version)
 
     def _shrink_one(self):
         store, ring = self.store, self.store.ring
         victim_member = next(reversed(store.servers))  # newest retires first
         victim = store.servers[victim_member]
-        self._trace("reshard-shrink", member=victim_member,
-                    ring_version=ring.version)
         moved = ring.preview_remove(victim_member)
         by_dest = {}
         for lo, hi, dest in moved:
@@ -224,8 +218,6 @@ class Resharder:
         victim.clear_sealed_ranges()
         store._uninstall_shard(victim_member)
         self._account(moved, jobs)
-        self._trace("reshard-shrink-done", member=victim_member,
-                    ring_version=ring.version)
 
     def _cutover(self, jobs, seal):
         """Copy -> drain in-doubt -> seal -> drain -> reconcile."""
@@ -263,8 +255,3 @@ class Resharder:
         self._stats["ranges_moved"] += len(moved)
         self._stats["keys_moved"] += sum(len(j.moved_keys) for j in jobs)
         self._stats["resyncs"] += len(jobs)
-
-    def _trace(self, what, **fields):
-        tracer = self.store.shards[0].tracer
-        if tracer is not None:
-            tracer.record("store", what, location=self.store.name, **fields)

@@ -94,15 +94,21 @@ class TestAutoscaler:
 class TestChromeTrace:
     def test_export_shape(self, env):
         tracer = CausalTracer(env)
-        tracer.record("cast", "begin", cid="o1")
         work = tracer.start_span("work", "stage", cid="o1")
+        env.run(until=1.0)
+        tracer.annotate(work, "retry", attempt=1)
         env.run(until=2.5)
         tracer.end_span(work)
         entries = tracer.to_chrome_trace()
         assert len(entries) == 2
         instant = next(e for e in entries if e["ph"] == "i")
         complete = next(e for e in entries if e["ph"] == "X")
-        assert instant["name"] == "begin" and instant["tid"] == "o1"
+        # The annotation is an instant on its span's own track.
+        assert instant["name"] == "retry"
+        assert (instant["pid"], instant["tid"]) == (
+            complete["pid"], complete["tid"]) == ("stage", work.trace_id)
+        assert instant["ts"] == pytest.approx(1e6)
+        assert instant["args"] == {"span": work.span_id, "attempt": 1}
         assert complete["dur"] == pytest.approx(2.5e6)
         json.dumps(entries)  # must be JSON-serializable
 
@@ -110,7 +116,7 @@ class TestChromeTrace:
         tracer = CausalTracer(env)
         span = tracer.start_span("span", "b")
         env.run(until=3.0)
-        tracer.record("a", "late")
+        tracer.annotate(tracer.start_span("other", "a"), "late")
         env.run(until=4.0)
         tracer.end_span(span)
         entries = tracer.to_chrome_trace()
@@ -123,12 +129,14 @@ class TestChromeTrace:
         from repro.apps.retail.workload import OrderWorkload
         from repro.core.optimizer import K_REDIS
 
-        app = RetailKnactorApp.build(profile=K_REDIS, with_notify=False)
+        app = RetailKnactorApp.build(profile=K_REDIS, with_notify=False,
+                                     obs=True)
         key, data = OrderWorkload(seed=7).next_order()
         app.env.run(until=app.place_order(key, data))
         app.run_until_quiet(max_seconds=30.0)
         entries = app.tracer.to_chrome_trace()
         assert len(entries) > 10
-        categories = {e["cat"] for e in entries}
-        assert {"store", "cast", "reconciler"} <= categories
+        names = {(e["ph"], e["name"]) for e in entries}
+        assert {("X", "write"), ("X", "exchange"), ("X", "reconcile"),
+                ("i", "writes.begin"), ("i", "fedex.done")} <= names
         json.dumps(entries)

@@ -196,15 +196,6 @@ class TestOneChangeOneExchange:
         env.run()
         assert call(dst.get("k"))["data"]["y"] == 2
 
-    def test_every_event_still_leaves_its_flat_record(self, env, net, call):
-        """Table 2's C-I stage reads ``cast``/``event``: ignored or not."""
-        runtime, _de, cast = build(env, net)
-        call(runtime.handle_of("src").create("k", {"x": 1}))
-        env.run()
-        events = [e for e in runtime.tracer.events
-                  if (e.category, e.name) == ("cast", "event")]
-        assert len(events) == cast.exchanges_run + cast.events_ignored == 2
-
 
 # ---------------------------------------------------------------------------
 # One gather per exchange

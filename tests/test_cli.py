@@ -25,6 +25,18 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "status=fulfilled" in out
 
+    def test_demo_retail_telemetry_judges_the_exchange_spans(self, capsys):
+        """``--telemetry`` builds the app with the obs plane: its SLO line
+        reads the exchange spans, and the snapshot gains its ``obs``
+        section."""
+        assert main(["demo", "retail", "--telemetry"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("status=fulfilled") == 3
+        assert '\n  "obs": {\n' in out
+        assert out.splitlines()[-1] == (
+            "SLO exchange-latency [trace-latency]: p99 4.35 ms vs "
+            "100.00 ms over 12 spans -> MET")
+
     def test_demo_smarthome(self, capsys):
         assert main(["demo", "smarthome"]) == 0
         out = capsys.readouterr().out
@@ -64,10 +76,9 @@ class TestCLI:
 
         data = json.loads(out_file.read_text())
         assert len(data["traceEvents"]) > 10
-        # Both halves of the one tracer land in the file: causal DAG
-        # spans plus the flat point events.
-        categories = {entry["cat"] for entry in data["traceEvents"]}
-        assert "causal" in categories and len(categories) > 1
+        # Spans, and each span's annotations as instants on its track.
+        phases = {entry["ph"] for entry in data["traceEvents"]}
+        assert phases == {"X", "i"}
 
     def test_trace_requires_subcommand(self, tmp_path):
         with pytest.raises(SystemExit):

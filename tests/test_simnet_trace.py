@@ -1,7 +1,7 @@
-"""Unit tests for the flat half of the one tracer (``repro.obs.CausalTracer``):
-point events, their keyed/unkeyed timestamp queries, and plain span
-durations -- what the latency benchmarks read.  The causal half (DAG,
-baggage, critical path) is covered in ``test_obs.py``.
+"""Unit tests for plain span durations and annotations of the one tracer
+(``repro.obs.CausalTracer``) -- what the latency benchmarks read.  The
+causal DAG (parents, baggage, critical path) is covered in
+``test_obs.py``.
 """
 
 import pytest
@@ -21,15 +21,6 @@ def tracer(env):
 
 
 class TestTracer:
-    def test_record_point_event(self, env, tracer):
-        env.run(until=1.5)
-        tracer.record("stage", "arrive", request=7)
-        assert len(tracer.events) == 1
-        evt = tracer.events[0]
-        assert (evt.time, evt.category, evt.name) == (1.5, "stage", "arrive")
-        assert evt.attrs == {"request": 7}
-        assert tracer.spans == {}  # a point event mints no span
-
     def test_span_duration(self, env, tracer):
         ctx = tracer.start_span("work", "stage")
         env.run(until=2.0)
@@ -57,17 +48,17 @@ class TestTracer:
         [entry] = tracer.to_chrome_trace()
         assert (entry["ph"], entry["dur"]) == ("X", pytest.approx(1e6))
 
-    def test_timestamps_keyed_by_attribute(self, env, tracer):
-        tracer.record("order", "created", order_id="o1")
+    def test_annotations_are_found_by_name_with_their_span(self, env,
+                                                           tracer):
+        a = tracer.start_span("work", "stage", key="a")
         env.run(until=1.0)
-        tracer.record("order", "created", order_id="o2")
+        tracer.annotate(a, "arrive", request=7)
+        b = tracer.point("write", "store", key="b")
         env.run(until=2.0)
-        tracer.record("order", "created", order_id="o1")  # duplicate kept first
-        stamps = tracer.timestamps("order", "created", key_attr="order_id")
-        assert stamps == {"o1": 0.0, "o2": 1.0}
-
-    def test_timestamps_unkeyed_sorted(self, env, tracer):
-        tracer.record("a", "x")
-        env.run(until=2.0)
-        tracer.record("a", "x")
-        assert tracer.timestamps("a", "x") == [0.0, 2.0]
+        tracer.annotate(b, "arrive", request=8)  # a closed span still takes one
+        tracer.annotate(a, "leave")
+        found = [(span.span_id, time, attrs)
+                 for span, time, attrs in tracer.annotations("arrive")]
+        assert found == [(a.span_id, 1.0, {"request": 7}),
+                         (b.span_id, 2.0, {"request": 8})]
+        assert tracer.annotations("nothing") == []

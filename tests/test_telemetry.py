@@ -15,15 +15,26 @@ from repro.metrics.telemetry import (
 from repro.obs.slo import TraceLatencySLO
 
 
-@pytest.fixture(scope="module")
-def app():
-    app = RetailKnactorApp.build(profile=K_REDIS, with_notify=False)
+def three_orders(obs=None):
+    app = RetailKnactorApp.build(profile=K_REDIS, with_notify=False, obs=obs)
     workload = OrderWorkload(seed=7)
     for _ in range(3):
         key, data = workload.next_order()
         app.env.run(until=app.place_order(key, data))
     app.run_until_quiet(max_seconds=60.0)
     return app
+
+
+@pytest.fixture(scope="module")
+def app():
+    return three_orders()
+
+
+@pytest.fixture(scope="module")
+def traced_app():
+    """The same run with the obs plane: only it mints the exchange and
+    reconcile spans the latency series and the SLO read."""
+    return three_orders(obs=True)
 
 
 class TestSnapshot:
@@ -109,49 +120,49 @@ class TestResilienceSnapshot:
 
 
 class TestExchangeDurations:
-    def test_one_span_per_exchange(self, app):
-        durations = exchange_durations(app.tracer, "retail-cast")
-        assert len(durations) == app.cast.exchanges_run
+    def test_one_span_per_exchange(self, traced_app):
+        durations = exchange_durations(traced_app.tracer, "retail-cast")
+        assert len(durations) == traced_app.cast.exchanges_run
         assert all(d >= 0 for d in durations)
 
-    def test_unknown_integrator_has_no_spans(self, app):
-        assert exchange_durations(app.tracer, "nope") == []
+    def test_unknown_integrator_has_no_spans(self, traced_app):
+        assert exchange_durations(traced_app.tracer, "nope") == []
 
-    def test_reconcile_durations_per_knactor(self, app):
-        durations = reconcile_durations(app.tracer, "shipping")
+    def test_reconcile_durations_per_knactor(self, traced_app):
+        durations = reconcile_durations(traced_app.tracer, "shipping")
         assert len(durations) >= 3
         # The carrier call dominates each shipping reconcile.
         assert all(d > 0.4 for d in durations if d > 0.01)
 
-    def test_reconcile_durations_unknown_knactor(self, app):
-        assert reconcile_durations(app.tracer, "ghost") == []
+    def test_reconcile_durations_unknown_knactor(self, traced_app):
+        assert reconcile_durations(traced_app.tracer, "ghost") == []
 
 
 class TestSLOMonitor:
     """SLO monitoring over a real app trace: :class:`TraceLatencySLO`
     judged on the retail run's exchange spans."""
 
-    def test_met_slo(self, app):
+    def test_met_slo(self, traced_app):
         spec = TraceLatencySLO("exchange-fast", integrator="retail-cast",
                                target_seconds=1.0)
-        result = spec.evaluate_trace(app.tracer)
+        result = spec.evaluate_trace(traced_app.tracer)
         assert result.met
-        assert result.sample_count == app.cast.exchanges_run
+        assert result.sample_count == traced_app.cast.exchanges_run
         assert "MET" in result.describe()
 
-    def test_violated_slo(self, app):
+    def test_violated_slo(self, traced_app):
         spec = TraceLatencySLO("impossible", integrator="retail-cast",
                                target_seconds=1e-9)
-        result = spec.evaluate_trace(app.tracer)
+        result = spec.evaluate_trace(traced_app.tracer)
         assert not result.met
         assert "VIOLATED" in result.describe()
 
-    def test_custom_percentile(self, app):
+    def test_custom_percentile(self, traced_app):
         spec = TraceLatencySLO("median", integrator="retail-cast",
                                target_seconds=1.0, percentile=0.5)
-        result = spec.evaluate_trace(app.tracer)
+        result = spec.evaluate_trace(traced_app.tracer)
         assert result.target == 0.5
-        durations = sorted(exchange_durations(app.tracer, "retail-cast"))
+        durations = sorted(exchange_durations(traced_app.tracer, "retail-cast"))
         assert durations[0] <= result.observed <= durations[-1]
 
     def test_invalid_configuration(self):
@@ -161,12 +172,12 @@ class TestSLOMonitor:
             TraceLatencySLO("x", integrator="cast", target_seconds=1,
                             percentile=1.5)
 
-    def test_no_samples_is_a_no_data_report(self, app):
+    def test_no_samples_is_a_no_data_report(self, traced_app):
         """Zero spans is an answer, not a crash: a dead integrator reads
         as a violated objective so the monitoring loop keeps running."""
         spec = TraceLatencySLO("empty", integrator="ghost-integrator",
                                target_seconds=1.0)
-        result = spec.evaluate_trace(app.tracer)
+        result = spec.evaluate_trace(traced_app.tracer)
         assert result.no_data
         assert not result.met
         assert result.sample_count == 0
