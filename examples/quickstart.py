@@ -84,7 +84,7 @@ def main():
     env.run(until=env.now + 1.0)
 
     print("3. the thermostat and display never exchanged a call:")
-    for (principal, store), count in sorted(de.audit.exchange_matrix().items()):
+    for (principal, store), count in sorted(de.acl.exchange_matrix().items()):
         print(f"  {principal:12} -> {store:22} {count} accesses")
 
 

@@ -51,8 +51,8 @@ def main():
     print(f"  house energy total (kWh): {knactor.house.kwh_total:.6f}")
     print(f"  motion events observed  : {len(knactor.house.motion_log)}")
     if args.sleep_policy:
-        denials = knactor.object_de.audit.denials()
-        print(f"  policy denials recorded : {len(denials)}")
+        denials = knactor.object_de.acl.denials()
+        print(f"  policy denials recorded : {sum(denials.values())}")
 
     [report] = knactor.env.run(until=knactor.energy_report())
     print(

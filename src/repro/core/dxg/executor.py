@@ -57,6 +57,7 @@ from dataclasses import dataclass
 from repro.errors import (
     AlreadyExistsError,
     ConfigurationError,
+    ConflictError,
     DXGError,
     ExpressionError,
     NotFoundError,
@@ -407,27 +408,33 @@ class DXGExecutor:
         if self.options.transactional:
             yield from self._commit(cid, objects, working, stats)
             return
-        for step, changed, exists in self._changes(objects, working):
-            handle = self.handles[step.alias]
-            key = self.object_key(step.kind, cid)
-            if not exists:
-                try:
-                    view = yield handle.create(key, self._nested(changed))
-                except AlreadyExistsError:
-                    view = yield handle.patch(key, self._nested(changed))
-                stats.creates += 1
-                stats.writes += 1
-                stats.fields_written += len(changed)
-            elif self.options.consolidate:
-                view = yield handle.patch(key, self._nested(changed))
-                stats.writes += 1
-                stats.fields_written += len(changed)
-            else:
-                for path, value in changed.items():
-                    view = yield handle.patch(key, self._nested({path: value}))
+        try:
+            for step, changed, exists in self._changes(objects, working):
+                handle = self.handles[step.alias]
+                key = self.object_key(step.kind, cid)
+                if not exists:
+                    try:
+                        view = yield handle.create(key, self._nested(changed))
+                    except AlreadyExistsError:
+                        view = yield handle.patch(key, self._nested(changed))
+                    stats.creates += 1
                     stats.writes += 1
-                    stats.fields_written += 1
-            self._fold(step, cid, view["data"], working)
+                    stats.fields_written += len(changed)
+                elif self.options.consolidate:
+                    view = yield handle.patch(key, self._nested(changed))
+                    stats.writes += 1
+                    stats.fields_written += len(changed)
+                else:
+                    for path, value in changed.items():
+                        view = yield handle.patch(key, self._nested({path: value}))
+                        stats.writes += 1
+                        stats.fields_written += 1
+                self._fold(step, cid, view["data"], working)
+        except NotFoundError as exc:
+            # Deleted since the gather: a race with the owner, not a
+            # poison pill.  A transient conflict requeues the cid, and
+            # its re-gather creates the target again (DESIGN §7).
+            raise ConflictError(f"{key!r} vanished mid-exchange") from exc
 
     def _commit(self, cid, objects, working, stats):
         """The exchange's writes as ONE transaction.

@@ -11,8 +11,9 @@ provided, matching the paper:
   hosted on the Zed-lake-like backend.
 
 Every access goes through role-based access control with optional
-field-level scoping, and is recorded in the audit log -- the visibility
-that API-centric composition hides (paper Problem 3).
+field-level scoping, and is counted per principal, store and verb on the
+DE's access controller (``de.acl.exchange_matrix()``, ``de.acl.denials()``)
+-- the visibility that API-centric composition hides (paper Problem 3).
 """
 
 from repro.exchange.access import (
@@ -21,7 +22,6 @@ from repro.exchange.access import (
     Permission,
     Role,
 )
-from repro.exchange.audit import AuditLog, AuditRecord
 from repro.exchange.base import DataExchange, HostedStore, StoreHandle
 from repro.exchange.log_de import LogDE, LogStoreHandle
 from repro.exchange.object_de import ObjectDE, ObjectStoreHandle, Transaction
@@ -29,8 +29,6 @@ from repro.exchange.object_de import ObjectDE, ObjectStoreHandle, Transaction
 __all__ = [
     "ALL_VERBS",
     "AccessController",
-    "AuditLog",
-    "AuditRecord",
     "DataExchange",
     "HostedStore",
     "LogDE",

@@ -13,11 +13,14 @@ Model:
   (unmask-able) secret fields;
 - a :class:`Role` is a named bundle of permissions;
 - principals (reconcilers, integrators, operators) are bound to roles;
-- :class:`AccessController` answers ``check()`` queries and supports
+- :class:`AccessController` answers ``check()`` queries, supports
   run-time policy predicates (e.g. the paper's "House should not access
-  the Lamp during user-defined sleep hours").
+  the Lamp during user-defined sleep hours"), and counts every check it
+  answers: ``exchange_matrix()`` says who touches whose state, the
+  visibility API-centric composition hides (paper Problem 3).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.errors import AccessDeniedError, ConfigurationError
@@ -82,11 +85,14 @@ class Role:
 class AccessController:
     """Binds principals to roles and answers access queries."""
 
-    def __init__(self, audit=None):
+    def __init__(self):
         self._roles = {}
         self._bindings = {}  # principal -> set of role names
         self._conditions = []  # callables(principal, store, verb, now) -> bool
-        self.audit = audit
+        #: Every :meth:`check` counted by ``(principal, store, verb,
+        #: allowed)``: exact for any run length, bounded by principals x
+        #: stores x verbs.  Set to None, checks go uncounted.
+        self.audit = Counter()
 
     # -- policy management ---------------------------------------------------
 
@@ -120,35 +126,31 @@ class AccessController:
             perms.extend(self._roles[role_name].permissions)
         return perms
 
+    def _verdict(self, principal, store, verb, now, fields):
+        """Why the access is denied, or ``""`` when it is allowed."""
+        matching = [
+            p for p in self.permissions_for(principal) if p.allows(store, verb)
+        ]
+        if not matching:
+            return "no role grants this verb"
+        for path in fields or ():
+            if not any(p.allows_field_write(path) for p in matching):
+                return f"field {path!r} is outside the granted write scope"
+        for predicate in self._conditions:
+            if not predicate(principal, store, verb, now):
+                return "denied by run-time policy condition"
+        return ""
+
     def check(self, principal, store, verb, now=0.0, fields=None):
         """Raise :class:`AccessDeniedError` unless the access is allowed.
 
         ``fields`` (for writes) is the list of dotted paths being written;
         every one must be covered by some permission's field scope.
         """
-        matching = [
-            p for p in self.permissions_for(principal) if p.allows(store, verb)
-        ]
-        allowed = bool(matching)
-        reason = "" if allowed else "no role grants this verb"
-        if allowed and fields:
-            for path in fields:
-                if not any(p.allows_field_write(path) for p in matching):
-                    allowed = False
-                    reason = f"field {path!r} is outside the granted write scope"
-                    break
-        if allowed:
-            for predicate in self._conditions:
-                if not predicate(principal, store, verb, now):
-                    allowed = False
-                    reason = "denied by run-time policy condition"
-                    break
+        reason = self._verdict(principal, store, verb, now, fields)
         if self.audit is not None:
-            self.audit.record(
-                time=now, principal=principal, store=store, verb=verb,
-                fields=tuple(fields or ()), allowed=allowed, reason=reason,
-            )
-        if not allowed:
+            self.audit[principal, store, verb, not reason] += 1
+        if reason:
             raise AccessDeniedError(
                 f"{principal!r} may not {verb} on {store!r}: {reason}"
             )
@@ -162,31 +164,26 @@ class AccessController:
         return fields
 
     def can(self, principal, store, verb):
-        """Non-raising, non-auditing variant of :meth:`check`."""
-        try:
-            saved, self.audit = self.audit, None
-            try:
-                self.check(principal, store, verb)
-            finally:
-                self.audit = saved
-            return True
-        except AccessDeniedError:
-            return False
+        """Non-raising, uncounted variant of :meth:`check`."""
+        return not self._verdict(principal, store, verb, 0.0, None)
 
+    def exchange_matrix(self):
+        """``{(principal, store): count}`` of allowed accesses.
 
-def owner_role(store, owner):
-    """The implicit all-verbs role a store's owner receives."""
-    return Role(
-        f"owner:{store}",
-        [
-            Permission(
-                store=store,
-                verbs=ALL_VERBS,
-                write_fields=None,
-                read_fields=("*",),
-            )
-        ],
-    )
+        This is the app-level data-exchange visibility the paper argues
+        for: who touches whose state, measurable at run time.
+        """
+        matrix = Counter()
+        for (principal, store, _verb, allowed), n in self.audit.items():
+            if allowed:
+                matrix[principal, store] += n
+        return dict(matrix)
+
+    def denials(self):
+        """``{(principal, store, verb): count}`` of denied accesses."""
+        return {(principal, store, verb): n
+                for (principal, store, verb, allowed), n in self.audit.items()
+                if not allowed}
 
 
 @dataclass

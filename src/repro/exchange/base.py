@@ -1,9 +1,10 @@
 """DataExchange base: hosting, schemas, grants, and handles.
 
-A :class:`DataExchange` owns a backend store, a schema registry, an access
-controller, and an audit log.  Knactors *host* their data stores on it
-(the development workflow's "Externalize" step), and reconcilers /
-integrators obtain :class:`~repro.exchange.object_de.ObjectStoreHandle` /
+A :class:`DataExchange` owns a backend store, a schema registry, and an
+access controller that counts every access.  Knactors *host* their data
+stores on it (the development workflow's "Externalize" step), and
+reconcilers / integrators obtain
+:class:`~repro.exchange.object_de.ObjectStoreHandle` /
 :class:`~repro.exchange.log_de.LogStoreHandle` objects bound to a principal
 and network location ("Exchange" step).
 
@@ -23,7 +24,6 @@ from repro.exchange.access import (
     Permission,
     Role,
 )
-from repro.exchange.audit import AuditLog
 from repro.federation import MaterializedView, RegisteredView, ViewHandle
 from repro.flow.admission import VIEW
 from repro.query import Query, QueryResult
@@ -64,8 +64,7 @@ class DataExchange:
         self.watch_credits = watch_credits
         self.watch_overflow = watch_overflow
         self.schemas = SchemaRegistry()
-        self.audit = AuditLog()
-        self.acl = AccessController(audit=self.audit)
+        self.acl = AccessController()
         self.grants = []
         self._stores = {}
         self._views = {}  # composed-view name -> RegisteredView

@@ -5,7 +5,7 @@ such as monitoring knactor SLOs through distributed tracing and telemetry,
 are also worth exploring."  This module provides the telemetry layer:
 
 - :func:`runtime_snapshot` -- a point-in-time health view of every
-  knactor, integrator, store, and the audit trail,
+  knactor, integrator, store, and the access counts,
 - :func:`resilience_snapshot` -- the failure-domain counters (retries,
   open circuits, dead letters, store availability) the chaos tooling
   asserts on.
@@ -41,8 +41,8 @@ def runtime_snapshot(runtime):
         entry = {
             "stores": de.stores(),
             "backend_ops": stats["op_counts"],
-            "audited_accesses": len(de.audit),
-            "denials": len(de.audit.denials()),
+            "audited_accesses": sum(de.acl.audit.values()),
+            "denials": sum(de.acl.denials().values()),
             "backend_available": stats["available"],
             "backend_aborted_ops": stats["aborted_ops"],
             "backend_crashes": stats["crash_count"],

@@ -1,8 +1,23 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and its Hypothesis profiles.
+
+Property draws replay: the default ``tier1`` profile derives every
+``@given`` test's draws from the test itself, so a red run is red again
+on the next run and a green one is not luck.  ``random`` draws afresh
+from the seed given on the command line, at the same ``max_examples``::
+
+    python -m pytest -q --hypothesis-profile=random --hypothesis-seed=N
+
+A failing draw that finds is pinned with ``@example`` on its test.
+"""
 
 import pytest
+from hypothesis import settings
 
 from repro.simnet import Environment, FixedLatency, Network
+
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("random", database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

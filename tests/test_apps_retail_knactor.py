@@ -98,7 +98,7 @@ class TestVisibility:
     def test_exchange_matrix_shows_composition(self):
         app = RetailKnactorApp.build(profile=K_REDIS)
         place_and_settle(app)
-        matrix = app.de.audit.exchange_matrix()
+        matrix = app.de.acl.exchange_matrix()
         cast_stores = {s for (p, s) in matrix if p == "retail-cast"}
         assert cast_stores == {
             "knactor-checkout", "knactor-shipping", "knactor-payment",

@@ -84,7 +84,7 @@ class TestKnactorVariant:
         app = SmartHomeKnactorApp.build()
         app.run(until=130.0)
         for de in (app.object_de, app.log_de):
-            matrix = de.audit.exchange_matrix()
+            matrix = de.acl.exchange_matrix()
             house_stores = {s for (p, s) in matrix if p == "house"}
             assert house_stores <= {"knactor-house", "knactor-house-log"}
 
@@ -151,7 +151,7 @@ class TestKnactorVariant:
         # Motion was detected but the lamp never changed.
         assert len(app.house.motion_log) > 0
         assert app.lamp_device.changes == []
-        assert app.object_de.audit.denials()
+        assert app.object_de.acl.denials()
 
 
 class TestVendorSwap:

@@ -9,7 +9,7 @@ executor option reaches the state it reached before.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.retail.knactor_app import RETAIL_DXG, RetailKnactorApp
@@ -567,15 +567,26 @@ _gaps = st.sampled_from([0.0, 0.0002, 0.0011, 0.02])
 
 
 class TestInterleavingsConverge:
+    @pytest.mark.parametrize("options", [
+        None,
+        ExecutorOptions(consolidate=False),
+        ExecutorOptions(transactional=True),
+    ], ids=["default", "no-consolidate", "transactional"])
     @settings(max_examples=40, deadline=None)
     @given(ops=_ops, gaps=st.lists(_gaps, min_size=14, max_size=14),
            mask_at=st.integers(min_value=0, max_value=14),
            zero_copy=st.booleans())
+    # The target is deleted between the exchange's gather and its write.
+    @example(ops=[("src", "a", 1), ("del", "a", 0), ("src", "a", 0),
+                  ("src", "a", 0), ("del", "a", 0)],
+             gaps=[0.0011, 0.02, 0.02, 0.02, 0.02] + [0.0] * 9,
+             mask_at=0, zero_copy=False)
     def test_final_targets_equal_a_from_scratch_evaluation(
-            self, ops, gaps, mask_at, zero_copy):
+            self, ops, gaps, mask_at, zero_copy, options):
         env = Environment()
         net = Network(env, default_latency=FixedLatency(0.00025))
-        runtime, de, cast = build(env, net, zero_copy=zero_copy)
+        runtime, de, cast = build(env, net, options=options,
+                                  zero_copy=zero_copy)
         src, dst = runtime.handle_of("src"), runtime.handle_of("dst")
         for cid in CIDS:
             src.create(cid, {"x": 1, "pin": "9"})

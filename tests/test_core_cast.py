@@ -118,7 +118,7 @@ class TestEndToEnd:
         runtime, de, _cast = build_runtime(env, zero_net)
         place_order(runtime, call)
         env.run()
-        matrix = de.audit.exchange_matrix()
+        matrix = de.acl.exchange_matrix()
         # Checkout touches only its own store.
         checkout_targets = {s for (p, s) in matrix if p == "checkout"}
         assert checkout_targets == {"knactor-checkout"}

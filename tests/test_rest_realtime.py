@@ -22,10 +22,16 @@ from repro.simnet import Environment, Network
 
 
 def _drive(env, listener, done, settle=0.05):
-    """Run the kernel until the client thread flags completion."""
+    """Run the kernel until the client thread flags completion.
+
+    Each tick blocks on ``done`` for a millisecond of real time: at
+    ``factor=0`` the kernel never idles, and without a real-time pause
+    it holds the GIL so tightly that the client thread can starve for
+    minutes between two bytecodes.
+    """
 
     def monitor():
-        while not done.is_set():
+        while not done.wait(0.001):
             yield env.timeout(settle)
         listener.stop()
 
@@ -321,7 +327,7 @@ class TestStopUnwindsConnections:
         served = env.event()
 
         def wait_for_answer():
-            while not answered.is_set():
+            while not answered.wait(0.001):  # see _drive
                 yield env.timeout(0.05)
             served.succeed()
 
