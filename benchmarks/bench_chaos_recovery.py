@@ -48,7 +48,8 @@ def test_converges_with_zero_lost_updates(chaos_runs, report):
     assert first["converged"]
     assert first["orders"] == ORDERS
     # The schedule actually bit: the store crashed and clients retried.
-    assert first["resilience"]["stores"]["object-backend"]["crashes"] >= 1
+    assert first["resilience"]["exchanges"]["object"]["backend"][
+        "crash_count"] >= 1
     assert first["retry"]["retries"] > 0
     report(describe_report(first))
 

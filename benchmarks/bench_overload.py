@@ -131,12 +131,12 @@ def run_case(orders, flow, seed=SEED):
 
     backend = app.de.backend
     reconciler_peaks = {
-        name: knactor.reconciler.queue_peak
+        name: knactor.reconciler.stats()["queue_peak"]
         for name, knactor in app.runtime.knactors.items()
         if knactor.reconciler is not None
     }
     reconciler_shed = sum(
-        knactor.reconciler.shed_count
+        knactor.reconciler.stats()["shed"]
         for knactor in app.runtime.knactors.values()
         if knactor.reconciler is not None
     )

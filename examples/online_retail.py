@@ -57,7 +57,7 @@ def run_knactor(profile_name, order_count):
     print("\nwho touched whose state (the visibility RPC hides):")
     for (principal, store), count in sorted(app.de.acl.exchange_matrix().items()):
         print(f"  {principal:14} -> {store:22} {count:4} accesses")
-    print(f"\nintegrator status: {app.cast.status()}")
+    print(f"\nintegrator stats: {app.cast.stats()}")
 
 
 def run_rpc(order_count):

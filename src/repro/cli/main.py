@@ -64,11 +64,11 @@ def cmd_demo(args):
         if args.telemetry:
             import json
 
-            from repro.metrics.telemetry import runtime_snapshot
             from repro.obs.slo import TraceLatencySLO
 
             print("\ntelemetry snapshot:")
-            print(json.dumps(runtime_snapshot(app.runtime), indent=2))
+            print(json.dumps({**app.runtime.stats(),
+                              "obs": app.runtime.obs.snapshot()}, indent=2))
             spec = TraceLatencySLO(
                 "exchange-latency", integrator="retail-cast",
                 target_seconds=0.1,

@@ -364,28 +364,14 @@ class Cast(Integrator):
             follower.resync()
 
     def stats(self):
-        base = super().stats()
-        base.update(
+        return dict(
+            super().stats(),
             exchanges_run=self.exchanges_run,
             events_ignored=self.events_ignored,
             unavailable=self.unavailable_count,
             kills=self.kill_count,
+            pushdown=self.pushdown,
+            assignments=(len(self.executor.spec.assignments)
+                         if self.executor else 0),
+            warnings=list(self.analysis.warnings) if self.analysis else [],
         )
-        return base
-
-    def status(self):
-        base = super().status()
-        base.update(
-            {
-                "exchanges_run": self.exchanges_run,
-                "events_ignored": self.events_ignored,
-                "dead_letters": len(self.dead_letters),
-                "unavailable": self.unavailable_count,
-                "pushdown": self.pushdown,
-                "assignments": len(self.executor.spec.assignments)
-                if self.executor
-                else 0,
-                "warnings": list(self.analysis.warnings) if self.analysis else [],
-            }
-        )
-        return base

@@ -103,20 +103,14 @@ class Integrator:
     def _backoff(self, attempt):
         return capped_exponential(attempt)
 
-    def status(self):
+    def stats(self):
+        """Run-time counters as plain data (the ``stats()`` contract of
+        ``docs/observability.md``)."""
         return {
             "name": self.name,
             "started": self.started,
             "generation": self.generation,
             "reconfigurations": len(self.reconfigurations),
-        }
-
-    def stats(self):
-        """Run-time counters as plain data (the ``stats()`` contract of
-        ``docs/observability.md``); :meth:`status` is the descriptive
-        view."""
-        return {
-            "started": self.started,
             "queue_depth": len(self.queue.pending) if self.queue else 0,
             "dead_letters": len(self.dead_letters),
             "dead_letter_keys": self.dead_letters.keys(),

@@ -255,20 +255,12 @@ class Reconciler:
             follower.resync()
 
     def health(self):
-        """Readiness summary surfaced through telemetry."""
+        """Readiness summary, reported as ``stats()["health"]``."""
         if not self._running:
             return "stopped"
         if len(self.dead_letters) > 0:
             return "degraded"
         return "ready"
-
-    @property
-    def queue_peak(self):
-        return self.queue.peak
-
-    @property
-    def shed_count(self):
-        return self.queue.shed
 
     def stats(self):
         """Work and failure counters as plain data (the ``stats()``

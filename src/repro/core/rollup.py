@@ -143,14 +143,12 @@ class Rollup(Integrator):
                 yield bound.target_handle.patch(rule.target_key, patch)
         bound.updates += 1
 
-    def status(self):
-        base = super().status()
-        base["rules"] = [
+    def stats(self):
+        return dict(super().stats(), rules=[
             {
                 "source": b.rule.source,
                 "target": f"{b.rule.target}/{b.rule.target_key}",
                 "updates": b.updates,
             }
             for b in self._bound.values()
-        ]
-        return base
+        ])

@@ -203,6 +203,34 @@ class KnactorRuntime:
             if knactor.reconciler is not None:
                 knactor.reconciler.stop()
 
+    def stats(self):
+        """Every component's ``stats()`` as one plain-data tree (the
+        ``stats()`` contract of ``docs/observability.md``).
+
+        The obs plane scrapes this, so it never includes
+        ``obs.snapshot()``: that would recurse.
+        """
+        exchanges = {}
+        for name, de in self.exchanges.items():
+            entry = exchanges[name] = {
+                "stores": de.stores(),
+                "backend": de.backend.stats(),
+                "audited_accesses": sum(de.acl.audit.values()),
+                "denials": sum(de.acl.denials().values()),
+            }
+            if de.retry_policy is not None:
+                entry["retry"] = de.retry_policy.stats()
+        return {
+            "time": self.env.now,
+            "knactors": {name: {
+                **(k.reconciler.stats() if k.reconciler is not None else {}),
+                "stores": [binding.store_name for binding in k.stores],
+            } for name, k in self.knactors.items()},
+            "integrators": {name: integrator.stats()
+                            for name, integrator in self.integrators.items()},
+            "exchanges": exchanges,
+        }
+
     def describe(self):
         lines = [f"runtime: {len(self.knactors)} knactor(s), "
                  f"{len(self.integrators)} integrator(s)"]

@@ -183,9 +183,8 @@ class Sync(Integrator):
             yield bound.target_handle.load(clean)
             bound.records_moved += len(clean)
 
-    def status(self):
-        base = super().status()
-        base["flows"] = [
+    def stats(self):
+        return dict(super().stats(), flows=[
             {
                 "source": b.flow.source,
                 "target": b.flow.target,
@@ -194,5 +193,4 @@ class Sync(Integrator):
                 "at_source": b.flow.at_source,
             }
             for b in self._bound.values()
-        ]
-        return base
+        ])

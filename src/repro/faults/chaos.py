@@ -35,7 +35,6 @@ from repro.errors import (
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
-from repro.metrics.telemetry import resilience_snapshot
 
 #: The store backend's network location in the retail app.
 BACKEND = "object-backend"
@@ -193,7 +192,7 @@ def run_retail_chaos(seed=0, orders=6):
         },
         "dlq_replayed": replayed,
         "retry": retry.stats(),
-        "resilience": resilience_snapshot(app.runtime),
+        "resilience": app.runtime.stats(),
         "order_states": {
             k: (states.get(k) or {}).get("status") for k in placed
         },

@@ -151,7 +151,7 @@ class RetryPolicy:
         self.deadline = deadline
         self.budget = budget
         self._rng = random.Random(seed)
-        # Counters (reported by stats(); the obs plane and telemetry read that).
+        # Counters (reported by stats(), which the obs plane reads).
         self.attempts = 0
         self.retries = 0
         self.timeouts = 0

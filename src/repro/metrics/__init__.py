@@ -6,10 +6,12 @@
   model behind Table 1,
 - :mod:`repro.metrics.latency`   -- latency series from the causal spans,
   per-stage extraction and summary statistics (Table 2),
-- :mod:`repro.metrics.telemetry` -- point-in-time health and resilience
-  snapshots assembled from every component's ``stats()``,
 - :mod:`repro.metrics.report`    -- plain-text table rendering with
   paper-vs-measured columns.
+
+A running deployment's counters are not here: they are
+``KnactorRuntime.stats()``, which the obs plane (:mod:`repro.obs`)
+scrapes into series.
 """
 
 from repro.metrics.costmodel import CompositionTask, TaskComparison
@@ -20,7 +22,6 @@ from repro.metrics.latency import (
 )
 from repro.metrics.report import Table, format_seconds
 from repro.metrics.sloc import Artifact, count_sloc
-from repro.metrics.telemetry import resilience_snapshot, runtime_snapshot
 
 __all__ = [
     "Artifact",
@@ -31,7 +32,5 @@ __all__ = [
     "count_sloc",
     "exchange_durations",
     "format_seconds",
-    "resilience_snapshot",
-    "runtime_snapshot",
     "summarize",
 ]

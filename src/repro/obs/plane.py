@@ -4,10 +4,10 @@ The plane is built around the runtime's one
 :class:`~repro.obs.causal.CausalTracer`, which is already threaded into
 every store server -- so deep components reach the plane through the
 tracer's ``plane`` back-reference with zero new constructor plumbing.
-``bind_runtime`` registers one pull collector that reads each
-component's ``stats()`` at snapshot time and turns the numbers named in
-the tables below into registry series; the plane knows no component's
-attribute names.
+``bind_runtime`` registers one pull collector that reads
+``runtime.stats()`` -- every component's ``stats()`` -- at snapshot time
+and turns the numbers named in the tables below into registry series;
+the plane knows no component's attribute names.
 """
 
 from repro.obs.causal import CausalTracer
@@ -115,31 +115,27 @@ class ObsPlane:
     # -- runtime scraping ----------------------------------------------------
 
     def bind_runtime(self, runtime):
-        """Adopt a runtime's tracer; scrape its components at every snapshot.
+        """Adopt a runtime's tracer; scrape ``runtime.stats()`` at every
+        snapshot.
 
         From here ``self.causal is runtime.tracer``: the spans the data
         plane mints and the events components record land in one place.
-        The collector reads the live registries (``runtime.knactors``
-        etc.) at collect time, so components registered *after* binding
-        are still seen.
+        ``runtime.stats()`` is read at collect time, so components
+        registered *after* binding are still seen.
         """
         self._adopt(runtime.tracer)
 
         def collect(reg):
-            for name, knactor in runtime.knactors.items():
-                if knactor.reconciler is not None:
-                    stats = knactor.reconciler.stats()
-                    _scrape(reg, _RECONCILER, stats, knactor=name)
-                    _scrape(reg, _DEAD_LETTERS, stats, component=name)
-            for name, integrator in runtime.integrators.items():
-                stats = integrator.stats()
-                _scrape(reg, _INTEGRATOR, stats, integrator=name)
-                _scrape(reg, _DEAD_LETTERS, stats, component=name)
-            for name, de in runtime.exchanges.items():
-                _scrape(reg, _STORE, de.backend.stats(), exchange=name)
-                if de.retry_policy is not None:
-                    _scrape(reg, _RETRY, de.retry_policy.stats(),
-                            exchange=name)
+            stats = runtime.stats()
+            for name, entry in stats["knactors"].items():
+                _scrape(reg, _RECONCILER, entry, knactor=name)
+                _scrape(reg, _DEAD_LETTERS, entry, component=name)
+            for name, entry in stats["integrators"].items():
+                _scrape(reg, _INTEGRATOR, entry, integrator=name)
+                _scrape(reg, _DEAD_LETTERS, entry, component=name)
+            for name, entry in stats["exchanges"].items():
+                _scrape(reg, _STORE, entry["backend"], exchange=name)
+                _scrape(reg, _RETRY, entry.get("retry", {}), exchange=name)
             reg.counter("network_bytes_total").set_total(
                 runtime.network.bytes_sent)
 

@@ -432,7 +432,8 @@ class StoreServer:
         The contract every component's ``stats()`` keeps (see
         ``docs/observability.md``): scalars at the top level, at most
         one level of named sections; the obs plane turns the numbers it
-        has a metric for into series, telemetry passes the rest through.
+        has a metric for into series, ``KnactorRuntime.stats()`` carries
+        the whole dict.
         """
         return store_stats(self)
 

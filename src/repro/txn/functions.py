@@ -106,11 +106,6 @@ class TxnFunctionIntegrator(Integrator):
         )
         self.commits += 1
 
-    def status(self):
-        base = super().status()
-        base.update(
-            invocations=self.invocations,
-            commits=self.commits,
-            dead_letters=len(self.dead_letters),
-        )
-        return base
+    def stats(self):
+        return dict(super().stats(), invocations=self.invocations,
+                    commits=self.commits)

@@ -149,7 +149,7 @@ class TestOneChangeOneExchange:
         assert cast.events_ignored == 2
         stats = cast.stats()
         assert stats["events_ignored"] == 2 and stats["queue_depth"] == 0
-        assert cast.status()["events_ignored"] == 2
+        assert cast.stats()["events_ignored"] == 2
 
     def test_a_rewrite_to_the_same_value_is_not_news(self, env, net, call):
         runtime, _de, cast = build(env, net)

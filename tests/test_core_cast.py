@@ -242,7 +242,7 @@ class TestStatus:
         runtime, _de, cast = build_runtime(env, zero_net)
         place_order(runtime, call)
         env.run()
-        status = cast.status()
+        status = cast.stats()
         assert status["exchanges_run"] >= 1
         assert status["assignments"] == 5
         assert status["started"]

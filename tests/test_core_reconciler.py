@@ -195,9 +195,9 @@ class TestBoundedWorkQueue:
         rec = SlowMarkDone()
         rec.max_queue = 2
         self.overload(env, runtime, call, rec)
-        assert rec.queue_peak <= 2
-        assert rec.shed_count > 0
-        assert len(rec.dead_letters) == rec.shed_count
+        assert rec.stats()["queue_peak"] <= 2
+        assert rec.stats()["shed"] > 0
+        assert len(rec.dead_letters) == rec.stats()["shed"]
         entry = rec.dead_letters.letters[0]
         assert "shed" in str(entry.error)
         # Level triggering makes the shed recoverable: the keys still
@@ -210,7 +210,7 @@ class TestBoundedWorkQueue:
         rec.max_queue = 2
         rec.queue_overflow = "shed_newest"
         self.overload(env, runtime, call, rec)
-        assert rec.shed_count > 0
+        assert rec.stats()["shed"] > 0
         seen_keys = {key for _, key, _ in rec.seen}
         assert "t0" in seen_keys  # earliest arrivals kept their slot
 
@@ -225,14 +225,14 @@ class TestBoundedWorkQueue:
         for _ in range(5):
             call(handle.patch("t0", {"title": "a+"}))
         env.run()
-        assert rec.shed_count == 0
+        assert rec.stats()["shed"] == 0
 
     def test_unbounded_by_default(self, env, runtime, call):
         rec = SlowMarkDone()
         self.overload(env, runtime, call, rec, keys=12)
         assert rec.max_queue is None
-        assert rec.queue_peak > 2
-        assert rec.shed_count == 0
+        assert rec.stats()["queue_peak"] > 2
+        assert rec.stats()["shed"] == 0
 
     def test_constructor_validates_policy(self):
         from repro.errors import ConfigurationError

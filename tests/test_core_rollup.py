@@ -60,7 +60,7 @@ class TestRollup:
         data = env.run(until=dashboard.get("main"))["data"]
         assert data["totalKwh"] == pytest.approx(3.5)
         assert data["samples"] == 2
-        assert rollup.status()["rules"][0]["updates"] == 2
+        assert rollup.stats()["rules"][0]["updates"] == 2
 
     def test_where_filter(self, env):
         runtime, rollup = build(env, where="room == 'den'")

@@ -87,7 +87,7 @@ class TestSyncFlow:
         house = runtime.handle_of("house", "log")
         rows = call(house.query())
         assert sorted(r["device"] for r in rows) == [f"d{i}" for i in range(5)]
-        assert sync.status()["flows"][0]["records_moved"] == 5
+        assert sync.stats()["flows"][0]["records_moved"] == 5
 
     def test_internal_stamps_stripped_on_load(self, env, zero_net, call):
         runtime, _de, _sync = build_runtime(env, zero_net)
@@ -106,7 +106,7 @@ class TestSyncFlow:
         env.run()
         house = runtime.handle_of("house", "log")
         assert call(house.query()) == []
-        assert sync.status()["flows"][0]["records_moved"] == 0
+        assert sync.stats()["flows"][0]["records_moved"] == 0
 
     def test_self_flow_rejected(self, env, zero_net):
         with pytest.raises(ConfigurationError):

@@ -183,7 +183,7 @@ class TestFollowersMissNothing:
         de.backend.restart()
         call(motion.load([{"triggered": True, "device": "d2"}]))
         env.run()
-        assert sync.status()["flows"][0]["records_moved"] == 2
+        assert sync.stats()["flows"][0]["records_moved"] == 2
 
     def test_materialized_view_rides_out_a_crashed_source(self, env, zero_net,
                                                           call):

@@ -14,7 +14,6 @@ from repro.errors import (
 )
 from repro.exchange import ObjectDE
 from repro.faults import CircuitBreaker, RetryPolicy, default_retryable
-from repro.metrics.telemetry import resilience_snapshot
 from repro.pubsub import Broker, PubSubClient
 from repro.rpc import RPCChannel, RPCServer
 from repro.store import ApiServer
@@ -338,12 +337,14 @@ class TestReconcilerDegradation:
         env.run(until=owner.create("poison/1", {"value": 0}))
         env.run()
         breaker = CircuitBreaker(env, name="b")
-        snapshot = resilience_snapshot(runtime, breakers=[breaker])
-        assert snapshot["reconcilers"]["a"]["dead_letters"] == 1
-        assert snapshot["reconcilers"]["a"]["dead_letter_keys"] == ["poison/1"]
-        assert snapshot["reconcilers"]["a"]["health"] == "degraded"
-        assert snapshot["stores"]["apiserver"]["available"] is True
-        assert snapshot["circuits"]["b"]["state"] == "closed"
+        snapshot = runtime.stats()
+        assert snapshot["knactors"]["a"]["dead_letters"] == 1
+        assert snapshot["knactors"]["a"]["dead_letter_keys"] == ["poison/1"]
+        assert snapshot["knactors"]["a"]["health"] == "degraded"
+        [exchange] = snapshot["exchanges"].values()
+        assert exchange["backend"]["location"] == "apiserver"
+        assert exchange["backend"]["available"] is True
+        assert breaker.stats()["state"] == "closed"
 
     def test_backoff_defaults_come_from_config(self):
         assert Reconciler.max_retries == config.RECONCILER_MAX_RETRIES

@@ -167,21 +167,13 @@ class TestStoreFrontDoor:
 
     def test_admission_stats_scraped_by_obs_registry(self, env, zero_net):
         """The obs plane surfaces admission counters per exchange."""
+        from repro.core.runtime import KnactorRuntime
         from repro.exchange import ObjectDE
-        from repro.obs import CausalTracer, ObsPlane
 
         server = self._server(env, zero_net, rate=5.0, burst=1)
-        de = ObjectDE(env, server)
-        plane = ObsPlane(env)
-
-        class FakeRuntime:
-            knactors = {}
-            integrators = {}
-            exchanges = {"object": de}
-            network = zero_net
-            tracer = CausalTracer(env)
-
-        plane.bind_runtime(FakeRuntime())
+        runtime = KnactorRuntime(env, network=zero_net, obs=True)
+        runtime.add_exchange("object", ObjectDE(env, server))
+        plane = runtime.obs
         server.admission.admit("p", 0)
         server.admission.admit("p", 0)  # rejected: bucket empty
         metrics = plane.registry.snapshot()["metrics"]

@@ -56,6 +56,43 @@ nothing else (``table2`` and the three snapshots hold leaf for leaf):
   30, not 34: an untraced commit or pass has no span to annotate.
 - ``untraced_events``: 294 -> 0.  It now counts what the run without
   a plane records (its spans): nothing.
+
+A fourth re-pin: ``repro.metrics.telemetry`` was deleted, and a runtime
+reports itself once, as ``KnactorRuntime.stats()``.  One
+``runtime_stats`` section is pinned beside the ``runtime_snapshot`` and
+``resilience_snapshot`` sections, which are kept as the parent wrote
+them: ``parent_views`` reads both back out of ``runtime.stats()`` along
+the path map below, and the test holds each of their 390 leaves to the
+parent's value.  ``plane_metrics``, ``trace_export``,
+``table2`` and ``untraced_events`` came out byte-identical.  Old path
+-> new path (``E`` an exchange, ``N`` a component):
+
+- ``runtime_snapshot.time``, ``resilience_snapshot.time`` -> ``time``.
+- ``runtime_snapshot.knactors.N.*``, ``resilience_snapshot.reconcilers.N.*``
+  -> ``knactors.N.*``.
+- ``runtime_snapshot.integrators.N.*``,
+  ``resilience_snapshot.integrators.N.*`` -> ``integrators.N.*``.
+- ``runtime_snapshot.exchanges.E.{stores,audited_accesses,denials,retry}``
+  -> ``exchanges.E.*``, same names.
+- ``runtime_snapshot.exchanges.E.backend_ops.*`` ->
+  ``exchanges.E.backend.op_counts.*``; ``backend_available``,
+  ``backend_aborted_ops``, ``backend_crashes`` ->
+  ``exchanges.E.backend.{available,aborted_ops,crash_count}``;
+  ``state_plane.*`` -> ``exchanges.E.backend.*``.
+- ``resilience_snapshot.stores.L.{available,aborted_ops,crashes}`` ->
+  ``exchanges.E.backend.{available,aborted_ops,crash_count}`` for the
+  ``E`` whose ``backend.location`` is ``L``;
+  ``resilience_snapshot.retries.E.*`` -> ``exchanges.E.retry.*``;
+  ``circuits`` held no leaf (a breaker reports its own ``stats()``).
+- ``runtime_snapshot.obs.*`` -> ``runtime.obs.snapshot().*``, which
+  ``runtime.stats()`` must not include (the plane's collector reads
+  ``runtime.stats()``).  Its ``metrics`` is ``plane_metrics`` leaf for
+  leaf; its ``traces`` is pinned in
+  ``test_obs_snapshot_is_not_in_runtime_stats``.
+
+The new section also holds the leaves neither old view copied out:
+``queue_peak`` and ``shed`` per knactor, ``queue_depth`` per
+integrator, and the rest of the backend's ``stats()``.
 """
 
 import hashlib
@@ -70,7 +107,6 @@ from repro.apps.retail.measure import run_knactor_setup
 from repro.apps.retail.workload import OrderWorkload
 from repro.cli.main import main
 from repro.core.optimizer import K_REDIS
-from repro.metrics import resilience_snapshot, runtime_snapshot
 from repro.store import ShardedStoreClient, StoreServer, Topology
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "obs_one_plane.json"
@@ -111,9 +147,58 @@ def sharded_retail():
 def snapshots(app):
     return _plain({
         "plane_metrics": app.runtime.obs.snapshot()["metrics"],
-        "runtime_snapshot": runtime_snapshot(app.runtime),
-        "resilience_snapshot": resilience_snapshot(app.runtime),
+        "runtime_stats": app.runtime.stats(),
+        **parent_views(app),
     })
+
+
+def _pick(stats, *names):
+    return {name: stats[name] for name in names if name in stats}
+
+
+def parent_views(app):
+    """The parent's ``runtime_snapshot`` and ``resilience_snapshot``,
+    read back out of ``runtime.stats()`` along the path map above."""
+    stats = app.runtime.stats()
+    runtime = {"time": stats["time"], "knactors": {}, "integrators": {},
+               "exchanges": {}, "obs": app.runtime.obs.snapshot()}
+    resilience = {"time": stats["time"], "reconcilers": {},
+                  "integrators": {}, "stores": {}, "retries": {},
+                  "circuits": {}}
+    for name, knactor in stats["knactors"].items():
+        runtime["knactors"][name] = _pick(
+            knactor, "stores", "reconciles", "conflicts", "queue_depth",
+            "health", "dead_letters", "unavailable")
+        resilience["reconcilers"][name] = _pick(
+            knactor, "health", "dead_letters", "dead_letter_keys",
+            "unavailable", "kills")
+    for name, integrator in stats["integrators"].items():
+        runtime["integrators"][name] = {
+            key: value for key, value in integrator.items()
+            if key not in ("kills", "dead_letter_keys", "queue_depth")}
+        resilience["integrators"][name] = _pick(
+            integrator, "started", "dead_letters", "dead_letter_keys",
+            "unavailable", "kills")
+    for name, exchange in stats["exchanges"].items():
+        backend = exchange["backend"]
+        entry = _pick(exchange, "stores", "audited_accesses", "denials",
+                      "retry")
+        entry.update(backend_ops=backend["op_counts"],
+                     backend_available=backend["available"],
+                     backend_aborted_ops=backend["aborted_ops"],
+                     backend_crashes=backend["crash_count"])
+        if "copy" in backend:
+            entry["state_plane"] = _pick(
+                backend, "zero_copy", "delta_watch", "copy",
+                "watch_wire_bytes", "watch_deltas_sent", "watch_fulls_sent")
+        runtime["exchanges"][name] = entry
+        resilience["stores"][backend["location"]] = {
+            "available": backend["available"],
+            "aborted_ops": backend["aborted_ops"],
+            "crashes": backend["crash_count"]}
+        if "retry" in exchange:
+            resilience["retries"][name] = exchange["retry"]
+    return {"runtime_snapshot": runtime, "resilience_snapshot": resilience}
 
 
 def trace_export(tmp_dir):
@@ -164,9 +249,12 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         exported = trace_export(tmp)
-    GOLDEN.parent.mkdir(exist_ok=True)
+    parent = json.loads(GOLDEN.read_text())
     GOLDEN.write_text(json.dumps({
         **snapshots(sharded_retail()),
+        # pinned on the parent of the path map; never rewritten
+        "runtime_snapshot": parent["runtime_snapshot"],
+        "resilience_snapshot": parent["resilience_snapshot"],
         "trace_export": exported,
         "table2": table2_rows(),
         "untraced_events": len(untraced_retail().tracer.spans),
@@ -178,19 +266,11 @@ if __name__ == "__main__":
 
 #: Declared counters with no registry series.  None has one at the parent
 #: either, and the series set is pinned (golden below; the perf harness
-#: counts ``Registry.counter`` calls), so they stay telemetry-only.  A
+#: counts ``Registry.counter`` calls), so they stay ``stats()``-only.  A
 #: counter added to ``StoreServer.COUNTERS`` must get a row in the plane's
 #: table or be listed here: it cannot go missing silently.
 NO_SERIES = {"watch_paused_coalesced", "aborted_ops", "crash_count"}
 
-#: Where ``runtime_snapshot`` reports a declared counter, per exchange.
-IN_RUNTIME_SNAPSHOT = {
-    "aborted_ops": ("backend_aborted_ops",),
-    "crash_count": ("backend_crashes",),
-    "watch_wire_bytes": ("state_plane", "watch_wire_bytes"),
-    "watch_deltas_sent": ("state_plane", "watch_deltas_sent"),
-    "watch_fulls_sent": ("state_plane", "watch_fulls_sent"),
-}
 
 
 class TestCountersDeclaredOnce:
@@ -237,25 +317,23 @@ class TestCountersDeclaredOnce:
                 app.de.backend, name), name
 
     def test_reported_by_stats_plane_and_telemetry(self, resharded):
+        """Each declared counter is in the backend's ``stats()``, which
+        ``runtime.stats()`` carries whole, and in the plane's series."""
         from repro.obs.plane import _STORE
         app, _marks = resharded
         store = app.de.backend
         stats = store.stats()
         metrics = app.runtime.obs.snapshot()["metrics"]["metrics"]
-        exchange = runtime_snapshot(app.runtime)["exchanges"]["object"]
+        exchange = app.runtime.stats()["exchanges"]["object"]
         series_of = {name.split(".")[-1]: row[1] for name, row in _STORE.items()}
         assert set(StoreServer.COUNTERS) - set(series_of) == NO_SERIES
         for name in StoreServer.COUNTERS:
             value = getattr(store, name)
             assert stats[name] == value, name
+            assert exchange["backend"][name] == value, name
             if name not in NO_SERIES:
                 series = metrics[series_of[name]]["series"]
                 assert series["exchange=object"] == value, name
-            if name in IN_RUNTIME_SNAPSHOT:
-                leaf = exchange
-                for key in IN_RUNTIME_SNAPSHOT[name]:
-                    leaf = leaf[key]
-                assert leaf == value, name
 
     def test_merged_watch_sums_its_branches(self):
         from repro.simnet import Environment, Network
@@ -288,12 +366,18 @@ class TestGoldenSnapshots:
         return sharded_retail()
 
     @pytest.mark.parametrize("section", [
-        "plane_metrics", "runtime_snapshot", "resilience_snapshot"])
+        "plane_metrics", "runtime_snapshot", "resilience_snapshot",
+        "runtime_stats"])
     def test_equal_leaf_for_leaf(self, golden, app, section):
         want = dict(_leaves(golden[section]))
         have = dict(_leaves(snapshots(app)[section]))
         assert have.keys() == want.keys()
         assert [path for path in want if have[path] != want[path]] == []
+
+    def test_obs_snapshot_is_not_in_runtime_stats(self, app):
+        assert "obs" not in app.runtime.stats()
+        traces = app.runtime.obs.snapshot()["traces"]
+        assert traces == {"count": 3, "spans": 87}
 
     def test_plane_is_built_around_the_runtime_tracer(self, app):
         plane = app.runtime.obs

@@ -1,18 +1,16 @@
-"""Tests for the telemetry / SLO-monitoring layer."""
+"""Tests for the runtime's one ``stats()`` tree and SLO monitoring."""
 
 import pytest
 
 from repro.apps.retail.knactor_app import RetailKnactorApp
 from repro.apps.retail.workload import OrderWorkload
 from repro.core.optimizer import K_REDIS
+from repro.core.runtime import KnactorRuntime
 from repro.errors import ConfigurationError
+from repro.exchange import ObjectDE
 from repro.metrics.latency import exchange_durations, reconcile_durations
-from repro.metrics.telemetry import (
-    _state_plane_stats,
-    resilience_snapshot,
-    runtime_snapshot,
-)
 from repro.obs.slo import TraceLatencySLO
+from repro.store import MemKV
 
 
 def three_orders(obs=None):
@@ -38,42 +36,49 @@ def traced_app():
 
 
 class TestSnapshot:
+    """``KnactorRuntime.stats()``: every component's ``stats()`` in one
+    tree."""
+
     def test_covers_all_components(self, app):
-        snapshot = runtime_snapshot(app.runtime)
+        snapshot = app.runtime.stats()
         assert set(snapshot["knactors"]) == set(app.runtime.knactors)
         assert "retail-cast" in snapshot["integrators"]
         assert snapshot["exchanges"]["object"]["audited_accesses"] > 0
 
     def test_reconciler_counters(self, app):
-        shipping = runtime_snapshot(app.runtime)["knactors"]["shipping"]
+        shipping = app.runtime.stats()["knactors"]["shipping"]
         assert shipping["reconciles"] >= 3
         assert shipping["queue_depth"] == 0  # quiescent
 
     def test_backend_op_counts_present(self, app):
-        ops = runtime_snapshot(app.runtime)["exchanges"]["object"]["backend_ops"]
+        ops = app.runtime.stats()["exchanges"]["object"]["backend"][
+            "op_counts"]
         assert ops.get("create", 0) >= 3
         assert ops.get("patch", 0) >= 3
 
     def test_shape_without_obs_plane(self, app):
-        snapshot = runtime_snapshot(app.runtime)
+        snapshot = app.runtime.stats()
         assert set(snapshot) == {"time", "knactors", "integrators",
                                  "exchanges"}
         assert snapshot["time"] == app.env.now
 
     def test_obs_section_present_when_plane_attached(self):
+        """The plane's section is ``runtime.obs.snapshot()``, beside
+        ``runtime.stats()`` and never inside it: the plane's collector
+        reads ``runtime.stats()``."""
         app = RetailKnactorApp.build(profile=K_REDIS, with_notify=False,
                                      obs=True)
         key, data = OrderWorkload(seed=7).next_order()
         app.env.run(until=app.place_order(key, data))
         app.run_until_quiet(max_seconds=60.0)
-        obs = runtime_snapshot(app.runtime)["obs"]
+        assert "obs" not in app.runtime.stats()
+        obs = app.runtime.obs.snapshot()
         assert obs["traces"]["count"] == 1
         assert obs["traces"]["spans"] > 3
         assert "store_ops_total" in obs["metrics"]["metrics"]
 
     def test_state_plane_section(self, app):
-        state_plane = runtime_snapshot(app.runtime)["exchanges"]["object"][
-            "state_plane"]
+        state_plane = app.runtime.stats()["exchanges"]["object"]["backend"]
         assert state_plane["zero_copy"] is True
         assert set(state_plane["copy"]) >= {"copied_bytes",
                                             "shared_bytes_avoided"}
@@ -81,12 +86,20 @@ class TestSnapshot:
 
 
 class TestStatePlaneStats:
-    def test_none_for_backends_without_copy_meter(self):
-        assert _state_plane_stats({"available": True}) is None
+    """The zero-copy / delta-replication counters are the backend's own
+    ``stats()``, carried whole under ``exchanges.E.backend``."""
+
+    def test_none_for_backends_without_copy_meter(self, env, net):
+        server = MemKV(env, net, location="plain")
+        server.stats = lambda: {"available": True}  # no copy section
+        runtime = KnactorRuntime(env, network=net)
+        runtime.add_exchange("plain", ObjectDE(env, server))
+        backend = runtime.stats()["exchanges"]["plain"]["backend"]
+        assert backend == {"available": True}
 
     def test_counters_for_instrumented_backend(self, app):
-        stats = _state_plane_stats(app.de.backend.stats())
-        assert set(stats) == {"zero_copy", "delta_watch", "copy",
+        stats = app.runtime.stats()["exchanges"]["object"]["backend"]
+        assert set(stats) >= {"zero_copy", "delta_watch", "copy",
                               "watch_wire_bytes", "watch_deltas_sent",
                               "watch_fulls_sent"}
         # Full/delta split only accumulates on the delta-watch plane;
@@ -96,27 +109,32 @@ class TestStatePlaneStats:
 
 
 class TestResilienceSnapshot:
+    """The failure-domain counters (health, dead letters, availability,
+    crashes) the chaos tooling asserts on, read from ``runtime.stats()``."""
+
     def test_shape_and_quiescent_values(self, app):
-        snapshot = resilience_snapshot(app.runtime)
-        assert set(snapshot) == {"time", "reconcilers", "integrators",
-                                 "stores", "retries", "circuits"}
-        shipping = snapshot["reconcilers"]["shipping"]
+        snapshot = app.runtime.stats()
+        assert set(snapshot) == {"time", "knactors", "integrators",
+                                 "exchanges"}
+        shipping = snapshot["knactors"]["shipping"]
         assert shipping["health"] == "ready"
         assert shipping["dead_letters"] == 0
         assert shipping["dead_letter_keys"] == []
         cast = snapshot["integrators"]["retail-cast"]
         assert cast["started"] is True
         assert cast["dead_letters"] == 0
-        store = snapshot["stores"]["object-backend"]
+        store = snapshot["exchanges"]["object"]["backend"]
+        assert store["location"] == "object-backend"
         assert store["available"] is True
-        assert store["crashes"] == 0
+        assert store["crash_count"] == 0
 
     def test_breakers_included_when_passed(self, app):
+        """A breaker is a client-side object the runtime does not know
+        about: it reports its own ``stats()``."""
         from repro.faults import CircuitBreaker
 
         breaker = CircuitBreaker(app.env, name="probe")
-        snapshot = resilience_snapshot(app.runtime, breakers=[breaker])
-        assert snapshot["circuits"]["probe"]["state"] == "closed"
+        assert breaker.stats()["state"] == "closed"
 
 
 class TestExchangeDurations:

@@ -258,7 +258,7 @@ def test_sync_moves_each_record_once_across_a_brownout(env, net, call):
     heal_later(env, lake)  # the flow's source query lands in the outage
     env.run()
     assert moved_devices(runtime, call) == ["d1", "d3"]
-    assert sync.status()["flows"][0]["records_moved"] == 2
+    assert sync.stats()["flows"][0]["records_moved"] == 2
     assert sync.stats()["dead_letters"] == 0
 
 
