@@ -26,9 +26,8 @@ Gates (enforced by the pytest surface and CI):
   small realtime-backend case;
 - same seed => same offered-load fingerprint across arms and repeats.
 
-Run directly (``python benchmarks/bench_federation.py [--smoke]``), via
-``knactor bench federation``, or under pytest
-(``pytest benchmarks/bench_federation.py``).
+Run directly (``python benchmarks/bench_federation.py [--smoke]``) or
+under pytest (``pytest benchmarks/bench_federation.py``).
 """
 
 import argparse

@@ -16,13 +16,11 @@ Three measurements, written to ``BENCH_fleet.json``:
   fed diurnal + flash-crowd arrivals; the fleet must scale up under the
   spike and land back, with zero lost writes.
 
-All three run on the deterministic sim backend, so the committed
-artifact is bit-stable and ``benchmarks/baseline.py`` can gate CI on
-p99/throughput regressions against it.
+All three run on the deterministic sim backend, so two same-seed runs
+are bit-identical, which the sweep asserts.
 
-Run directly (``python benchmarks/bench_fleet.py [--smoke]``), via
-``knactor bench fleet``, or under pytest
-(``pytest benchmarks/bench_fleet.py``).
+Run directly (``python benchmarks/bench_fleet.py [--smoke]``) or under
+pytest (``pytest benchmarks/bench_fleet.py``).
 """
 
 import argparse

@@ -15,9 +15,8 @@ Two sweeps on the Knactor retail app, written to
   batching changes nothing observable: byte-identical final store state
   and identical per-key event order per watcher.
 
-Run directly (``python benchmarks/bench_shard_scaling.py [--smoke]``),
-via ``knactor bench shard-scaling``, or under pytest
-(``pytest benchmarks/bench_shard_scaling.py``).
+Run directly (``python benchmarks/bench_shard_scaling.py [--smoke]``)
+or under pytest (``pytest benchmarks/bench_shard_scaling.py``).
 """
 
 import argparse

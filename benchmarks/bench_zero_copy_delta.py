@@ -21,9 +21,8 @@ final store state and identical per-key event order per watcher --
 and that ``cow+delta`` cuts copied bytes >= 3x and watch wire bytes
 >= 2x versus the deepcopy baseline.
 
-Run directly (``python benchmarks/bench_zero_copy_delta.py [--smoke]``),
-via ``knactor bench zero-copy``, or under pytest
-(``pytest benchmarks/bench_zero_copy_delta.py``).
+Run directly (``python benchmarks/bench_zero_copy_delta.py [--smoke]``)
+or under pytest (``pytest benchmarks/bench_zero_copy_delta.py``).
 """
 
 import argparse

@@ -8,7 +8,6 @@ Subcommands:
 - ``knactor table1``                  -- regenerate Table 1,
 - ``knactor table2 [--orders N]``     -- regenerate Table 2,
 - ``knactor analyze FILE``            -- statically analyze a DXG file,
-- ``knactor bench shard-scaling|zero-copy|...|federation`` -- run a benchmark,
 - ``knactor serve retail --realtime [--port N]`` -- serve the retail app
   over a real TCP socket on the wall-clock backend,
 - ``knactor trace export FILE``       -- Chrome trace-event JSON of a run,
@@ -336,20 +335,6 @@ def _cmd_top_elastic(args):
     return 0
 
 
-#: bench subcommand name -> module under benchmarks/.
-BENCHMARKS = {
-    "shard-scaling": "bench_shard_scaling",
-    "zero-copy": "bench_zero_copy_delta",
-    "obs-overhead": "bench_obs_overhead",
-    "overload": "bench_overload",
-    "txn-chaos": "bench_txn_chaos",
-    "reshard": "bench_reshard",
-    "realtime": "bench_realtime",
-    "fleet": "bench_fleet",
-    "federation": "bench_federation",
-}
-
-
 def cmd_serve(args):
     if args.app != "retail":
         print(f"error: no server for app {args.app!r}", file=sys.stderr)
@@ -382,48 +367,6 @@ def cmd_serve(args):
         print(f"served {listener.connections_accepted} connection(s), "
               f"{len(app.orders_placed)} order(s) placed")
     return 0
-
-
-def cmd_bench(args):
-    name = BENCHMARKS.get(args.bench)
-    if name is None:
-        print(f"error: unknown benchmark {args.bench!r}", file=sys.stderr)
-        return 1
-    module = _load_benchmark(name)
-    if module is None:
-        print(
-            f"error: benchmarks/{name}.py not found "
-            "(run from a repository checkout)",
-            file=sys.stderr,
-        )
-        return 1
-    argv = ["--smoke"] if args.smoke else []
-    if args.out:
-        argv += ["--out", args.out]
-    return module.main(argv)
-
-
-def _load_benchmark(name):
-    """Load a benchmark module from the repository's ``benchmarks/`` dir.
-
-    Benchmarks live outside the installed package (they are artifacts of
-    the checkout, like the CI workflow), so resolve them relative to the
-    working directory first, then relative to the source tree.
-    """
-    import importlib.util
-    from pathlib import Path
-
-    candidates = [
-        Path.cwd() / "benchmarks" / f"{name}.py",
-        Path(__file__).resolve().parents[3] / "benchmarks" / f"{name}.py",
-    ]
-    for path in candidates:
-        if path.is_file():
-            spec = importlib.util.spec_from_file_location(name, path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module
-    return None
 
 
 def build_parser():
@@ -463,14 +406,6 @@ def build_parser():
     analyze = sub.add_parser("analyze", help="statically analyze a DXG file")
     analyze.add_argument("file")
     analyze.set_defaults(fn=cmd_analyze)
-
-    bench = sub.add_parser("bench", help="run a performance benchmark")
-    bench.add_argument("bench", choices=sorted(BENCHMARKS))
-    bench.add_argument("--smoke", action="store_true",
-                       help="small sweep (what CI runs)")
-    bench.add_argument("--out", default=None,
-                       help="output JSON path (default: repo root)")
-    bench.set_defaults(fn=cmd_bench)
 
     serve = sub.add_parser(
         "serve", help="serve an app over a real TCP socket (realtime)"

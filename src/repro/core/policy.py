@@ -18,11 +18,6 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 
 
-def conditional(field_expr_true, field_expr_false, condition):
-    """Expression text for ``A if cond else B`` composition policies."""
-    return f"{field_expr_true} if {condition} else {field_expr_false}"
-
-
 def threshold_route(value_path, threshold, above, below):
     """The paper's shipment policy shape: route by a numeric threshold."""
     return f"{above!r} if {value_path} > {threshold} else {below!r}"

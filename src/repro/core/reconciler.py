@@ -80,8 +80,8 @@ class ReconcilerContext:
 class Reconciler:
     """Base class: subclass and override :meth:`reconcile`.
 
-    Class attributes subclasses may tune (defaults from :mod:`repro.config`;
-    constructor keyword arguments override either):
+    Class attributes subclasses (or callers, before :meth:`attach`) may
+    tune, with defaults from :mod:`repro.config`:
 
     - ``service_time``: simulated local processing time per reconcile call
       (seconds of virtual time),
@@ -106,22 +106,8 @@ class Reconciler:
     queue_overflow = SHED_OLDEST
     log_subscriptions = ()
 
-    def __init__(self, name=None, *, max_retries=None, backoff=None,
-                 backoff_jitter=None, max_requeues=None, max_queue=None,
-                 queue_overflow=None):
+    def __init__(self, name=None):
         self.name = name or type(self).__name__
-        if max_retries is not None:
-            self.max_retries = int(max_retries)
-        if backoff is not None:
-            self.backoff = float(backoff)
-        if backoff_jitter is not None:
-            self.backoff_jitter = float(backoff_jitter)
-        if max_requeues is not None:
-            self.max_requeues = int(max_requeues)
-        if max_queue is not None:
-            self.max_queue = int(max_queue)
-        if queue_overflow is not None:
-            self.queue_overflow = queue_overflow
         check_overflow(self.queue_overflow)
         self.dead_letters = DeadLetterQueue(name=self.name)
         self.ctx = None

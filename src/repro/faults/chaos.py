@@ -1,8 +1,8 @@
 """Chaos harness: the retail app under a seeded fault schedule.
 
 This is the end-to-end resilience experiment shared by
-``benchmarks/bench_chaos_recovery.py`` and ``knactor demo retail
---chaos``: build the Knactor retail app with a
+``tests/test_chaos_recovery.py`` and ``knactor demo retail --chaos``:
+build the Knactor retail app with a
 :class:`~repro.faults.retry.RetryPolicy` on every store client, schedule
 a deterministic :class:`~repro.faults.plan.FaultPlan` (at least one
 store crash, one partition, and one drop-rate window), drive a seeded

@@ -6,8 +6,7 @@
   model behind Table 1,
 - :mod:`repro.metrics.latency`   -- latency series from the causal spans,
   per-stage extraction and summary statistics (Table 2),
-- :mod:`repro.metrics.report`    -- plain-text table rendering with
-  paper-vs-measured columns.
+- :mod:`repro.metrics.report`    -- plain-text table rendering.
 
 A running deployment's counters are not here: they are
 ``KnactorRuntime.stats()``, which the obs plane (:mod:`repro.obs`)

@@ -1,4 +1,4 @@
-"""Plain-text table rendering with paper-vs-measured columns."""
+"""Plain-text table rendering for the benchmark reports."""
 
 
 def format_seconds(seconds):
@@ -6,12 +6,6 @@ def format_seconds(seconds):
     if seconds is None:
         return "-"
     return f"{seconds * 1000.0:.1f}"
-
-
-def format_ms(ms):
-    if ms is None:
-        return "-"
-    return f"{ms:.1f}"
 
 
 class Table:
@@ -58,13 +52,3 @@ def _render(cell):
         return f"{cell:.1f}"
     return str(cell)
 
-
-def paper_vs_measured(title, headers, paper_rows, measured_rows):
-    """Two stacked tables: the paper's numbers and ours, same columns."""
-    paper = Table(headers, title=f"{title} -- paper")
-    for row in paper_rows:
-        paper.add_row(*row)
-    measured = Table(headers, title=f"{title} -- measured (this repro)")
-    for row in measured_rows:
-        measured.add_row(*row)
-    return paper.render() + "\n\n" + measured.render()

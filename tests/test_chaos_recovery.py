@@ -1,9 +1,8 @@
-"""Chaos benchmark: the retail app under a seeded fault schedule.
+"""Chaos recovery: the retail app under a seeded fault schedule.
 
-The robustness counterpart to the latency benches: run the full Knactor
-retail app (checkout x shipping x payment through one Cast) while a
-:class:`~repro.faults.FaultInjector` crashes the store backend,
-partitions links, and drops messages per a deterministic
+Run the full Knactor retail app (checkout x shipping x payment through
+one Cast) while a :class:`~repro.faults.FaultInjector` crashes the store
+backend, partitions links, and drops messages per a deterministic
 :class:`~repro.faults.FaultPlan`.  Asserts the properties the resilience
 layer exists to provide:
 
@@ -17,7 +16,7 @@ layer exists to provide:
 
 import pytest
 
-from repro.faults.chaos import default_retail_plan, describe_report, run_retail_chaos
+from repro.faults.chaos import default_retail_plan, run_retail_chaos
 
 SEED = 42
 ORDERS = 5
@@ -39,7 +38,7 @@ def test_plan_contains_required_fault_classes():
     assert plan.count("drop") >= 1
 
 
-def test_converges_with_zero_lost_updates(chaos_runs, report):
+def test_converges_with_zero_lost_updates(chaos_runs):
     first, _ = chaos_runs
     assert first["lost"] == [], f"lost committed orders: {first['lost']}"
     assert first["unfulfilled"] == [], (
@@ -51,7 +50,6 @@ def test_converges_with_zero_lost_updates(chaos_runs, report):
     assert first["resilience"]["exchanges"]["object"]["backend"][
         "crash_count"] >= 1
     assert first["retry"]["retries"] > 0
-    report(describe_report(first))
 
 
 def test_same_seed_reproduces_identical_trace(chaos_runs):

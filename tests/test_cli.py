@@ -113,21 +113,6 @@ class TestCLI:
         assert "[ALERT]" in out
         assert "alerts firing: 2 -- sensorfleet-availability" in out
 
-    def test_bench_names_resolve_to_modules(self):
-        from pathlib import Path
-
-        from repro.cli.main import BENCHMARKS, build_parser
-
-        benchmarks = Path(__file__).resolve().parent.parent / "benchmarks"
-        for name, module in BENCHMARKS.items():
-            args = build_parser().parse_args(["bench", name])
-            assert args.bench == name
-            assert (benchmarks / f"{module}.py").is_file()
-
-    def test_unknown_bench_exits(self):
-        with pytest.raises(SystemExit):
-            main(["bench", "frobnicate"])
-
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -274,8 +274,9 @@ class _Poison(ReproError):
 
 
 class _PoisonedReconciler(Reconciler):
-    def __init__(self, **kwargs):
-        super().__init__("poisoned", **kwargs)
+    def __init__(self, max_requeues):
+        super().__init__("poisoned")
+        self.max_requeues = max_requeues
         self.healthy_seen = []
 
     def reconcile(self, ctx, key, obj):
@@ -289,11 +290,11 @@ class _PoisonedReconciler(Reconciler):
 
 
 class TestReconcilerDegradation:
-    def _runtime(self, env, zero_net, **rec_kwargs):
+    def _runtime(self, env, zero_net, max_requeues):
         runtime = KnactorRuntime(env, network=zero_net)
         de = ObjectDE(env, ApiServer(env, zero_net, watch_overhead=0.0))
         runtime.add_exchange("object", de)
-        reconciler = _PoisonedReconciler(**rec_kwargs)
+        reconciler = _PoisonedReconciler(max_requeues)
         runtime.add_knactor(
             Knactor("a", [StoreBinding("default", "object", SCHEMA)],
                     reconciler=reconciler)
@@ -351,21 +352,18 @@ class TestReconcilerDegradation:
         assert Reconciler.backoff == config.RECONCILER_BACKOFF
         assert Reconciler.backoff_jitter == config.RECONCILER_BACKOFF_JITTER
         assert Reconciler.max_requeues == config.RECONCILER_MAX_REQUEUES
-        custom = Reconciler("r", max_retries=9, backoff=0.1,
-                            backoff_jitter=0.0, max_requeues=7)
-        assert (custom.max_retries, custom.backoff) == (9, 0.1)
-        assert (custom.backoff_jitter, custom.max_requeues) == (0.0, 7)
 
     def test_conflict_backoff_is_jittered_and_deterministic(self):
-        first = Reconciler("r", backoff=0.01, backoff_jitter=0.5)
-        second = Reconciler("r", backoff=0.01, backoff_jitter=0.5)
+        first, second, no_jitter = (Reconciler("r") for _ in range(3))
+        for rec in (first, second, no_jitter):
+            rec.backoff, rec.backoff_jitter = 0.01, 0.5
+        no_jitter.backoff_jitter = 0.0
         delays = [first._backoff_delay(n) for n in range(1, 5)]
         assert delays == [second._backoff_delay(n) for n in range(1, 5)]
         for n, delay in enumerate(delays, start=1):
             base = 0.01 * 2 ** n
             assert 0.5 * base <= delay <= 1.5 * base
         assert len(set(delays)) == len(delays)  # jitter actually varies
-        no_jitter = Reconciler("r", backoff=0.01, backoff_jitter=0.0)
         assert no_jitter._backoff_delay(1) == pytest.approx(0.02)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.apps.retail.knactor_app import RetailKnactorApp
 from repro.apps.retail.workload import OrderWorkload
-from repro.core.optimizer import K_REDIS
+from repro.core.optimizer import K_APISERVER, K_REDIS
 from repro.errors import ConfigurationError
 from repro.obs import CausalTracer, Registry
 from repro.obs.context import (
@@ -443,3 +443,50 @@ class TestCausalDagAcceptance:
         app = RetailKnactorApp.build(profile=K_REDIS, with_notify=False)
         assert app.runtime.obs is None
         assert app.tracer.plane is None
+
+
+# -- tracing is virtual-time neutral ------------------------------------------
+
+
+def _order_and_patch_burst(obs):
+    """Eight concurrent retail orders, then three rounds of patches to
+    every order, seed 23; the store traffic and sim time it took."""
+    app = RetailKnactorApp.build(
+        profile=K_APISERVER, with_notify=True, seed=23, obs=obs or None,
+    )
+    backend = app.de.backend
+    ops_before = sum(backend.op_counts.values())
+    started = app.env.now
+    burst = [app.place_order(key, data)
+             for key, data in OrderWorkload(seed=23).orders(8)]
+    app.env.run(until=app.env.all_of(burst))
+    window = app.env.now - started
+    ops_in_burst = sum(backend.op_counts.values()) - ops_before
+    app.run_until_quiet(max_seconds=300.0)
+
+    owner = app.runtime.handle_of("checkout")
+    patches = [
+        owner.patch(key, {"email": f"shopper+{round_}@example.com"})
+        for round_ in range(3)
+        for key in app.orders_placed
+    ]
+    app.env.run(until=app.env.all_of(patches))
+    app.run_until_quiet(max_seconds=120.0)
+    return {
+        "ops_per_sim_sec": ops_in_burst / window,
+        "total_store_ops": sum(backend.op_counts.values()),
+        "sim_seconds": app.env.now,
+        "spans": len(app.runtime.obs.causal.spans) if obs else 0,
+    }
+
+
+def test_tracing_changes_no_store_traffic_or_sim_time():
+    """Trace contexts ride out of band (stripped before request sizing)
+    and span bookkeeping adds no simulated delay, so a traced run does
+    exactly the untraced run's store work in exactly its sim time."""
+    untraced = _order_and_patch_burst(obs=False)
+    traced = _order_and_patch_burst(obs=True)
+    assert traced["spans"] > 0
+    assert traced["total_store_ops"] == untraced["total_store_ops"]
+    assert traced["sim_seconds"] == untraced["sim_seconds"]
+    assert traced["ops_per_sim_sec"] == untraced["ops_per_sim_sec"]

@@ -17,6 +17,7 @@ from repro.apps.socialnetwork.rpc_app import SocialNetworkRpcApp
 from repro.core.optimizer import K_REDIS
 from repro.realtime import RealtimeEnvironment
 from repro.simnet import Environment
+from repro.store import Topology
 from tests.test_simnet_order import SeamEnvironment, SeamRealtimeEnvironment
 
 #: Real seconds per schedule second for realtime runs under test.
@@ -34,11 +35,11 @@ def _env(backend):
 # -- retail ----------------------------------------------------------------
 
 
-def _run_retail(backend, shape_latency):
+def _run_retail(backend, shape_latency, topology=None):
     """One seeded retail run; returns (state, event order, timestamps)."""
     app = RetailKnactorApp.build(
         env=_env(backend), profile=K_REDIS, seed=7,
-        shape_latency=shape_latency,
+        shape_latency=shape_latency, topology=topology,
     )
     watched = []
     app.de.grant("parity-watcher", "knactor-checkout", role="reader")
@@ -60,11 +61,17 @@ def _run_retail(backend, shape_latency):
     return state, watched, app.env.now
 
 
-@pytest.mark.parametrize("shape_latency", [True, False],
-                         ids=["shaped", "unshaped"])
-def test_retail_parity(shape_latency):
-    sim_state, sim_events, sim_now = _run_retail("sim", shape_latency)
-    rt_state, rt_events, rt_now = _run_retail("realtime", shape_latency)
+@pytest.mark.parametrize("shape_latency,topology", [
+    pytest.param(True, None, id="shaped"),
+    pytest.param(False, None, id="unshaped"),
+    pytest.param(True, Topology(shards=4), id="shaped-4shards"),
+    pytest.param(False, Topology(shards=4), id="unshaped-4shards"),
+])
+def test_retail_parity(shape_latency, topology):
+    sim_state, sim_events, sim_now = _run_retail(
+        "sim", shape_latency, topology)
+    rt_state, rt_events, rt_now = _run_retail(
+        "realtime", shape_latency, topology)
     assert sim_state == rt_state
     assert sim_events == rt_events
     assert sim_now == pytest.approx(rt_now)

@@ -110,6 +110,57 @@ class TestElasticity:
         assert done.get("ok")
         fleet.stop()
 
+    def test_write_burst_drives_a_reshard(self):
+        """Sixteen serial writers over disjoint key slices outrun one
+        shard's service rate for 6 s, so worker-queue depth sits above
+        the autoscale target: the autoscaler grows the pod fleet, the
+        fleet reshards the ring under the load, and every key reads back
+        its last acked value."""
+        env = Environment()
+        net = Network(env)
+        _cluster, store, fleet = make_fleet(env, net, shards=1, seed=0)
+        client = ShardedStoreClient(store, "bench")
+        env.run(until=4.0)  # let the initial shard pod come up
+        fleet.start()
+        all_keys = [f"k/{i}" for i in range(200)]
+        written = {}
+        stop_at = env.now + 6.0
+
+        def writer(slot):
+            keys = all_keys[slot::16]
+            value = slot
+            while env.now < stop_at:
+                for key in keys:
+                    if env.now >= stop_at:
+                        return
+                    if key in written:
+                        yield client.update(key, {"v": value})
+                    else:
+                        yield client.create(key, {"v": value})
+                    written[key] = value  # post-ack: verified below
+                    value += 16
+                    yield env.timeout(0.002)
+
+        for slot in range(16):
+            env.process(writer(slot))
+        env.run(until=stop_at + 20.0)
+        fleet.stop()
+
+        read = {}
+
+        def verify():
+            for key in sorted(written):
+                obj = yield client.get(key)
+                read[key] = obj["data"]["v"]
+
+        env.process(verify())
+        env.run(until=env.now + 10.0)
+        events = fleet.autoscaler.events
+        assert len(events) >= 1
+        assert fleet.reshards_driven >= 1
+        assert max(event.to_replicas for event in events) > 1
+        assert read == written
+
     def test_sync_waits_out_an_active_reshard(self):
         env = Environment()
         net = Network(env)

@@ -1,5 +1,7 @@
 """Live elastic resharding: migration, fencing, ownership errors, durability."""
 
+import random
+
 import pytest
 
 from repro.errors import (
@@ -295,3 +297,108 @@ class TestIngestDurability:
             return True
 
         assert drive(env, driver())
+
+
+def zipf_keys(seed, n_writes, n_keys=200, exponent=1.1):
+    """A seeded Zipf(~1.1) key sequence over ``k/0 .. k/{n_keys-1}``."""
+    rng = random.Random(seed)
+    population = [f"k/{i}" for i in range(n_keys)]
+    weights = [1.0 / (rank + 1) ** exponent for rank in range(n_keys)]
+    return rng.choices(population, weights=weights, k=n_writes)
+
+
+def run_zipf(seed, n_writes, plan):
+    """Zipf writes, one every 2 ms, while the ring walks ``plan``'s shard
+    counts (the first is the start, the rest land at even thirds of the
+    run); one merged watch observes every key throughout."""
+    env = Environment()
+    network = Network(env)
+
+    def factory(i):
+        return MemKV(env, network, location=f"shard-{i}",
+                     delta_watch=True, zero_copy=True)
+
+    topology = Topology(shards=plan[0], seed=seed, min_shards=1, max_shards=4)
+    store = ShardedStore(topology=topology, shard_factory=factory,
+                        name="bench-reshard")
+    client = ShardedStoreClient(store, "bench")
+    keys = zipf_keys(seed, n_writes)
+
+    observed = {}  # key -> [value, ...] in watch-delivery order
+    closes = []
+    watch = client.watch(
+        lambda event: observed.setdefault(event.key, []).append(
+            event.object["v"]),
+        key_prefix="k/", on_close=closes.append)
+
+    acked = {}  # key -> [value, ...] in ack order
+    created = set()
+    marks = [(n_writes * (i + 1) // len(plan), shards)
+             for i, shards in enumerate(plan[1:])]
+
+    def writer(env):
+        reshard_proc = None
+        for index, key in enumerate(keys):
+            while marks and index == marks[0][0]:
+                if reshard_proc is not None:
+                    yield reshard_proc  # one transition at a time
+                reshard_proc = store.reshard(marks.pop(0)[1])
+            if key in created:
+                yield client.update(key, {"v": index})
+            else:
+                yield client.create(key, {"v": index})
+                created.add(key)
+            acked.setdefault(key, []).append(index)
+            yield env.timeout(0.002)
+        if reshard_proc is not None:
+            yield reshard_proc
+
+    env.process(writer(env))
+    env.run(until=120.0)
+    env.run(until=env.now + 1.0)  # drain in-flight watch deliveries
+
+    final = {}
+
+    def collect(env):
+        for key in sorted(created):
+            obj = yield client.get(key)
+            final[key] = obj["data"]["v"]
+
+    env.process(collect(env))
+    env.run(until=env.now + 5.0)
+    return {
+        "final_state": final,
+        "observed": {k: observed.get(k, []) for k in sorted(created)},
+        "acked": acked,
+        "ring_fingerprint": store.ring.fingerprint(),
+        "ring_version": store.ring.version,
+        "shards": store.shard_count,
+        "reshard_stats": store.reshard_stats,
+        "fence_rejections": store.fence_rejections,
+        "watch_closes": len(closes),
+        "forced_resyncs": sum(w.forced_resyncs for w in watch.watches),
+    }
+
+
+class TestReshardUnderZipfLoad:
+    def test_grow_then_shrink_loses_and_reorders_nothing(self):
+        """1 -> 4 -> 2 shards under 180 Zipf writes, seed 0: every acked
+        write is the final state and shows on the watch exactly once, in
+        write order; the app watch never closes or resyncs (the one-GET
+        resync per moved range runs on the resharder's own clients); state
+        and per-key event order equal a never-resharded 2-shard run; and
+        a same-seed repeat is identical."""
+        elastic = run_zipf(0, 180, plan=(1, 4, 2))
+        static = run_zipf(0, 180, plan=(2,))
+        lost = [key for key, values in elastic["acked"].items()
+                if elastic["final_state"].get(key) != values[-1]]
+        reordered = [key for key, values in elastic["acked"].items()
+                     if elastic["observed"].get(key, []) != values]
+        assert lost == []
+        assert reordered == []
+        assert elastic["watch_closes"] == 0
+        assert elastic["forced_resyncs"] == 0
+        assert elastic["final_state"] == static["final_state"]
+        assert elastic["observed"] == static["observed"]
+        assert run_zipf(0, 180, plan=(1, 4, 2)) == elastic
+        assert elastic["reshard_stats"]["keys_moved"] > 0
