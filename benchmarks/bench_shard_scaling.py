@@ -272,7 +272,7 @@ def sweep():
     return results
 
 
-def test_four_shards_double_throughput(sweep, report):
+def test_four_shards_double_throughput(sweep):
     by_shards = {case["shards"]: case for case in sweep["throughput"]}
     one, four = by_shards[1], by_shards[4]
     speedup = four["ops_per_sec"] / one["ops_per_sec"]
@@ -282,7 +282,6 @@ def test_four_shards_double_throughput(sweep, report):
     )
     assert four["fulfilled"] == four["orders"]
     assert one["fulfilled"] == one["orders"]
-    report(describe(sweep))
 
 
 def test_batching_cuts_messages_without_changing_state(sweep):

@@ -252,13 +252,12 @@ def test_planes_observably_identical(sweep):
     )
 
 
-def test_cow_delta_cuts_copied_bytes_3x(sweep, report):
+def test_cow_delta_cuts_copied_bytes_3x(sweep):
     for shards, cuts in sweep["reductions"].items():
         assert cuts["copied_bytes_x"] >= 3.0, (
             f"shards={shards}: cow+delta cut copied bytes only "
             f"{cuts['copied_bytes_x']:.2f}x (need >= 3x)"
         )
-    report(describe(sweep))
 
 
 def test_delta_cuts_wire_bytes_2x(sweep):

@@ -31,7 +31,7 @@ Stages (paper columns):
 from repro.apps.retail.knactor_app import RetailKnactorApp
 from repro.apps.retail.rpc_app import RetailRpcApp
 from repro.apps.retail.workload import OrderWorkload
-from repro.core.optimizer import K_APISERVER, K_REDIS, K_REDIS_UDF
+from repro.core.optimizer import PROFILES, OptimizationProfile
 from repro.errors import ConfigurationError
 from repro.metrics.latency import StageBreakdown
 
@@ -45,12 +45,6 @@ PAPER_TABLE2 = {
                 "Prop.": 5.8, "Total": 449.8},
     "K-redis-udf": {"C-I": 2.1, "I": 0.7, "I-S": 0.1, "S": 450.0,
                     "Prop.": 2.9, "Total": 452.9},
-}
-
-PROFILES = {
-    "K-apiserver": K_APISERVER,
-    "K-redis": K_REDIS,
-    "K-redis-udf": K_REDIS_UDF,
 }
 
 #: The measured configuration: "we benchmark the Cast between the
@@ -74,33 +68,36 @@ DXG:
 
 
 def run_knactor_setup(setup, orders=20, spacing=2.0, seed=7):
-    """Run one Knactor setup and return its :class:`StageBreakdown`."""
-    try:
-        profile = PROFILES[setup]
-    except KeyError:
+    """Run one Knactor setup and return its :class:`StageBreakdown`.
+
+    ``setup`` names a Table 2 row or is an ``OptimizationProfile``;
+    ``orders`` is a count drawn from ``OrderWorkload(seed)`` or the
+    ``(key, data)`` pairs to place.  Orders go out open-loop, one every
+    ``spacing`` seconds however slow the backend is, and a failed order
+    write raises out of the run."""
+    profile = (setup if isinstance(setup, OptimizationProfile)
+               else PROFILES.get(setup))
+    if profile is None:
         raise ConfigurationError(
-            f"unknown setup {setup!r} (have {sorted(PROFILES)})"
-        ) from None
-    app = RetailKnactorApp.build(
-        profile=profile, seed=seed, with_notify=False, dxg=SHIPMENT_DXG,
-        obs=True,
-    )
-    workload = OrderWorkload(seed=seed)
-    env = app.env
+            f"unknown setup {setup!r} (have {sorted(PROFILES)})")
+    if isinstance(orders, int):
+        orders = OrderWorkload(seed=seed).orders(orders)
+    app = RetailKnactorApp.build(profile=profile, seed=seed, with_notify=False,
+                                 dxg=SHIPMENT_DXG, obs=True)
 
-    def driver(env):
-        for _ in range(orders):
-            key, data = workload.next_order()
-            yield app.place_order(key, data)
-            yield env.timeout(spacing)
+    def driver():
+        for key, data in orders:
+            app.place_order(key, data)
+            yield app.env.timeout(spacing)
 
-    env.process(driver(env))
-    app.run_until_quiet(max_seconds=orders * spacing + 60.0)
-    return extract_stages(app, setup, pushdown=profile.pushdown)
+    app.env.process(driver())
+    app.run_until_quiet(max_seconds=len(orders) * spacing + 60.0)
+    return extract_stages(app, profile.name, pushdown=profile.pushdown)
 
 
 def extract_stages(app, setup, pushdown):
-    """Table 2's stages per placed order, from the app's causal spans."""
+    """Table 2's stages per placed order, from the app's causal spans,
+    and the rate the orders went out at."""
     tracer = app.tracer
     breakdown = StageBreakdown(setup)
     t0_by_key = _first_starts(tracer, "place-order", "key")
@@ -144,6 +141,9 @@ def extract_stages(app, setup, pushdown):
                 "Total": t5 - t0,
             }
         )
+    starts = sorted(t0_by_key.values())
+    if len(starts) > 1 and starts[-1] > starts[0]:
+        breakdown.offered_rate = (len(starts) - 1) / (starts[-1] - starts[0])
     return breakdown
 
 

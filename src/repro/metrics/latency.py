@@ -39,10 +39,13 @@ class StageBreakdown:
     ``stages`` maps stage name -> list of per-request durations; the
     stage names for the retail experiment are the paper's: ``C-I``,
     ``I``, ``I-S``, ``S`` (plus derived ``Prop.`` and ``Total``).
+    ``offered_rate`` is the requests/s offered, from the first request's
+    start to the last (None where not measured).
     """
 
     setup: str
     stages: dict = field(default_factory=dict)
+    offered_rate: float = field(default=None, init=False)
 
     def add(self, stage, duration):
         self.stages.setdefault(stage, []).append(duration)
@@ -57,9 +60,6 @@ class StageBreakdown:
         if not values:
             return None
         return sum(values) / len(values)
-
-    def summary(self, stage):
-        return summarize(self.stages[stage])
 
     def count(self):
         if not self.stages:
