@@ -2,10 +2,10 @@
 
 The executor maintains one *exchange group* per correlation id (the object
 name that ties an order to its shipment and payment).  ``exchange(cid)``
-reads every involved object **once**, then evaluates the plan's write
-steps over an in-memory copy of that map, pass after pass, until a pass
-changes nothing -- the fixpoint at which all derivable state has
-propagated (:meth:`DXGExecutor._fixpoint`, pure).  Only then does it
+reads every involved object **once**, then evaluates the assignments over
+an in-memory copy of that map in field order, each again only when a
+field it reads has changed -- the fixpoint at which all derivable state
+has propagated (:meth:`DXGExecutor._fixpoint`, pure).  Only then does it
 write, once per target that moved: one create or patch through the
 handles, one transaction for them all (``transactional``), or local
 writes inside the pushed-down UDF -- the one evaluation, three thin
@@ -63,6 +63,7 @@ from repro.errors import (
     NotFoundError,
 )
 from repro.core.dxg.functions import standard_functions
+from repro.core.dxg.graph import DependencyGraph, paths_overlap
 from repro.core.dxg.planner import plan as build_plan
 from repro.obs.context import bind_generator, current_context
 from repro.store.cow import retain, set_shared
@@ -80,6 +81,8 @@ class ExecutorOptions:
     refresh_reads: bool = True
     trust_cache_for_missing: bool = False  # skip GETs of never-seen objects
     transactional: bool = False  # an exchange's writes as ONE atomic txn
+    # Bounds an exchange at max_passes x (number of assignments)
+    # evaluations; a DXG still changing then raises DXGError.
     max_passes: int = 8
 
     def __post_init__(self):
@@ -91,6 +94,8 @@ class ExecutorOptions:
 class ExchangeStats:
     """Counters for one ``exchange`` invocation (and cumulative totals)."""
 
+    # Worklist sweeps: more than 1 only when a cycle or a target the
+    # exchange created sends work back to an earlier assignment.
     passes: int = 0
     reads: int = 0
     writes: int = 0
@@ -135,22 +140,15 @@ class DXGExecutor:
         # Everything the DXG reads or writes, per (alias, kind).
         self._involved = self._involved_objects()
         # What evaluation needs that does not depend on the data: the
-        # named kinds under each alias; per target, each assignment with
-        # the objects it reads and its split field path; and the one
-        # scope, rebuilt only when the function registry changes.
+        # named kinds under each alias, the worklist's order and reach,
+        # and the one scope, rebuilt only when the function registry
+        # changes.
         self._named = {}
         for alias, kind in self._involved:
             named = self._named.setdefault(alias, [])
             if kind:
                 named.append(kind)
-        self._bound = {
-            step.target: [
-                (a, tuple(dict.fromkeys((r.alias, r.kind) for r in a.sources)),
-                 tuple(split(a.field)))
-                for a in step.assignments
-            ]
-            for step in self.plan.steps
-        }
+        self._order, self._readers = self._worklist()
         self._scope = None
         self._scope_version = None
 
@@ -195,7 +193,7 @@ class DXGExecutor:
         else:
             # Zero-copy plane: watch events hand us immutable views, so
             # the cache can alias them -- nothing downstream mutates it
-            # (computation path-copies the target, see ``_compute_step``).
+            # (computation path-copies the target, see ``_fixpoint``).
             self.cache[slot] = retain(data)
 
     def observe(self, alias, kind, cid, data):
@@ -216,64 +214,72 @@ class DXGExecutor:
 
     # -- evaluation core (pure; shared by remote and push-down paths) ----------
 
-    def _bind(self, objects, cid):
-        """The executor's scope with every alias and ``cid`` bound.
+    def _worklist(self):
+        """The assignments in field-topological order (plan order for a
+        cycle, which Cast's analysis rejects but a bare executor may be
+        given), each as ``(assignment, target, objects it reads, field
+        path, creatable)``; and per position, the positions that read
+        its write: when it changes its field, and when it creates its
+        target.  A write to ``quote`` reaches readers of ``quote.price``
+        and of ``this.quote``, and a bare alias reads every kind under
+        it; a created target reaches every reader of the object, since
+        a missing source skipped them."""
+        try:
+            rank = {node: i for i, node in enumerate(
+                DependencyGraph.from_spec(self.spec).topological_order())}
+        except ValueError:
+            rank = {}
+        order = sorted((
+            (a, step.target,
+             tuple(dict.fromkeys((r.alias, r.kind) for r in a.sources)),
+             tuple(split(a.field)), step.creatable)
+            for step in self.plan.steps for a in step.assignments
+        ), key=lambda entry: rank.get(entry[0].target_node, 0))
 
-        Per alias: the default-kind object's fields appear at top level,
-        named kinds appear under their kind name (and claim it over a
-        default-kind field of the same name).
-        """
+        # (alias, kind, path) per read; a bare alias reads any kind.
+        reads = [
+            [(r.alias, r.kind if r.kind or r.path else None, r.path)
+             for r in a.sources]
+            + [(a.target_alias, a.target_kind, q) for q in a.uses_this]
+            for a, *_rest in order
+        ]
+
+        def readers(alias, kind, path):
+            return tuple(pos for pos, read in enumerate(reads) if any(
+                a == alias and k in (kind, None) and paths_overlap(p, path)
+                for a, k, p in read))
+
+        return order, [(readers(*target, a.field), readers(*target, ""))
+                       for a, target, *_rest in order]
+
+    def _bind(self, objects, cid):
+        """The executor's scope with every alias and ``cid`` bound, once
+        per exchange: :meth:`_fixpoint` binds an alias again only when it
+        changes one of its objects."""
         if self._scope_version != self.functions.version:
             self._scope_version = self.functions.version
             self._scope = Scope(self.functions.table())
-        scope = self._scope
-        for alias, named in self._named.items():
-            slot = objects.get((alias, "")) or {}
-            if named:
-                slot = dict(slot)
-                for kind in named:
-                    data = objects.get((alias, kind))
-                    if data is not None:
-                        slot[kind] = data
-            scope.bind(alias, slot)
+        for alias in self._named:
+            self._bind_alias(objects, alias)
         if cid is None:
-            scope.unbind("cid")
+            self._scope.unbind("cid")
         else:
-            scope.bind("cid", cid)
-        return scope
+            self._scope.bind("cid", cid)
+        return self._scope
 
-    def _compute_step(self, step, objects, cid=None):
-        """Evaluate one step's assignments; returns (values, skipped).
-
-        ``objects`` is ``{(alias, kind): data|None}``; the step's target
-        is read from it ({} when the object does not exist yet) and is
-        never written: ``working`` copies only the containers on the way
-        to a computed field.  Values computed earlier in the same step
-        are visible to later ``this.`` reads (intra-step chaining).
-        The correlation id is exposed to expressions as ``cid``.
-        """
-        values = {}
-        skipped = 0
-        scope = self._bind(objects, cid)
-        target = step.target
-        working = dict(objects.get(target) or {})
-        scope.bind("this", working)
-        for assignment, source_keys, parts in self._bound[target]:
-            # Skip if any wholly-missing source object is referenced.
-            if any(objects.get(key) is None for key in source_keys):
-                skipped += 1
-                continue
-            try:
-                value = assignment.expression.evaluate(scope)
-            except ExpressionError:
-                skipped += 1
-                continue
-            if value is None:
-                skipped += 1
-                continue
-            values[assignment.field] = value
-            set_shared(working, parts, value)
-        return values, skipped
+    def _bind_alias(self, objects, alias):
+        """The default-kind object's fields appear at top level, named
+        kinds under their kind name (claiming it over a default-kind
+        field of the same name)."""
+        slot = objects.get((alias, "")) or {}
+        named = self._named[alias]
+        if named:
+            slot = dict(slot)
+            for kind in named:
+                data = objects.get((alias, kind))
+                if data is not None:
+                    slot[kind] = data
+        self._scope.bind(alias, slot)
 
     @staticmethod
     def _changed_fields(current, values):
@@ -291,36 +297,58 @@ class DXGExecutor:
         return out
 
     def _fixpoint(self, cid, objects, stats):
-        """Pure: the plan's steps, pass after pass, over a copy of
-        ``objects`` until a pass changes nothing; -> that final map.
+        """Pure: evaluate the assignments over a copy of ``objects`` until
+        no field any of them reads has changed; -> that final map.
 
-        A changed target is the gathered object with the changed fields
-        path-copied in (``objects`` itself is never written), so every
-        later step -- this pass and the next -- reads it.  A target the
-        plan may not create stays missing until its owner creates it.
+        A worklist in field order: every assignment once, and again only
+        when a field it reads changed -- a later position, unless a cycle
+        or a created target sends the work back (``stats.passes`` counts
+        the sweeps).  A changed target is the gathered object with the
+        field path-copied in (``objects`` itself is never written), and
+        only its alias is bound again.  A target the plan may not create
+        stays missing until its owner creates it: its assignments are
+        not evaluated.
         """
         working = dict(objects)
-        for _pass in range(self.options.max_passes):
-            stats.passes += 1
-            moved = False
-            for step in self.plan.steps:
-                current = working.get(step.target)
-                values, skipped = self._compute_step(step, working, cid=cid)
-                stats.skipped += skipped
-                changed = self._changed_fields(current or {}, values)
-                if not changed or (current is None and not step.creatable):
-                    continue
-                new = dict(current or {})
-                for path, value in changed.items():
-                    set_shared(new, path, value)
-                working[step.target] = new
-                moved = True
-            if not moved:
-                return working
-        raise DXGError(
-            f"exchange for {cid!r} did not quiesce in "
-            f"{self.options.max_passes} passes"
-        )
+        scope = self._bind(working, cid)
+        budget = self.options.max_passes * len(self._order)
+        pending = set(range(len(self._order)))
+        last = len(self._order)
+        while pending:
+            pos = min(pending)
+            pending.remove(pos)
+            if pos <= last:  # back at or before the last one: a new sweep
+                stats.passes += 1
+            last = pos
+            budget -= 1
+            if budget < 0:
+                raise DXGError(
+                    f"exchange for {cid!r} did not quiesce in "
+                    f"{self.options.max_passes} passes"
+                )
+            assignment, target, source_keys, parts, creatable = self._order[pos]
+            current = working.get(target)
+            if (current is None and not creatable) or any(
+                    working.get(key) is None for key in source_keys):
+                stats.skipped += 1
+                continue
+            scope.bind("this", {} if current is None else current)
+            try:
+                value = assignment.expression.evaluate(scope)
+            except ExpressionError:
+                value = None
+            if value is None:
+                stats.skipped += 1
+                continue
+            if current is not None and get_path(
+                    current, parts, default=_MISSING) == value:
+                continue
+            new = dict(current or {})
+            set_shared(new, parts, value)
+            working[target] = new
+            self._bind_alias(working, target[0])
+            pending.update(self._readers[pos][current is None])
+        return working
 
     def _changes(self, objects, working):
         """(step, changed fields, exists) per target the fixpoint moved,
@@ -331,8 +359,8 @@ class DXGExecutor:
             if final is current:
                 continue
             changed = self._changed_fields(current or {}, {
-                a.field: get_path(final, parts, default=_MISSING)
-                for a, _sources, parts in self._bound[step.target]
+                a.field: get_path(final, a.field, default=_MISSING)
+                for a in step.assignments
             })
             yield step, changed, current is not None
 

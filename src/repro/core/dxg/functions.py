@@ -3,7 +3,9 @@
 The paper's Fig. 6 uses ``currency_convert``; integrator authors can
 register their own pure functions.  Functions must be deterministic and
 side-effect-free: the executor re-evaluates assignments freely and may
-push them down into a store (where re-execution is also possible).
+push them down into a store (where re-execution is also possible).  They
+receive the stores' data itself, plain (or frozen) dicts and lists, and
+must not mutate their arguments.
 """
 
 from repro.errors import ConfigurationError, ExpressionError
@@ -45,9 +47,6 @@ def concat(*parts):
 
 def lookup(mapping, key, default=None):
     """Safe dict lookup usable from expressions."""
-    from repro.util.safeexpr import unwrap
-
-    mapping = unwrap(mapping)
     if not isinstance(mapping, dict):
         return default
     return mapping.get(key, default)

@@ -11,6 +11,13 @@ analysis") and the planner's topological ordering.
 from collections import defaultdict
 
 
+def paths_overlap(path, other):
+    """Do two dotted field paths of one object share a field ("" is the
+    whole object)?"""
+    return (not path or not other or path == other
+            or path.startswith(other + ".") or other.startswith(path + "."))
+
+
 class DependencyGraph:
     """Directed graph over DXG field nodes."""
 
@@ -126,27 +133,29 @@ class DependencyGraph:
     def topological_order(self):
         """Assigned nodes in dependency order (raises on cycles).
 
-        Pure source nodes are not included; ties break lexicographically
+        Pure source nodes are not included; a write to ``quote`` comes
+        before readers of ``quote.price``; ties break lexicographically
         for determinism.
         """
-        if self.find_cycles():
-            raise ValueError("graph has cycles; no topological order")
-        assigned = set(self._assignment_of)
-        indegree = {
-            node: len([p for p in self._pred.get(node, ()) if p in assigned])
-            for node in assigned
-        }
+        succ = self._effective_successors()
+        indegree = dict.fromkeys(self._assignment_of, 0)
+        for node in indegree:
+            for nxt in succ.get(node, ()):
+                if nxt in indegree:
+                    indegree[nxt] += 1
         ready = sorted(n for n, d in indegree.items() if d == 0)
         order = []
         while ready:
             node = ready.pop(0)
             order.append(node)
-            for nxt in sorted(self._succ.get(node, ())):
+            for nxt in sorted(succ.get(node, ())):
                 if nxt in indegree:
                     indegree[nxt] -= 1
                     if indegree[nxt] == 0:
                         ready.append(nxt)
                         ready.sort()
+        if len(order) < len(indegree):  # the rest wait on a cycle
+            raise ValueError("graph has cycles; no topological order")
         return order
 
     def affected_by(self, changed_nodes):
@@ -173,15 +182,5 @@ class DependencyGraph:
 
     def _matching_nodes(self, changed):
         alias, kind, path = changed
-        matches = []
-        for node in self._nodes:
-            if node[0] != alias or node[1] != kind:
-                continue
-            npath = node[2]
-            if not path or not npath:
-                matches.append(node)
-            elif npath == path or npath.startswith(path + ".") or path.startswith(
-                npath + "."
-            ):
-                matches.append(node)
-        return matches
+        return [node for node in self._nodes if node[:2] == (alias, kind)
+                and paths_overlap(node[2], path)]

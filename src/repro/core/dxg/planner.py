@@ -5,13 +5,13 @@ The planner turns a spec + dependency graph into an ordered list of
 appear in dependency order wherever the group-level graph is acyclic
 (groups that depend on each other cyclically -- e.g. Checkout and
 Shipping mutually exchanging fields -- stay in one strongly connected
-component and rely on the executor's fixpoint loop).
+component; the executor evaluates in field order and writes in step order).
 
 The **consolidation** optimization (paper §3.3: "integrators can
 consolidate the state processing logic by combining multiple state
 processing operations into fewer and more efficient ones") falls out of
 this structure: a consolidated executor issues ONE patch per step per
-pass, instead of one write per assignment.
+exchange, instead of one write per assignment.
 """
 
 from dataclasses import dataclass, field

@@ -11,9 +11,17 @@ data-store states.  Only a whitelisted set of node types is allowed -- no
 attribute access on arbitrary objects (attributes resolve to dict keys), no
 imports, no dunder access, and calls may only target functions explicitly
 registered by the integrator author.
+
+The checked tree is then compiled to run on the plain data itself: an
+attribute chain becomes dict lookups, a comprehension iterates an object's
+field values, and so do ``sum``/``min``/``max``/``sorted``/``any``/``all``
+given one object.  Nothing is wrapped on the way in; a container result
+comes back as a plain copy.  The helper the rewrite inserts is named with
+``__``, which no expression, field or alias can name.
 """
 
 import ast
+import warnings
 
 from repro.errors import ExpressionError
 
@@ -65,100 +73,66 @@ _ALLOWED_NODES = (
     ast.comprehension,
 )
 
+
+def _values(value):
+    """What iterating ``value`` walks: an object's field values (record
+    semantics, like Zed's ``items[]``: Fig. 6's ``[item.name for item in
+    C.order.items]`` works with Fig. 5's ``items: object``), a list's
+    elements."""
+    return value.values() if isinstance(value, dict) else value
+
+
+def _over_values(builtin):
+    """``builtin`` walking an object argument's values, not its keys."""
+
+    def call(iterable, *args, **kwargs):
+        return builtin(_values(iterable), *args, **kwargs)
+
+    return call
+
+
 #: Builtin functions available in every expression (pure, total-ish).
 SAFE_BUILTINS = {
     "abs": abs,
     "len": len,
-    "min": min,
-    "max": max,
-    "sum": sum,
+    "min": _over_values(min),
+    "max": _over_values(max),
+    "sum": _over_values(sum),
     "round": round,
-    "sorted": sorted,
+    "sorted": _over_values(sorted),
     "str": str,
     "int": int,
     "float": float,
     "bool": bool,
-    "any": any,
-    "all": all,
+    "any": _over_values(any),
+    "all": _over_values(all),
 }
 
 
-class _AttrView:
-    """Read-only dict wrapper exposing keys as attributes.
-
-    Deliberately NOT a dict subclass, and with no public methods at all:
-    field names like ``items`` or ``keys`` must resolve to the *data*,
-    not to dict methods (the paper's own Fig. 6 reads ``C.order.items``).
-    Use :func:`unwrap` to get plain dicts back for interop.
-    """
-
-    __slots__ = ("_data",)
-
-    def __init__(self, data):
-        object.__setattr__(self, "_data", data)
-
-    def __getattr__(self, name):
-        if name.startswith("__"):
-            raise AttributeError(name)
-        try:
-            return _wrap(self._data[name])
-        except KeyError:
-            raise ExpressionError(f"no field {name!r}") from None
-
-    def __getitem__(self, key):
-        try:
-            return _wrap(self._data[key])
-        except KeyError:
-            raise ExpressionError(f"no field {key!r}") from None
-
-    def __iter__(self):
-        # Iterating an *object* yields its field VALUES (record semantics,
-        # like Zed's `items[]`): Fig. 6's `[item.name for item in
-        # C.order.items]` works with Fig. 5's `items: object`.
-        return iter(_wrap(v) for v in self._data.values())
-
-    def __len__(self):
-        return len(self._data)
-
-    def __contains__(self, key):
-        return key in self._data
-
-    def __eq__(self, other):
-        if isinstance(other, _AttrView):
-            return self._data == other._data
-        return self._data == other
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __bool__(self):
-        return bool(self._data)
-
-    def __repr__(self):
-        return f"AttrView({self._data!r})"
-
-    __hash__ = None
-
-
-def _wrap(value):
-    if isinstance(value, _AttrView):
-        return value
+def _plain(value):
+    """A result as plain data: containers (frozen views too) copied."""
     if isinstance(value, dict):
-        return _AttrView(value)
-    if isinstance(value, list):
-        return [_wrap(v) for v in value]
-    return value
-
-
-def unwrap(value):
-    """Deep-convert wrapped views back into plain dicts/lists."""
-    if isinstance(value, _AttrView):
-        return unwrap(value._data)
-    if isinstance(value, dict):
-        return {k: unwrap(v) for k, v in value.items()}
+        return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [unwrap(v) for v in value]
+        return [_plain(v) for v in value]
     return value
+
+
+class _Compiler(ast.NodeTransformer):
+    """Rewrites a validated tree to run on plain data: an attribute
+    chain becomes dict lookups (``C.order.items`` ->
+    ``C["order"]["items"]``, so ``items`` is a field, never a method)
+    and a comprehension iterates ``__values(...)`` of its iterable."""
+
+    def visit_Attribute(self, node):
+        return ast.Subscript(value=self.visit(node.value),
+                             slice=ast.Constant(node.attr), ctx=ast.Load())
+
+    def visit_comprehension(self, node):
+        self.generic_visit(node)
+        node.iter = ast.Call(func=ast.Name("__values", ast.Load()),
+                             args=[node.iter], keywords=[])
+        return node
 
 
 class Scope:
@@ -174,10 +148,11 @@ class Scope:
     __slots__ = ("names", "_table")
 
     def __init__(self, functions=None, data=None):
-        # ``__builtins__`` goes last so that nothing registered replaces
-        # the empty one, and sits in the table so that nothing unbinds
-        # it either (``eval`` would put the real one back).
-        self._table = {**SAFE_BUILTINS, **(functions or {}), "__builtins__": {}}
+        # The dunder names go last so that nothing registered replaces
+        # them, and sit in the table so that nothing unbinds them either
+        # (``eval`` would put the real ``__builtins__`` back).
+        self._table = {**SAFE_BUILTINS, **(functions or {}),
+                       "__values": _values, "__builtins__": {}}
         self.names = dict(self._table)  # the globals of every evaluation
         for name, value in (data or {}).items():
             self.bind(name, value)
@@ -185,7 +160,7 @@ class Scope:
     def bind(self, name, value):
         if name.startswith("__"):
             raise ExpressionError(f"dunder name {name!r} cannot be bound")
-        self.names[name] = _wrap(value)
+        self.names[name] = value
 
     def unbind(self, name):
         if name in self._table:
@@ -205,60 +180,51 @@ class SafeExpression:
             tree = ast.parse(self.source, mode="eval")
         except SyntaxError as exc:
             raise ExpressionError(f"syntax error in {self.source!r}: {exc}") from exc
-        self._validate(tree)
-        self._code = compile(tree, "<dxg-expr>", "eval")
-        self.names = self._root_names(tree)
-        self.paths = self._dependency_paths(tree)
-
-    def _validate(self, tree):
+        names, bound, called = set(), set(), set()
         for node in ast.walk(tree):
-            if not isinstance(node, _ALLOWED_NODES):
-                raise ExpressionError(
-                    f"disallowed syntax {type(node).__name__!r} in {self.source!r}"
-                )
-            if isinstance(node, ast.Attribute) and node.attr.startswith("__"):
-                raise ExpressionError(f"dunder access forbidden in {self.source!r}")
-            if isinstance(node, ast.Name) and node.id.startswith("__"):
-                raise ExpressionError(f"dunder name forbidden in {self.source!r}")
-            if isinstance(node, ast.Call):
-                func = node.func
-                if not isinstance(func, ast.Name):
-                    raise ExpressionError(
-                        f"only plain function calls are allowed in {self.source!r}"
-                    )
+            self._check(node)
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.comprehension):
+                bound.update(target.id for target in ast.walk(node.target)
+                             if isinstance(target, ast.Name))
+            elif isinstance(node, ast.Call):
+                called.add(node.func.id)
+        self.names = frozenset(names - bound)  # free names
+        self.paths = self._dependency_paths(tree, bound, called)
+        tree = ast.fix_missing_locations(_Compiler().visit(tree))
+        with warnings.catch_warnings():  # "[].a" is a runtime error, not a typo
+            warnings.simplefilter("ignore", SyntaxWarning)
+            self._code = compile(tree, "<dxg-expr>", "eval")
+
+    def _check(self, node):
+        """The whitelist, on one node of the tree as written."""
+        if not isinstance(node, _ALLOWED_NODES):
+            raise ExpressionError(
+                f"disallowed syntax {type(node).__name__!r} in {self.source!r}"
+            )
+        if isinstance(node, ast.Attribute) and node.attr.startswith("__"):
+            raise ExpressionError(f"dunder access forbidden in {self.source!r}")
+        if isinstance(node, ast.Name) and node.id.startswith("__"):
+            raise ExpressionError(f"dunder name forbidden in {self.source!r}")
+        if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(
+                node.ctx, ast.Store):
+            # A comprehension target must bind names: ``for A.x in``
+            # would write into the data the expression reads.
+            raise ExpressionError(f"assignment to data in {self.source!r}")
+        if isinstance(node, ast.Call) and not isinstance(node.func, ast.Name):
+            raise ExpressionError(
+                f"only plain function calls are allowed in {self.source!r}"
+            )
 
     @staticmethod
-    def _root_names(tree):
-        """Free variable names (excluding comprehension-bound names)."""
-        bound = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.comprehension):
-                for target in ast.walk(node.target):
-                    if isinstance(target, ast.Name):
-                        bound.add(target.id)
-        names = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and node.id not in bound:
-                names.add(node.id)
-        return frozenset(names)
-
-    def _dependency_paths(self, tree):
+    def _dependency_paths(tree, bound, called):
         """Dotted paths the expression reads, e.g. ``{("S","quote","price")}``.
 
         Paths rooted at comprehension-bound names and at function names are
         excluded.  An attribute chain contributes its longest prefix of
         plain attribute accesses.
         """
-        bound = set()
-        called = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.comprehension):
-                for target in ast.walk(node.target):
-                    if isinstance(target, ast.Name):
-                        bound.add(target.id)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                called.add(node.func.id)
-
         paths = set()
 
         def chain(node):
@@ -284,9 +250,6 @@ class SafeExpression:
                     paths.add((node.id,))
 
         Visitor().visit(tree)
-        # Drop paths shadowed by a longer recorded path with the same root:
-        # 'S.quote.price' subsumes nothing here, but a bare ('S',) recorded
-        # from a different sub-expression is kept -- it is a real read.
         return frozenset(paths)
 
     def evaluate(self, scope, functions=None):
@@ -303,10 +266,11 @@ class SafeExpression:
         try:
             # One dict as globals and no locals: comprehension bodies are
             # nested scopes and look their free names up as globals.
-            result = eval(self._code, names)  # noqa: S307 -- whitelisted AST
-            return unwrap(result)
+            return _plain(eval(self._code, names))  # noqa: S307 -- whitelisted AST
         except ExpressionError:
             raise
+        except KeyError as exc:
+            raise ExpressionError(f"no field {exc}") from None
         except Exception as exc:
             raise ExpressionError(
                 f"evaluation of {self.source!r} failed: {exc}"

@@ -209,7 +209,7 @@ class TestOneGatherPerExchange:
         call(runtime.handle_of("src").create("k", {"x": 1}))
         env.run()
         totals = cast.executor.totals
-        assert totals.passes == 2  # the write, then the confirming pass
+        assert totals.passes == 1  # one sweep: nothing reads what B gets
         assert totals.reads == len(cast.executor.plan.steps) + 1 == 2
 
     def test_a_foreign_write_mid_exchange_converges_through_its_event(
@@ -246,7 +246,7 @@ class TestOneGatherPerExchange:
         assert call(dst.get("k"))["data"]["y"] == 100
         involved = len(executor._involved)
         assert [s.reads for s in per_exchange] == [involved] * len(per_exchange)
-        assert per_exchange[0].passes == 2 and per_exchange[0].writes == 1
+        assert per_exchange[0].passes == 1 and per_exchange[0].writes == 1
         assert cast.exchanges_run == len(per_exchange) == 2
         assert cast.stats()["queue_depth"] == 0
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.dxg import DXGExecutor, parse_dxg
-from repro.core.dxg.executor import ExecutorOptions
+from repro.core.dxg.executor import ExchangeStats, ExecutorOptions
 from repro.errors import ConfigurationError, ExpressionError
 from repro.exchange import ObjectDE
 from repro.store import ApiServer, MemKV
@@ -232,12 +232,12 @@ class TestBoundScope:
         )
         step = executor.plan.steps[0]
         objects = {("C", "order"): make_order(), ("S", ""): None}
-        assert executor._compute_step(step, objects, cid="x") == (
+        assert evaluated(executor, objects, cid="x") == (
             {"addr": "x@12 Elm St"}, 0)
-        assert executor._compute_step(step, objects, cid=None) == ({}, 1)
+        assert evaluated(executor, objects, cid=None) == (None, 1)
         with pytest.raises(ExpressionError, match=r"unbound name\(s\) \['cid'\]"):
             step.assignments[0].expression.evaluate(executor._bind(objects, None))
-        assert executor._compute_step(step, objects, cid="y") == (
+        assert evaluated(executor, objects, cid="y") == (
             {"addr": "y@12 Elm St"}, 0)
 
     def test_alias_named_like_a_builtin_is_data(self, env):
@@ -257,9 +257,15 @@ class TestBoundScope:
             ),
             handles={"max": None, "S": None},
         )
-        step = executor.plan.steps[0]
         objects = {("max", "order"): make_order(cost=99), ("S", ""): None}
-        assert executor._compute_step(step, objects) == ({"method": "10"}, 0)
+        assert evaluated(executor, objects) == ({"method": "10"}, 0)
+
+
+def evaluated(executor, objects, cid=None):
+    """One exchange's evaluation of ``objects``: the shipment it
+    computes, and how many assignments were not ready."""
+    stats = ExchangeStats()
+    return executor._fixpoint(cid, objects, stats)[("S", "")], stats.skipped
 
 
 class TestOptions:

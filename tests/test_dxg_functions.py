@@ -49,9 +49,16 @@ class TestHelpers:
         assert lookup("not-a-dict", "k", 0) == 0
 
     def test_lookup_unwraps_views(self):
-        from repro.util.safeexpr import _wrap
+        """An expression hands ``lookup`` the store's state itself:
+        frozen views included, with nothing to unwrap."""
+        from repro.store.cow import freeze
+        from repro.util.safeexpr import SafeExpression
 
-        assert lookup(_wrap({"k": 7}), "k") == 7
+        state = {"A": freeze({"rates": {"k": 7}})}
+        table = standard_functions().table()
+        assert SafeExpression("lookup(A.rates, 'k')").evaluate(state, table) == 7
+        assert SafeExpression("lookup(A, 'rates')").evaluate(state, table) == {
+            "k": 7}
 
     def test_clamp(self):
         assert clamp(5, 0, 10) == 5

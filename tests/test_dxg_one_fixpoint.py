@@ -1,12 +1,12 @@
 """One evaluation, three writers: the DXG fixpoint written once.
 
-An exchange evaluates its plan to a fixpoint over the one map it
-gathered (``DXGExecutor._fixpoint``, pure), then writes what moved: one
-create or patch per target through the handles, one transaction for
-them all, or ``ctx.create``/``ctx.patch`` inside the pushed-down UDF.
-Checked here against the loop the three replaced -- evaluate a step,
-write it, fold the reply in, pass again until a pass writes nothing --
-kept in this file as the reference.
+An exchange evaluates its assignments to a fixpoint over the one map it
+gathered (``DXGExecutor._fixpoint``, pure: a worklist in field order),
+then writes what moved: one create or patch per target through the
+handles, one transaction for them all, or ``ctx.create``/``ctx.patch``
+inside the pushed-down UDF.  Checked here against the loop the three
+replaced -- evaluate a step, write it, fold the reply in, pass again
+until a pass writes nothing -- kept in this file as the reference.
 """
 
 from functools import partial
@@ -21,7 +21,9 @@ from repro.errors import DXGError, NotFoundError
 from repro.exchange import ObjectDE
 from repro.simnet import Environment, FixedLatency, Network
 from repro.store import ApiServer, MemKV, MemKVClient
+from repro.util.safeexpr import SafeExpression
 from tests.test_cast_news import build
+from tests.test_property_dxg_bound_scope import reference_step
 from tests.test_store_request_path import _Counting
 
 ALIASES = ("A", "B", "C")
@@ -104,7 +106,7 @@ def reference_exchange(executor, cid):
         wrote = False
         for step in executor.plan.steps:
             current = objects.get(step.target)
-            values, _skipped = executor._compute_step(step, objects, cid=cid)
+            values, _skipped = reference_step(executor, step, objects, cid)
             changed = executor._changed_fields(current or {}, values)
             if not changed or (current is None and not step.creatable):
                 continue
@@ -154,34 +156,59 @@ class TestThreeWritersOneFixpoint:
         assert remote_writes == pushed_writes
 
     def test_the_evaluation_is_written_once(self):
-        """``_fixpoint`` is the one caller of ``_compute_step``."""
+        """``_fixpoint``'s worklist is the one place that evaluates."""
         import inspect
 
         source = inspect.getsource(DXGExecutor)
-        assert source.count("self._compute_step(") == 1
+        assert source.count(".evaluate(") == 1
+        assert source.count("self._fixpoint(") == 2  # remote and push-down
         assert not hasattr(DXGExecutor, "_run_steps_txn")
 
 
 WRITERS = ["remote", "transactional", "push-down"]
 
+#: A cycle Cast's analysis would refuse, given to a bare executor: each
+#: evaluation of one field moves the other, so it never quiesces.
+CYCLIC = """\
+Input:
+  A: Prop/v1/A/store-a
+  B: Prop/v1/B/store-b
+  C: Prop/v1/C/store-c
+DXG:
+  A:
+    f0: B.f0 + 1
+  B:
+    f0: A.f0 + 1
+"""
+
 
 @pytest.mark.parametrize("writer", WRITERS)
-def test_a_fixpoint_past_max_passes_is_a_dxg_error(env, net, call, writer):
-    """One pass writes, so a second is needed to see it confirmed: with
-    ``max_passes=1`` every writer raises, and writes nothing."""
-    runtime, _de, cast = build(
-        env, net, options=ExecutorOptions(
-            max_passes=1, transactional=writer == "transactional"),
-        backend_cls=MemKV)
-    if writer == "push-down":
-        cast.pushdown = True
-        cast.reconfigure(spec=cast._initial_spec)
-    call(runtime.handle_of("src").create("k", {"x": 1}))
-    env.run()
-    assert cast.errors == 1
-    assert cast.exchanges_run == 0
-    with pytest.raises(NotFoundError):
-        call(runtime.handle_of("dst").get("k"))
+def test_a_fixpoint_past_max_passes_is_a_dxg_error(writer, monkeypatch):
+    """A DXG still changing after ``max_passes`` x (its assignments)
+    evaluations raises the one ``DXGError`` from every writer, which
+    writes nothing."""
+    evaluations = []
+    evaluate = SafeExpression.evaluate
+
+    def counting(self, scope):
+        evaluations.append(self.source)
+        return evaluate(self, scope)
+
+    monkeypatch.setattr(SafeExpression, "evaluate", counting)
+    objects = {"A": {"v": 0, "f0": 0}, "B": {"v": 0, "f0": 0}, "C": None}
+    for max_passes in (1, 3):
+        env, backend, executor = world(CYCLIC, objects, ExecutorOptions(
+            max_passes=max_passes, transactional=writer == "transactional"))
+        evaluations.clear()
+        with pytest.raises(DXGError, match="did not quiesce"):
+            if writer == "push-down":
+                backend.functions.register("dxg", executor.as_udf({
+                    alias: f"store-{alias.lower()}/" for alias in ALIASES}))
+                env.run(until=MemKVClient(backend, "cast").fcall("dxg", "k"))
+            else:
+                env.run(until=executor.exchange("k"))
+        assert len(evaluations) == max_passes * 2
+        assert final(env, executor) == objects
 
 
 def owner_writes_after_the_gather(executor, dst, patch):

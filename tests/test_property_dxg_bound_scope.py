@@ -1,13 +1,17 @@
 """Property tests: the executor's bound scope against from-scratch evaluation.
 
 The executor evaluates every expression in ONE :class:`Scope` that it
-re-binds in place, and computes a step on a path-copied overlay of the
-(frozen) target.  Both are checked here against references that build
-everything afresh: ``evaluate(context_dict, functions)`` per expression,
-and a ``copy.deepcopy``-based ``_compute_step`` kept in this file.
+binds once per exchange and re-binds in place, and writes a computed
+field into a path-copied overlay of the (frozen) target.  Both are
+checked here against references that build everything afresh:
+``evaluate(context_dict, functions)`` per expression, and a
+``copy.deepcopy``-based step evaluation, run pass after pass until a
+pass changes nothing, kept in this file.
 """
 
 import copy
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.dxg import DXGExecutor, parse_dxg, standard_functions
 from repro.core.dxg import executor as executor_module
+from repro.core.dxg.executor import ExchangeStats
 from repro.errors import ExpressionError
 from repro.simnet import Environment
 from repro.store.cow import FrozenViewError, freeze
@@ -102,7 +107,7 @@ class TestBoundScopeEqualsFromScratch:
 
 
 # ---------------------------------------------------------------------------
-# _compute_step == the deepcopy-based reference
+# The worklist == the deepcopy-based reference, pass after pass
 # ---------------------------------------------------------------------------
 
 SPEC = parse_dxg("""\
@@ -164,8 +169,10 @@ def reference_context(objects):
 
 
 def reference_step(executor, step, objects, cid):
-    """``_compute_step`` as it was: deep-copied target, a fresh scope
-    dict and a fresh function table per assignment."""
+    """One write step's values and not-ready count: deep-copied target
+    (values computed earlier in the step are visible to later ``this.``
+    reads), a fresh scope dict and a fresh function table per
+    assignment."""
     values, skipped = {}, 0
     target = objects.get((step.alias, step.kind))
     working = copy.deepcopy(target if target is not None else {})
@@ -193,6 +200,27 @@ def reference_step(executor, step, objects, cid):
     return values, skipped
 
 
+def reference_fixpoint(executor, objects, cid):
+    """The plan's steps over a copy of ``objects``, pass after pass,
+    until a pass changes nothing."""
+    working = dict(objects)
+    for _pass in range(executor.options.max_passes):
+        moved = False
+        for step in executor.plan.steps:
+            current = working.get(step.target)
+            values, _skipped = reference_step(executor, step, working, cid)
+            changed = executor._changed_fields(current or {}, values)
+            if not changed or (current is None and not step.creatable):
+                continue
+            working[step.target] = copy.deepcopy(current or {})
+            for path, value in changed.items():
+                set_path(working[step.target], path, value)
+            moved = True
+        if not moved:
+            return working
+    raise AssertionError("the reference did not quiesce")
+
+
 def make_executor():
     return DXGExecutor(
         Environment(), SPEC, handles={"A": None, "B": None, "T": None})
@@ -210,16 +238,25 @@ class TestComputeStepEqualsReference:
     @given(history=st.lists(st.tuples(_objects, _cids), min_size=1, max_size=4),
            frozen=st.booleans())
     def test_same_values_and_target_never_mutated(self, history, frozen):
-        executor = make_executor()  # one executor, one scope, many steps
+        executor = make_executor()  # one executor, one scope, many exchanges
         for objects, cid in history:
             if frozen:
                 objects = {key: freeze(data) for key, data in objects.items()}
             before = copy.deepcopy(objects)
-            for step in executor.plan.steps:
-                # A frozen target raises FrozenViewError if it is written.
-                assert executor._compute_step(step, objects, cid=cid) == (
-                    reference_step(executor, step, objects, cid))
+            evaluated = Counter()
+            evaluate = SafeExpression.evaluate
+
+            def counting(expr, scope):
+                evaluated[expr.source] += 1
+                return evaluate(expr, scope)
+
+            # A frozen target raises FrozenViewError if it is written.
+            with mock.patch.object(SafeExpression, "evaluate", counting):
+                got = executor._fixpoint(cid, objects, ExchangeStats())
+            assert got == reference_fixpoint(executor, objects, cid)
             assert objects == before
+            # The DXG is acyclic: the worklist evaluates nothing twice.
+            assert max(evaluated.values(), default=0) <= 1
 
     def test_a_write_into_the_frozen_target_is_not_swallowed(self, monkeypatch):
         """The overlay write sits outside the ExpressionError handler: if
@@ -233,5 +270,4 @@ class TestComputeStepEqualsReference:
             ("T", "rec"): freeze({"keep": {"m": 1}}),
         }
         with pytest.raises(FrozenViewError):
-            executor._compute_step(
-                executor.plan.step_for("T", "rec"), objects, cid="o1")
+            executor._fixpoint("o1", objects, ExchangeStats())

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import ExpressionError
 from repro.store.cow import freeze
-from repro.util.safeexpr import SAFE_BUILTINS, SafeExpression, Scope, unwrap
+from repro.core.dxg import standard_functions
+from repro.util.safeexpr import SAFE_BUILTINS, SafeExpression, Scope
 
 
 class TestParsing:
@@ -42,6 +43,12 @@ class TestParsing:
     def test_method_calls_rejected(self):
         with pytest.raises(ExpressionError):
             SafeExpression("x.upper()")
+
+    @pytest.mark.parametrize("source", [
+        "[0 for A.x in [1]]", "[0 for A['x'] in [1]]", "[0 for (i, A.x) in [(1, 2)]]"])
+    def test_comprehension_targets_bind_names_only(self, source):
+        with pytest.raises(ExpressionError, match="assignment to data"):
+            SafeExpression(source)
 
 
 class TestNamesAndPaths:
@@ -124,6 +131,44 @@ class TestEvaluation:
         assert SafeExpression("'x' in A.tags").evaluate({"A": {"tags": ["x"]}})
 
 
+class TestObjectsArePlainData:
+    """An object reaches builtins and registered functions as its data,
+    and iterating it walks its field values (Fig. 6's ``items: object``)."""
+
+    CONTEXT = {"C": {"order": {"items": {"a": {"name": "x"}},
+                               "addr": {"street": "Main"},
+                               "costs": {"p": 3, "q": 1},
+                               "flags": {"p": True, "q": False}}}}
+
+    def test_str_of_an_object_is_its_datas_text(self):
+        assert SafeExpression("str(C.order.items)").evaluate(self.CONTEXT) == (
+            "{'a': {'name': 'x'}}")
+
+    def test_a_registered_function_gets_the_data(self):
+        value = SafeExpression('concat("to: ", C.order.addr)').evaluate(
+            self.CONTEXT, standard_functions().table())
+        assert value == "to: {'street': 'Main'}"
+
+    @pytest.mark.parametrize("source, expected", [
+        ("sum(C.order.costs)", 4),
+        ("sum(C.order.costs, 10)", 14),
+        ("min(C.order.costs)", 1),
+        ("max(C.order.costs)", 3),
+        ("sorted(C.order.costs)", [1, 3]),
+        ("sorted(C.order.costs, reverse=True)", [3, 1]),
+        ("any(C.order.flags)", True),
+        ("all(C.order.flags)", False),
+        ("max(2, 5)", 5),
+        ("sum([1, 2])", 3),
+    ])
+    def test_iterating_builtins_walk_an_objects_values(self, source, expected):
+        assert SafeExpression(source).evaluate(self.CONTEXT) == expected
+
+    def test_len_and_membership_still_see_field_names(self):
+        assert SafeExpression("len(C.order.costs)").evaluate(self.CONTEXT) == 2
+        assert SafeExpression("'p' in C.order.costs").evaluate(self.CONTEXT)
+
+
 class TestComprehensionBodies:
     """A comprehension / generator body is a nested scope: the names it
     reads must resolve exactly like names outside it."""
@@ -200,12 +245,21 @@ class TestScope:
             scope.bind("A", {"n": n})
             assert expr.evaluate(scope) == n + 1
 
-    def test_bound_values_are_read_only_views(self):
-        data = {"inner": {"n": 1}}
+    def test_an_expression_cannot_write_what_it_reads(self):
+        """Bound data is the caller's own object; what an expression
+        returns is a copy, and nothing it can say writes to the data."""
+        data = {"inner": {"n": 1, "rows": [1]}, "n": 1}
         scope = Scope(data={"A": data})
-        assert type(scope.names["A"]).__name__ == "_AttrView"
-        assert SafeExpression("A.inner").evaluate(scope) == {"n": 1}
-        assert data == {"inner": {"n": 1}}
+        assert scope.names["A"] is data
+        result = SafeExpression("A.inner").evaluate(scope)
+        result["n"] = 2
+        result["rows"].append(2)
+        for source in ("[A.inner for A.n in [5]]", "A.update({'n': 5})",
+                       "setattr(A, 'n', 5)", "A.inner.pop('n')",
+                       "[i for i in A.inner.rows if A.inner.rows.append(i)]"):
+            with pytest.raises(ExpressionError):
+                SafeExpression(source).evaluate(scope)
+        assert data == {"inner": {"n": 1, "rows": [1]}, "n": 1}
 
     def test_builtins_stay_empty(self):
         """Nothing bound, registered or unbound can put real builtins
@@ -225,15 +279,20 @@ class TestScope:
 
 
 class TestUnwrap:
-    def test_unwrap_nested(self):
-        from repro.util.safeexpr import _wrap
+    """A result comes back as plain data: frozen store state unwrapped
+    into fresh dicts and lists, tuples into lists, scalars as they are."""
 
-        wrapped = _wrap({"a": {"b": [{"c": 1}]}})
-        restored = unwrap(wrapped)
+    def test_unwrap_nested(self):
+        state = freeze({"a": {"b": [{"c": 1}]}})
+        restored = SafeExpression("A").evaluate({"A": state})
         assert restored == {"a": {"b": [{"c": 1}]}}
         assert type(restored) is dict
+        assert type(restored["a"]["b"]) is list
+        assert type(restored["a"]["b"][0]) is dict
+        restored["a"]["b"][0]["c"] = 2  # a copy: the state is untouched
+        assert state["a"]["b"][0]["c"] == 1
 
     def test_unwrap_plain_passthrough(self):
-        assert unwrap(5) == 5
-        assert unwrap("x") == "x"
-        assert unwrap((1, 2)) == [1, 2]
+        assert SafeExpression("5").evaluate({}) == 5
+        assert SafeExpression("'x'").evaluate({}) == "x"
+        assert SafeExpression("(1, 2)").evaluate({}) == [1, 2]
