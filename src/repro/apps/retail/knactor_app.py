@@ -18,6 +18,7 @@ from repro.errors import ConfigurationError
 from repro.exchange import ObjectDE
 from repro.flow import INTEGRATOR, FlowConfig
 from repro.obs import CausalTracer, use
+from repro.obs.context import end_span_on
 from repro.simnet import Environment, FixedLatency, Network
 from repro.store import ApiServer, MemKV, ShardedStore
 
@@ -269,9 +270,7 @@ class RetailKnactorApp:
             proc = handle.create(key, data)
         # The root span covers the synchronous create round trip; the
         # causal chain it seeded keeps growing underneath it.
-        proc.callbacks.append(
-            lambda _evt: obs.causal.end_span(root, outcome="ok"))
-        return proc
+        return end_span_on(proc, root)
 
     def order(self, key):
         """Current order state (the owner's view); process event."""

@@ -13,6 +13,7 @@ from repro.apps.retail import protos
 from repro.apps.retail.knactors import SHIPPING_RATES
 from repro.errors import RPCStatusError
 from repro.obs import CausalTracer, current_context, use
+from repro.obs.context import end_span_on
 from repro.rpc import RPCChannel, RPCServer, build_client_class, parse_idl
 from repro.simnet import Environment, Network
 
@@ -367,8 +368,7 @@ class RetailRpcApp:
         root = self.tracer.new_trace("place-order", service="frontend")
         with use(root):
             proc = self.checkout_stub.place_order(request)
-        proc.callbacks.append(lambda _evt: self.tracer.end_span(root))
-        return proc
+        return end_span_on(proc, root)
 
     def rpc_method_count(self):
         """Composition surface: registered rpc methods across services."""

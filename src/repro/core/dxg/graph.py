@@ -107,7 +107,8 @@ class DependencyGraph:
 
         Writing ``(A, k, "quote")`` affects readers of ``(A, k,
         "quote.price")`` and vice versa, so overlapping paths on the same
-        object are linked both ways for cycle detection.
+        object are linked both ways for cycle detection.  The whole-object
+        node ``""`` (a bare ``this`` or alias) overlaps every path.
         """
         succ = {n: set(s) for n, s in self._succ.items()}
         by_object = defaultdict(list)
@@ -116,11 +117,7 @@ class DependencyGraph:
         for nodes in by_object.values():
             for a in nodes:
                 for b in nodes:
-                    if a is b:
-                        continue
-                    if a[2] == b[2]:
-                        continue
-                    if a[2].startswith(b[2] + ".") or b[2].startswith(a[2] + "."):
+                    if a[2] != b[2] and paths_overlap(a[2], b[2]):
                         # Overlap: a write to either is a change to both.
                         # Only propagate *from assigned* nodes to readers.
                         for src, dst in ((a, b), (b, a)):

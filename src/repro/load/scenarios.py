@@ -167,7 +167,7 @@ class SmartHomeLoadScenario(LoadScenario):
         self._motion_log = self.app.runtime.handle_of("motion", "log")
 
     def submit(self, cls, key, rng):
-        from repro.obs.context import use
+        from repro.obs.context import end_span_on, use
 
         record = {"triggered": rng.random() < 0.5, "device": key or "dev-0"}
         if self.obs is None:
@@ -178,10 +178,7 @@ class SmartHomeLoadScenario(LoadScenario):
         )
         with use(root):
             proc = self._motion_log.load([record])
-        proc.callbacks.append(
-            lambda _evt: self.obs.causal.end_span(root, outcome="ok")
-        )
-        return proc, root.trace_id
+        return end_span_on(proc, root), root.trace_id
 
     def quiesce(self):
         env = self.env

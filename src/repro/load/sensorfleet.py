@@ -32,6 +32,7 @@ from repro.exchange import LogDE
 from repro.faults import RetryPolicy
 from repro.flow import INTEGRATOR, FlowConfig
 from repro.obs import CausalTracer, use
+from repro.obs.context import end_span_on
 from repro.simnet import FixedLatency, Network
 from repro.store import LogLake
 
@@ -195,10 +196,7 @@ class SensorFleetApp:
         )
         with use(root):
             proc = handle.load([record])
-        proc.callbacks.append(
-            lambda _evt: obs.causal.end_span(root, outcome="ok")
-        )
-        return proc, root.trace_id
+        return end_span_on(proc, root), root.trace_id
 
     def analytics_report(self):
         """Fleet-wide aggregate over the derived analytics store."""

@@ -11,8 +11,8 @@ end-to-end visibility from the data plane itself:
   store write, stamped into watch/delta events, WAL records, pub/sub
   messages and RPC calls, and re-attached when reconcilers and
   integrators read state and write downstream;
-- :mod:`repro.obs.causal` -- the :class:`CausalTracer` that turns those
-  contexts into a per-request causal DAG spanning services and stores;
+- :mod:`repro.obs.causal` -- the :class:`CausalTracer` that records each
+  context as one span (:class:`CausalSpan`) of a per-request causal DAG;
 - :mod:`repro.obs.registry` -- labeled counters/gauges/histograms with
   sim-time-aware windowing behind one ``Registry.snapshot()``;
 - :mod:`repro.obs.plane` -- the :class:`ObsPlane` tying both to a

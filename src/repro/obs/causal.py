@@ -15,23 +15,26 @@ Span ids are counter-based, never random: the simulation's determinism
 contract (identical seeds -> identical schedules) extends to traces.
 """
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class CausalSpan:
-    """One node of the causal DAG."""
+    """One node of the causal DAG, and the trace context that names it
+    (``repro.obs.TraceContext`` is this class; ``sink`` is the tracer
+    that recorded it).  One built by hand, ``TraceContext("t1", "s1")``,
+    is recorded nowhere but can parent spans.  ``baggage`` is never
+    mutated: a child that adds none shares its parent's dict.
+    ``events`` is ``()`` until the first annotation."""
 
-    trace_id: str
-    span_id: str
-    parent_id: str  # None for a root
-    name: str
-    service: str
-    start: float
-    end: float = None
-    attrs: dict = field(default_factory=dict)
-    events: list = field(init=False, default_factory=list)  # (time, name, attrs)
-    baggage: dict = field(default_factory=dict)
+    __slots__ = ("trace_id", "span_id", "parent_id", "baggage", "sink",
+                 "name", "service", "start", "end", "attrs", "events")
+
+    def __init__(self, trace_id, span_id):
+        self.trace_id, self.span_id, self.parent_id = trace_id, span_id, None
+        self.baggage, self.sink, self.attrs, self.events = {}, None, {}, ()
+        self.name = self.service = self.start = self.end = None
+
+    @property
+    def parent_span_id(self):
+        return self.parent_id
 
     @property
     def duration(self):
@@ -39,7 +42,7 @@ class CausalSpan:
 
 
 class CausalTracer:
-    """Mints trace contexts and stores their spans."""
+    """Mints spans and stores them."""
 
     def __init__(self, env):
         self.env = env
@@ -53,58 +56,48 @@ class CausalTracer:
         self.spans = {}  # span_id -> CausalSpan
         self._traces = {}  # trace_id -> [span_id] in creation order
 
-    def _next_id(self, prefix):
-        self._seq += 1
-        return f"{prefix}{self._seq:06d}"
-
     # -- recording -----------------------------------------------------------
 
     def new_trace(self, name, service, baggage=None, **attrs):
-        """Open a root span of a brand-new trace; returns its context."""
+        """Open a root span of a brand-new trace; returns it."""
         return self.start_span(name, service, parent=None,
                                baggage=baggage, **attrs)
 
     def start_span(self, name, service, parent=None, baggage=None, **attrs):
-        """Open a span (a child of ``parent`` when given); returns a context.
+        """Open a span (a child of ``parent`` when given); returns it.
+        Its baggage is the parent's merged with ``baggage``, so
+        request-scoped keys (the order id) reach every descendant."""
+        return self._open(name, service, parent, baggage, attrs)
 
-        Baggage is inherited from the parent and merged with any new
-        entries, so request-scoped keys (the order id) reach every
-        descendant.
-        """
-        from repro.obs.context import TraceContext
-
-        if parent is not None:
-            trace_id = parent.trace_id
-            merged = dict(parent.baggage)
+    def _open(self, name, service, parent, baggage, attrs):
+        seq = self._seq + 1
+        if parent is None:
+            trace_id, parent_id = f"t{seq:06d}", None
+            seq += 1
+            self._traces[trace_id] = span_ids = []
+            baggage = dict(baggage) if baggage else {}
         else:
-            trace_id = self._next_id("t")
-            merged = {}
-        if baggage:
-            merged.update(baggage)
-        span_id = self._next_id("s")
-        span = CausalSpan(
-            trace_id=trace_id,
-            span_id=span_id,
-            parent_id=parent.span_id if parent is not None else None,
-            name=name,
-            service=service,
-            start=self._clock(),
-            attrs=dict(attrs),
-            baggage=merged,
-        )
+            trace_id, parent_id = parent.trace_id, parent.span_id
+            span_ids = self._traces.get(trace_id)
+            if span_ids is None:  # a hand-built or foreign parent
+                span_ids = self._traces[trace_id] = []
+            baggage = ({**parent.baggage, **baggage} if baggage
+                       else parent.baggage)
+        self._seq = seq
+        span = object.__new__(CausalSpan)  # every slot is set below
+        span.trace_id, span.parent_id = trace_id, parent_id
+        span.span_id = span_id = f"s{seq:06d}"
+        span.baggage, span.sink = baggage, self
+        span.name, span.service = name, service
+        span.start, span.end, span.events = self._clock(), None, ()
+        span.attrs = attrs  # the caller's fresh ``**attrs`` dict
+        span_ids.append(span_id)
         self.spans[span_id] = span
-        self._traces.setdefault(trace_id, []).append(span_id)
-        return TraceContext(
-            trace_id=trace_id,
-            span_id=span_id,
-            parent_span_id=span.parent_id,
-            baggage=merged,
-            sink=self,
-        )
+        return span
 
     def end_span(self, ctx, **attrs):
-        """Close the span named by ``ctx`` (idempotent: first end wins)."""
-        span = self.spans.get(ctx.span_id)
+        """Close the span ``ctx`` (idempotent: first end wins)."""
+        span = ctx if ctx.sink is self else self.spans.get(ctx.span_id)
         if span is None:
             return None
         if span.end is None:
@@ -113,15 +106,17 @@ class CausalTracer:
         return span
 
     def point(self, name, service, parent=None, **attrs):
-        """A zero-duration span (e.g. a store commit); returns its context."""
-        ctx = self.start_span(name, service, parent=parent, **attrs)
-        self.end_span(ctx)
-        return ctx
+        """A zero-duration span (e.g. a store commit); returns it."""
+        span = self._open(name, service, parent, None, attrs)
+        span.end = span.start
+        return span
 
     def annotate(self, ctx, name, **attrs):
         """Attach an instant (retry, give-up, decision, ...) to a span."""
-        span = self.spans.get(ctx.span_id)
+        span = ctx if ctx.sink is self else self.spans.get(ctx.span_id)
         if span is not None:
+            if not span.events:
+                span.events = []
             span.events.append((self._clock(), name, attrs))
 
     # -- queries -------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Trace-context propagation primitives.
 
-A :class:`TraceContext` names one span of one causal trace.  It travels
-two ways:
+A :class:`TraceContext` is the :class:`~repro.obs.causal.CausalSpan` it
+names, one span of one causal trace.  It travels two ways:
 
 - **explicitly**, stamped onto the artifacts that carry causality across
   component boundaries (store request args, watch events, WAL records,
@@ -19,32 +19,12 @@ generator-based process so concurrent processes never observe each
 other's contexts.
 """
 
-from dataclasses import dataclass, field
+from repro.obs.causal import CausalSpan
+
+TraceContext = CausalSpan  # a context is the span it names
 
 #: The ambient context of the currently-executing synchronous section.
 _current = None
-
-
-@dataclass(frozen=True, eq=False)
-class TraceContext:
-    """One span's identity within a causal trace.
-
-    ``baggage`` carries request-scoped key/values (e.g. the order id)
-    down the whole causal chain; ``sink`` is the
-    :class:`~repro.obs.causal.CausalTracer` that minted the context, so
-    any component holding a context can record spans and annotations
-    without extra plumbing.
-    """
-
-    trace_id: str
-    span_id: str
-    parent_span_id: str = None
-    baggage: dict = field(default_factory=dict)
-    sink: object = field(default=None, repr=False)
-
-    def __repr__(self):
-        return (f"<TraceContext {self.trace_id}/{self.span_id} "
-                f"parent={self.parent_span_id}>")
 
 
 def current_context():
@@ -132,3 +112,14 @@ def span_process(gen, ctx, **end_attrs):
         raise
     ctx.sink.end_span(ctx, outcome="ok", **end_attrs)
     return result
+
+
+def end_span_on(event, ctx):
+    """Close span ``ctx`` when ``event`` fires, with ``outcome`` as in
+    :func:`span_process`: ``"ok"``, or the failure's type name."""
+    def close(done):
+        outcome = "ok" if done.ok else type(done.value).__name__
+        ctx.sink.end_span(ctx, outcome=outcome)
+
+    event.callbacks.append(close)
+    return event

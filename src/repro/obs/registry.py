@@ -142,6 +142,9 @@ class Registry:
         clock = getattr(env, "trace_clock", None)
         self._clock = clock if clock is not None else (lambda: env.now)
         self._metrics = {}  # name -> (kind, {label_key: _Series})
+        # (name, kind, label items) -> _Handle; label values compare as
+        # values, so 1, 1.0 and True share the first spelling's series.
+        self._handles = {}
         self._collectors = []
 
     # -- instruments ---------------------------------------------------------
@@ -156,6 +159,13 @@ class Registry:
         return self._handle(name, HISTOGRAM, labels)
 
     def _handle(self, name, kind, labels):
+        memo = (name, kind, tuple(labels.items()))
+        try:
+            return self._handles[memo]
+        except KeyError:
+            pass
+        except TypeError:  # an unhashable label value: bind uncached
+            memo = None
         entry = self._metrics.get(name)
         if entry is None:
             entry = (kind, {})
@@ -169,7 +179,10 @@ class Registry:
         if series is None:
             series = _Series(kind)
             entry[1][key] = series
-        return _Handle(self, series)
+        handle = _Handle(self, series)
+        if memo is not None:
+            self._handles[memo] = handle
+        return handle
 
     # -- collectors ----------------------------------------------------------
 

@@ -192,6 +192,26 @@ class TestReconfiguration:
         assert cast.generation == 0
         assert cast.executor is not None
 
+    def test_spec_reading_its_whole_target_refused_at_bind(
+            self, env, zero_net):
+        runtime = KnactorRuntime(env, network=zero_net)
+        de = ObjectDE(env, ApiServer(env, zero_net))
+        runtime.add_exchange("object", de)
+        runtime.add_knactor(
+            Knactor("checkout", [StoreBinding("default", "object", CHECKOUT)])
+        )
+        cast = Cast("c", """\
+Input:
+  C: Retail/v1/Checkout/knactor-checkout
+DXG:
+  C.order:
+    address: str(this)
+""")
+        with pytest.raises(DXGAnalysisError,
+                           match="dependency cycle: C.order.address"):
+            runtime.add_integrator(cast)
+        assert cast.executor is None
+
     def test_amend_without_spec_requires_existing(self, env, zero_net):
         runtime = KnactorRuntime(env, network=zero_net)
         de = ObjectDE(env, ApiServer(env, zero_net))

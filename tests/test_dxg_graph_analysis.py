@@ -58,6 +58,19 @@ class TestGraph:
         graph = DependencyGraph.from_spec(spec)
         assert graph.find_cycles()
 
+    def test_whole_target_read_is_a_self_cycle(self):
+        # A bare ``this`` reads the whole object, so writing any of its
+        # fields changes what the assignment reads: it can never quiesce.
+        spec = spec_of({"C": {"n": "str(this)"}})
+        graph = DependencyGraph.from_spec(spec)
+        assert graph.find_cycles() == [(("C", "", "n"), ("C", "", "n"))]
+        with pytest.raises(ValueError):
+            graph.topological_order()
+
+    def test_whole_alias_read_cycles_through_its_writer(self):
+        spec = spec_of({"A": {"x": "str(B)"}, "B": {"y": "A.x"}})
+        assert DependencyGraph.from_spec(spec).find_cycles()
+
     def test_overlapping_path_cycle_detected(self):
         # A.quote (whole object) is written from B.v; B.v is written from
         # A.quote.price -- a cycle through path overlap.
@@ -90,6 +103,10 @@ class TestAnalysis:
         assert not report.ok and report.cycles
         with pytest.raises(DXGAnalysisError):
             report.raise_if_invalid()
+
+    def test_whole_target_read_rejected(self):
+        report = analyze(spec_of({"C": {"n": "str(this)"}}))
+        assert report.errors == ["dependency cycle: C.n -> C.n"]
 
     def test_unknown_function_rejected(self):
         spec = spec_of({"A": {"x": "frobnicate(B.y)"}})

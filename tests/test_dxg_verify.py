@@ -120,10 +120,11 @@ class TestConfluence:
         assert not report.ok and report.cycles
 
     def test_order_dependent_dxg_detected(self):
-        """A first-writer-wins latch that EVADES static analysis (dynamic
-        self-access via lookup) captures whatever the sources held the
-        first time both existed -- which depends on the interleaving.
-        The bounded dynamic checker catches what the static pass cannot."""
+        """A first-writer-wins latch (self-access via ``lookup(this,
+        ...)``, which static analysis rejects as a read of the whole
+        target) captures whatever the sources held the first time both
+        existed -- which depends on the interleaving.  The bounded
+        dynamic checker shows the divergence."""
         spec = three_store_spec(
             {"B": {"flag": "coalesce(lookup(this, 'flag'), concat(A.x, '-', C.y))"}}
         )
