@@ -73,7 +73,7 @@ from repro.util.safeexpr import Scope
 
 @dataclass
 class ExecutorOptions:
-    """Tunables for the ablation benchmarks."""
+    """Tunables for the §3.3 ablations (``tests/test_paper_claims.py``)."""
 
     consolidate: bool = True  # one patch per target object per exchange
     # GET every involved object once per exchange (never per pass), or

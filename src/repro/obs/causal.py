@@ -158,9 +158,10 @@ class CausalTracer:
         return sorted({s.service for s in self.spans_of(trace_id)})
 
     def stores(self, trace_id):
-        """Every store a trace wrote (sorted; from write-span attrs)."""
+        """Every store a trace wrote (sorted names; from write-span attrs,
+        so a shard index reads as its ``str``)."""
         return sorted({
-            s.attrs["store"]
+            str(s.attrs["store"])
             for s in self.spans_of(trace_id)
             if "store" in s.attrs
         })

@@ -24,7 +24,6 @@ from repro.store.base import (
     StoreServer,
     StoredObject,
     WatchEvent,
-    combine_patches,
     estimate_size,
 )
 from repro.store.cow import (
@@ -84,7 +83,6 @@ __all__ = [
     "UDFContext",
     "UDFRegistry",
     "WatchEvent",
-    "combine_patches",
     "diff_shared",
     "estimate_size",
     "freeze",

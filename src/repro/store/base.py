@@ -49,7 +49,7 @@ from repro.store.watch import (
 __all__ = [
     "ADDED", "DELETED", "EVENT_OVERHEAD", "MODIFIED", "ObjectClient",
     "OpLatency", "StoreClient", "StoreServer", "StoredObject", "Watch",
-    "WatchEvent", "combine_patches", "estimate_size",
+    "WatchEvent", "estimate_size",
 ]
 
 
@@ -605,4 +605,4 @@ class StoreServer:
 
 # The client half imports ``_Failure`` from this module, so its names can
 # only be re-exported once everything above exists.
-from repro.store.client import ObjectClient, StoreClient, combine_patches  # noqa: E402
+from repro.store.client import ObjectClient, StoreClient  # noqa: E402

@@ -3,16 +3,14 @@
 :class:`StoreClient` owns the transport -- the network round trip, the
 principal and trace context that ride beside the args, retries,
 opening watches -- and nothing backend-specific.  :class:`ObjectClient`
-adds, once, the surface every Object backend answers and the two
-optimizations that only make sense for keyed objects (write coalescing,
-the read-through cache).  Backend modules subclass one or the other.
+adds, once, the surface every Object backend answers and the one
+optimization that only makes sense for keyed objects (the read-through
+cache).  Backend modules subclass one or the other.
 
 A store request is one simnet process (:func:`spawn`): the retry policy,
 the sharded router and an exchange handle's mask each run the body below
 them inline (:func:`inline`) instead of starting a process of their own.
 """
-
-import copy
 
 from repro.obs.context import current_context
 from repro.simnet.events import Event
@@ -21,25 +19,9 @@ from repro.store.follow import Follower
 from repro.store.watch import DELETED, Watch
 
 
-def combine_patches(first, second):
-    """One merge-patch equivalent to applying ``first`` then ``second``.
-
-    Unlike :func:`repro.store.cow.merge_patch` (which applies a
-    patch to *data*), this combines two patches: ``None`` values are
-    deletion markers and must survive into the combined patch.
-    """
-    out = copy.deepcopy(first)
-    for key, value in second.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = combine_patches(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
-
-
 def inline(body):
     """Run a request ``body`` in the calling process: a generator, or an
-    event already under way (a read-cache hit, a coalesced patch)."""
+    event already under way (a read-cache hit)."""
     if isinstance(body, Event):
         return (yield body)
     return (yield from body)
@@ -143,26 +125,17 @@ class StoreClient:
 class ObjectClient(StoreClient):
     """The Object surface, shared by every Object backend's client.
 
-    Two opt-in hot-path optimizations (both off by default, preserving
-    classic request/response semantics):
-
-    - **read-through caching** (:meth:`enable_read_cache`): an informer-
-      style watch mirrors the keyspace locally and ``get`` serves hits
-      from that mirror with no network round trip (eventually consistent,
-      like reading a Kubernetes informer cache; :mod:`repro.store.follow`
-      keeps it across stream breaks);
-    - **write coalescing** (``coalesce_writes = True``): while a patch
-      for key K is on the wire, further patches for K merge into one
-      pending follow-up request instead of queueing on the server.
+    One opt-in hot-path optimization (off by default, preserving classic
+    request/response semantics): **read-through caching**
+    (:meth:`enable_read_cache`), where an informer-style watch mirrors
+    the keyspace locally and ``get`` serves hits from that mirror with
+    no network round trip (eventually consistent, like reading a
+    Kubernetes informer cache; :mod:`repro.store.follow` keeps it across
+    stream breaks).
     """
 
     def __init__(self, server, location, retry_policy=None):
         super().__init__(server, location, retry_policy=retry_policy)
-        # Write coalescing (opt-in).
-        self.coalesce_writes = False
-        self._inflight_patches = set()  # keys with a patch on the wire
-        self._pending_patches = {}  # key -> [combined patch, done event]
-        self.patches_coalesced = 0
         # Read-through cache (opt-in via enable_read_cache()).
         self._read_cache = None
         self._cache_follower = None
@@ -170,18 +143,14 @@ class ObjectClient(StoreClient):
         self.cache_hits = 0
         self.cache_misses = 0
 
-    # -- typed surface (get / patch ride the optimizations) -------------------
+    # -- typed surface (get rides the read cache) ------------------------------
 
     def get(self, key):
         """Read one object; served locally on a read-cache hit."""
         return self._spawn("get", key=key)
 
     def patch(self, key, patch, resource_version=None):
-        """Merge-patch one object; same-key patches coalesce if enabled.
-
-        Coalescing never applies to version-conditional patches: a
-        ``resource_version`` precondition must reach the server as-is.
-        """
+        """Merge-patch one object."""
         return self._spawn("patch", key=key, patch=patch,
                            resource_version=resource_version)
 
@@ -218,7 +187,7 @@ class ObjectClient(StoreClient):
 
     def _op(self, op, args):
         """Object op ``op`` as a body (see :func:`inline`), through the
-        read cache and write coalescing."""
+        read cache."""
         if op == "get" and self._read_cache is not None:
             if args["key"].startswith(self._cache_prefix):
                 view = self._read_cache.get(args["key"])
@@ -227,57 +196,7 @@ class ObjectClient(StoreClient):
                     hit = self.copies.cached(view, self.copy_meter)
                     return self.env.timeout(0.0, hit)
                 self.cache_misses += 1
-        elif (op == "patch" and self.coalesce_writes
-                and args["resource_version"] is None):
-            return self._coalesced_patch(args["key"], args["patch"])
         return self._call(op, args)
-
-    # -- write coalescing -----------------------------------------------------
-
-    def _coalesced_patch(self, key, patch):
-        pending = self._pending_patches.get(key)
-        if pending is not None:
-            # A follow-up is already waiting: merge into it; every caller
-            # coalesced into that flight shares its completion event.
-            pending[0] = combine_patches(pending[0], patch)
-            self.patches_coalesced += 1
-            return pending[1]
-        if key in self._inflight_patches:
-            done = self.env.event()
-            self._pending_patches[key] = [copy.deepcopy(patch), done]
-            self.patches_coalesced += 1
-            return done
-        # Mark the key in flight NOW, not when the flight process first
-        # runs: patches issued later in the same instant (a concurrent
-        # burst -- the whole point of coalescing) must see it.
-        self._inflight_patches.add(key)
-        return self.env.process(self._patch_flight(key, patch, None))
-
-    def _patch_flight(self, key, patch, done):
-        try:
-            view = yield self.request(
-                "patch", key=key, patch=patch, resource_version=None
-            )
-        except BaseException as exc:
-            self._inflight_patches.discard(key)
-            self._launch_pending(key)
-            if done is None:
-                raise
-            # Chained flight: the caller waits on ``done``, not on this
-            # process, so route the failure there (and only there).
-            done.fail(exc)
-            return None
-        self._inflight_patches.discard(key)
-        self._launch_pending(key)
-        if done is not None:
-            done.succeed(view)
-        return view
-
-    def _launch_pending(self, key):
-        pending = self._pending_patches.pop(key, None)
-        if pending is not None:
-            self._inflight_patches.add(key)
-            self.env.process(self._patch_flight(key, pending[0], pending[1]))
 
     # -- read-through cache ---------------------------------------------------
 

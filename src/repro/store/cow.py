@@ -30,7 +30,7 @@ those copies with an immutable, structurally-shared representation:
   no site decides for itself.  ``CopiedState`` is the deep-copy
   reference the zero-copy claim is measured against.
 - :class:`CopyMeter` -- copy accounting, so "we stopped copying" is a
-  measured claim (``benchmarks/bench_zero_copy_delta.py``), not vibes.
+  measured claim (``tests/test_plane_claims.py``), not vibes.
 - :func:`estimate_size` -- the byte model behind every size-dependent
   latency and every metered copy.  A frozen node never changes, so it
   remembers its size the first time it is asked: a path-copy merge

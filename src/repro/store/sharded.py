@@ -427,9 +427,9 @@ class ShardedStoreClient(ObjectClient):
 
     Its one server is the :class:`ShardedStore`; each attempt goes to
     the live ring's owner of the first key the request addresses, in
-    the request's one process.  The principal, watch defaults, write
-    coalescing and the read cache are the inherited ones: one copy per
-    router, not one per shard.  An operation fenced mid-cutover
+    the request's one process.  The principal, watch defaults and the
+    read cache are the inherited ones: one copy per router, not one per
+    shard.  An operation fenced mid-cutover
     (:class:`~repro.errors.ShardMovedError`) transparently backs off and
     re-routes (counted on the store) -- callers never see a topology
     change.  What stays sharded: scatter-gather ``list``, the ``txn``

@@ -198,6 +198,19 @@ class TestCausalTracer:
         assert span.duration == 0
         assert span.attrs["store"] == "s1"
 
+    def test_stores_and_report_render_a_non_string_store(self):
+        # A shard index as ``store`` used to raise TypeError in both:
+        # ``stores()`` sorted 0 beside "orders", the report joined it.
+        env = Environment()
+        tracer = CausalTracer(env)
+        root = tracer.new_trace("r", service="svc")
+        tracer.point("write", service="store", parent=root, store=0)
+        tracer.point("write", service="store", parent=root, store="orders")
+        tracer.end_span(root)
+        assert tracer.stores(root.trace_id) == ["0", "orders"]
+        report = tracer.request_report(root.trace_id)
+        assert "stores written: 0, orders" in report
+
     def test_annotate_attaches_events(self):
         env = Environment()
         tracer = CausalTracer(env)

@@ -1,7 +1,7 @@
 """The sharded client is an :class:`ObjectClient` that routes.
 
-One router holds one principal, one set of watch defaults, one write
-coalescer and one read-cache mirror over its merged stream; what is
+One router holds one principal, one set of watch defaults and one
+read-cache mirror over its merged stream; what is
 sharded is only where each attempt goes.  Each test here pins a defect
 of the per-shard-client design it replaced.
 """

@@ -336,21 +336,22 @@ class TestClientSurface:
 
         assert not issubclass(LogLakeClient, ObjectClient)
         client = LogLakeClient(LogLake(env, zero_net), "caller")
-        for name in self.OBJECT_METHODS + (
-                "coalesce_writes", "cache_hits", "patches_coalesced"):
+        for name in self.OBJECT_METHODS + ("cache_hits",):
             assert not hasattr(client, name), name
 
 
 #: Taken at the parent of the base/watch/client split: every name that
 #: ``repro.store.base`` defined itself, plus ``estimate_size``, which
-#: other packages import from there.
+#: other packages import from there, less the patch combiner deleted
+#: with client write coalescing.
 BASE_NAMES = [
     "ADDED", "DELETED", "EVENT_OVERHEAD", "MODIFIED", "OpLatency",
     "StoreClient", "StoreServer", "StoredObject", "Watch", "WatchEvent",
-    "_FENCED_OPS", "_Failure", "combine_patches", "estimate_size",
+    "_FENCED_OPS", "_Failure", "estimate_size",
 ]
 #: Taken at the same commit: ``dir(repro.store)`` less its submodules,
-#: less ``ApiServerClient`` (deleted with the watch-replay ring).
+#: less ``ApiServerClient`` (deleted with the watch-replay ring) and the
+#: patch combiner (deleted with client write coalescing).
 STORE_NAMES = [
     "ADDED", "APPENDED", "ApiServer", "AutoscalePolicy",
     "CopyMeter", "CowList", "CowMap", "DELETED", "FrozenViewError",
@@ -359,7 +360,7 @@ STORE_NAMES = [
     "ShardRing", "ShardedStore", "ShardedStoreClient", "StoreClient",
     "StoreServer", "StoredObject", "TTLRetention", "Topology",
     "TxnUDFContext", "UDFContext", "UDFRegistry", "WatchEvent",
-    "combine_patches", "diff_shared", "estimate_size", "freeze", "hash_key",
+    "diff_shared", "estimate_size", "freeze", "hash_key",
     "is_frozen", "key_in_ranges", "mask_shared", "merge_shared", "thaw",
 ]
 
@@ -385,10 +386,9 @@ class TestImportSurface:
         for name in ("ADDED", "MODIFIED", "DELETED", "EVENT_OVERHEAD",
                      "Watch", "WatchEvent"):
             assert getattr(base, name) is getattr(watch, name), name
-        for name in ("StoreClient", "ObjectClient", "combine_patches"):
+        for name in ("StoreClient", "ObjectClient"):
             assert getattr(base, name) is getattr(client, name), name
         assert store.StoreClient is client.StoreClient
-        assert store.combine_patches is client.combine_patches
         assert base.estimate_size is cow.estimate_size
         assert store.WatchEvent is watch.WatchEvent
         for defined_here in ("StoreServer", "OpLatency", "StoredObject",

@@ -276,18 +276,6 @@ class TestWatchBatching:
 
 
 class TestHotPathThroughRouter:
-    def test_write_coalescing_merges_inflight_patches(self, env, client, call):
-        call(client.create("k/1", {"base": True}))
-        client.coalesce_writes = True
-        assert client.coalesce_writes
-        first = client.patch("k/1", {"a": 1})
-        second = client.patch("k/1", {"b": 2})
-        third = client.patch("k/1", {"a": 3})
-        env.run(until=env.all_of([first, second, third]))
-        assert client.patches_coalesced == 2
-        data = call(client.get("k/1"))["data"]
-        assert data == {"base": True, "a": 3, "b": 2}
-
     def test_read_cache_serves_hits_locally(self, env, store, client, call):
         writer = ShardedStoreClient(store, "writer")
         call(writer.create("k/1", {"v": 1}))
