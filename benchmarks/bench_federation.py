@@ -10,7 +10,7 @@ arrival schedule and key draws per seed), written to
 - **rpc** -- RPC-composition baseline: 3 sequential GETs per order,
   the way a service-oriented storefront composes reads;
 - **federated** -- the composed view forced fresh (``freshness=0``):
-  parallel scatter-gather across the sources, one local join;
+  one ``get_many`` per source store, in parallel, one local join;
 - **materialized** -- the composed view under its declared freshness
   bound: the planner serves the incrementally maintained copy while
   its staleness estimate is within the bound, falling back to
@@ -19,6 +19,8 @@ arrival schedule and key draws per seed), written to
 Gates (enforced by the pytest surface and CI):
 
 - the materialized arm's page p99 beats the RPC baseline's;
+- the federated arm's page p50 and p99 beat the RPC baseline's (one
+  ``get_many`` per source store against 3 x FANOUT sequential GETs);
 - every materialized serve happened within the freshness bound and
   ``view_freshness_violations_total`` stayed 0;
 - at quiescence the federated, materialized, and RPC answers are
@@ -330,14 +332,22 @@ def sweep():
 
 
 def test_materialized_page_beats_rpc_baseline(sweep):
-    # The ISSUE gate: the materialized view serves the page below the
-    # RPC-composition baseline's p99.  (Federated is *not* asserted to
-    # beat RPC -- under source-server queueing its parallel fan-out
-    # waits in the same queues the sequential GETs do.)
+    # The materialized view serves the page below the RPC-composition
+    # baseline's p99, and below a fresh federated read's.
     arms = sweep["arms"]
     assert arms["materialized"]["page_p99_s"] < arms["rpc"]["page_p99_s"]
     assert (arms["materialized"]["page_p99_s"]
             < arms["federated"]["page_p99_s"])
+
+
+def test_federated_page_beats_rpc_baseline(sweep):
+    # A fresh federated page makes one get_many per source store (3
+    # requests; the sources share the ApiServer's one worker slot, so it
+    # costs three get charges), while the RPC baseline makes 3 x FANOUT
+    # sequential GETs.
+    arms = sweep["arms"]
+    assert arms["federated"]["page_p50_s"] < arms["rpc"]["page_p50_s"]
+    assert arms["federated"]["page_p99_s"] < arms["rpc"]["page_p99_s"]
 
 
 def test_planner_serves_materialized_within_bound(sweep):

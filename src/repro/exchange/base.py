@@ -367,16 +367,10 @@ class DataExchange:
 
     def _query_object(self, handle, spec):
         if spec.keys is not None:
-            rows = []
-            for key in dict.fromkeys(spec.keys):
-                try:
-                    view = yield handle.get(key)
-                except NotFoundError:
-                    continue
-                rows.append({**view["data"], "_key": view["key"]})
+            views = yield handle.get_many(list(dict.fromkeys(spec.keys)))
         else:
             views = yield handle.list()
-            rows = [{**v["data"], "_key": v["key"]} for v in views]
+        rows = [{**v["data"], "_key": v["key"]} for v in views]
         return QueryResult(spec.pipeline()(rows), strategy="direct")
 
     # -- handles -----------------------------------------------------------------

@@ -146,6 +146,13 @@ class ObjectStoreHandle(StoreHandle):
         self._check("get")
         return self._reply("get", key=self._key(key))
 
+    def get_many(self, keys):
+        """Read several objects under the ``get`` grant, in one request
+        per store shard: the views of the keys that exist, in request
+        order (an absent key is skipped, not an error)."""
+        self._check("get")
+        return self._reply("get_many", keys=[self._key(key) for key in keys])
+
     def update(self, key, data, resource_version=None):
         self._check("update", fields=self._patch_paths(data))
         validate_state(data, self.schema).raise_if_invalid()

@@ -6,10 +6,11 @@ A :class:`RegisteredView` binds a declarative
 view boundary is masked exactly as that principal may see it) and
 answers queries through whichever strategy the planner picks:
 
-- **federated**: scatter-gather across the sources *now* -- parallel
-  LISTs / point GETs on Object stores, a pushed-down pipeline on Log
-  pools -- then one local join.  Staleness 0 by construction; cost is
-  the full cross-store fan-out on every read.
+- **federated**: scatter-gather across the sources *now* -- in
+  parallel, one LIST or one batched ``get_many`` per Object store, a
+  pushed-down pipeline per Log pool -- then one local join.  Staleness
+  0 by construction; cost is the full cross-store fan-out on every
+  read.
 - **materialized**: serve the incrementally maintained local copy
   (:class:`~repro.federation.materialize.MaterializedView`).  Cost is a
   local join; staleness is whatever the watch pipeline currently lags.
@@ -181,30 +182,17 @@ class RegisteredView:
             )
             return list(answer["records"])
         if keys is not None and src.on == "_key" and src.match == "_key":
-            # Point-read path: this source is keyed identically to the
-            # requested root keys, so N parallel GETs beat a full LIST.
+            # Keyed path: this source is keyed identically to the
+            # requested root keys, so one batched read beats a full LIST.
             # Per-source ops here see only the fetched subset; keyed
             # queries compose with record-local ops (filter / cut /
             # derive), not whole-table ones (agg / head).
-            wanted = list(dict.fromkeys(keys))
-            rows = []
-            if wanted:
-                gets = [self.env.process(self._point_get(handle, k))
-                        for k in wanted]
-                results = yield self.env.all_of(gets)
-                rows = [results[p] for p in gets if results[p] is not None]
+            views = yield handle.get_many(list(dict.fromkeys(keys)))
         else:
             views = yield handle.list()
-            rows = [{**v["data"], "_key": v["key"]} for v in views]
+        rows = [{**v["data"], "_key": v["key"]} for v in views]
         rows.sort(key=lambda r: r["_key"])  # match materialized ordering
         return compile_ops(src.ops)(rows)
-
-    def _point_get(self, handle, key):
-        try:
-            view = yield handle.get(key)
-        except NotFoundError:
-            return None
-        return {**view["data"], "_key": view["key"]}
 
     def _count(self, name, **labels):
         if self.registry is not None:

@@ -277,7 +277,10 @@ class StoreServer:
             method = getattr(self, name, None)
             if method is None:
                 raise StoreError(f"{type(self).__name__} has no operation {op!r}")
-            latency = self.OPS.get(op)
+            # A batched read pays one get on its request's bytes (Redis
+            # MGET, an etcd multi-key Range): priced from ``get``, so a
+            # calibration or override of ``get`` prices both.
+            latency = self.OPS.get("get" if op == "get_many" else op)
             if latency is not None:
                 delay = latency.cost(estimate_size(args))
                 if delay > 0:

@@ -149,6 +149,12 @@ class ObjectClient(StoreClient):
         """Read one object; served locally on a read-cache hit."""
         return self._spawn("get", key=key)
 
+    def get_many(self, keys):
+        """Read several objects in one request: the views of the keys
+        that exist, in request order (an absent key is skipped, not an
+        error).  Always reads the server; the read cache serves ``get``."""
+        return self._spawn("get_many", keys=list(keys))
+
     def patch(self, key, patch, resource_version=None):
         """Merge-patch one object."""
         return self._spawn("patch", key=key, patch=patch,
@@ -196,6 +202,8 @@ class ObjectClient(StoreClient):
                     hit = self.copies.cached(view, self.copy_meter)
                     return self.env.timeout(0.0, hit)
                 self.cache_misses += 1
+        elif op == "get_many" and not args["keys"]:
+            return self.env.timeout(0.0, [])  # nothing to read, no request
         return self._call(op, args)
 
     # -- read-through cache ---------------------------------------------------

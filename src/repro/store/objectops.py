@@ -54,6 +54,12 @@ class ObjectOpsMixin:
             raise NotFoundError(f"object {key!r} not found")
         return self._view(obj)
 
+    def op_get_many(self, keys):
+        """The views of the ``keys`` that exist, in request order; an
+        absent key is skipped, not an error (one request, like an MGET)."""
+        objects = self._objects
+        return [self._view(objects[key]) for key in keys if key in objects]
+
     def op_update(self, key, data, resource_version=None):
         obj = self._require(key, resource_version)
         prev_revision = obj.revision

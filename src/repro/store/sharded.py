@@ -432,7 +432,8 @@ class ShardedStoreClient(ObjectClient):
     shard.  An operation fenced mid-cutover
     (:class:`~repro.errors.ShardMovedError`) transparently backs off and
     re-routes (counted on the store) -- callers never see a topology
-    change.  What stays sharded: scatter-gather ``list``, the ``txn``
+    change.  What stays sharded: scatter-gather ``list`` and
+    ``get_many`` (one request per owning shard), the ``txn``
     mode dispatch and :class:`MergedWatch`.  The store keeps nothing
     per router.
     """
@@ -469,12 +470,26 @@ class ShardedStoreClient(ObjectClient):
                 yield self.env.timeout(REROUTE_BACKOFF)
 
     def _op(self, op, args):
-        """``list`` scatters over several shards; anything else is an
-        :class:`ObjectClient` op."""
-        if op == "list" and self.server.shard_count > 1:
+        """``list`` and ``get_many`` scatter over several shards;
+        anything else is an :class:`ObjectClient` op."""
+        if op in ("list", "get_many") and self.server.shard_count > 1:
             principal, ctx = self.principal, current_context()
-            return self._list(args, principal, ctx)
+            scatter = self._list if op == "list" else self._get_many
+            return scatter(args, principal, ctx)
         return super()._op(op, args)
+
+    def _scatter(self, op, requests, principal, ctx):
+        """``op`` to each ``(shard, args)`` of ``requests`` in parallel,
+        each behind the retry policy; their replies, in request order."""
+        attempts = super()._attempts
+        procs = [
+            spawn(self.env, attempts(
+                lambda shard=shard, args=args: self._send(
+                    shard, op, args, principal, ctx), ctx))
+            for shard, args in requests
+        ]
+        results = yield self.env.all_of(procs)
+        return [results[proc] for proc in procs]
 
     def _list(self, args, principal, ctx):
         """Fan ``list`` out to every shard; merge sorted by key.
@@ -483,21 +498,29 @@ class ShardedStoreClient(ObjectClient):
         to the new owner, not yet purged from the old); the merge
         dedups by key, keeping the highest revision.
         """
-        attempts = super()._attempts
-        procs = [
-            spawn(self.env, attempts(
-                lambda shard=shard: self._send(shard, "list", args,
-                                               principal, ctx), ctx))
-            for shard in self.server.shards
-        ]
-        results = yield self.env.all_of(procs)
+        replies = yield from self._scatter(
+            "list", [(shard, args) for shard in self.server.shards],
+            principal, ctx)
         best = {}
-        for proc in procs:
-            for view in results[proc]:
+        for views in replies:
+            for view in views:
                 seen = best.get(view["key"])
                 if seen is None or view["revision"] > seen["revision"]:
                     best[view["key"]] = view
         return sorted(best.values(), key=lambda view: view["key"])
+
+    def _get_many(self, args, principal, ctx):
+        """One ``get_many`` per shard that owns a requested key, sent in
+        parallel; the views merged back into request order."""
+        groups = {}
+        for key in args["keys"]:
+            groups.setdefault(self.server.shard_for(key), []).append(key)
+        replies = yield from self._scatter(
+            "get_many", [(shard, {"keys": keys})
+                         for shard, keys in groups.items()],
+            principal, ctx)
+        found = {view["key"]: view for views in replies for view in views}
+        return [found[key] for key in args["keys"] if key in found]
 
     # -- transactions --------------------------------------------------------
 

@@ -240,6 +240,29 @@ def _masked_get(env, net):
     return lambda: handle.get("a")
 
 
+def _masked_get_many(env, net):
+    de = ObjectDE(env, ApiServer(env, net, watch_overhead=0.0))
+    de.host_store("accounts", SECRET_SCHEMA, owner="owner")
+    for name in ("a", "b"):
+        de.backend.op_create(key=f"accounts/{name}",
+                             data={"name": name, "token": "t"})
+    de.grant("viewer", "accounts", role="reader")
+    handle = de.handle("accounts", principal="viewer")
+    return lambda: handle.get_many(["a", "missing", "b"])
+
+
+def _sharded_get_many(env, net):
+    store = ShardedStore([
+        ApiServer(env, net, location=f"shard-{i}", watch_overhead=0.0)
+        for i in range(2)
+    ])
+    keys = [f"k/{i}" for i in range(8)]
+    for key in keys:
+        store.shard_for(key).op_create(key=key, data={"v": 1})
+    assert len({store.shard_for(key) for key in keys}) == 2
+    return lambda: ShardedStoreClient(store, "caller").get_many(keys)
+
+
 def _udf_call(env, net):
     server = MemKV(env, net, watch_overhead=0.0)
     server.functions.register("read", lambda ctx: ctx.get("k"), cost=0.002)
@@ -276,6 +299,10 @@ REQUEST_SHAPES = [
     ("create behind a retry policy", _retried_create, (1, 5)),
     ("sharded patch", _sharded_patch, (1, 5)),
     ("masked handle get", _masked_get, (1, 5)),
+    # one request for all three keys, the absent one included
+    ("masked handle get_many", _masked_get_many, (1, 5)),
+    # the caller's process + one request per owning shard, joined
+    ("sharded get_many", _sharded_get_many, (1 + 2, 2 + 2 * 5 + 1)),
     # + the UDF's 2 ms execution cost and its one local access
     ("fcall", _udf_call, (1, 5 + 2)),
     # + the timer that releases the held slot, and the slot's grant
@@ -301,9 +328,9 @@ class TestOneProcessPerRequest:
 
 
 class TestClientSurface:
-    OBJECT_METHODS = ("get", "patch", "create", "update", "delete", "list",
-                      "txn", "txn_prepare", "txn_commit", "txn_abort",
-                      "enable_read_cache")
+    OBJECT_METHODS = ("get", "get_many", "patch", "create", "update",
+                      "delete", "list", "txn", "txn_prepare", "txn_commit",
+                      "txn_abort", "enable_read_cache")
 
     def test_object_methods_are_written_once(self):
         assert issubclass(ShardedStoreClient, ObjectClient)
@@ -320,12 +347,13 @@ class TestClientSurface:
 
         assert own(MemKVClient) == {"command", "fcall", "fcall_txn"}
         # The router adds routing only: where an attempt goes, re-routing,
-        # the scatter list, the txn mode dispatch and the merged watch.
-        # No per-shard clients, no fan-out settings, no reshard wiring
-        # (merged watches register on the store), no constructor.
+        # the scattered list and get_many (one scatter), the txn mode
+        # dispatch and the merged watch.  No per-shard clients, no
+        # fan-out settings, no reshard wiring (merged watches register
+        # on the store), no constructor.
         assert own(ShardedStoreClient) == {
-            "_request", "_attempts", "_routed_proc", "_op", "_list",
-            "txn", "_check_co_owned", "watch",
+            "_request", "_attempts", "_routed_proc", "_op", "_scatter",
+            "_list", "_get_many", "txn", "_check_co_owned", "watch",
         }
         router = ShardedStoreClient(ring[0], "caller")
         assert router.server is ring[0]

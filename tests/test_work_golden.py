@@ -56,7 +56,21 @@ per-site counts, kept here so a re-pin can be checked by hand):
   is one process: one per layer was 64.18 events and 20.93 spawns per
   page, 64.18 - 46.75 = 2 × (20.93 - 12.79) + 1.16 free-slot takes; an
   integrator pass is one process, 46.75 - 42.68 = 2 × (12.79 - 10.76)
-  + 0.  Its digest pins today's pages, whose shipment and charge
+  + 0.  A federated keyed page reads each of its 3 Object sources with
+  one ``get_many``: it was one GET per key per source, 24 per 8-key
+  page, each a process of its own under the view's fetch plus the
+  request's.  Server ops went 4.0696 -> 2.0609 per page = 11 federated
+  pages x (24 - 3) / 115; spawns 10.7565 -> 6.4522 = 11 x 45 / 115
+  (48 processes per page -> 3).  Kernel events 4,908 -> 2,953: the 495
+  processes' start + finish (990), the 231 requests' hop there, latency
+  charge and hop back (693), 238 fewer queued worker-slot grants (the
+  24 GETs queued for the ApiServer's one slot), 11 x 3 ``all_of``
+  joins over the GETs (33) and one ``WorkQueue`` wake-up (a maintenance
+  write now lands in an already-woken queue).  The by-value state is
+  unchanged (seeds 1, 2 and 4242); the revision-bearing digest moves
+  because reads no longer hold the worker slot, so the maintenance
+  writes commit in a different order and the same values carry other
+  revisions.  Its digest pins today's pages, whose shipment and charge
   columns are empty: the storefront view joins its sources on ``_key``
   while shipments and charges are keyed by the bare order id.  The fix
   of that join re-pins this workload and names its leaves here.
