@@ -29,7 +29,7 @@ from repro.core.dxg.executor import ExecutorOptions
 from repro.core.dxg.parser import DXGSpec, build_spec
 from repro.core.integrator import Integrator
 from repro.store.base import MODIFIED, WatchEvent
-from repro.store.follow import TRANSIENT, Follower
+from repro.store.follow import TRANSIENT
 from repro.store.memkv import MemKVClient
 
 
@@ -56,43 +56,32 @@ class Cast(Integrator):
         location=None,
         workers=1,
     ):
-        super().__init__(name)
+        super().__init__(name, spec)
         if workers < 1:
             raise ConfigurationError("workers must be >= 1")
         self.workers = workers
-        self._initial_spec = spec
         self.functions = standard_functions()
         self.options = options or ExecutorOptions()
         self.pushdown = pushdown
         self.store_map = dict(store_map) if store_map else None
         self.location = location or name
+        # Set per generation, as are _body, _extra_kinds and _udf_*.
         self.executor = None
         self.analysis = None
-        self._inputs = None
-        self._body = None
-        self._extra_kinds = {}
-        self._globals = {}
-        self._followers = []
         self._seen_cids = set()
         # cids whose last exchange was abandoned (denied, diverged, failed
         # on the store): what it read and wrote is cached but covered by
         # no finished computation, so their next event is news whatever
         # state it carries.  Cleared when the exchange it is owed starts.
         self._owed = set()
-        self._udf_name = None
-        self._udf_client = None
         self._rng = random.Random(zlib.crc32(name.encode()))
         self.exchanges_run = 0
         self.events_ignored = 0  # watch events that carried no news
         self.denied = 0
         self.errors = 0
         self.unavailable_count = 0
-        self.kill_count = 0
 
     # -- configuration ------------------------------------------------------------
-
-    def _on_bind(self):
-        self._apply_configuration(self._initial_spec)
 
     def _apply_configuration(self, spec=None, body=None):
         """(Re)build the executor from a spec (text / DXGSpec) or a body.
@@ -108,20 +97,18 @@ class Cast(Integrator):
                 spec = parse_dxg(spec)
             if not isinstance(spec, DXGSpec):
                 raise ConfigurationError(f"bad spec {spec!r}")
-            self._inputs = dict(spec.inputs)
-            self._globals = dict(spec.globals_)
-            self._body = self._body_of(spec)
+            merged = self._body_of(spec)
             # Preserve source-only kinds for later body-based rebuilds.
             target_kinds = {
                 (a.target_alias, a.target_kind) for a in spec.assignments
             }
-            self._extra_kinds = {}
+            extra_kinds = {}
             for a in spec.assignments:
                 for ref in a.sources:
                     if ref.kind and (ref.alias, ref.kind) not in target_kinds:
-                        self._extra_kinds.setdefault(ref.alias, set()).add(ref.kind)
+                        extra_kinds.setdefault(ref.alias, set()).add(ref.kind)
         else:
-            if self._body is None:
+            if self.executor is None:
                 raise ConfigurationError("no existing spec to amend")
             merged = {t: dict(fields) for t, fields in self._body.items()}
             for target, fields in (body or {}).items():
@@ -133,12 +120,12 @@ class Cast(Integrator):
                         slot[field_name] = expr
                 if not slot:
                     del merged[target]
+            extra_kinds, old = self._extra_kinds, self.executor.spec
             spec = build_spec(
-                self._inputs, merged,
-                extra_kinds={a: sorted(k) for a, k in self._extra_kinds.items()},
-                globals_=self._globals,
+                old.inputs, merged,
+                extra_kinds={a: sorted(k) for a, k in extra_kinds.items()},
+                globals_=old.globals_,
             )
-            self._body = merged
 
         de = self.runtime.exchange(self.de_name)
         store_names = {
@@ -149,25 +136,32 @@ class Cast(Integrator):
             alias: de.schema_for(store_name)
             for alias, store_name in store_names.items()
         }
-        self.analysis = analyze(spec, functions=self.functions, schemas=schemas)
-        self.analysis.raise_if_invalid()
-        handles = {
-            alias: de.handle(store_name, principal=self.name, location=self.location)
-            for alias, store_name in store_names.items()
-        }
-        self.executor = DXGExecutor(
+        analysis = analyze(spec, functions=self.functions, schemas=schemas)
+        analysis.raise_if_invalid()
+        handles = {alias: self._handle(self.de_name, store_name)
+                   for alias, store_name in store_names.items()}
+        executor = DXGExecutor(
             self.runtime.env,
             spec,
             handles,
             functions=self.functions,
             options=self.options,
         )
-        self._store_names = store_names
+        udf_name = udf_client = None
         if self.pushdown:
-            self._install_pushdown(de)
-        if self.started:
-            self._follow_stores()
-        return f"dxg with {len(spec.assignments)} assignment(s)"
+            udf_name, udf_client = self._install_pushdown(
+                de, executor, store_names)
+        # One follower per alias (the new handles replace them all).
+        followers = [
+            self._follow(handle, partial(self._ingest, alias),
+                         partial(self._catch_up, alias, handle))
+            for alias, handle in handles.items()
+        ]
+        return f"dxg with {len(spec.assignments)} assignment(s)", followers, {
+            "executor": executor, "analysis": analysis, "_body": merged,
+            "_extra_kinds": extra_kinds, "_udf_name": udf_name,
+            "_udf_client": udf_client,
+        }
 
     @staticmethod
     def _body_of(spec):
@@ -183,7 +177,8 @@ class Cast(Integrator):
         # Convention: the input reference's last component names the store.
         return ref.rsplit("/", 1)[-1]
 
-    def _install_pushdown(self, de):
+    def _install_pushdown(self, de, executor, store_names):
+        """Register the next generation's UDF; its name and a client."""
         if not getattr(de, "supports_udf", False):
             raise ConfigurationError(
                 f"integrator {self.name!r}: push-down requires a "
@@ -191,15 +186,13 @@ class Cast(Integrator):
             )
         prefixes = {
             alias: de.store(store_name).key_prefix
-            for alias, store_name in self._store_names.items()
+            for alias, store_name in store_names.items()
         }
-        self._udf_name = f"dxg:{self.name}:g{self.generation + 1}"
+        udf_name = f"dxg:{self.name}:g{self.generation + 1}"
         de.backend.functions.register(
-            self._udf_name,
-            self.executor.as_udf(prefixes),
-            cost=self.executor.udf_cost,
+            udf_name, executor.as_udf(prefixes), cost=executor.udf_cost,
         )
-        self._udf_client = MemKVClient(de.backend, location=self.location)
+        return udf_name, MemKVClient(de.backend, location=self.location)
 
     # -- convenience reconfiguration API ----------------------------------------------
 
@@ -210,30 +203,7 @@ class Cast(Integrator):
     def remove_assignment(self, target, field):
         return self.reconfigure(body={target: {field: None}})
 
-    # -- lifecycle ------------------------------------------------------------------------
-
-    def _on_start(self):
-        self._follow_stores()
-
-    def _on_stop(self):
-        for follower in self._followers:
-            follower.stop()
-
-    def _follow_stores(self):
-        """One follower per alias of the current executor (a
-        reconfiguration binds new handles, so it replaces them all)."""
-        for follower in self._followers:
-            follower.stop()
-        self._followers = [
-            Follower(
-                self.runtime.env,
-                partial(handle.watch, partial(self._ingest, alias)),
-                partial(self._catch_up, alias, handle),
-            )
-            for alias, handle in self.executor.handles.items()
-        ]
-        for follower in self._followers:
-            follower.start()
+    # -- following the stores ------------------------------------------------------------
 
     def _catch_up(self, alias, handle):
         """``alias``'s stream broke (or the worker restarted): re-list its
@@ -340,36 +310,12 @@ class Cast(Integrator):
         return (min(0.5, 0.005 * (2 ** (attempt - 1)))
                 * self._rng.uniform(0.5, 1.5))
 
-    # -- process faults (see repro.faults) ---------------------------------
-
-    def kill(self):
-        """Simulate a worker-process crash: queue and retry state vanish.
-
-        The watches are cancelled (connections die with the process); a
-        :meth:`restart` re-opens them and catches up, so level-triggered
-        re-evaluation recovers anything lost.
-        """
-        if not self.started:
-            return
-        self.kill_count += 1
-        self.queue.clear()
-        self.stop()
-
-    def restart(self):
-        """Restart after :meth:`kill`: start, then catch up every store."""
-        if self.started:
-            return
-        self.start()
-        for follower in self._followers:
-            follower.resync()
-
     def stats(self):
         return dict(
             super().stats(),
             exchanges_run=self.exchanges_run,
             events_ignored=self.events_ignored,
             unavailable=self.unavailable_count,
-            kills=self.kill_count,
             pushdown=self.pushdown,
             assignments=(len(self.executor.spec.assignments)
                          if self.executor else 0),

@@ -31,6 +31,7 @@ import zlib
 from functools import partial
 
 from repro import config
+from repro.core.integrator import Supervised
 from repro.errors import (
     ConfigurationError,
     ConflictError,
@@ -41,7 +42,7 @@ from repro.errors import (
 from repro.faults.dlq import DeadLetterQueue
 from repro.flow.policy import SHED_OLDEST, check_overflow
 from repro.obs.context import current_context, span_process
-from repro.store.follow import Follower
+from repro.store.follow import Follower, FollowerGroup
 from repro.store.workqueue import WorkQueue
 
 
@@ -77,7 +78,7 @@ class ReconcilerContext:
             ctx.sink.annotate(ctx, name, knactor=self.knactor_name, **attrs)
 
 
-class Reconciler:
+class Reconciler(Supervised):
     """Base class: subclass and override :meth:`reconcile`.
 
     Class attributes subclasses (or callers, before :meth:`attach`) may
@@ -113,16 +114,14 @@ class Reconciler:
         self.ctx = None
         self.queue = None  # the work queue, once attached
         self._log_cursors = {}  # local_name -> first _seq not yet handled
-        self._running = False
         self._set_up = False
-        self._followers = []
+        self.followers = FollowerGroup([])
         # Seeded per-name: deterministic, yet different reconcilers get
         # decorrelated backoff (no synchronized retry storms).
         self._rng = random.Random(zlib.crc32(self.name.encode()))
         self.reconcile_count = 0
         self.error_count = 0
         self.unavailable_count = 0
-        self.kill_count = 0
 
     # -- subclass surface -----------------------------------------------------
 
@@ -165,25 +164,23 @@ class Reconciler:
             self.max_requeues, self.max_requeues, self.max_queue,
             self.queue_overflow,
         )
-        default = ctx.stores.get("default")
-        if default is not None:
-            self._follow(partial(default.watch, self._on_event),
-                         partial(self._resync, default))
-        for local_name in self.log_subscriptions:
-            self._log_cursors.setdefault(local_name, 0)
-            self._follow(
-                partial(ctx.stores[local_name].watch,
-                        partial(self._on_log_event, local_name)),
-                partial(self.queue.add, ("log", local_name), None))
-
-    def _follow(self, open_stream, catch_up):
         # The reconciler's own seeded jitter and counter: under faults the
         # catch-up draws from the same RNG, in the same order, as the
         # reconcile retries it interleaves with.
-        self._followers.append(Follower(
-            self.ctx.env, open_stream, catch_up,
-            backoff=self._backoff_delay, on_transient=self._count_unavailable,
-        ))
+        follow = partial(Follower, ctx.env, backoff=self._backoff_delay,
+                         on_transient=self._count_unavailable)
+        followers = []
+        default = ctx.stores.get("default")
+        if default is not None:
+            followers.append(follow(partial(default.watch, self._on_event),
+                                    partial(self._resync, default)))
+        for local_name in self.log_subscriptions:
+            self._log_cursors.setdefault(local_name, 0)
+            followers.append(follow(
+                partial(ctx.stores[local_name].watch,
+                        partial(self._on_log_event, local_name)),
+                partial(self.queue.add, ("log", local_name), None)))
+        self.followers.swap(followers)
 
     def _count_unavailable(self):
         self.unavailable_count += 1
@@ -191,11 +188,9 @@ class Reconciler:
     def start(self):
         if self.ctx is None:
             raise ConfigurationError(f"reconciler {self.name!r} is not attached")
-        if self._running:
+        if self.started:
             return
-        self._running = True
-        for follower in self._followers:
-            follower.start()
+        self.followers.start()
         if not self._set_up:
             # Once per reconciler, not per process life: a restart after
             # a kill resyncs from the store instead.
@@ -211,38 +206,12 @@ class Reconciler:
             self.queue.requeue(view["key"])
 
     def stop(self):
-        self._running = False
-        for follower in self._followers:
-            follower.stop()
+        self.followers.stop()
         self.queue.stop()
-
-    # -- process faults (see repro.faults) ----------------------------------
-
-    def kill(self):
-        """Simulate a process crash: connections die, queue state is lost.
-
-        Unlike :meth:`stop`, a kill is expected to be followed by
-        :meth:`restart` (e.g. by a supervisor), which resyncs from the
-        store -- the level-triggered design makes the lost queue safe.
-        """
-        if not self._running:
-            return
-        self.kill_count += 1
-        self.stop()
-        self.queue.clear()
-
-    def restart(self):
-        """Restart after :meth:`kill`: start, then catch up every stream
-        (re-list the default store, query logs from their cursors)."""
-        if self._running:
-            return
-        self.start()
-        for follower in self._followers:
-            follower.resync()
 
     def health(self):
         """Readiness summary, reported as ``stats()["health"]``."""
-        if not self._running:
+        if not self.started:
             return "stopped"
         if len(self.dead_letters) > 0:
             return "degraded"

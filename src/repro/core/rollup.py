@@ -19,7 +19,6 @@ from functools import partial
 from repro.core.integrator import Integrator
 from repro.errors import AlreadyExistsError, ConfigurationError, NotFoundError
 from repro.query.core import compile_ops
-from repro.store.follow import Follower
 
 
 @dataclass
@@ -61,7 +60,6 @@ class _BoundRule:
     rule: RollupRule
     source_handle: object
     target_handle: object
-    follower: object = None
     updates: int = 0
 
 
@@ -69,17 +67,12 @@ class Rollup(Integrator):
     """Log-to-Object aggregation integrator."""
 
     def __init__(self, name, rules=(), location=None):
-        super().__init__(name)
-        self._initial_rules = list(rules)
+        super().__init__(name, list(rules))
         self.location = location or name
         self._bound = {}  # work-queue key -> _BoundRule
 
-    def _on_bind(self):
-        self._apply_configuration(self._initial_rules)
-
     def _apply_configuration(self, rules):
-        self._on_stop()
-        self._bound = {}
+        bound_rules, followers = {}, []
         for index, rule in enumerate(rules):
             if not rule.aggs:
                 raise ConfigurationError(
@@ -88,37 +81,19 @@ class Rollup(Integrator):
             if rule.window is not None and rule.window <= 0:
                 raise ConfigurationError("window must be positive")
             compile_ops(rule.ops(now=0.0))  # validate early
-            log_de = self.runtime.exchange(rule.log_de)
-            object_de = self.runtime.exchange(rule.object_de)
             bound = _BoundRule(
                 key=f"{index}:{rule.source}->{rule.target}/{rule.target_key}",
                 rule=rule,
-                source_handle=log_de.handle(
-                    rule.source, principal=self.name, location=self.location
-                ),
-                target_handle=object_de.handle(
-                    rule.target, principal=self.name, location=self.location
-                ),
+                source_handle=self._handle(rule.log_de, rule.source),
+                target_handle=self._handle(rule.object_de, rule.target),
             )
             # A batch landing and a catch-up are the same work: aggregate
             # the whole pool (or window) again, whatever is in it by now.
-            bound.follower = Follower(
-                self.runtime.env,
-                partial(bound.source_handle.watch, partial(self._on_batch, bound)),
-                partial(self.queue.requeue, bound.key),
-            )
-            self._bound[bound.key] = bound
-        if self.started:
-            self._on_start()
-        return f"{len(self._bound)} rule(s)"
-
-    def _on_start(self):
-        for bound in self._bound.values():
-            bound.follower.start()
-
-    def _on_stop(self):
-        for bound in self._bound.values():
-            bound.follower.stop()
+            followers.append(self._follow(
+                bound.source_handle, partial(self._on_batch, bound),
+                partial(self.queue.requeue, bound.key)))
+            bound_rules[bound.key] = bound
+        return f"{len(bound_rules)} rule(s)", followers, {"_bound": bound_rules}
 
     def _on_batch(self, bound, _event):
         self.queue.requeue(bound.key)

@@ -148,8 +148,8 @@ class KnactorRuntime:
             raise ConfigurationError(
                 f"integrator {integrator.name!r} already registered"
             )
+        integrator.bind(self)  # registered only once it is bound
         self.integrators[integrator.name] = integrator
-        integrator.bind(self)
         if self._started:
             integrator.start()
         return integrator

@@ -26,7 +26,6 @@ from repro.errors import ConfigurationError
 from repro.core.integrator import Integrator
 from repro.obs.context import span_process
 from repro.query.core import compile_ops
-from repro.store.follow import Follower
 
 
 @dataclass
@@ -56,7 +55,7 @@ class _BoundFlow:
     next_seq: int = 0
     records_moved: int = 0
     batches: int = 0
-    follower: object = None
+    unmoved: set = field(default_factory=set)  # claimed (since, until)
 
 
 class Sync(Integrator):
@@ -66,63 +65,45 @@ class Sync(Integrator):
     local_stage_cost = 2e-6
 
     def __init__(self, name, flows=(), location=None):
-        super().__init__(name)
-        self._initial_flows = list(flows)
+        super().__init__(name, list(flows))
         self.location = location or name
         self._bound = {}  # (source, target) -> _BoundFlow
 
     # -- configuration --------------------------------------------------------
 
-    def _on_bind(self):
-        self._apply_configuration(self._initial_flows)
-
     def _apply_configuration(self, flows):
-        self._on_stop()
-        self._bound = {}
+        bound_flows, followers = {}, []
         for flow in flows:
             if flow.source == flow.target:
                 raise ConfigurationError(
                     f"flow source and target are the same store {flow.source!r}"
                 )
-            if (flow.source, flow.target) in self._bound:
+            if (flow.source, flow.target) in bound_flows:
                 raise ConfigurationError(
                     f"two flows from {flow.source!r} to {flow.target!r}")
-            de = self.runtime.exchange(flow.de)
             ops = flow.ops()
             compile_ops(ops)  # validate early
             bound = _BoundFlow(
                 flow=flow,
-                source_handle=de.handle(
-                    flow.source, principal=self.name, location=self.location
-                ),
-                target_handle=de.handle(
-                    flow.target, principal=self.name, location=self.location
-                ),
+                source_handle=self._handle(flow.de, flow.source),
+                target_handle=self._handle(flow.de, flow.target),
                 ops=ops,
             )
-            bound.follower = Follower(
-                self.runtime.env,
-                partial(bound.source_handle.watch, partial(self._on_batch, bound)),
-                partial(self._catch_up, bound),
-            )
-            self._bound[flow.source, flow.target] = bound
-        if self.started:
-            self._on_start()
-        return f"{len(self._bound)} flow(s)"
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def _on_start(self):
-        for bound in self._bound.values():
-            bound.follower.start()
-
-    def _on_stop(self):
-        for bound in self._bound.values():
-            bound.follower.stop()
+            followers.append(self._follow(
+                bound.source_handle, partial(self._on_batch, bound),
+                partial(self._catch_up, bound)))
+            bound_flows[flow.source, flow.target] = bound
+        return f"{len(bound_flows)} flow(s)", followers, {"_bound": bound_flows}
 
     def _catch_up(self, bound):
-        """Records loaded while the subscription was down are recovered
-        by claiming everything at or beyond ``next_seq``."""
+        """Bring the flow level with its source: a claimed range neither
+        moved, queued nor parked was lost with a killed queue and is
+        queued again, and records loaded while the subscription was down
+        are recovered by claiming everything at or beyond ``next_seq``."""
+        for since, until in sorted(bound.unmoved):
+            key = (bound.flow.source, bound.flow.target, since, until)
+            if key not in self.queue and key not in self.dead_letters.keys():
+                self.queue.requeue(key)
         stats = yield bound.source_handle.stats()
         if stats["next_seq"] > bound.next_seq:
             self._claim(bound, stats["next_seq"], None, None)
@@ -140,6 +121,7 @@ class Sync(Integrator):
         since = bound.next_seq
         bound.next_seq = max(since, until)
         bound.batches += 1
+        bound.unmoved.add((since, until))
         key = (bound.flow.source, bound.flow.target, since, until)
         self.queue.add(key, (records, parent))
 
@@ -158,8 +140,8 @@ class Sync(Integrator):
 
     def _move(self, env, key, records):
         bound = self._bound.get(key[:2])
-        if bound is None:
-            return  # the flow was reconfigured away
+        if bound is None or key[2:] not in bound.unmoved:
+            return  # the flow was reconfigured away, or the range moved
         since, until = key[2:]
         if records is None:
             # Analytics push-down (and every catch-up or replay): the
@@ -182,6 +164,7 @@ class Sync(Integrator):
         if clean:
             yield bound.target_handle.load(clean)
             bound.records_moved += len(clean)
+        bound.unmoved.discard((since, until))
 
     def stats(self):
         return dict(super().stats(), flows=[

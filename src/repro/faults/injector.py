@@ -3,7 +3,7 @@
 The injector resolves each action's target -- the shared
 :class:`~repro.simnet.network.Network` for link faults, registered
 :class:`~repro.store.base.StoreServer` instances for store faults,
-registered killable processes (reconcilers, Cast workers) for process
+registered killable processes (reconcilers, integrators) for process
 faults -- and schedules begin/revert callbacks at the action's virtual
 times.  Every transition is appended to :attr:`FaultInjector.events`, a
 plain list of ``(time, phase, kind, target)`` tuples: two runs with the

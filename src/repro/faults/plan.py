@@ -120,7 +120,7 @@ class FaultPlan:
     # -- process faults ----------------------------------------------------
 
     def kill_process(self, name, at, duration):
-        """Kill a registered process (reconciler/Cast); restart after."""
+        """Kill a registered process (reconciler/integrator); restart after."""
         return self._add(FaultAction(at, duration, KILL, (name,)))
 
     def kill_during_txn(self, process, phase, at, duration):

@@ -35,7 +35,7 @@ from collections import deque
 from functools import partial
 
 from repro.query.core import compile_ops
-from repro.store.follow import Follower
+from repro.store.follow import Follower, FollowerGroup
 
 
 class _SourceState:
@@ -103,36 +103,30 @@ class MaterializedView:
             for src in view.sources
         }
         for state in self._sources.values():
-            state.follower = self._follow(state)
-        self._started = False
-
-    def _follow(self, state):
-        deliver = (self._on_object_event if state.kind == "object"
-                   else self._on_log_batch)
-        return Follower(self.env,
-                        partial(state.handle.watch, partial(deliver, state)),
-                        partial(self._catch_up, state))
+            deliver = (self._on_object_event if state.kind == "object"
+                       else self._on_log_batch)
+            state.follower = Follower(
+                env, partial(state.handle.watch, partial(deliver, state)),
+                partial(self._catch_up, state))
+        self.followers = FollowerGroup(
+            state.follower for state in self._sources.values())
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self):
         """Open the streams and seed every source; returns the seed process."""
-        if self._started:
+        if self.followers.started:
             raise RuntimeError(f"view {self.view.name!r} already maintained")
-        self._started = True
-        for state in self._sources.values():
-            state.follower.start()
+        self.followers.start()
         return self.env.process(self._seed_all())
 
     def stop(self):
-        for state in self._sources.values():
-            state.follower.stop()
-        self._started = False
+        self.followers.stop()
 
     def _seed_all(self):
         """The sources' first catch-ups, one after another."""
-        for state in self._sources.values():
-            yield state.follower.resync()
+        for follower in self.followers.members:
+            yield follower.resync()
 
     # -- object maintenance ------------------------------------------------
 

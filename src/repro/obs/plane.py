@@ -10,6 +10,7 @@ and turns the numbers named in the tables below into registry series;
 the plane knows no component's attribute names.
 """
 
+from repro.errors import ClusterError
 from repro.obs.causal import CausalTracer
 from repro.obs.registry import COUNTER, GAUGE, Registry
 
@@ -160,7 +161,7 @@ class ObsPlane:
                 try:
                     replicas = len(
                         scaler.cluster.deployment(label).ready_pods)
-                except Exception:
+                except ClusterError:  # the deployment was removed
                     replicas = 0
                 reg.gauge("autoscale_replicas", deployment=label).set(
                     replicas)

@@ -82,6 +82,7 @@ class Process(Event):
                 next_event = self._generator.send(event._value)
             else:
                 event._defused = True
+                carried = event._value.__traceback__
                 next_event = self._generator.throw(event._value)
         except StopIteration as stop:
             env.active_process = None
@@ -91,6 +92,13 @@ class Process(Event):
         except BaseException as exc:
             env.active_process = None
             self._target = None
+            # Kept failure: drop this frame (it holds ``self``) and the locals
+            # of those it left here, not of those it came in with (may run).
+            tb = exc.__traceback__ = exc.__traceback__.tb_next
+            carried = None if event._ok else carried
+            while tb is not None and tb is not carried:
+                tb.tb_frame.clear()
+                tb = tb.tb_next
             self.fail(exc)
             return
         env.active_process = None

@@ -84,6 +84,12 @@ class _Failure:
     def __init__(self, exception):
         self.exception = exception
 
+    def take(self):
+        """The exception, its slot emptied: ``raise failure.take()`` leaves
+        no local holding it, so its traceback's frame is no cycle."""
+        exception, self.exception = self.exception, None
+        return exception
+
 
 #: Operations the reshard write fence applies to: everything that can
 #: mutate object state.  Reads stay open on the old owner until the

@@ -98,7 +98,7 @@ class StoreClient:
         if remote:
             yield server.network.transfer(server.location, self.location)
         if isinstance(result, _Failure):
-            raise result.exception
+            raise result.take()
         return result
 
     def watch(self, handler, key_prefix="", on_close=None,

@@ -122,3 +122,36 @@ class Follower:
                     return
         finally:
             self._process = None
+
+
+class FollowerGroup:
+    """One consumer's followers, started, stopped and caught up as one;
+    :meth:`swap` stops each one dropped and, while the group is started,
+    starts each new one (one kept keeps its stream)."""
+
+    def __init__(self, members):
+        self.members = list(members)
+        self.started = False
+
+    def start(self):
+        self.started = True
+        for follower in self.members:
+            follower.start()
+
+    def stop(self):
+        self.started = False
+        for follower in self.members:
+            follower.stop()
+
+    def resync(self):
+        for follower in self.members:
+            follower.resync()
+
+    def swap(self, members):
+        for follower in self.members:
+            if follower not in members:
+                follower.stop()
+        self.members = list(members)
+        if self.started:
+            for follower in self.members:
+                follower.start()

@@ -68,6 +68,11 @@ class WorkQueue:
         self.pending.clear()
         self._failures.clear()
 
+    def __contains__(self, key):
+        """Pending, in a pass, or waiting on a retry."""
+        return (key in self.pending or key in self._running
+                or key in self._failures)
+
     def stats(self):
         return {"pending": len(self.pending), "in_flight": len(self._running),
                 "peak": self.peak, "shed": self.shed}

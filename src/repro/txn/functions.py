@@ -50,11 +50,11 @@ class TxnFunctionIntegrator(Integrator):
         self.client = client
         self.fn = fn
         self.key_prefix = key_prefix
-        self._follower = Follower(
+        self.followers.swap([Follower(
             client.env,
             partial(client.watch, self._on_event, key_prefix=key_prefix),
             self._catch_up,
-        )
+        )])
         self.invocations = 0
         self.commits = 0
 
@@ -64,25 +64,14 @@ class TxnFunctionIntegrator(Integrator):
 
     # -- Integrator hooks ----------------------------------------------------
 
-    def _on_bind(self):
-        self.client.server.functions.register(self.name, self.fn,
-                                              cost=self.cost)
-
-    def _on_start(self):
-        self._follower.start()
-
-    def _on_stop(self):
-        self._follower.stop()
-
     def _apply_configuration(self, fn=None, cost=None):
-        """Swap the pushed-down function at run time (no redeploys)."""
-        if fn is not None:
-            self.fn = fn
-        if cost is not None:
-            self.cost = cost
-        self.client.server.functions.register(self.name, self.fn,
-                                              cost=self.cost)
-        return f"function {self.name} swapped"
+        """Register the pushed-down function (at bind, and to swap it at
+        run time: no redeploys); the stream stays open."""
+        fn = self.fn if fn is None else fn
+        cost = self.cost if cost is None else cost
+        self.client.server.functions.register(self.name, fn, cost=cost)
+        return (f"function {self.name} swapped", self.followers.members,
+                {"fn": fn, "cost": cost})
 
     # -- the reconcile drive -------------------------------------------------
 

@@ -7,7 +7,7 @@ import pytest
 from repro.cluster import Cluster, Image, Node
 from repro.cluster.autoscaler import HorizontalAutoscaler
 from repro.errors import ClusterError
-from repro.obs import CausalTracer
+from repro.obs import CausalTracer, ObsPlane
 
 
 @pytest.fixture
@@ -53,6 +53,28 @@ class TestAutoscaler:
         scaler.start()
         env.run(until=30.0)
         assert len(cluster.deployment("svc").ready_pods) == 4
+
+    def test_obs_plane_scrapes_autoscaler_activity(self, env, cluster):
+        load = {"load": 55.0}
+        scaler = make_autoscaler(env, cluster, load)
+        plane = ObsPlane(env).watch_autoscalers([scaler])
+        scaler.start()
+        env.run(until=30.0)
+
+        def scraped():
+            metrics = plane.registry.snapshot()["metrics"]
+            return {name: metrics[name]["series"]["deployment=svc"]
+                    for name in ("autoscale_events_total",
+                                 "autoscale_replicas", "autoscale_last_load",
+                                 "autoscale_last_target")}
+
+        assert scraped() == {
+            "autoscale_events_total": 1.0, "autoscale_replicas": 6.0,
+            "autoscale_last_load": 55.0, "autoscale_last_target": 6.0,
+        }
+        scaler.stop()
+        del cluster.deployments["svc"]  # removed: no replicas to count
+        assert scraped()["autoscale_replicas"] == 0.0
 
     def test_cooldown_prevents_flapping(self, env, cluster):
         load = {"load": 55.0}

@@ -512,7 +512,7 @@ class TestRecovery:
         env.run()
         before = cast.exchanges_run
         ignored = cast.events_ignored
-        cast._followers[0].resync()
+        cast.followers.members[0].resync()
         env.run()
         # The listed object equals the cache, yet ``k`` ran again.
         assert cast.events_ignored == ignored + 1

@@ -1,5 +1,8 @@
 """Unit tests for generator-based simulation processes."""
 
+import gc
+import traceback
+
 import pytest
 
 from repro.simnet import Environment, Interrupt, SimulationError
@@ -59,6 +62,68 @@ class TestProcess:
         env.process(proc(env))
         with pytest.raises(KeyError):
             env.run()
+
+    def test_unhandled_failure_traceback_names_the_failing_line(self, env):
+        def child(env):
+            yield env.timeout(1.0)
+            raise KeyError("oops")  # the failing line
+
+        def parent(env):
+            yield env.process(child(env))
+
+        env.process(parent(env))
+        with pytest.raises(KeyError) as info:
+            env.run()
+        frames = [(entry.name, entry.line)
+                  for entry in traceback.extract_tb(info.value.__traceback__)]
+        assert ("child", 'raise KeyError("oops")  # the failing line') in frames
+        assert "parent" in [name for name, _line in frames]
+
+    def test_a_failed_process_is_no_reference_cycle(self, env):
+        def proc(env):
+            yield env.timeout(1.0)
+            raise KeyError("oops")
+
+        failed = env.process(proc(env))
+        failed._defused = True
+        env.run()
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            del failed
+            gc.collect()
+            kept = [o for o in gc.garbage if isinstance(o, KeyError)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert kept == []
+
+    def test_a_waiter_that_caught_a_failure_runs_on(self, env):
+        # A second waiter fails with the exception the first one caught;
+        # the first one's frame is in its traceback and still running.
+        log = []
+
+        def child(env):
+            yield env.timeout(1.0)
+            raise KeyError("oops")
+
+        def catcher(env, failing):
+            try:
+                yield failing
+            except KeyError:
+                log.append("caught")
+            yield env.timeout(5.0)
+            log.append("ran on")
+
+        def failer(env, failing):
+            yield env.timeout(2.0)
+            yield failing
+
+        failing = env.process(child(env))
+        env.process(catcher(env, failing))
+        env.process(failer(env, failing))._defused = True
+        env.run()
+        assert log == ["caught", "ran on"]
 
     def test_yield_non_event_is_error(self, env):
         def proc(env):
