@@ -29,6 +29,11 @@ reply is folded into its slot only when it is the object the fixpoint
 computed; one that carries a foreign write the fixpoint never saw
 empties the slot instead, so the next event for it is news.
 
+The cache is not a :class:`~repro.store.follow.Mirror`: its slots are
+Cast's echo memory, filled by gathers and write replies ahead of the
+stream, so an informer-mode gather from a stream-fed mirror would write
+again what a reply already showed, and move the §3.3 informer rows.
+
 Guarantees (tested as invariants):
 
 - **quiescence**: a spec that passes static cycle analysis reaches

@@ -89,6 +89,11 @@ class Sync(Integrator):
                 target_handle=self._handle(flow.de, flow.target),
                 ops=ops,
             )
+            kept = self._bound.get((flow.source, flow.target))
+            if kept is not None:  # a kept flow carries on where it was
+                bound.next_seq, bound.batches = kept.next_seq, kept.batches
+                bound.records_moved = kept.records_moved
+                bound.unmoved = set(kept.unmoved)
             followers.append(self._follow(
                 bound.source_handle, partial(self._on_batch, bound),
                 partial(self._catch_up, bound)))
@@ -112,8 +117,10 @@ class Sync(Integrator):
         records = event.object["records"]
         until = max((r["_seq"] + 1 for r in records if "_seq" in r),
                     default=bound.next_seq)
-        self._claim(bound, until,
-                    None if bound.flow.at_source else records, event.ctx)
+        # Moved as delivered only from the cursor; past a loss, queried.
+        local = (not bound.flow.at_source
+                 and event.object["first_seq"] == bound.next_seq)
+        self._claim(bound, until, records if local else None, event.ctx)
 
     def _claim(self, bound, until, records, parent):
         """Claim ``[next_seq, until)`` at intake, so concurrent batches
@@ -163,7 +170,9 @@ class Sync(Integrator):
         clean = [r for r in clean if r]
         if clean:
             yield bound.target_handle.load(clean)
-            bound.records_moved += len(clean)
+        # A reconfiguration that kept the flow carried the range along.
+        bound = self._bound.get(key[:2], bound)
+        bound.records_moved += len(clean)
         bound.unmoved.discard((since, until))
 
     def stats(self):

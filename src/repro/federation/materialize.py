@@ -6,20 +6,18 @@ from the sources' watch streams through the view's service principal --
 so each row arrives already masked exactly as a federated read through
 the same principal would see it.
 
-Maintenance reuses the delta-watch resilience machinery end to end:
+Each source is one :class:`~repro.store.follow.Mirror`, the client read
+cache's copy: a broken stream is reopened, then caught up until the
+store answers, and deliveries racing the catch-up drain after it.
 
 - **Object sources** apply ADDED/MODIFIED/DELETED events guarded by
-  revision (stale deliveries racing a rebuild are dropped); catching
-  up is a one-LIST rebuild.
-- **Log sources** keep the raw stamped records and a ``next_seq``
-  cursor.  A batch whose ``first_seq`` jumps past the cursor is a
-  detected gap (a dropped watch message): the view re-queries
-  ``since_seq=cursor`` with the :mod:`~repro.store.loglake` watermark
-  hook and resumes from the exact sequence point, buffering deliveries
-  that race the catch-up.
-
-Each source is held through a :class:`~repro.store.follow.Follower`: a
-broken stream is reopened, then caught up until the store answers.
+  revision, deletions included; catching up is a one-LIST rebuild.  Rows
+  are built from the views at read time, ``{**data, "_key": key}``.
+- **Log sources** (:class:`_LogTail`) keep the raw stamped records and
+  a ``next_seq`` cursor.  A batch whose ``first_seq`` jumps past the
+  cursor is a detected gap (a dropped watch message): the view
+  re-queries ``since_seq=cursor`` with the :mod:`~repro.store.loglake`
+  watermark hook and resumes from the exact sequence point.
 
 **Staleness estimate.**  Each applied event contributes an apply-lag
 sample (``now - committed_at``, the same quantity the obs plane's
@@ -35,35 +33,55 @@ from collections import deque
 from functools import partial
 
 from repro.query.core import compile_ops
-from repro.store.follow import Follower, FollowerGroup
+from repro.store.follow import FollowerGroup, Mirror
 
 
 class _SourceState:
-    __slots__ = (
-        "source", "kind", "handle", "table", "revisions", "rows", "cursor",
-        "seeded", "pending", "lag", "follower", "applied", "resyncs",
-    )
+    __slots__ = ("source", "kind", "mirror", "lag", "applied")
 
-    def __init__(self, source, kind, handle):
+    def __init__(self, source, kind):
         self.source = source
         self.kind = kind  # "object" | "log"
-        self.handle = handle
-        self.table = {}  # object: key -> {**data, "_key": key}
-        self.revisions = {}  # object: key -> last applied revision
-        self.rows = []  # log: raw stamped records
-        self.cursor = 0  # log: next _seq this copy expects
-        self.seeded = False  # until the initial seed lands
-        self.pending = []  # deliveries racing a catch-up
+        self.mirror = None  # a Mirror (object) or a _LogTail (log)
         self.lag = deque()  # (observed_at, lag): times rise, lags fall
-        self.follower = None
         self.applied = 0
-        self.resyncs = 0
 
-    @property
-    def resyncing(self):
-        """Not answerable from: never seeded, or catching up after a
-        stream break or a detected gap."""
-        return not self.seeded or self.follower.catching_up
+
+class _LogTail(Mirror):
+    """A Log source's copy: ``views`` maps each ``_seq`` to its record, in
+    order, from the stream and from ``since_seq=cursor`` re-queries; a
+    batch past ``cursor`` (a gap) is buffered behind that re-query."""
+
+    cursor = 0
+
+    def _open(self, on_close):
+        return self.handle.watch(self._deliver, on_close=on_close)
+
+    def _deliver(self, event):
+        if not self.resyncing and event.object["first_seq"] > self.cursor:
+            self.follower.resync()  # makes the batch a buffered one
+        super()._deliver(event)
+
+    def _rebuild(self):
+        answer = yield self.handle.query(
+            ops=(), since_seq=self.cursor, include_watermark=True,
+        )
+        recovered = self._append(answer["records"])
+        self.cursor = max(self.cursor, answer["watermark"])
+        return recovered
+
+    def _apply(self, event):
+        count = self._append(event.object["records"])
+        if count:
+            self.on_apply(event.committed_at, event.ctx, count)
+
+    def _append(self, records):
+        """Take the records from the cursor on; returns how many."""
+        fresh = [r for r in records if r["_seq"] >= self.cursor]
+        self.views.update((r["_seq"], r) for r in fresh)
+        if fresh:
+            self.cursor = fresh[-1]["_seq"] + 1
+        return len(fresh)
 
 
 def _push_lag(samples, at, lag):
@@ -73,13 +91,13 @@ def _push_lag(samples, at, lag):
     samples.append((at, lag))
 
 
-def _lookup(table, keys):
-    """Copies of ``table``'s rows under ``keys``, each once."""
+def _lookup(views, keys):
+    """The rows of ``views`` under ``keys``, each once."""
     rows = {}
     for key in keys:
         try:
-            if key in table and key not in rows:
-                rows[key] = dict(table[key])
+            if key in views and key not in rows:
+                rows[key] = {**views[key]["data"], "_key": key}
         except TypeError:  # unhashable: the join raises too, or never asks
             pass
     return list(rows.values())
@@ -98,18 +116,16 @@ class MaterializedView:
         self.env = env
         self.view = view
         self.registry = registry
-        self._sources = {
-            src.alias: _SourceState(src, kinds[src.alias], handles[src.alias])
-            for src in view.sources
-        }
-        for state in self._sources.values():
-            deliver = (self._on_object_event if state.kind == "object"
-                       else self._on_log_batch)
-            state.follower = Follower(
-                env, partial(state.handle.watch, partial(deliver, state)),
-                partial(self._catch_up, state))
+        self._sources = {}
+        for src in view.sources:
+            state = _SourceState(src, kinds[src.alias])
+            tail = Mirror if state.kind == "object" else _LogTail
+            state.mirror = tail(env, handles[src.alias], "",
+                                partial(self._applied, state),
+                                partial(self._rebuilt, state))
+            self._sources[src.alias] = state
         self.followers = FollowerGroup(
-            state.follower for state in self._sources.values())
+            state.mirror.follower for state in self._sources.values())
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -120,95 +136,10 @@ class MaterializedView:
         self.followers.start()
         return self.env.process(self._seed_all())
 
-    def stop(self):
-        self.followers.stop()
-
     def _seed_all(self):
         """The sources' first catch-ups, one after another."""
         for follower in self.followers.members:
             yield follower.resync()
-
-    # -- object maintenance ------------------------------------------------
-
-    def _on_object_event(self, state, event):
-        if state.resyncing:
-            # A rebuild (one LIST) is in flight and will overwrite the
-            # table wholesale; buffer and drain behind the revision guard.
-            state.pending.append(event)
-        else:
-            self._apply_object(state, event)
-
-    def _apply_object(self, state, event):
-        last = state.revisions.get(event.key)
-        if last is not None and event.revision < last:
-            return  # stale delivery racing a rebuild
-        state.revisions[event.key] = event.revision
-        if event.type == "DELETED":
-            state.table.pop(event.key, None)
-        else:
-            state.table[event.key] = {**event.object, "_key": event.key}
-        self._applied(state, event.committed_at, event.ctx, 1)
-
-    # -- log maintenance ---------------------------------------------------
-
-    def _on_log_batch(self, state, event):
-        if state.resyncing:
-            state.pending.append(event)
-            return
-        payload = event.object
-        if payload["first_seq"] > state.cursor:
-            # Gap: a watch message was dropped between cursor and this
-            # batch.  Re-query from the cursor; the catch-up's watermark
-            # covers this batch too, so it is not applied directly.
-            state.follower.resync()
-            state.pending.append(event)
-            return
-        self._apply_log_records(state, payload["records"], event)
-
-    def _apply_log_records(self, state, records, event):
-        fresh = [r for r in records if r["_seq"] >= state.cursor]
-        if not fresh:
-            return
-        state.rows.extend(fresh)
-        state.cursor = fresh[-1]["_seq"] + 1
-        self._applied(state, event.committed_at, event.ctx, len(fresh))
-
-    # -- catch-up (the seed, a stream break, a detected gap) ---------------
-
-    def _catch_up(self, state):
-        if state.kind == "object":
-            views = yield state.handle.list()
-            table, revisions = {}, dict(state.revisions)
-            for view in views:
-                key, revision = view["key"], view["revision"]
-                if revisions.get(key, -1) > revision:
-                    continue  # a watch event already moved past the LIST
-                table[key] = {**view["data"], "_key": key}
-                revisions[key] = revision
-            state.table, state.revisions = table, revisions
-        else:
-            answer = yield state.handle.query(
-                ops=(), since_seq=state.cursor, include_watermark=True,
-            )
-            synthetic_now = self.env.now
-            fresh = [r for r in answer["records"] if r["_seq"] >= state.cursor]
-            state.rows.extend(fresh)
-            state.cursor = max(state.cursor, answer["watermark"])
-            if fresh:
-                state.applied += len(fresh)
-                _push_lag(state.lag, synthetic_now, self.floor)
-        if state.seeded:
-            state.resyncs += 1
-            self._count("view_resyncs_total", source=state.source.alias)
-        state.seeded = True
-        # Drain deliveries that raced the catch-up (already-covered seqs
-        # and revisions fall out of the cursor and revision guards).
-        pending, state.pending = state.pending, []
-        for event in pending:
-            if state.kind == "log":
-                self._apply_log_records(state, event.object["records"], event)
-            else:
-                self._apply_object(state, event)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -232,6 +163,15 @@ class MaterializedView:
                 view=self.view.name, source=state.source.alias,
             )
 
+    def _rebuilt(self, state, recovered):
+        """A source's catch-up landed: the records it recovered stand in
+        with the pipeline floor as their lag sample."""
+        if recovered:
+            state.applied += recovered
+            _push_lag(state.lag, self.env.now, self.floor)
+        if state.mirror.seeded:
+            self._count("view_resyncs_total", source=state.source.alias)
+
     def _count(self, name, source, amount=1):
         if self.registry is not None:
             self.registry.counter(
@@ -248,7 +188,7 @@ class MaterializedView:
         horizon = now - self.lag_window
         worst = self.floor
         for state in self._sources.values():
-            if state.resyncing:
+            if state.mirror.resyncing:
                 return float("inf")
             for at, lag in state.lag:
                 if at >= horizon:
@@ -268,16 +208,19 @@ class MaterializedView:
             src = state.source
             if (keys is not None and state.kind == "object" and not src.ops
                     and (src is root or src.match == "_key")):
-                out[alias] = _lookup(state.table, keys if src is root else (
+                views = state.mirror.views
+                out[alias] = _lookup(views, keys if src is root else (
                     row.get(src.on) for row in out[root.alias]))
-                fed[alias] = len(state.table)
+                fed[alias] = len(views)
             else:
                 # Deterministic _key order: both strategies must feed the
                 # join identically-ordered rows or answer identity breaks
                 # on order-sensitive ops (sort ties, head/tail).
-                rows = (sorted((dict(r) for r in state.table.values()),
-                               key=lambda r: r["_key"])
-                        if state.kind == "object" else list(state.rows))
+                mirror = state.mirror
+                rows = ([{**mirror.views[key]["data"], "_key": key}
+                         for key in sorted(mirror.views)]
+                        if state.kind == "object"
+                        else list(mirror.views.values()))
                 out[alias] = compile_ops(src.ops)(rows)
                 fed[alias] = len(out[alias])
         return out, fed
@@ -287,10 +230,9 @@ class MaterializedView:
             alias: {
                 "kind": state.kind,
                 "applied": state.applied,
-                "resyncs": state.resyncs,
-                "resyncing": state.resyncing,
-                "rows": (len(state.table) if state.kind == "object"
-                         else len(state.rows)),
+                "resyncs": state.mirror.resyncs,
+                "resyncing": state.mirror.resyncing,
+                "rows": len(state.mirror.views),
             }
             for alias, state in self._sources.items()
         }

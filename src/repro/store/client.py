@@ -15,8 +15,8 @@ them inline (:func:`inline`) instead of starting a process of their own.
 from repro.obs.context import current_context
 from repro.simnet.events import Event
 from repro.store.base import _Failure
-from repro.store.follow import Follower
-from repro.store.watch import DELETED, Watch
+from repro.store.follow import Mirror
+from repro.store.watch import Watch
 
 
 def inline(body):
@@ -127,19 +127,14 @@ class ObjectClient(StoreClient):
 
     One opt-in hot-path optimization (off by default, preserving classic
     request/response semantics): **read-through caching**
-    (:meth:`enable_read_cache`), where an informer-style watch mirrors
-    the keyspace locally and ``get`` serves hits from that mirror with
-    no network round trip (eventually consistent, like reading a
-    Kubernetes informer cache; :mod:`repro.store.follow` keeps it across
-    stream breaks).
+    (:meth:`enable_read_cache`), where a watch-fed
+    :class:`~repro.store.follow.Mirror` of the keyspace serves ``get``
+    with no network round trip.
     """
 
     def __init__(self, server, location, retry_policy=None):
         super().__init__(server, location, retry_policy=retry_policy)
-        # Read-through cache (opt-in via enable_read_cache()).
-        self._read_cache = None
-        self._cache_follower = None
-        self._cache_prefix = ""
+        self.mirror = None  # the read cache, once enabled
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -194,9 +189,10 @@ class ObjectClient(StoreClient):
     def _op(self, op, args):
         """Object op ``op`` as a body (see :func:`inline`), through the
         read cache."""
-        if op == "get" and self._read_cache is not None:
-            if args["key"].startswith(self._cache_prefix):
-                view = self._read_cache.get(args["key"])
+        if op == "get" and self.mirror is not None:
+            if args["key"].startswith(self.mirror.prefix):
+                view = (None if self.mirror.resyncing
+                        else self.mirror.views.get(args["key"]))
                 if view is not None:
                     self.cache_hits += 1
                     hit = self.copies.cached(view, self.copy_meter)
@@ -211,49 +207,15 @@ class ObjectClient(StoreClient):
     def enable_read_cache(self, key_prefix=""):
         """Mirror the (prefixed) keyspace locally; serve ``get`` from it.
 
-        The mirror is informer-backed: a watch keeps it current, and an
-        initial ``list`` warms it.  Reads are eventually consistent --
-        they may trail the server by the watch-delivery latency, exactly
-        like reading a Kubernetes informer cache.  A miss (or a broken
-        watch, which drops the mirror cold until the re-list lands)
-        falls through to a normal server read, so correctness never
-        depends on the cache.  Returns the stream.
+        The :class:`~repro.store.follow.Mirror` is informer-backed.  Reads
+        are eventually consistent -- they may trail the server by the
+        watch-delivery latency, like reading a Kubernetes informer cache.
+        A hit comes only from a caught-up mirror: a miss, or any read
+        while it seeds or rebuilds after a broken watch, falls through to
+        a server read.  Returns the stream.
         """
-        if self._cache_follower is None:
-            self._cache_prefix = key_prefix
-            self._cache_follower = Follower(
-                self.env, self._open_cache_stream, self._warm_cache)
-            self._cache_follower.start()
-            self._cache_follower.resync()
-        return self._cache_follower.stream
-
-    def _open_cache_stream(self, on_close):
-        # A mirror is only as good as the stream feeding it: a new
-        # stream starts from a cold one.
-        self._read_cache = {}
-        return self.watch(self._absorb_cache_event,
-                          key_prefix=self._cache_prefix, on_close=on_close)
-
-    def _warm_cache(self):
-        views = yield self.list(self._cache_prefix)
-        cache = self._read_cache
-        for view in views:
-            current = cache.get(view["key"])
-            if current is None or view["revision"] >= current["revision"]:
-                cache[view["key"]] = view
-
-    def _absorb_cache_event(self, event):
-        cache = self._read_cache
-        if event.type == DELETED:
-            cache.pop(event.key, None)
-            return
-        current = cache.get(event.key)
-        if current is not None and event.revision < current["revision"]:
-            return
-        cache[event.key] = {
-            "key": event.key,
-            "data": event.object,
-            "revision": event.revision,
-            "created_at": current["created_at"] if current else None,
-            "updated_at": self.env.now,
-        }
+        if self.mirror is None:
+            self.mirror = Mirror(self.env, self, key_prefix, None, None)
+            self.mirror.follower.start()
+            self.mirror.follower.resync()
+        return self.mirror.follower.stream

@@ -5,7 +5,8 @@ Every consumer that "responds to state updates from the data store"
 materialized views, the client read cache -- holds a watch stream, and
 any stream can break (failover, crash, partition, a credit-forced
 slow-consumer resync).  What happens then is the same for all of them
-and lives here; what "caught up" means stays with each consumer.
+and lives here; what "caught up" means stays with each consumer.  One
+that only holds the store's keyed state locally takes a :class:`Mirror`.
 """
 
 from repro.errors import ConflictError, UnavailableError
@@ -155,3 +156,87 @@ class FollowerGroup:
         if self.started:
             for follower in self.members:
                 follower.start()
+
+
+class Mirror:
+    """A store's keyed state under ``prefix``, held locally: ``views`` maps
+    each key to the store's view, fed by the watch stream of ``handle`` (a
+    store client or an exchange handle) and rebuilt by one LIST after each
+    break through ``follower``, which the owner starts.  Per-key
+    ``revisions`` keep deletions too and guard every write, so a LIST that
+    raced a deletion cannot bring the key back; deliveries racing a rebuild
+    are buffered and drained behind the guard.  Hooks, None or called:
+    ``on_apply(committed_at, ctx, count)`` per delivery applied, and
+    ``on_rebuild(recovered)`` per rebuild, before the drain (``seeded`` is
+    False on the first; ``recovered``: records a Log tail appended).
+    """
+
+    def __init__(self, env, handle, prefix, on_apply, on_rebuild):
+        self.env = env
+        self.handle = handle
+        self.prefix = prefix
+        self.on_apply = on_apply
+        self.on_rebuild = on_rebuild
+        self.views = {}
+        self.revisions = {}
+        self.seeded = False  # until the first rebuild lands
+        self.resyncs = 0  # rebuilds after the first
+        self._pending = []  # deliveries racing a rebuild
+        self.follower = Follower(env, self._open, self._catch_up)
+
+    @property
+    def resyncing(self):
+        """Not answerable from: never seeded, or catching up after a
+        stream break or a detected gap."""
+        return not self.seeded or self.follower.catching_up
+
+    def _open(self, on_close):
+        return self.handle.watch(self._deliver, self.prefix,
+                                 on_close=on_close)
+
+    def _deliver(self, event):
+        if self.resyncing:
+            self._pending.append(event)
+        else:
+            self._apply(event)
+
+    def _catch_up(self):
+        recovered = yield from self._rebuild()
+        if self.on_rebuild is not None:
+            self.on_rebuild(recovered)
+        if self.seeded:
+            self.resyncs += 1
+        self.seeded = True
+        pending, self._pending = self._pending, []
+        for event in pending:
+            self._apply(event)
+
+    def _rebuild(self):
+        views = yield self.handle.list(self.prefix)
+        self.views = {}
+        for view in views:
+            key, revision = view["key"], view["revision"]
+            # Dropped when a delivery, a deletion too, moved past it.
+            if self.revisions.get(key, -1) <= revision:
+                self.views[key] = view
+                self.revisions[key] = revision
+
+    def _apply(self, event):
+        key = event.key
+        last = self.revisions.get(key)
+        if last is not None and event.revision < last:
+            return  # stale delivery racing a rebuild
+        self.revisions[key] = event.revision
+        if event.type == "DELETED":
+            self.views.pop(key, None)
+        else:
+            held = self.views.get(key)
+            self.views[key] = {
+                "key": key,
+                "data": event.object,
+                "revision": event.revision,
+                "created_at": held["created_at"] if held else None,
+                "updated_at": self.env.now,
+            }
+        if self.on_apply is not None:
+            self.on_apply(event.committed_at, event.ctx, 1)

@@ -135,6 +135,25 @@ class TestSyncFlow:
             build_runtime(env, zero_net, pipeline=[{"op": "explode"}])
 
 
+class TestSyncLostMessage:
+    @pytest.mark.parametrize("at_source", [True, False])
+    def test_a_dropped_watch_message_loses_no_record(
+            self, env, zero_net, call, at_source):
+        # The next batch starts past the flow's cursor: locally as at
+        # the source, the claimed range is read from the source.
+        runtime, de, sync = build_runtime(env, zero_net, at_source=at_source)
+        motion = runtime.handle_of("motion", "log")
+        for device in ("a", "b", "c"):
+            if device == "b":
+                de.backend.drop_next_watch_message()
+            call(motion.load([{"triggered": True, "device": device}]))
+            env.run()
+        house = runtime.handle_of("house", "log")
+        assert [r["device"] for r in call(house.query())] == ["a", "b", "c"]
+        [bound] = sync._bound.values()
+        assert bound.records_moved == 3 and not bound.unmoved
+
+
 class TestSyncReconfiguration:
     def test_swap_pipeline_at_runtime(self, env, zero_net, call):
         runtime, _de, sync = build_runtime(env, zero_net)

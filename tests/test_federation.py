@@ -552,7 +552,7 @@ def maintained(view):
     materialized = MaterializedView(
         env, view, {s.alias: unwired for s in view.sources}, kinds)
     for state in materialized._sources.values():
-        state.seeded = True
+        state.mirror.seeded = True
     return RegisteredView(env, view, None, {}, kinds,
                           materialized=materialized)
 
@@ -565,14 +565,14 @@ def feed(registered, store, event_type, key, obj, revision):
         if state.source.store != store:
             continue
         if state.kind == "log":
-            records = [{**r, "_seq": state.cursor + n}
-                       for n, r in enumerate(obj)]
-            materialized._on_log_batch(state, WatchEvent(
+            cursor = state.mirror.cursor
+            records = [{**r, "_seq": cursor + n} for n, r in enumerate(obj)]
+            state.mirror._deliver(WatchEvent(
                 event_type, key,
-                {"first_seq": state.cursor, "records": records}, revision,
+                {"first_seq": cursor, "records": records}, revision,
                 committed_at=materialized.env.now))
         else:
-            materialized._on_object_event(state, WatchEvent(
+            state.mirror._deliver(WatchEvent(
                 event_type, key, obj, revision,
                 committed_at=materialized.env.now))
 
@@ -583,10 +583,11 @@ def full_tables(materialized):
     out = {}
     for alias, state in materialized._sources.items():
         if state.kind == "object":
-            rows = sorted((dict(r) for r in state.table.values()),
+            rows = sorted(({**view["data"], "_key": key}
+                           for key, view in state.mirror.views.items()),
                           key=lambda r: r["_key"])
         else:
-            rows = list(state.rows)
+            rows = list(state.mirror.views.values())
         out[alias] = compile_ops(state.source.ops)(rows)
     return out
 
@@ -727,7 +728,8 @@ def test_keyed_read_of_a_10k_row_view_never_iterates_a_point_source():
         tables["shipment"][key] = {"eta": n % 7, "_key": key}
         tables["charge"][f"c{n:05d}"] = {"amount": n, "_key": f"c{n:05d}"}
     for alias, state in registered.materialized._sources.items():
-        state.table = tables[alias]
+        state.mirror.views = Unscannable(
+            (key, {"data": row}) for key, row in dict.items(tables[alias]))
     page = ["o00007", "o00002", "o09999", "missing", "o00007", "o00501",
             "o00042", "o01234"]
     result, ends_at = materialized_read(registered,
@@ -751,7 +753,8 @@ def test_mutating_a_page_leaves_the_maintained_tables_untouched():
         feed(registered, "charges", "ADDED", key, {"amount": n}, 20 + n)
     materialized = registered.materialized
     before = copy.deepcopy(
-        {alias: s.table for alias, s in materialized._sources.items()})
+        {alias: s.mirror.views
+         for alias, s in materialized._sources.items()})
     keys = ["k3", "k1", "k3"]
     result, _ends_at = materialized_read(
         registered, Query(target=registered.name, keys=keys))
@@ -764,7 +767,7 @@ def test_mutating_a_page_leaves_the_maintained_tables_untouched():
     for rows in tables.values():
         for row in rows:
             row["_key"] = "mutated"
-    assert {alias: s.table
+    assert {alias: s.mirror.views
             for alias, s in materialized._sources.items()} == before
 
 

@@ -101,6 +101,48 @@ class TestRejectedReconfiguration:
         assert shipment["method"] == "ground"  # the amendment, not "air"
 
 
+class TestKeptFlow:
+    @pytest.mark.parametrize("at_source", [True, False])
+    def test_a_reconfiguration_that_keeps_a_flow_keeps_its_cursor(
+            self, env, zero_net, call, at_source):
+        runtime, _de, sync = build_sync(env, zero_net, at_source=at_source)
+        motion = runtime.handle_of("motion", "log")
+        call(motion.load([{"triggered": True, "device": "a"}]))
+        env.run()
+        sync.reconfigure([Flow(source=MOTION, target=HOUSE,
+                               pipeline=TRIGGERED, at_source=at_source)])
+        call(motion.load([{"triggered": True, "device": "c"}]))
+        env.run()
+        assert devices(runtime, call) == ["a", "c"]  # not a, a, c
+        [bound] = sync._bound.values()
+        assert (bound.next_seq, bound.batches, bound.records_moved) == (
+            2, 2, 2)
+        assert not bound.unmoved
+
+    @pytest.mark.parametrize("at_source", [True, False])
+    def test_a_move_in_flight_across_the_reconfiguration_settles_once(
+            self, env, net, call, at_source):
+        # Each hop takes 0.25 ms: the move is still under way when the
+        # new generation takes over, and a later kill/restart catch-up
+        # finds no range left to move again.
+        runtime, _de, sync = build_sync(env, net, at_source=at_source)
+        motion = runtime.handle_of("motion", "log")
+        call(motion.load([{"triggered": True, "device": "a"}]))
+        env.run(until=env.now + 0.0004)
+        [old] = sync._bound.values()
+        assert old.unmoved  # claimed, not yet moved
+        sync.reconfigure([Flow(source=MOTION, target=HOUSE,
+                               pipeline=TRIGGERED, at_source=at_source)])
+        env.run()
+        [bound] = sync._bound.values()
+        assert bound is not old and not bound.unmoved
+        assert bound.records_moved == 1
+        sync.kill()
+        sync.restart()
+        env.run()
+        assert devices(runtime, call) == ["a"]
+
+
 class TestRegistration:
     def test_an_integrator_that_fails_to_bind_is_not_registered(self, env):
         runtime, _rollup = build_rollup(env)

@@ -7,6 +7,11 @@ store do in between: partitions, drop windows, latency spikes,
 crash/restart cycles, brown-outs.  On the way its per-key revision never
 goes backwards, and no stream delivers one revision twice.  There is no
 replay history to lean on: what a break hid, the re-list shows.
+
+The store's own :class:`~repro.store.follow.Mirror` (the read cache's
+and every materialized view's copy), attached through a plain client
+beside the first watcher, must end holding the same state: the
+Informer is its oracle.
 """
 
 from functools import partial
@@ -18,7 +23,7 @@ from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.simnet import Environment, FixedLatency, Network
 from repro.store import DELETED, ApiServer
 from repro.store.client import ObjectClient
-from repro.store.follow import Follower
+from repro.store.follow import Follower, Mirror
 
 WRITES = 12
 WATCHERS = 2
@@ -91,6 +96,10 @@ def test_every_committed_write_observed_exactly_once(seed):
         Informer(env, ObjectClient(server, f"watcher-{i}"))
         for i in range(WATCHERS)
     ]
+    # Co-located with watcher-0, so the plan's faults reach it too.
+    mirror = Mirror(env, ObjectClient(server, "watcher-0"), "", None, None)
+    mirror.follower.start()
+    mirror.follower.resync()
 
     plan = FaultPlan.random(
         seed,
@@ -117,3 +126,7 @@ def test_every_committed_write_observed_exactly_once(seed):
         assert watcher.backwards == []  # per-key revision never rewinds
         # No stream delivers one revision twice.
         assert len(watcher.streamed) == len(set(watcher.streamed))
+    assert not mirror.resyncing
+    assert {key: (view["revision"], view["data"])
+            for key, view in mirror.views.items()} == final == (
+                watchers[0].state)

@@ -10,16 +10,20 @@ exchange's gather and writes, a flow's delivery.  A
 (its failure ends the run, its work has no retry and no dead letter);
 one that is yielded starts a process per layer, two kernel events each,
 and drops the causal context unless it is re-armed.  In
-``src/repro/core`` and ``src/repro/txn`` every ``.process(`` call left
--- thrown away, yielded, returned -- is listed here with its reason; the
-test fails on a new one and on a listed one that is gone.
+``src/repro/core``, ``src/repro/txn``, ``src/repro/federation`` and
+``src/repro/store/follow.py`` every ``.process(`` call left -- thrown
+away, yielded, returned -- is listed here with its reason; the test
+fails on a new one and on a listed one that is gone.  So a
+:class:`~repro.store.follow.Mirror` never starts a process of its own:
+its rebuild is its follower's catch-up.
 """
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-TREES = ("src/repro/core", "src/repro/txn")
+TREES = ("src/repro/core", "src/repro/txn", "src/repro/federation",
+         "src/repro/store/follow.py")
 
 #: (path, enclosing function) -> why it may spawn a process.
 ALLOWED = {
@@ -36,6 +40,23 @@ ALLOWED = {
     ("src/repro/txn/coordinator.py", "TxnCoordinator.restart"):
         "recovery resolves every undecided record itself, retrying "
         "participants until they answer; nothing delivered starts it",
+    ("src/repro/store/follow.py", "Follower.resync"):
+        "the one catch-up loop per follower: a stream break or a request "
+        "starts it outside any pass, and it rides out a store down for "
+        "longer than a pass would retry",
+    ("src/repro/federation/materialize.py", "MaterializedView.start"):
+        "the view's seed, started once and returned for its owner to "
+        "wait on; it requests the sources' first catch-ups in turn",
+    ("src/repro/federation/engine.py", "RegisteredView.execute"):
+        "the federated fetch, waited on at once: a process per layer "
+        "(two kernel events per federated read) that inlining would "
+        "save, moving storefront_pages' work golden",
+    ("src/repro/federation/engine.py", "RegisteredView._scatter"):
+        "one fetch per source, so the sources are read in parallel and "
+        "joined with all_of",
+    ("src/repro/federation/engine.py", "ViewHandle.query"):
+        "the view's entry point: a read is the caller's request, "
+        "returned for it to wait on, as a store request is",
 }
 
 
@@ -44,7 +65,8 @@ def spawns(root=ROOT):
     call, whatever is done with its result."""
     found = set()
     for tree in TREES:
-        for path in sorted((root / tree).rglob("*.py")):
+        base = root / tree
+        for path in [base] if base.is_file() else sorted(base.rglob("*.py")):
             rel = path.relative_to(root).as_posix()
             found.update((rel, where) for where in _spawns(
                 ast.parse(path.read_text(), rel)))
@@ -81,8 +103,14 @@ def test_the_ruler_sees_every_spawn(tmp_path):
         "        return self.env.process(self.work(None))\n"
         "    def inline(self):\n"
         "        yield from self.work(None)\n")
+    # A listed file is read; its neighbours are not.
+    store = tmp_path / "src" / "repro" / "store"
+    store.mkdir(parents=True)
+    for name in ("follow.py", "client.py"):
+        (store / name).write_text("def f(env):\n    env.process(None)\n")
     assert spawns(tmp_path) == {
         ("src/repro/core/mod.py", "C.handler"),
         ("src/repro/core/mod.py", "C.waited"),
         ("src/repro/core/mod.py", "C.entry"),
+        ("src/repro/store/follow.py", "f"),
     }
