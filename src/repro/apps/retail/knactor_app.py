@@ -255,8 +255,9 @@ class RetailKnactorApp:
         the integrator with no further calls.  With the observability
         plane attached, the order gets a root causal trace (baggage:
         the order key) that the downstream exchange/reconcile chain
-        extends automatically.
+        extends automatically.  The order carries its ``cid``.
         """
+        data = {**data, "cid": key.split("/", 1)[-1]}
         handle = self.runtime.handle_of("checkout")
         self.orders_placed.append(key)
         obs = self.runtime.obs

@@ -1,11 +1,11 @@
 """Data-store schemas for the 11 retail knactors.
 
 ``CHECKOUT`` reproduces the paper's Fig. 5 exactly (field names, types,
-and ``+kr: external`` annotations), extended with the payment-card token
-as a ``secret`` field to exercise field-level access control.
+and ``+kr: external`` annotations), plus a ``secret`` card token (for
+field-level access control) and the ``cid`` its shipment is keyed by.
 """
 
-#: Fig. 5: the Checkout knactor's order store.
+#: Fig. 5, extended: the Checkout knactor's order store.
 CHECKOUT = """\
 schema: OnlineRetail/v1/Checkout/Order
 items: object
@@ -19,6 +19,7 @@ trackingID: string # +kr: external
 status: string
 email: string
 cardToken: string # +kr: secret
+cid: string
 """
 
 #: Shipping holds shipments created by the integrator; its reconciler

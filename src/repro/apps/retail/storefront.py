@@ -1,12 +1,12 @@
 """The storefront read path: an order-details page as a composed view.
 
-The retail app writes through three knactors -- Checkout owns the
-order, Shipping the shipment, Payment the charge -- all keyed by the
-same order id.  The storefront's "order details" page needs all three
-*composed*: under an RPC-composition architecture that is 3 sequential
-round trips per order (and a page listing N orders pays 3N), which is
-exactly the read-side fan-out the paper's data-centric composition
-argument targets.
+The retail app writes through three knactors -- Checkout owns the order
+(``order/<cid>``, carrying its ``cid``), Shipping the shipment and
+Payment the charge (keyed ``<cid>``).  The "order details" page needs
+all three *composed*: under an RPC-composition architecture that is 3
+sequential round trips per order (and a page listing N orders pays 3N),
+which is exactly the read-side fan-out the paper's data-centric
+composition argument targets.
 
 This module declares that page as a :class:`~repro.federation.ComposedView`
 (``storefront-orders``) over the three stores, registers it on the
@@ -23,7 +23,7 @@ against the *same* stores and masks -- the benchmark's control arm.
 from repro.errors import NotFoundError
 from repro.federation import ComposedView, ViewSource
 
-#: The composed view: order root, shipment and charge joined by order id.
+#: The composed view: order root, shipment and charge joined on its cid.
 STOREFRONT_VIEW_NAME = "storefront-orders"
 
 #: The page principal every storefront read acts as.
@@ -36,8 +36,8 @@ def storefront_view(freshness=0.25):
         name=STOREFRONT_VIEW_NAME,
         sources=(
             ViewSource(alias="order", store="knactor-checkout"),
-            ViewSource(alias="shipment", store="knactor-shipping"),
-            ViewSource(alias="charge", store="knactor-payment"),
+            ViewSource(alias="shipment", store="knactor-shipping", on="cid"),
+            ViewSource(alias="charge", store="knactor-payment", on="cid"),
         ),
         freshness=freshness,
         description="storefront order-details page",
@@ -77,7 +77,7 @@ def rpc_order_details(app, keys):
     Reads the same three stores through reader handles bound to the
     same principal (so the same secret masks apply) and composes the
     same record shape as the view -- but the way a service-oriented
-    storefront would: order, then shipment, then charge, per key, no
+    storefront would: order, then shipment, then charge by its cid, no
     fan-out parallelism and no reuse across page loads.  Returns a
     process event yielding the composed records.
     """
@@ -96,13 +96,14 @@ def rpc_order_details(app, keys):
             except NotFoundError:
                 continue
             row = {**order["data"], "_key": key}
+            cid = row.get("cid")
             for alias in ("shipment", "charge"):
                 try:
-                    view = yield handles[alias].get(key)
+                    view = yield handles[alias].get(cid)
                 except NotFoundError:
                     row[alias] = None
                 else:
-                    row[alias] = {**view["data"], "_key": key}
+                    row[alias] = {**view["data"], "_key": cid}
             records.append(row)
         return records
 

@@ -46,6 +46,9 @@ class Cast(Integrator):
     #: The runtime exchange a Cast composes over.
     de_name = "object"
 
+    #: Not yet: its catch-up re-runs every known cid (ROADMAP item 11).
+    catch_up_on_swap = False
+
     def __init__(
         self,
         name,

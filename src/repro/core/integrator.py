@@ -63,6 +63,9 @@ class Integrator(Supervised):
 
     max_requeues = RIDE_OUT
     workers = None
+    #: A follower a reconfiguration starts catches up once: what the old
+    #: stream still had on its link was dropped with it.
+    catch_up_on_swap = True
 
     def __init__(self, name, *configuration):
         if not name:
@@ -124,7 +127,9 @@ class Integrator(Supervised):
         description, followers, state = self._apply_configuration(
             *args, **kwargs)
         vars(self).update(state)
-        self.followers.swap(followers)
+        for follower in self.followers.swap(followers):
+            if self.catch_up_on_swap:
+                follower.resync()
         return description
 
     def _handle(self, de_name, store):

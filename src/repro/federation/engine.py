@@ -164,13 +164,21 @@ class RegisteredView:
         )
 
     def _scatter(self, keys):
-        """Parallel federated fetch of every source; alias -> rows."""
-        procs = {
-            src.alias: self.env.process(self._fetch_source(src, keys))
-            for src in self.view.sources
-        }
-        results = yield self.env.all_of(list(procs.values()))
-        return {alias: results[proc] for alias, proc in procs.items()}
+        """Parallel federated fetch of every source; alias -> rows.  A
+        keyed read fetches an Object source with ``match == "_key"`` and
+        another ``on`` second, by the root rows' ``on`` values."""
+        root, tables = self.view.root, {}
+        later = [src for src in self.view.sources[1:] if keys is not None
+                 and src.match == "_key" != src.on
+                 and self.kinds[src.alias] == "object"]
+        for batch in ([s for s in self.view.sources if s not in later], later):
+            procs = {src.alias: self.env.process(self._fetch_source(
+                src, [row.get(src.on) for row in tables[root.alias]]
+                if src in later else keys)) for src in batch}
+            if procs:
+                results = yield self.env.all_of(list(procs.values()))
+                tables.update((a, results[p]) for a, p in procs.items())
+        return {src.alias: tables[src.alias] for src in self.view.sources}
 
     def _fetch_source(self, src, keys):
         handle = self.handles[src.alias]
@@ -181,13 +189,13 @@ class RegisteredView:
                 ops=list(src.ops), include_watermark=True,
             )
             return list(answer["records"])
-        if keys is not None and src.on == "_key" and src.match == "_key":
-            # Keyed path: this source is keyed identically to the
-            # requested root keys, so one batched read beats a full LIST.
-            # Per-source ops here see only the fetched subset; keyed
-            # queries compose with record-local ops (filter / cut /
-            # derive), not whole-table ones (agg / head).
-            views = yield handle.get_many(list(dict.fromkeys(keys)))
+        if keys is not None and src.match == "_key":
+            # Keyed path: one batched read of the wanted keys beats a
+            # full LIST.  Per-source ops here see only the fetched
+            # subset; keyed queries compose with record-local ops
+            # (filter / cut / derive), not whole-table ones (agg / head).
+            views = yield handle.get_many(
+                list(dict.fromkeys(k for k in keys if isinstance(k, str))))
         else:
             views = yield handle.list()
         rows = [{**v["data"], "_key": v["key"]} for v in views]

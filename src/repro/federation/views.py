@@ -35,8 +35,8 @@ class ViewSource:
       name on ``exchange`` (``None`` = the exchange the view is
       registered on).
     - ``on``: the field of the *root* record whose value is matched
-      (default ``_key``: compose stores keyed identically, the retail
-      pattern where checkout/shipping/payment all key by order id).
+      (default ``_key``: compose stores keyed identically; the retail
+      storefront joins on its orders' ``cid``, their shipments' key).
     - ``match``: the field of *this* source's rows compared against
       (default ``_key`` for Object sources; Log sources usually match a
       payload field like ``order``).

@@ -128,7 +128,7 @@ class Follower:
 class FollowerGroup:
     """One consumer's followers, started, stopped and caught up as one;
     :meth:`swap` stops each one dropped and, while the group is started,
-    starts each new one (one kept keeps its stream)."""
+    starts each new one (one kept keeps its stream) and returns them."""
 
     def __init__(self, members):
         self.members = list(members)
@@ -152,10 +152,11 @@ class FollowerGroup:
         for follower in self.members:
             if follower not in members:
                 follower.stop()
+        fresh = [f for f in members if self.started and f not in self.members]
         self.members = list(members)
-        if self.started:
-            for follower in self.members:
-                follower.start()
+        for follower in fresh:
+            follower.start()
+        return fresh
 
 
 class Mirror:

@@ -100,7 +100,7 @@ def test_every_backticked_knactor_command_parses():
 
 def test_a_retired_path_or_command_is_caught():
     assert exists("benchmarks/perf/run.py")
-    assert exists("benchmarks/bench_*.py")
+    assert exists("benchmarks/perf/*.py")
     assert not exists("benchmarks/no_such_bench.py")
     assert not exists("BENCH_no_such_*.json")
     assert parses("trace request")

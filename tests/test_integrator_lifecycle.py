@@ -6,7 +6,9 @@ rejected leaves the generation, the bindings and the running streams as
 they were.  ``kill()``/``restart()`` are written once for every
 integrator and reconciler: a kill loses the work queue, and the restart
 catches every stream up.  Sync also queues again each claimed range the
-kill lost, and moves no range twice.
+kill lost, and moves no range twice.  A follower a reconfiguration starts
+on a running Sync or Rollup catches up once, so a batch whose event was
+on the old stream when it was cancelled is not lost with it.
 """
 
 import pytest
@@ -141,6 +143,41 @@ class TestKeptFlow:
         sync.restart()
         env.run()
         assert devices(runtime, call) == ["a"]
+
+
+class TestInFlightAcrossASwap:
+    # Each hop takes 0.25 ms (Rollup's 0.5 ms): the load's watch event is
+    # on the old stream's link when the new generation takes over, and is
+    # dropped with that stream.  The follower the swap started catches up
+    # once, so the batch is moved, and only once.
+    @pytest.mark.parametrize("delay", [0.0011, 0.0012, 0.0013])
+    @pytest.mark.parametrize("at_source", [True, False])
+    def test_sync_moves_a_batch_on_the_old_stream(self, env, net, call,
+                                                  at_source, delay):
+        runtime, _de, sync = build_sync(env, net, at_source=at_source)
+        runtime.handle_of("motion", "log").load(
+            [{"triggered": True, "device": "a"}])
+        env.run(until=env.now + delay)
+        sync.reconfigure([Flow(source=MOTION, target=HOUSE,
+                               pipeline=TRIGGERED, at_source=at_source)])
+        env.run()
+        assert devices(runtime, call) == ["a"]
+        [bound] = sync._bound.values()
+        assert bound.records_moved == 1 and not bound.unmoved
+
+    @pytest.mark.parametrize("delay", [0.0015, 0.0017])
+    def test_rollup_rolls_a_batch_on_the_old_stream(self, env, delay):
+        runtime, rollup = build_rollup(env)
+        runtime.handle_of("meter", "log").load([{"kwh": 2.0, "room": "den"}])
+        env.run(until=env.now + delay)
+        rollup.reconfigure([RollupRule(
+            source="knactor-meter-log", target="knactor-dashboard",
+            target_key="main",
+            aggs={"totalKwh": "sum(kwh)", "samples": "count()"})])
+        env.run()
+        dashboard = runtime.handle_of("dashboard")
+        data = env.run(until=dashboard.get("main"))["data"]
+        assert data == {"totalKwh": 2.0, "samples": 1}
 
 
 class TestRegistration:

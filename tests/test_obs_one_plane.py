@@ -93,6 +93,41 @@ parent's value.  ``plane_metrics``, ``trace_export``,
 The new section also holds the leaves neither old view copied out:
 ``queue_peak`` and ``shed`` per knactor, ``queue_depth`` per
 integrator, and the rest of the backend's ``stats()``.
+
+A fifth re-pin: every order carries its ``cid`` (``"cid": "o0000N"``,
+5 + 8 + 2 = 15 bytes by ``estimate_size``), the field the storefront
+page joins shipments and charges on.  No count moves; bytes and the
+times they are charged for do.  What moved, and nothing else (3 orders
+in every scenario):
+
+- ``copy.by_site.ingest`` 1372 -> 1417: 3 order creates x 15 B.
+- ``copy.by_site.mask`` 4260 -> 4692: 54 masked path copies of an order
+  x 8 B, the one more key slot a path copy re-points.
+- ``copy.by_site.merge`` 1401 -> 1473: 9 order patches x 8 B.
+- ``copy.copied_bytes`` and ``copied_bytes_total`` 7033 -> 7582 =
+  45 + 432 + 72.
+- ``copy.shared_bytes_avoided`` and ``copy_bytes_avoided_total``
+  23127 -> 24027: 60 aliased order views x 15 B.
+- ``watch_wire_bytes``, ``watch_wire_bytes_total`` and
+  ``network_bytes_total`` 16841 -> 17381: 36 order watch deliveries x
+  15 B.
+- ``time`` (every snapshot) 2.0550018187898877 -> 2.055001938789888,
+  and the eight ``watch_lag_seconds`` exemplar ``time`` leaves, each
+  +1.2e-7 s: two 15 B x 4 ns/B ApiServer write charges on the path.
+  Shard 1's ``watch_lag_seconds`` ``p50`` 0.010350000000000002 ->
+  0.010349999999999998, the same lag taken at shifted times.
+- ``table2``: ``K-apiserver`` ``C-I``, ``Prop.`` and ``Total`` +60 ns
+  (``C-I`` 19.676656 -> 19.676716 ms), the order create's 15 B x
+  4 ns/B; ``K-redis-udf`` ``C-I``, ``Prop.`` and ``Total`` +22.5 ns,
+  15 B x 1.5 ns/B; its ``I`` 1.0750200000003212 -> 1.075020000000321,
+  a float rounding of the same stage.
+- ``trace_export`` ``sha256``: the shifted span times; its ``count``
+  (222) and ``shape`` hold.
+
+The hand-kept ``runtime_snapshot`` and ``resilience_snapshot`` sections
+were edited at the same leaves (``exchanges.object.state_plane.*`` for
+the backend's ``copy.*`` and ``watch_wire_bytes``, ``obs.metrics.*``
+for ``plane_metrics``, and ``time``), and at no other.
 """
 
 import hashlib

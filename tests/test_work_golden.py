@@ -70,10 +70,22 @@ per-site counts, kept here so a re-pin can be checked by hand):
   unchanged (seeds 1, 2 and 4242); the revision-bearing digest moves
   because reads no longer hold the worker slot, so the maintenance
   writes commit in a different order and the same values carry other
-  revisions.  Its digest pins today's pages, whose shipment and charge
-  columns are empty: the storefront view joins its sources on ``_key``
-  while shipments and charges are keyed by the bare order id.  The fix
-  of that join re-pins this workload and names its leaves here.
+  revisions.
+- **The storefront join matches.**  Orders are keyed ``order/<cid>``
+  and shipments and charges ``<cid>``, so the view joined nothing on
+  ``_key``; every order now carries its ``cid`` and the view joins
+  shipment and charge ``on="cid"``.  What moved, and nothing else:
+  ``retail_orders`` and ``storefront_pages`` ``state_digest`` (every
+  order's stored data gains ``cid``; no revision, count or event moves
+  in ``retail_orders``); ``storefront_pages`` ``kernel_events`` 2,953
+  -> 2,957 = +11 - 7: a federated page fetches in two rounds, the
+  orders' ``get_many`` and then the shipments' and charges' by cid, so
+  each of the 11 federated pages joins one more ``all_of``, while the
+  orders' read now reaches the ApiServer's one worker slot alone, so 7
+  fewer reads queue for it (97 -> 90 queued grants); and
+  ``simnet.events_per_op`` 2,953 / 115 -> 2,957 / 115 = 25.713.  Server
+  ops stay 3 per federated page, and spawns stay 3 ``_fetch_source``
+  processes per page.
 - **obs counts.**  ``fleet_ingest`` makes 6 tracer calls (spans opened,
   closed, points, annotations) and 10 registry calls (instrument
   lookups and inc/set/observe) per record, retail 93 and 52.6 per
