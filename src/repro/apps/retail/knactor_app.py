@@ -185,7 +185,6 @@ class RetailKnactorApp:
         de = ObjectDE(
             env, backend, retry_policy=retry_policy,
             watch_credits=flow_cfg.watch_credits if flow_cfg else None,
-            watch_overflow=flow_cfg.watch_overflow if flow_cfg else None,
         )
         runtime.add_exchange("object", de)
 

@@ -50,7 +50,7 @@ class DataExchange:
     OWNER_VERBS = ALL_VERBS
 
     def __init__(self, env, backend, name="de", retry_policy=None,
-                 watch_credits=None, watch_overflow=None):
+                 watch_credits=None):
         self.env = env
         self.backend = backend
         self.name = name
@@ -58,14 +58,14 @@ class DataExchange:
         #: client this DE mints -- one knob makes the whole exchange
         #: ride through transient backend faults.
         self.retry_policy = retry_policy
-        #: DE-wide flow-control defaults: every handle this DE mints
-        #: inherits them unless ``handle(..., credits=, overflow=)``
-        #: overrides (see :mod:`repro.flow`).  None disables credit flow.
+        #: DE-wide credit window: every handle this DE mints inherits
+        #: it unless ``handle(..., credits=)`` overrides (see
+        #: :mod:`repro.flow`).  None disables credit flow.
         self.watch_credits = watch_credits
-        self.watch_overflow = watch_overflow
         self.schemas = SchemaRegistry()
         self.acl = AccessController()
         self.grants = []
+        self._granted = {}  # (principal, Permission) -> its Grant
         self._stores = {}
         self._views = {}  # composed-view name -> RegisteredView
 
@@ -188,30 +188,25 @@ class DataExchange:
 
     def _grant(self, principal, store_name, verbs, write_fields=None,
                read_fields=(), note=""):
+        """One grant; an identical one repeated returns the first."""
         if store_name not in self._views:
             self.store(store_name)  # must exist
         verbs = frozenset(verbs)
-        role = Role(
-            f"grant:{principal}:{store_name}:{len(self.grants)}",
-            [
-                Permission(
-                    store=store_name,
-                    verbs=verbs,
-                    write_fields=tuple(write_fields) if write_fields is not None else None,
-                    read_fields=tuple(read_fields),
-                )
-            ],
-        )
+        write_fields = tuple(write_fields) if write_fields is not None else None
+        permission = Permission(store=store_name, verbs=verbs,
+                                write_fields=write_fields,
+                                read_fields=tuple(read_fields))
+        grant = self._granted.get((principal, permission))
+        if grant is not None:
+            return grant
+        role = Role(f"grant:{principal}:{store_name}:{len(self.grants)}",
+                    [permission])
         self.acl.add_role(role)
         self.acl.bind(principal, role.name)
-        grant = Grant(
-            principal=principal,
-            store=store_name,
-            verbs=verbs,
-            write_fields=tuple(write_fields) if write_fields is not None else None,
-            note=note,
-        )
+        grant = Grant(principal=principal, store=store_name, verbs=verbs,
+                      write_fields=write_fields, note=note)
         self.grants.append(grant)
+        self._granted[principal, permission] = grant
         return grant
 
     # -- composed views ----------------------------------------------------------
@@ -376,7 +371,7 @@ class DataExchange:
     # -- handles -----------------------------------------------------------------
 
     def handle(self, store_name, *, principal, location=None,
-               retry_policy=None, credits=None, overflow=None):
+               retry_policy=None, credits=None):
         """A :class:`StoreHandle` bound to ``principal`` at ``location``.
 
         The unified signature across Object and Log exchanges:
@@ -387,10 +382,9 @@ class DataExchange:
           "client runs where the knactor runs" case);
         - ``retry_policy`` overrides the DE-wide policy for this handle
           only;
-        - ``credits`` / ``overflow`` set the flow-control defaults for
-          every watch opened through this handle (falling back to the
-          DE-wide ``watch_credits`` / ``watch_overflow``; see
-          :mod:`repro.flow`).
+        - ``credits`` sets the credit window of every watch opened
+          through this handle (falling back to the DE-wide
+          ``watch_credits``; see :mod:`repro.flow`).
         """
         if store_name in self._views:
             raise ConfigurationError(
@@ -407,9 +401,6 @@ class DataExchange:
         client.principal = principal
         client.default_watch_credits = (
             credits if credits is not None else self.watch_credits
-        )
-        client.default_watch_overflow = (
-            overflow if overflow is not None else self.watch_overflow
         )
         return handle
 
@@ -491,5 +482,5 @@ class StoreHandle:
             fields=fields,
         )
 
-    def watch(self, handler, *, on_close=None, credits=None, overflow=None):
+    def watch(self, handler, *, on_close=None, credits=None):
         raise NotImplementedError

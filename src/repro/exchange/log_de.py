@@ -86,20 +86,18 @@ class LogStoreHandle(StoreHandle):
         self._check("query")
         return self.client.stats(self.hosted.name)
 
-    def watch(self, handler, *, on_close=None, credits=None, overflow=None):
+    def watch(self, handler, *, on_close=None, credits=None):
         """Subscribe to appended batches.
 
-        ``on_close`` fires if the backend drops the subscription
-        (failover) or credit flow control forces a slow-consumer resync;
-        a :class:`~repro.store.follow.Follower` then re-subscribes and
-        runs the caller's catch-up from its cursor.
-        ``credits``/``overflow``
-        override the handle's flow-control defaults for this stream
-        (Log streams queue contiguously while paused; batches are never
-        coalesced away).
+        ``on_close`` fires when the subscription breaks (failover, a
+        full paused buffer); a :class:`~repro.store.follow.Follower`
+        then re-subscribes and runs the caller's catch-up from its
+        cursor.  ``credits`` overrides the handle's credit window for
+        this stream (Log streams queue contiguously while paused;
+        batches are never coalesced away).
         """
         self._check("watch")
         return self.client.watch(
             handler, key_prefix=self.hosted.name, on_close=on_close,
-            credits=credits, overflow=overflow,
+            credits=credits,
         )

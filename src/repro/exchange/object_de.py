@@ -28,15 +28,14 @@ class ObjectDE(DataExchange):
     """Object exchange over an apiserver-like, Redis-like, or sharded backend."""
 
     def __init__(self, env, backend, name="object-de", retry_policy=None,
-                 watch_credits=None, watch_overflow=None):
+                 watch_credits=None):
         if not isinstance(backend, (ApiServer, MemKV, ShardedStore)):
             raise ConfigurationError(
                 f"ObjectDE needs an ApiServer, MemKV, or ShardedStore "
                 f"backend, got {type(backend).__name__}"
             )
         super().__init__(env, backend, name, retry_policy=retry_policy,
-                         watch_credits=watch_credits,
-                         watch_overflow=watch_overflow)
+                         watch_credits=watch_credits)
 
     def _client(self, location, retry_policy=None):
         policy = retry_policy if retry_policy is not None else self.retry_policy
@@ -173,16 +172,15 @@ class ObjectStoreHandle(StoreHandle):
         self._check("list")
         return self._reply("list", key_prefix=self._key(prefix))
 
-    def watch(self, handler, prefix="", *, on_close=None, credits=None,
-              overflow=None):
+    def watch(self, handler, prefix="", *, on_close=None, credits=None):
         """Watch this store; events carry keys relative to the store.
 
         ``handler`` sees each event masked and prefix-stripped.
-        ``on_close`` fires if the backend drops the watch (failover) or
-        credit flow control forces a slow-consumer resync; a
+        ``on_close`` fires when the stream breaks (failover, a delta
+        gap, a full paused buffer); a
         :class:`~repro.store.follow.Follower` then re-watches and runs
-        the caller's catch-up.  ``credits``/``overflow`` override the
-        handle's flow-control defaults for this stream.
+        the caller's catch-up.  ``credits`` overrides the handle's
+        credit window for this stream.
         """
         self._check("watch")
 
@@ -199,7 +197,7 @@ class ObjectStoreHandle(StoreHandle):
 
         return self.client.watch(
             wrapped, key_prefix=self.hosted.key_prefix + prefix,
-            on_close=on_close, credits=credits, overflow=overflow,
+            on_close=on_close, credits=credits,
         )
 
     def read_field(self, key, path):

@@ -1,11 +1,12 @@
 """``repro.flow`` -- the unified backpressure and admission-control plane.
 
-Three mechanisms, one vocabulary (see ``docs/api.md``):
+Three mechanisms (see ``docs/api.md``):
 
 - **credit-based watch flow control**: every watch carries a credit
   window; a server pauses fan-out when a consumer's credits run out,
-  coalesces the paused events, and forces a per-watcher resync instead
-  of buffering without bound (:mod:`repro.store.watch`);
+  coalesces the paused events, and breaks the stream once the paused
+  buffer is full, so the watcher's follower resyncs, instead of
+  buffering without bound (:mod:`repro.store.watch`);
 - **bounded queues with typed overflow policies**
   (:mod:`repro.flow.policy`): ``block | shed_oldest | shed_newest |
   reject``, adopted by :class:`repro.simnet.queue.Store`, the pub/sub
@@ -56,10 +57,6 @@ class FlowConfig:
     #: Default credit window for every watch minted through an exchange
     #: handle (``None`` disables credit flow control).
     watch_credits: int = 64
-    #: Paused-buffer policy once a watcher exhausts its credits and its
-    #: coalesced buffer fills: ``reject`` breaks the stream into a
-    #: per-watcher resync.
-    watch_overflow: ClassVar[str] = REJECT
     #: Reconciler dirty-key queue bound; a full queue sheds its oldest
     #: key to the DLQ.
     reconciler_queue: int = 512

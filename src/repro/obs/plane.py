@@ -42,10 +42,9 @@ _STORE = {
     "watch_deltas_sent": (COUNTER, "watch_deltas_total"),
     "watch_fulls_sent": (COUNTER, "watch_fulls_total"),
     "available": (GAUGE, "store_available"),
-    # Flow-control plane (repro.flow): credit pauses, sheds, forced
-    # resyncs, and the admission front door.
+    # Flow-control plane (repro.flow): credit pauses, forced resyncs,
+    # and the admission front door.
     "watch_pauses": (COUNTER, "watch_credit_pauses_total"),
-    "watch_shed_events": (COUNTER, "watch_shed_events_total"),
     "watch_forced_resyncs": (COUNTER, "watch_forced_resyncs_total"),
     "watch_credit_grants": (COUNTER, "watch_credit_grants_total"),
     "admission.admitted": (COUNTER, "admission_admitted_total"),

@@ -178,8 +178,8 @@ class StoreServer:
         "watch_messages_sent", "watch_events_sent", "watch_wire_bytes",
         "watch_deltas_sent", "watch_fulls_sent",
         # credit flow, aggregated across this server's watches
-        "watch_pauses", "watch_paused_coalesced", "watch_shed_events",
-        "watch_forced_resyncs", "watch_credit_grants",
+        "watch_pauses", "watch_paused_coalesced", "watch_forced_resyncs",
+        "watch_credit_grants",
         # writes bounced off a reshard fence (the client reroutes them)
         "fence_rejections",
         # failure surface: ops aborted by failover/crash, and crashes
@@ -404,7 +404,11 @@ class StoreServer:
                     watch.send((event,))
 
     def drop_next_watch_message(self):
-        """Fault hook: silently lose the next watch message (see tests)."""
+        """Fault hook: silently lose the next watch message, after it is
+        encoded -- a loss the link model never makes (a link delivers a
+        message or breaks the stream).  A delta stream catches it at the
+        key's next delta, a Log stream's consumer by ``first_seq``; a
+        full-snapshot Object stream never sees it."""
         self._drop_next_watch_message = True
 
     def take_watch_drop(self):

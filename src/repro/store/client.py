@@ -50,10 +50,9 @@ class StoreClient:
         #: Principal this client acts as (rides beside each request's
         #: args; consulted by the server's admission controller).
         self.principal = None
-        #: Flow-control defaults applied by :meth:`watch` when the caller
-        #: passes none (set by exchange handles from the DE's FlowConfig).
+        #: Credit window applied by :meth:`watch` when the caller passes
+        #: none (set by exchange handles from the DE's FlowConfig).
         self.default_watch_credits = None
-        self.default_watch_overflow = None
 
     @property
     def copies(self):
@@ -101,25 +100,21 @@ class StoreClient:
             raise result.take()
         return result
 
-    def watch(self, handler, key_prefix="", on_close=None,
-              credits=None, overflow=None):
+    def watch(self, handler, key_prefix="", on_close=None, credits=None):
         """Register ``handler(WatchEvent)`` for matching changes.
 
         Registration itself is immediate (steady-state watches are the
         common case; connection setup is not modelled).  ``on_close``
-        fires if the server drops the watch (failover).
-        ``credits``/``overflow`` opt the stream into credit-based flow
-        control (see :class:`Watch`); unset, they fall back to the
-        client's ``default_watch_credits``/``default_watch_overflow``
-        (which exchange handles configure).  Returns the :class:`Watch`
-        handle for cancellation.
+        fires if the stream breaks (see :class:`Watch`).  ``credits``
+        opts the stream into credit-based flow control; unset, it falls
+        back to the client's ``default_watch_credits`` (which exchange
+        handles configure).  Returns the :class:`Watch` handle for
+        cancellation.
         """
         if credits is None:
             credits = self.default_watch_credits
-        if overflow is None:
-            overflow = self.default_watch_overflow
-        return Watch(self, self.server, handler, key_prefix,
-                     on_close=on_close, credits=credits, overflow=overflow)
+        return Watch(self.location, self.server, handler, key_prefix,
+                     on_close=on_close, credits=credits)
 
 
 class ObjectClient(StoreClient):

@@ -3,10 +3,11 @@
 Every consumer that "responds to state updates from the data store"
 (paper §3.2) -- reconcilers, Cast, Sync, Rollup, in-store functions,
 materialized views, the client read cache -- holds a watch stream, and
-any stream can break (failover, crash, partition, a credit-forced
-slow-consumer resync).  What happens then is the same for all of them
-and lives here; what "caught up" means stays with each consumer.  One
-that only holds the store's keyed state locally takes a :class:`Mirror`.
+any stream can break (failover, crash, partition, a delta gap, a
+credit-forced slow-consumer resync).  What happens then is the same
+for all of them and lives here; what "caught up" means stays with each
+consumer.  One that only holds the store's keyed state locally takes a
+:class:`Mirror`.
 """
 
 from repro.errors import ConflictError, UnavailableError

@@ -360,10 +360,10 @@ class ShardedStore:
 class MergedWatch:
     """One logical watch stream assembled from one watch per shard.
 
-    Every branch is a :class:`~repro.store.watch.Watch` owned by the
-    router (so a delta-watch key resync routes by key).  The stream
-    registers on the :class:`ShardedStore`, which grows and drops its
-    branches on a reshard.  Cancellation fans out to every branch and
+    Every branch is a :class:`~repro.store.watch.Watch` delivering to
+    the router's location.  The stream registers on the
+    :class:`ShardedStore`, which grows and drops its branches on a
+    reshard.  Cancellation fans out to every branch and
     the store forgets the stream; a break on ANY branch invalidates the
     whole merged stream (events from that shard would silently go
     missing otherwise), so ``on_close`` fires exactly once and the
@@ -406,7 +406,7 @@ class MergedWatch:
 
     def _attach(self, shard):
         """Grow a branch on ``shard`` (open and reshard install paths)."""
-        self.watches.append(Watch(self._router, shard, **self._spec))
+        self.watches.append(Watch(self._router.location, shard, **self._spec))
 
     def _detach_server(self, server):
         """Drop branches on a retiring shard without firing ``on_close``."""
@@ -580,14 +580,13 @@ class ShardedStoreClient(ObjectClient):
 
     # -- watches -------------------------------------------------------------
 
-    def watch(self, handler, key_prefix="", on_close=None,
-              credits=None, overflow=None):
+    def watch(self, handler, key_prefix="", on_close=None, credits=None):
         """Merged, interest-filtered stream across all shards.
 
         ``credits`` is a *per-shard-stream* window: each underlying
         shard watch gets its own, since each shard fans out over its own
-        link.  A credit-forced resync on any shard breaks the whole
-        merged stream (``on_close`` once), exactly like a fault break.
+        link.  A break on any shard (a fault, a delta gap, a full paused
+        buffer) breaks the whole merged stream (``on_close`` once).
         Reshard-proof: branches follow topology changes (same handler,
         same credit window) without ever closing the merged stream.
         """
@@ -595,8 +594,6 @@ class ShardedStoreClient(ObjectClient):
             "handler": handler, "key_prefix": key_prefix, "on_close": None,
             "credits": (credits if credits is not None
                         else self.default_watch_credits),
-            "overflow": (overflow if overflow is not None
-                         else self.default_watch_overflow),
         }
         merged = MergedWatch(self, spec)
         if on_close is not None:

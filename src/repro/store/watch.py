@@ -4,18 +4,15 @@ This module owns what is *per stream*: the :class:`WatchEvent` wire
 format and its size, and :class:`Watch`, which is at once the server's
 sender for one subscriber (credit window, paused buffer, batch window,
 delta encoder) and that subscriber's receiver (delta materialisation,
-gap resync, handler dispatch).  The halves talk only over the simulated
-links; they share one object so the window and the revision chain are
-touched by one class.  The per-commit fan-out loop and the aggregate
+handler dispatch).  The halves talk only over the simulated links; they
+share one object so the window and the revision chain are touched by
+one class.  The per-commit fan-out loop and the aggregate
 counters stay on :class:`~repro.store.base.StoreServer`.
 """
 
 from dataclasses import dataclass, field
 
-from repro.errors import StoreError, UnavailableError
-from repro.flow.policy import BLOCK, REJECT, SHED_OLDEST, check_overflow
 from repro.store.cow import estimate_size, merge_shared
-from repro.store.follow import capped_exponential
 
 #: Watch event types (mirroring the Kubernetes watch protocol).
 ADDED = "ADDED"
@@ -37,9 +34,9 @@ class WatchEvent:
     :class:`Watch` materializes the full object before handlers see it.
 
     ``ctx`` is the causal :class:`~repro.obs.context.TraceContext` of
-    the commit that produced this event (None for untraced writes and
-    synthetic resync events); ``committed_at`` is the commit's virtual
-    time, from which watchers derive delivery lag.  Both are trace
+    the commit that produced this event (None for untraced writes);
+    ``committed_at`` is the commit's virtual time, from which watchers
+    derive delivery lag.  Both are trace
     metadata -- a handful of header bytes in a real system -- and are
     deliberately excluded from :meth:`wire_size` so enabling tracing
     never perturbs the simulated latency model.
@@ -78,17 +75,17 @@ class WatchEvent:
 class Watch:
     """A client's registration for change notifications on one server.
 
-    Built registered on ``server``; ``client`` is the receiving end, and
-    a key resync is one of its own requests (a sharded router holds one
-    watch per shard, and its resync routes by key).  ``cancel()`` stops
-    delivery: a message already on the link when the
-    watch is cancelled, closed or broken is dropped on arrival.  Events
-    are delivered over the server->client FIFO link, so a watcher sees
-    changes in commit order.  When the server fails over, the watch is
-    closed server-side and the client's ``on_close`` callback (if any)
-    fires.  What follows -- reopen, then catch up, the way Kubernetes
-    informers re-list -- is not this stream's job: consumers hold theirs
-    through a :class:`~repro.store.follow.Follower`.
+    Built registered on ``server``, delivering to the client at
+    ``location``.  ``cancel()`` stops delivery: a message already on the
+    link when the watch is cancelled, closed or broken is dropped on
+    arrival.  Events are delivered over the server->client FIFO link, so
+    a watcher sees changes in commit order.  When the server fails over,
+    the watch is closed server-side and the client's ``on_close``
+    callback (if any) fires.  A stream fails one way, by breaking
+    (:meth:`break_connection`), and what follows -- reopen, then catch
+    up, the way Kubernetes informers re-list -- is not this stream's
+    job: consumers hold theirs through a
+    :class:`~repro.store.follow.Follower`.
 
     A server with watch batching enabled delivers *lists* of events in
     one network message; :meth:`deliver` unpacks them and invokes
@@ -101,10 +98,7 @@ class Watch:
     object) per key, applies merge-patch deltas by path copy, and hands
     handlers ordinary full-object events.  A delta whose
     ``prev_revision`` does not chain onto the held state is a **gap**:
-    the event is buffered, one full-object ``get`` resyncs the key, and
-    buffered deltas past the resync point are replayed.  If the resync
-    itself cannot complete, the stream breaks (``on_close`` fires) and
-    the watcher's follower does a classic full catch-up.
+    the stream breaks there, and nothing past it is handled.
 
     **Credit-based flow control** (``credits`` set): the stream carries
     a credit window, HTTP/2 style.  The server spends one credit per
@@ -114,32 +108,26 @@ class Watch:
     wins -- safe, because the delta encoder re-anchors with a full
     snapshot whenever the revision chain breaks) or queue contiguously
     (Log stores, where every event carries distinct records).  A paused
-    buffer that outgrows ``max_paused`` applies ``overflow``: ``reject``
-    (the default) breaks the stream so the watcher does one explicit
-    resync -- *bounded memory, then recover* -- while the shed policies
-    trade completeness for continuity and ``block`` restores the
-    unbounded legacy buffer.  Lost credit grants (faulted links) are not
-    retransmitted; the stream simply stays paused until the buffer
-    overflow forces the resync, so a lossy link degrades, never leaks.
+    buffer that outgrows ``max_paused`` breaks the stream, so the
+    watcher does one explicit resync -- *bounded memory, then recover*.
+    Lost credit grants (faulted links) are not retransmitted; the stream
+    simply stays paused until the full buffer breaks it, so a lossy link
+    degrades, never leaks.
     """
-
-    #: Transient-resync retry budget before declaring the stream broken.
-    resync_attempts = 8
 
     #: Per-stream monotonic counters, declared once: plain ints from 0;
     #: a :class:`~repro.store.sharded.MergedWatch` reads each as the sum
     #: over its per-shard branches.
     COUNTERS = (
         "delivered",
-        "credit_pauses", "paused_coalesced", "paused_shed", "forced_resyncs",
-        "gaps_detected", "key_resyncs",
+        "credit_pauses", "paused_coalesced", "forced_resyncs",
+        "gaps_detected",
     )
 
-    def __init__(self, client, server, handler, key_prefix="", on_close=None,
-                 credits=None, overflow=None):
-        self._client = client
+    def __init__(self, location, server, handler, key_prefix="", on_close=None,
+                 credits=None):
         self._server = server
-        self.location = client.location
+        self.location = location
         self.handler = handler
         self.key_prefix = key_prefix
         self.on_close = on_close
@@ -148,10 +136,8 @@ class Watch:
             setattr(self, name, 0)
         # -- credit window -------------------------------------------------
         self.credits = int(credits) if credits else None
-        self.overflow = check_overflow(overflow if overflow is not None
-                                       else REJECT)
-        #: Coalesced-entry bound on the paused buffer before ``overflow``
-        #: applies (default: four credit windows of slack).
+        #: Coalesced-entry bound on the paused buffer before the stream
+        #: breaks (four credit windows of slack).
         self.max_paused = 4 * self.credits if self.credits else None
         self._credits_remaining = self.credits
         #: Server-side paused buffer, oldest first.  The server class
@@ -168,7 +154,6 @@ class Watch:
         self._sent_revisions = {}
         # Client-side materializer state: key -> (revision, object).
         self._state = {}
-        self._gap_buffer = {}  # key -> [wire events] while a resync runs
         server.register_watch(self)
 
     # -- sender (runs at the server) -----------------------------------------
@@ -189,7 +174,7 @@ class Watch:
             # credits in hand: FIFO order is part of the protocol.
             if self._paused or len(sendable) >= self._credits_remaining:
                 self._buffer_paused(event)
-                if not self.active:  # overflow forced a resync
+                if not self.active:  # a full buffer broke the stream
                     return False
             else:
                 sendable.append(event)
@@ -231,12 +216,12 @@ class Watch:
         if self.credits is not None:
             # Spent at send time, not delivery: a lost message never
             # grants back, so losses shrink the effective window until
-            # the paused-buffer overflow forces the resync.
+            # the full paused buffer breaks the stream.
             self._credits_remaining -= len(encoded)
         if server.take_watch_drop():
             # Lost AFTER encoding, so the sent-revision chain advances
-            # past what the client holds -- a genuine delta gap,
-            # exercised by the resync path.
+            # past what the client holds: a delta gap, caught at the
+            # key's next delta.
             return False
         link = server.network.link(server.location, self.location)
         if link.send(self.deliver, tuple(encoded), size=wire_bytes) is None:
@@ -286,7 +271,8 @@ class Watch:
     # -- paused buffer (server side) ----------------------------------------
 
     def _buffer_paused(self, event):
-        """Coalesce one event into the paused buffer, applying overflow."""
+        """Coalesce one event into the paused buffer; a new entry that
+        finds it full breaks the stream instead."""
         if not self._paused:
             self.credit_pauses += 1
             self._server.watch_pauses += 1
@@ -301,32 +287,14 @@ class Watch:
             self.paused_coalesced += 1
             self._server.watch_paused_coalesced += 1
             return
-        if not self._paused_admit(event):
-            return
-        self._paused[slot] = event
-        self.peak_paused = max(self.peak_paused, len(self._paused))
-
-    def _paused_admit(self, event):
-        """Overflow policy for a NEW paused entry; False when shed."""
-        if (self.max_paused is None or self.overflow == BLOCK
-                or len(self._paused) < self.max_paused):
-            return True
-        if self.overflow == REJECT:
+        if len(self._paused) >= self.max_paused:
             # The consumer is too slow for bounded buffering: break the
             # stream, the watcher re-watches and resyncs -- one explicit
             # recovery instead of unbounded memory.
             self._force_resync()
-            return False
-        if self.overflow == SHED_OLDEST:
-            del self._paused[next(iter(self._paused))]
-            self._record_shed()
-            return True
-        self._record_shed()  # SHED_NEWEST: the incoming event is dropped
-        return False
-
-    def _record_shed(self):
-        self.paused_shed += 1
-        self._server.watch_shed_events += 1
+            return
+        self._paused[slot] = event
+        self.peak_paused = max(self.peak_paused, len(self._paused))
 
     def _force_resync(self):
         self.forced_resyncs += 1
@@ -366,9 +334,11 @@ class Watch:
         ready = []
         for event in events:
             materialized = self._materialize(event)
-            if materialized is not None:
-                ready.append(materialized)
-        self._dispatch(ready)
+            if materialized is None:  # a gap broke the stream
+                break
+            ready.append(materialized)
+        for event in ready:
+            self.handler(event)
         # Credits flow back only after the handler work is dispatched:
         # a consumer that falls behind simply grants later, and the
         # server's window -- not a queue -- absorbs the difference.
@@ -379,26 +349,20 @@ class Watch:
         """Return ``count`` credits to the server over the reverse link.
 
         A grant lost to a faulted link is NOT retransmitted: the stream
-        stays paused until the paused-buffer overflow forces a resync.
+        stays paused until the full paused buffer breaks it.
         """
         server = self._server
         link = server.network.link(self.location, server.location)
         link.send(self.grant, count)
 
-    def _dispatch(self, events):
-        for event in events:
-            self.handler(event)
-
     # -- delta materialization (no-op for snapshot streams) -----------------
 
     def _materialize(self, event):
+        """The full-object event for ``event``; None on a gap, which
+        breaks the stream."""
         if not self._server.delta_watch:
             return event
         key = event.key
-        if key in self._gap_buffer:
-            # A resync for this key is in flight: preserve order.
-            self._gap_buffer[key].append(event)
-            return None
         if event.type == DELETED:
             last = self._state.pop(key, None)
             if event.object is None and last is not None:
@@ -412,7 +376,7 @@ class Watch:
             base = self._state.get(key)
             if base is None or base[0] != event.prev_revision:
                 self.gaps_detected += 1
-                self._begin_resync(key, event)
+                self.break_connection(0.0)
                 return None
             merged = merge_shared(base[1], event.delta)
             self._state[key] = (event.revision, merged)
@@ -420,55 +384,6 @@ class Watch:
                               ctx=event.ctx, committed_at=event.committed_at)
         self._state[key] = (event.revision, event.object)
         return event
-
-    def _begin_resync(self, key, pending_event):
-        self._gap_buffer[key] = [pending_event]
-        self.key_resyncs += 1
-        self._server.env.process(self._resync_key(self._server.env, key))
-
-    def _resync_key(self, env, key):
-        """Full-object fallback: one (retried) GET round trip for ``key``,
-        on the watching client's transport, with no principal (stream
-        repair is not the caller's admission class) and no trace."""
-        for attempt in range(self.resync_attempts):
-            if not self.active:
-                self._gap_buffer.pop(key, None)
-                return
-            try:
-                view = yield from self._client._request("get", {"key": key})
-            except UnavailableError:
-                # Partitioned link or server down: back off and retry.
-                yield env.timeout(capped_exponential(attempt))
-                continue
-            except StoreError:
-                view = None  # NotFound: the gap resolved to a deletion
-            break
-        else:
-            # The store would not answer: the stream is unrecoverable at
-            # this layer.  Break it; the watcher re-watches and resyncs.
-            self._gap_buffer.pop(key, None)
-            self.break_connection(0.0)
-            return
-        buffered = self._gap_buffer.pop(key, [])
-        if not self.active:
-            return
-        ready = []
-        if view is None:
-            last = self._state.pop(key, None)
-            ready.append(WatchEvent(
-                DELETED, key, last[1] if last else None,
-                self._server.revision,
-            ))
-        else:
-            self._state[key] = (view["revision"], view["data"])
-            ready.append(WatchEvent(MODIFIED, key, view["data"], view["revision"]))
-        for event in buffered:
-            if view is not None and event.revision <= view["revision"]:
-                continue  # already folded into the resynced view
-            materialized = self._materialize(event)
-            if materialized is not None:
-                ready.append(materialized)
-        self._dispatch(ready)
 
     def matches(self, key):
         return self.active and key.startswith(self.key_prefix)
@@ -493,7 +408,8 @@ class Watch:
                 self._detect_break(self._server.watch_keepalive)
 
     def break_connection(self, detect_after=0.0):
-        """The delivery stream broke (partition, crash, dropped event).
+        """The delivery stream broke (partition, crash, a delta gap, a
+        full paused buffer).
 
         The server cannot reach the client, so ``on_close`` fires from the
         client's *own* keepalive timer after ``detect_after`` seconds of

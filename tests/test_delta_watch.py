@@ -2,9 +2,9 @@
 
 The server ships revision-chained JSON-merge-patch deltas once a watcher
 has seen a key's full object; the client-side Watch materializes full
-events, detects chain gaps (a lost message), resyncs the key with one
-GET, and only breaks the stream when the store won't answer.  Handlers
-must never observe the encoding.
+events and breaks the stream at a chain gap (a lost message), so the
+consumer's follower re-lists.  Handlers must never observe the
+encoding.
 """
 
 import pytest
@@ -125,32 +125,33 @@ class TestBatchingComposition:
 
 
 class TestGapResync:
-    def test_dropped_message_triggers_key_resync(self, env, server, client, call):
-        events = []
-        watch = client.watch(events.append)
-        call(client.create("k", {"v": 0, "keep": "me"}))
+    """A gap breaks the stream; the read cache's follower is the resync."""
+
+    @pytest.fixture
+    def reader(self, server):
+        reader = MemKVClient(server, location="reader")
+        reader.enable_read_cache("")
+        return reader
+
+    def test_dropped_message_breaks_the_stream(self, env, server, client,
+                                                call):
+        events, closed = [], []
+        watch = client.watch(events.append,
+                             on_close=lambda: closed.append(True))
+        call(client.create("k", {"v": 0}))
         env.run()
         server.drop_next_watch_message()
         call(client.patch("k", {"v": 1}))  # lost after encoding
         call(client.patch("k", {"v": 2}))  # delta chained past the hole
         env.run()
         assert watch.gaps_detected == 1
-        assert watch.key_resyncs == 1
-        assert watch.active  # resync healed the stream; no break
-        assert events[-1].object == {"v": 2, "keep": "me"}
+        assert closed == [True]  # the break -> the follower's catch-up
+        assert not watch.active
+        assert [e.object for e in events] == [{"v": 0}]  # nothing past it
 
     def test_resync_preserves_final_state_convergence(self, env, server,
-                                                      client, call):
-        state = {}
-
-        def absorb(event):
-            if event.type == DELETED:
-                state.pop(event.key, None)
-            else:
-                state[event.key] = event.object
-
-        client.watch(absorb)
-        call(client.create("a", {"v": 0}))
+                                                      client, reader, call):
+        call(client.create("a", {"v": 0, "keep": "me"}))
         call(client.create("b", {"v": 0}))
         env.run()
         server.drop_next_watch_message()
@@ -158,8 +159,12 @@ class TestGapResync:
         call(client.patch("b", {"v": 1}))
         call(client.patch("a", {"v": 2}))
         env.run()
-        assert state["a"] == {"v": 2}
-        assert state["b"] == {"v": 1}
+        assert reader.mirror.follower.breaks == 1
+        assert {key: view["data"] for key, view in reader.mirror.views.items()
+                } == {"a": {"v": 2, "keep": "me"}, "b": {"v": 1}}
+        assert {key: view["revision"]
+                for key, view in reader.mirror.views.items()} == {
+            view["key"]: view["revision"] for view in call(client.list())}
 
     def test_gap_resolving_to_deletion(self, env, server, client, call):
         events = []
@@ -175,29 +180,15 @@ class TestGapResync:
         assert events[-1].type == DELETED
         assert watch.active
 
-    def test_exhausted_resync_breaks_stream(self, env, server, client, call):
-        closed = []
-        watch = client.watch(lambda e: None,
-                             on_close=lambda: closed.append(True))
-        watch.resync_attempts = 0  # the store will never answer in time
-        call(client.create("k", {"v": 0}))
-        env.run()
-        server.drop_next_watch_message()
-        call(client.patch("k", {"v": 1}))
-        call(client.patch("k", {"v": 2}))  # gap detected here
-        env.run()
-        assert closed == [True]  # classic break -> full re-watch path
-        assert not watch.active
-
     def test_resync_rides_through_unavailability_window(self, env, zero_net,
                                                         call):
         # Fan-out is delayed (watch_overhead), so the gap is DETECTED
-        # inside the unavailability window: the resync must retry with
-        # backoff until the store answers, then heal the stream.
+        # inside the unavailability window: the follower's catch-up must
+        # retry with backoff until the store answers, then heal.
         server = MemKV(env, zero_net, watch_overhead=0.01, delta_watch=True)
         client = MemKVClient(server, location="tester")
-        events = []
-        watch = client.watch(events.append)
+        reader = MemKVClient(server, location="reader")
+        reader.enable_read_cache("")
         call(client.create("k", {"v": 0}))
         env.run()
         server.drop_next_watch_message()
@@ -206,10 +197,12 @@ class TestGapResync:
         server.set_available(False)  # down before the delayed fan-out
         recover = env.timeout(0.2)
         recover.callbacks.append(lambda _evt: server.set_available(True))
+        env.run(until=env.now + 0.1)
+        assert reader.mirror.follower.breaks == 1
+        assert reader.mirror.resyncing  # the LIST is still being refused
         env.run(until=env.now + 10.0)
-        assert watch.gaps_detected == 1
-        assert watch.active
-        assert events[-1].object == {"v": 2}
+        assert not reader.mirror.resyncing
+        assert reader.mirror.views["k"]["data"] == {"v": 2}
 
 
 class TestDeltaWal:

@@ -102,18 +102,15 @@ class TestUnifiedHandle:
 
 
 class TestHandleFlowKnobs:
-    """``handle(..., credits=, overflow=)`` and ``watch(..., credits=)``."""
+    """``handle(..., credits=)`` and ``watch(..., credits=)``."""
 
     def test_handle_credits_become_watch_defaults(self, object_de, env):
         handle = object_de.handle(
-            "knactor-checkout", principal="checkout",
-            credits=8, overflow="shed_oldest",
+            "knactor-checkout", principal="checkout", credits=8,
         )
         assert handle.client.default_watch_credits == 8
-        assert handle.client.default_watch_overflow == "shed_oldest"
         watch = handle.watch(lambda e: None)
         assert watch.credits == 8
-        assert watch.overflow == "shed_oldest"
 
     def test_watch_credits_override_handle_default(self, object_de):
         handle = object_de.handle(
@@ -132,8 +129,8 @@ class TestHandleFlowKnobs:
             "knactor-checkout", principal="checkout"
         ).watch(lambda e: None)
         assert watch.credits == 16
-        # Credit flow defaults to the recoverable policy: resync, not shed.
-        assert watch.overflow == "reject"
+        # The paused buffer is bounded: past four windows the stream breaks.
+        assert watch.max_paused == 64
 
     def test_credits_default_off(self, object_de):
         watch = object_de.handle(
@@ -175,6 +172,29 @@ class TestUnifiedGrant:
         )
         assert grant.verbs == frozenset({"get", "list"})
         assert grant.note == "audit only"
+
+    def test_an_identical_grant_repeated_adds_nothing(self, object_de):
+        grants = len(object_de.grants)
+        first = object_de.grant("viewer", "knactor-checkout", role="reader")
+        for _ in range(2):
+            assert object_de.grant(
+                "viewer", "knactor-checkout", role="reader") is first
+        assert len(object_de.acl.permissions_for("viewer")) == 1
+        assert len(object_de.grants) == grants + 1
+
+    @pytest.mark.parametrize("differs", [
+        {"verbs": {"get"}},
+        {"verbs": {"get", "list"}, "read_fields": ("items",)},
+    ])
+    def test_a_grant_that_differs_still_adds_one(self, object_de, differs):
+        first = object_de.grant("viewer", "knactor-checkout",
+                                verbs={"get", "list"})
+        assert object_de.grant("viewer", "knactor-checkout",
+                               verbs={"list", "get"}) is first
+        other = object_de.grant("viewer", "knactor-checkout", **differs)
+        assert other is not first
+        assert len(object_de.acl.permissions_for("viewer")) == 2
+        assert object_de.grants[-2:] == [first, other]
 
     def test_log_de_roles(self, log_de):
         integrator = log_de.grant("sync", "house-log", role="integrator")

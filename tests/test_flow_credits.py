@@ -5,7 +5,7 @@ server spends one credit per event sent and pauses fan-out when the
 window empties; the client grants credits back after dispatching each
 delivery.  While paused, Object stores coalesce newest-wins per key and
 Log stores queue contiguously; a paused buffer past ``max_paused``
-applies the stream's overflow policy (``reject`` = break + resync).
+breaks the stream, and the watcher's follower resyncs.
 """
 
 import pytest
@@ -126,9 +126,8 @@ class TestPausedOverflow:
         client = ObjectClient(server, location="watcher")
         seen = []
         watch = client.watch(lambda e: seen.append(e), credits=1,
-                             overflow="reject",
                              on_close=lambda: closed.append(True))
-        assert watch.max_paused == 4  # 4x the credit window by default
+        assert watch.max_paused == 4  # 4x the credit window
         for index in range(8):  # 1 sent + 4 buffered + the 6th overflows
             call(owner.create(f"k{index}", {"v": index}))
         env.run()
@@ -137,43 +136,6 @@ class TestPausedOverflow:
         assert not watch.active
         assert closed == [True]
         assert watch._paused == {}  # bounded memory: buffer dropped
-
-    def test_shed_oldest_keeps_stream_alive(self, env, net, server, owner,
-                                            call):
-        watch, seen = slow_watcher(env, net, server, credits=1,
-                                   overflow="shed_oldest")
-        for index in range(10):
-            call(owner.create(f"k{index}", {"v": index}))
-        assert watch.paused_shed > 0
-        assert server.watch_shed_events > 0
-        env.run()
-        assert watch.active
-        keys = [e.key for e in seen]
-        assert "k9" in keys          # newest survived
-        assert "k1" not in keys      # an oldest buffered entry was shed
-        assert watch.peak_paused <= watch.max_paused
-
-    def test_shed_newest_drops_incoming(self, env, net, server, owner, call):
-        watch, seen = slow_watcher(env, net, server, credits=1,
-                                   overflow="shed_newest")
-        for index in range(10):
-            call(owner.create(f"k{index}", {"v": index}))
-        assert watch.paused_shed > 0
-        env.run()
-        assert watch.active
-        keys = [e.key for e in seen]
-        assert "k1" in keys          # oldest buffered entry survived
-        assert "k9" not in keys      # the late arrival was dropped
-
-    def test_block_restores_unbounded_buffering(self, env, net, server,
-                                                owner, call):
-        watch, seen = slow_watcher(env, net, server, credits=1,
-                                   overflow="block")
-        for index in range(12):
-            call(owner.create(f"k{index}", {"v": index}))
-        assert watch.peak_paused > watch.max_paused
-        env.run()
-        assert len(seen) == 12 and watch.paused_shed == 0
 
 
 class TestShardedCreditFlow:
@@ -187,8 +149,7 @@ class TestShardedCreditFlow:
             net.set_latency(shard.location, "watcher", SLOW)
         client = ShardedStoreClient(shards, location="watcher")
         seen = []
-        merged = client.watch(lambda e: seen.append(e), credits=1,
-                              overflow="shed_oldest")
+        merged = client.watch(lambda e: seen.append(e), credits=1)
         writer = ShardedStoreClient(shards, location="writer")
         for index in range(12):
             call(writer.create(f"k{index}", {"v": index}))

@@ -138,7 +138,6 @@ def run_case(orders, flow, seed=SEED):
             "admission": backend.admission.stats(),
             "watch_pauses": backend.watch_pauses,
             "watch_credit_grants": backend.watch_credit_grants,
-            "watch_shed_events": backend.watch_shed_events,
             "watch_forced_resyncs": backend.watch_forced_resyncs,
             "watch_peak_paused": max(
                 (w.peak_paused for w in watches), default=0),

@@ -128,6 +128,15 @@ The hand-kept ``runtime_snapshot`` and ``resilience_snapshot`` sections
 were edited at the same leaves (``exchanges.object.state_plane.*`` for
 the backend's ``copy.*`` and ``watch_wire_bytes``, ``obs.metrics.*``
 for ``plane_metrics``, and ``time``), and at no other.
+
+A sixth re-pin: a watch's paused buffer has one policy, which breaks
+the stream when it is full, so nothing is shed and the store no longer
+counts sheds.  What went, and nothing else (no leaf changed value):
+
+- ``watch_shed_events_total`` (``kind`` and its ``exchange=object``
+  series, 0.0) from ``plane_metrics`` and from the hand-kept
+  ``runtime_snapshot`` ``obs.metrics.metrics``.
+- ``runtime_stats`` ``exchanges.object.backend.watch_shed_events`` (0).
 """
 
 import hashlib

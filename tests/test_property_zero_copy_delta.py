@@ -9,8 +9,9 @@ each store.  The properties:
 - final store state is byte-identical (canonical JSON),
 - the per-key sequence of (type, object, revision) a watcher observes is
   identical -- the delta encoding is invisible to handlers,
-- after an injected dropped watch message, the delta stream detects the
-  gap, resyncs the key, and converges to the same state anyway.
+- after an injected dropped watch message, the delta stream breaks at
+  the gap, and a follower-held watcher (the read cache) re-lists and
+  converges to the same state anyway.
 """
 
 import json
@@ -90,22 +91,24 @@ class Mirror:
             self.state[event.key] = event.object
 
 
-def run_sequence(ops, zero_copy, delta_watch, drop_at=None):
-    """Apply ``ops``; returns (final_state_json, mirror, watch, server)."""
+def memkv(zero_copy, delta_watch):
+    """A fresh zero-latency store and a client at it."""
     env = Environment()
     net = Network(env, default_latency=FixedLatency(0.0))
     server = MemKV(env, net, watch_overhead=0.0,
                    zero_copy=zero_copy, delta_watch=delta_watch)
-    client = MemKVClient(server, location="tester")
-    mirror = Mirror()
-    watch = client.watch(mirror.absorb)
+    return env, server, MemKVClient(server, location="tester")
+
+
+def apply_ops(env, server, client, ops, before_op=lambda index: None):
+    """Apply ``ops`` through ``client`` (``before_op(index)`` ahead of
+    each), quiesce; returns the final state as canonical JSON."""
 
     def call(proc):
         return env.run(until=proc)
 
     for index, (verb, key, payload) in enumerate(ops):
-        if drop_at is not None and index == drop_at:
-            server.drop_next_watch_message()
+        before_op(index)
         try:
             if verb == "create":
                 call(client.create(key, payload))
@@ -127,16 +130,45 @@ def run_sequence(ops, zero_copy, delta_watch, drop_at=None):
             (k, call(client.get(k))) for k in sorted(server._objects)
         )
     }
-    return json.dumps(state, sort_keys=True), mirror, watch, server
+    return json.dumps(state, sort_keys=True)
+
+
+def run_sequence(ops, zero_copy, delta_watch):
+    """Apply ``ops`` under a watcher; returns (final_state_json, mirror,
+    server)."""
+    env, server, client = memkv(zero_copy, delta_watch)
+    mirror = Mirror()
+    client.watch(mirror.absorb)
+    return apply_ops(env, server, client, ops), mirror, server
+
+
+def run_followed(ops, drop_at):
+    """Apply ``ops`` to a cow+delta store read through a follower-held
+    read cache, losing the watch message of op ``drop_at``.  Returns
+    (final_state_json, the cache's :class:`~repro.store.follow.Mirror`,
+    its per-key revisions before each op and at the end)."""
+    env, server, client = memkv(zero_copy=True, delta_watch=True)
+    reader = MemKVClient(server, location="reader")
+    reader.enable_read_cache("")
+    revisions = []
+
+    def before_op(index):
+        revisions.append(dict(reader.mirror.revisions))
+        if index == drop_at:
+            server.drop_next_watch_message()
+
+    state = apply_ops(env, server, client, ops, before_op)
+    revisions.append(dict(reader.mirror.revisions))
+    return state, reader.mirror, revisions
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 7, 13, 42])
 def test_cow_delta_equivalent_to_deepcopy_snapshot(seed):
     ops = random_ops(seed)
-    base_state, base_mirror, _, base_server = run_sequence(
+    base_state, base_mirror, base_server = run_sequence(
         ops, zero_copy=False, delta_watch=False
     )
-    cow_state, cow_mirror, _, cow_server = run_sequence(
+    cow_state, cow_mirror, cow_server = run_sequence(
         ops, zero_copy=True, delta_watch=True
     )
     assert cow_state == base_state
@@ -154,24 +186,24 @@ def test_cow_delta_equivalent_to_deepcopy_snapshot(seed):
 def test_injected_drop_resyncs_and_converges(seed):
     ops = random_ops(seed)
     # Drop a mid-sequence watch message: the delta chain breaks for the
-    # keys it carried; gap detection + per-key resync must converge the
-    # mirror to the same final state as the unbroken baseline.
-    drop_at = len(ops) // 2
-    base_state, base_mirror, _, _ = run_sequence(
+    # key it carried, the stream breaks at that key's next delta, and
+    # the read cache's follower re-lists.  The cache must converge to
+    # the same final state as the unbroken baseline's watcher.
+    base_state, base_mirror, _ = run_sequence(
         ops, zero_copy=False, delta_watch=False
     )
-    cow_state, cow_mirror, watch, _ = run_sequence(
-        ops, zero_copy=True, delta_watch=True, drop_at=drop_at
-    )
+    cow_state, cache, revisions = run_followed(ops, drop_at=len(ops) // 2)
     assert cow_state == base_state
-    assert watch.active  # resync healed the stream, no break needed
-    assert json.dumps(cow_mirror.state, sort_keys=True) == json.dumps(
-        base_mirror.state, sort_keys=True
-    )
-    # Revisions per key still strictly increase in the mirror's view.
-    for key, events in cow_mirror.per_key.items():
-        revisions = [rev for (_t, _o, rev) in events]
-        assert revisions == sorted(revisions), key
+    assert cache.follower.breaks == 1
+    assert json.dumps(
+        {key: view["data"] for key, view in cache.views.items()},
+        sort_keys=True,
+    ) == json.dumps(base_mirror.state, sort_keys=True)
+    # Revisions per key never go back in the cache's view, the rebuild
+    # included.
+    for before, after in zip(revisions, revisions[1:]):
+        for key, revision in before.items():
+            assert after[key] >= revision, key
 
 
 def log_scenario(zero_copy):
@@ -221,7 +253,7 @@ def metered(server):
 @pytest.mark.parametrize("mode", sorted(OBJECT_METERS))
 def test_object_plane_metered_bytes_are_pinned(mode):
     zero_copy, delta_watch = mode
-    server = run_sequence(random_ops(7), zero_copy, delta_watch)[3]
+    server = run_sequence(random_ops(7), zero_copy, delta_watch)[2]
     assert metered(server) == OBJECT_METERS[mode]
 
 
