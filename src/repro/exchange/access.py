@@ -73,9 +73,12 @@ class Role:
             raise ConfigurationError("role name must be non-empty")
         self.name = name
         self.permissions = list(permissions)
+        self._controllers = []  # registered with: add clears their index
 
     def add(self, permission):
         self.permissions.append(permission)
+        for controller in self._controllers:
+            controller._index.clear()
         return self
 
     def __repr__(self):
@@ -93,20 +96,28 @@ class AccessController:
         #: allowed)``: exact for any run length, bounded by principals x
         #: stores x verbs.  Set to None, checks go uncounted.
         self.audit = Counter()
+        #: ``(principal, store, verb)`` -> the permissions allowing it and
+        #: ``(principal, store)`` -> the secret fields it may read; every
+        #: policy change clears it.
+        self._index = {}
 
     # -- policy management ---------------------------------------------------
 
     def add_role(self, role):
         self._roles[role.name] = role
+        role._controllers.append(self)
+        self._index.clear()
         return role
 
     def bind(self, principal, role_name):
         if role_name not in self._roles:
             raise ConfigurationError(f"unknown role {role_name!r}")
         self._bindings.setdefault(principal, set()).add(role_name)
+        self._index.clear()
 
     def unbind(self, principal, role_name):
         self._bindings.get(principal, set()).discard(role_name)
+        self._index.clear()
 
     def add_condition(self, predicate):
         """Add a run-time condition applied to *every* access.
@@ -117,6 +128,7 @@ class AccessController:
         during sleep hours".
         """
         self._conditions.append(predicate)
+        self._index.clear()
 
     # -- queries ---------------------------------------------------------------
 
@@ -128,9 +140,11 @@ class AccessController:
 
     def _verdict(self, principal, store, verb, now, fields):
         """Why the access is denied, or ``""`` when it is allowed."""
-        matching = [
-            p for p in self.permissions_for(principal) if p.allows(store, verb)
-        ]
+        matching = self._index.get((principal, store, verb))
+        if matching is None:
+            matching = self._index[principal, store, verb] = [
+                p for p in self.permissions_for(principal)
+                if p.allows(store, verb)]
         if not matching:
             return "no role grants this verb"
         for path in fields or ():
@@ -157,10 +171,11 @@ class AccessController:
 
     def readable_secret_fields(self, principal, store):
         """Secret field paths this principal may see unmasked."""
-        fields = set()
-        for p in self.permissions_for(principal):
-            if p.store == store:
-                fields.update(p.read_fields)
+        fields = self._index.get((principal, store))
+        if fields is None:
+            fields = self._index[principal, store] = frozenset(
+                field for p in self.permissions_for(principal)
+                if p.store == store for field in p.read_fields)
         return fields
 
     def can(self, principal, store, verb):

@@ -34,6 +34,12 @@ from repro.simnet.events import NORMAL, Environment, Event, SimulationError
 _INF = float("inf")
 
 
+async def _new_event():
+    """An Event of the running loop: before 3.10, one made outside a
+    loop binds to the default loop."""
+    return asyncio.Event()
+
+
 class RealtimeDriftError(SimulationError):
     """Raised under ``strict=True`` when execution falls too far behind."""
 
@@ -75,7 +81,7 @@ class RealtimeEnvironment(Environment):
         self.strict = strict
         self.max_drift = float(max_drift)
         self._loop = asyncio.new_event_loop()
-        self._wake = asyncio.Event()
+        self._wake = self._loop.run_until_complete(_new_event())
         self._external_sources = set()
         self._wall_anchor = time.monotonic()
         self._wall_created = self._wall_anchor

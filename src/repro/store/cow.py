@@ -33,9 +33,9 @@ those copies with an immutable, structurally-shared representation:
   measured claim (``tests/test_plane_claims.py``), not vibes.
 - :func:`estimate_size` -- the byte model behind every size-dependent
   latency and every metered copy.  A frozen node never changes, so it
-  remembers its size the first time it is asked: a path-copy merge
-  re-creates only the nodes along the patch, every shared subtree keeps
-  its memo, and sizing the patched object costs O(re-created path).
+  is sized once, when it is built: ``freeze`` sizes each node from its
+  children, a path-copy merge sizes each re-created node from the one
+  it replaces (O(patch)), and every later size is one slot read.
 
 Versions are persistent-data-structure style: a store that patches an
 object gets a NEW frozen root sharing all unpatched subtrees with the
@@ -71,7 +71,7 @@ def _blocked(name):
 class CowMap(dict):
     """A frozen dict view.  Reads are plain dict reads; writes raise."""
 
-    #: ``estimate_size`` memo; unset until the node is first sized.
+    #: ``estimate_size`` memo, filled when built (never over plain children).
     __slots__ = ("_size",)
 
     __setitem__ = _blocked("__setitem__")
@@ -145,13 +145,12 @@ def freeze(value, meter=None, site="ingest"):
     if is_frozen(value):
         return value
     if isinstance(value, dict):
-        out = CowMap(
-            (key, freeze(item)) for key, item in value.items()
-        )
+        out = CowMap({key: freeze(item) for key, item in value.items()})
     elif isinstance(value, (list, tuple)):
-        out = CowList(freeze(item) for item in value)
+        out = CowList([freeze(item) for item in value])
     else:
         return value
+    _frozen_size(out)
     if meter is not None:
         meter.record(estimate_size(out), site)
     return out
@@ -181,18 +180,6 @@ def merge_shared(base, patch, meter=None, site="merge"):
         # plus the frozen patch payload -- NOT the whole object.
         meter.record(_path_copy_size(base, patch), site)
     return merged
-
-
-def _merge_shared(base, patch):
-    out = dict(base)  # shallow: shares every subtree reference
-    for key, value in patch.items():
-        if value is None:
-            out.pop(key, None)
-        elif isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge_shared(out[key], value)
-        else:
-            out[key] = freeze(value)
-    return CowMap(out)
 
 
 def _path_copy_size(base, patch):
@@ -324,7 +311,10 @@ class SharedState:
         """The one write-time copy (site ``ingest``); ``stamp`` adds
         store-assigned fields to a Log row."""
         frozen = freeze(value, meter, "ingest")
-        return CowMap({**frozen, **stamp}) if stamp else frozen
+        if stamp:
+            frozen = CowMap({**frozen, **stamp})
+            _frozen_size(frozen)
+        return frozen
 
     def merge(self, base, patch, meter=None):
         """``base`` with a merge-patch applied (site ``merge``)."""
@@ -340,7 +330,7 @@ class SharedState:
         """A read-cache hit.  The cached ``data`` is already frozen, so
         freezing the envelope around it copies nothing."""
         hit = freeze(view)
-        meter.shared(estimate_size(view))
+        meter.shared(estimate_size(hit))
         return hit
 
     def mask(self, value, paths, meter=None):
@@ -435,38 +425,49 @@ def estimate_size(value):
 
     The one byte model of the state plane: op latencies, wire sizes and
     every :class:`CopyMeter` figure come from here.  Frozen nodes answer
-    from their memo (see :func:`_frozen_size`); plain values are walked
-    on every call, because nothing stops their owner editing them.
+    from the memo they were given when built (see :func:`_frozen_size`);
+    plain values are walked on every call, because nothing stops their
+    owner editing them.  Subclasses take the ``isinstance`` rules.
     """
-    if isinstance(value, str):
+    kind = type(value)
+    if kind is str:
         return len(value) + 2
-    if value is None:
-        return 4
-    if isinstance(value, bool):
-        return 5
-    if isinstance(value, (int, float)):
+    if kind is int or kind is float:
         return 8
-    if isinstance(value, (CowMap, CowList)):
+    if kind is CowMap or kind is CowList:
         size = getattr(value, "_size", None)
         return _frozen_size(value) if size is None else size
+    if kind is dict or kind is list or kind is tuple:
+        return _walk_size(value)
+    if value is None:
+        return 4
+    if kind is bool:
+        return 5
+    if isinstance(value, str):
+        return len(value) + 2
+    if isinstance(value, (int, float)):
+        return 8
     if isinstance(value, (list, tuple, dict)):
         return _walk_size(value)
     return 16
 
 
-def _walk_size(value):
+def _walk_size(value, item_size=estimate_size):
+    # ``item_size`` (and ``_merge_shared``'s ``size_of``) is bound once:
+    # sizing a node as it is built is part of its copy, so a tracer that
+    # rebinds ``estimate_size`` counts only the byte model's own callers.
     size = 2
     if isinstance(value, dict):
         for key, item in value.items():
-            size += estimate_size(key) + estimate_size(item) + 2
+            size += item_size(key) + item_size(item) + 2
     else:
         for item in value:
-            size += estimate_size(item) + 1
+            size += item_size(item) + 1
     return size
 
 
 def _frozen_size(node):
-    """First sizing of a frozen node: walk it once and remember the answer.
+    """Size a frozen node once, when it is built, and remember the answer.
 
     The memo is kept only when nothing below the node can still change,
     i.e. every container child is itself frozen and memoised.  A
@@ -481,3 +482,30 @@ def _frozen_size(node):
             return size
     node._size = size
     return size
+
+
+def _merge_shared(base, patch, size_of=estimate_size):
+    """:func:`merge_shared`'s path copy, sized from ``base`` in O(patch)."""
+    out = dict(base)  # shallow: shares every subtree reference
+    size = getattr(base, "_size", None)
+    for key, value in patch.items():
+        old = out.get(key, _MISSING)
+        if value is None:
+            out.pop(key, None)
+        elif isinstance(value, dict) and isinstance(old, dict):
+            out[key] = value = _merge_shared(old, value)
+        else:
+            out[key] = value = freeze(value)
+        if size is not None:  # re-size only the entries the patch touched
+            if old is not _MISSING:
+                size -= size_of(key) + size_of(old) + 2
+            if is_frozen(value) and not hasattr(value, "_size"):
+                size = None  # aliases mutable state: no memo here either
+            elif value is not None:
+                size += size_of(key) + size_of(value) + 2
+    out = CowMap(out)
+    if size is None:
+        _frozen_size(out)
+    else:
+        out._size = size
+    return out

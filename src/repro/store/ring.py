@@ -29,7 +29,9 @@ takes as ``topology=``.
 
 import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import ClassVar
 
 from repro.errors import ConfigurationError
@@ -38,6 +40,7 @@ from repro.errors import ConfigurationError
 _SPACE_BITS = 64
 
 
+@lru_cache(maxsize=1 << 14)
 def hash_key(key):
     """Position of ``key`` on the ring: stable 64-bit blake2b digest.
 
@@ -116,16 +119,8 @@ class ShardRing:
         points = self._points
         if not points:
             raise ConfigurationError("the ring has no members")
-        lo, hi = 0, len(points)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if points[mid][0] < h:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(points):
-            lo = 0  # wrapped past the last point
-        return points[lo][1]
+        # ``(h,)`` sorts first among ``(h, member)``: the first point >= h.
+        return points[bisect_left(points, (h,)) % len(points)][1]
 
     def owner_index(self, key):
         """Index of the owner in :attr:`members` (insertion order)."""

@@ -23,7 +23,7 @@ DELETED = "DELETED"
 EVENT_OVERHEAD = 24
 
 
-@dataclass(frozen=True)
+@dataclass
 class WatchEvent:
     """One change notification delivered to a watcher.
 
@@ -40,6 +40,7 @@ class WatchEvent:
     metadata -- a handful of header bytes in a real system -- and are
     deliberately excluded from :meth:`wire_size` so enabling tracing
     never perturbs the simulated latency model.
+    A plain record, immutable by convention once built.
     """
 
     type: str  # ADDED | MODIFIED | DELETED
@@ -59,17 +60,12 @@ class WatchEvent:
         Measured once per event: an event is immutable once committed,
         and fan-out hands the same one to every watcher.
         """
-        size = self._wire_size
-        if size is None:
-            if self.object is None and self.delta is not None:
-                payload = estimate_size(self.delta)
-            elif self.object is not None:
-                payload = estimate_size(self.object)
-            else:
-                payload = 0  # tombstone
-            size = len(self.key) + EVENT_OVERHEAD + payload
-            object.__setattr__(self, "_wire_size", size)
-        return size
+        if self._wire_size is None:
+            # The object, else the delta it ships as, else a tombstone.
+            body = self.object if self.object is not None else self.delta
+            self._wire_size = len(self.key) + EVENT_OVERHEAD + (
+                0 if body is None else estimate_size(body))
+        return self._wire_size
 
 
 class Watch:

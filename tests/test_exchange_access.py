@@ -124,6 +124,59 @@ class TestConditions:
             acl.check("house", "lamp", "patch", now=23.0)
 
 
+class TestVerdictIndex:
+    """Verdicts are indexed after the first check; every policy change
+    made after that check is honoured by the next one."""
+
+    def test_bind_after_a_denial_grants(self, acl):
+        assert not acl.can("alice", "storeA", "get")
+        acl.bind("alice", "reader")
+        acl.check("alice", "storeA", "get")
+
+    def test_unbind_after_an_allowed_check_revokes(self, acl):
+        acl.bind("alice", "reader")
+        acl.check("alice", "storeA", "get")
+        acl.unbind("alice", "reader")
+        with pytest.raises(AccessDeniedError):
+            acl.check("alice", "storeA", "get")
+
+    def test_add_role_replacing_a_bound_name_is_honoured(self, acl):
+        acl.bind("alice", "reader")
+        acl.check("alice", "storeA", "get")
+        acl.add_role(Role("reader", [Permission("storeA", frozenset({"list"}))]))
+        assert not acl.can("alice", "storeA", "get")
+        acl.check("alice", "storeA", "list")
+
+    def test_role_add_on_a_registered_role_is_honoured(self, acl):
+        acl.bind("alice", "reader")
+        assert not acl.can("alice", "storeA", "delete")
+        assert acl.readable_secret_fields("alice", "storeA") == set()
+        acl._roles["reader"].add(Permission(
+            "storeA", frozenset({"delete"}), read_fields=("card",)))
+        acl.check("alice", "storeA", "delete")
+        assert acl.readable_secret_fields("alice", "storeA") == {"card"}
+
+    def test_write_scope_is_checked_on_every_call(self, acl):
+        acl.bind("bob", "writer")
+        acl.check("bob", "storeA", "patch", fields=["quote"])
+        with pytest.raises(AccessDeniedError, match="write scope"):
+            acl.check("bob", "storeA", "patch", fields=["secret"])
+
+    def test_condition_vetoes_an_indexed_allowed_access(self, acl):
+        acl.bind("alice", "reader")
+        acl.check("alice", "storeA", "get")
+        blocked = []
+        acl.add_condition(lambda p, s, v, now: not blocked)
+        acl.check("alice", "storeA", "get")
+        blocked.append(True)  # a run-time condition, not a policy change
+        with pytest.raises(AccessDeniedError, match="run-time policy"):
+            acl.check("alice", "storeA", "get")
+        assert acl.audit == {
+            ("alice", "storeA", "get", True): 2,
+            ("alice", "storeA", "get", False): 1,
+        }
+
+
 class TestAudit:
     def test_allowed_and_denied_recorded(self, acl):
         acl.bind("alice", "reader")

@@ -13,6 +13,7 @@ from repro.store.cow import (
     CowList,
     CowMap,
     FrozenViewError,
+    SharedState,
     copy_value,
     diff_shared,
     estimate_size,
@@ -301,6 +302,86 @@ _steps = st.one_of(
 )
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+#: Beyond JSON: subclasses take the ``isinstance`` rules, ``bool``
+#: sits beside ``int``, ints outgrow a machine word, and a foreign
+#: object is 16 bytes.
+_wide_leaves = st.one_of(
+    _leaves, st.integers(), st.integers(-5, 5).map(_Int),
+    st.text(max_size=6).map(_Str), st.builds(object),
+)
+_wide_trees = st.recursive(
+    _wide_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.lists(inner, max_size=3).map(_List),
+        st.dictionaries(_keys, inner, max_size=4),
+        st.dictionaries(_keys.map(_Str), inner, max_size=3).map(_Dict),
+    ),
+    max_leaves=20,
+)
+_wide_maps = st.dictionaries(_keys, _wide_trees, max_size=4)
+_paths = st.lists(st.lists(_keys, min_size=1, max_size=3).map(".".join),
+                  max_size=3)
+
+
+def frozen_nodes(value):
+    """Every frozen container in ``value``, depth first."""
+    if isinstance(value, (CowMap, CowList)):
+        yield value
+        for child in value.values() if isinstance(value, dict) else value:
+            yield from frozen_nodes(child)
+
+
+class TestSizedWhenBuilt:
+    @settings(max_examples=200, deadline=None)
+    @given(value=_wide_trees)
+    def test_estimate_size_matches_the_reference(self, value):
+        assert estimate_size(value) == plain_size(value)
+        assert estimate_size(freeze(value)) == plain_size(value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(start=_wide_maps, patch=_wide_maps, paths=_paths)
+    def test_every_built_node_carries_its_size(self, start, patch, paths):
+        base = freeze(start)
+        merged = merge_shared(base, patch)
+        built = {
+            "freeze": base,
+            "merge": merged,
+            "mask": mask_shared(merged, paths),
+            "ingest": SharedState().ingest(
+                start, stamp={"_seq": 7, "_ts": 0.5}),
+        }
+        for site, root in built.items():
+            for node in frozen_nodes(root):
+                assert node._size == plain_size(node), site
+
+    def test_a_patch_carrying_an_unsized_node_leaves_no_memo(self):
+        inner = {"v": 1}
+        merged = merge_shared(freeze({"a": {"b": 1}}),
+                              {"a": {"held": CowMap({"inner": inner})}})
+        assert not hasattr(merged, "_size")
+        assert not hasattr(merged["a"], "_size")
+        inner["grown"] = "x" * 40
+        assert estimate_size(merged) == plain_size(thaw(merged))
+
+
 class TestSizeMemo:
     @settings(max_examples=150, deadline=None)
     @given(value=_trees)
@@ -336,9 +417,10 @@ class TestSizeMemo:
         estimate_size(base)
         merged = merge_shared(base, {"hot": {"v": 2}})
         assert merged["cold"]._size == plain_size(thaw(base["cold"]))
-        assert not hasattr(merged, "_size")  # re-created, not yet asked
-        assert estimate_size(merged) == plain_size(thaw(merged))
-        assert merged._size == estimate_size(merged)
+        # Re-created by the merge, and sized as it was built.
+        assert merged._size == plain_size(thaw(merged))
+        assert merged["hot"]._size == plain_size({"v": 2})
+        assert estimate_size(merged) == merged._size
 
     def test_node_over_plain_children_is_never_memoised(self):
         # A hand-built frozen node aliases its mutable child: a memo

@@ -1,6 +1,11 @@
 """The consistent-hash ring: determinism, locality, and the Topology spec."""
 
+import hashlib
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.store import AutoscalePolicy, ShardRing, Topology, key_in_ranges
@@ -92,6 +97,74 @@ class TestLocality:
         for key in KEYS:
             if before[key] == 2:
                 assert ring.owner_of(key) != 2
+
+
+def reference_hash(key):
+    """The ring position of ``key``, digested afresh (no memo)."""
+    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
+
+
+def reference_owner(points, h):
+    """The ring lookup as a binary search written out: the oracle."""
+    lo, hi = 0, len(points)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if points[mid][0] < h:
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo == len(points):
+        lo = 0  # wrapped past the last point
+    return points[lo][1]
+
+
+class TestLookup:
+    @settings(max_examples=200, deadline=None)
+    @given(key=st.text(max_size=24), members=st.integers(1, 6),
+           seed=st.integers(0, 3))
+    def test_owner_matches_the_binary_search(self, key, members, seed):
+        ring = ShardRing(seed=seed, members=range(members))
+        assert hash_key(key) == reference_hash(key)
+        assert ring.owner_of(key) == reference_owner(
+            ring._points, reference_hash(key))
+
+    def test_every_point_and_its_neighbours(self):
+        ring = ShardRing(seed=2, members=range(3))
+        points = ring._points
+        for h in {0, 1, 2**64 - 1} | {
+                p + d for p, _ in points for d in (-1, 0, 1)}:
+            assert ring.owner_of_point(h) == reference_owner(points, h)
+
+    def test_a_hash_past_the_last_point_wraps_to_the_first(self):
+        ring = ShardRing(seed=0, members=range(4))
+        last, first = ring._points[-1][0], ring._points[0]
+        assert last < 2**64 - 1
+        assert ring.owner_of_point(last + 1) == first[1]
+        assert ring.owner_of_point(2**64 - 1) == first[1]
+
+    def test_answers_follow_membership_changes(self):
+        ring = ShardRing(seed=7, members=range(2))
+        rng = random.Random(3)
+        keys = [f"k/{rng.getrandbits(40)}" for _ in range(500)]
+        for change in (lambda: ring.add(2), lambda: ring.add(5),
+                       lambda: ring.remove(0), lambda: ring.remove(2)):
+            before = ring.version
+            change()
+            assert ring.version == before + 1
+            for key in keys:
+                assert ring.owner_of(key) == reference_owner(
+                    ring._points, reference_hash(key))
+
+    def test_the_hash_memo_stays_bounded(self):
+        bound = hash_key.cache_info().maxsize
+        assert bound is not None
+        for i in range(100_000):
+            hash_key(f"distinct/{i}")
+        info = hash_key.cache_info()
+        assert info.currsize <= bound
+        # Evicted keys hash to the same place when asked again.
+        assert hash_key("distinct/0") == reference_hash("distinct/0")
 
 
 class TestRingEdges:
